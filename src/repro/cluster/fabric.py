@@ -31,7 +31,7 @@ Two properties keep the hot path cheap and deterministic:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..simulation.events import Event
 
@@ -109,6 +109,9 @@ class SharedFabric:
         self._timer_gen = 0          # identity of the live timer
         #: Total timers ever armed (observability / benchmarks).
         self.timers_armed = 0
+        #: Activity observer: called with True when the first flow arrives
+        #: and with False when the last one completes or is killed.
+        self.on_busy: Optional[Callable[[bool], None]] = None
 
     # -- topology -----------------------------------------------------------
     def add_link(self, link_id: str, capacity: float) -> None:
@@ -211,10 +214,15 @@ class SharedFabric:
         self._flows[flow] = None
         for link in flow.links:
             self._link_members[link][flow] = None
+        if self.on_busy is not None and len(self._flows) == 1:
+            self.on_busy(True)
 
     def _retire(self, flow: Flow) -> None:
         """Remove a flow (completed or killed) from the maintained index."""
-        self._flows.pop(flow, None)
+        if flow in self._flows:
+            del self._flows[flow]
+            if not self._flows and self.on_busy is not None:
+                self.on_busy(False)
         for link in flow.path:
             members = self._link_members.get(link)
             if members is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .fabric import FairShareDevice, Flow
 from .resources import ResourceVector
@@ -129,6 +129,18 @@ class Node:
         self.cpu = CpuPool(env, cores, name=f"{node_id}.cpu")
         self.disk = DiskDevice(env, disk_read_mb_s, disk_write_mb_s,
                                name=f"{node_id}.disk", seek_penalty=disk_seek_penalty)
+        #: Activity observer (the cluster's index of busy nodes): called
+        #: with ``(node, True)`` when a device gets work while both were
+        #: idle and ``(node, False)`` once both are idle again.
+        self.on_busy: Optional[Callable[["Node", bool], None]] = None
+        self._busy_devices = 0
+        self.cpu._device.fabric.on_busy = self._device_busy
+        self.disk._device.fabric.on_busy = self._device_busy
+
+    def _device_busy(self, busy: bool) -> None:
+        self._busy_devices += 1 if busy else -1
+        if self.on_busy is not None and self._busy_devices == int(busy):
+            self.on_busy(self, busy)
 
     def __repr__(self) -> str:
         return f"<Node {self.node_id} rack={self.rack} {self.capability}>"

@@ -26,6 +26,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import ServingConfig
+from ..simulation.events import CONTROL
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -99,8 +100,12 @@ class Autoscaler:
     # -- control loop ----------------------------------------------------------
     def _loop(self) -> Generator:
         while True:
-            yield self.env.timeout(self.conf.autoscale_interval_s)
+            yield self.env.timeout(self.conf.autoscale_interval_s,
+                                   priority=CONTROL)
             self._tick()
+            # A restart or drain that settled on this instant changed
+            # capacity as much as a scaling decision: every round notifies.
+            self._notify()
 
     def _desired_nodes(self, healthy: int) -> int:
         pending = self.controller.pending_count

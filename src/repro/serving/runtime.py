@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..config import SLO_LATENCY, ServingConfig
 from ..metrics import StreamingRatio
+from ..simulation.events import CONTROL
 from .admission import AdmissionController, Decision
 from .autoscaler import Autoscaler
 from .slo import (
@@ -96,7 +97,7 @@ class ServingRuntime:
                 cluster, serving, self,
                 attainment=self.recent_attainment,
                 on_capacity_change=self._pump)
-        if serving.admission:
+        elif serving.admission:
             # Watchdog pump: dispatch normally rides on completions and
             # capacity changes, but if every healthy node dies mid-burst the
             # queue must not deadlock waiting for a completion that cannot
@@ -225,7 +226,8 @@ class ServingRuntime:
 
     def _watchdog(self) -> Generator:
         while True:
-            yield self.env.timeout(self.serving.autoscale_interval_s)
+            yield self.env.timeout(self.serving.autoscale_interval_s,
+                                   priority=CONTROL)
             self._pump()
 
     # -- completion ------------------------------------------------------------

@@ -72,6 +72,14 @@ class SimCluster:
         #: deriving fresh ids from ``len(self.datanodes)`` would collide as
         #: soon as a node has been removed.
         self._node_seq = spec.num_datanodes
+        #: Nodes with CPU or disk work in flight, keyed by id, with their
+        #: creation index (``datanodes`` order): probes skip idle nodes.
+        self._busy: dict[str, tuple[int, Node]] = {}
+        self._index: dict[str, int] = {}
+        #: Physical cores over ``datanodes``.
+        self.total_cores = 0
+        for i, node in enumerate(self.datanodes):
+            self._watch(node, i)
         self.node_managers: list[NodeManager] = []
         for i, node in enumerate(self.datanodes):
             # Deterministic but spread heartbeat phases, like real daemons
@@ -105,6 +113,7 @@ class SimCluster:
             disk_seek_penalty=inst.disk_seek_penalty,
         )
         self.datanodes.append(node)
+        self._watch(node, i)
         self.topology.add(node)
         self.network.add_node(node)
         self.datanode_daemons[node.node_id] = DataNodeDaemon(
@@ -137,11 +146,31 @@ class SimCluster:
         self.rm.remove_node(node_id)
         self.topology.remove(node_id)
         self.datanodes.remove(node)
+        del self._index[node_id]
+        self._busy.pop(node_id, None)
+        self.total_cores -= node.cpu.cores
         self.node_managers = [m for m in self.node_managers
                               if m.node_id != node_id]
         daemon = self.datanode_daemons.pop(node_id)
         daemon.fail()
         return self.replication_manager.handle_datanode_loss(node_id)
+
+    def busy_nodes(self) -> list[Node]:
+        """Nodes with CPU or disk work in flight, in ``datanodes`` order.
+        Every other node reads zero on both devices."""
+        return [node for _, node in sorted(self._busy.values())]
+
+    def _watch(self, node: Node, index: int) -> None:
+        self._index[node.node_id] = index
+        self.total_cores += node.cpu.cores
+        node.on_busy = self._on_node_busy
+
+    def _on_node_busy(self, node: Node, busy: bool) -> None:
+        index = self._index.get(node.node_id)
+        if busy and index is not None:
+            self._busy[node.node_id] = (index, node)
+        else:
+            self._busy.pop(node.node_id, None)
 
     # -- convenience -----------------------------------------------------------
     def load_input_files(self, prefix: str, num_files: int, file_size_mb: float,

@@ -67,9 +67,10 @@ class Environment:
         """Create a new pending event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None,
+                priority: int = NORMAL) -> Timeout:
         """An event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay, value, priority)
 
     def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""

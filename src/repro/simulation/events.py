@@ -22,12 +22,17 @@ PENDING = object()
 #: Scheduling priorities. Lower runs first at equal simulation time.
 URGENT = 0
 NORMAL = 1
-#: Runs after every same-instant NORMAL event: for periodic *observers*
-#: (heartbeat ticks, samplers) that must see the settled state of their
-#: instant. Without it, whether a beat at time t notices a submission at
-#: time t depends on queue insertion order — a same-timestamp race the
-#: sanitizer (``repro lint --sanitize-races``) would flag.
-DEFERRED = 2
+#: Runs after every same-instant NORMAL event: for periodic *controllers*
+#: (the serving control loop) that must act on the settled state of their
+#: instant — a node restart or an arrival stamped t included, whichever
+#: order their events were queued in.
+CONTROL = 2
+#: Runs after everything else at its instant: for periodic *observers*
+#: (heartbeat ticks) that must see the settled state of their instant.
+#: Without it, whether a beat at time t notices a submission at time t
+#: depends on queue insertion order — a same-timestamp race the sanitizer
+#: (``repro lint --sanitize-races``) would flag.
+DEFERRED = 3
 
 
 class Event:
@@ -122,14 +127,15 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env.schedule(self, priority=priority, delay=delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"

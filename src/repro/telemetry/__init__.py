@@ -23,7 +23,7 @@ driver installs it) or :func:`install_telemetry` directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..config import TelemetryConfig
 from .alerts import (Alert, AlertEngine, AlertSummary, BurnRateRule,
@@ -67,16 +67,18 @@ class _NodeProbeCache:
     would dominate replay wall time. They also move slowly, so
     (standard practice for expensive collectors) the cache recomputes at
     most every ``interval_s`` of *simulated* time — intermediate scrapes
-    re-export the cached values. Reads within one kernel state
-    (``env.events_processed`` unchanged) are always mutually consistent.
+    re-export the cached values. Both the cadence and the staleness check
+    run on the scrape's grid timestamp (``clock``), never on the time of
+    the event that triggered the scrape, so how many events happen to
+    fall between grid points cannot change a sample.
     """
 
     def __init__(self, cluster: "SimCluster", stale_after_s: float,
-                 interval_s: float) -> None:
+                 interval_s: float, clock: Callable[[], float]) -> None:
         self.cluster = cluster
         self.stale_after_s = stale_after_s
         self.interval_s = interval_s
-        self._key = -1
+        self.clock = clock
         self._last_t = 0.0
         self.sample: Optional[UtilizationSample] = None
         self.rack_alive: dict[str, int] = {}
@@ -85,18 +87,13 @@ class _NodeProbeCache:
         self.max_link = 0.0
 
     def get(self) -> "_NodeProbeCache":
-        env = self.cluster.env
-        key = env.events_processed
-        if key == self._key:
+        now = self.clock()
+        if self.sample is not None and now - self._last_t < self.interval_s:
             return self
-        if self.sample is not None and env.now - self._last_t < self.interval_s:
-            return self
-        self._key = key
-        self._last_t = env.now
-        self.sample = sample_utilization(self.cluster)
-        states = self.cluster.rm.nodes
-        now = env.now
-        stale = 0
+        self._last_t = now
+        self.sample = sample_utilization(self.cluster, per_node=False)
+        rm = self.cluster.rm
+        states = rm.nodes
         for rack in self.cluster.topology.racks:
             alive = registered = 0
             for node in self.cluster.topology.nodes_in_rack(rack):
@@ -106,11 +103,18 @@ class _NodeProbeCache:
                 registered += 1
                 if st.alive:
                     alive += 1
-                    if now - st.last_heartbeat > self.stale_after_s:
-                        stale += 1
             self.rack_alive[rack] = alive
             self.rack_registered[rack] = registered
-        self.stale = stale
+        # Every registered node is on the heartbeat wheel; without one
+        # (heartbeats off) no node ever beats, and NodeState reports 0.0.
+        if rm.heartbeat_wheel is None:
+            self.stale = (sum(self.rack_alive.values())
+                          if now > self.stale_after_s else 0)
+        else:
+            self.stale = sum(
+                1 for node_id in rm.heartbeat_wheel.silent_nodes(
+                    now, self.stale_after_s)
+                if node_id in states and states[node_id].alive)
         # Only links carrying an active flow can have nonzero utilization,
         # so walk flow paths instead of the full link table — zero cost on
         # an idle fabric, and private per-flow cap links (not real fabric
@@ -190,10 +194,11 @@ class Telemetry:
         reg.gauge("rm_vcores_capability", "Total registered vcores.",
                   fn=lambda: rm.total_capability().vcores)
         wheel = rm.heartbeat_wheel
+        clock = self.scraper.read_time
         if wheel is not None:
-            reg.counter("rm_heartbeats", "NodeManager heartbeats delivered "
-                        "through the wheel.",
-                        fn=lambda: wheel.heartbeats_delivered)
+            reg.counter("rm_heartbeats", "NodeManager heartbeats made, "
+                        "including the idle ones the wheel sleeps through.",
+                        fn=lambda: wheel.beats_before(clock()))
             reg.counter("rm_wheel_ticks", "Aggregate wheel tick events (one "
                         "may deliver a whole cohort's beats).",
                         fn=lambda: wheel.ticks)
@@ -202,7 +207,7 @@ class Telemetry:
         # O(nodes) quantities share one cached walk at its own cadence.
         stale_after = conf.heartbeat_stale_factor * cluster.conf.nm_heartbeat_s
         probe = self._probe = _NodeProbeCache(
-            cluster, stale_after, conf.node_probe_interval_s)
+            cluster, stale_after, conf.node_probe_interval_s, clock)
         topology = cluster.topology
         for rack in sorted(topology.racks):
             reg.gauge("nodes_alive", "Registered nodes alive in this rack.",

@@ -33,21 +33,38 @@ class UtilizationSample:
     used_vcores: float
 
 
-def sample_utilization(cluster: "SimCluster") -> UtilizationSample:
-    """Read the monitor quantities from a cluster, mutating nothing."""
+def sample_utilization(cluster: "SimCluster",
+                       per_node: bool = True) -> UtilizationSample:
+    """Read the monitor quantities from a cluster, mutating nothing.
+
+    A node outside :meth:`~repro.simcluster.SimCluster.busy_nodes` reads
+    zero on both devices, and zeros change no sum, and no maximum or
+    minimum beyond "some node reads zero". With ``per_node=False`` (the
+    telemetry probe, which needs no per-node lists) only busy nodes are
+    read, so sampling a mostly idle large cluster is cheap; the aggregates
+    are the same either way.
+    """
     rm = cluster.rm
-    total_cores = sum(n.cpu.cores for n in cluster.datanodes)
+    nodes = cluster.datanodes if per_node else cluster.busy_nodes()
+    total_cores = cluster.total_cores
     busy = 0.0
     node_cpu: list[tuple[str, float]] = []
     node_disk_ops: list[tuple[str, float]] = []
-    for node in cluster.datanodes:
+    utils: list[float] = []
+    disks: list[float] = []
+    for node in nodes:
         util = node.cpu.utilization()
-        node_cpu.append((node.node_id, util))
-        node_disk_ops.append((node.node_id, float(node.disk.active_ops)))
+        ops = float(node.disk.active_ops)
+        if per_node:
+            node_cpu.append((node.node_id, util))
+            node_disk_ops.append((node.node_id, ops))
+        utils.append(util)
+        disks.append(ops)
         busy += util * node.cpu.cores
+    if len(nodes) < len(cluster.datanodes):
+        utils.append(0.0)
+        disks.append(0.0)
 
-    utils = [u for _, u in node_cpu]
-    disks = [d for _, d in node_disk_ops]
     total = rm.total_capability()
     used = rm.total_used()
     return UtilizationSample(

@@ -98,6 +98,8 @@ class Scraper:
         # Cached next-due timestamp, mirrored into ``env.sample_next`` so
         # the kernel's inline compare needs no arithmetic.
         self._next_t = self._anchor + self.interval_s
+        #: Grid timestamp of the sample being taken; ``None`` between.
+        self._sampling: Optional[float] = None
         self.scrapes_done = 0
         self.samples_skipped = 0
         self._series: dict[tuple, RingSeries] = {}
@@ -152,9 +154,22 @@ class Scraper:
         if self._installed:
             self.env.sample_next = due
 
+    def read_time(self) -> float:
+        """The instant a pull instrument reports on: the grid timestamp of
+        the sample being taken, else the current simulated time.
+
+        A sample at grid point t is taken when the first event at or after
+        t is popped, so ``env.now`` may lie past t — by how much depends on
+        how dense the events are. Instruments that depend on time itself
+        (cadences, "seconds since") must read this instead, or a no-op
+        event could change a sample.
+        """
+        return self.env.now if self._sampling is None else self._sampling
+
     def sample(self, t: float) -> None:
         """Read every instrument once, stamping samples with ``t``."""
         series = self._series
+        self._sampling = t
         for instrument in self.registry:
             key = (instrument.name, instrument.labels)
             ring = series.get(key)
@@ -163,6 +178,7 @@ class Scraper:
                                   self.retention)
                 series[key] = ring
             ring.append(t, instrument.value)
+        self._sampling = None
         self.scrapes_done += 1
         for hook in self.on_scrape:
             hook(t)

@@ -1,4 +1,4 @@
-"""Batched, phase-staggered NodeManager heartbeat wheel.
+"""Batched, phase-staggered NodeManager heartbeat wheel that sleeps when idle.
 
 Before this module each NodeManager ran its own kernel process::
 
@@ -24,17 +24,35 @@ and has two latent bugs this module fixes:
   each node's *anchor* forever: a resumed node fires at the next grid point
   of its **original** phase.
 
-One wheel serves every node of an RM. It arms one bare kernel event per
-*distinct* upcoming beat instant instead of running N sleeping processes;
-a tick delivers every beat due at that instant, in node registration order
-— identical to the per-process order, since same-time processes fired in
-insertion order. Each successor tick is armed immediately *after* the
-node's beat is delivered, which is exactly when the legacy loop created
-its next ``Timeout`` — so the tick's insertion order (and hence its
-ordering against other events at the very same timestamp) matches the old
-per-node timers event for event. Dead (``fail``) and drained nodes are
-*suspended*: their entry is detached (token invalidated, lazily skipped)
-and no beat is delivered until ``resume``.
+One wheel serves every node of an RM. It keeps the pending beats in its
+own queue, ordered by (fire instant, registration order), and arms one
+kernel tick at a time: at the earliest pending instant. A tick delivers
+every beat due at its instant, in registration order. Ticks are
+``DEFERRED`` events and nothing else in the simulator is, so a beat at
+time t runs after every other event queued for instant t, however early
+or late its tick was queued: the beat order does not depend on when a
+tick is armed. Dead (``fail``) and drained nodes are *suspended*: their
+queued beat is cancelled and no beat is delivered until ``resume``.
+
+**Sleep/wake contract.** On a short-job cluster almost every beat has
+nothing to place. The owner passes a ``busy`` predicate ("an AM or a
+container ask is queued"), evaluated before each beat is delivered:
+
+* The first beat that finds ``busy()`` false puts the wheel to sleep. That
+  beat, and every other beat due at the same instant, is counted but not
+  delivered, and no further tick is armed.
+* Asleep, the wheel schedules nothing, but the nodes keep beating on
+  paper: :attr:`heartbeats_delivered` and :meth:`last_beat` report the
+  beats every active node made at grid instants before the read time.
+* :meth:`wake` — called by whoever enqueues work — fast-forwards every
+  active node to its next grid point at or after now, counting the beats
+  it skipped, and arms the earliest. A beat on the instant of the wake is
+  still delivered, and, being ``DEFERRED``, it sees the work.
+
+The owner guarantees that a beat which finds ``busy()`` false would have
+been a no-op apart from recording the beat. With ``busy=None`` the wheel
+never sleeps and delivers every beat — the reference the sleeping wheel
+is tested against (same working beats, same counts, same beat times).
 
 ``quantum > 0`` (``HadoopConfig.nm_heartbeat_quantum_s``) snaps anchors
 onto a coarse phase grid so thousands of nodes share fire times and one
@@ -49,36 +67,33 @@ import math
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Optional
 
+import numpy as np
+
 from ..simulation.bucketq import BucketQueue
 from ..simulation.events import DEFERRED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.core import Environment
 
-
-class _Entry:
-    """Wheel bookkeeping for one registered node."""
-
-    __slots__ = ("anchor", "seq", "k", "token")
-
-    def __init__(self, anchor: float, seq: int, token: int) -> None:
-        #: Absolute time of the node's first-ever beat; the node's phase.
-        #: Never changes — resume() lands back on this grid.
-        self.anchor = anchor
-        #: Registration order; breaks ties between same-instant beats.
-        self.seq = seq
-        #: Beats delivered so far; next fire is ``anchor + k*period``.
-        self.k = 0
-        #: Identity of the queued beat. ``None`` while suspended; a queued
-        #: entry whose token no longer matches is skipped lazily.
-        self.token: Optional[int] = token
+#: ``last`` of a node that has not beaten yet.
+_NEVER = -math.inf
 
 
 class HeartbeatWheel:
-    """Aggregated heartbeat timer for all NodeManagers of one RM."""
+    """Aggregated heartbeat timer for all NodeManagers of one RM.
+
+    Per-node state is columnar, one slot per registration (slots are never
+    reused, so the slot is also the tie-break between same-instant beats):
+    the node's *anchor* (its first-ever beat; it never changes, so resume()
+    lands back on the same grid), ``k`` (beats counted so far; the next
+    fire is ``anchor + k*period``), ``last`` (instant of the latest counted
+    beat) and ``token`` (cancellation id of the queued beat, ``None`` while
+    suspended).
+    """
 
     def __init__(self, env: "Environment", period: float,
-                 deliver: Callable[[str], None], quantum: float = 0.0) -> None:
+                 deliver: Callable[[str], None], quantum: float = 0.0,
+                 busy: Optional[Callable[[], bool]] = None) -> None:
         if period <= 0:
             raise ValueError(f"heartbeat period must be positive, got {period}")
         if quantum < 0:
@@ -87,16 +102,33 @@ class HeartbeatWheel:
         self._period = period
         self._quantum = quantum
         self._deliver = deliver
-        self._entries: dict[str, _Entry] = {}
+        self._busy = busy
+        self._slot: dict[str, int] = {}
+        #: Slot -> node id; ``None`` once unregistered.
+        self._ids: list[Optional[str]] = []
+        self._anchor: list[float] = []
+        self._k: list[int] = []
+        self._last: list[float] = []
+        self._token: list[Optional[int]] = []
+        #: Queued beats ``(fire, slot, token)`` while awake: every active
+        #: slot exactly once. Emptied on falling asleep, rebuilt by wake().
         self._queue = BucketQueue()
-        self._seq = count()
         self._tokens = count()
-        #: Beat instants with a tick event already on the kernel queue.
-        #: With ``quantum > 0`` whole cohorts share one instant — and one
-        #: tick — which is where the 10k-node aggregation win comes from.
+        self._asleep = False
+        #: Instants with a tick on the kernel queue — normally just the
+        #: earliest pending one (a register/resume can add an earlier one).
         self._armed: set[float] = set()
+        #: Beats delivered, plus beats slept through up to the last
+        #: fast-forward; :meth:`beats_before` adds the rest while asleep.
+        self._counted = 0
+        #: Sum of ``k`` over the active slots, and the instant the wheel
+        #: last fell asleep: beats_before() needs no per-slot ``k`` then.
+        self._active_k = 0
+        self._slept_at = -math.inf
+        #: ids, anchors, active and registered masks as arrays, for bulk
+        #: reads; rebuilt after a membership change.
+        self._arrays: Optional[tuple[np.ndarray, ...]] = None
         self.ticks = 0
-        self.heartbeats_delivered = 0
 
     # -- membership ---------------------------------------------------------
     def register(self, node_id: str, offset: float = 0.0) -> None:
@@ -105,26 +137,36 @@ class HeartbeatWheel:
         Matches the legacy per-process semantics exactly: a node registered
         at time t with phase offset o beats at ``t + o%p, +p, +2p, ...``.
         """
-        if node_id in self._entries:
+        if node_id in self._slot:
             raise ValueError(f"node {node_id!r} already on the heartbeat wheel")
         anchor = self._env.now + (offset % self._period)
         if self._quantum > 0:
             # Snap to the quantum grid, always forward (never before now).
             anchor = math.ceil(anchor / self._quantum) * self._quantum
-        entry = _Entry(anchor, next(self._seq), next(self._tokens))
-        self._entries[node_id] = entry
-        self._queue.push((anchor, entry.seq, entry.token, node_id))
-        self._arm_time(anchor)
+        slot = len(self._ids)
+        self._slot[node_id] = slot
+        self._ids.append(node_id)
+        self._anchor.append(anchor)
+        self._k.append(0)
+        self._last.append(_NEVER)
+        self._token.append(None)
+        self._schedule(slot)
 
     def unregister(self, node_id: str) -> None:
         """Forget ``node_id`` entirely (decommission)."""
-        self._entries.pop(node_id, None)
+        slot = self._slot.pop(node_id, None)
+        if slot is None:
+            return
+        if self._token[slot] is not None:
+            self._stop(slot)
+        self._ids[slot] = None
+        self._arrays = None
 
     def suspend(self, node_id: str) -> None:
         """Stop delivering beats (node died or was drained). Idempotent."""
-        entry = self._entries.get(node_id)
-        if entry is not None:
-            entry.token = None
+        slot = self._slot.get(node_id)
+        if slot is not None and self._token[slot] is not None:
+            self._stop(slot)
 
     def resume(self, node_id: str) -> None:
         """Resume beats on the node's *original* phase grid.
@@ -133,48 +175,185 @@ class HeartbeatWheel:
         ``now + offset`` — so a mass rejoin after churn keeps the fleet's
         stagger instead of synchronizing into a thundering herd.
         """
-        entry = self._entries.get(node_id)
-        if entry is None:
+        slot = self._slot.get(node_id)
+        if slot is None:
             raise KeyError(f"node {node_id!r} is not on the heartbeat wheel")
-        if entry.token is not None:
+        if self._token[slot] is not None:
             return  # already beating
-        now = self._env.now
+        self._k[slot] = self._grid_index(self._anchor[slot], self._env.now)
+        self._schedule(slot)
+
+    def wake(self) -> None:
+        """Work was enqueued: deliver beats again, from now on.
+
+        Every active node is fast-forwarded to its next grid point at or
+        after now (the beats it skipped are counted), and the earliest of
+        those instants is armed. Cheap no-op while awake.
+        """
+        if not self._asleep:
+            return
+        self._asleep = False
+        _, anchors, active, _ = self._membership_arrays()
+        grid = self._grid_indices(anchors, self._env.now).tolist()
         period = self._period
-        k = 0
-        if now > entry.anchor:
-            k = math.ceil((now - entry.anchor) / period)
-            # ceil() on floats can land one grid point off; settle on the
-            # minimal k with anchor + k*period >= now.
-            while entry.anchor + k * period < now:
-                k += 1
-            while k > 0 and entry.anchor + (k - 1) * period >= now:
-                k -= 1
-        entry.k = k
-        entry.token = next(self._tokens)
-        fire = entry.anchor + k * period
-        self._queue.push((fire, entry.seq, entry.token, node_id))
-        self._arm_time(fire)
+        push = self._queue.push
+        for slot in np.flatnonzero(active).tolist():
+            self._fast_forward(slot, int(grid[slot]))
+            push((self._anchor[slot] + self._k[slot] * period, slot,
+                  self._token[slot]))
+        self._arm_head()
 
     # -- introspection -------------------------------------------------------
+    @property
+    def asleep(self) -> bool:
+        return self._asleep
+
+    @property
+    def heartbeats_delivered(self) -> int:
+        """Beats made so far, delivered or slept through."""
+        return self.beats_before(self._env.now)
+
+    def beats_before(self, t: float) -> int:
+        """Beats made at instants before ``t``.
+
+        ``t`` lies between the last processed event and now — a scrape's
+        grid timestamp, for instance: every delivered beat precedes it.
+        """
+        if not self._asleep or t <= self._slept_at:
+            return self._counted
+        # Past the instant it fell asleep, every active slot has at least
+        # its k beats at instants before t, so the slept-through beats are
+        # sum(grid index at t) - sum(k) over the active slots.
+        _, anchors, active, _ = self._membership_arrays()
+        grid = int(self._grid_indices(anchors, t)[active].sum())
+        return self._counted + grid - self._active_k
+
+    def silent_nodes(self, t: float, quiet_s: float) -> list[str]:
+        """Nodes whose latest beat before ``t`` is more than ``quiet_s`` old
+        (``t - last > quiet_s``), in registration order; a node that never
+        beat counts as having beaten at 0.0, as ``NodeState.last_heartbeat``
+        reports it. One pass over the columns: a staleness probe on a
+        10k-node cluster asks about every node."""
+        ids, anchors, active, registered = self._membership_arrays()
+        lasts = np.array(self._last, dtype=np.float64)
+        if self._asleep:
+            ks = np.array(self._k, dtype=np.float64)
+            grid = self._grid_indices(anchors, t)
+            lasts = np.where(active & (grid > ks),
+                             anchors + (grid - 1) * self._period, lasts)
+        lasts = np.where(lasts > _NEVER, lasts, 0.0)
+        return ids[registered & (t - lasts > quiet_s)].tolist()
+
+    def last_beat(self, node_id: str) -> Optional[float]:
+        """Instant of the node's latest beat; ``None`` for a node that never
+        beat or is not on the wheel."""
+        slot = self._slot.get(node_id)
+        if slot is None:
+            return None
+        last = self._last_before(slot, self._env.now)
+        return last if last > _NEVER else None
+
     def is_active(self, node_id: str) -> bool:
-        entry = self._entries.get(node_id)
-        return entry is not None and entry.token is not None
+        slot = self._slot.get(node_id)
+        return slot is not None and self._token[slot] is not None
 
     def anchor_of(self, node_id: str) -> float:
-        return self._entries[node_id].anchor
+        return self._anchor[self._slot[node_id]]
 
     def next_fire(self, node_id: str) -> Optional[float]:
         """Next beat time for an active node, ``None`` while suspended."""
-        entry = self._entries[node_id]
-        if entry.token is None:
+        slot = self._slot[node_id]
+        if self._token[slot] is None:
             return None
-        return entry.anchor + entry.k * self._period
+        anchor, k = self._anchor[slot], self._k[slot]
+        if self._asleep:
+            k = max(k, self._grid_index(anchor, self._env.now))
+        return anchor + k * self._period
+
+    # -- grid arithmetic -----------------------------------------------------
+    def _grid_index(self, anchor: float, t: float) -> int:
+        """The minimal k >= 0 with ``anchor + k*period >= t``."""
+        return int(self._grid_indices(np.array([anchor]), t)[0])
+
+    def _grid_indices(self, anchors: np.ndarray, t: float) -> np.ndarray:
+        """:meth:`_grid_index` of every anchor (as floats)."""
+        period = self._period
+        k = np.maximum(np.ceil((t - anchors) / period), 0.0)
+        # ceil() on floats can land one grid point off; settle on the
+        # minimal k exactly.
+        while True:
+            low = anchors + k * period < t
+            if not low.any():
+                break
+            k += low
+        while True:
+            high = (k > 0) & (anchors + (k - 1) * period >= t)
+            if not high.any():
+                break
+            k -= high
+        return k
+
+    def _last_before(self, slot: int, t: float) -> float:
+        """Instant of the slot's latest beat before ``t`` (``_NEVER``: none)."""
+        last = self._last[slot]
+        if self._asleep and self._token[slot] is not None:
+            k = self._grid_index(self._anchor[slot], t)
+            if k > self._k[slot]:
+                last = self._anchor[slot] + (k - 1) * self._period
+        return last
+
+    def _membership_arrays(self) -> tuple[np.ndarray, ...]:
+        """ids, anchors, and the active and registered masks as arrays."""
+        if self._arrays is None:
+            ids = np.array(self._ids, dtype=object)
+            self._arrays = (
+                ids, np.array(self._anchor, dtype=np.float64),
+                np.array([token is not None for token in self._token],
+                         dtype=bool),
+                np.not_equal(ids, None))
+        return self._arrays
+
+    def _fast_forward(self, slot: int, k: int) -> None:
+        """Count the beats ``slot`` made asleep, at instants before now;
+        ``k`` is its grid index at now."""
+        skipped = k - self._k[slot]
+        if skipped > 0:
+            self._counted += skipped
+            self._active_k += skipped
+            self._last[slot] = self._anchor[slot] + (k - 1) * self._period
+            self._k[slot] = k
 
     # -- timer machinery -----------------------------------------------------
-    def _arm_time(self, when: float) -> None:
-        """Put a tick on the kernel queue for beat instant ``when`` (once)."""
-        if when in self._armed:
-            return
+    def _schedule(self, slot: int) -> None:
+        """Activate ``slot`` with its next beat at ``anchor + k*period``."""
+        token = self._token[slot] = next(self._tokens)
+        self._active_k += self._k[slot]
+        self._arrays = None
+        if self._asleep:
+            return  # beats on paper until wake()
+        fire = self._anchor[slot] + self._k[slot] * self._period
+        self._queue.push((fire, slot, token))
+        if not any(t <= fire for t in self._armed):
+            self._arm(fire)
+
+    def _stop(self, slot: int) -> None:
+        """Deactivate ``slot``; its beats so far stay counted."""
+        if self._asleep:
+            self._fast_forward(
+                slot, self._grid_index(self._anchor[slot], self._env.now))
+        else:
+            self._queue.cancel(self._token[slot])
+        self._token[slot] = None
+        self._active_k -= self._k[slot]
+        self._arrays = None
+
+    def _arm_head(self) -> None:
+        head = self._queue.peek_time()
+        if head is not None and not any(t <= head for t in self._armed):
+            self._arm(head)
+
+    def _arm(self, when: float) -> None:
+        """Put a tick on the kernel queue for beat instant ``when``."""
         self._armed.add(when)
         tick = Event(self._env)
         tick._value = None  # pre-triggered, like a Timeout
@@ -190,31 +369,41 @@ class HeartbeatWheel:
 
         return fire
 
-    def _fire(self, when: float) -> None:
-        self._armed.discard(when)
-        now = self._env.now
-        queue = self._queue
-        entries = self._entries
-        period = self._period
-        deliver = self._deliver
+    def _fire(self, now: float) -> None:
         self.ticks += 1
-        while True:
-            due = queue.peek_time()
-            if due is None or due > now:
+        busy = self._busy
+        while not self._asleep:
+            slot = self._count_due(now)
+            if slot is None:
                 break
-            _, seq, token, node_id = queue.pop()
-            entry = entries.get(node_id)
-            if entry is None or entry.token != token:
-                continue  # suspended/unregistered after this beat was queued
-            # Queue the successor before delivering: if the delivery itself
-            # suspends the node, suspend() invalidates this fresh token too.
-            entry.k += 1
-            entry.token = next(self._tokens)
-            nxt = entry.anchor + entry.k * period
-            queue.push((nxt, seq, entry.token, node_id))
-            self.heartbeats_delivered += 1
-            deliver(node_id)
-            # Arm the successor *after* delivering, exactly when the legacy
-            # per-node loop created its next Timeout — keeps insertion order
-            # against other same-instant events byte-identical.
-            self._arm_time(nxt)
+            if busy is not None and not busy():
+                # Asleep from here; the rest of this instant's beats are
+                # idle too, so count them now.
+                while self._count_due(now) is not None:
+                    pass
+                self._queue = BucketQueue()
+                self._asleep = True
+                self._slept_at = now
+                break
+            # Queue the successor before delivering: if the delivery
+            # suspends the node, suspend() cancels the successor.
+            self._queue.push((self._anchor[slot] + self._k[slot] * self._period,
+                              slot, self._token[slot]))
+            self._deliver(self._ids[slot])
+        # Discarded only now: a resume() during a delivery that lands on
+        # this very instant is served by the loop above, not a second tick.
+        self._armed.discard(now)
+        if not self._asleep:
+            self._arm_head()
+
+    def _count_due(self, now: float) -> Optional[int]:
+        """Pop and count the next beat due at ``now``; its slot, or None."""
+        due = self._queue.peek_time()
+        if due is None or due > now:
+            return None
+        slot: int = self._queue.pop()[1]
+        self._k[slot] += 1
+        self._last[slot] = now
+        self._counted += 1
+        self._active_k += 1
+        return slot

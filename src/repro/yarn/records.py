@@ -11,6 +11,7 @@ from ..cluster.topology import Locality
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.events import Event
+    from .heartbeat import HeartbeatWheel
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ class NodeState:
     capability: ResourceVector
     used_memory_mb: int = 0
     used_vcores: int = 0
-    last_heartbeat: float = 0.0
     #: False once the NodeManager is declared lost; no further allocations.
     alive: bool = True
     #: Observer called with the *floored* (memory, vcores) usage delta after
@@ -76,6 +76,17 @@ class NodeState:
     #: stay O(1) instead of re-summing 10k nodes on every heartbeat.
     watcher: Optional[Callable[[int, int], None]] = field(
         default=None, repr=False, compare=False)
+    #: The RM's heartbeat wheel: the record of this node's beats, including
+    #: the idle ones the wheel sleeps through. ``None``: heartbeats off.
+    wheel: Optional["HeartbeatWheel"] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def last_heartbeat(self) -> float:
+        """Instant of the node's latest heartbeat; 0.0 before the first."""
+        last = (self.wheel.last_beat(self.node_id)
+                if self.wheel is not None else None)
+        return 0.0 if last is None else last
 
     @property
     def used(self) -> ResourceVector:

@@ -38,11 +38,13 @@ class ResourceManager:
         self.log = log if log is not None else EventLog()
         self.ids = IdAllocator()
         #: One aggregated heartbeat timer for every NM of this RM (replaces
-        #: the historical per-node heartbeat processes). ``None`` only when
-        #: heartbeats are configured off.
+        #: the historical per-node heartbeat processes). It sleeps while
+        #: nothing is queued — every enqueue site below calls ``wake()``.
+        #: ``None`` only when heartbeats are configured off.
         self.heartbeat_wheel: Optional[HeartbeatWheel] = (
             HeartbeatWheel(env, conf.nm_heartbeat_s, self.node_heartbeat,
-                           quantum=conf.nm_heartbeat_quantum_s)
+                           quantum=conf.nm_heartbeat_quantum_s,
+                           busy=self._has_queued_work)
             if conf.nm_heartbeat_s > 0 else None)
         self.nodes: dict[str, NodeState] = {}
         #: Cluster-wide totals, maintained incrementally (node admission and
@@ -104,7 +106,8 @@ class ResourceManager:
             memory_mb=node.capability.memory_mb,
             vcores=self.conf.effective_vcores(node.capability.vcores),
         )
-        state = NodeState(node.node_id, advertised, watcher=self._on_node_usage)
+        state = NodeState(node.node_id, advertised, watcher=self._on_node_usage,
+                          wheel=self.heartbeat_wheel)
         self.nodes[node.node_id] = state
         self._total_capability = self._total_capability + advertised
         return state
@@ -156,6 +159,7 @@ class ResourceManager:
         self._ready[app.app_id] = []
         self._am_attempts[app.app_id] = 1
         self._am_queue.append(app)
+        self._wake_heartbeats()
         self.log.mark(self.env.now, "app_submitted", app_id=app.app_id)
         return app
 
@@ -201,10 +205,23 @@ class ResourceManager:
             self.forget_application(app.app_id)
 
     # -- heartbeat entry points ------------------------------------------------------
+    def _has_queued_work(self) -> bool:
+        """Whether a node heartbeat could place anything: with no queued AM
+        and no queued ask, every scheduler's beat is a no-op, so the wheel
+        sleeps through it."""
+        return bool(self._am_queue or self.scheduler.queue)
+
+    def _wake_heartbeats(self) -> None:
+        if self.heartbeat_wheel is not None:
+            self.heartbeat_wheel.wake()
+
     def node_heartbeat(self, node_id: str) -> None:
-        """NODE_STATUS_UPDATE: serve queued AMs first, then task asks."""
+        """NODE_STATUS_UPDATE: serve queued AMs first, then task asks.
+
+        Only beats that find queued work get here; the wheel records the
+        node's beat time (``NodeState.last_heartbeat``) itself.
+        """
         node = self.nodes[node_id]
-        node.last_heartbeat = self.env.now
         if self.env.tracer is not None:
             self.env.tracer.metrics.incr("rm:node_heartbeats")
 
@@ -244,6 +261,8 @@ class ResourceManager:
         if app_id not in self.apps:
             raise KeyError(f"unknown application {app_id}")
         grants = self.scheduler.on_allocate_request(app_id, asks)
+        if self.scheduler.queue:
+            self._wake_heartbeats()  # asks left for the next NM heartbeat
         ready = self._ready.get(app_id, [])
         if ready:
             self._ready[app_id] = []
@@ -330,6 +349,7 @@ class ResourceManager:
             # submission order via the retained fifo_key.
             app.queue_time = self.env.now
             self._am_queue.append(app)
+            self._wake_heartbeats()
             self.log.mark(self.env.now, "am_restarted",
                           app_id=app.app_id, attempt=attempt + 1)
             return

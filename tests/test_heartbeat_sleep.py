@@ -1,0 +1,253 @@
+"""The heartbeat wheel's sleep/wake contract.
+
+A wheel given a ``busy`` predicate sleeps through beats that have nothing
+to place; the reference wheel (``busy=None``) delivers every beat. The
+differential property below drives both with the same random membership
+changes and work arrivals and requires them to agree on everything an
+observer can see: the working beats, ``heartbeats_delivered`` and every
+node's latest beat time.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ResourceVector
+from repro.config import HadoopConfig, a3_cluster
+from repro.simcluster import SimCluster
+from repro.simulation.core import Environment
+from repro.simulation.events import Event
+from repro.yarn import Application
+from repro.yarn.heartbeat import HeartbeatWheel
+
+NODES = 5
+
+
+def at(env, when, fn):
+    """Run ``fn()`` at exactly ``when`` as an ordinary (NORMAL) event."""
+    event = Event(env)
+    event._value = None
+    event.callbacks.append(lambda _ev: fn())
+    env.schedule_at(event, when)
+
+
+class World:
+    """One wheel plus a work queue that working beats drain.
+
+    ``spawns[i]`` is the work the i-th working beat enqueues, as
+    ``(delay, units)`` — a delay of 0 re-enqueues on the beat's own
+    instant, after the wheel may already have fallen asleep in it.
+    """
+
+    def __init__(self, period, quantum, elide, spawns):
+        self.env = Environment()
+        self.period = period
+        self.pending = 0
+        self.working = []
+        self.reads = []
+        self.spawns = spawns
+        self.wheel = HeartbeatWheel(
+            self.env, period, self.deliver, quantum=quantum,
+            busy=(lambda: self.pending > 0) if elide else None)
+        self.registered = []
+        self.gone = set()
+
+    def deliver(self, node_id):
+        if self.pending == 0:
+            return  # reference wheel only: an idle beat is a no-op
+        self.pending -= 1
+        self.working.append((self.env.now, node_id))
+        self.read()
+        delay, units = self.spawns[(len(self.working) - 1) % len(self.spawns)]
+        if units:
+            at(self.env, self.env.now + delay, lambda: self.enqueue(units))
+
+    def enqueue(self, units):
+        self.pending += units
+        self.wheel.wake()
+
+    def read(self):
+        wheel = self.wheel
+        now = self.env.now
+        self.reads.append((
+            now, wheel.heartbeats_delivered,
+            tuple(wheel.last_beat(n) for n in self.registered),
+            wheel.silent_nodes(now, 1.5 * self.period),
+            tuple(wheel.next_fire(n) if wheel.is_active(n) else None
+                  for n in self.registered)))
+
+    def apply(self, op, arg, node):
+        wheel, node_id = self.wheel, f"n{node}"
+        if op == "register":
+            if node_id not in self.registered:
+                wheel.register(node_id, offset=arg)
+                self.registered.append(node_id)
+        elif node_id not in self.registered or node_id in self.gone:
+            return
+        elif op == "suspend":
+            wheel.suspend(node_id)
+        elif op == "resume":
+            wheel.resume(node_id)
+        elif op == "unregister":
+            wheel.unregister(node_id)
+            self.gone.add(node_id)
+
+
+_OPS = st.tuples(
+    st.sampled_from(["register", "suspend", "resume", "unregister",
+                     "enqueue", "enqueue_on_grid", "read", "read_on_grid"]),
+    st.floats(0.0, 30.0, allow_nan=False),  # when
+    st.integers(0, NODES - 1),              # node
+    st.floats(0.0, 7.0, allow_nan=False),   # offset, or grid steps
+    st.integers(1, 3))                      # work units
+
+
+def run_world(period, quantum, elide, ops, spawns, horizon=40.0):
+    world = World(period, quantum, elide, spawns)
+    env = world.env
+    for node in range(2):
+        world.apply("register", node * 0.37, node)
+    for op, when, node, arg, units in ops:
+        if op == "enqueue":
+            at(env, when, lambda u=units: world.enqueue(u))
+        elif op in ("enqueue_on_grid", "read_on_grid"):
+            # Work arriving exactly on one of a node's beat instants: the
+            # beat due there must still see it (its tick is DEFERRED). A
+            # read there must not yet count that beat.
+            def on_grid(node=node, steps=int(arg), u=units,
+                        act=(lambda u: world.enqueue(u)) if op[0] == "e"
+                        else (lambda u: world.read())):
+                wheel, node_id = world.wheel, f"n{node}"
+                if wheel.is_active(node_id):
+                    anchor = wheel.anchor_of(node_id)
+                    k = round((wheel.next_fire(node_id) - anchor) / period)
+                    at(env, anchor + (k + steps) * period, lambda: act(u))
+            at(env, when, on_grid)
+        elif op == "read":
+            at(env, when, world.read)
+        else:
+            at(env, when, lambda o=op, a=arg, n=node: world.apply(o, a, n))
+    env.run(until=horizon)
+    world.read()
+    return world
+
+
+@settings(max_examples=150, deadline=None)
+@given(period=st.sampled_from([1.0, 0.1, 0.75, 3.0]),
+       quantum=st.sampled_from([0.0, 0.0, 0.25, 0.5]),
+       ops=st.lists(_OPS, max_size=40),
+       spawns=st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.05, 1.3]),
+                                 st.integers(0, 2)),
+                       min_size=1, max_size=6))
+def test_sleeping_wheel_is_observably_identical_to_reference(
+        period, quantum, ops, spawns):
+    reference = run_world(period, quantum, False, ops, spawns)
+    elided = run_world(period, quantum, True, ops, spawns)
+    assert elided.working == reference.working
+    assert elided.reads == reference.reads
+    # The point of the exercise: the sleeping wheel delivers no idle beat.
+    assert elided.wheel.ticks <= reference.wheel.ticks
+
+
+def test_work_on_a_grid_point_is_served_by_that_beat():
+    env = Environment()
+    work = []
+    served = []
+
+    def deliver(node_id):
+        served.append((env.now, node_id, work.pop()))
+
+    wheel = HeartbeatWheel(env, 1.0, deliver, busy=lambda: bool(work))
+    wheel.register("a", offset=0.25)
+    env.run(until=3.0)
+    assert wheel.asleep and served == []
+    at(env, 5.25, lambda: (work.append("job"), wheel.wake()))
+    env.run(until=6.0)
+    assert served == [(5.25, "a", "job")]
+    assert wheel.heartbeats_delivered == 6  # 0.25 .. 5.25, all counted
+    assert wheel.last_beat("a") == 5.25
+
+
+def test_wake_on_the_instant_the_wheel_fell_asleep():
+    """A working beat enqueues more work on its own instant, after the
+    next beat of that tick already put the wheel to sleep. The beats of
+    that instant were all made: none may be delivered again."""
+    env = Environment()
+    work = [1]
+    served = []
+
+    def deliver(node_id):
+        work.pop()
+        served.append((env.now, node_id))
+        if len(served) == 1:
+            at(env, env.now, lambda: (work.append(1), wheel.wake()))
+
+    wheel = HeartbeatWheel(env, 1.0, deliver, busy=lambda: bool(work))
+    for node_id in ("a", "b", "c"):
+        wheel.register(node_id, offset=0.5)
+    env.run(until=0.75)
+    assert wheel.heartbeats_delivered == 3
+    assert served == [(0.5, "a")]  # "b" found nothing and slept
+    env.run(until=2.0)
+    # Woken at 0.5, after both beats of 0.5: next working beat is 1.5.
+    assert served == [(0.5, "a"), (1.5, "a")]
+    assert wheel.last_beat("b") == wheel.last_beat("c") == 1.5
+
+
+def test_idle_cluster_cost_does_not_grow_with_size():
+    """1 000 idle NodeManagers for 100 simulated seconds: the wheel sleeps
+    after its first beat, so the kernel does almost nothing. Every beat
+    still counts (100 per node) and every node reports a fresh beat."""
+    cluster = SimCluster(a3_cluster(1000), conf=HadoopConfig())
+    cluster.env.run(until=100.0)
+    assert cluster.env.events_processed < 100
+    wheel = cluster.rm.heartbeat_wheel
+    assert wheel.heartbeats_delivered == 100 * 1000
+    assert all(99.0 <= state.last_heartbeat < 100.0
+               for state in cluster.rm.nodes.values())
+
+
+def test_submission_wakes_the_wheel_and_the_job_runs():
+    cluster = SimCluster(a3_cluster(8), conf=HadoopConfig())
+    rm = cluster.rm
+    cluster.env.run(until=50.0)
+    assert rm.heartbeat_wheel.asleep
+
+    def am(ctx):
+        yield ctx.env.timeout(1.0)
+        return "ok"
+
+    app = rm.submit_application(
+        Application("app_w", "t", ResourceVector(1536, 1), am))
+    assert not rm.heartbeat_wheel.asleep
+    assert cluster.env.run(until=app.finished) == "ok"
+    cluster.env.run(until=60.0)
+    assert rm.heartbeat_wheel.asleep
+
+
+def test_asleep_reads_on_beat_instants_match_reference():
+    """Asleep, the wheel computes grid indices with ``ceil()``, which on an
+    exact beat instant lands one grid point high for some nodes. The
+    reads must settle that exactly, or a scrape on a beat instant would
+    count a beat too many: hold 200 nodes to the always-delivering wheel
+    at reads placed exactly on beat instants."""
+    nodes = [f"n{i}" for i in range(200)]
+    wheels = []
+    for busy in (None, lambda: False):
+        env = Environment()
+        wheel = HeartbeatWheel(env, 0.1, lambda node_id: None, busy=busy)
+        for i, node_id in enumerate(nodes):
+            wheel.register(node_id, offset=(i * 0.0317) % 0.1)
+        wheels.append((env, wheel))
+    instants = sorted(wheels[0][1].anchor_of(node_id) + k * 0.1
+                      for node_id in nodes[:60] for k in (7, 123, 456))
+    reads = []
+    for env, wheel in wheels:
+        reads.append([])
+        for t in instants:
+            at(env, t, lambda env=env, wheel=wheel, out=reads[-1]: out.append(
+                (wheel.beats_before(env.now),
+                 wheel.silent_nodes(env.now, 0.15))))
+        env.run(until=instants[-1] + 1.0)
+    asleep = wheels[1][1]
+    assert asleep.asleep and asleep.ticks == 1
+    assert reads[1] == reads[0]

@@ -480,3 +480,22 @@ def test_slo_point_task_is_picklable_and_runs():
     report = clone.run()
     assert report.jobs_completed == report.jobs_submitted > 0
     assert report.slo["attainment"]["total"] >= 0
+
+
+def test_control_loop_acts_on_its_instants_settled_state():
+    """Regression: the autoscaler tick and the dispatch watchdog ran as
+    ordinary events on the 5 s control grid, where churn restarts land too
+    (45 s + 35 s down). Whether a pump saw the restarted node's slots then
+    depended on queue order: two admitted jobs were dispatched at 80.0 s
+    or at the next arrival, 80.55 s, depending on the tie-break. The loop
+    now runs after every other event of its instant, so no permutation of
+    same-instant events moves an observable."""
+    from repro.analysis.sanitize import _run_serving_scenario, permuted_ties
+
+    def observables():
+        return _run_serving_scenario(telemetry=True, observables_only=True)[1:]
+
+    reference = observables()
+    for seed in (1, 4):
+        with permuted_ties(seed):
+            assert observables() == reference, f"tie seed {seed}"

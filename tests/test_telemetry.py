@@ -401,6 +401,45 @@ def test_replay_with_telemetry_keeps_event_order_and_reports():
     assert len(families) > 20
 
 
+def test_scraped_series_do_not_depend_on_event_density():
+    """Regression: the node probe keyed its refresh cadence and its
+    heartbeat-staleness check on the time of the event that triggered a
+    scrape rather than on the scrape's grid timestamp, so an event that
+    changes nothing could still move a sample (cluster CPU utilization,
+    stale-node count). A chain of no-op timeouts must leave every scraped
+    series byte-identical — all but the kernel's own gauges, which count
+    those events. The catch-up budget is lifted so that both runs sample
+    every grid point: skipping across idle gaps is a separate, documented
+    trade."""
+    from repro.faults.plan import churn_plan
+
+    def run(noop_every):
+        conf = _serving_conf(
+            telemetry=TelemetryConfig(catchup_limit=1_000_000),
+            autoscale=True, min_nodes=2, max_nodes=5)
+        cluster = build_trace_cluster(a3_cluster(3), conf=conf, seed=7)
+        if noop_every is not None:
+            def noop(env):
+                while True:
+                    yield env.timeout(noop_every)
+
+            cluster.env.process(noop(cluster.env))
+        trace = poisson_trace(default_serving_mix(), 15.0, 150.0, seed=13)
+        report = replay_load(cluster, trace, fault_plan=churn_plan(150.0))
+        scraper = cluster.env.telemetry.scraper
+        series = {(ring.name, ring.labels): (list(ring.times), list(ring.values))
+                  for ring in scraper.all_series()
+                  if not ring.name.startswith("kernel_")}
+        return report.to_dict(), series
+
+    plain_report, plain = run(None)
+    dense_report, dense = run(0.37)
+    assert dense_report == plain_report
+    assert dense.keys() == plain.keys()
+    for key, value in plain.items():
+        assert dense[key] == value, key
+
+
 def test_burn_rate_fires_before_attainment_loss_static_overload():
     """Figure S1 static arm: the alert is a leading indicator.
 
