@@ -7,11 +7,14 @@ numbers to ``BENCH_perf.json`` so every PR leaves a perf trajectory:
   (:mod:`repro.experiments.parallel`), with a byte-identity check between
   the two rendered outputs;
 * **kernel** — discrete-event engine throughput (events/second);
-* **fabric** — max-min fabric throughput (flows/second) plus a scaling
-  probe: per-flow cost at N and 4N total flows through a fixed-width
-  rolling window. A ratio near 1.0 means a flow change costs the same no
-  matter how many flows passed through the fabric before it — i.e. no
-  per-change cost creep from timer churn or stale bookkeeping.
+* **fabric** — max-min fabric throughput (flows/second) plus two scaling
+  probes on a fixed-width rolling window: per-flow cost at N and 4N total
+  flows (``scaling_ratio``; near 1.0 means a flow change costs the same no
+  matter how many flows passed through the fabric before it — no cost
+  creep from timer churn or stale bookkeeping), and per-flow cost at N
+  flows with ~2 000 idle links beside the two busy ones, the shape of a
+  1 000-node ``ClusterNetwork`` (``link_scaling_ratio``, wide over narrow;
+  near 1.0 means a flow change does not pay for idle links).
 """
 
 from __future__ import annotations
@@ -83,16 +86,24 @@ class _RollingRun:
     live_timers_end: int
 
 
-def _rolling_window(num_flows: int, window: int = 16) -> _RollingRun:
+#: Idle links of the wide fabric probe: the NIC links of 1 000 nodes.
+WIDE_IDLE_LINKS = 2000
+
+
+def _rolling_window(num_flows: int, window: int = 16,
+                    idle_links: int = 0) -> _RollingRun:
     """Push ``num_flows`` flows through a fixed-width window of concurrency.
 
     Each completion submits the next flow, so the *active* set stays at
     ``window`` while the *historical* total grows — exactly the regime where
     per-change cost creep (stale timers, rebuilt indexes) would show up as a
-    super-linear wall clock.
+    super-linear wall clock. ``idle_links`` links that no flow uses are
+    added first, where per-link cost in a change would show.
     """
     env = Environment()
     fabric = SharedFabric(env)
+    for i in range(idle_links):
+        fabric.add_link(f"idle{i}", 100.0)
     fabric.add_link("disk", 100.0)
     fabric.add_link("nic", 80.0)
     submitted = 0
@@ -125,11 +136,13 @@ def _rolling_window(num_flows: int, window: int = 16) -> _RollingRun:
 
 
 def bench_fabric(num_flows: int = 4000, window: int = 16) -> dict:
-    """Fabric throughput plus the historical-flows scaling probe."""
+    """Fabric throughput plus the historical-flows and idle-links probes."""
     small = _rolling_window(num_flows // 4, window)
     large = _rolling_window(num_flows, window)
+    wide = _rolling_window(num_flows // 4, window, idle_links=WIDE_IDLE_LINKS)
     per_flow_small = small.seconds / small.flows
     per_flow_large = large.seconds / large.flows
+    per_flow_wide = wide.seconds / wide.flows
     return {
         "flows": large.flows,
         "window": window,
@@ -139,6 +152,9 @@ def bench_fabric(num_flows: int = 4000, window: int = 16) -> dict:
         "per_flow_us_large": round(per_flow_large * 1e6, 3),
         #: ~1.0 = per-change cost independent of total historical flows.
         "scaling_ratio": round(per_flow_large / per_flow_small, 3),
+        "per_flow_us_wide": round(per_flow_wide * 1e6, 3),
+        #: ~1.0 = per-change cost independent of idle links (same N flows).
+        "link_scaling_ratio": round(per_flow_wide / per_flow_small, 3),
         "timers_armed_per_flow": round(large.timers_armed / large.flows, 3),
         "peak_event_heap": large.peak_heap,
         "live_timers_end": large.live_timers_end,
@@ -399,6 +415,7 @@ def format_report(report: dict) -> str:
         f"({kernel['events']} events in {kernel['seconds']:.2f}s)",
         f"  fabric  : {fabric['flows_per_sec']:,} flows/s  "
         f"scaling_ratio={fabric['scaling_ratio']:.2f}  "
+        f"link_scaling_ratio={fabric['link_scaling_ratio']:.2f}  "
         f"timers/flow={fabric['timers_armed_per_flow']:.2f}  "
         f"peak_heap={fabric['peak_event_heap']}  "
         f"live_timers_end={fabric['live_timers_end']}",

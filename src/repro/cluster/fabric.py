@@ -11,14 +11,21 @@ allocation by progressive filling and reschedules the next completion.
 
 Two properties keep the hot path cheap and deterministic:
 
-* **Incremental state.** Link membership (which flows touch which links,
-  including the private per-flow cap links) is maintained across
-  ``submit``/``kill``/completion instead of being rebuilt inside every
-  reallocation, so a flow change costs O(active flows × links) for the
-  progressive filling itself and nothing for bookkeeping. ``flows_on`` and
-  ``utilization`` read the maintained index directly. All flow iteration is
-  in submission (sequence-number) order — never ``id()``-hash order — so an
-  allocation is bit-for-bit reproducible across processes.
+* **Incremental state, busy links only.** Link membership (which flows
+  touch which links, including the private per-flow cap links) is
+  maintained across ``submit``/``kill``/completion instead of being rebuilt
+  inside every reallocation, and so is the list of *busy* links — those
+  with at least one member — sorted by the order the links were added.
+  Progressive filling walks only that list, so a flow change costs
+  O(busy links × members) per filling round, independent of how many idle
+  links the fabric holds (a 1 000-node ``ClusterNetwork`` has ~2 000 links,
+  almost all idle at any instant). Visiting the busy links in the order
+  the links were added keeps the tie-break between equal shares (the
+  first link wins) a function of the links alone, not of which links
+  happen to be idle or when they became busy. ``flows_on`` and
+  ``utilization`` read the maintained index directly. All flow iteration
+  is in submission (sequence-number) order — never ``id()``-hash order —
+  so an allocation is bit-for-bit reproducible across processes.
 
 * **One live timer.** Completions use a generation-tagged wake-up timer and
   at most one is live per fabric: if the wanted wake-up moves *later* the
@@ -31,6 +38,7 @@ Two properties keep the hot path cheap and deterministic:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..simulation.events import Event
@@ -66,8 +74,10 @@ class Flow:
         self.label = label
         #: Monotonic submission number; all fabric iteration orders key on it.
         self.seq = 0
-        #: ``path`` plus the private cap link, if any (set on registration).
-        self.links: tuple[str, ...] = path
+        #: ``path``, plus the key of the private cap link when the flow has
+        #: a cap: its ``seq``, which no real link id equals (set on
+        #: registration).
+        self.links: tuple[object, ...] = path
 
     @property
     def active(self) -> bool:
@@ -94,15 +104,24 @@ class SharedFabric:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._capacity: dict[str, float] = {}
+        #: One counter numbers the links as they are added and the flows as
+        #: they are submitted. A link's number is its *rank*, which orders
+        #: the busy links; a capped flow's private cap link ranks at the
+        #: flow's own number, i.e. where the flow arrived.
+        self._seq = 0
+        #: link id -> (rank, capacity).
+        self._links: dict[str, tuple[int, float]] = {}
         #: Active flows in submission order (dict used as an ordered set).
         self._flows: dict[Flow, None] = {}
-        self._flow_seq = 0
-        #: link id -> member flows in submission order (ordered set); covers
-        #: both real links and the private per-flow cap links.
+        #: Busy link id -> member flows in submission order (ordered set);
+        #: a link leaves the map when its last member leaves.
         self._link_members: dict[str, dict[Flow, None]] = {}
-        #: Private cap-link id -> cap, for flows currently registered.
-        self._private_caps: dict[str, float] = {}
+        #: ``(rank, key, members)`` of every busy link, sorted by rank; a
+        #: private cap link's key is its flow's ``seq``.
+        self._busy: list[tuple[int, object, dict[Flow, None]]] = []
+        #: key -> capacity of every busy link: the allocator's starting
+        #: headroom, copied whole (a C-level copy, not a Python loop).
+        self._busy_caps: dict[object, float] = {}
         # Wake-up management: at most one *live* timer per fabric.
         self._wakeup_at = math.inf   # when the allocator wants to run next
         self._timer_at = math.inf    # deadline of the live timer (inf = none)
@@ -117,27 +136,29 @@ class SharedFabric:
     def add_link(self, link_id: str, capacity: float) -> None:
         if capacity <= 0:
             raise ValueError(f"link {link_id!r} capacity must be positive, got {capacity}")
-        if link_id in self._capacity:
+        if link_id in self._links:
             raise ValueError(f"duplicate link {link_id!r}")
-        self._capacity[link_id] = float(capacity)
-        self._link_members[link_id] = {}
+        self._seq += 1
+        self._links[link_id] = (self._seq, float(capacity))
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
         """Change a link's capacity (e.g. hot-adding cores); reallocates."""
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if link_id not in self._capacity:
+        if link_id not in self._links:
             raise KeyError(link_id)
         self._advance()
-        self._capacity[link_id] = float(capacity)
+        self._links[link_id] = (self._links[link_id][0], float(capacity))
+        if link_id in self._busy_caps:
+            self._busy_caps[link_id] = float(capacity)
         self._reallocate()
 
     def capacity(self, link_id: str) -> float:
-        return self._capacity[link_id]
+        return self._links[link_id][1]
 
     @property
     def links(self) -> Iterable[str]:
-        return self._capacity.keys()
+        return self._links.keys()
 
     # -- flows ----------------------------------------------------------------
     def submit(self, path: Iterable[str], size: float, cap: Optional[float] = None,
@@ -150,7 +171,7 @@ class SharedFabric:
         """
         path = tuple(path)
         for link in path:
-            if link not in self._capacity:
+            if link not in self._links:
                 raise KeyError(f"unknown link {link!r}")
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -196,24 +217,28 @@ class SharedFabric:
 
     def utilization(self, link_id: str) -> float:
         """Fraction of a link's capacity currently allocated."""
-        used = sum(f.rate for f in self._link_members[link_id])
-        return used / self._capacity[link_id]
+        capacity = self._links[link_id][1]
+        return sum(f.rate for f in self._link_members.get(link_id, ())) / capacity
 
     # -- membership bookkeeping ----------------------------------------------
     def _register(self, flow: Flow) -> None:
         """Add a flow to the maintained link-membership index."""
-        self._flow_seq += 1
-        flow.seq = self._flow_seq
-        links = list(flow.path)
-        if flow.cap is not None:
-            private = f"__cap__{flow.seq}"
-            self._private_caps[private] = flow.cap
-            self._link_members[private] = {}
-            links.append(private)
-        flow.links = tuple(links)
+        self._seq += 1
+        flow.seq = self._seq
         self._flows[flow] = None
-        for link in flow.links:
-            self._link_members[link][flow] = None
+        link_members = self._link_members
+        for link in flow.path:
+            members = link_members.get(link)
+            if members is None:
+                members = link_members[link] = {}
+                rank, self._busy_caps[link] = self._links[link]
+                insort(self._busy, (rank, link, members))
+            members[flow] = None
+        if flow.cap is not None:
+            # The newest rank: the cap link goes last.
+            flow.links = flow.path + (flow.seq,)
+            self._busy.append((flow.seq, flow.seq, {flow: None}))
+            self._busy_caps[flow.seq] = flow.cap
         if self.on_busy is not None and len(self._flows) == 1:
             self.on_busy(True)
 
@@ -223,14 +248,20 @@ class SharedFabric:
             del self._flows[flow]
             if not self._flows and self.on_busy is not None:
                 self.on_busy(False)
+        link_members = self._link_members
+        busy = self._busy
         for link in flow.path:
-            members = self._link_members.get(link)
-            if members is not None:
-                members.pop(flow, None)
+            members = link_members.get(link)
+            if members is None:
+                continue
+            members.pop(flow, None)
+            if not members:
+                del link_members[link]
+                del busy[bisect_left(busy, (self._links[link][0],))]
+                del self._busy_caps[link]
         if flow.cap is not None:
-            private = flow.links[-1]
-            self._private_caps.pop(private, None)
-            self._link_members.pop(private, None)
+            del busy[bisect_left(busy, (flow.seq,))]
+            del self._busy_caps[flow.seq]
 
     # -- engine ---------------------------------------------------------------
     def _advance(self) -> None:
@@ -247,23 +278,22 @@ class SharedFabric:
             self._wakeup_at = math.inf
             return
 
-        cap_left = dict(self._capacity)
-        cap_left.update(self._private_caps)
+        busy = self._busy
+        cap_left = dict(self._busy_caps)
 
         unfrozen = set(self._flows)
         rates: dict[Flow, float] = {}
         while unfrozen:
-            # Fair headroom per still-active link; membership comes from the
-            # maintained index, in deterministic link/flow insertion order.
+            # Fair headroom per still-active busy link, in link order (the
+            # first of equal shares wins); membership comes from the
+            # maintained index, in flow submission order.
             bottleneck_share = math.inf
             bottleneck_active: Optional[list[Flow]] = None
-            for link, members in self._link_members.items():
-                if not members:
-                    continue
+            for _, key, members in busy:
                 active = [f for f in members if f in unfrozen]
                 if not active:
                     continue
-                share = cap_left[link] / len(active)
+                share = cap_left[key] / len(active)
                 if share < bottleneck_share - _EPS:
                     bottleneck_share = share
                     bottleneck_active = active

@@ -29,7 +29,10 @@ class ClusterNetwork:
         self.env = env
         self.bandwidth_mb_s = bandwidth_mb_s
         self.fabric = SharedFabric(env)
-        self._racks: set[str] = {n.rack for n in nodes}
+        #: Racks in first-seen node order (an ordered set): the order the
+        #: rack links are added in is the allocator's tie-break order, so
+        #: it must not follow string hashing.
+        self._racks: dict[str, None] = dict.fromkeys(n.rack for n in nodes)
         self._node_rack: dict[str, str] = {n.node_id: n.rack for n in nodes}
 
         for node in nodes:
@@ -55,7 +58,7 @@ class ClusterNetwork:
         self.fabric.add_link(f"nic_out:{node.node_id}", self.bandwidth_mb_s)
         self.fabric.add_link(f"nic_in:{node.node_id}", self.bandwidth_mb_s)
         if node.rack not in self._racks:
-            self._racks.add(node.rack)
+            self._racks[node.rack] = None
             uplink = self.bandwidth_mb_s
             self.fabric.add_link(f"rack_up:{node.rack}", uplink)
             self.fabric.add_link(f"rack_down:{node.rack}", uplink)

@@ -21,7 +21,9 @@ class NameNode:
     replica on the writer's node (or a random node for off-cluster writers),
     second on a node in a *different* rack, third on a *different node in
     that same remote rack*. Extra replicas (replication > 3) go to random
-    nodes without duplicates.
+    nodes without duplicates. Candidates come from the topology's cached
+    membership views (:mod:`repro.cluster.topology`), which a node joining
+    or leaving drops, so placement sees the current membership.
     """
 
     def __init__(self, topology: Topology, block_size_mb: float = 64.0,
@@ -100,36 +102,37 @@ class NameNode:
 
     def _place_replicas(self, writer_node: Optional[str],
                         rng: Optional[random.Random] = None) -> list[str]:
+        """Replica targets for one block, drawn by ``rng.choice`` from the
+        topology's membership views. Each candidate set holds the nodes a
+        filter over every node would keep, in the same order, so the draws
+        are the same; reading one costs O(log rack), not O(nodes)."""
         rng = rng if rng is not None else self._rng
-        nodes = self.topology.node_ids
+        topology = self.topology
+        nodes = topology.node_ids
         want = min(self.replication, len(nodes))
 
-        if writer_node is not None and writer_node in self.topology:
+        if writer_node is not None and writer_node in topology:
             first = writer_node
         else:
             first = rng.choice(nodes)
         replicas = [first]
 
         if want >= 2:
-            remote_rack_nodes = [n for n in nodes if self.topology.rack_of(n) != self.topology.rack_of(first)]
+            remote_rack_nodes = topology.outside_rack(topology.rack_of(first))
             if remote_rack_nodes:
                 second = rng.choice(remote_rack_nodes)
             else:  # single-rack cluster: any other node
-                others = [n for n in nodes if n != first]
-                second = rng.choice(others)
+                second = rng.choice(topology.excluding(replicas))
             replicas.append(second)
 
         if want >= 3:
-            same_remote = [
-                n for n in nodes
-                if n not in replicas and self.topology.rack_of(n) == self.topology.rack_of(replicas[1])
-            ]
-            pool = same_remote or [n for n in nodes if n not in replicas]
+            same_remote = topology.rack_excluding(topology.rack_of(replicas[1]),
+                                                  replicas)
+            pool = same_remote or topology.excluding(replicas)
             replicas.append(rng.choice(pool))
 
         while len(replicas) < want:
-            pool = [n for n in nodes if n not in replicas]
-            replicas.append(rng.choice(pool))
+            replicas.append(rng.choice(topology.excluding(replicas)))
         return replicas
 
     # -- queries used by schedulers ------------------------------------------------

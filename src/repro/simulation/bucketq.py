@@ -30,6 +30,7 @@ cancellations are outstanding.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Any, Optional
 
@@ -85,6 +86,33 @@ class BucketQueue:
         else:
             heappush(bucket, entry)
         self._len += 1
+
+    def load(self, entries: list[Entry]) -> None:
+        """Fill an empty queue with ``entries``, already sorted by key.
+
+        A sorted run is a valid heap, so each bucket takes its run of
+        entries as is and the bucket order is the sorted run of indices:
+        O(occupied buckets × log n) Python work instead of one ``push``
+        per entry.
+        """
+        if self._len:
+            raise ValueError("load() needs an empty queue")
+        width = self._width
+
+        def bucket_of(entry: Entry) -> int:  # the rule push() inlines
+            when = entry[0]
+            if when < FAR_HORIZON:
+                return int(when // width)
+            return int(FAR_HORIZON // width) + 1
+
+        start = 0
+        while start < len(entries):
+            idx = bucket_of(entries[start])
+            end = bisect_right(entries, idx, lo=start, key=bucket_of)
+            self._buckets[idx] = entries[start:end]
+            self._order.append(idx)
+            start = end
+        self._len = len(entries)
 
     def pop(self) -> Entry:
         """Remove and return the smallest live entry.

@@ -112,7 +112,9 @@ class HeartbeatWheel:
         self._token: list[Optional[int]] = []
         #: Queued beats ``(fire, slot, token)`` while awake: every active
         #: slot exactly once. Emptied on falling asleep, rebuilt by wake().
-        self._queue = BucketQueue()
+        #: Pending fires span at most one period, so period-wide buckets
+        #: keep that to two buckets.
+        self._queue = BucketQueue(period)
         self._tokens = count()
         self._asleep = False
         #: Instants with a tick on the kernel queue — normally just the
@@ -188,19 +190,34 @@ class HeartbeatWheel:
 
         Every active node is fast-forwarded to its next grid point at or
         after now (the beats it skipped are counted), and the earliest of
-        those instants is armed. Cheap no-op while awake.
+        those instants is armed. One pass over the columns: the grid rule
+        runs as array arithmetic (``anchor + k*period`` in float64 is the
+        same number as in Python), and the emptied queue is loaded once
+        from the ``(fire, slot, token)`` entries sorted by key — no
+        per-node fast-forward or push runs in Python. Cheap no-op while
+        awake.
         """
         if not self._asleep:
             return
         self._asleep = False
         _, anchors, active, _ = self._membership_arrays()
-        grid = self._grid_indices(anchors, self._env.now).tolist()
         period = self._period
-        push = self._queue.push
-        for slot in np.flatnonzero(active).tolist():
-            self._fast_forward(slot, int(grid[slot]))
-            push((self._anchor[slot] + self._k[slot] * period, slot,
-                  self._token[slot]))
+        ks = np.array(self._k, dtype=np.float64)
+        grid = np.where(active, np.maximum(
+            self._grid_indices(anchors, self._env.now), ks), ks)
+        skipped = int((grid - ks).sum())
+        if skipped:
+            self._counted += skipped
+            self._active_k += skipped
+            self._last = np.where(grid > ks, anchors + (grid - 1) * period,
+                                  self._last).tolist()
+            self._k = grid.astype(np.int64).tolist()
+        slots = active.nonzero()[0]
+        fires = anchors[slots] + grid[slots] * period
+        order = fires.argsort(kind="stable")
+        slots = slots[order].tolist()
+        self._queue.load(list(zip(fires[order].tolist(), slots,
+                                  map(self._token.__getitem__, slots))))
         self._arm_head()
 
     # -- introspection -------------------------------------------------------
@@ -381,7 +398,7 @@ class HeartbeatWheel:
                 # idle too, so count them now.
                 while self._count_due(now) is not None:
                     pass
-                self._queue = BucketQueue()
+                self._queue = BucketQueue(self._period)
                 self._asleep = True
                 self._slept_at = now
                 break

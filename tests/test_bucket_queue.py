@@ -78,6 +78,81 @@ def test_bucket_queue_matches_flat_heap(ops, width):
         bq.pop()
 
 
+# -- property: a bulk load, then the same ops, still matches heapq -------------
+
+#: Loaded entries: (time, priority); some land on far-horizon times.
+_LOADED = st.lists(st.tuples(
+    st.one_of(st.floats(0.0, 40.0, allow_nan=False),
+              st.sampled_from([0.0, 0.5, 1.0, FAR_HORIZON, float("inf")])),
+    st.integers(0, 1)), max_size=120)
+
+
+@given(_LOADED, st.lists(_OPS, max_size=150), st.floats(0.01, 7.0, allow_nan=False))
+@settings(max_examples=80, deadline=None)
+def test_bulk_load_then_ops_match_flat_heap(loaded, ops, width):
+    heap = sorted((t, prio, eid, f"load{eid}") for eid, (t, prio) in enumerate(loaded))
+    bq = BucketQueue(width=width)
+    bq.load(list(heap))  # a sorted list is already a heap
+    assert len(bq) == len(heap)
+    tombstones = set()
+    eid = len(heap)
+    now = 0.0
+
+    def reference_pop():
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[2] in tombstones:
+                tombstones.discard(entry[2])
+                continue
+            return entry
+        return None
+
+    for kind, delay, priority in ops:
+        if kind <= 2:  # push, never before the last popped time
+            entry = (now + delay, priority, eid, f"ev{eid}")
+            bq.push(entry)
+            heapq.heappush(heap, entry)
+            eid += 1
+        elif kind == 3:  # pop
+            expected = reference_pop()
+            if expected is None:
+                with pytest.raises(IndexError):
+                    bq.pop()
+            else:
+                got = bq.pop()
+                assert got == expected
+                now = got[0]
+        elif kind == 4 and eid:  # cancel a loaded or pushed (maybe popped) eid
+            victim = int(delay * 7) % eid
+            bq.cancel(victim)
+            tombstones.add(victim)
+        peek = bq.peek_time()
+        head = min((e for e in heap if e[2] not in tombstones), default=None)
+        assert peek == (head[0] if head is not None else None)
+
+    while (expected := reference_pop()) is not None:
+        assert bq.pop() == expected
+    with pytest.raises(IndexError):
+        bq.pop()
+
+
+def test_loaded_and_pushed_far_entries_share_the_overflow_bucket():
+    bq = BucketQueue()
+    bq.load([(5.0, 1, 0, "near"), (FAR_HORIZON, 1, 1, "horizon"),
+             (float("inf"), 0, 2, "inf-a")])
+    bq.push((float("inf"), 1, 3, "inf-b"))
+    bq.push((FAR_HORIZON, 0, 4, "horizon-0"))
+    assert [bq.pop()[3] for _ in range(5)] == [
+        "near", "horizon-0", "horizon", "inf-a", "inf-b"]
+
+
+def test_load_needs_an_empty_queue():
+    bq = BucketQueue()
+    bq.push((1.0, 0, 0, "a"))
+    with pytest.raises(ValueError):
+        bq.load([(2.0, 0, 1, "b")])
+
+
 # -- targeted edges -------------------------------------------------------------
 
 def test_far_horizon_entries_share_overflow_bucket():

@@ -438,5 +438,5 @@ def test_retired_flows_leave_no_bookkeeping_behind():
     for f in done:
         assert f.done.ok
     assert not fabric.active_flows
-    assert fabric._private_caps == {}
+    assert fabric._busy == [] and fabric._busy_caps == {}  # cap links too
     assert all(not members for members in fabric._link_members.values())

@@ -1,5 +1,11 @@
 """Tests for nodes, disks, network paths, topology, and resource vectors."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +198,28 @@ def test_outcast_shares_sender_nic():
     env.run()
     assert f1.done.value == pytest.approx(2.0)
     assert f2.done.value == pytest.approx(2.0)
+
+
+def test_rack_link_order_does_not_depend_on_string_hashing():
+    """The order the rack links are added in is the allocator's tie-break
+    order, so it must be the same under every ``PYTHONHASHSEED``: the
+    racks' first-seen node order."""
+    import repro
+
+    code = ("import json\n"
+            "from repro.config import a2_cluster\n"
+            "from repro.simcluster import SimCluster\n"
+            "print(json.dumps(list(SimCluster(a2_cluster(9)).network.fabric.links)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    orders = []
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        orders.append(json.loads(out))
+    assert orders[0] == orders[1]
+    assert [link for link in orders[0] if link.startswith("rack_up:")] == [
+        "rack_up:rack0", "rack_up:rack1", "rack_up:rack2"]
 
 
 def test_disjoint_pairs_run_at_full_speed():
