@@ -332,7 +332,10 @@ def cmd_metrics(args) -> int:
     )
 
     serving = _serving_from_args(args)
-    telemetry_conf = TelemetryConfig(scrape_interval_s=args.interval)
+    try:
+        telemetry_conf = TelemetryConfig(scrape_interval_s=args.interval)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     conf = HadoopConfig(am_resource_fraction=args.am_fraction, serving=serving,
                         telemetry=telemetry_conf)
     mix = default_serving_mix() if args.slo else default_short_job_mix()

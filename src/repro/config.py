@@ -258,6 +258,23 @@ class TelemetryConfig:
     #: many consecutive scrapes.
     under_replication_samples: int = 3
 
+    def __post_init__(self) -> None:
+        # A burn-rate window edge reads the latest sample at or before
+        # ``t - window`` and takes "none" to mean "before the run" (a zero
+        # baseline). The ring spans ``retention_samples - 1`` scrape
+        # intervals, less one slot for the closing off-grid sample, so a
+        # shorter span would evict a baseline the slow window still needs
+        # and stretch that window over the whole run.
+        span = (self.retention_samples - 2) * self.scrape_interval_s
+        if self.alerts and span < self.burn_slow_window_s:
+            raise ValueError(
+                f"retention_samples={self.retention_samples} at "
+                f"scrape_interval_s={self.scrape_interval_s:g} retains "
+                f"{span:g}s, less than the {self.burn_slow_window_s:g}s "
+                f"slow burn-rate window; "
+                f"keep (retention_samples - 2) * scrape_interval_s >= "
+                f"burn_slow_window_s, or turn alerts off")
+
     def with_(self, **kwargs) -> "TelemetryConfig":
         return replace(self, **kwargs)
 

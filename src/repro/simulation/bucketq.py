@@ -161,11 +161,22 @@ class BucketQueue:
         """
         return {
             "pending": self._len,
-            "occupied_buckets": len(self._buckets),
-            "max_bucket_depth": max(
-                (len(b) for b in self._buckets.values()), default=0),
-            "cancelled_outstanding": len(self._cancelled),
+            "occupied_buckets": self.occupied_buckets,
+            "max_bucket_depth": self.max_bucket_depth(),
+            "cancelled_outstanding": self.cancelled_outstanding,
         }
+
+    @property
+    def occupied_buckets(self) -> int:
+        return len(self._buckets)
+
+    @property
+    def cancelled_outstanding(self) -> int:
+        return len(self._cancelled)
+
+    def max_bucket_depth(self) -> int:
+        """Deepest bucket; the one statistic that walks every bucket."""
+        return max((len(b) for b in self._buckets.values()), default=0)
 
     def cancel(self, eid: int) -> None:
         """Retire the entry with ``eid`` (skipped lazily at pop time).

@@ -104,6 +104,11 @@ class Environment:
         when = self._queue.peek_time()
         return when if when is not None else float("inf")
 
+    @property
+    def queue(self) -> BucketQueue:
+        """The calendar event queue, for read-only occupancy gauges."""
+        return self._queue
+
     def queue_stats(self) -> dict[str, int]:
         """Occupancy snapshot of the calendar queue (telemetry/bench)."""
         return self._queue.stats()

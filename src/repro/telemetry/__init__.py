@@ -61,16 +61,17 @@ _WINDOW_SERIES = ("serving_attainment_recent", "serving_pending_jobs",
 class _NodeProbeCache:
     """One shared pass for every O(nodes) gauge, at its own slower cadence.
 
-    Per-node utilization, per-rack liveness, heartbeat staleness, and the
-    most-loaded fabric link each cost a full walk of the cluster (links
-    scale with nodes); at 10k nodes and a 1 s scrape cadence those walks
-    would dominate replay wall time. They also move slowly, so
-    (standard practice for expensive collectors) the cache recomputes at
-    most every ``interval_s`` of *simulated* time — intermediate scrapes
-    re-export the cached values. Both the cadence and the staleness check
-    run on the scrape's grid timestamp (``clock``), never on the time of
-    the event that triggered the scrape, so how many events happen to
-    fall between grid points cannot change a sample.
+    Per-node utilization, heartbeat staleness, and the most-loaded fabric
+    link each cost a walk of (part of) the cluster (links scale with
+    nodes); at 10k nodes and a 1 s scrape cadence those walks would
+    dominate replay wall time. Per-rack liveness is only a copy of the
+    RM's per-rack counts, taken here so it keeps the same cadence. All of
+    these move slowly, so (standard practice for expensive collectors) the
+    cache recomputes at most every ``interval_s`` of *simulated* time —
+    intermediate scrapes re-export the cached values. Both the cadence and
+    the staleness check run on the scrape's grid timestamp (``clock``),
+    never on the time of the event that triggered the scrape, so how many
+    events happen to fall between grid points cannot change a sample.
     """
 
     def __init__(self, cluster: "SimCluster", stale_after_s: float,
@@ -94,17 +95,8 @@ class _NodeProbeCache:
         self.sample = sample_utilization(self.cluster, per_node=False)
         rm = self.cluster.rm
         states = rm.nodes
-        for rack in self.cluster.topology.racks:
-            alive = registered = 0
-            for node in self.cluster.topology.nodes_in_rack(rack):
-                st = states.get(node.node_id)
-                if st is None:
-                    continue
-                registered += 1
-                if st.alive:
-                    alive += 1
-            self.rack_alive[rack] = alive
-            self.rack_registered[rack] = registered
+        self.rack_alive = dict(rm.rack_alive)
+        self.rack_registered = dict(rm.rack_registered)
         # Every registered node is on the heartbeat wheel; without one
         # (heartbeats off) no node ever beats, and NodeState reports 0.0.
         if rm.heartbeat_wheel is None:
@@ -173,14 +165,16 @@ class Telemetry:
         # kernel
         reg.counter("kernel_events", "Events dispatched by the simulation "
                     "kernel.", fn=lambda: env.events_processed)
-        for key, help_text in (
-                ("pending", "Entries held by the calendar event queue."),
-                ("occupied_buckets", "Calendar buckets currently occupied."),
-                ("max_bucket_depth", "Deepest single calendar bucket."),
-                ("cancelled_outstanding",
-                 "Lazy-cancel tombstones awaiting their pop.")):
-            reg.gauge(f"kernel_queue_{key}", help_text,
-                      fn=lambda k=key: env.queue_stats()[k])
+        queue = env.queue
+        reg.gauge("kernel_queue_pending", "Entries held by the calendar "
+                  "event queue.", fn=queue.__len__)
+        reg.gauge("kernel_queue_occupied_buckets", "Calendar buckets "
+                  "currently occupied.", fn=lambda: queue.occupied_buckets)
+        reg.gauge("kernel_queue_max_bucket_depth", "Deepest single calendar "
+                  "bucket.", fn=queue.max_bucket_depth)
+        reg.gauge("kernel_queue_cancelled_outstanding", "Lazy-cancel "
+                  "tombstones awaiting their pop.",
+                  fn=lambda: queue.cancelled_outstanding)
 
         # RM / scheduler
         reg.gauge("rm_pending_apps", "Applications waiting in the RM's AM "

@@ -16,6 +16,16 @@ exceed the threshold over **both** a fast and a slow window — the fast
 window gives low detection latency, the slow window keeps one bad scrape
 from paging. Counters start at zero, so a window that reaches past the
 start of the run uses an exact zero baseline rather than extrapolating.
+That reading is only sound while the ring still holds the window's
+baseline sample, so :class:`~repro.config.TelemetryConfig` rejects, when
+alerts are on, a retention too short to cover ``burn_slow_window_s``: an
+evicted baseline would otherwise read as "before the run" and the slow
+window would silently span the whole run.
+
+Each rule reads only what it needs: a window edge is one O(log retention)
+bisect (:meth:`RingSeries.value_at_or_before`) and an N-scrape condition
+reads the last N samples (:meth:`RingSeries.last_values`), so evaluating
+the rules never costs O(retention).
 """
 
 from __future__ import annotations
@@ -65,7 +75,13 @@ class Rule:
 
 def _counter_delta(series: Optional[RingSeries], t: float,
                    window_s: float) -> Optional[float]:
-    """Increase of a monotonic counter over ``[t - window, t]``."""
+    """Increase of a monotonic counter over ``[t - window, t]``.
+
+    No sample at or before ``t - window`` means the window starts before
+    the run did, so the baseline is the counter's initial zero. The
+    retention rule in :class:`~repro.config.TelemetryConfig` keeps that
+    true: the ring never evicts a sample a window edge still needs.
+    """
     if series is None or not series.times:
         return None
     now_v = series.value_at_or_before(t)
@@ -126,8 +142,8 @@ class QueueSaturationRule(Rule):
         series = scraper.series("serving_pending_jobs")
         if series is None or len(series) < self.samples:
             return False, 0.0, ""
-        recent = list(series.values)[-self.samples:]
-        fractions = [v / self.max_pending for v in recent]
+        fractions = [v / self.max_pending
+                     for v in series.last_values(self.samples)]
         firing = all(f >= self.fraction for f in fractions)
         value = fractions[-1]
         message = (f"admission queue at {value:.0%} of max_pending="
@@ -162,7 +178,7 @@ class UnderReplicationRule(Rule):
         series = scraper.series("hdfs_under_replicated_blocks")
         if series is None or len(series) < self.samples:
             return False, 0.0, ""
-        recent = list(series.values)[-self.samples:]
+        recent = series.last_values(self.samples)
         firing = all(v > 0 for v in recent)
         return firing, recent[-1], (
             f"{recent[-1]:.0f} under-replicated block(s) for "

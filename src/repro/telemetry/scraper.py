@@ -3,14 +3,14 @@
 The obvious implementation — a simulation process that wakes every
 ``scrape_interval_s`` — would *add events to the kernel queue*, shifting
 event ids and breaking the guarantee that enabling telemetry leaves runs
-byte-identical. Instead the scraper piggybacks on the kernel's
-kernel's pop path: as each event is popped at time ``when``, any
-scrape grid points ``anchor + k*interval`` in ``(last, when]`` are sampled
-and attributed to their *grid* timestamp. The hook runs before the event's
-callbacks, so the registry state it reads is exactly the simulation's
-step-function value at every grid point since the previous event — no
-event is ever scheduled, so the event sequence (and therefore every
-digest and snapshot) is provably identical with telemetry on or off.
+byte-identical. Instead the scraper piggybacks on the kernel's pop path:
+as each event is popped at time ``when``, any scrape grid points
+``anchor + k*interval`` in ``(last, when]`` are sampled and attributed to
+their *grid* timestamp. The hook runs before the event's callbacks, so
+the registry state it reads is exactly the simulation's step-function
+value at every grid point since the previous event — no event is ever
+scheduled, so the event sequence (and therefore every digest and
+snapshot) is provably identical with telemetry on or off.
 
 The hook itself is the kernel's dedicated ``env.sampler`` slot rather than
 the generic ``env.tracers`` list: ``step()`` compares the popped time
@@ -26,11 +26,22 @@ Idle gaps are bounded: if the kernel sleeps across more than
 the rest are counted in :attr:`Scraper.samples_skipped` (the step-function
 values in a gap are all equal anyway; only counters pulled mid-gap would
 have been interesting, and nothing changes them while no events run).
+
+A scrape costs what it reads. Each instrument is bound once to its ring's
+two ``append`` methods, so a scrape is one value read and two appends per
+instrument — no key building, no dict lookup. Instruments registered after
+:meth:`Scraper.install` (``attach_serving`` adds the serving stack's) are
+bound at the next scrape, in registration order, so rings are still
+created in registry order. Alert rules read a ring in O(log retention)
+(:meth:`RingSeries.value_at_or_before` bisects) or O(N) for its last N
+samples, never in O(retention).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .instruments import LabelSet, TelemetryRegistry
@@ -50,10 +61,6 @@ class RingSeries:
         self.times: deque[float] = deque(maxlen=maxlen)
         self.values: deque[float] = deque(maxlen=maxlen)
 
-    def append(self, t: float, value: float) -> None:
-        self.times.append(t)
-        self.values.append(value)
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -65,13 +72,20 @@ class RingSeries:
         return [(t, v) for t, v in zip(self.times, self.values) if t >= start_s]
 
     def value_at_or_before(self, t: float) -> Optional[float]:
-        """Latest sample value with timestamp <= ``t`` (None if none)."""
-        result = None
-        for ts, v in zip(self.times, self.values):
-            if ts > t:
-                break
-            result = v
-        return result
+        """Latest sample value with timestamp <= ``t`` (None if none).
+
+        Bisects ``times``, which never decrease: grid points only increase,
+        and :meth:`Scraper.final_scrape` only appends past the last sample.
+        On a non-decreasing ring the bisect returns exactly what a scan from
+        the oldest sample would, in O(log retention).
+        """
+        i = bisect_right(self.times, t)
+        return self.values[i - 1] if i else None
+
+    def last_values(self, n: int) -> list[float]:
+        """The last ``n`` sample values (oldest first), in O(n)."""
+        values = self.values
+        return [values[i] for i in range(-min(n, len(values)), 0)]
 
     def to_dict(self, digits: int = 6) -> dict:
         return {"t": [round(t, digits) for t in self.times],
@@ -103,6 +117,10 @@ class Scraper:
         self.scrapes_done = 0
         self.samples_skipped = 0
         self._series: dict[tuple, RingSeries] = {}
+        #: (instrument, append to its ring's times, append to its values),
+        #: in registration order; :meth:`_bind` extends it as the registry
+        #: grows.
+        self._bound: list[tuple] = []
         #: Called with the grid timestamp after each scrape (alert engine).
         self.on_scrape: list[Callable[[float], None]] = []
         self._installed = False
@@ -166,18 +184,24 @@ class Scraper:
         """
         return self.env.now if self._sampling is None else self._sampling
 
+    def _bind(self) -> None:
+        """Give every instrument registered since the last bind its ring."""
+        for instrument in islice(self.registry, len(self._bound), None):
+            ring = RingSeries(instrument.name, instrument.labels,
+                              self.retention)
+            self._series[(instrument.name, instrument.labels)] = ring
+            self._bound.append((instrument, ring.times.append,
+                                ring.values.append))
+
     def sample(self, t: float) -> None:
         """Read every instrument once, stamping samples with ``t``."""
-        series = self._series
+        if len(self._bound) != len(self.registry):
+            self._bind()
         self._sampling = t
-        for instrument in self.registry:
-            key = (instrument.name, instrument.labels)
-            ring = series.get(key)
-            if ring is None:
-                ring = RingSeries(instrument.name, instrument.labels,
-                                  self.retention)
-                series[key] = ring
-            ring.append(t, instrument.value)
+        for instrument, append_t, append_v in self._bound:
+            value = instrument.value
+            append_t(t)
+            append_v(value)
         self._sampling = None
         self.scrapes_done += 1
         for hook in self.on_scrape:

@@ -163,9 +163,7 @@ class NodeManager:
         self.drained = True
         if self.rm.heartbeat_wheel is not None:
             self.rm.heartbeat_wheel.suspend(self.node_id)
-        node = self.rm.nodes.get(self.node_id)
-        if node is not None:
-            node.alive = False
+        self.rm.set_alive(self.node_id, False)
         self.rm.log.mark(self.env.now, "node_drained", node=self.node_id)
 
     def undrain(self) -> None:

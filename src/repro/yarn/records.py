@@ -70,6 +70,8 @@ class NodeState:
     used_memory_mb: int = 0
     used_vcores: int = 0
     #: False once the NodeManager is declared lost; no further allocations.
+    #: Written only through :meth:`ResourceManager.set_alive`, which keeps
+    #: the RM's per-rack alive counts exact.
     alive: bool = True
     #: Observer called with the *floored* (memory, vcores) usage delta after
     #: every accounting change. The RM installs one so cluster-wide totals

@@ -54,6 +54,13 @@ class ResourceManager:
         self._total_capability = ResourceVector.zero()
         self._total_used_mb = 0
         self._total_used_vcores = 0
+        #: Per-rack registered and alive node counts, kept exact by
+        #: ``_admit``, ``remove_node`` and ``set_alive`` (the only writer
+        #: of ``NodeState.alive``), so per-rack liveness is an O(racks)
+        #: read instead of a walk of every node.
+        self.rack_registered: dict[str, int] = {}
+        self.rack_alive: dict[str, int] = {}
+        self._rack_of: dict[str, str] = {}
         for node in topology.nodes:
             self._admit(node)
         scheduler.bind(self)
@@ -110,6 +117,9 @@ class ResourceManager:
                           wheel=self.heartbeat_wheel)
         self.nodes[node.node_id] = state
         self._total_capability = self._total_capability + advertised
+        rack = self._rack_of[node.node_id] = node.rack
+        self.rack_registered[rack] = self.rack_registered.get(rack, 0) + 1
+        self.rack_alive[rack] = self.rack_alive.get(rack, 0) + 1
         return state
 
     def _on_node_usage(self, delta_memory_mb: int, delta_vcores: int) -> None:
@@ -130,6 +140,10 @@ class ResourceManager:
         state.reset_used()  # drain its contribution from the usage totals
         state.watcher = None
         self._total_capability = self._total_capability - state.capability
+        rack = self._rack_of.pop(node_id)
+        self.rack_registered[rack] -= 1
+        if state.alive:
+            self.rack_alive[rack] -= 1
         if self.heartbeat_wheel is not None:
             self.heartbeat_wheel.unregister(node_id)
         self.node_managers.pop(node_id, None)
@@ -137,6 +151,21 @@ class ResourceManager:
 
     def node_state(self, node_id: str) -> NodeState:
         return self.nodes[node_id]
+
+    def set_alive(self, node_id: str, alive: bool) -> Optional[NodeState]:
+        """Mark a registered node schedulable or not; returns its state.
+
+        The only place ``NodeState.alive`` changes, so the per-rack counts
+        (:attr:`rack_alive`) stay exact. Repeats are no-ops: losing a lost
+        node or reviving a live one changes no count. ``alive`` itself
+        stays a plain attribute because ``can_fit`` reads it on the
+        scheduling hot path. Unknown (or removed) ids return ``None``.
+        """
+        state = self.nodes.get(node_id)
+        if state is not None and state.alive != alive:
+            state.alive = alive
+            self.rack_alive[self._rack_of[node_id]] += 1 if alive else -1
+        return state
 
     def total_capability(self) -> ResourceVector:
         return self._total_capability
@@ -276,9 +305,7 @@ class ResourceManager:
 
     def node_lost(self, node_id: str) -> None:
         """Mark a NodeManager dead: nothing further is scheduled there."""
-        node = self.nodes.get(node_id)
-        if node is not None:
-            node.alive = False
+        self.set_alive(node_id, False)
         self.log.mark(self.env.now, "node_lost", node=node_id)
         for listener in list(self.node_lost_listeners):
             listener(node_id)
@@ -290,9 +317,8 @@ class ResourceManager:
         with it and was released through ``container_finished`` (or by the
         framework's node-loss handler for pooled AMs).
         """
-        node = self.nodes.get(node_id)
+        node = self.set_alive(node_id, True)
         if node is not None:
-            node.alive = True
             node.reset_used()
         self.log.mark(self.env.now, "node_rejoined", node=node_id)
 

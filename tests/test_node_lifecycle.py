@@ -7,6 +7,8 @@ and are never reused.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ResourceVector
 from repro.config import HadoopConfig, a3_cluster
@@ -154,6 +156,83 @@ def test_added_node_capability_joins_totals():
     per_node = cluster.rm.nodes["dn0"].capability
     assert cluster.rm.total_capability() == before + per_node
     assert cluster.rm.total_capability() == brute_force_capability(cluster.rm)
+
+
+# -- per-rack liveness counts --------------------------------------------------
+
+def walked_rack_counts(cluster):
+    """Per-rack (registered, alive) counts by a full walk of the topology
+    against the RM's node states; racks with no registered node omitted."""
+    registered, alive = {}, {}
+    for rack in cluster.topology.racks:
+        for node in cluster.topology.nodes_in_rack(rack):
+            state = cluster.rm.nodes.get(node.node_id)
+            if state is None:
+                continue
+            registered[rack] = registered.get(rack, 0) + 1
+            alive[rack] = alive.get(rack, 0) + int(state.alive)
+    return registered, alive
+
+
+def rm_rack_counts(rm):
+    """The RM's kept counts in the same shape, after sanity bounds."""
+    for rack, registered in rm.rack_registered.items():
+        assert 0 <= rm.rack_alive[rack] <= registered, rack
+    return ({r: n for r, n in rm.rack_registered.items() if n},
+            {r: rm.rack_alive[r] for r, n in rm.rack_registered.items() if n})
+
+
+_LIVENESS_OPS = ("fail", "restart", "lost", "rejoined", "drain", "undrain",
+                 "add", "remove")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LIVENESS_OPS),
+                          st.integers(min_value=0, max_value=63)),
+                max_size=30))
+def test_rack_liveness_counts_match_a_full_walk(steps):
+    """Conservation: the RM's per-rack registered/alive counts equal a
+    full walk of topology x RM node states after every lifecycle step —
+    including repeats (a node lost twice, a failed node drained, a crashed
+    node undrained) and direct RM calls for ids already removed."""
+    cluster = make_cluster(5, HadoopConfig())
+    rm = cluster.rm
+    ever = list(rm.nodes)
+    assert rm_rack_counts(rm) == walked_rack_counts(cluster)
+    for op, pick in steps:
+        live = sorted(rm.node_managers)
+        nm = rm.node_managers[live[pick % len(live)]]
+        any_id = ever[pick % len(ever)]
+        if op == "fail":
+            nm.fail()
+        elif op == "restart":
+            nm.restart()
+        elif op == "lost":
+            rm.node_lost(any_id)
+        elif op == "rejoined":
+            rm.node_rejoined(any_id)
+        elif op == "drain":
+            nm.drain()
+        elif op == "undrain":
+            nm.undrain()
+        elif op == "add":
+            ever.append(cluster.add_node().node_id)
+        elif len(live) > 1:
+            cluster.remove_node(nm.node_id)
+        assert rm_rack_counts(rm) == walked_rack_counts(cluster), (op, pick)
+
+
+def test_set_alive_is_idempotent_and_ignores_unknown_ids():
+    cluster = make_cluster(4)
+    rm = cluster.rm
+    rack = cluster.topology.rack_of("dn1")
+    before = rm.rack_alive[rack]
+    assert rm.set_alive("dn1", False) is rm.nodes["dn1"]
+    assert rm.set_alive("dn1", False) is rm.nodes["dn1"]
+    assert rm.rack_alive[rack] == before - 1
+    assert rm.set_alive("dn99", True) is None
+    rm.set_alive("dn1", True)
+    assert rm.rack_alive[rack] == before
 
 
 # -- 1k-node replay smoke --------------------------------------------------------

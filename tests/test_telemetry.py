@@ -1,5 +1,6 @@
 """Telemetry subsystem: instruments, scraper, OpenMetrics, alert rules."""
 
+import hashlib
 import json
 import math
 from bisect import bisect_left
@@ -13,8 +14,9 @@ from repro.config import (HadoopConfig, ServingConfig, TelemetryConfig,
 from repro.metrics import exact_percentile
 from repro.simulation import Environment
 from repro.telemetry import (AlertEngine, BurnRateRule, QueueSaturationRule,
-                             Scraper, TelemetryRegistry, parse_openmetrics,
-                             render_jsonl, render_openmetrics)
+                             RingSeries, Scraper, TelemetryRegistry,
+                             parse_openmetrics, render_jsonl,
+                             render_openmetrics)
 from repro.telemetry.instruments import DEFAULT_BUCKETS, Histogram
 from repro.trace import (build_trace_cluster, default_serving_mix,
                          poisson_trace, replay_load, run_load)
@@ -159,6 +161,69 @@ def test_ring_retention_is_bounded():
     ring = scraper.series("events")
     assert len(ring) == 16
     assert scraper.scrapes_done > 16
+
+
+def _scan_at_or_before(times, values, t):
+    """The linear scan ``RingSeries.value_at_or_before`` used to run."""
+    result = None
+    for ts, v in zip(times, values):
+        if ts > t:
+            break
+        result = v
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.integers(min_value=0, max_value=4), max_size=40),
+       maxlen=st.integers(min_value=1, max_value=12),
+       probes=st.lists(st.floats(min_value=-5.0, max_value=30.0,
+                                 allow_nan=False), max_size=8),
+       n=st.integers(min_value=1, max_value=16))
+def test_ring_reads_match_the_linear_scan(gaps, maxlen, probes, n):
+    """Differential: the bisecting window lookup and the last-N read equal
+    a scan of the ring from its oldest sample, before and after eviction,
+    for ``t`` before the first stamp, on a stamp, between and past the
+    last. Stamps never decrease (a zero gap repeats one)."""
+    ring = RingSeries("x", (), maxlen)
+    t = 0.0
+    for i, gap in enumerate(gaps):
+        t += gap * 0.5
+        ring.times.append(t)
+        ring.values.append(float(i))
+    times, values = list(ring.times), list(ring.values)
+    queries = list(probes)
+    if times:
+        queries += times + [times[0] - 1.0, times[-1] + 1.0,
+                            (times[0] + times[-1]) / 2]
+    for q in queries:
+        assert ring.value_at_or_before(q) == _scan_at_or_before(
+            times, values, q), q
+    assert ring.last_values(n) == values[-n:]
+
+
+def test_instruments_registered_after_install_join_the_next_scrape():
+    """``attach_serving`` registers after ``install()``: late instruments
+    get rings from the next scrape on, in registration order, after the
+    ones already scraped."""
+    env = _ticking_env(6.0)
+    reg = TelemetryRegistry()
+    reg.counter("events", "x", fn=lambda: env.events_processed)
+    scraper = Scraper(env, reg, interval_s=1.0, retention=64)
+    scraper.install()
+    env.run(until=2.5)  # scrapes at 1 and 2
+    reg.gauge("late_b", "b", labels={"k": "v"}, fn=lambda: 2.0)
+    reg.gauge("late_a", "a", fn=lambda: 1.0)
+    assert scraper.series("late_a") is None
+    env.run()
+    assert [(r.name, r.labels) for r in scraper.all_series()] == [
+        ("events", ()), ("late_b", (("k", "v"),)), ("late_a", ())]
+    events = list(scraper.series("events").times)
+    assert events[:2] == [1.0, 2.0]
+    for name, labels, value in (("late_b", {"k": "v"}, 2.0),
+                                ("late_a", {}, 1.0)):
+        ring = scraper.series(name, labels)
+        assert list(ring.times) == events[2:]
+        assert set(ring.values) == {value}
 
 
 @settings(max_examples=25, deadline=None)
@@ -322,6 +387,64 @@ def test_burn_rate_requires_both_windows():
     assert rule.burn_rate(20.0, scraper, 1000.0) == pytest.approx(1.0)
     firing, _value, _msg = rule.check(20.0, scraper)
     assert not firing
+
+
+def test_retention_must_cover_the_slow_burn_window():
+    """Regression: a ring too short for the slow burn window evicts the
+    window's baseline, and the zero-baseline rule then reads the whole run
+    as the window. With defaults but ``retention_samples=100`` (99 s of
+    history for a 180 s window), a run that missed every deadline for its
+    first 200 s and met every one after read a 5.0x slow burn rate at
+    t=400 instead of 0. Such a config is now refused."""
+    with pytest.raises(ValueError, match="slow burn-rate window"):
+        TelemetryConfig(retention_samples=100)
+    with pytest.raises(ValueError):
+        TelemetryConfig(retention_samples=181)  # 179 s < 180 s
+    with pytest.raises(ValueError):
+        TelemetryConfig(scrape_interval_s=0.25)  # 127.5 s of history
+    TelemetryConfig(retention_samples=182)  # exactly 180 s
+    TelemetryConfig(retention_samples=100, alerts=False)
+    TelemetryConfig(retention_samples=100, burn_slow_window_s=90.0)
+
+
+def test_burn_rate_at_shortest_accepted_retention_matches_full_history():
+    """At the shortest retention the config accepts, both burn windows
+    equal a computation over the unevicted history at every scrape,
+    including the closing off-grid sample — misses for 200 s, hits, then
+    misses for the last 15 s."""
+    conf = TelemetryConfig(retention_samples=182)
+    env = Environment()
+    reg = TelemetryRegistry()
+    met = reg.counter("serving_deadline_met", "met")
+    missed = reg.counter("serving_deadline_missed", "missed")
+    scraper = Scraper(env, reg, interval_s=conf.scrape_interval_s,
+                      retention=conf.retention_samples)
+    rule = BurnRateRule(conf.slo_target, conf.burn_fast_window_s,
+                        conf.burn_slow_window_s, conf.burn_threshold)
+    history = []
+
+    def exact(t, window):
+        base = (0.0, 0.0)
+        for ts, m, x in history:
+            if ts <= t - window:
+                base = (m, x)
+        now = history[-1]
+        d_met, d_missed = now[1] - base[0], now[2] - base[1]
+        total = d_met + d_missed
+        return (d_missed / total) / (1 - conf.slo_target) if total else 0.0
+
+    stamps = [float(k) for k in range(1, 416)] + [415.5]
+    for t in stamps:
+        if t <= 200 or 400 < t <= 415:
+            missed.inc()
+        elif t <= 400:
+            met.inc()
+        scraper.sample(t)
+        history.append((t, met.value, missed.value))
+        for window in (conf.burn_fast_window_s, conf.burn_slow_window_s):
+            assert rule.burn_rate(t, scraper, window) == pytest.approx(
+                exact(t, window)), (t, window)
+    assert len(scraper.series("serving_deadline_met")) == 182
 
 
 def test_alert_engine_edge_triggers_and_resolves():
@@ -520,3 +643,45 @@ def test_run_load_records_scheduler_histograms():
                       conf=conf, seed=7)
     assert report.telemetry["scrapes"] > 0
     assert ", telemetry" in report.summary()
+
+
+#: sha256 of (JSONL, OpenMetrics, ``LoadReport.telemetry``) for the churn
+#: serving replay below, by ring retention. The values predate the
+#: bisecting ring reads, the pre-bound scrape loop, the direct
+#: kernel-queue gauges and the RM's per-rack liveness counts; each of
+#: those must leave every export byte-identical. At 200 samples the rings
+#: evict long before the run's 378 scrapes end.
+_PINNED_EXPORTS = {
+    512: ("ad0ff082f05629cb0d91e896c7619412695cd73e0097bfc968115e4699af1f5a",
+          "9efa1c1e6d57c06aee1baf34067731d57d9b314c76737833c0bb143d8d4e4c71",
+          "dfb38dd32dd1687bb370bf30dee0bb88940254430058b2602852d761eb4cde9c"),
+    200: ("3133bb9006e1cf7bfa07f4f75a7da99883a63027d59fde3815c5ae15a243dd10",
+          "9efa1c1e6d57c06aee1baf34067731d57d9b314c76737833c0bb143d8d4e4c71",
+          "79b5751b83a15cddb564ae45bbd94670920378d9a986a76635eaabeefd914514"),
+}
+
+
+@pytest.mark.parametrize("retention", sorted(_PINNED_EXPORTS))
+def test_churn_serving_exports_are_pinned(retention):
+    """A churn + autoscaling replay at overload that fires all three of
+    the burn-rate, queue-saturation and under-replication rules."""
+    from repro.faults.plan import churn_plan
+
+    conf = _serving_conf(
+        telemetry=TelemetryConfig(retention_samples=retention),
+        autoscale=True, min_nodes=2, max_nodes=4)
+    cluster = build_trace_cluster(a3_cluster(3), conf=conf, seed=7)
+    trace = poisson_trace(default_serving_mix(), 45.0, 300.0, seed=13)
+    report = replay_load(cluster, trace, fault_plan=churn_plan(300.0))
+    telemetry = cluster.env.telemetry
+    assert report.telemetry["alerts_by_rule"] == {
+        "hdfs_under_replication": 3, "queue_saturation": 2,
+        "slo_burn_rate": 1}
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (digest(render_jsonl(telemetry.scraper)),
+            digest(render_openmetrics(telemetry.registry)),
+            digest(json.dumps(report.telemetry, sort_keys=True))
+            ) == _PINNED_EXPORTS[retention]
