@@ -35,8 +35,11 @@ tick is armed. Dead (``fail``) and drained nodes are *suspended*: their
 queued beat is cancelled and no beat is delivered until ``resume``.
 
 **Sleep/wake contract.** On a short-job cluster almost every beat has
-nothing to place. The owner passes a ``busy`` predicate ("an AM or a
-container ask is queued"), evaluated before each beat is delivered:
+nothing to place. The owner passes a ``busy`` predicate, evaluated before
+each beat is delivered. The RM's is "could a beat place anything?": a
+container ask is queued, or a queued AM fits under the AM limit
+(maximum-am-resource-percent). An overloaded cluster at its AM limit
+thus sleeps too, though its AM queue is full:
 
 * The first beat that finds ``busy()`` false puts the wheel to sleep. That
   beat, and every other beat due at the same instant, is counted but not
@@ -44,13 +47,16 @@ container ask is queued"), evaluated before each beat is delivered:
 * Asleep, the wheel schedules nothing, but the nodes keep beating on
   paper: :attr:`heartbeats_delivered` and :meth:`last_beat` report the
   beats every active node made at grid instants before the read time.
-* :meth:`wake` — called by whoever enqueues work — fast-forwards every
-  active node to its next grid point at or after now, counting the beats
-  it skipped, and arms the earliest. A beat on the instant of the wake is
-  still delivered, and, being ``DEFERRED``, it sees the work.
+* :meth:`wake` — called wherever ``busy()`` can turn true: the RM calls
+  it when it enqueues an AM or leaves an ask queued, when an AM container
+  is released while AMs wait, and when a node is added — fast-forwards
+  every active node to its next grid point at or after now, counting the
+  beats it skipped, and arms the earliest. A beat on the instant of the
+  wake is still delivered, and, being ``DEFERRED``, it sees the work.
 
 The owner guarantees that a beat which finds ``busy()`` false would have
-been a no-op apart from recording the beat. With ``busy=None`` the wheel
+been a no-op apart from recording the beat, and that ``busy()`` cannot
+turn true without a ``wake()``. With ``busy=None`` the wheel
 never sleeps and delivers every beat — the reference the sleeping wheel
 is tested against (same working beats, same counts, same beat times).
 

@@ -138,10 +138,14 @@ class HFSPScheduler(SchedulerBase):
         size = self.estimated_size_s(record.name)
         return (size - self.aging_rate * (now - record.submit_time), app_id)
 
-    def _track_app(self, app: Application, now: float) -> None:
+    def _track_app(self, app: Application) -> None:
+        """Record ``app`` on first sight. Its key ages from its submission
+        (the RM always sets ``submit_time``, 0.0 included), never from the
+        instant HFSP first sees it: when that is depends on which beats the
+        heartbeat wheel delivers."""
         if app.app_id not in self.apps:
             self.apps[app.app_id] = AppRecord(app.app_id, app.name,
-                                              app.submit_time or now)
+                                              app.submit_time)
 
     # -- queue layer ---------------------------------------------------------
     def assign_app(self, app_id: str, queue: str) -> None:
@@ -167,7 +171,7 @@ class HFSPScheduler(SchedulerBase):
         now = self.rm.env.now
         app = self.rm.apps.get(app_id)
         if app is not None:
-            self._track_app(app, now)
+            self._track_app(app)
         for ask in asks:
             self.queue.append(PendingAsk(app_id, ask, now))
         return []
@@ -181,7 +185,7 @@ class HFSPScheduler(SchedulerBase):
         """
         now = self.rm.env.now
         for app in apps:
-            self._track_app(app, now)
+            self._track_app(app)
         return sorted(apps, key=lambda app: self.priority_key(app.app_id, now))
 
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
@@ -246,7 +250,7 @@ class HFSPScheduler(SchedulerBase):
             if pending.app_id not in self.apps:
                 app = self.rm.apps.get(pending.app_id)
                 if app is not None:
-                    self._track_app(app, now)
+                    self._track_app(app)
                 else:
                     self.apps[pending.app_id] = AppRecord(
                         pending.app_id, pending.app_id, pending.enqueued_at)

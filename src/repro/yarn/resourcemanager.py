@@ -11,6 +11,7 @@ The RM is the hub the paper's Figures 2/3 revolve around:
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import count
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -38,13 +39,14 @@ class ResourceManager:
         self.log = log if log is not None else EventLog()
         self.ids = IdAllocator()
         #: One aggregated heartbeat timer for every NM of this RM (replaces
-        #: the historical per-node heartbeat processes). It sleeps while
-        #: nothing is queued — every enqueue site below calls ``wake()``.
+        #: the historical per-node heartbeat processes). It sleeps while no
+        #: beat could place anything (:meth:`_could_place`) — every site
+        #: below that can make a beat useful again calls ``wake()``.
         #: ``None`` only when heartbeats are configured off.
         self.heartbeat_wheel: Optional[HeartbeatWheel] = (
             HeartbeatWheel(env, conf.nm_heartbeat_s, self.node_heartbeat,
                            quantum=conf.nm_heartbeat_quantum_s,
-                           busy=self._has_queued_work)
+                           busy=self._could_place)
             if conf.nm_heartbeat_s > 0 else None)
         self.nodes: dict[str, NodeState] = {}
         #: Cluster-wide totals, maintained incrementally (node admission and
@@ -70,10 +72,14 @@ class ResourceManager:
         self._am_attempts: dict[str, int] = {}
         #: Containers granted by the scheduler but not yet fetched by the AM.
         self._ready: dict[str, list[Container]] = {}
-        #: Applications whose AM container is not allocated yet. Served in
+        #: Applications whose AM container is not allocated yet, kept in
         #: (queue_time, fifo_key) order — FIFO by *intent*, not by which
         #: same-instant submitter's kernel event happened to run first.
+        #: Only :meth:`_enqueue_am` and :meth:`_dequeue_am` change it.
         self._am_queue: list[Application] = []
+        #: Multiset of the queued AMs' memory sizes (size -> count; usually
+        #: one size), so the smallest queued AM is an O(1) read.
+        self._am_queue_mb: dict[int, int] = {}
         #: Fallback fifo_key source for apps submitted without one.
         self._submit_seq = count()
         self._am_processes: dict[str, Any] = {}
@@ -106,6 +112,8 @@ class ResourceManager:
         if node.node_id in self.nodes:
             raise ValueError(f"node {node.node_id!r} already registered")
         self._admit(node)
+        if self._am_queue:
+            self._wake_heartbeats()  # capacity and the AM limit rose
         self.log.mark(self.env.now, "node_added", node=node.node_id)
 
     def _admit(self, node) -> NodeState:
@@ -187,8 +195,7 @@ class ResourceManager:
         self.apps[app.app_id] = app
         self._ready[app.app_id] = []
         self._am_attempts[app.app_id] = 1
-        self._am_queue.append(app)
-        self._wake_heartbeats()
+        self._enqueue_am(app)
         self.log.mark(self.env.now, "app_submitted", app_id=app.app_id)
         return app
 
@@ -221,7 +228,8 @@ class ResourceManager:
         app.killed = True
         self.scheduler.remove_app(app.app_id)
         self._ready.pop(app.app_id, None)
-        self._am_queue = [a for a in self._am_queue if a.app_id != app.app_id]
+        for queued in [a for a in self._am_queue if a.app_id == app.app_id]:
+            self._dequeue_am(queued)
         proc = self._am_processes.get(app.app_id)
         if proc is not None and proc.is_alive:
             proc.defuse()
@@ -233,12 +241,45 @@ class ResourceManager:
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
+    # -- AM queue ------------------------------------------------------------------
+    def _enqueue_am(self, app: Application) -> None:
+        """Queue ``app``'s AM at its (queue_time, fifo_key) position; a
+        beat may now place it."""
+        insort(self._am_queue, app, key=_am_queue_key)
+        mb = app.am_resource.memory_mb
+        self._am_queue_mb[mb] = self._am_queue_mb.get(mb, 0) + 1
+        self._wake_heartbeats()
+
+    def _dequeue_am(self, app: Application) -> None:
+        self._am_queue.remove(app)
+        mb = app.am_resource.memory_mb
+        left = self._am_queue_mb[mb] - 1
+        if left:
+            self._am_queue_mb[mb] = left
+        else:
+            del self._am_queue_mb[mb]
+
+    def _am_admissible(self) -> bool:
+        """Whether some queued AM fits under maximum-am-resource-percent.
+
+        The same float test :meth:`node_heartbeat` applies, on the smallest
+        queued AM: when that one fails it, every queued AM does — the
+        head of line in any scheduler order included.
+        """
+        return bool(self._am_queue_mb) and (
+            self.am_memory_used_mb + min(self._am_queue_mb)
+            <= self.conf.am_resource_fraction
+            * self.total_capability().memory_mb + 1e-9)
+
     # -- heartbeat entry points ------------------------------------------------------
-    def _has_queued_work(self) -> bool:
-        """Whether a node heartbeat could place anything: with no queued AM
-        and no queued ask, every scheduler's beat is a no-op, so the wheel
-        sleeps through it."""
-        return bool(self._am_queue or self.scheduler.queue)
+    def _could_place(self) -> bool:
+        """Whether a node heartbeat could place anything: a task ask is
+        queued, or a queued AM fits under the AM limit. Otherwise every
+        scheduler's beat is a no-op (the AM loop breaks at its first app),
+        so the wheel sleeps through it. The AM limit only loosens when an
+        AM container is released or a node is added; both wake the wheel,
+        as does every enqueue."""
+        return bool(self.scheduler.queue) or self._am_admissible()
 
     def _wake_heartbeats(self) -> None:
         if self.heartbeat_wheel is not None:
@@ -247,8 +288,8 @@ class ResourceManager:
     def node_heartbeat(self, node_id: str) -> None:
         """NODE_STATUS_UPDATE: serve queued AMs first, then task asks.
 
-        Only beats that find queued work get here; the wheel records the
-        node's beat time (``NodeState.last_heartbeat``) itself.
+        Only beats that could place something get here; the wheel records
+        the node's beat time (``NodeState.last_heartbeat``) itself.
         """
         node = self.nodes[node_id]
         if self.env.tracer is not None:
@@ -260,12 +301,10 @@ class ResourceManager:
         # Hadoop 2.2 = memory-only).
         memory_only = getattr(self.scheduler, "memory_only", False)
         am_limit_mb = self.conf.am_resource_fraction * self.total_capability().memory_mb
-        # (queue_time, fifo_key) is the queue's *intended* FIFO order; the
-        # append order of _am_queue is whatever same-instant kernel tie-break
-        # the submitters happened to resume in, which observable figures
-        # must not depend on (the race sanitizer permutes it).
-        fifo = sorted(self._am_queue,
-                      key=lambda a: (a.queue_time, a.fifo_key))
+        # _am_queue is already in its intended FIFO order; the copy lets the
+        # loop dequeue what it places. A blocked AM limit breaks the loop at
+        # its first app in any order, so skip ordering the queue then.
+        fifo = self._am_queue[:] if self._am_admissible() else []
         for app in self.scheduler.am_queue_order(fifo):
             if self.am_memory_used_mb + app.am_resource.memory_mb > am_limit_mb + 1e-9:
                 # maximum-am-resource-percent reached: the head-of-line app
@@ -278,7 +317,7 @@ class ResourceManager:
                 self.am_memory_used_mb += app.am_resource.memory_mb
                 self._am_container_ids.add(container.container_id)
                 app.am_container = container
-                self._am_queue.remove(app)
+                self._dequeue_am(app)
                 self._launch_am(app)
 
         for app_id, container in self.scheduler.on_node_heartbeat(node):
@@ -349,6 +388,8 @@ class ResourceManager:
         if container.container_id in self._am_container_ids:
             self._am_container_ids.discard(container.container_id)
             self.am_memory_used_mb -= container.resource.memory_mb
+            if self._am_queue:
+                self._wake_heartbeats()  # the AM limit loosened
         self.scheduler.on_container_released(container)
 
     # -- internals -----------------------------------------------------------------------
@@ -374,8 +415,7 @@ class ResourceManager:
             # several AMs at once — fall back on the apps' original
             # submission order via the retained fifo_key.
             app.queue_time = self.env.now
-            self._am_queue.append(app)
-            self._wake_heartbeats()
+            self._enqueue_am(app)
             self.log.mark(self.env.now, "am_restarted",
                           app_id=app.app_id, attempt=attempt + 1)
             return
@@ -432,6 +472,10 @@ class ResourceManager:
         self.env.process(am_watch(), name=f"am-watch-{app.app_id}")
         self.log.mark(self.env.now, "am_allocated", app_id=app.app_id,
                       node=app.am_container.node_id)
+
+
+def _am_queue_key(app: Application) -> tuple:
+    return (app.queue_time, app.fifo_key)
 
 
 class JobKilled(Exception):

@@ -5,17 +5,23 @@ to place; the reference wheel (``busy=None``) delivers every beat. The
 differential property below drives both with the same random membership
 changes and work arrivals and requires them to agree on everything an
 observer can see: the working beats, ``heartbeats_delivered`` and every
-node's latest beat time.
+node's latest beat time. The replay differentials below do the same for
+the RM's own predicate, which also sleeps through beats the AM limit
+leaves with nothing to place.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ResourceVector
-from repro.config import HadoopConfig, a3_cluster
+from repro.config import HadoopConfig, ServingConfig, a3_cluster
+from repro.faults.plan import churn_plan
 from repro.simcluster import SimCluster
 from repro.simulation.core import Environment
 from repro.simulation.events import Event
+from repro.trace import (build_trace_cluster, default_serving_mix,
+                         default_short_job_mix, poisson_trace, replay_load)
 from repro.yarn import Application
 from repro.yarn.heartbeat import HeartbeatWheel
 
@@ -251,3 +257,93 @@ def test_asleep_reads_on_beat_instants_match_reference():
     asleep = wheels[1][1]
     assert asleep.asleep and asleep.ticks == 1
     assert reads[1] == reads[0]
+
+
+def _stall_guard(env, horizon):
+    """Fail a replay that outlives ``horizon``: a wheel asleep while an AM
+    could be placed strands that job, and the serving control loops would
+    otherwise keep the run going forever."""
+    yield env.timeout(horizon)
+    raise AssertionError(f"replay still running at t={horizon}")
+
+
+def _resize(cluster, removed):
+    """Add a node at t=30 and, 60 s later, decommission the first idle one:
+    the AM limit rises, then falls."""
+    yield cluster.env.timeout(30.0)
+    cluster.add_node()
+    yield cluster.env.timeout(60.0)
+    idle = [nm.node_id for nm in cluster.node_managers if not nm.running]
+    if idle:
+        cluster.remove_node(idle[0])
+        removed.append(idle[0])
+
+
+def _replay(scheduler, am_fraction, always_deliver, serving=False,
+            resize=False):
+    """One load replay; with ``always_deliver`` the RM's wheel is the
+    never-sleeping reference. Returns the report, what the wheel's beats
+    look like to an observer, and its tick count."""
+    if serving:
+        conf = HadoopConfig(am_resource_fraction=am_fraction,
+                            serving=ServingConfig(
+                                latency_deadline_s=75.0, slots_per_node=2,
+                                initial_guess_s=12.0, autoscale=True,
+                                min_nodes=2, max_nodes=4))
+        trace = poisson_trace(default_serving_mix(), 45.0, 300.0, seed=13)
+        plan = churn_plan(300.0)
+    else:
+        conf = HadoopConfig(am_resource_fraction=am_fraction)
+        trace = poisson_trace(default_short_job_mix(), 40.0, 150.0, seed=11)
+        plan = None
+    cluster = build_trace_cluster(a3_cluster(3 if serving else 4),
+                                  scheduler=scheduler, conf=conf, seed=7)
+    wheel = cluster.rm.heartbeat_wheel
+    if always_deliver:
+        wheel._busy = None
+    cluster.env.process(_stall_guard(cluster.env, 5000.0))
+    removed = []
+    if resize:
+        cluster.env.process(_resize(cluster, removed))
+    report = replay_load(cluster, trace, fault_plan=plan)
+    beats = (wheel.heartbeats_delivered,
+             {node_id: state.last_heartbeat
+              for node_id, state in cluster.rm.nodes.items()}, removed)
+    return report.to_dict(), beats, wheel.ticks
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "capacity", "hfsp"])
+@pytest.mark.parametrize("am_fraction", [0.1, 0.3, 1.0])
+def test_rm_wheel_matches_always_delivering_wheel(scheduler, am_fraction):
+    """The RM's wheel sleeps through every beat the AM limit leaves with
+    nothing to place, and wakes when an AM container is released. Real
+    replays must not notice: the same report, beat count and last beats
+    as the wheel that delivers every beat."""
+    reference = _replay(scheduler, am_fraction, True)
+    sleeping = _replay(scheduler, am_fraction, False)
+    assert sleeping[:2] == reference[:2]
+    assert sleeping[2] <= reference[2]
+    if am_fraction == 0.1:
+        # AM-limited: almost every beat finds the limit reached. The
+        # counts are deterministic: about 8 930 ticks delivering every
+        # beat, 266-268 asleep.
+        assert sleeping[2] * 5 <= reference[2]
+
+
+def test_churn_autoscaling_replay_matches_always_delivering_wheel():
+    """Churn kills and requeues AMs, and the autoscaler adds and drains
+    nodes, while AMs wait at the AM limit."""
+    reference = _replay("fifo", 0.3, True, serving=True)
+    sleeping = _replay("fifo", 0.3, False, serving=True)
+    assert sleeping[:2] == reference[:2]
+    assert sleeping[2] < reference[2]
+
+
+def test_resized_replay_matches_always_delivering_wheel():
+    """A node added while AMs wait at the AM limit raises the limit; a
+    decommissioned one lowers it."""
+    reference = _replay("fifo", 0.1, True, resize=True)
+    sleeping = _replay("fifo", 0.1, False, resize=True)
+    assert reference[1][2], "no idle node to decommission"
+    assert sleeping[:2] == reference[:2]
+    assert sleeping[2] * 5 <= reference[2]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterNetwork, Node, ResourceVector
-from repro.config import INSTANCE_TYPES, ClusterSpec
+from repro.config import INSTANCE_TYPES, ClusterSpec, HadoopConfig
 from repro.core.dplus import DPlusScheduler
 from repro.simcluster import SimCluster
 from repro.simulation import Environment
@@ -203,14 +203,33 @@ def test_property_hfsp_aging_prevents_starvation(big_size, small_size, rate):
     # aged below zero, under any fresh job's (non-negative) key.
     horizon = big_size / rate + 1.0
     fresh = hfsp_app(cluster, "app_0002", "small", submit_time=horizon)
-    sched._track_app(old, 0.0)
-    sched._track_app(fresh, horizon)
+    sched._track_app(old)
+    sched._track_app(fresh)
     old_key = sched.priority_key("app_0001", horizon)
     fresh_key = sched.priority_key("app_0002", horizon)
     assert old_key < fresh_key
     # And the AM queue order agrees.
     cluster.env._now = horizon  # direct clock poke: pure ordering check
     assert sched.am_queue_order([fresh, old])[0] is old
+
+
+def test_hfsp_ages_a_job_submitted_at_time_zero_from_zero():
+    """Regression: HFSP recorded ``submit_time or now``, so a job submitted
+    at t=0 aged from the instant HFSP first saw it. First sight depends on
+    which heartbeats the wheel delivers; the key must not."""
+    spec = ClusterSpec(INSTANCE_TYPES["A3"], 2, racks=2, name="t")
+    sched = HFSPScheduler()
+    # Heartbeats off: nothing looks at the queued AM until the call below.
+    cluster = SimCluster(spec, conf=HadoopConfig(nm_heartbeat_s=0.0),
+                         scheduler=sched)
+    app = cluster.rm.submit_application(Application(
+        "app_0001", "sig", ResourceVector(1536, 1), lambda ctx: iter(())))
+    assert app.submit_time == 0.0
+    cluster.env.run(until=3.0)
+    assert sched.am_queue_order([app]) == [app]
+    assert sched.apps["app_0001"].submit_time == 0.0
+    assert sched.priority_key("app_0001", 3.0) == (
+        sched.initial_guess_s - sched.aging_rate * 3.0, "app_0001")
 
 
 @given(st.permutations(list(range(5))))
