@@ -1,0 +1,226 @@
+"""Digest pins for the replay loop and the CLI commands built on it.
+
+``replay_load`` picks each job's submission path from the strategy, the
+serving runtime's overload ladder and, for ``mrapid-auto``, the tuner.
+The digests below pin the full ``LoadReport.to_dict()`` (per-job rows
+kept) of one small replay per path, so a refactor of the loop must leave
+every decision, sojourn and counter byte-identical. The CLI pins cover
+``repro metrics`` in all three formats and ``repro trace --json``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from collections import Counter
+
+import pytest
+
+from repro.cli import main
+from repro.config import HadoopConfig, ServingConfig, TunerConfig, a3_cluster
+from repro.faults.plan import named_plan
+from repro.serving.runtime import ServingRuntime
+from repro.trace import (
+    SCHEDULER_CAPACITY,
+    STRATEGY_AUTO,
+    STRATEGY_DPLUS,
+    STRATEGY_SPECULATIVE,
+    STRATEGY_STOCK,
+    STRATEGY_UPLUS,
+    TRACE_STRATEGIES,
+    default_serving_mix,
+    default_short_job_mix,
+    poisson_trace,
+    run_load,
+    template_baselines,
+)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_digest(report):
+    return _digest(json.dumps(report.to_dict(), sort_keys=True))
+
+
+def _conf(strategy, **kwargs):
+    """The auto strategy learns in memory, so its pins cover the tuner's
+    explore/exploit split and the observe-back of every outcome."""
+    tuner = TunerConfig(history_db=":memory:") if strategy == STRATEGY_AUTO else None
+    return HadoopConfig(tuner=tuner, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def baselines():
+    return template_baselines(a3_cluster(4), default_short_job_mix())
+
+
+@pytest.fixture
+def degraded_dispatches(monkeypatch):
+    """Counts the dispatches the overload ladder degraded."""
+    hits = []
+    degraded_mode_for = ServingRuntime.degraded_mode_for
+
+    def counting(runtime, slo):
+        degraded = degraded_mode_for(runtime, slo)
+        hits.append(degraded)
+        return degraded
+
+    monkeypatch.setattr(ServingRuntime, "degraded_mode_for", counting)
+    return hits
+
+
+#: One fixed-strategy replay per submission path on an idle-start A3x4.
+_PINNED_STRATEGIES = {
+    STRATEGY_STOCK: "35d8edb2ac53703069e9db2c35e06a908da296defd5f3cc1a77ffcf19b2172e0",
+    STRATEGY_DPLUS: "5a0db1da7d8d2a4ba48b47a3a56ecefeb0f749ec3c971131e67e9108317d2250",
+    STRATEGY_UPLUS: "52cae5f18d9a0aae8a63356a29006df1148321e4e14e9d5cdb23acf26637946e",
+    STRATEGY_SPECULATIVE:
+        "5e88ab397b5239e48fc0967648643fc08c62fa26a8094bf416da70dd089d8ae5",
+    STRATEGY_AUTO: "e275bc5d14f31f74c85a3555bdf6ef400e0c7088307fef0f26f8f7e4b865e6c4",
+}
+
+
+def test_every_strategy_is_pinned():
+    assert sorted(_PINNED_STRATEGIES) == sorted(TRACE_STRATEGIES)
+
+
+@pytest.mark.parametrize("strategy", sorted(_PINNED_STRATEGIES))
+def test_strategy_replay_is_pinned(strategy, baselines):
+    mix = default_short_job_mix()
+    trace = poisson_trace(mix, 4.0, 180.0, seed=5)
+    report = run_load(a3_cluster(4), mix, 4.0, 180.0, strategy=strategy,
+                      conf=_conf(strategy), keep_jobs=True,
+                      baselines=baselines, trace=trace)
+    assert report.jobs_completed == report.jobs_submitted == len(trace)
+    assert _report_digest(report) == _PINNED_STRATEGIES[strategy]
+
+
+#: Replays under a node crash on the multi-tenant capacity scheduler: the
+#: tenant-queue routing, and jobs the crash kills (the tuner observes the
+#: killed run as a failure sample).
+_PINNED_CRASH = {
+    STRATEGY_DPLUS: "bc9c0436ef00ff4eb7d07e1aa8f5df4cad3c171a13cad68430f8c9b31beedaea",
+    STRATEGY_AUTO: "2d288aa5e76a76c0ec5b1a7c6fb868cc5653d418897e5cabce7abd65cfe22a21",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_PINNED_CRASH))
+def test_crash_replay_is_pinned(strategy):
+    mix = default_short_job_mix()
+    trace = poisson_trace(mix, 6.0, 300.0, seed=2)
+    report = run_load(a3_cluster(3), mix, 6.0, 300.0, strategy=strategy,
+                      scheduler=SCHEDULER_CAPACITY, conf=_conf(strategy),
+                      keep_jobs=True, baselines={}, trace=trace,
+                      fault_plan=named_plan("crash", 300.0))
+    assert report.killed >= 1
+    assert _report_digest(report) == _PINNED_CRASH[strategy]
+
+
+def _overload_conf(strategy, max_pending, deadline_s=75.0):
+    serving = ServingConfig(latency_deadline_s=deadline_s, slots_per_node=1,
+                            initial_guess_s=12.0, max_pending=max_pending)
+    return _conf(strategy, am_resource_fraction=0.3, serving=serving)
+
+
+def _overload_replay(strategy, conf, baselines):
+    mix = default_serving_mix()
+    trace = poisson_trace(mix, 20.0, 120.0, seed=3)
+    return run_load(a3_cluster(3), mix, 20.0, 120.0, strategy=strategy,
+                    conf=conf, keep_jobs=True, baselines=baselines, trace=trace)
+
+
+#: Serving replays at overload whose pending queue reaches the degradation
+#: ladder: latency jobs forced to uber/U+, speculation and the tuner
+#: suspended for the dispatch.
+_PINNED_DEGRADED = {
+    STRATEGY_STOCK: "bf4b65b1db4340f18ff51eacac1752fb5bb452d35f703ee5d98b030ddeb0b6f3",
+    STRATEGY_SPECULATIVE:
+        "db2436799d3cfd42251e2e7d6ab7c1bd9847aeaa04b37192924bc116de21a46f",
+    STRATEGY_AUTO: "47d17222bc6636456ab80501d8cf467e5edcf844ae32c268e733938f95a5ba03",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_PINNED_DEGRADED))
+def test_degraded_serving_replay_is_pinned(strategy, baselines,
+                                           degraded_dispatches):
+    report = _overload_replay(strategy, _overload_conf(strategy, 6), baselines)
+    assert any(degraded_dispatches) and not all(degraded_dispatches)
+    assert _report_digest(report) == _PINNED_DEGRADED[strategy]
+
+
+#: A serving replay whose pending queue is so short that latency arrivals
+#: evict pending batch jobs.
+_PINNED_SHED = "86e16ad1fbf6dd7f95a1d95bf8aa18fd631d1882075e6ac47eed1469efe15cfb"
+
+
+def test_latency_arrivals_shed_pending_batch_jobs(baselines):
+    conf = _overload_conf(STRATEGY_STOCK, 5, deadline_s=120.0)
+    report = _overload_replay(STRATEGY_STOCK, conf, baselines)
+    slo = report.slo
+    assert slo["shed"] > 0
+    outcomes = Counter(row["outcome"] for row in report.per_job)
+    assert outcomes["shed"] == slo["shed"]
+    assert sum(outcomes.values()) == report.jobs_submitted
+    assert (report.sojourn.count + report.killed + report.failed
+            + slo["rejected"] + slo["shed"]) == report.jobs_submitted
+    assert _report_digest(report) == _PINNED_SHED
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+#: Every replay flag ``trace`` and ``metrics`` share, set off its default.
+_SHARED_FLAGS = ["--rate", "12", "--minutes", "3", "--seed", "5",
+                 "--cluster", "a2", "--am-fraction", "0.4", "--slo",
+                 "--deadline", "60", "--autoscale", "6", "9",
+                 "--fault-plan", "churn", "--fault-seed", "9"]
+
+#: ``repro metrics`` on its defaults and with every shared flag set, one
+#: digest per export format.
+_PINNED_METRICS = {
+    ("defaults", "summary"):
+        "137f682be604a9eb9279f5836255753b90ca89492fd737f30ea230ea49224927",
+    ("defaults", "jsonl"):
+        "4e9a7ee6048916fdb95691eb287a97289497b59674caa4b9f2e5b1b26bfce0bf",
+    ("defaults", "openmetrics"):
+        "c132e4a263f3fcd8db21de2cff8ce5467f8bb1c2cf8bc8b76f91c415c53e016a",
+    ("serving", "summary"):
+        "331695dc8378bd08b5ecdf0a01c1ba4df0d7a773b85bc65d51202b5794092aad",
+    ("serving", "jsonl"):
+        "82fd6dd169314aa321134b0d72e4a9de3d437b37c915107f0dedb31056aa6c52",
+    ("serving", "openmetrics"):
+        "3c18f342bfda148b271f76ff0c78be1c2550f0dd73f79f10e4f2663824ba6134",
+}
+
+
+@pytest.mark.parametrize("flags,fmt", sorted(_PINNED_METRICS))
+def test_metrics_cli_output_is_pinned(flags, fmt):
+    argv = ["metrics", "--format", fmt]
+    argv += (["--minutes", "3"] if flags == "defaults" else
+             _SHARED_FLAGS + ["--scheduler", "capacity", "--mode", "auto"])
+    assert _digest(_cli(argv)) == _PINNED_METRICS[flags, fmt]
+
+
+#: ``repro trace --json``: the stock-vs-speculative comparison, and an
+#: auto replay on HFSP with telemetry and every shared flag set.
+_PINNED_TRACE_JSON = {
+    "defaults": "0ec82c2efe63ab219aa2e46851e829676225b6bc4f9fa874f53e27a8086802cc",
+    "serving": "f8d716fc2c35cd3bd568fc47701415b9ff18da39af23df0859e3d3d4f7662525",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_PINNED_TRACE_JSON))
+def test_trace_json_output_is_pinned(flags):
+    argv = ["trace", "--json"]
+    if flags == "defaults":
+        argv += ["--minutes", "3"]
+    else:
+        argv += _SHARED_FLAGS + ["--scheduler", "hfsp", "--mode", "auto",
+                                 "--telemetry"]
+    assert _digest(_cli(argv)) == _PINNED_TRACE_JSON[flags]
