@@ -251,47 +251,30 @@ def _serving_from_args(args):
     return ServingConfig(**kwargs)
 
 
-def cmd_trace(args) -> int:
-    from .config import HadoopConfig, TelemetryConfig
+def _replay_inputs(args, telemetry=None, tuner=None) -> tuple:
+    """``(spec, conf, mix, trace, duration_s, fault_plan, baselines)`` from
+    the replay flags ``trace`` and ``metrics`` share (plus ``--trace-file``)."""
+    from .config import HadoopConfig
     from .trace import (
-        STRATEGY_SPECULATIVE,
-        STRATEGY_STOCK,
         default_serving_mix,
         default_short_job_mix,
         parse_trace_file,
         poisson_trace,
-        run_load,
         template_baselines,
     )
 
-    serving = _serving_from_args(args)
+    conf = HadoopConfig(am_resource_fraction=args.am_fraction,
+                        serving=_serving_from_args(args),
+                        telemetry=telemetry, tuner=tuner)
     mix = default_serving_mix() if args.slo else default_short_job_mix()
     spec = _cluster_spec(args.cluster)
-    telemetry = TelemetryConfig() if args.telemetry else None
-    tuner = None
-    if args.history_db:
-        from .config import TunerConfig
-
-        if args.mode != "auto":
-            raise SystemExit("--history-db requires --mode auto")
-        tuner = TunerConfig(history_db=args.history_db)
-    conf = HadoopConfig(am_resource_fraction=args.am_fraction, serving=serving,
-                        telemetry=telemetry, tuner=tuner)
-    if args.trace_file:
+    if getattr(args, "trace_file", None):
         with open(args.trace_file) as f:
             trace = parse_trace_file(f.read(), mix)
         duration_s = trace[-1].arrival_s if trace else 0.0
-        if not args.json:
-            print(f"{len(trace)} job arrivals from {args.trace_file} "
-                  f"(scheduler {args.scheduler})")
     else:
         duration_s = args.minutes * 60.0
         trace = poisson_trace(mix, args.rate, duration_s, seed=args.seed)
-        if not args.json:
-            print(f"{len(trace)} job arrivals over {args.minutes} min "
-                  f"(rate {args.rate}/min, seed {args.seed}, "
-                  f"scheduler {args.scheduler})")
-
     fault_plan = None
     if args.fault_plan:
         from .faults.plan import named_plan
@@ -301,10 +284,29 @@ def cmd_trace(args) -> int:
                                     seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(str(exc))
+    baselines = template_baselines(spec, mix, conf=conf)
+    return spec, conf, mix, trace, duration_s, fault_plan, baselines
+
+
+def cmd_trace(args) -> int:
+    from .config import TelemetryConfig, TunerConfig
+    from .trace import STRATEGY_SPECULATIVE, STRATEGY_STOCK, run_load
+
+    if args.history_db and args.mode != "auto":
+        raise SystemExit("--history-db requires --mode auto")
+    spec, conf, mix, trace, duration_s, fault_plan, baselines = _replay_inputs(
+        args, telemetry=TelemetryConfig() if args.telemetry else None,
+        tuner=TunerConfig(history_db=args.history_db) if args.history_db else None)
+    if args.trace_file and not args.json:
+        print(f"{len(trace)} job arrivals from {args.trace_file} "
+              f"(scheduler {args.scheduler})")
+    elif not args.json:
+        print(f"{len(trace)} job arrivals over {args.minutes} min "
+              f"(rate {args.rate}/min, seed {args.seed}, "
+              f"scheduler {args.scheduler})")
 
     strategies = ([TRACE_MODES[args.mode]] if args.mode
                   else [STRATEGY_STOCK, STRATEGY_SPECULATIVE])
-    baselines = template_baselines(spec, mix, conf=conf)
     for strategy in strategies:
         report = run_load(spec, mix, args.rate, duration_s,
                           scheduler=args.scheduler, strategy=strategy,
@@ -317,45 +319,22 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Replay a trace with telemetry on and export the scraped series."""
-    from .config import HadoopConfig, TelemetryConfig
+    from .config import TelemetryConfig
     from .trace import (
         SCHEDULER_CAPACITY,
-        STRATEGY_STOCK,
-        TRACE_STRATEGIES,
         build_trace_cluster,
         default_queue_of,
-        default_serving_mix,
-        default_short_job_mix,
-        poisson_trace,
         replay_load,
-        template_baselines,
     )
 
-    serving = _serving_from_args(args)
     try:
         telemetry_conf = TelemetryConfig(scrape_interval_s=args.interval)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    conf = HadoopConfig(am_resource_fraction=args.am_fraction, serving=serving,
-                        telemetry=telemetry_conf)
-    mix = default_serving_mix() if args.slo else default_short_job_mix()
-    spec = _cluster_spec(args.cluster)
-    duration_s = args.minutes * 60.0
-    trace = poisson_trace(mix, args.rate, duration_s, seed=args.seed)
+    spec, conf, _, trace, _, fault_plan, baselines = _replay_inputs(
+        args, telemetry=telemetry_conf)
 
-    fault_plan = None
-    if args.fault_plan:
-        from .faults.plan import named_plan
-
-        try:
-            fault_plan = named_plan(args.fault_plan, duration_s,
-                                    seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-
-    strategy = TRACE_MODES.get(args.mode, STRATEGY_STOCK)
-    assert strategy in TRACE_STRATEGIES
-    baselines = template_baselines(spec, mix, conf=conf)
+    strategy = TRACE_MODES[args.mode]
     # replay_load installs telemetry from conf; building the cluster here
     # (instead of via run_load) keeps the handle for the exporters below.
     cluster = build_trace_cluster(spec, scheduler=args.scheduler,
@@ -593,6 +572,35 @@ def cmd_lint(args) -> int:
     return analysis_main(argv)
 
 
+def _add_replay_flags(p: argparse.ArgumentParser) -> None:
+    """The replay flags ``trace`` and ``metrics`` share."""
+    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
+    p.add_argument("--minutes", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
+    p.add_argument("--scheduler", default="fifo",
+                   choices=["fifo", "capacity", "hfsp"],
+                   help="RM scheduler for the replay cluster")
+    p.add_argument("--am-fraction", type=float, default=0.3,
+                   help="maximum-am-resource-percent analog; <1 enables AM "
+                        "admission control so scheduling order matters")
+    p.add_argument("--slo", action="store_true",
+                   help="serving mode: SLO-classed mix (scans/aggs latency, "
+                        "sorts batch), size-based admission control, "
+                        "overload degradation, per-job outcomes")
+    p.add_argument("--deadline", type=float, default=75.0,
+                   help="latency-class deadline in seconds (with --slo)")
+    p.add_argument("--autoscale", nargs=2, type=int, default=None,
+                   metavar=("MIN", "MAX"),
+                   help="with --slo: reactive autoscaling between MIN and "
+                        "MAX nodes (queue depth + SLO attainment signals)")
+    p.add_argument("--fault-plan", default=None, metavar="NAME",
+                   help="inject a named fault plan into the replay "
+                        "(churn, crash, gray)")
+    p.add_argument("--fault-seed", type=int, default=23,
+                   help="seed for the named fault plan's victim selection")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MRapid (IPPS 2017) reproduction toolkit")
@@ -643,16 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("trace", help="replay a bursty short-job trace")
-    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
-    p.add_argument("--minutes", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
+    _add_replay_flags(p)
     p.add_argument("--trace-file", default=None, metavar="FILE",
                    help="replay '<arrival_s> <template>' lines from FILE "
                         "instead of generating Poisson arrivals")
-    p.add_argument("--scheduler", default="fifo",
-                   choices=["fifo", "capacity", "hfsp"],
-                   help="RM scheduler for the replay cluster")
     p.add_argument("--mode", default=None, choices=sorted(TRACE_MODES),
                    help="submission strategy (default: compare stock and "
                         "speculative)")
@@ -660,30 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --mode auto: durable run-history store the "
                         "tuner learns per-signature mode choices from; "
                         "omit for pure Eq. 1-3 decisions")
-    p.add_argument("--am-fraction", type=float, default=0.3,
-                   help="maximum-am-resource-percent analog; <1 enables AM "
-                        "admission control so scheduling order matters")
     p.add_argument("--json", action="store_true",
                    help="full streaming report as JSON, with a per-job "
                         "decision column")
     p.add_argument("--report", action="store_true",
                    help="print sojourn/slowdown/queue-depth percentiles and "
                         "mode decisions")
-    p.add_argument("--fault-plan", default=None, metavar="NAME",
-                   help="inject a named fault plan into the replay "
-                        "(churn, crash, gray)")
-    p.add_argument("--fault-seed", type=int, default=23,
-                   help="seed for the named fault plan's victim selection")
-    p.add_argument("--slo", action="store_true",
-                   help="serving mode: SLO-classed mix (scans/aggs latency, "
-                        "sorts batch), size-based admission control, "
-                        "overload degradation, per-job outcomes")
-    p.add_argument("--deadline", type=float, default=75.0,
-                   help="latency-class deadline in seconds (with --slo)")
-    p.add_argument("--autoscale", nargs=2, type=int, default=None,
-                   metavar=("MIN", "MAX"),
-                   help="with --slo: reactive autoscaling between MIN and "
-                        "MAX nodes (queue depth + SLO attainment signals)")
     p.add_argument("--telemetry", action="store_true",
                    help="sample the telemetry registry during the replay; "
                         "adds scrape/alert rows to --report and a "
@@ -693,26 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "metrics",
         help="replay a trace with telemetry on and export the time series")
-    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
-    p.add_argument("--minutes", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
-    p.add_argument("--scheduler", default="fifo",
-                   choices=["fifo", "capacity", "hfsp"])
+    _add_replay_flags(p)
     p.add_argument("--mode", default="stock", choices=sorted(TRACE_MODES),
                    help="submission strategy (default: stock)")
-    p.add_argument("--am-fraction", type=float, default=0.3)
-    p.add_argument("--slo", action="store_true",
-                   help="serving mode (SLO-classed mix, admission control); "
-                        "enables attainment series and burn-rate alerting")
-    p.add_argument("--deadline", type=float, default=75.0,
-                   help="latency-class deadline in seconds (with --slo)")
-    p.add_argument("--autoscale", nargs=2, type=int, default=None,
-                   metavar=("MIN", "MAX"),
-                   help="with --slo: reactive autoscaling between MIN and MAX")
-    p.add_argument("--fault-plan", default=None, metavar="NAME",
-                   help="inject a named fault plan (churn, crash, gray)")
-    p.add_argument("--fault-seed", type=int, default=23)
     p.add_argument("--interval", type=float, default=5.0,
                    help="scrape cadence in simulated seconds")
     p.add_argument("--format", default="summary",

@@ -127,7 +127,3 @@ class ClusterNetwork:
         for flow in victims:
             self.fabric.kill(flow)
         return len(victims)
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self.fabric.active_flows)

@@ -38,9 +38,6 @@ class ResourceVector:
         """True when this demand can be satisfied from ``other``."""
         return self.memory_mb <= other.memory_mb and self.vcores <= other.vcores
 
-    def is_zero(self) -> bool:
-        return self.memory_mb == 0 and self.vcores == 0
-
     # -- dominant resource ------------------------------------------------------
     def usage_ratios(self, total: "ResourceVector") -> tuple[float, float]:
         """(memory ratio, vcore ratio) of this amount against ``total``."""

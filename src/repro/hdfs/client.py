@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Generator
 
 from ..cluster.network import ClusterNetwork
 from ..cluster.topology import Topology
-from .block import Block, InputSplit
+from .block import Block
 from .namenode import HdfsError, NameNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,25 +51,6 @@ class HdfsClient:
             yield disk.done & net.done
         return source
 
-    def read_split(self, split: InputSplit, at_node: str) -> Generator:
-        """Read a map task's input split (resides within one block)."""
-        file = self.namenode.get_file(split.path)
-        block = file.blocks[split.split_index] if split.split_index < len(file.blocks) else None
-        if block is None:
-            raise HdfsError(f"split {split.split_index} out of range for {split.path}")
-        source = self.topology.closest_replica(at_node, block.replicas)
-        if source is None:
-            raise HdfsError(f"block {block.block_id} has no live replicas")
-        if split.length_mb <= 0:
-            return source
-        disk = self.topology.node(source).disk.read(split.length_mb, label="split")
-        if source == at_node:
-            yield disk.done
-        else:
-            net = self.network.transfer(source, at_node, split.length_mb, label="split")
-            yield disk.done & net.done
-        return source
-
     def read_file(self, path: str, at_node: str) -> Generator:
         """Read a whole file block-by-block (sequentially, like a scan)."""
         file = self.namenode.get_file(path)
@@ -96,19 +77,4 @@ class HdfsClient:
                                                 label=f"repl{block.block_id}")
                     waits.append(net.done)
             yield self.env.all_of(waits)
-        return file
-
-    def upload_small(self, path: str, size_mb: float, at_node: str) -> Generator:
-        """Upload a small artifact (job jar / conf); single-replica fast path."""
-        file = self.namenode.create_file(path, size_mb, writer_node=at_node)
-        for block in file.blocks:
-            if block.size_mb <= 0:
-                continue
-            primary = block.replicas[0]
-            disk = self.topology.node(primary).disk.write(block.size_mb, label="jobfile")
-            if primary != at_node:
-                net = self.network.transfer(at_node, primary, block.size_mb, label="jobfile")
-                yield disk.done & net.done
-            else:
-                yield disk.done
         return file

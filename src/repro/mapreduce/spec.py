@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cluster.topology import Locality
-from ..hdfs.block import InputSplit
 from ..workloads.base import WorkloadProfile
 
 
@@ -117,11 +116,6 @@ class JobResult:
                 counts[record.locality.name] += 1
         return counts
 
-    def avg_map_time(self) -> float:
-        if not self.maps:
-            return 0.0
-        return sum(m.elapsed for m in self.maps) / len(self.maps)
-
     def avg_map_compute(self) -> float:
         if not self.maps:
             return 0.0
@@ -129,7 +123,3 @@ class JobResult:
 
     def nodes_used(self) -> set[str]:
         return {m.node_id for m in self.maps} | {r.node_id for r in self.reduces}
-
-
-def splits_total_mb(splits: list[InputSplit]) -> float:
-    return sum(s.length_mb for s in splits)

@@ -169,10 +169,6 @@ class Tracer:
     def closed_spans(self) -> list[Span]:
         return [s for s in self.spans if s.end is not None]
 
-    def spans_in(self, t0: float, t1: float) -> list[Span]:
-        """Closed spans overlapping ``[t0, t1]``."""
-        return [s for s in self.closed_spans() if s.end > t0 and s.start < t1]
-
     # -- kernel hook -------------------------------------------------------
     def attach_kernel(self) -> None:
         """Count event dispatches through the Environment's tracer hook."""

@@ -32,7 +32,6 @@ from .slo import (
     OUTCOME_ADMITTED,
     OUTCOME_DOWNGRADED,
     OUTCOME_REJECTED,
-    OUTCOME_SHED,
     SLO_BATCH,
     SizeEstimator,
     SLOJob,
@@ -195,11 +194,3 @@ class AdmissionController:
     def job_aborted(self, index: int) -> None:
         """A dispatched job died (killed/failed): free the slot, no training."""
         self._running.pop(index, None)
-
-    def shed_one_batch(self) -> Optional[SLOJob]:
-        """Drop the youngest pending batch job (autoscaler/ladder pressure)."""
-        victim = self._youngest_pending_batch()
-        if victim is None:
-            return None
-        self._pending.remove(victim)
-        return victim.job

@@ -5,26 +5,22 @@ The paper motivates MRapid with ad-hoc query traffic (Hive/Pig stages,
 cluster. This module generates deterministic Poisson arrival traces over a
 job mix and replays them against one shared simulated cluster, measuring
 per-job response times (sojourn = finish - arrival) under each submission
-strategy. Used by the pool-sizing and burst-throughput benchmarks.
+strategy. Used by the burst, load-sweep and serving experiments.
 
-Two replay drivers coexist:
-
-* :func:`replay_trace` — the original closed-scope runner; keeps every
-  per-job response in a :class:`TraceStats` list. Fine for dozens of jobs.
-* :func:`replay_load` — the heavy-traffic runner: open-loop arrivals
-  (arrival times never depend on completions), streaming P² percentiles
-  instead of per-job histories, and aggressive cleanup (HDFS input files
-  deleted, finished applications forgotten by the RM, the event log
-  bounded) so one long-lived cluster can absorb thousands of jobs at
-  bounded memory. Parse a trace file with :func:`parse_trace_file` or
-  synthesize one with :func:`poisson_trace`, then drive it through
-  :func:`run_load` which also picks the RM scheduler (stock FIFO-ish
-  CapacityScheduler, the multi-tenant capacity scheduler, or HFSP).
+One driver, :func:`replay_load`, replays every trace: open-loop arrivals
+(arrival times never depend on completions), streaming P² percentiles
+instead of per-job histories (``keep_jobs=True`` adds one row per job for
+exact percentiles), and aggressive cleanup (HDFS input files deleted,
+finished applications forgotten by the RM, the event log bounded) so one
+long-lived cluster can absorb thousands of jobs at bounded memory. Parse a
+trace file with :func:`parse_trace_file` or synthesize one with
+:func:`poisson_trace`, then drive it through :func:`run_load` which also
+picks the RM scheduler (stock FIFO-ish CapacityScheduler, the multi-tenant
+capacity scheduler, or HFSP).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
@@ -37,7 +33,7 @@ from .mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
 from .mapreduce.spec import SimJobSpec
 from .metrics import StreamingSummary
 from .serving.runtime import SIGNAL_SHED, ServingRuntime
-from .serving.slo import OUTCOME_REJECTED, OUTCOME_SHED
+from .serving.slo import OUTCOME_SHED, SLOJob
 from .workloads.base import WorkloadProfile
 from .yarn.resourcemanager import JobKilled
 
@@ -121,42 +117,6 @@ def poisson_trace(mix: Sequence[JobTemplate], rate_per_minute: float,
     return jobs
 
 
-@dataclass
-class TraceStats:
-    """Per-job response times for one replayed trace."""
-
-    strategy: str
-    arrivals: list[float] = field(default_factory=list)
-    responses: list[float] = field(default_factory=list)  # finish - arrival
-    killed: int = 0
-
-    @property
-    def count(self) -> int:
-        return len(self.responses)
-
-    @property
-    def mean_response(self) -> float:
-        return sum(self.responses) / len(self.responses) if self.responses else 0.0
-
-    def percentile(self, q: float) -> float:
-        if not self.responses:
-            return 0.0
-        ordered = sorted(self.responses)
-        k = min(len(ordered) - 1, max(0, math.ceil(q / 100.0 * len(ordered)) - 1))
-        return ordered[k]
-
-    @property
-    def makespan(self) -> float:
-        if not self.responses:
-            return 0.0
-        finishes = [a + r for a, r in zip(self.arrivals, self.responses)]
-        return max(finishes)
-
-    def summary(self) -> str:
-        return (f"{self.strategy}: {self.count} jobs, mean {self.mean_response:.1f}s, "
-                f"p95 {self.percentile(95):.1f}s, makespan {self.makespan:.1f}s")
-
-
 STRATEGY_STOCK = "stock-auto"
 STRATEGY_DPLUS = "mrapid-dplus"
 STRATEGY_UPLUS = "mrapid-uplus"
@@ -164,52 +124,14 @@ STRATEGY_SPECULATIVE = "mrapid-speculative"
 #: Per-job learned choice among stock/D+/U+/uber via :mod:`repro.tuner`.
 STRATEGY_AUTO = "mrapid-auto"
 
-
-def replay_trace(cluster: "SimCluster", trace: Sequence[TraceJob],
-                 strategy: str = STRATEGY_SPECULATIVE) -> TraceStats:
-    """Submit every trace job at its arrival time on the shared cluster.
-
-    ``strategy`` selects the submission path:
-
-    * ``stock-auto`` — stock client with Hadoop's uber-eligibility rule;
-    * ``mrapid-dplus`` / ``mrapid-uplus`` — fixed MRapid mode via the pool;
-    * ``mrapid-speculative`` — full Figure 6 protocol with shared history.
-
-    The cluster must match the strategy (stock vs MRapid-built).
-    """
-    env = cluster.env
-    stats = TraceStats(strategy=strategy)
-    framework = getattr(cluster, "mrapid_framework", None)
-    if strategy != STRATEGY_STOCK and framework is None:
-        raise ValueError("MRapid strategies need build_mrapid_cluster()")
-    executor = (SpeculativeExecutor(framework)
-                if strategy == STRATEGY_SPECULATIVE else None)
-    client = JobClient(cluster) if strategy == STRATEGY_STOCK else None
-
-    def one_job(job: TraceJob) -> Generator:
-        yield env.timeout(job.arrival_s)
-        paths = cluster.load_input_files(
-            f"/trace/{job.index:04d}", job.template.num_files, job.template.file_mb)
-        spec = SimJobSpec(job.template.name, tuple(paths), job.template.profile,
-                          signature=job.signature)
-        if strategy == STRATEGY_STOCK:
-            result = yield client.submit(spec, MODE_AUTO)
-        elif strategy == STRATEGY_SPECULATIVE:
-            outcome = yield executor.submit(spec)
-            result = outcome.winner
-        else:
-            mode = MODE_DPLUS if strategy == STRATEGY_DPLUS else MODE_UPLUS
-            handle = framework.submit(spec, mode)
-            result = yield handle.proc
-        stats.arrivals.append(job.arrival_s)
-        stats.responses.append(env.now - job.arrival_s)
-        if result.killed:
-            stats.killed += 1
-
-    procs = [env.process(one_job(job), name=f"trace-{job.index}") for job in trace]
-    if procs:
-        env.run(until=env.all_of(procs))
-    return stats
+#: The per-job submission mode each fixed strategy resolves to. Modes are
+#: the tuner's candidate labels: ``stock`` and ``uber`` go through the
+#: stock client, ``dplus`` and ``uplus`` through the MRapid framework, and
+#: ``speculative`` through the launch-both executor.
+_STRATEGY_MODES = {STRATEGY_STOCK: "stock", STRATEGY_DPLUS: "dplus",
+                   STRATEGY_UPLUS: "uplus", STRATEGY_SPECULATIVE: "speculative"}
+_CLIENT_MODES = {"stock": MODE_AUTO, "uber": MODE_UBER}
+_FRAMEWORK_MODES = {"dplus": MODE_DPLUS, "uplus": MODE_UPLUS}
 
 
 def default_short_job_mix() -> list[JobTemplate]:
@@ -467,11 +389,17 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
 
     Arrivals are driven by a single generator clocked purely off the trace
     (never off completions), so offered load is independent of how far the
-    cluster falls behind — the heavy-traffic regime the closed-loop
-    :func:`replay_trace` cannot produce. Per-job state is discarded as jobs
-    finish: input files are deleted from HDFS, the RM forgets terminal
-    applications, and the shared event log is bounded, keeping peak RSS
-    flat in trace length. Metrics stream into :class:`LoadReport`.
+    cluster falls behind. Per-job state is discarded as jobs finish: input
+    files are deleted from HDFS, the RM forgets terminal applications, and
+    the shared event log is bounded, keeping peak RSS flat in trace length.
+    Metrics stream into :class:`LoadReport`; ``keep_jobs=True`` also keeps
+    one row per job (with ``sojourn_s`` for every success), from which
+    :func:`repro.metrics.exact_percentile` gives exact percentiles.
+
+    Each job resolves one submission mode (``stock``, ``uber``,
+    ``speculative``, ``dplus`` or ``uplus``) from the strategy, the serving
+    overload ladder or, for ``mrapid-auto``, the tuner, then submits
+    through the one path that mode names.
 
     ``baselines`` (template name -> idle service time) enables slowdown
     accounting; ``queue_of`` routes templates to tenant queues when the
@@ -490,10 +418,8 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     if strategy != STRATEGY_STOCK and framework is None:
         raise ValueError("MRapid strategies need a cluster with a SubmissionFramework "
                          "(build_trace_cluster or build_mrapid_cluster)")
-    executor = (SpeculativeExecutor(framework)
-                if strategy in (STRATEGY_SPECULATIVE, STRATEGY_AUTO) else None)
-    client = (JobClient(cluster)
-              if strategy in (STRATEGY_STOCK, STRATEGY_AUTO) else None)
+    client = JobClient(cluster)
+    executor = SpeculativeExecutor(framework) if framework is not None else None
     picker = history = None
     if strategy == STRATEGY_AUTO:
         from .config import TunerConfig
@@ -542,6 +468,23 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
         report.queue_depth.add(float(in_flight))
         report.peak_in_flight = max(report.peak_in_flight, in_flight)
 
+    def resolve_mode(job: TraceJob, slo: Optional[SLOJob], degraded: bool) -> str:
+        """The job's submission mode, decided before anything is submitted."""
+        if degraded:
+            # Overload ladder: latency jobs straight to uber or U+ (no
+            # sizing detour), batch jobs to stock or D+ (speculation and
+            # the tuner suspended — no duplicate AMs under pressure).
+            if strategy == STRATEGY_STOCK:
+                return "uber" if slo.is_latency else "stock"
+            return "uplus" if slo.is_latency else "dplus"
+        if strategy == STRATEGY_AUTO:
+            # Per-job learned choice: Eq. 1–3 while cold, history once the
+            # store has trained this signature.
+            inputs = template_inputs(cluster, job.template.num_files,
+                                     job.template.file_mb, job.template.profile)
+            return picker.decide(job.signature, inputs).mode
+        return _STRATEGY_MODES[strategy]
+
     def one_job(job: TraceJob) -> Generator:
         nonlocal in_flight, completed
         slo = runtime.resolve(job) if runtime is not None else None
@@ -551,7 +494,6 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
         decision = "killed"
         outcome: Optional[str] = None
         dispatched = False
-        auto = None  # the tuner's AutoDecision when strategy is AUTO
 
         def record_row(label: Optional[str], sojourn: Optional[float] = None) -> None:
             if not keep_jobs:
@@ -593,60 +535,29 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             spec = SimJobSpec(job.template.name, tuple(paths), job.template.profile,
                               signature=job.signature)
             degraded = runtime is not None and runtime.degraded_mode_for(slo)
+            learned = strategy == STRATEGY_AUTO and not degraded
+            mode = resolve_mode(job, slo, degraded)
+            if learned:
+                decision = f"auto-{mode}"
             try:
-                if strategy == STRATEGY_STOCK:
+                if mode in _CLIENT_MODES:
                     queue = queue_of(job.template.name) if queue_of is not None else None
-                    mode = MODE_UBER if degraded and slo.is_latency else MODE_AUTO
                     # The admission controller's dispatch ticket pins this
                     # job's AM-queue position: several jobs dispatched at
                     # one instant must reach the RM in controller (EDF)
                     # order, not kernel tie-break order.
                     ticket = (runtime.dispatch_ticket(slo)
                               if runtime is not None else None)
-                    result = yield client.submit(spec, mode, queue=queue,
-                                                 fifo_key=ticket)
-                    decision = result.mode
-                elif strategy == STRATEGY_SPECULATIVE and not degraded:
+                    result = yield client.submit(spec, _CLIENT_MODES[mode],
+                                                 queue=queue, fifo_key=ticket)
+                elif mode == "speculative":
                     spec_outcome = yield executor.submit(spec)
                     result = spec_outcome.winner
-                    decision = f"mrapid-{spec_outcome.winner_mode}"
                     if spec_outcome.loser is not None:
                         outputs.append(f"/out/{spec_outcome.loser.app_id}")
-                elif strategy == STRATEGY_AUTO and not degraded:
-                    # Per-job learned choice: Eq. 1–3 while cold, history
-                    # once the store has trained this signature.
-                    inputs = template_inputs(cluster, job.template.num_files,
-                                             job.template.file_mb,
-                                             job.template.profile)
-                    auto = picker.decide(job.signature, inputs)
-                    decision = f"auto-{auto.mode}"
-                    if auto.mode in ("stock", "uber"):
-                        queue = (queue_of(job.template.name)
-                                 if queue_of is not None else None)
-                        ticket = (runtime.dispatch_ticket(slo)
-                                  if runtime is not None else None)
-                        mode = MODE_UBER if auto.mode == "uber" else MODE_AUTO
-                        result = yield client.submit(spec, mode, queue=queue,
-                                                     fifo_key=ticket)
-                    elif auto.mode == "speculative":
-                        spec_outcome = yield executor.submit(spec)
-                        result = spec_outcome.winner
-                        if spec_outcome.loser is not None:
-                            outputs.append(f"/out/{spec_outcome.loser.app_id}")
-                    else:
-                        mode = MODE_DPLUS if auto.mode == "dplus" else MODE_UPLUS
-                        handle = framework.submit(spec, mode)
-                        result = yield handle.proc
                 else:
-                    if degraded:
-                        # Overload ladder: latency jobs straight to U+ (no
-                        # sizing detour), batch straight to D+ (speculation
-                        # suspended — no duplicate AMs under pressure).
-                        mode = MODE_UPLUS if slo.is_latency else MODE_DPLUS
-                    else:
-                        mode = MODE_DPLUS if strategy == STRATEGY_DPLUS else MODE_UPLUS
-                    handle = framework.submit(spec, mode)
-                    result = yield handle.proc
+                    result = yield framework.submit(spec, _FRAMEWORK_MODES[mode]).proc
+                if not learned:
                     decision = result.mode
             except JobKilled:
                 report.killed += 1
@@ -667,17 +578,17 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                     outcome = "failed"
             success = (result is not None
                        and not result.killed and not result.failed)
-            if auto is not None:
+            if learned:
                 # Feed the outcome back into the store — killed/failed runs
                 # are recorded too (so the ring reflects reality) but never
                 # count toward training (the estimator uses successes only).
                 if result is not None:
                     picker.observe_record(record_from_result(
-                        result, job.signature, auto.mode,
+                        result, job.signature, mode,
                         input_mb=job.template.num_files * job.template.file_mb,
                         finished_at=env.now))
                 else:
-                    picker.observe(job.signature, auto.mode,
+                    picker.observe(job.signature, mode,
                                    max(0.0, env.now - dispatched_at),
                                    outcome=outcome or "failed",
                                    finished_at=env.now)

@@ -324,9 +324,3 @@ class HFSPScheduler(SchedulerBase):
                 self.sizes[signature] = stats
 
     # -- introspection -------------------------------------------------------
-    def size_report(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {"samples": float(stats.samples), "mean_s": stats.mean_s,
-                   "trained": float(stats.samples >= self.training_samples)}
-            for name, stats in sorted(self.sizes.items())
-        }

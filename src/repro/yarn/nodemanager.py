@@ -103,11 +103,6 @@ class NodeManager:
         """Install (or clear, with None) the per-container flakiness hook."""
         self._flaky = decide
 
-    def kill_container(self, container: Container, cause: Any = "killed") -> None:
-        proc = self.running.get(container.container_id)
-        if proc is not None and proc.is_alive:
-            proc.interrupt(cause)
-
     def fail(self, cause: Any = "node failure") -> None:
         """The machine dies: heartbeats stop, every running container is
         killed, and the RM marks the node lost (no further allocations).

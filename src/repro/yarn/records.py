@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..cluster.resources import ResourceVector
-from ..cluster.topology import Locality
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.events import Event
@@ -47,11 +46,6 @@ class ContainerRequest:
     #: Nodes this request must not be placed on (AM-level blacklisting after
     #: repeated task failures, mapreduce.job.maxtaskfailures.per.tracker).
     blacklist: tuple[str, ...] = ()
-
-    def locality_of(self, node_id: str, topology) -> Locality:
-        if not self.preferred_nodes:
-            return Locality.ANY
-        return topology.locality(node_id, self.preferred_nodes)
 
 
 @dataclass

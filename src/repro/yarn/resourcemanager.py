@@ -199,18 +199,6 @@ class ResourceManager:
         self.log.mark(self.env.now, "app_submitted", app_id=app.app_id)
         return app
 
-    def run_am_directly(self, app: Application, container: Container,
-                        launch_delay: Optional[float] = None) -> None:
-        """Start an AM in an already-granted container (AM-pool path)."""
-        if app.app_id not in self.apps:
-            app.submit_time = self.env.now
-            app.am_started = self.env.event()
-            app.finished = self.env.event()
-            self.apps[app.app_id] = app
-            self._ready[app.app_id] = []
-        app.am_container = container
-        self._launch_am(app, launch_delay=launch_delay)
-
     def application_finished(self, app: Application, result: Any) -> None:
         self.scheduler.on_app_finished(app, result)
         self.scheduler.remove_app(app.app_id)

@@ -9,6 +9,8 @@ import json
 import os
 import textwrap
 
+import pytest
+
 from repro.analysis import Baseline, analyze_paths
 from repro.analysis import main as analysis_main
 from repro.analysis.callgraph import build_project
@@ -596,18 +598,24 @@ def test_baseline_count_budget_is_enforced():
 
 # -- whole-tree integration ----------------------------------------------------
 
-def test_live_tree_has_no_non_baselined_findings():
+@pytest.fixture(scope="module")
+def live_tree():
+    """One whole-tree analysis against the committed baseline, shared by
+    the tests that only read it."""
     baseline = Baseline.find(SRC_ROOT)
+    return baseline, analyze_paths([SRC_ROOT], baseline=baseline)
+
+
+def test_live_tree_has_no_non_baselined_findings(live_tree):
+    baseline, result = live_tree
     assert baseline.path is not None, "lint_baseline.json missing"
-    result = analyze_paths([SRC_ROOT], baseline=baseline)
     assert result.parse_errors == []
     assert [f.render() for f in result.new] == []
 
 
-def test_every_baseline_entry_is_still_used():
+def test_every_baseline_entry_is_still_used(live_tree):
     """Stale baseline entries must be pruned, not accumulate."""
-    baseline = Baseline.find(SRC_ROOT)
-    result = analyze_paths([SRC_ROOT], baseline=baseline)
+    baseline, result = live_tree
     used = {}
     for finding, line_text in result.findings:
         key = finding.baseline_key(line_text)

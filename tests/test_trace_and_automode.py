@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from repro.config import HadoopConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster
 from repro.mapreduce import MODE_AUTO, JobClient, SimJobSpec, uber_eligible
+from repro.metrics import exact_percentile
 from repro.trace import (
     STRATEGY_DPLUS,
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
     STRATEGY_UPLUS,
     JobTemplate,
-    TraceStats,
     default_short_job_mix,
     poisson_trace,
-    replay_trace,
+    replay_load,
 )
 from repro.workloads import WORDCOUNT_PROFILE
 
@@ -111,13 +111,18 @@ def small_trace():
     return poisson_trace(mix, rate_per_minute=2.0, duration_s=120.0, seed=3)
 
 
+def sojourns(report):
+    """Per-job response times (finish - arrival) from the kept rows."""
+    return [row["sojourn_s"] for row in report.per_job]
+
+
 def test_replay_stock_counts_all_jobs():
     trace = small_trace()
     cluster = build_stock_cluster(a3_cluster(4))
-    stats = replay_trace(cluster, trace, STRATEGY_STOCK)
-    assert stats.count == len(trace)
-    assert all(r > 0 for r in stats.responses)
-    assert stats.killed == 0
+    report = replay_load(cluster, trace, STRATEGY_STOCK, keep_jobs=True)
+    assert len(sojourns(report)) == len(trace)
+    assert all(r > 0 for r in sojourns(report))
+    assert report.killed == 0
 
 
 def test_replay_mrapid_beats_stock_on_burst():
@@ -125,12 +130,12 @@ def test_replay_mrapid_beats_stock_on_burst():
     trace = poisson_trace(mix, rate_per_minute=3.0, duration_s=180.0, seed=7)
 
     stock = build_stock_cluster(a3_cluster(4))
-    stock_stats = replay_trace(stock, trace, STRATEGY_STOCK)
+    stock_report = replay_load(stock, trace, STRATEGY_STOCK)
 
     mrapid = build_mrapid_cluster(a3_cluster(4))
-    mrapid_stats = replay_trace(mrapid, trace, STRATEGY_SPECULATIVE)
+    mrapid_report = replay_load(mrapid, trace, STRATEGY_SPECULATIVE)
 
-    assert mrapid_stats.mean_response < stock_stats.mean_response
+    assert mrapid_report.sojourn.mean < stock_report.sojourn.mean
 
 
 def test_replay_speculative_learns_over_trace():
@@ -139,39 +144,47 @@ def test_replay_speculative_learns_over_trace():
     trace = poisson_trace(mix, rate_per_minute=1.5, duration_s=240.0, seed=2)
     assert len(trace) >= 3
     cluster = build_mrapid_cluster(a3_cluster(4))
-    stats = replay_trace(cluster, trace, STRATEGY_SPECULATIVE)
+    report = replay_load(cluster, trace, STRATEGY_SPECULATIVE, keep_jobs=True)
     history = cluster.mrapid_framework.decision_maker.history
     # The first completion records a winner; pre-decided re-runs do not
     # re-record, so `runs` counts speculative (non-history) completions only.
     assert history.lookup("scan") is not None
     assert history.lookup("scan").runs >= 1
-    assert stats.count == len(trace)
+    assert len(sojourns(report)) == len(trace)
 
 
 def test_replay_fixed_modes():
     trace = small_trace()
     for strategy in (STRATEGY_DPLUS, STRATEGY_UPLUS):
         cluster = build_mrapid_cluster(a3_cluster(4))
-        stats = replay_trace(cluster, trace, strategy)
-        assert stats.count == len(trace)
+        report = replay_load(cluster, trace, strategy, keep_jobs=True)
+        assert len(sojourns(report)) == len(trace)
 
 
 def test_replay_strategy_requires_matching_cluster():
     cluster = build_stock_cluster(a3_cluster(4))
     with pytest.raises(ValueError):
-        replay_trace(cluster, small_trace(), STRATEGY_UPLUS)
+        replay_load(cluster, small_trace(), STRATEGY_UPLUS)
 
 
 def test_stats_percentile_and_summary():
-    stats = TraceStats("x", arrivals=[0, 1, 2, 3], responses=[4.0, 2.0, 8.0, 6.0])
-    assert stats.mean_response == pytest.approx(5.0)
-    assert stats.percentile(50) == pytest.approx(4.0)
-    assert stats.percentile(100) == pytest.approx(8.0)
-    assert stats.makespan == pytest.approx(10.0)
-    assert "4 jobs" in stats.summary()
+    """The kept rows give exact nearest-rank percentiles, and the streaming
+    mean, makespan and summary agree with them."""
+    trace = small_trace()
+    cluster = build_stock_cluster(a3_cluster(4))
+    report = replay_load(cluster, trace, STRATEGY_STOCK, keep_jobs=True)
+    values = sojourns(report)
+    ordered = sorted(values)
+    assert report.sojourn.mean == pytest.approx(sum(values) / len(values))
+    assert exact_percentile(values, 50) == ordered[(len(values) + 1) // 2 - 1]
+    assert exact_percentile(values, 100) == ordered[-1]
+    assert report.makespan_s == pytest.approx(
+        max(row["arrival_s"] + row["sojourn_s"] for row in report.per_job),
+        abs=1e-5)
+    assert f"{len(trace)}/{len(trace)} jobs" in report.summary()
 
 
 def test_empty_trace_replay():
     cluster = build_stock_cluster(a3_cluster(4))
-    stats = replay_trace(cluster, [], STRATEGY_STOCK)
-    assert stats.count == 0 and stats.mean_response == 0.0
+    report = replay_load(cluster, [], STRATEGY_STOCK, keep_jobs=True)
+    assert report.per_job == [] and report.sojourn.mean == 0.0
