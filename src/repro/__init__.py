@@ -38,7 +38,6 @@ from .core import (
     DecisionMaker,
     DPlusScheduler,
     EstimatorInputs,
-    JobHistory,
     SpeculationOutcome,
     SpeculativeExecutor,
     SubmissionFramework,
@@ -72,7 +71,6 @@ __all__ = [
     "INSTANCE_TYPES",
     "InstanceType",
     "JobClient",
-    "JobHistory",
     "JobResult",
     "MRapidConfig",
     "SimCluster",

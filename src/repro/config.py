@@ -154,11 +154,14 @@ class ServingConfig:
     #: ... or when windowed latency SLO attainment falls below this.
     attainment_floor: float = 0.9
 
-    # -- size estimator -------------------------------------------------------
+    # -- size estimate --------------------------------------------------------
     #: Optimistic first guess for unseen job signatures (same first-samples
-    #: strategy as HFSP training) and the EWMA weight of new observations.
+    #: strategy as HFSP training); seen ones use their service-time EWMA.
     initial_guess_s: float = 8.0
-    estimator_alpha: float = 0.4
+
+    def __post_init__(self) -> None:
+        if self.initial_guess_s <= 0:
+            raise ValueError("initial_guess_s must be positive")
 
     def with_(self, **kwargs) -> "ServingConfig":
         return replace(self, **kwargs)
@@ -186,12 +189,6 @@ class TunerConfig:
     #: picker stops exploring that signature and exploits the argmin
     #: estimate — HFSP's train-then-estimate discipline applied to modes.
     train_runs: int = 1
-    #: EWMA weight of new observations in the learned service-time
-    #: estimate (same semantics as ``ServingConfig.estimator_alpha``).
-    ewma_alpha: float = 0.4
-    #: Streaming percentile the estimator exposes alongside the EWMA
-    #: (tail-latency view of a signature×mode cell; P² estimated).
-    percentile: float = 95.0
     #: Bounded per-(signature, mode) ring: the store retains at most this
     #: many most-recent runs per cell, so a long-lived history file stays
     #: O(signatures × modes × ring_size) however many replays feed it.

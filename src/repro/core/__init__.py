@@ -6,7 +6,7 @@
   cache (U+ mode).
 * :class:`SubmissionFramework` — proxy + AM pool + client (§III-C).
 * :mod:`~repro.core.estimator` — Equations 1-3.
-* :class:`DecisionMaker` / :class:`JobHistory` — mode selection.
+* :class:`DecisionMaker` — mode selection and the per-signature winners.
 * :class:`SpeculativeExecutor` — run both, kill the slower (Figure 6).
 * :func:`run_short_job` / :func:`run_speculative` / builders — facade.
 """
@@ -14,7 +14,7 @@
 from .ampool import MODE_DPLUS, MODE_UPLUS, AMSlave, JobHandle, SubmissionFramework
 from .chain import ChainResult, ChainRunner, ChainStage, run_chain, validate_chain
 from .cluster_resource import ClusterResource
-from .decision import Decision, DecisionMaker, FailureModel, HistoryEntry, JobHistory
+from .decision import Decision, DecisionMaker, FailureModel
 from .dplus import DPlusScheduler
 from .estimator import (
     EstimatorInputs,
@@ -50,10 +50,8 @@ __all__ = [
     "DPlusScheduler",
     "EstimatorInputs",
     "FailureModel",
-    "HistoryEntry",
     "IntermediateCache",
     "JobHandle",
-    "JobHistory",
     "JobProfiler",
     "MODE_DPLUS",
     "MODE_UPLUS",

@@ -1,9 +1,9 @@
-"""Decision maker + execution-history store (paper §III-C steps 2 and 5).
+"""Decision maker (paper §III-C steps 2 and 5).
 
-The history answers the *pre-decision*: has this job (by signature) run
-before, and which mode won — "even if they were executed with different
-input data"? The evaluator compares live profiler estimates and names the
-loser to kill.
+Its ``winners`` map answers the *pre-decision*: has this job (by
+signature) run before, and which mode won — "even if they were executed
+with different input data"? The evaluator compares live profiler
+estimates and names the loser to kill.
 """
 
 from __future__ import annotations
@@ -42,44 +42,6 @@ class FailureModel:
 
 
 @dataclass
-class HistoryEntry:
-    signature: str
-    winner_mode: str           # "dplus" | "uplus"
-    input_mb: float
-    elapsed_s: float
-    runs: int = 1
-
-
-class JobHistory:
-    """Persistent record of past short-job runs, keyed by job signature."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, HistoryEntry] = {}
-
-    def record(self, signature: str, winner_mode: str, input_mb: float,
-               elapsed_s: float) -> None:
-        entry = self._entries.get(signature)
-        if entry is None:
-            self._entries[signature] = HistoryEntry(signature, winner_mode,
-                                                    input_mb, elapsed_s)
-        else:
-            entry.winner_mode = winner_mode
-            entry.input_mb = input_mb
-            entry.elapsed_s = elapsed_s
-            entry.runs += 1
-
-    def lookup(self, signature: str) -> Optional[HistoryEntry]:
-        return self._entries.get(signature)
-
-    def known_mode(self, signature: str) -> Optional[str]:
-        entry = self._entries.get(signature)
-        return entry.winner_mode if entry else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-@dataclass
 class Decision:
     mode: str                     # "dplus" | "uplus"
     t_u: float
@@ -94,10 +56,10 @@ class Decision:
 class DecisionMaker:
     """Chooses the faster mode, preferring history over live estimation."""
 
-    def __init__(self, history: Optional[JobHistory] = None,
-                 confidence_margin: float = 0.0,
+    def __init__(self, confidence_margin: float = 0.0,
                  failure_model: Optional[FailureModel] = None) -> None:
-        self.history = history if history is not None else JobHistory()
+        #: Job signature -> the mode that last won a speculative race.
+        self.winners: dict[str, str] = {}
         #: Require |t_u - t_d| to exceed this fraction of the larger estimate
         #: before killing (the paper kills "when the framework is confident
         #: that one mode is behind the other").
@@ -107,7 +69,7 @@ class DecisionMaker:
 
     def pre_decision(self, signature: str) -> Optional[str]:
         """Step 2: consult history before launching anything."""
-        return self.history.known_mode(signature)
+        return self.winners.get(signature)
 
     def evaluate(self, inputs: EstimatorInputs) -> Decision:
         """Step 5: estimate both modes from profiler data."""
@@ -127,8 +89,3 @@ class DecisionMaker:
         if hi <= 0:
             return False
         return abs(decision.t_u - decision.t_d) / hi >= self.confidence_margin
-
-    def commit(self, signature: str, decision: Decision, input_mb: float,
-               elapsed_s: float) -> None:
-        """Record the observed winner for future pre-decisions."""
-        self.history.record(signature, decision.mode, input_mb, elapsed_s)

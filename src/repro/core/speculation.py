@@ -159,9 +159,5 @@ class SpeculativeExecutor:
         # Wins by forfeit (the other mode crashed) or faulted winners say
         # nothing about relative speed — don't poison the history with them.
         if not by_forfeit and not (winner_result.killed or winner_result.failed):
-            self.decision_maker.history.record(
-                spec.signature, winner_mode,
-                input_mb=sum(m.input_mb for m in winner_result.maps),
-                elapsed_s=winner_result.elapsed,
-            )
+            self.decision_maker.winners[spec.signature] = winner_mode
         return outcome

@@ -8,6 +8,10 @@ Two concerns live here:
   DataNodes may be squeezed with many containers, but others could be
   idle"). The imbalance index it reports makes that claim measurable.
 
+* :class:`SignatureStats` is the one per-signature service-time learner:
+  count, mean and EWMA of a job signature's successful runs, shared by
+  HFSP's size training, serving admission and the ``auto`` tuner.
+
 * :class:`StreamingSummary` / :class:`StreamingPercentile` accumulate
   per-job latency statistics in **O(1) memory** for the heavy-traffic
   replay harness (:func:`repro.trace.replay_load`). A thousand-job replay
@@ -201,6 +205,39 @@ class StreamingSummary:
             return "n=0"
         return (f"n={self.count} mean={self.mean:.2f} p50={self.p50:.2f} "
                 f"p95={self.p95:.2f} p99={self.p99:.2f} max={self.maximum:.2f}")
+
+
+#: Weight of a new sample in every per-signature service-time EWMA.
+EWMA_ALPHA = 0.4
+
+
+class SignatureStats:
+    """Count, mean and EWMA of one job signature's service times.
+
+    Fed only with *successful* runs: a killed or failed run carries no
+    usable service time. The first sample seeds the EWMA (``None`` until
+    then); later samples fold in with weight :data:`EWMA_ALPHA`, so on a
+    deterministic cluster repeated runs leave the EWMA equal to the truth.
+    """
+
+    __slots__ = ("count", "total_s", "ewma")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total_s = 0.0
+        self.ewma: Optional[float] = None
+
+    def observe(self, service_s: float) -> None:
+        if service_s < 0:
+            raise ValueError("service time cannot be negative")
+        self.count += 1
+        self.total_s += service_s
+        self.ewma = (service_s if self.ewma is None else
+                     EWMA_ALPHA * service_s + (1 - EWMA_ALPHA) * self.ewma)
+
+    @property
+    def mean_s(self) -> float:
+        return self.total_s / self.count if self.count else 0.0
 
 
 class StreamingRatio:

@@ -26,7 +26,6 @@ from .slo import (
     OUTCOME_DOWNGRADED,
     OUTCOME_REJECTED,
     OUTCOME_SHED,
-    SizeEstimator,
     SLOJob,
 )
 
@@ -51,5 +50,4 @@ __all__ = [
     "SLOJob",
     "ServingConfig",
     "ServingRuntime",
-    "SizeEstimator",
 ]

@@ -4,7 +4,7 @@ The controller sits between trace arrivals and YARN submission. Its job is
 to make overload *graceful*: instead of letting an unbounded queue grow
 (every job suffers equally, deadlines become fiction), it
 
-1. predicts each arrival's sojourn from the size estimator and the backlog
+1. predicts each arrival's sojourn from its size estimate and the backlog
    already admitted, and rejects (or, configurably, downgrades to batch)
    latency jobs whose prediction already busts their deadline — failing in
    milliseconds instead of missing in minutes;
@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..config import ServingConfig
+from ..metrics import SignatureStats
 from .slo import (
     OUTCOME_ADMITTED,
     OUTCOME_DOWNGRADED,
     OUTCOME_REJECTED,
     SLO_BATCH,
-    SizeEstimator,
     SLOJob,
 )
 
@@ -75,7 +75,8 @@ class AdmissionController:
     """Bounded, SLO-class-aware admission + dispatch front of the cluster."""
 
     conf: ServingConfig
-    estimator: SizeEstimator = field(default_factory=SizeEstimator)
+    #: Job signature -> completed service times (dispatch to finish).
+    sizes: dict[str, SignatureStats] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.conf.max_pending < 1:
@@ -113,14 +114,22 @@ class AdmissionController:
         return 0
 
     # -- prediction -----------------------------------------------------------
+    def size_estimate_s(self, name: str) -> float:
+        """Service-time EWMA of one signature; unseen ones get the optimistic
+        ``initial_guess_s``, so new job types are measured, not rejected."""
+        stats = self.sizes.get(name)
+        if stats is None or stats.ewma is None:
+            return self.conf.initial_guess_s
+        return stats.ewma
+
     def backlog_s(self) -> float:
         """Estimated work admitted but not finished (pending + running)."""
-        return (sum(self.estimator.estimate(p.job.name) for p in self._pending)
+        return (sum(self.size_estimate_s(p.job.name) for p in self._pending)
                 + sum(self._running.values()))
 
     def predicted_sojourn_s(self, job: SLOJob, slots: int) -> float:
         """Service estimate plus the backlog's drain time through ``slots``."""
-        return (self.estimator.estimate(job.name)
+        return (self.size_estimate_s(job.name)
                 + self.backlog_s() / max(1, slots))
 
     # -- admission -------------------------------------------------------------
@@ -177,7 +186,7 @@ class AdmissionController:
             return None
         entry = min(self._pending, key=self._dispatch_key)
         self._pending.remove(entry)
-        self._running[entry.job.index] = self.estimator.estimate(entry.job.name)
+        self._running[entry.job.index] = self.size_estimate_s(entry.job.name)
         return entry.job
 
     @staticmethod
@@ -187,9 +196,9 @@ class AdmissionController:
                 else (1, 0.0, entry.job.index))
 
     def job_finished(self, index: int, name: str, service_s: float) -> None:
-        """A dispatched job left the system: free its slot, train the oracle."""
+        """A dispatched job left the system: free its slot, train its size."""
         self._running.pop(index, None)
-        self.estimator.observe(name, service_s)
+        self.sizes.setdefault(name, SignatureStats()).observe(service_s)
 
     def job_aborted(self, index: int) -> None:
         """A dispatched job died (killed/failed): free the slot, no training."""

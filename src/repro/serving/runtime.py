@@ -3,9 +3,9 @@
 This is the only serving component that touches the simulation environment.
 The :class:`~repro.serving.admission.AdmissionController` stays pure; the
 runtime clocks it, parks admitted jobs on dispatch events, resolves shed
-victims, feeds completion samples back to the size estimator, and (when
-enabled) runs the :class:`~repro.serving.autoscaler.Autoscaler` against the
-live NodeManager fleet.
+victims, feeds completion samples back to admission's size estimates, and
+(when enabled) runs the :class:`~repro.serving.autoscaler.Autoscaler`
+against the live NodeManager fleet.
 
 The replay driver (:func:`repro.trace.replay_load`) drives it per job:
 
@@ -38,8 +38,6 @@ from .slo import (
     OUTCOME_DEADLINE_MET,
     OUTCOME_DEADLINE_MISSED,
     OUTCOME_REJECTED,
-    OUTCOME_SHED,
-    SizeEstimator,
     SLOJob,
 )
 
@@ -69,8 +67,7 @@ class ServingRuntime:
         self.cluster = cluster
         self.env = cluster.env
         self.serving = serving
-        self.controller = AdmissionController(
-            serving, SizeEstimator(serving.initial_guess_s, serving.estimator_alpha))
+        self.controller = AdmissionController(serving)
         self._waiters: dict[int, "Event"] = {}
         #: Dispatch tickets: job index -> the monotone sequence number of
         #: its controller dispatch. One ``_pump`` call can free several
@@ -232,7 +229,7 @@ class ServingRuntime:
 
     # -- completion ------------------------------------------------------------
     def job_finished(self, slo: SLOJob, service_s: float) -> str:
-        """Successful completion: train the estimator, settle the deadline."""
+        """Successful completion: train the size estimate, settle the deadline."""
         if self.serving.admission:
             self.controller.job_finished(slo.index, slo.name, service_s)
         else:

@@ -1,4 +1,4 @@
-"""SLO classes, per-job deadline resolution, and the serving size estimator.
+"""SLO classes and per-job deadline resolution.
 
 The serving layer (:mod:`repro.serving`) distinguishes two tenant classes,
 mirroring the split the paper's motivation draws between ad-hoc query
@@ -11,10 +11,10 @@ traffic and background jobs:
   first when the cluster cannot keep up (Pastorelli et al.'s size-based
   discipline: protecting short jobs costs large jobs little).
 
-Size estimates come from :class:`SizeEstimator`, an EWMA over completed
-*service* times (dispatch to finish, so queueing under load never inflates
-the estimate) keyed by job signature — the same first-samples strategy
-HFSP's training phase and ``repro.core.estimator`` use, kept separate so
+Admission sizes jobs with a :class:`~repro.metrics.SignatureStats` EWMA
+per job signature over completed *service* times (dispatch to finish, so
+queueing under load never inflates the estimate). It is the same learner
+HFSP's size training uses, but fed with admission's own samples, so
 admission works with every RM scheduler.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "SLO_CLASSES",
     "SLO_LATENCY",
     "SLOJob",
-    "SizeEstimator",
     "OUTCOME_ADMITTED",
     "OUTCOME_REJECTED",
     "OUTCOME_SHED",
@@ -70,64 +69,3 @@ class SLOJob:
     @property
     def is_latency(self) -> bool:
         return self.slo_class == SLO_LATENCY
-
-
-class SizeEstimator:
-    """EWMA service-time estimate per job signature (admission's size oracle).
-
-    Unseen signatures get ``initial_guess_s`` — optimistic, so new job types
-    are measured rather than rejected on ignorance, exactly like HFSP's
-    training phase.
-    """
-
-    __slots__ = ("initial_guess_s", "alpha", "_estimates", "_samples")
-
-    def __init__(self, initial_guess_s: float = 8.0, alpha: float = 0.4) -> None:
-        if initial_guess_s <= 0:
-            raise ValueError("initial_guess_s must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.initial_guess_s = initial_guess_s
-        self.alpha = alpha
-        self._estimates: dict[str, float] = {}
-        self._samples: dict[str, int] = {}
-
-    def estimate(self, name: str) -> float:
-        return self._estimates.get(name, self.initial_guess_s)
-
-    def samples(self, name: str) -> int:
-        return self._samples.get(name, 0)
-
-    def observe(self, name: str, service_s: float) -> None:
-        if service_s < 0:
-            raise ValueError("service time cannot be negative")
-        current = self._estimates.get(name)
-        if current is None:
-            self._estimates[name] = service_s
-        else:
-            self._estimates[name] = (self.alpha * service_s
-                                     + (1.0 - self.alpha) * current)
-        self._samples[name] = self._samples.get(name, 0) + 1
-
-    def warm_start(self, store) -> None:
-        """Seed estimates from a :class:`repro.tuner.RunHistoryStore`.
-
-        Replays each signature's recorded *successful* runs (oldest first,
-        whatever mode ran them) through :meth:`observe`, so admission's
-        size oracle starts a replay already knowing job types a previous
-        replay measured. Signatures already observed live are left alone.
-        """
-        from ..tuner.store import OUTCOME_SUCCESS
-
-        for signature in store.signatures():
-            if signature in self._estimates:
-                continue
-            for run in store.runs(signature, outcome=OUTCOME_SUCCESS):
-                self.observe(signature, run.elapsed_s)
-
-    def report(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {"estimate_s": self._estimates[name],
-                   "samples": float(self._samples.get(name, 0))}
-            for name in sorted(self._estimates)
-        }

@@ -446,14 +446,14 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
         from .faults.injector import inject
         inject(cluster, fault_plan)
     if history is not None and len(history):
-        # Durable history warm-starts the sibling estimators: HFSP's
-        # size-training phase and the serving admission size oracle skip
-        # their cold start for signatures a previous replay measured.
-        warm = getattr(cluster.rm.scheduler, "warm_start", None)
-        if warm is not None:
-            warm(history)
+        # Durable history warm-starts the sibling learners: HFSP's size
+        # training and the serving admission size estimates skip their
+        # cold start for signatures a previous replay measured.
+        sizes = getattr(cluster.rm.scheduler, "sizes", None)
+        if sizes is not None:
+            history.warm(sizes)
         if runtime is not None:
-            runtime.controller.estimator.warm_start(history)
+            history.warm(runtime.controller.sizes)
 
     cluster.log.bound(_REPLAY_LOG_LIMIT)
     cluster.rm.retain_finished_apps = False

@@ -3,16 +3,16 @@
 The paper's decision maker is analytic: Eq. 1–3 predict D+ vs U+ from
 profiled quantities. This package closes the loop — a durable
 :class:`RunHistoryStore` remembers how each job *signature* actually
-performed per mode, a :class:`HistoryEstimator` turns those records into
-EWMA/percentile service-time estimates, and an :class:`AutoModePicker`
-chooses per job among stock / D+ / U+ / uber (optionally speculation):
-analytically while cold, explore-then-commit once a store is attached.
+performed per mode, :meth:`RunHistoryStore.stats` folds those records
+into per-cell service-time estimates (:class:`repro.metrics.SignatureStats`),
+and an :class:`AutoModePicker` chooses per job among stock / D+ / U+ / uber
+(optionally speculation): analytically while cold, explore-then-commit once
+a store is attached.
 
 Enabled via :class:`repro.config.TunerConfig` (``HadoopConfig.tuner``);
 ``None`` — the default — leaves every legacy code path byte-identical.
 """
 
-from .estimator import HistoryEstimator
 from .picker import (SOURCE_ANALYTIC, SOURCE_EXPLORE, SOURCE_LEARNED,
                      AutoDecision, AutoModePicker, run_auto_job,
                      template_inputs)
@@ -22,7 +22,7 @@ from .store import (OUTCOME_FAILED, OUTCOME_KILLED, OUTCOME_SUCCESS,
                     record_from_result)
 
 __all__ = [
-    "AutoDecision", "AutoModePicker", "HistoryEstimator",
+    "AutoDecision", "AutoModePicker",
     "OUTCOME_FAILED", "OUTCOME_KILLED", "OUTCOME_SUCCESS", "PHASE_FIELDS",
     "RegretReport", "RegretRound", "RunHistoryStore", "RunRecord",
     "SOURCE_ANALYTIC", "SOURCE_EXPLORE", "SOURCE_LEARNED",

@@ -14,9 +14,9 @@ Per arriving job the picker chooses among the tuner candidates —
   estimate* (then candidate order). Exploring the analytically-best arm
   first means the committed-policy regret never rises while the sweep
   fills in — the monotonicity the oracle-regret suite asserts.
-* **learned** — every candidate trained: argmin of the
-  :class:`~repro.tuner.estimator.HistoryEstimator` EWMA (ties by
-  candidate order). On a deterministic cluster this is the per-signature
+* **learned** — every candidate trained: argmin of the cells' EWMAs
+  (:meth:`~repro.tuner.store.RunHistoryStore.stats`, ties by candidate
+  order). On a deterministic cluster this is the per-signature
   oracle after one sweep.
 
 Everything is deterministic — no RNG, no wall clock — so replays with a
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..config import TunerConfig
 from ..core.estimator import EstimatorInputs, analytic_estimates, pick_mode
-from .estimator import HistoryEstimator
 from .store import OUTCOME_SUCCESS, RunHistoryStore, RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,9 +85,6 @@ class AutoModePicker:
                  config: Optional[TunerConfig] = None) -> None:
         self.config = config if config is not None else TunerConfig()
         self.store = store
-        self.estimator = (HistoryEstimator(store, alpha=self.config.ewma_alpha,
-                                           percentile=self.config.percentile)
-                          if store is not None else None)
         #: Decision provenance counters (report/CI smoke surface).
         self.sources: dict[str, int] = {}
 
@@ -107,20 +103,31 @@ class AutoModePicker:
     def _decide_learning(self, signature: str,
                          analytic: Mapping[str, float]) -> AutoDecision:
         candidates = self.config.candidates
-        counts = {m: self.estimator.samples(signature, m) for m in candidates}
+        stats = {m: self.store.stats(signature, m) for m in candidates}
         untrained = [m for m in candidates
-                     if counts[m] < self.config.train_runs]
+                     if stats[m].count < self.config.train_runs]
         if untrained:
             mode = min(untrained,
-                       key=lambda m: (counts[m],
+                       key=lambda m: (stats[m].count,
                                       analytic.get(m, float("inf")),
                                       candidates.index(m)))
             return AutoDecision(mode, SOURCE_EXPLORE, dict(analytic))
-        learned = {m: self.estimator.estimate(signature, m)
-                   for m in candidates}
+        learned = {m: stats[m].ewma for m in candidates}
         mode = min(candidates,
                    key=lambda m: (learned[m], candidates.index(m)))
         return AutoDecision(mode, SOURCE_LEARNED, learned)
+
+    def best(self, signature: str) -> Optional[str]:
+        """Argmin EWMA among candidates with a success (ties: candidate
+        order); ``None`` without a store or before any success."""
+        if self.store is None:
+            return None
+        scored = []
+        for idx, mode in enumerate(self.config.candidates):
+            stats = self.store.stats(signature, mode)
+            if stats.count:
+                scored.append((stats.ewma, idx, mode))
+        return min(scored)[2] if scored else None
 
     def exploit_mode(self, signature: str,
                      inputs: EstimatorInputs) -> str:
@@ -131,11 +138,8 @@ class AutoModePicker:
         policy's regret, which is non-increasing by construction (the
         sampled set only grows and measurements never change).
         """
-        if self.store is not None:
-            best = self.estimator.best(signature, self.config.candidates)
-            if best is not None:
-                return best
-        return pick_mode(inputs)
+        best = self.best(signature)
+        return best if best is not None else pick_mode(inputs)
 
     def observe(self, signature: str, mode: str, elapsed_s: float,
                 outcome: str = OUTCOME_SUCCESS, *, input_mb: float = 0.0,
@@ -176,26 +180,37 @@ def run_auto_job(cluster: "SimCluster", spec, picker: AutoModePicker,
     :func:`repro.trace.build_trace_cluster` and any non-stock strategy).
     Used by ``repro run --mode auto --history-db`` and the regret harness.
     """
-    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-    from ..core.speculation import SpeculativeExecutor
-    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
     from .store import record_from_result
 
     inputs = template_inputs(cluster, num_files, file_mb, spec.profile)
     decision = picker.decide(spec.signature, inputs)
-    framework = getattr(cluster, "mrapid_framework", None)
-
-    if decision.mode in ("stock", "uber") or framework is None:
-        client = JobClient(cluster)
-        mode = MODE_UBER if decision.mode == "uber" else MODE_AUTO
-        result = client.run(spec, mode, queue=queue)
-    elif decision.mode == "speculative":
-        result = SpeculativeExecutor(framework).run(spec).winner
-    else:
-        mode = MODE_DPLUS if decision.mode == "dplus" else MODE_UPLUS
-        result = framework.run(spec, mode)
-
+    result = run_mode(cluster, spec, decision.mode, queue=queue)
     picker.observe_record(record_from_result(
         result, spec.signature, decision.mode,
         input_mb=num_files * file_mb, finished_at=cluster.env.now))
     return result, decision
+
+
+def run_mode(cluster: "SimCluster", spec, mode: str, *,
+             queue: Optional[str] = None):
+    """Run one job to completion through the submission path ``mode`` names.
+
+    ``stock`` and ``uber`` go through the plain :class:`JobClient` (Hadoop's
+    uber-eligibility rule, or forced uber), ``dplus``/``uplus`` through the
+    cluster's ``mrapid_framework`` and ``speculative`` through a
+    :class:`SpeculativeExecutor` over it (its winner is returned). A
+    cluster without a framework runs every mode through the plain client.
+    """
+    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
+    from ..core.speculation import SpeculativeExecutor
+    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
+
+    if mode not in ("stock", "uber", "speculative", "dplus", "uplus"):
+        raise ValueError(f"unknown tuner candidate {mode!r}")
+    framework = getattr(cluster, "mrapid_framework", None)
+    if mode in ("stock", "uber") or framework is None:
+        return JobClient(cluster).run(
+            spec, MODE_UBER if mode == "uber" else MODE_AUTO, queue=queue)
+    if mode == "speculative":
+        return SpeculativeExecutor(framework).run(spec).winner
+    return framework.run(spec, MODE_DPLUS if mode == "dplus" else MODE_UPLUS)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..config import HadoopConfig, TunerConfig
-from .picker import AutoModePicker, run_auto_job
+from .picker import AutoModePicker, run_auto_job, run_mode
 from .store import RunHistoryStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,26 +58,11 @@ def static_baselines(spec: "ClusterSpec", template: "JobTemplate",
                      conf: Optional[HadoopConfig] = None,
                      seed: int = 7) -> dict[str, float]:
     """Idle-cluster elapsed seconds per static mode (the oracle's table)."""
-    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-    from ..core.speculation import SpeculativeExecutor
-    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
-
     out: dict[str, float] = {}
     for mode in candidates:
         cluster = _fresh_cluster(spec, conf, seed)
-        job = _job_spec(cluster, template)
-        if mode == "stock":
-            result = JobClient(cluster).run(job, MODE_AUTO)
-        elif mode == "uber":
-            result = JobClient(cluster).run(job, MODE_UBER)
-        elif mode == "speculative":
-            result = SpeculativeExecutor(cluster.mrapid_framework).run(job).winner
-        elif mode in ("dplus", "uplus"):
-            result = cluster.mrapid_framework.run(
-                job, MODE_DPLUS if mode == "dplus" else MODE_UPLUS)
-        else:
-            raise ValueError(f"unknown tuner candidate {mode!r}")
-        out[mode] = result.elapsed
+        out[mode] = run_mode(cluster, _job_spec(cluster, template),
+                             mode).elapsed
     return out
 
 
@@ -175,8 +160,7 @@ def run_regret(spec: "ClusterSpec", template: "JobTemplate", *,
                 num_files=template.num_files, file_mb=template.file_mb)
             regret = result.elapsed - report.oracle_s
             cumulative += regret
-            exploit = picker.estimator.best(template.name,
-                                            tuner_conf.candidates)
+            exploit = picker.best(template.name)
             exploit = exploit if exploit is not None else decision.mode
             report.rounds.append(RegretRound(
                 index=index, mode=decision.mode, source=decision.source,

@@ -6,10 +6,14 @@ stats from completed runs. :class:`RunHistoryStore` is that idea for
 MRapid's *mode* decision: every finished run is recorded under its
 ``(signature, mode)`` cell — elapsed service time, AM overhead, the mean
 per-map phase breakdown (the same sub-phase vocabulary as
-:class:`repro.history.PhaseBreakdown`), and the outcome — so the
-:class:`~repro.tuner.estimator.HistoryEstimator` can answer "how long does
+:class:`repro.history.PhaseBreakdown`), and the outcome.
+
+:meth:`RunHistoryStore.stats` folds a cell's successful runs into a
+:class:`~repro.metrics.SignatureStats` — the one learner the picker,
+HFSP and serving admission share — so the picker can answer "how long does
 a ``scan`` take under U+ on this cluster?" from measurements instead of
-the static Eq. 1–3 model.
+the static Eq. 1–3 model. :meth:`RunHistoryStore.warm` seeds HFSP's and
+admission's per-signature tables from the same folds before a replay.
 
 Three backends share one API, selected by path:
 
@@ -37,6 +41,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
+
+from ..metrics import SignatureStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mapreduce.spec import JobResult
@@ -183,6 +189,28 @@ class RunHistoryStore:
     def count(self, signature: str, mode: str,
               outcome: Optional[str] = None) -> int:
         return len(self.runs(signature, mode, outcome))
+
+    def stats(self, signature: str,
+              mode: Optional[str] = None) -> SignatureStats:
+        """The successful runs of one cell (every mode's, in mode order,
+        when ``mode`` is ``None``) folded oldest-first."""
+        stats = SignatureStats()
+        for run in self.runs(signature, mode, outcome=OUTCOME_SUCCESS):
+            stats.observe(run.elapsed_s)
+        return stats
+
+    def warm(self, table: dict[str, SignatureStats]) -> None:
+        """Seed ``table`` with :meth:`stats` of every stored signature.
+
+        A learner warmed this way starts a replay where a previous replay
+        left it. Signatures already in ``table`` (observed live) and
+        signatures without a successful run are left alone.
+        """
+        for signature in self.signatures():
+            if signature not in table:
+                stats = self.stats(signature)
+                if stats.count:
+                    table[signature] = stats
 
     def signatures(self) -> list[str]:
         return sorted(sig for sig, modes in self._cells.items()

@@ -1,6 +1,6 @@
 """Simulated YARN: ResourceManager, NodeManagers, schedulers, records."""
 
-from .hfsp import HFSPScheduler, SizeStats
+from .hfsp import HFSPScheduler
 from .nodemanager import NodeManager
 from .queues import MultiTenantCapacityScheduler, QueueConfig, QueueState
 from .records import Application, Container, ContainerRequest, IdAllocator, NodeState
@@ -24,5 +24,4 @@ __all__ = [
     "QueueState",
     "ResourceManager",
     "SchedulerBase",
-    "SizeStats",
 ]

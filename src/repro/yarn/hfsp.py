@@ -11,7 +11,10 @@ mean sojourn time. This module brings that discipline to the simulated RM:
   runs are *in training*: they are scheduled with a small optimistic size
   guess so the cluster measures them quickly, the same first-samples
   strategy :mod:`repro.core.estimator` uses to feed the D+ decision maker.
-  Completed runs update a per-signature running mean of service time.
+  Completed runs update a per-signature :class:`~repro.metrics
+  .SignatureStats`, whose mean is the trained size. A replay with a run
+  history warm-starts that table (:meth:`repro.tuner.RunHistoryStore
+  .warm`), so signatures a previous replay measured skip training.
 
 * **Virtual-time aging.** A pure smallest-job-first order starves large
   jobs under sustained short-job arrivals. Every job's priority key is
@@ -42,25 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..metrics import SignatureStats
 from .queues import QueueConfig, QueueState
 from .records import Application, Container, ContainerRequest, NodeState
 from .scheduler import PendingAsk, SchedulerBase
-
-
-@dataclass
-class SizeStats:
-    """Running mean of completed service times for one job signature."""
-
-    samples: int = 0
-    total_s: float = 0.0
-
-    def record(self, duration_s: float) -> None:
-        self.samples += 1
-        self.total_s += duration_s
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.samples if self.samples else 0.0
 
 
 @dataclass
@@ -95,7 +83,7 @@ class HFSPScheduler(SchedulerBase):
         #: (memory-only packing); HFSP defaults to multi-dimensional fit.
         self.memory_only = memory_only
         #: signature/name -> completed service-time statistics.
-        self.sizes: dict[str, SizeStats] = {}
+        self.sizes: dict[str, SignatureStats] = {}
         #: app_id -> record (created on first sight of the app).
         self.apps: dict[str, AppRecord] = {}
 
@@ -120,7 +108,7 @@ class HFSPScheduler(SchedulerBase):
     # -- size estimation -----------------------------------------------------
     def is_trained(self, name: str) -> bool:
         stats = self.sizes.get(name)
-        return stats is not None and stats.samples >= self.training_samples
+        return stats is not None and stats.count >= self.training_samples
 
     def estimated_size_s(self, name: str) -> float:
         """Current size estimate for one signature (guess while training)."""
@@ -296,31 +284,9 @@ class HFSPScheduler(SchedulerBase):
         name = record.name if record is not None else app.name
         started = app.launch_time if app.launch_time > 0 else app.submit_time
         duration = max(0.0, self.rm.env.now - started)
-        self.sizes.setdefault(name, SizeStats()).record(duration)
+        self.sizes.setdefault(name, SignatureStats()).observe(duration)
 
     def remove_app(self, app_id: str) -> None:
         super().remove_app(app_id)
         self.apps.pop(app_id, None)
         self.app_queue.pop(app_id, None)
-
-    def warm_start(self, store) -> None:
-        """Seed size statistics from a :class:`repro.tuner.RunHistoryStore`.
-
-        Signatures with recorded *successful* runs start trained (or at
-        least part-trained) instead of paying the optimistic-guess phase
-        again: each stored success contributes its elapsed seconds exactly
-        as if :meth:`on_app_finished` had observed it live. Existing live
-        statistics are never overwritten, only absent ones seeded.
-        """
-        from ..tuner.store import OUTCOME_SUCCESS
-
-        for signature in store.signatures():
-            if signature in self.sizes:
-                continue
-            stats = SizeStats()
-            for run in store.runs(signature, outcome=OUTCOME_SUCCESS):
-                stats.record(run.elapsed_s)
-            if stats.samples:
-                self.sizes[signature] = stats
-
-    # -- introspection -------------------------------------------------------

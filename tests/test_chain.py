@@ -150,8 +150,8 @@ def test_speculative_chain_learns_repeated_stage_shapes():
     # second may reuse the decision. Run sequentially to force ordering:
     result = run_chain(cluster, [plan[0]], strategy="speculative")
     result2 = run_chain(cluster, [plan[1]], strategy="speculative")
-    history = cluster.mrapid_framework.decision_maker.history
-    assert history.known_mode("daily-scan") is not None
+    winners = cluster.mrapid_framework.decision_maker.winners
+    assert winners.get("daily-scan") is not None
     # scan2 skipped the dual launch; allow for per-path data-skew variance.
     assert result2.stage_results["scan2"].elapsed <= \
         result.stage_results["scan1"].elapsed + 3.0

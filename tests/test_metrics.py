@@ -203,46 +203,9 @@ def _store_with(values, ring_size=512):
     return store
 
 
-def test_history_estimator_tail_exact_below_five_samples():
-    """The tuner's tail view rides the same P2 tracker as the replay
-    reports: below five samples it must be the exact nearest-rank value."""
-    from repro.tuner import HistoryEstimator
-
-    for n in range(1, 5):
-        values = [float(3 * i % 7) for i in range(n)]
-        est = HistoryEstimator(_store_with(values), percentile=95.0)
-        assert est.tail("sig", "uplus") == exact_percentile(values, 95.0)
-
-
-@pytest.mark.parametrize("dist,bound", [
-    ("uniform", 0.03),
-    ("exponential", 0.12),
-])
-def test_history_estimator_tail_tracks_exact_percentile(dist, bound):
-    """Differential test: the store-backed p95 stays within an explicit
-    relative error bound of the exact sorted-list percentile over realistic
-    service-time distributions (same P2 caveats as the summary tests;
-    looser than the 2000-sample bounds above because a history cell holds
-    at most ring_size=512 observations here)."""
-    from repro.tuner import HistoryEstimator
-
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        if dist == "uniform":
-            xs = rng.uniform(1.0, 100.0, 400)
-        else:
-            xs = rng.exponential(30.0, 400)
-        est = HistoryEstimator(_store_with(xs), percentile=95.0)
-        exact = exact_percentile([float(x) for x in xs], 95.0)
-        rel_err = abs(est.tail("sig", "uplus") - exact) / abs(exact)
-        assert rel_err <= bound, (dist, seed, rel_err)
-
-
-def test_history_estimator_mean_matches_exact_mean():
-    from repro.tuner import HistoryEstimator
-
+def test_signature_stats_mean_matches_exact_mean():
     rng = np.random.default_rng(3)
     xs = [float(x) for x in rng.exponential(20.0, 200)]
-    est = HistoryEstimator(_store_with(xs))
-    assert est.mean("sig", "uplus") == pytest.approx(math.fsum(xs) / len(xs),
-                                                     rel=1e-9)
+    stats = _store_with(xs).stats("sig", "uplus")
+    assert stats.count == len(xs)
+    assert stats.mean_s == pytest.approx(math.fsum(xs) / len(xs), rel=1e-9)

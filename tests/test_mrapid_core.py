@@ -10,7 +10,6 @@ from repro.core import (
     DecisionMaker,
     DPlusScheduler,
     EstimatorInputs,
-    JobHistory,
     build_mrapid_cluster,
     build_stock_cluster,
     crossover_maps,
@@ -195,18 +194,16 @@ def test_estimator_validation():
 # -- decision maker & history -----------------------------------------------------------
 
 def test_history_round_trip():
-    history = JobHistory()
-    history.record("wc", "uplus", 40.0, 9.5)
-    assert history.known_mode("wc") == "uplus"
-    assert history.lookup("wc").runs == 1
-    history.record("wc", "dplus", 80.0, 12.0)
-    assert history.known_mode("wc") == "dplus"
-    assert history.lookup("wc").runs == 2
-    assert len(history) == 1
+    dm = DecisionMaker()
+    dm.winners["wc"] = "uplus"
+    assert dm.pre_decision("wc") == "uplus"
+    dm.winners["wc"] = "dplus"                 # the latest winner counts
+    assert dm.pre_decision("wc") == "dplus"
+    assert dm.winners == {"wc": "dplus"}
 
 
 def test_history_unknown_signature():
-    assert JobHistory().known_mode("nope") is None
+    assert DecisionMaker().pre_decision("nope") is None
 
 
 def test_decision_maker_evaluate_and_commit():
@@ -214,7 +211,7 @@ def test_decision_maker_evaluate_and_commit():
     decision = dm.evaluate(base_inputs(n_m=2))
     assert decision.mode == "uplus"
     assert decision.loser == "dplus"
-    dm.commit("sig", decision, input_mb=20.0, elapsed_s=8.0)
+    dm.winners["sig"] = decision.mode
     assert dm.pre_decision("sig") == "uplus"
 
 

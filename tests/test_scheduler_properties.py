@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterNetwork, Node, ResourceVector
 from repro.config import INSTANCE_TYPES, ClusterSpec, HadoopConfig
 from repro.core.dplus import DPlusScheduler
+from repro.metrics import SignatureStats
 from repro.simcluster import SimCluster
 from repro.simulation import Environment
 from repro.yarn import (
@@ -139,6 +140,14 @@ def hfsp_app(cluster, app_id, name, submit_time=0.0):
     return app
 
 
+def trained(*service_s):
+    """Size stats of a signature that completed runs of these durations."""
+    stats = SignatureStats()
+    for value in service_s:
+        stats.observe(value)
+    return stats
+
+
 @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_property_hfsp_work_conserving(n_asks, n_nodes, n_apps):
@@ -191,14 +200,12 @@ def test_property_hfsp_aging_prevents_starvation(big_size, small_size, rate):
     """Any waiting job eventually outranks any freshly arrived job: its aged
     key falls below the fresh job's (non-negative) key after a bounded wait,
     whatever the adversarial size mix."""
-    from repro.yarn import SizeStats
-
     cluster = mk_cluster(2, HFSPScheduler(aging_rate=rate, training_samples=1))
     sched = cluster.scheduler
     old = hfsp_app(cluster, "app_0001", "big", submit_time=0.0)
     # Train both signatures to the adversarial sizes.
-    sched.sizes["big"] = SizeStats(samples=1, total_s=big_size)
-    sched.sizes["small"] = SizeStats(samples=1, total_s=small_size)
+    sched.sizes["big"] = trained(big_size)
+    sched.sizes["small"] = trained(small_size)
     # Bound on the wait: after big_size/rate seconds the old job's key has
     # aged below zero, under any fresh job's (non-negative) key.
     horizon = big_size / rate + 1.0
@@ -240,9 +247,8 @@ def test_property_hfsp_am_order_permutation_invariant(perm):
     apps = [hfsp_app(cluster, f"app_{i:04d}", f"sig{i}", submit_time=float(i))
             for i in range(5)]
     sched = cluster.scheduler
-    from repro.yarn import SizeStats
     for i in range(5):
-        sched.sizes[f"sig{i}"] = SizeStats(samples=2, total_s=2.0 * (5 - i))
+        sched.sizes[f"sig{i}"] = trained(5.0 - i, 5.0 - i)
     baseline = [a.app_id for a in sched.am_queue_order(list(apps))]
     shuffled = [apps[i] for i in perm]
     assert [a.app_id for a in sched.am_queue_order(shuffled)] == baseline

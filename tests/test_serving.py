@@ -29,7 +29,6 @@ from repro.serving import (
     OUTCOME_ADMITTED,
     OUTCOME_REJECTED,
     AdmissionController,
-    SizeEstimator,
     SLOJob,
 )
 from repro.serving.autoscaler import Autoscaler
@@ -151,18 +150,23 @@ def test_property_equal_time_decisions_are_permutation_invariant(raw, rng):
 
 # -- unit: estimator, dispatch order, ladder ------------------------------------
 
-def test_size_estimator_ewma_and_guards():
-    est = SizeEstimator(initial_guess_s=5.0, alpha=0.5)
-    assert est.estimate("q") == 5.0
-    est.observe("q", 10.0)
-    assert est.estimate("q") == 10.0           # first sample replaces guess
-    est.observe("q", 20.0)
-    assert est.estimate("q") == pytest.approx(15.0)
-    assert est.samples("q") == 2
+def test_signature_stats_ewma_and_guards():
+    ctl = AdmissionController(ServingConfig(initial_guess_s=5.0))
+    assert ctl.size_estimate_s("q") == 5.0
+    ctl.job_finished(0, "q", 10.0)
+    assert ctl.size_estimate_s("q") == 10.0    # first sample replaces guess
+    ctl.job_finished(1, "q", 20.0)
+    assert ctl.size_estimate_s("q") == pytest.approx(14.0)  # 0.4*20 + 0.6*10
+    stats = ctl.sizes["q"]
+    assert (stats.count, stats.mean_s) == (2, 15.0)
     with pytest.raises(ValueError):
-        est.observe("q", -1.0)
-    with pytest.raises(ValueError):
-        SizeEstimator(alpha=0.0)
+        stats.observe(-1.0)
+    assert (stats.count, stats.total_s) == (2, 30.0)  # rejected, not counted
+
+
+def test_serving_config_rejects_nonpositive_initial_guess():
+    with pytest.raises(ValueError, match="initial_guess_s"):
+        ServingConfig(initial_guess_s=0)
 
 
 def test_slo_job_rejects_unknown_class():

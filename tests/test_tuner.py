@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.config import TunerConfig, a3_cluster
+from repro.config import ServingConfig, TunerConfig, a3_cluster
 from repro.core.estimator import EstimatorInputs, analytic_estimates, pick_mode
-from repro.serving.slo import SizeEstimator
+from repro.metrics import SignatureStats
+from repro.serving import AdmissionController
 from repro.trace import default_short_job_mix
 from repro.tuner import (
     OUTCOME_FAILED,
@@ -32,13 +33,11 @@ from repro.tuner import (
     SOURCE_EXPLORE,
     SOURCE_LEARNED,
     AutoModePicker,
-    HistoryEstimator,
     RunHistoryStore,
     RunRecord,
     run_regret,
 )
 from repro.yarn import HFSPScheduler
-from repro.yarn.hfsp import SizeStats
 
 V0_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "history_v0.json")
 
@@ -231,46 +230,34 @@ def test_property_reopen_round_trip(records, ring, fname):
             assert reopened.to_dict() == view
 
 
-# -- history estimator ------------------------------------------------------------
+# -- learned estimates ------------------------------------------------------------
 
 
 def test_estimator_uses_successes_only():
     store = RunHistoryStore(None)
-    est = HistoryEstimator(store)
-    assert est.estimate("sig", "uplus") is None
+    picker = AutoModePicker(store, TunerConfig())
+    assert store.stats("sig", "uplus").ewma is None
     store.record(RunRecord("sig", "uplus", 50.0, outcome=OUTCOME_KILLED))
     store.record(RunRecord("sig", "uplus", 70.0, outcome=OUTCOME_FAILED))
-    assert est.samples("sig", "uplus") == 0
-    assert est.estimate("sig", "uplus") is None
-    assert est.best("sig", CANDIDATES) is None
+    assert store.stats("sig", "uplus").count == 0
+    assert store.stats("sig", "uplus").ewma is None
+    assert picker.best("sig") is None
     store.record(RunRecord("sig", "uplus", 4.0))
-    assert est.samples("sig", "uplus") == 1
-    assert est.estimate("sig", "uplus") == 4.0
-    assert est.best("sig", CANDIDATES) == "uplus"
+    assert store.stats("sig", "uplus").count == 1
+    assert store.stats("sig", "uplus").ewma == 4.0
+    assert picker.best("sig") == "uplus"
 
 
-def test_estimator_report_shape():
-    store = RunHistoryStore(None)
-    fill(store, [("sig", "uplus", 4.0), ("sig", "uplus", 6.0),
-                 ("sig", "dplus", 9.0)])
-    report = HistoryEstimator(store, alpha=0.5, percentile=95.0).report("sig")
-    assert report["uplus"]["samples"] == 2
-    assert report["uplus"]["ewma_s"] == pytest.approx(5.0)
-    assert report["uplus"]["mean_s"] == pytest.approx(5.0)
-    assert report["dplus"]["p95_s"] == pytest.approx(9.0)
-
-
-@given(st.floats(0.1, 1e4), st.integers(1, 20), st.floats(0.05, 1.0))
+@given(st.floats(0.1, 1e4), st.integers(1, 20))
 @settings(max_examples=60, deadline=None)
-def test_property_ewma_converges_on_constant_signal(value, n, alpha):
+def test_property_ewma_converges_on_constant_signal(value, n):
     """On a deterministic cluster repeats are identical: the EWMA must equal
     the truth after any number of identical samples."""
     store = RunHistoryStore(None)
     fill(store, [("sig", "uplus", value)] * n)
-    est = HistoryEstimator(store, alpha=alpha)
-    assert est.estimate("sig", "uplus") == pytest.approx(value, rel=1e-9)
-    assert est.mean("sig", "uplus") == pytest.approx(value, rel=1e-9)
-    assert est.tail("sig", "uplus") == pytest.approx(value, rel=1e-9)
+    stats = store.stats("sig", "uplus")
+    assert stats.ewma == pytest.approx(value, rel=1e-9)
+    assert stats.mean_s == pytest.approx(value, rel=1e-9)
 
 
 @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=8),
@@ -292,10 +279,8 @@ def test_property_estimates_permutation_invariant_across_signatures(
         elif not take_ours and b:
             mixed.record(RunRecord("noise", "dplus", b.pop(0)))
 
-    ea, em = HistoryEstimator(alone), HistoryEstimator(mixed)
-    assert em.estimate("sig", "uplus") == ea.estimate("sig", "uplus")
-    assert em.mean("sig", "uplus") == ea.mean("sig", "uplus")
-    assert em.tail("sig", "uplus") == ea.tail("sig", "uplus")
+    sa, sm = alone.stats("sig", "uplus"), mixed.stats("sig", "uplus")
+    assert (sm.count, sm.ewma, sm.mean_s) == (sa.count, sa.ewma, sa.mean_s)
 
 
 @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=10))
@@ -304,14 +289,14 @@ def test_property_mean_is_order_invariant(values):
     fwd, rev = RunHistoryStore(None), RunHistoryStore(None)
     fill(fwd, [("sig", "uplus", v) for v in values])
     fill(rev, [("sig", "uplus", v) for v in reversed(values)])
-    assert HistoryEstimator(fwd).mean("sig", "uplus") == \
-        pytest.approx(HistoryEstimator(rev).mean("sig", "uplus"), rel=1e-9)
+    assert fwd.stats("sig", "uplus").mean_s == \
+        pytest.approx(rev.stats("sig", "uplus").mean_s, rel=1e-9)
 
 
 def test_best_breaks_ties_by_candidate_order():
     store = RunHistoryStore(None)
     fill(store, [("sig", "uber", 5.0), ("sig", "dplus", 5.0)])
-    assert HistoryEstimator(store).best("sig", CANDIDATES) == "dplus"
+    assert AutoModePicker(store, TunerConfig()).best("sig") == "dplus"
 
 
 # -- auto picker ------------------------------------------------------------------
@@ -401,9 +386,10 @@ def warm_store():
 
 def test_hfsp_warm_start_seeds_successes_only():
     sched = HFSPScheduler(training_samples=2)
-    sched.sizes["live"] = SizeStats(samples=1, total_s=99.0)
-    sched.warm_start(warm_store())
-    assert sched.sizes["scan"].samples == 2
+    sched.sizes["live"] = SignatureStats()
+    sched.sizes["live"].observe(99.0)
+    warm_store().warm(sched.sizes)
+    assert sched.sizes["scan"].count == 2
     assert sched.sizes["scan"].mean_s == pytest.approx(5.0)
     assert sched.is_trained("scan")
     assert "sort" not in sched.sizes          # only a failed run recorded
@@ -411,14 +397,48 @@ def test_hfsp_warm_start_seeds_successes_only():
 
 
 def test_serving_size_estimator_warm_start():
-    estimator = SizeEstimator(alpha=0.4)
-    estimator.observe("live", 3.0)
-    estimator.warm_start(warm_store())
+    controller = AdmissionController(ServingConfig())
+    controller.job_finished(0, "live", 3.0)
+    warm_store().warm(controller.sizes)
     # EWMA replay of scan's successes: 4.0 seeded, then 0.4*6 + 0.6*4.
-    assert estimator.estimate("scan") == pytest.approx(4.8)
-    assert estimator.samples("scan") == 2
-    assert estimator.estimate("sort") == estimator.initial_guess_s
-    assert estimator.estimate("live") == 3.0
+    assert controller.size_estimate_s("scan") == pytest.approx(4.8)
+    assert controller.sizes["scan"].count == 2
+    assert controller.size_estimate_s("sort") == ServingConfig.initial_guess_s
+    assert controller.size_estimate_s("live") == 3.0
+
+
+def test_warm_seeds_each_table_with_its_own_stats():
+    """Warming two tables from one store never shares a learner: HFSP and
+    admission keep folding their own samples into separate stats."""
+    store = warm_store()
+    hfsp, admission = {}, {}
+    store.warm(hfsp)
+    store.warm(admission)
+    hfsp["scan"].observe(100.0)
+    assert admission["scan"].count == 2
+    assert admission["scan"].ewma == pytest.approx(4.8)
+
+
+# -- mode dispatch ----------------------------------------------------------------
+
+
+def test_run_mode_without_framework_uses_plain_client():
+    """A cluster with no MRapid framework runs every candidate through the
+    plain JobClient; an unknown candidate is refused either way."""
+    from repro.mapreduce.spec import SimJobSpec
+    from repro.trace import STRATEGY_STOCK, build_trace_cluster
+    from repro.tuner.picker import run_auto_job, run_mode
+    from repro.workloads.base import WORDCOUNT_PROFILE
+
+    cluster = build_trace_cluster(a3_cluster(2), strategy=STRATEGY_STOCK)
+    paths = cluster.load_input_files("/in", 1, 8.0)
+    spec = SimJobSpec("agg", tuple(paths), WORDCOUNT_PROFILE, signature="agg")
+    result, decision = run_auto_job(cluster, spec, AutoModePicker(),
+                                    num_files=1, file_mb=8.0)
+    assert decision.mode == "uplus" and decision.source == SOURCE_ANALYTIC
+    assert result.mode.startswith("hadoop-") and not result.failed
+    with pytest.raises(ValueError, match="unknown tuner candidate"):
+        run_mode(cluster, spec, "turbo")
 
 
 # -- oracle regret (the differential acceptance suite) ----------------------------
