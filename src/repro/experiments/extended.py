@@ -140,8 +140,7 @@ def figureE4_straggler_mitigation() -> FigureResult:
                                 speculative_slowness=1.3)
             cluster = build_stock_cluster(a3_cluster(4), conf=conf)
             slow = cluster.topology.node("dn0")
-            slow.cpu._device.fabric.set_capacity(
-                "device", slow.cpu.cores / slowdown)
+            slow.cpu.set_slowdown(slowdown)
             profile = WORDCOUNT_PROFILE.with_(compute_skew=0.0)
             paths = cluster.load_input_files("/wc", 8, 10.0)
             spec = SimJobSpec("wordcount", tuple(paths), profile)

@@ -2,9 +2,10 @@
 
 Attach an :class:`InvariantChecker` to a cluster before running and call
 ``assert_clean()`` after: every event pop re-verifies the physical
-invariants (no link over-allocation, no negative accounting, no scheduling
-onto dead nodes). Tests wrap whole scenarios with it so any future model
-change that silently breaks conservation fails loudly.
+invariants (no link or device over-allocation, no flow over its cap, no
+negative work or accounting, no scheduling onto dead nodes). Tests wrap
+whole scenarios with it so any future model change that silently breaks
+conservation fails loudly.
 """
 
 from __future__ import annotations
@@ -37,15 +38,11 @@ class InvariantChecker:
         self.every_n_events = every_n_events
         self.violations: list[Violation] = []
         self._counter = 0
-        self._fabrics = self._collect_fabrics()
+        self._network = cluster.network.fabric
+        #: Every datanode's CPU and disk device.
+        self._devices = [device for node in cluster.datanodes
+                         for device in (node.cpu._device, node.disk._device)]
         cluster.env.tracers.append(self._on_event)
-
-    def _collect_fabrics(self):
-        fabrics = [self.cluster.network.fabric]
-        for node in self.cluster.datanodes:
-            fabrics.append(node.cpu._device.fabric)
-            fabrics.append(node.disk._device.fabric)
-        return fabrics
 
     # -- checks -----------------------------------------------------------------
     def _on_event(self, time: float, _event) -> None:
@@ -56,20 +53,32 @@ class InvariantChecker:
         self._check_rm(time)
 
     def _check_fabrics(self, time: float) -> None:
-        for fabric in self._fabrics:
-            for link in fabric.links:
-                used = sum(f.rate for f in fabric.active_flows if link in f.path)
-                cap = fabric.capacity(link)
-                if used > cap * (1 + _TOL):
-                    self.violations.append(Violation(
-                        time, f"link {link!r} over-allocated: {used:.4f} > {cap:.4f}"))
-            for flow in fabric.active_flows:
-                if flow.remaining < -_TOL:
-                    self.violations.append(Violation(
-                        time, f"flow {flow.label!r} negative remaining work"))
-                if flow.cap is not None and flow.rate > flow.cap * (1 + _TOL):
-                    self.violations.append(Violation(
-                        time, f"flow {flow.label!r} exceeds its cap"))
+        fabric = self._network
+        for link in fabric.links:
+            self._check_load(time, f"link {link!r}",
+                             [f for f in fabric.active_flows if link in f.path],
+                             fabric.capacity(link))
+        self._check_flows(time, fabric.active_flows)
+        for device in self._devices:
+            flows = device.active_flows
+            self._check_load(time, f"device {device.name!r}", flows,
+                             device.capacity)
+            self._check_flows(time, flows)
+
+    def _check_load(self, time: float, what: str, flows, capacity: float) -> None:
+        used = sum(f.rate for f in flows)
+        if used > capacity * (1 + _TOL):
+            self.violations.append(Violation(
+                time, f"{what} over-allocated: {used:.4f} > {capacity:.4f}"))
+
+    def _check_flows(self, time: float, flows) -> None:
+        for flow in flows:
+            if flow.remaining < -_TOL:
+                self.violations.append(Violation(
+                    time, f"flow {flow.label!r} negative remaining work"))
+            if flow.cap is not None and flow.rate > flow.cap * (1 + _TOL):
+                self.violations.append(Violation(
+                    time, f"flow {flow.label!r} exceeds its cap"))
 
     def _check_rm(self, time: float) -> None:
         for state in self.cluster.rm.nodes.values():

@@ -182,7 +182,7 @@ def test_set_capacity_reallocates():
 
     def upgrade(env):
         yield env.timeout(5.0)  # 50 done
-        dev.fabric.set_capacity(FairShareDevice.LINK, 25.0)
+        dev.set_capacity(25.0)
 
     env.process(upgrade(env))
     env.run()
@@ -212,7 +212,7 @@ def test_property_all_work_completes_and_capacity_never_exceeded(specs, capacity
     samples = []
 
     def sampler(t, ev):
-        used = sum(f.rate for f in dev.fabric.active_flows)
+        used = sum(f.rate for f in dev.active_flows)
         samples.append(used)
 
     env.tracers.append(sampler)
@@ -320,7 +320,7 @@ def test_property_fabric_survives_random_kill_interleavings(script, capacity):
     env.process(driver(env))
     over = []
     env.tracers.append(lambda t, e: over.append(
-        sum(f.rate for f in dev.fabric.active_flows)))
+        sum(f.rate for f in dev.active_flows)))
     env.run()
     for flow in flows:
         assert flow.done.triggered

@@ -68,6 +68,23 @@ def test_checker_detects_planted_violation():
         checker.assert_clean()
 
 
+def test_checker_flags_planted_device_violations():
+    cluster = build_stock_cluster(a3_cluster(2))
+    checker = InvariantChecker(cluster)
+    node = cluster.topology.node("dn0")
+    # A slowed disk serves 0.25 device-seconds per second; an op planted
+    # at 0.5 stays under its 1.0 cap but over-allocates the device.
+    node.disk.set_slowdown(4.0)
+    node.disk.read(10.0, label="planted").rate = 0.5
+    # A task planted at 1.5 cores exceeds its 1-core cap on an idle pool.
+    assert node.cpu.cores >= 2
+    node.cpu.compute(10.0, label="planted").rate = 1.5
+    cluster.env.step()
+    found = {v.what for v in checker.violations}
+    assert found == {"device 'dn0.disk' over-allocated: 0.5000 > 0.2500",
+                     "flow 'dn0.cpu:planted' exceeds its cap"}
+
+
 def test_checker_detach_stops_checking():
     cluster = build_stock_cluster(a3_cluster(2))
     checker = InvariantChecker(cluster)

@@ -58,7 +58,7 @@ def run_with_slow_node(speculative: bool, slowdown: float = 4.0):
     # Cripple dn0 — the first node to heartbeat, so the greedy stock
     # scheduler packs most maps onto it (a noisy-neighbour VM).
     slow = cluster.topology.node("dn0")
-    slow.cpu._device.fabric.set_capacity("device", slow.cpu.cores / slowdown)
+    slow.cpu.set_slowdown(slowdown)
     spec = wc_spec(cluster, n=8, profile=straggler_profile(0.0))
     return JobClient(cluster).run(spec, MODE_DISTRIBUTED)
 
