@@ -1,8 +1,10 @@
 """Physical-cluster substrate: machines, devices, network, topology.
 
 * :class:`ResourceVector` — memory+vcores arithmetic (YARN ``Resource``).
-* :class:`SharedFabric` / :class:`FairShareDevice` — max-min fair capacity
-  sharing; used for disks, CPU pools, and the network.
+* :class:`FairShareDevice` — a processor-sharing queue; used for disks
+  and CPU pools.
+* :class:`SharedFabric` — max-min fair capacity sharing over links; used
+  for the network.
 * :class:`Node` — a machine with a :class:`CpuPool` and :class:`DiskDevice`.
 * :class:`ClusterNetwork` — two-level (rack/core) network fabric.
 * :class:`Topology` / :class:`Locality` — rack membership and Hadoop-style

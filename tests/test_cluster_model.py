@@ -148,6 +148,22 @@ def test_cpu_pool_contention():
         assert f.done.value == pytest.approx(20.0)
 
 
+def test_cpu_slowdown_applies_to_running_tasks_and_restores():
+    env = Environment()
+    node = Node(env, "n0", "r0", cores=4, memory_mb=4096)
+    flows = [node.cpu.compute(10.0) for _ in range(4)]
+    env.run(until=2.0)  # 2 of 10 done at 1 core each
+    node.cpu.set_slowdown(4.0)  # one core's worth for four tasks
+    assert node.cpu.slowdown == 4.0
+    env.run(until=6.0)  # 1 more each at 0.25
+    node.cpu.set_slowdown(1.0)
+    env.run()
+    for f in flows:
+        assert f.done.value == pytest.approx(13.0)
+    with pytest.raises(ValueError):
+        node.cpu.set_slowdown(0.0)
+
+
 # -- Network -------------------------------------------------------------------
 
 def test_same_node_transfer_is_free():
