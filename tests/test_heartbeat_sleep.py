@@ -10,6 +10,8 @@ the RM's own predicate, which also sleeps through beats the AM limit
 leaves with nothing to place.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,8 +109,9 @@ _OPS = st.tuples(
     st.integers(1, 3))                      # work units
 
 
-def run_world(period, quantum, elide, ops, spawns, horizon=40.0):
-    world = World(period, quantum, elide, spawns)
+def run_world(period, quantum, elide, ops, spawns, horizon=40.0,
+              world_type=World):
+    world = world_type(period, quantum, elide, spawns)
     env = world.env
     for node in range(2):
         world.apply("register", node * 0.37, node)
@@ -347,3 +350,80 @@ def test_resized_replay_matches_always_delivering_wheel():
     assert reference[1][2], "no idle node to decommission"
     assert sleeping[:2] == reference[:2]
     assert sleeping[2] * 5 <= reference[2]
+
+
+class SuspendingWorld(World):
+    """A world whose every third working beat suspends its own node from
+    inside the delivery, after the wheel queued that node's successor
+    beat, and resumes it 0.6 periods later."""
+
+    def deliver(self, node_id):
+        before = len(self.working)
+        super().deliver(node_id)
+        if len(self.working) > before and len(self.working) % 3 == 0:
+            self.wheel.suspend(node_id)
+            node = int(node_id[1:])
+            at(self.env, self.env.now + 0.6 * self.period,
+               lambda: self.apply("resume", 0.0, node))
+
+
+#: Explicit worlds whose outcome is pinned: ``(world type, period,
+#: quantum, ops, spawns)`` with ``ops`` as in :func:`run_world`. Between
+#: them they cover suspends that retire a queued beat while the wheel is
+#: awake, from inside a delivery and from an ordinary event (the
+#: cancelled entry must never be delivered), unregisters, a wake on the
+#: instant the wheel fell asleep (a working beat spawns work on its own
+#: instant after the next beat there slept) and ``quantum > 0``.
+_PINNED_WORLDS = {
+    "suspend-awake+wake-at-sleep": (SuspendingWorld, 1.0, 0.0, [
+        ("register", 0.0, 2, 0.0, 1),      # n2 shares n0's anchor 0.0
+        ("enqueue", 2.0, 0, 0.0, 1),       # n0 works at 2.0, n2 sleeps
+        ("enqueue", 4.1, 0, 0.0, 3),
+        ("suspend", 5.0, 2, 0.0, 1),       # n2's 5.0 beat is queued
+        ("read", 5.0, 0, 0.0, 1),
+        ("resume", 7.5, 2, 0.0, 1),
+        ("enqueue", 7.5, 0, 0.0, 2),
+        ("suspend", 8.0, 0, 0.0, 1),
+        ("resume", 8.0, 0, 0.0, 1),
+        ("read_on_grid", 9.0, 1, 2.0, 1),
+        ("unregister", 12.0, 1, 0.0, 1),
+        ("enqueue", 13.0, 0, 0.0, 2),
+        ("read", 20.0, 0, 0.0, 1),
+    ], [(0.0, 1), (1.3, 2), (0.05, 0), (0.0, 0)]),
+    "quantum+unregister-awake": (World, 0.75, 0.25, [
+        ("register", 0.0, 2, 0.1, 1),
+        ("register", 0.3, 3, 0.6, 1),
+        ("enqueue", 1.0, 0, 0.0, 3),
+        ("unregister", 1.5, 3, 0.0, 1),    # while awake: its beat is queued
+        ("enqueue_on_grid", 2.0, 2, 1.0, 2),
+        ("suspend", 3.0, 0, 0.0, 1),
+        ("enqueue", 3.0, 0, 0.0, 3),
+        ("resume", 6.2, 0, 0.0, 1),
+        ("register", 6.2, 4, 2.5, 1),
+        ("read", 7.0, 0, 0.0, 1),
+        ("enqueue", 9.0, 0, 0.0, 1),
+        ("unregister", 15.0, 2, 0.0, 1),   # asleep
+        ("read_on_grid", 16.0, 4, 3.0, 1),
+    ], [(0.0, 2), (0.0, 0), (1.3, 1), (0.05, 1)]),
+}
+
+#: sha256 of each world's working beats, reads and tick count.
+_PINNED_WORLD_DIGESTS = {
+    "suspend-awake+wake-at-sleep":
+        "2781e4012c684d1fdf742fd9dde3679b089637cb2217ff624d680591bdef1856",
+    "quantum+unregister-awake":
+        "559902eb8b7bd30437d9db4201a00e9a6fd81e04887408f9faad80004464d4ad",
+}
+
+
+def _world_digest(world):
+    return hashlib.sha256(repr(
+        (world.working, world.reads, world.wheel.ticks)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_WORLDS))
+def test_pinned_worlds(name):
+    world_type, period, quantum, ops, spawns = _PINNED_WORLDS[name]
+    world = run_world(period, quantum, True, ops, spawns,
+                      world_type=world_type)
+    assert _world_digest(world) == _PINNED_WORLD_DIGESTS[name]
