@@ -10,10 +10,10 @@ another method, possibly in another module. This module builds that view:
 * a per-module **import map** (``from ..cluster.fabric import SharedFabric``
   resolves ``SharedFabric`` to ``cluster/fabric.py::SharedFabric``);
 * light **receiver typing** — constructor assignments in ``__init__``
-  (``self._queue = BucketQueue()``), parameter annotations naming project
-  classes (including string annotations under ``TYPE_CHECKING``), and
-  local constructor calls — so ``self._queue.pop()`` resolves to
-  ``BucketQueue.pop`` and not to every ``pop`` in the tree;
+  (``self.fabric = SharedFabric(env)``), parameter annotations naming
+  project classes (including string annotations under ``TYPE_CHECKING``),
+  and local constructor calls — so ``self.fabric.submit()`` resolves to
+  ``SharedFabric.submit`` and not to every ``submit`` in the tree;
 * the **call graph** itself: for each function, every ``ast.Call`` with
   the set of project functions it may target.
 
@@ -275,7 +275,7 @@ class Project:
         return self._class_by_local_name(rel, name)
 
     def _constructor_class(self, rel: str, expr: ast.expr) -> Optional[ClassInfo]:
-        """``BucketQueue()`` -> ClassInfo, if the callee names a project class."""
+        """``SharedFabric(env)`` -> ClassInfo, if the callee names a project class."""
         if not isinstance(expr, ast.Call):
             return None
         fn = expr.func

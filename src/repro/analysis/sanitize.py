@@ -27,6 +27,7 @@ import random
 import subprocess
 import sys
 from contextlib import contextmanager
+from heapq import heappush
 from typing import Callable, Iterator, Optional
 
 
@@ -189,9 +190,9 @@ def _run_scale_scenario() -> tuple[str, str]:
     """1k-node digest: the wheel's cohort ticks and O(changed) scheduling.
 
     A thousand phase-staggered nodes beating under a 0.25 s quantum share
-    tick events, so this crosses the BucketQueue, the ``_armed`` instant
-    set, the incremental RM totals, and the suspend/resume paths (one
-    node crashes and rejoins mid-run) — none of which the 4-node
+    tick events, so this crosses the wheel's beat heap, the ``_armed``
+    instant set, the incremental RM totals, and the suspend/resume paths
+    (one node crashes and rejoins mid-run) — none of which the 4-node
     scenarios reach at aggregation scale.
     """
     from repro.cluster import ResourceVector
@@ -401,16 +402,18 @@ def permuted_ties(seed: int) -> Iterator[None]:
     """Patch the kernel so same-(time, priority) dispatch order is a
     seeded permutation rather than insertion order.
 
-    The tie-break third element of each queue entry becomes
-    ``(random_bits, insertion_counter)`` — still unique and hashable (the
-    BucketQueue's lazy-cancel set keys on it), but heap comparison now
-    follows the random bits first. Patched at class level so environments
-    constructed inside the context are covered from their very first
-    event (mixing int and tuple tie-breaks in one queue would not
-    compare).
+    The tie-break third element of each heap entry becomes
+    ``(random_bits, insertion_counter)`` — still unique, so the event is
+    never compared, but heap order now follows the random bits first.
+    Every push goes through :meth:`Environment.schedule` or
+    :meth:`Environment.schedule_at` (``Timeout`` included), so patching
+    those two covers the whole kernel. Patched at class level so
+    environments constructed inside the context are covered from their
+    very first event (mixing int and tuple tie-breaks in one heap would
+    not compare).
     """
     from repro.simulation.core import Environment
-    from repro.simulation.events import NORMAL
+    from repro.simulation.events import NORMAL, Event
 
     orig_schedule = Environment.schedule
     orig_schedule_at = Environment.schedule_at
@@ -423,16 +426,16 @@ def permuted_ties(seed: int) -> Iterator[None]:
         rng, counter = state
         return (rng.getrandbits(32), next(counter))
 
-    def schedule(self: "Environment", event: object, priority: int = NORMAL,
+    def schedule(self: "Environment", event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
-        self._queue.push((self._now + delay, priority, _tie(self), event))
+        heappush(self._queue, (self._now + delay, priority, _tie(self), event))
 
-    def schedule_at(self: "Environment", event: object, at: float,
+    def schedule_at(self: "Environment", event: Event, at: float,
                     priority: int = NORMAL) -> None:
         if at < self._now:
             raise ValueError(
                 f"schedule_at({at}) lies in the past (now={self._now})")
-        self._queue.push((at, priority, _tie(self), event))
+        heappush(self._queue, (at, priority, _tie(self), event))
 
     Environment.schedule = schedule  # type: ignore[method-assign]
     Environment.schedule_at = schedule_at  # type: ignore[method-assign]

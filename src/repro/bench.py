@@ -38,8 +38,11 @@ def bench_kernel(num_events: int = 200_000, num_procs: int = 100) -> dict:
     """Raw event-loop throughput: many concurrent timeout-driven processes.
 
     Also samples :meth:`Environment.queue_stats` every few thousand pops to
-    report peak calendar-queue occupancy — the numbers the telemetry
-    ``kernel_queue_*`` gauges export from a real replay.
+    report peak kernel-queue occupancy (pending entries and their spread
+    over 0.25 s slots) — the numbers the telemetry ``kernel_queue_*``
+    gauges export from a real replay. Both are exact: each process adds
+    a start and an end event to ``events_processed``, and every sample
+    sees the other ``num_procs - 1`` tickers due on one instant.
     """
     env = Environment()
 

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from math import inf
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
-from .bucketq import BucketQueue
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout
+
+#: Tie-break among same-(time, priority) entries: the insertion counter,
+#: or ``(random bits, counter)`` under the race sanitizer's permutation.
+#: Unique either way, so the event itself is never compared.
+Tie = Union[int, tuple[int, int]]
+#: One kernel queue entry: ``(time, priority, tie-break, event)``.
+QueueEntry = tuple[float, int, Tie, Event]
+
+#: Width of the occupancy gauges' time slots, in simulated seconds.
+STATS_SLOT_S = 0.25
+#: Times at or beyond this horizon (``inf`` included) share one slot.
+FAR_HORIZON = 1e18
 
 
 class Environment:
@@ -15,16 +29,14 @@ class Environment:
 
     Time is a float in *seconds* by convention throughout this project.
     Events are processed in (time, priority, insertion-order) order, which
-    makes runs fully deterministic. The queue is a calendar/bucketed heap
-    (:class:`~repro.simulation.bucketq.BucketQueue`) so push/pop cost stays
-    flat as pending-timer counts grow into the tens of thousands on large
-    simulated clusters; its pop order is identical to the flat ``heapq`` it
-    replaced.
+    makes runs fully deterministic. The queue is one flat binary heap of
+    :data:`QueueEntry` tuples: it rarely holds more than a few dozen
+    entries, so ``heapq`` beats any bucketed structure in front of it.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = BucketQueue()
+        self._queue: list[QueueEntry] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Count of events dispatched by :meth:`step` since construction —
@@ -85,7 +97,7 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` units from now."""
-        self._queue.push((self._now + delay, priority, next(self._eid), event))
+        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Queue ``event`` at the *absolute* time ``at`` (>= now).
@@ -97,21 +109,29 @@ class Environment:
         """
         if at < self._now:
             raise ValueError(f"schedule_at({at}) lies in the past (now={self._now})")
-        self._queue.push((at, priority, next(self._eid), event))
+        heappush(self._queue, (at, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        when = self._queue.peek_time()
-        return when if when is not None else float("inf")
-
-    @property
-    def queue(self) -> BucketQueue:
-        """The calendar event queue, for read-only occupancy gauges."""
-        return self._queue
+        return self._queue[0][0] if self._queue else float("inf")
 
     def queue_stats(self) -> dict[str, int]:
-        """Occupancy snapshot of the calendar queue (telemetry/bench)."""
-        return self._queue.stats()
+        """Occupancy snapshot for the telemetry/bench kernel gauges.
+
+        O(pending): the pending times are binned into 0.25 s slots, with
+        every time at or beyond :data:`FAR_HORIZON` in one shared slot, so
+        the ``kernel_queue_*`` gauges keep reporting calendar occupancy.
+        The kernel never cancels an entry, so ``cancelled_outstanding`` is
+        0.
+        """
+        slots = Counter([when // STATS_SLOT_S if when < FAR_HORIZON
+                         else inf for when, _, _, _ in self._queue])
+        return {
+            "pending": len(self._queue),
+            "occupied_buckets": len(slots),
+            "max_bucket_depth": max(slots.values(), default=0),
+            "cancelled_outstanding": 0,
+        }
 
     def step(self) -> None:
         """Process the single next event.
@@ -121,7 +141,7 @@ class Environment:
         an uncaught exception in a real daemon thread.
         """
         try:
-            when, _, _, event = self._queue.pop()
+            when, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
 

@@ -131,11 +131,15 @@ class Timeout(Event):
                  priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # The Event slots, set here rather than through super().__init__:
+        # timeouts are the kernel's most common event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, priority=priority, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, priority, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"

@@ -2,7 +2,7 @@
 
 These model mutual exclusion and queueing (e.g. a container slot on a
 NodeManager, an RPC handler pool). Continuous *rate-shared* devices (disk
-bandwidth, CPU) live in :mod:`repro.cluster.fairshare` because they need
+bandwidth, CPU) live in :mod:`repro.cluster.fabric` because they need
 processor-sharing semantics rather than queueing.
 """
 

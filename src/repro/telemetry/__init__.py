@@ -165,16 +165,18 @@ class Telemetry:
         # kernel
         reg.counter("kernel_events", "Events dispatched by the simulation "
                     "kernel.", fn=lambda: env.events_processed)
-        queue = env.queue
+        # Calendar names and help texts on purpose: queue_stats() bins the
+        # kernel heap into 0.25 s slots, so these series and every export
+        # keep the values a bucketed queue would report.
         reg.gauge("kernel_queue_pending", "Entries held by the calendar "
-                  "event queue.", fn=queue.__len__)
+                  "event queue.", fn=lambda: len(env._queue))
         reg.gauge("kernel_queue_occupied_buckets", "Calendar buckets "
-                  "currently occupied.", fn=lambda: queue.occupied_buckets)
+                  "currently occupied.",
+                  fn=lambda: env.queue_stats()["occupied_buckets"])
         reg.gauge("kernel_queue_max_bucket_depth", "Deepest single calendar "
-                  "bucket.", fn=queue.max_bucket_depth)
+                  "bucket.", fn=lambda: env.queue_stats()["max_bucket_depth"])
         reg.gauge("kernel_queue_cancelled_outstanding", "Lazy-cancel "
-                  "tombstones awaiting their pop.",
-                  fn=lambda: queue.cancelled_outstanding)
+                  "tombstones awaiting their pop.", fn=lambda: 0)
 
         # RM / scheduler
         reg.gauge("rm_pending_apps", "Applications waiting in the RM's AM "

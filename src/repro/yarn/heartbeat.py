@@ -70,12 +70,12 @@ opt in.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..simulation.bucketq import BucketQueue
 from ..simulation.events import DEFERRED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,11 +116,12 @@ class HeartbeatWheel:
         self._k: list[int] = []
         self._last: list[float] = []
         self._token: list[Optional[int]] = []
-        #: Queued beats ``(fire, slot, token)`` while awake: every active
-        #: slot exactly once. Emptied on falling asleep, rebuilt by wake().
-        #: Pending fires span at most one period, so period-wide buckets
-        #: keep that to two buckets.
-        self._queue = BucketQueue(period)
+        #: Heap of queued beats ``(fire, slot, token)`` while awake: every
+        #: active slot exactly once, plus the beats of suspended slots,
+        #: whose tokens sit in ``_cancelled`` until they reach the top.
+        #: Both are emptied on falling asleep; wake() rebuilds the heap.
+        self._queue: list[tuple[float, int, int]] = []
+        self._cancelled: set[int] = set()
         self._tokens = count()
         self._asleep = False
         #: Instants with a tick on the kernel queue — normally just the
@@ -198,8 +199,8 @@ class HeartbeatWheel:
         after now (the beats it skipped are counted), and the earliest of
         those instants is armed. One pass over the columns: the grid rule
         runs as array arithmetic (``anchor + k*period`` in float64 is the
-        same number as in Python), and the emptied queue is loaded once
-        from the ``(fire, slot, token)`` entries sorted by key — no
+        same number as in Python), and the emptied queue becomes the
+        ``(fire, slot, token)`` entries sorted by key, a valid heap — no
         per-node fast-forward or push runs in Python. Cheap no-op while
         awake.
         """
@@ -222,8 +223,8 @@ class HeartbeatWheel:
         fires = anchors[slots] + grid[slots] * period
         order = fires.argsort(kind="stable")
         slots = slots[order].tolist()
-        self._queue.load(list(zip(fires[order].tolist(), slots,
-                                  map(self._token.__getitem__, slots))))
+        self._queue = list(zip(fires[order].tolist(), slots,
+                               map(self._token.__getitem__, slots)))
         self._arm_head()
 
     # -- introspection -------------------------------------------------------
@@ -355,7 +356,7 @@ class HeartbeatWheel:
         if self._asleep:
             return  # beats on paper until wake()
         fire = self._anchor[slot] + self._k[slot] * self._period
-        self._queue.push((fire, slot, token))
+        heappush(self._queue, (fire, slot, token))
         if not any(t <= fire for t in self._armed):
             self._arm(fire)
 
@@ -365,13 +366,23 @@ class HeartbeatWheel:
             self._fast_forward(
                 slot, self._grid_index(self._anchor[slot], self._env.now))
         else:
-            self._queue.cancel(self._token[slot])
+            self._cancelled.add(self._token[slot])
         self._token[slot] = None
         self._active_k -= self._k[slot]
         self._arrays = None
 
+    def _head(self) -> Optional[float]:
+        """Fire time of the earliest live queued beat; drops the cancelled
+        beats ahead of it."""
+        queue, cancelled = self._queue, self._cancelled
+        while queue:
+            if not cancelled or queue[0][2] not in cancelled:
+                return queue[0][0]
+            cancelled.discard(heappop(queue)[2])
+        return None
+
     def _arm_head(self) -> None:
-        head = self._queue.peek_time()
+        head = self._head()
         if head is not None and not any(t <= head for t in self._armed):
             self._arm(head)
 
@@ -404,14 +415,16 @@ class HeartbeatWheel:
                 # idle too, so count them now.
                 while self._count_due(now) is not None:
                     pass
-                self._queue = BucketQueue(self._period)
+                self._queue = []
+                self._cancelled = set()
                 self._asleep = True
                 self._slept_at = now
                 break
             # Queue the successor before delivering: if the delivery
             # suspends the node, suspend() cancels the successor.
-            self._queue.push((self._anchor[slot] + self._k[slot] * self._period,
-                              slot, self._token[slot]))
+            heappush(self._queue,
+                     (self._anchor[slot] + self._k[slot] * self._period,
+                      slot, self._token[slot]))
             self._deliver(self._ids[slot])
         # Discarded only now: a resume() during a delivery that lands on
         # this very instant is served by the loop above, not a second tick.
@@ -421,10 +434,10 @@ class HeartbeatWheel:
 
     def _count_due(self, now: float) -> Optional[int]:
         """Pop and count the next beat due at ``now``; its slot, or None."""
-        due = self._queue.peek_time()
+        due = self._head()
         if due is None or due > now:
             return None
-        slot: int = self._queue.pop()[1]
+        slot = heappop(self._queue)[1]
         self._k[slot] += 1
         self._last[slot] = now
         self._counted += 1

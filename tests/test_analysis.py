@@ -841,6 +841,39 @@ def _tie_order(n=12, priority=None):
     return fired
 
 
+def _timeout_tie_order(n=12):
+    """Fire ``n`` same-instant ``env.timeout`` events; return the callback
+    order."""
+    from repro.simulation.core import Environment
+
+    env = Environment()
+    fired = []
+    for i in range(n):
+        env.timeout(1.0).callbacks.append(lambda _e, i=i: fired.append(i))
+    env.run()
+    return fired
+
+
+def _succeed_tie_order(n=12):
+    """Trigger ``n`` events with ``succeed()`` from one callback, all on
+    that callback's instant; return their callback order."""
+    from repro.simulation.core import Environment
+    from repro.simulation.events import Event
+
+    env = Environment()
+    fired = []
+
+    def fan_out(_event):
+        for i in range(n):
+            ev = Event(env)
+            ev.callbacks.append(lambda _e, i=i: fired.append(i))
+            ev.succeed()
+
+    env.timeout(1.0).callbacks.append(fan_out)
+    env.run()
+    return fired
+
+
 def test_permuted_ties_reorders_ties_and_restores_on_exit():
     from repro.analysis.sanitize import permuted_ties
 
@@ -853,6 +886,23 @@ def test_permuted_ties_reorders_ties_and_restores_on_exit():
     with permuted_ties(1):
         assert _tie_order() == permuted
     assert _tie_order() == list(range(12))
+
+
+@pytest.mark.parametrize("tie_order", [_timeout_tie_order,
+                                       _succeed_tie_order])
+def test_permuted_ties_reorders_timeouts_and_succeeded_events(tie_order):
+    """Ties made by ``env.timeout`` and by ``Event.succeed()`` permute
+    too: every kernel push goes through the patched scheduling calls."""
+    from repro.analysis.sanitize import permuted_ties
+
+    assert tie_order() == list(range(12))
+    with permuted_ties(1):
+        permuted = tie_order()
+    assert sorted(permuted) == list(range(12))
+    assert permuted != list(range(12))
+    with permuted_ties(1):
+        assert tie_order() == permuted
+    assert tie_order() == list(range(12))
 
 
 def test_permuted_ties_keeps_priority_classes_apart():
