@@ -2,18 +2,19 @@
 """Operating a short-job cluster: trace replay, monitoring, post-mortem.
 
 Pulls the operational modules together the way an SRE would: replay a
-morning's ad-hoc traffic on stock Hadoop and on MRapid while a cluster
-monitor samples utilization, then mine the job-history server for where
+morning's ad-hoc traffic on stock Hadoop and on MRapid while telemetry
+samples cluster utilization, then mine the job-history server for where
 the time went, and sweep pool sizes to pick a configuration.
 
 Run:  python examples/trace_analysis.py
 """
 
-from repro.config import MRapidConfig, a3_cluster
+from repro.config import MRapidConfig, TelemetryConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster
 from repro.experiments.sweeps import Axis, grid_sweep
 from repro.history import JobHistoryServer
-from repro.metrics import ClusterMonitor, exact_percentile
+from repro.metrics import exact_percentile
+from repro.telemetry import install_telemetry
 from repro.trace import (
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
@@ -26,13 +27,26 @@ TRACE = poisson_trace(default_short_job_mix(), rate_per_minute=3.0,
                       duration_s=300.0, seed=42)
 
 
+def utilization(telemetry, until):
+    """One line of utilization from telemetry's rings, averaged over time."""
+    def mean(name):
+        return telemetry.series(name).time_weighted_mean(until)
+
+    peak = max(telemetry.series("cluster_cpu_utilization").values)
+    return (f"cpu mean {mean('cluster_cpu_utilization'):.0%} / peak "
+            f"{peak:.0%}, scheduled-mem "
+            f"{mean('cluster_scheduled_memory_fraction'):.0%}, imbalance cpu "
+            f"{mean('cluster_cpu_imbalance'):.2f} / disk "
+            f"{mean('cluster_disk_imbalance'):.2f}")
+
+
 def replay_with_monitoring(build, strategy):
     cluster = build()
-    monitor = ClusterMonitor(cluster, interval_s=1.0)
-    monitor.start()
+    telemetry = install_telemetry(cluster, TelemetryConfig(
+        scrape_interval_s=1.0, node_probe_interval_s=1.0, alerts=False))
     report = replay_load(cluster, TRACE, strategy)
-    monitor.stop()
-    return cluster, report, monitor.summary(until=report.makespan_s)
+    telemetry.finish()
+    return cluster, report, utilization(telemetry, report.makespan_s)
 
 
 def main() -> None:

@@ -146,17 +146,5 @@ class DPlusScheduler(SchedulerBase):
             actual = self.rm.topology.locality(node.node_id, request.preferred_nodes)
             if actual != level:
                 return None
-        container = Container(
-            container_id=self.rm.next_container_id(),
-            node_id=node.node_id,
-            resource=request.resource,
-            app_id=item.app_id,
-            tag=request.tag,
-        )
-        node.allocate(request.resource, memory_only=not self.balanced_spread)
-        tracer = self.rm.env.tracer
-        if tracer is not None:
-            tracer.metrics.incr("scheduler:grants")
-            tracer.metrics.observe("scheduler:grant_queue_delay_s",
-                                   self.rm.env.now - item.enqueued_at)
-        return container
+        return self._grant(item, node, memory_only=not self.balanced_spread,
+                           tag=request.tag)

@@ -10,13 +10,13 @@ EXPERIMENTS.md stays a faithful paper-vs-measured report.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..config import HadoopConfig, a3_cluster
+from ..config import HadoopConfig, TelemetryConfig, a3_cluster
 from ..core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
 from ..core.chain import ChainStage, run_chain
 from ..mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
-from ..metrics import ClusterMonitor, exact_percentile
+from ..metrics import exact_percentile
 from ..trace import (
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
@@ -27,6 +27,9 @@ from ..trace import (
 from ..workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 from .figures import wordcount_input
 from .harness import FigureResult, Series
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simcluster import SimCluster
 
 
 def figureE1_burst_response_percentiles() -> FigureResult:
@@ -54,25 +57,33 @@ def figureE1_burst_response_percentiles() -> FigureResult:
     )
 
 
+def _mean_cpu_imbalance(cluster: SimCluster,
+                        run: Callable[[SimCluster], object]) -> float:
+    """Time-weighted mean of telemetry's ``cluster_cpu_imbalance`` ring
+    over ``run(cluster)``, sampled every 0.5 simulated seconds."""
+    # Imported here, not at module top: ``repro report`` imports this
+    # module at start-up and only this figure needs telemetry.
+    from ..telemetry import install_telemetry
+
+    telemetry = install_telemetry(cluster, TelemetryConfig(
+        scrape_interval_s=0.5, node_probe_interval_s=0.5, alerts=False))
+    run(cluster)
+    telemetry.finish()
+    return telemetry.series("cluster_cpu_imbalance").time_weighted_mean()
+
+
 def figureE2_scheduling_imbalance() -> FigureResult:
     """Measured CPU imbalance (max-min node utilization) stock vs D+."""
     series = {"Hadoop-Distributed": Series("Hadoop-Distributed"),
               "MRapid-D+": Series("MRapid-D+")}
     for n_files in (4, 8, 16):
-        stock = build_stock_cluster(a3_cluster(4))
-        monitor = ClusterMonitor(stock, interval_s=0.5)
-        monitor.start()
-        run_stock_job(stock, wordcount_input(n_files, 10.0)(stock), "distributed")
-        monitor.stop()
-        series["Hadoop-Distributed"].add(n_files,
-                                         monitor.summary().cpu_imbalance_index)
-
-        mrapid = build_mrapid_cluster(a3_cluster(4))
-        monitor = ClusterMonitor(mrapid, interval_s=0.5)
-        monitor.start()
-        run_short_job(mrapid, wordcount_input(n_files, 10.0)(mrapid), "dplus")
-        monitor.stop()
-        series["MRapid-D+"].add(n_files, monitor.summary().cpu_imbalance_index)
+        job = wordcount_input(n_files, 10.0)
+        series["Hadoop-Distributed"].add(n_files, _mean_cpu_imbalance(
+            build_stock_cluster(a3_cluster(4)),
+            lambda c: run_stock_job(c, job(c), "distributed")))
+        series["MRapid-D+"].add(n_files, _mean_cpu_imbalance(
+            build_mrapid_cluster(a3_cluster(4)),
+            lambda c: run_short_job(c, job(c), "dplus")))
     return FigureResult(
         "Figure E2", "scheduling imbalance index (mean max-min node CPU)",
         "#files", series,

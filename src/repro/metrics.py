@@ -1,12 +1,4 @@
-"""Cluster monitoring and streaming workload metrics.
-
-Two concerns live here:
-
-* :class:`ClusterMonitor` runs as a simulation process and samples, per
-  node, the scheduled memory/vcores, real CPU utilization, and active disk
-  operations — the quantities behind the paper's imbalance argument ("some
-  DataNodes may be squeezed with many containers, but others could be
-  idle"). The imbalance index it reports makes that claim measurable.
+"""Streaming workload metrics and the per-signature service-time learner.
 
 * :class:`SignatureStats` is the one per-signature service-time learner:
   count, mean and EWMA of a job signature's successful runs, shared by
@@ -20,18 +12,15 @@ Two concerns live here:
   tracked quantile, updated per observation with parabolic interpolation.
   The estimator is deterministic — same observation sequence, bit-identical
   state — which the metamorphic replay tests rely on.
+
+Cluster utilization, the paper's imbalance index among it, is sampled by
+:mod:`repro.telemetry`, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
-
-from .simulation.monitor import GaugeSet, TimeSeries
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simcluster import SimCluster
+from typing import Optional, Sequence
 
 
 # -- streaming percentiles (P², bounded memory) --------------------------------
@@ -269,96 +258,3 @@ class StreamingRatio:
 
     def __str__(self) -> str:
         return f"{self.hits}/{self.total} ({self.fraction:.1%})"
-
-
-@dataclass
-class UtilizationSummary:
-    """Aggregates over one monitored window."""
-
-    mean_cpu_utilization: float       # cluster-wide, 0..1
-    peak_cpu_utilization: float
-    mean_scheduled_memory_fraction: float
-    cpu_imbalance_index: float        # mean over samples of (max-min) node CPU
-    disk_imbalance_index: float = 0.0  # mean over samples of (max-min) disk ops
-
-    def __str__(self) -> str:
-        return (f"cpu mean {self.mean_cpu_utilization:.0%} / peak "
-                f"{self.peak_cpu_utilization:.0%}, scheduled-mem "
-                f"{self.mean_scheduled_memory_fraction:.0%}, imbalance "
-                f"cpu {self.cpu_imbalance_index:.2f} / "
-                f"disk {self.disk_imbalance_index:.2f}")
-
-
-class ClusterMonitor:
-    """Samples a running cluster every ``interval_s`` simulated seconds.
-
-    .. deprecated:: PR 8
-        Periodic sampling now lives in :mod:`repro.telemetry`, whose
-        scraper reads the *same* quantities through the shared
-        :func:`repro.telemetry.probes.sample_utilization` probe without
-        scheduling any events. This class remains as a thin shim because
-        the one-shot figures depend on its timeout-driven event stream
-        (snapshot-gated) and its :class:`UtilizationSummary` output; new
-        code should enable ``HadoopConfig.telemetry`` instead.
-    """
-
-    def __init__(self, cluster: "SimCluster", interval_s: float = 0.5) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
-        self.cluster = cluster
-        self.interval_s = interval_s
-        self.gauges = GaugeSet(cluster.env)
-        self._proc = None
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            raise RuntimeError("monitor already running")
-        self._proc = self.cluster.env.process(self._loop(), name="cluster-monitor")
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.defuse()
-            self._proc.interrupt("monitor stopped")
-
-    def _loop(self) -> Generator:
-        env = self.cluster.env
-        while True:
-            self._sample()
-            yield env.timeout(self.interval_s)
-
-    # -- sampling --------------------------------------------------------------
-    def _sample(self) -> None:
-        # Delegates to the probe shared with the telemetry scraper so
-        # exactly one code path computes the imbalance quantities; the
-        # series names (and therefore every figure) are unchanged.
-        from .telemetry.probes import sample_utilization
-
-        sample = sample_utilization(self.cluster)
-        for node_id, util in sample.node_cpu:
-            self.gauges.record(f"cpu:{node_id}", util)
-        for node_id, ops in sample.node_disk_ops:
-            self.gauges.record(f"disk_ops:{node_id}", ops)
-        self.gauges.record("cpu:cluster", sample.cluster_cpu)
-        if sample.node_cpu:
-            self.gauges.record("cpu:imbalance", sample.cpu_imbalance)
-            self.gauges.record("disk:imbalance", sample.disk_imbalance)
-        self.gauges.record("memory:scheduled", sample.scheduled_memory_fraction)
-        self.gauges.record("containers:used_vcores", sample.used_vcores)
-
-    # -- reporting ----------------------------------------------------------------
-    def series(self, name: str) -> TimeSeries:
-        return self.gauges.gauge(name)
-
-    def summary(self, until: Optional[float] = None) -> UtilizationSummary:
-        cpu = self.series("cpu:cluster")
-        mem = self.series("memory:scheduled")
-        imbalance = self.series("cpu:imbalance")
-        disk_imbalance = self.series("disk:imbalance")
-        return UtilizationSummary(
-            mean_cpu_utilization=cpu.time_weighted_mean(until),
-            peak_cpu_utilization=cpu.max(),
-            mean_scheduled_memory_fraction=mem.time_weighted_mean(until),
-            cpu_imbalance_index=imbalance.time_weighted_mean(until),
-            disk_imbalance_index=disk_imbalance.time_weighted_mean(until),
-        )

@@ -17,7 +17,7 @@ interruption, and :mod:`repro.simulation.resources` for queued resources.
 from .core import Environment
 from .errors import EmptySchedule, Interrupt, SimulationError
 from .events import AllOf, AnyOf, Condition, Event, Process, Timeout
-from .monitor import EventLog, GaugeSet, TimeSeries
+from .monitor import EventLog
 from .resources import LevelContainer, PriorityResource, Request, Resource, Store
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Environment",
     "Event",
     "EventLog",
-    "GaugeSet",
     "Interrupt",
     "LevelContainer",
     "PriorityResource",
@@ -37,6 +36,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Store",
-    "TimeSeries",
     "Timeout",
 ]

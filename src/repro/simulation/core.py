@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
-from math import inf
+from math import inf, nan
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
@@ -59,9 +59,12 @@ class Environment:
         #: read and one float compare — and calls ``sampler(when)`` only
         #: when a scrape grid point is due. Kept separate from
         #: :attr:`tracers` because routing the scraper through that list
-        #: would pay a function call on *every* event just to return.
+        #: would pay a function call on *every* event just to return. With
+        #: no sampler installed it is NaN, which no time compares at or
+        #: above — ``inf`` included, so ``run(until=inf)`` never calls the
+        #: empty slot.
         self.sampler: Optional[Callable[[float], None]] = None
-        self.sample_next = float("inf")
+        self.sample_next = nan
 
     # -- clock ------------------------------------------------------------
     @property

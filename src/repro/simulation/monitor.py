@@ -1,68 +1,15 @@
-"""Light-weight instrumentation for simulations.
+"""Timestamped marks for simulations.
 
-The experiment harness uses these helpers to record time series (e.g.
-containers in use per node) and one-off timestamped marks (e.g. "map 3
-finished") without coupling model code to any output format.
+Model components record one-off marks (e.g. "map 3 finished") in an
+:class:`EventLog` without coupling model code to any output format.
+Periodic time series are :mod:`repro.telemetry`'s job.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, MutableSequence, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .core import Environment
-
-
-@dataclass
-class Sample:
-    time: float
-    value: float
-
-
-class TimeSeries:
-    """An append-only (time, value) series with step-function queries."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("samples must be recorded in time order")
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def at(self, time: float) -> Optional[float]:
-        """Step-function value at ``time`` (last sample at or before it)."""
-        i = bisect.bisect_right(self.times, time)
-        if i == 0:
-            return None
-        return self.values[i - 1]
-
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean of the step function from the first sample to ``until``."""
-        if not self.times:
-            return 0.0
-        end = until if until is not None else self.times[-1]
-        total = 0.0
-        for i, value in enumerate(self.values):
-            t0 = self.times[i]
-            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
-            t1 = min(t1, end)
-            if t1 > t0:
-                total += value * (t1 - t0)
-        span = end - self.times[0]
-        return total / span if span > 0 else self.values[-1]
+from typing import Any, MutableSequence, Optional
 
 
 @dataclass
@@ -114,19 +61,3 @@ class EventLog:
         if start is None or end is None:
             return None
         return end.time - start.time
-
-
-class GaugeSet:
-    """A named collection of :class:`TimeSeries` gauges."""
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.series: dict[str, TimeSeries] = {}
-
-    def gauge(self, name: str) -> TimeSeries:
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
-    def record(self, name: str, value: float) -> None:
-        self.gauge(name).record(self.env.now, value)

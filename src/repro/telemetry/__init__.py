@@ -12,10 +12,11 @@ The missing middle between PR 3's per-job tracing and PR 5's end-of-run
   with the telemetry-off run);
 * :mod:`.openmetrics` — OpenMetrics text + JSONL exporters;
 * :mod:`.alerts` — edge-triggered rules over the ring buffers, headlined
-  by multi-window SLO burn-rate (Google SRE style);
-* :mod:`.probes` — the utilization probe shared with
-  :class:`repro.metrics.ClusterMonitor` so exactly one code path computes
-  the paper's imbalance quantities.
+  by multi-window SLO burn-rate (Google SRE style).
+
+The paper's imbalance quantities (max-min node CPU and disk load) are
+telemetry gauges too: Figure E2 reads the ``cluster_cpu_imbalance`` ring,
+so one sampling mechanism serves the figures and live runs alike.
 
 Enable with ``HadoopConfig(telemetry=TelemetryConfig())`` (the replay
 driver installs it) or :func:`install_telemetry` directly.
@@ -23,6 +24,7 @@ driver installs it) or :func:`install_telemetry` directly.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..config import TelemetryConfig
@@ -32,7 +34,6 @@ from .alerts import (Alert, AlertEngine, AlertSummary, BurnRateRule,
 from .instruments import (Counter, Gauge, Histogram, LabelSet,
                           TelemetryRegistry)
 from .openmetrics import parse_openmetrics, render_jsonl, render_openmetrics
-from .probes import UtilizationSample, sample_utilization
 from .scraper import RingSeries, Scraper
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,9 +44,8 @@ __all__ = [
     "Alert", "AlertEngine", "AlertSummary", "BurnRateRule", "Counter",
     "Gauge", "HeartbeatStalenessRule", "Histogram", "QueueSaturationRule",
     "RingSeries", "Rule", "Scraper", "Telemetry", "TelemetryConfig",
-    "TelemetryRegistry", "UnderReplicationRule", "UtilizationSample",
-    "install_telemetry", "parse_openmetrics", "render_jsonl",
-    "render_openmetrics", "sample_utilization",
+    "TelemetryRegistry", "UnderReplicationRule", "install_telemetry",
+    "parse_openmetrics", "render_jsonl", "render_openmetrics",
 ]
 
 #: Bucket bounds for the sub-minute YARN latencies (grant delay, AM wait).
@@ -80,8 +80,12 @@ class _NodeProbeCache:
         self.stale_after_s = stale_after_s
         self.interval_s = interval_s
         self.clock = clock
-        self._last_t = 0.0
-        self.sample: Optional[UtilizationSample] = None
+        self._last_t = -inf
+        self.cluster_cpu = 0.0
+        self.cpu_imbalance = 0.0
+        self.disk_imbalance = 0.0
+        self.scheduled_memory_fraction = 0.0
+        self.used_vcores = 0.0
         self.rack_alive: dict[str, int] = {}
         self.rack_registered: dict[str, int] = {}
         self.stale = 0
@@ -89,10 +93,10 @@ class _NodeProbeCache:
 
     def get(self) -> "_NodeProbeCache":
         now = self.clock()
-        if self.sample is not None and now - self._last_t < self.interval_s:
+        if now - self._last_t < self.interval_s:
             return self
         self._last_t = now
-        self.sample = sample_utilization(self.cluster, per_node=False)
+        self._utilization()
         rm = self.cluster.rm
         states = rm.nodes
         self.rack_alive = dict(rm.rack_alive)
@@ -123,6 +127,36 @@ class _NodeProbeCache:
                         best = util
         self.max_link = best
         return self
+
+    def _utilization(self) -> None:
+        """CPU/disk utilization and the paper's max-min imbalance indices.
+
+        Only busy nodes are read: every other node reads zero on both
+        devices, and zeros change no sum, and no maximum or minimum beyond
+        "some node reads zero".
+        """
+        cluster = self.cluster
+        nodes = cluster.busy_nodes()
+        busy = 0.0
+        utils: list[float] = []
+        disks: list[float] = []
+        for node in nodes:
+            util = node.cpu.utilization()
+            utils.append(util)
+            disks.append(float(node.disk.active_ops))
+            busy += util * node.cpu.cores
+        if len(nodes) < len(cluster.datanodes):
+            utils.append(0.0)
+            disks.append(0.0)
+        total_cores = cluster.total_cores
+        self.cluster_cpu = busy / total_cores if total_cores else 0.0
+        self.cpu_imbalance = max(utils) - min(utils) if utils else 0.0
+        self.disk_imbalance = max(disks) - min(disks) if disks else 0.0
+        total = cluster.rm.total_capability()
+        used = cluster.rm.total_used()
+        self.scheduled_memory_fraction = (used.memory_mb / total.memory_mb
+                                          if total.memory_mb else 0.0)
+        self.used_vcores = float(used.vcores)
 
 
 class Telemetry:
@@ -228,19 +262,21 @@ class Telemetry:
                   "replication target.",
                   fn=lambda: len(cluster.namenode.under_replicated()))
 
-        # cluster utilization (shared probe with ClusterMonitor)
+        # cluster utilization
         reg.gauge("cluster_cpu_utilization", "Cluster-wide CPU utilization "
-                  "(0..1).", fn=lambda: probe.get().sample.cluster_cpu)
+                  "(0..1).", fn=lambda: probe.get().cluster_cpu)
         reg.gauge("cluster_cpu_imbalance", "Max-min per-node CPU utilization "
                   "(the paper's imbalance index).",
-                  fn=lambda: probe.get().sample.cpu_imbalance)
+                  fn=lambda: probe.get().cpu_imbalance)
         reg.gauge("cluster_disk_imbalance", "Max-min per-node active disk "
-                  "ops.", fn=lambda: probe.get().sample.disk_imbalance)
+                  "ops.", fn=lambda: probe.get().disk_imbalance)
         reg.gauge("cluster_scheduled_memory_fraction", "Scheduled fraction "
                   "of cluster memory (0..1).",
-                  fn=lambda: probe.get().sample.scheduled_memory_fraction)
+                  fn=lambda: probe.get().scheduled_memory_fraction)
+        # This help text names the retired figure sampler; it stays as is
+        # because the OpenMetrics export, help lines included, is pinned.
         reg.gauge("cluster_used_vcores", "Scheduled vcores (ClusterMonitor "
-                  "series).", fn=lambda: probe.get().sample.used_vcores)
+                  "series).", fn=lambda: probe.get().used_vcores)
 
     # -- serving attachment --------------------------------------------------
     def attach_serving(self, runtime: "ServingRuntime") -> None:

@@ -22,8 +22,8 @@ never ``+= interval``) so thousand-scrape runs do not accrue float error —
 the same lesson the heartbeat wheel learned in PR 7.
 
 Idle gaps are bounded: if the kernel sleeps across more than
-``catchup_limit`` grid points, only the most recent ones are sampled and
-the rest are counted in :attr:`Scraper.samples_skipped` (the step-function
+``catchup_limit`` grid points, only the first ``catchup_limit`` are sampled
+and the rest are counted in :attr:`Scraper.samples_skipped` (the step-function
 values in a gap are all equal anyway; only counters pulled mid-gap would
 have been interesting, and nothing changes them while no events run).
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from itertools import islice
+from math import isinf, nan
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .instruments import LabelSet, TelemetryRegistry
@@ -86,6 +87,23 @@ class RingSeries:
         """The last ``n`` sample values (oldest first), in O(n)."""
         values = self.values
         return [values[i] for i in range(-min(n, len(values)), 0)]
+
+    def time_weighted_mean(self, until: Optional[float] = None) -> float:
+        """Mean of the step function from the first sample to ``until``
+        (the last sample by default); 0.0 on an empty ring."""
+        times, values = self.times, self.values
+        if not times:
+            return 0.0
+        end = times[-1] if until is None else until
+        total = 0.0
+        for t0, t1, value in zip(times, islice(times, 1, None), values):
+            t1 = min(t1, end)
+            if t1 > t0:
+                total += value * (t1 - t0)
+        if end > times[-1]:
+            total += values[-1] * (end - times[-1])
+        span = end - times[0]
+        return total / span if span > 0 else values[-1]
 
     def to_dict(self, digits: int = 6) -> dict:
         return {"t": [round(t, digits) for t in self.times],
@@ -145,7 +163,7 @@ class Scraper:
         if self._installed:
             if self.env.sampler is self._hook:
                 self.env.sampler = None
-                self.env.sample_next = float("inf")
+                self.env.sample_next = nan
             self._installed = False
 
     # -- sampling -----------------------------------------------------------
@@ -162,12 +180,18 @@ class Scraper:
             emitted += 1
             due = self._next_due()
         if due <= when:
-            # Idle gap longer than the catch-up budget: skip forward so the
-            # next samples stay on the grid.
-            skipped = int((when - due) // self.interval_s) + 1
-            self.samples_skipped += skipped
-            self._k += skipped
-            due = self._next_due()
+            if isinf(when):
+                # Popped at the end of time (``run(until=inf)``): the rest
+                # of the gap never ends, so it is not counted, and a NaN
+                # due point stops the kernel from calling back.
+                due = nan
+            else:
+                # Idle gap longer than the catch-up budget: skip forward so
+                # the next samples stay on the grid.
+                skipped = int((when - due) // self.interval_s) + 1
+                self.samples_skipped += skipped
+                self._k += skipped
+                due = self._next_due()
         self._next_t = due
         if self._installed:
             self.env.sample_next = due
@@ -208,8 +232,11 @@ class Scraper:
             hook(t)
 
     def final_scrape(self) -> None:
-        """One closing sample at the current sim time (end of run)."""
+        """One closing sample at the current sim time (end of run); none
+        after ``run(until=inf)``, whose clock stops at ``inf``."""
         now = self.env.now
+        if isinf(now):
+            return
         for ring in self._series.values():
             if ring.times and ring.times[-1] >= now:
                 return

@@ -535,7 +535,3 @@ class AMContext:
 
     def node(self, node_id: str):
         return self.rm.topology.node(node_id)
-
-    @property
-    def local_node(self):
-        return self.rm.topology.node(self.node_id)

@@ -14,7 +14,7 @@ The stock :class:`CapacityScheduler` reproduces the behaviour the paper's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .records import Container, ContainerRequest, NodeState
 
@@ -88,12 +88,18 @@ class SchedulerBase:
 
     # -- helpers ----------------------------------------------------------------
     def _grant(self, pending: PendingAsk, node: NodeState,
-               memory_only: bool = False) -> Container:
+               memory_only: bool = False, tag: Any = None) -> Container:
+        """Allocate ``pending`` on ``node`` and record the grant.
+
+        ``tag`` binds the container to one task (D+ passes the ask's tag);
+        stock schedulers leave it ``None``, as the AM's requeue expects.
+        """
         container = Container(
             container_id=self.rm.next_container_id(),
             node_id=node.node_id,
             resource=pending.request.resource,
             app_id=pending.app_id,
+            tag=tag,
         )
         node.allocate(pending.request.resource, memory_only=memory_only)
         tracer = self.rm.env.tracer

@@ -1,4 +1,4 @@
-"""Tests for the cluster utilization monitor and streaming percentiles."""
+"""Tests for cluster utilization sampling and streaming percentiles."""
 
 import json
 import math
@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import a3_cluster
+from repro.config import TelemetryConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
+from repro.experiments.figures import wordcount_input
 from repro.mapreduce import SimJobSpec
-from repro.metrics import (
-    ClusterMonitor,
-    StreamingPercentile,
-    StreamingSummary,
-    exact_percentile,
-)
+from repro.metrics import StreamingPercentile, StreamingSummary, exact_percentile
+from repro.telemetry import Scraper, TelemetryRegistry, install_telemetry
 from repro.workloads import WORDCOUNT_PROFILE
 
 
@@ -25,85 +22,53 @@ def wc_spec(cluster, n=8, mb=10.0):
     return SimJobSpec("wordcount", tuple(paths), WORDCOUNT_PROFILE)
 
 
+def sampled(cluster, run):
+    """Telemetry on ``cluster`` every 0.5 simulated seconds around
+    ``run(cluster)``; returns the finished facade."""
+    telemetry = install_telemetry(cluster, TelemetryConfig(
+        scrape_interval_s=0.5, node_probe_interval_s=0.5, alerts=False))
+    run(cluster)
+    telemetry.finish()
+    return telemetry
+
+
 def test_monitor_validation():
     cluster = build_stock_cluster(a3_cluster(2))
     with pytest.raises(ValueError):
-        ClusterMonitor(cluster, interval_s=0)
+        Scraper(cluster.env, TelemetryRegistry(), interval_s=0, retention=8)
 
 
 def test_monitor_samples_cpu_during_job():
-    cluster = build_stock_cluster(a3_cluster(4))
-    monitor = ClusterMonitor(cluster, interval_s=0.5)
-    monitor.start()
-    run_stock_job(cluster, wc_spec(cluster), "distributed")
-    monitor.stop()
-    cpu = monitor.series("cpu:cluster")
-    assert cpu.max() > 0.1            # maps actually burned CPU
+    telemetry = sampled(build_stock_cluster(a3_cluster(4)),
+                        lambda c: run_stock_job(c, wc_spec(c), "distributed"))
+    cpu = telemetry.series("cluster_cpu_utilization")
+    assert max(cpu.values) > 0.1      # maps actually burned CPU
     assert len(cpu) > 10
-
-
-def test_monitor_double_start_rejected():
-    cluster = build_stock_cluster(a3_cluster(2))
-    monitor = ClusterMonitor(cluster)
-    monitor.start()
-    with pytest.raises(RuntimeError):
-        monitor.start()
-    monitor.stop()
 
 
 def test_imbalance_higher_for_stock_packing_than_dplus():
     """The paper's Figure-2 pathology, made measurable: greedy packing
-    concentrates CPU on one node; D+ spreads it."""
-    stock = build_stock_cluster(a3_cluster(4))
-    sm = ClusterMonitor(stock, interval_s=0.5)
-    sm.start()
-    run_stock_job(stock, wc_spec(stock), "distributed")
-    sm.stop()
-
-    mrapid = build_mrapid_cluster(a3_cluster(4))
-    mm = ClusterMonitor(mrapid, interval_s=0.5)
-    mm.start()
-    run_short_job(mrapid, wc_spec(mrapid), "dplus")
-    mm.stop()
-
-    stock_summary = sm.summary()
-    dplus_summary = mm.summary()
-    assert stock_summary.cpu_imbalance_index > dplus_summary.cpu_imbalance_index
-
-
-def test_summary_stringifies():
-    cluster = build_stock_cluster(a3_cluster(2))
-    monitor = ClusterMonitor(cluster, interval_s=0.5)
-    monitor.start()
-    run_stock_job(cluster, wc_spec(cluster, 2), "uber")
-    monitor.stop()
-    text = str(monitor.summary())
-    assert "cpu mean" in text and "imbalance" in text
+    concentrates CPU on one node; D+ spreads it. Checked at every
+    Figure E2 point."""
+    for n_files in (4, 8, 16):
+        job = wordcount_input(n_files, 10.0)
+        stock = sampled(build_stock_cluster(a3_cluster(4)),
+                        lambda c: run_stock_job(c, job(c), "distributed"))
+        dplus = sampled(build_mrapid_cluster(a3_cluster(4)),
+                        lambda c: run_short_job(c, job(c), "dplus"))
+        stock_index = stock.series("cluster_cpu_imbalance").time_weighted_mean()
+        dplus_index = dplus.series("cluster_cpu_imbalance").time_weighted_mean()
+        assert stock_index > dplus_index, n_files
 
 
 def test_disk_imbalance_recorded_and_summarized():
-    """Greedy stock packing piles disk ops on one node too; the summary
-    surfaces it as disk_imbalance_index alongside the CPU index."""
-    cluster = build_stock_cluster(a3_cluster(4))
-    monitor = ClusterMonitor(cluster, interval_s=0.5)
-    monitor.start()
-    run_stock_job(cluster, wc_spec(cluster), "distributed")
-    monitor.stop()
-    assert len(monitor.series("disk:imbalance")) > 0
-    summary = monitor.summary()
-    assert summary.disk_imbalance_index > 0.0
-    assert "disk" in str(summary)
-
-
-def test_per_node_series_recorded():
-    cluster = build_stock_cluster(a3_cluster(3))
-    monitor = ClusterMonitor(cluster, interval_s=0.5)
-    monitor.start()
-    run_stock_job(cluster, wc_spec(cluster, 3), "distributed")
-    monitor.stop()
-    for node in cluster.datanodes:
-        assert len(monitor.series(f"cpu:{node.node_id}")) > 0
-        assert len(monitor.series(f"disk_ops:{node.node_id}")) > 0
+    """Greedy stock packing piles disk ops on one node too; telemetry
+    samples it as ``cluster_disk_imbalance`` beside the CPU index."""
+    telemetry = sampled(build_stock_cluster(a3_cluster(4)),
+                        lambda c: run_stock_job(c, wc_spec(c), "distributed"))
+    disk = telemetry.series("cluster_disk_imbalance")
+    assert len(disk) > 0
+    assert disk.time_weighted_mean() > 0.0
 
 
 # -- streaming (P2) percentiles: differential against the exact reference ---------

@@ -1,4 +1,4 @@
-"""Tests for instrumentation (TimeSeries/EventLog), config, and calibration."""
+"""Tests for instrumentation (RingSeries/EventLog), config, and calibration."""
 
 import pytest
 
@@ -12,53 +12,41 @@ from repro.config import (
     a2_cluster,
     a3_cluster,
 )
-from repro.simulation import Environment, EventLog, GaugeSet, TimeSeries
+from repro.simulation import EventLog
+from repro.telemetry import RingSeries
 
 
-# -- TimeSeries ----------------------------------------------------------------
+# -- RingSeries ----------------------------------------------------------------
+
+def ring(*samples, maxlen=16):
+    series = RingSeries("gauge", (), maxlen)
+    for t, v in samples:
+        series.times.append(t)
+        series.values.append(v)
+    return series
+
 
 def test_timeseries_step_queries():
-    ts = TimeSeries("gauge")
-    ts.record(0.0, 1.0)
-    ts.record(5.0, 3.0)
-    ts.record(10.0, 2.0)
-    assert ts.at(-1.0) is None
-    assert ts.at(0.0) == 1.0
-    assert ts.at(7.5) == 3.0
-    assert ts.at(100.0) == 2.0
-    assert ts.max() == 3.0
+    ts = ring((0.0, 1.0), (5.0, 3.0), (10.0, 2.0))
+    assert ts.value_at_or_before(-1.0) is None
+    assert ts.value_at_or_before(0.0) == 1.0
+    assert ts.value_at_or_before(7.5) == 3.0
+    assert ts.value_at_or_before(100.0) == 2.0
+    assert max(ts.values) == 3.0
     assert len(ts) == 3
 
 
-def test_timeseries_rejects_time_travel():
-    ts = TimeSeries()
-    ts.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        ts.record(4.0, 1.0)
-
-
 def test_timeseries_time_weighted_mean():
-    ts = TimeSeries()
-    ts.record(0.0, 0.0)
-    ts.record(10.0, 10.0)
+    ts = ring((0.0, 0.0), (10.0, 10.0))
     # 0 for 10s then 10 for 10s = mean 5 over [0, 20].
     assert ts.time_weighted_mean(until=20.0) == pytest.approx(5.0)
-    assert TimeSeries().time_weighted_mean() == 0.0
-
-
-def test_gauge_set_records_at_sim_time():
-    env = Environment()
-    gauges = GaugeSet(env)
-
-    def proc(env):
-        gauges.record("load", 1.0)
-        yield env.timeout(3.0)
-        gauges.record("load", 2.0)
-
-    env.process(proc(env))
-    env.run()
-    series = gauges.gauge("load")
-    assert series.times == [0.0, 3.0]
+    # By default the mean ends at the last sample.
+    assert ts.time_weighted_mean() == pytest.approx(0.0)
+    # ``until`` inside the series truncates the last step that spans it.
+    assert ring((0.0, 2.0), (4.0, 6.0), (8.0, 0.0)).time_weighted_mean(
+        until=6.0) == pytest.approx((2.0 * 4 + 6.0 * 2) / 6)
+    assert ring((3.0, 7.0)).time_weighted_mean() == 7.0
+    assert ring().time_weighted_mean() == 0.0
 
 
 # -- EventLog -------------------------------------------------------------------

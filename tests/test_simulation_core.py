@@ -58,6 +58,23 @@ def test_run_until_time_stops_early():
     assert env.now == 3.5
 
 
+def test_run_until_inf_without_a_sampler():
+    """The stop entry sits at ``inf``; popping it must not call the empty
+    telemetry sampler slot."""
+    env = Environment()
+    log = []
+
+    def proc(env):
+        yield env.timeout(2)
+        log.append(env.now)
+
+    env.process(proc(env))
+    env.run(until=float("inf"))
+    assert log == [2]
+    assert env.now == float("inf")
+    assert env.events_processed == 4  # init, timeout, process end, stop
+
+
 def test_run_until_past_time_rejected():
     env = Environment(initial_time=10)
     with pytest.raises(ValueError):

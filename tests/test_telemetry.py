@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 
 from repro.config import (HadoopConfig, ServingConfig, TelemetryConfig,
                           a3_cluster)
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job
+from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.metrics import exact_percentile
+from repro.observe import install_tracer
 from repro.simulation import Environment
 from repro.telemetry import (AlertEngine, BurnRateRule, QueueSaturationRule,
                              RingSeries, Scraper, TelemetryRegistry,
-                             parse_openmetrics, render_jsonl,
-                             render_openmetrics)
+                             install_telemetry, parse_openmetrics,
+                             render_jsonl, render_openmetrics)
 from repro.telemetry.instruments import DEFAULT_BUCKETS, Histogram
 from repro.trace import (build_trace_cluster, default_serving_mix,
                          poisson_trace, replay_load, run_load)
+from repro.workloads import WORDCOUNT_PROFILE
 
 
 # -- instruments ---------------------------------------------------------------
@@ -635,6 +639,39 @@ def test_finish_releases_kernel_sampler_slot():
                       interval_s=1.0, retention=8)
     scraper.install()
     scraper.uninstall()
+
+
+def test_run_until_inf_with_telemetry_takes_no_sample_at_inf():
+    """The stop entry at ``inf`` crosses an unbounded scrape gap: the
+    scraper samples the first ``catchup_limit`` grid points of it and then
+    stops, and the closing scrape does not stamp a sample at ``inf``."""
+    cluster = build_stock_cluster(a3_cluster(2))
+    telemetry = install_telemetry(cluster, TelemetryConfig())
+    spec = SimJobSpec("wc", tuple(cluster.load_input_files("/wc", 2, 10.0)),
+                      WORDCOUNT_PROFILE)
+    done = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
+    cluster.env.run(until=float("inf"))
+    assert done.triggered
+    telemetry.finish()
+    kernel_events = telemetry.series("kernel_events")
+    assert all(math.isfinite(t) for t in kernel_events.times)
+    assert len(kernel_events) == telemetry.scraper.scrapes_done
+    assert cluster.env.sampler is None
+
+
+def test_dplus_grants_feed_the_grant_delay_histogram():
+    """D+ grants go through ``SchedulerBase._grant`` like stock ones, so
+    every grant the tracer counts is also a ``scheduler_grant_delay``
+    observation."""
+    cluster = build_mrapid_cluster(a3_cluster(4))
+    telemetry = install_telemetry(cluster, TelemetryConfig())
+    tracer = install_tracer(cluster)
+    spec = SimJobSpec("wc", tuple(cluster.load_input_files("/wc", 8, 10.0)),
+                      WORDCOUNT_PROFILE)
+    run_short_job(cluster, spec, "dplus")
+    grants = tracer.metrics.counter("scheduler:grants")
+    assert grants > 0
+    assert telemetry.grant_delay.count == grants
 
 
 def test_run_load_records_scheduler_histograms():
