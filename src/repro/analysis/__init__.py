@@ -2,14 +2,14 @@
 
 ``repro.analysis`` is an AST-based checker framework that enforces the
 invariants the simulator's correctness rests on but no off-the-shelf
-linter can see. The MR1xx family checks one file at a time:
+linter can see. Every rule runs once over a project-wide symbol table
+and call graph (:mod:`repro.analysis.callgraph`); the MR1xx rules read
+one file at a time, the MR2xx rules follow values and calls across
+functions, some through a forward taint engine
+(:mod:`repro.analysis.dataflow`):
 
-* **MR101 kernel-protocol** — simulation processes must yield real
-  :class:`~repro.simulation.events.Event` objects, and kernel callbacks
-  must never re-enter ``Environment.step``/``run``.
 * **MR102 determinism** — no wall-clock time, no unseeded module-level
-  ``random``, no ``id()`` as a sort/dict key, no iteration over sets in
-  scheduling/placement code.
+  ``random``, no ``id()`` as a sort/dict key in model code.
 * **MR103 tracer-guard** — every span/metrics call in a hot path must be
   guarded by a ``tracer is not None`` check ("zero overhead when
   disabled").
@@ -18,16 +18,13 @@ linter can see. The MR1xx family checks one file at a time:
 * **MR105 cross-run state** — no module-level mutable counters or caches
   that survive between :class:`~repro.simulation.core.Environment`
   instances.
-
-The MR2xx family is **whole-program**: a project-wide symbol table and
-call graph (:mod:`repro.analysis.callgraph`) plus a forward taint engine
-(:mod:`repro.analysis.dataflow`) close the single-function blind spots:
-
-* **MR201 interproc-determinism** — hash-ordered collections and
-  process-dependent scalars flowing through helper calls into
-  scheduling decisions.
-* **MR202 kernel-escape** — non-event yields and callback re-entry
-  hidden behind helper functions.
+* **MR201 scheduling-determinism** — hash-ordered collections and
+  process-dependent scalars flowing into scheduling decisions, in the
+  same function or through helper calls.
+* **MR202 kernel-protocol** — simulation processes must yield real
+  :class:`~repro.simulation.events.Event` objects, and kernel callbacks
+  must never re-enter ``Environment.step``/``run``, directly or through
+  helpers.
 * **MR203 resource-typestate** — acquire/release pairs (tracer spans,
   fabric flows, wheel memberships, the kernel sampler slot, container
   grants) leaked on early-return or error paths.
@@ -52,7 +49,6 @@ from __future__ import annotations
 # The rule modules register themselves on import.
 from . import (  # noqa: F401
     rules_determinism,
-    rules_escape,
     rules_kernel,
     rules_state,
     rules_taint,
@@ -63,14 +59,7 @@ from . import (  # noqa: F401
 from .baseline import Baseline
 from .callgraph import Project, build_project
 from .findings import Finding
-from .registry import (
-    ModuleSource,
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    rule_catalog,
-)
+from .registry import ModuleSource, Rule, all_rules, rule_catalog
 from .runner import AnalysisResult, analyze_paths, main
 
 __all__ = [
@@ -79,9 +68,7 @@ __all__ = [
     "Finding",
     "ModuleSource",
     "Project",
-    "ProjectRule",
     "Rule",
-    "all_project_rules",
     "all_rules",
     "analyze_paths",
     "build_project",

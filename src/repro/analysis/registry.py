@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Type
+from typing import TYPE_CHECKING, Iterator, Type
 
 from .findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import Project
 
 #: Packages/files that form the discrete-event *model*: code that runs
 #: inside a simulation and therefore must obey the kernel protocol and
@@ -24,8 +27,8 @@ SIM_SCOPE: tuple[str, ...] = (
     "simcluster.py",
 )
 
-#: Subset whose set/dict iteration feeds scheduling or placement
-#: decisions (MR102): container grants, node choice, flow allocation.
+#: Subset whose iteration order and branch decisions feed scheduling or
+#: placement (MR201): container grants, node choice, flow allocation.
 SCHEDULING_SCOPE: tuple[str, ...] = (
     "yarn/",
     "core/",
@@ -86,46 +89,22 @@ class ModuleSource:
 
 
 class Rule:
-    """One named check with a stable code.
+    """One named check with a stable code, run once over the :class:`Project`.
 
     Subclasses set ``code``/``name``/``rationale`` and implement
-    :meth:`check`, yielding :class:`Finding` objects. A rule must be
-    **pure**: same source in, same findings out — the baseline and CI
-    depend on it.
-    """
-
-    code: str = ""
-    name: str = ""
-    rationale: str = ""
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(self, module: ModuleSource, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            path=module.rel,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            code=self.code,
-            message=message,
-        )
-
-
-class ProjectRule:
-    """A whole-program check run once over the :class:`Project`.
-
-    Unlike :class:`Rule`, which sees one file at a time, a project rule
-    gets the full symbol table / call graph / taint summaries built by
+    :meth:`check`, yielding :class:`Finding` objects. A file-local rule
+    iterates ``project.modules``; a whole-program rule reads the symbol
+    table, call graph and taint summaries built by
     :mod:`repro.analysis.callgraph` and :mod:`repro.analysis.dataflow`.
-    The MR2xx family lives here. Same purity contract as :class:`Rule`.
+    A rule must be **pure**: same source in, same findings out — the
+    baseline and CI depend on it.
     """
 
     code: str = ""
     name: str = ""
     rationale: str = ""
 
-    def check_project(self, project: "object") -> Iterator[Finding]:
-        """``project`` is a :class:`repro.analysis.callgraph.Project`."""
+    def check(self, project: "Project") -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(self, rel: str, node: ast.AST, message: str) -> Finding:
@@ -139,49 +118,27 @@ class ProjectRule:
 
 
 _RULES: dict[str, Type[Rule]] = {}
-_PROJECT_RULES: dict[str, Type[ProjectRule]] = {}
 
 
 def register(rule_cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the registry (import-time only)."""
     if not rule_cls.code:
         raise ValueError(f"{rule_cls.__name__} has no code")
-    if rule_cls.code in _RULES or rule_cls.code in _PROJECT_RULES:
+    if rule_cls.code in _RULES:
         raise ValueError(f"duplicate rule code {rule_cls.code}")
     _RULES[rule_cls.code] = rule_cls
     return rule_cls
 
 
-def register_project(rule_cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    if not rule_cls.code:
-        raise ValueError(f"{rule_cls.__name__} has no code")
-    if rule_cls.code in _RULES or rule_cls.code in _PROJECT_RULES:
-        raise ValueError(f"duplicate rule code {rule_cls.code}")
-    _PROJECT_RULES[rule_cls.code] = rule_cls
-    return rule_cls
-
-
 def all_rules() -> list[Rule]:
-    """Fresh instances of every registered per-file rule, in code order."""
+    """Fresh instances of every registered rule, in code order."""
     return [_RULES[code]() for code in sorted(_RULES)]
 
 
-def all_project_rules() -> list[ProjectRule]:
-    """Fresh instances of every registered project rule, in code order."""
-    return [_PROJECT_RULES[code]() for code in sorted(_PROJECT_RULES)]
-
-
 def rule_catalog() -> dict[str, dict[str, str]]:
-    per_file = {
-        code: {"name": cls.name, "rationale": cls.rationale}
-        for code, cls in _RULES.items()
-    }
-    project = {
-        code: {"name": cls.name, "rationale": cls.rationale}
-        for code, cls in _PROJECT_RULES.items()
-    }
-    return dict(sorted({**per_file, **project}.items()))
+    return {code: {"name": _RULES[code].name,
+                   "rationale": _RULES[code].rationale}
+            for code in sorted(_RULES)}
 
 
 # -- shared AST helpers used by several rules ------------------------------
@@ -230,5 +187,3 @@ def own_statements(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast
 
     yield from _walk(func.body)
 
-
-MakeRule = Callable[[], Rule]

@@ -2,8 +2,8 @@
 
 Every figure and benchmark in this repository relies on runs being
 bit-identical given the same seed (the parallel sweep literally asserts
-byte-identical output, see ``repro.experiments.parallel``). Four classes
-of code break that silently:
+byte-identical output, see ``repro.experiments.parallel``). Three
+sources break that silently anywhere in model code:
 
 * wall-clock reads (``time.time``/``datetime.now``/``perf_counter``) in
   model code — simulated time is ``env.now``, never the host clock;
@@ -11,28 +11,28 @@ of code break that silently:
   RNG, whose state depends on import order and prior runs; model code
   must use a seeded ``random.Random(seed)`` instance;
 * ``id()`` used as a sort key or dict/set key — CPython addresses vary
-  per process and allocation history;
-* iteration over a ``set`` in scheduling/placement code — set order
-  depends on ``PYTHONHASHSEED`` and insertion history; wrap in
-  ``sorted(...)`` or key the collection on a sequence number (see
-  ``SharedFabric``).
+  per process and allocation history.
+
+Hash-ordered iteration is a *flow* into a scheduling decision, not a
+source, so it is MR201's (:mod:`repro.analysis.rules_taint`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .findings import Finding
 from .registry import (
-    SCHEDULING_SCOPE,
     WALL_CLOCK_EXEMPT,
     ModuleSource,
     Rule,
     attribute_chain,
     register,
-    unparse,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import Project
 
 WALL_CLOCK_CALLS = {
     ("time", "time"),
@@ -54,28 +54,20 @@ GLOBAL_RANDOM_FUNCS = frozenset({
 })
 
 
-def _is_set_expr(node: ast.expr, set_names: set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")):
-        return True
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return True
-    return False
-
-
 @register
 class DeterminismRule(Rule):
     code = "MR102"
     name = "determinism"
     rationale = (
         "Runs must be bit-deterministic for a given seed: no wall clock, "
-        "no process-global RNG, no id()-keyed ordering, no set iteration "
-        "in scheduling/placement decisions."
+        "no process-global RNG, no id()-keyed ordering in model code."
     )
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
+    def check(self, project: "Project") -> Iterator[Finding]:
+        for module in project.modules:
+            yield from self._check_module(module)
+
+    def _check_module(self, module: ModuleSource) -> Iterator[Finding]:
         random_imports = self._random_imports(module.tree)
         wall_clock_ok = module.in_scope(WALL_CLOCK_EXEMPT)
         for node in ast.walk(module.tree):
@@ -90,10 +82,8 @@ class DeterminismRule(Rule):
                 for key in node.keys:
                     if key is not None and self._is_id_call(key):
                         yield self.finding(
-                            module, key, "id() used as a dict key — addresses "
-                            "are not stable across runs")
-        if module.in_scope(SCHEDULING_SCOPE):
-            yield from self._check_set_iteration(module)
+                            module.rel, key, "id() used as a dict key — "
+                            "addresses are not stable across runs")
 
     # -- wall clock --------------------------------------------------------
     def _check_wall_clock(self, module: ModuleSource, node: ast.Call) -> Iterator[Finding]:
@@ -103,7 +93,7 @@ class DeterminismRule(Rule):
         pair = (chain[-2], chain[-1])
         if pair in WALL_CLOCK_CALLS:
             yield self.finding(
-                module, node,
+                module.rel, node,
                 f"wall-clock read `{'.'.join(chain)}()` in model code — use "
                 f"`env.now` (simulated seconds)")
 
@@ -127,12 +117,12 @@ class DeterminismRule(Rule):
                 and func.value.id == "random"
                 and func.attr in GLOBAL_RANDOM_FUNCS):
             yield self.finding(
-                module, node,
+                module.rel, node,
                 f"process-global `random.{func.attr}()` — use a seeded "
                 f"`random.Random(seed)` instance")
         elif isinstance(func, ast.Name) and func.id in imported:
             yield self.finding(
-                module, node,
+                module.rel, node,
                 f"process-global `{func.id}()` (from random import) — use a "
                 f"seeded `random.Random(seed)` instance")
 
@@ -149,50 +139,17 @@ class DeterminismRule(Rule):
             value = kw.value
             if isinstance(value, ast.Name) and value.id == "id":
                 yield self.finding(
-                    module, kw.value, "`key=id` sorts by memory address — "
+                    module.rel, kw.value, "`key=id` sorts by memory address — "
                     "not stable across runs")
             elif isinstance(value, ast.Lambda) and any(
                     self._is_id_call(n) for n in ast.walk(value.body)):
                 yield self.finding(
-                    module, kw.value, "sort key computed from id() — memory "
+                    module.rel, kw.value, "sort key computed from id() — memory "
                     "addresses are not stable across runs")
 
     def _check_id_subscript(self, module: ModuleSource,
                             node: ast.Subscript) -> Iterator[Finding]:
         if self._is_id_call(node.slice):
             yield self.finding(
-                module, node, "id() used as a mapping key — addresses are "
+                module.rel, node, "id() used as a mapping key — addresses are "
                 "not stable across runs")
-
-    # -- set iteration in scheduling code ----------------------------------
-    def _check_set_iteration(self, module: ModuleSource) -> Iterator[Finding]:
-        for func in [n for n in ast.walk(module.tree)
-                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]:
-            set_names: set[str] = set()
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name):
-                        if _is_set_expr(node.value, set_names):
-                            set_names.add(target.id)
-                        else:
-                            set_names.discard(target.id)
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    ann = unparse(node.annotation)
-                    if ann.startswith(("set[", "Set[", "set", "frozenset")):
-                        set_names.add(node.target.id)
-            for node in ast.walk(func):
-                iters: list[ast.expr] = []
-                if isinstance(node, ast.For):
-                    iters.append(node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                       ast.GeneratorExp)):
-                    iters.extend(gen.iter for gen in node.generators)
-                for it in iters:
-                    if _is_set_expr(it, set_names):
-                        yield self.finding(
-                            module, it,
-                            f"iteration over set `{unparse(it)}` in "
-                            f"scheduling/placement code — order depends on "
-                            f"PYTHONHASHSEED; sort it or key on a sequence "
-                            f"number")

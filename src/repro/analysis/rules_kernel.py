@@ -1,4 +1,4 @@
-"""MR101: the discrete-event kernel protocol.
+"""MR202: the discrete-event kernel protocol.
 
 A simulation process is a generator resumed by the kernel each time the
 event it yielded fires. Yielding anything that is not an
@@ -8,12 +8,32 @@ still a bug at the yield site). Separately, a kernel *callback* — a
 function appended to ``event.callbacks`` — runs inside
 ``Environment.step``; calling ``step()``/``run()`` from one re-enters the
 dispatch loop and corrupts the clock.
+
+The rule catches both whether the offending expression sits in the
+function itself or behind helper calls:
+
+    def _pause(self):
+        return self.delay * 2            # a float, not an Event
+
+    def body(self):
+        yield self._pause()              # hangs/fails the process
+
+    def on_done(event):
+        _drain(env)                      # -> env.run() inside a callback
+
+It classifies every function's return as event / not-event / unknown (to
+a fixpoint through call chains), flags ``yield helper()`` where every
+resolved target definitely cannot return an Event, and walks call edges
+out of callback-registered functions to find re-entries into the
+dispatch loop. The project call graph indexes only module-level
+functions and methods, so functions nested in another (a ``fire``
+callback defined inside ``arm``) get the same-function checks only.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .findings import Finding
 from .registry import (
@@ -27,6 +47,9 @@ from .registry import (
     walk_functions,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import ClassInfo, FunctionInfo, Project
+
 AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: ``Environment`` methods that *create* events; yielding the bound
@@ -36,6 +59,17 @@ EVENT_FACTORIES = frozenset({"timeout", "event", "process", "all_of", "any_of"})
 #: Attribute/call names whose result is an Event in this codebase.
 EVENTISH_ATTRS = frozenset({"done", "finished", "am_started", "ready"})
 EVENTISH_CALLS = EVENT_FACTORIES | frozenset({"request", "get", "put"})
+
+#: What a function's return value can be, as far as ``yield`` cares.
+EVENT = "EVENT"
+NOT_EVENT = "NOT_EVENT"
+UNKNOWN = "UNKNOWN"
+
+#: Where the kernel's Event hierarchy lives.
+_EVENTS_MODULE = "simulation/events.py"
+
+#: How many call edges to follow out of a callback before giving up.
+_REENTRY_DEPTH = 5
 
 
 def _is_eventish(node: ast.expr) -> bool:
@@ -69,10 +103,6 @@ def _definitely_not_event(node: Optional[ast.expr]) -> bool:
     if isinstance(node, ast.UnaryOp):
         return _definitely_not_event(node.operand)
     return False
-
-
-def _own_yields(func: AnyFunc) -> list[ast.Yield]:
-    return [n for n in own_statements(func) if isinstance(n, ast.Yield)]
 
 
 def _callback_names(tree: ast.Module) -> set[str]:
@@ -123,30 +153,142 @@ def _is_env_receiver(node: ast.expr) -> bool:
     return False
 
 
+def _class_is_eventish(project: "Project", cls: "ClassInfo",
+                       _seen: Optional[set[str]] = None) -> bool:
+    """Is this class the kernel Event type or derived from it?"""
+    seen = _seen or set()
+    if cls.qname in seen:
+        return False
+    seen.add(cls.qname)
+    if cls.module.rel == _EVENTS_MODULE:
+        return True
+    if cls.name == "Event":
+        return True
+    for base_name in cls.base_names:
+        base = project._class_by_local_name(cls.module.rel, base_name)
+        if base is not None and _class_is_eventish(project, base, seen):
+            return True
+    return False
+
+
+def classify_returns(project: "Project",
+                     max_passes: int = 4) -> dict[str, str]:
+    """EVENT / NOT_EVENT / UNKNOWN for every project function's return.
+
+    A *generator* function is NOT_EVENT by definition: calling it returns
+    a generator object, which the kernel rejects at a ``yield`` (the fix
+    is ``yield from`` or ``env.process(...)``). A function whose every
+    ``return`` is statically a non-event — or that never returns a value
+    at all — is NOT_EVENT. Anything event-looking anywhere makes it
+    EVENT; mixtures and unresolvable calls stay UNKNOWN (never flagged).
+    """
+    kinds: dict[str, str] = {}
+    for qname, info in project.functions.items():
+        kinds[qname] = NOT_EVENT if info.is_generator else UNKNOWN
+
+    for _ in range(max_passes):
+        changed = False
+        for qname, info in project.functions.items():
+            if info.is_generator:
+                continue
+            new = _classify_one(project, info, kinds)
+            if new != kinds[qname]:
+                kinds[qname] = new
+                changed = True
+        if not changed:
+            break
+    return kinds
+
+
+def _classify_one(project: "Project", info: "FunctionInfo",
+                  kinds: dict[str, str]) -> str:
+    returns = [n for n in own_statements(info.node)
+               if isinstance(n, ast.Return)]
+    if not returns or all(r.value is None for r in returns):
+        return NOT_EVENT
+    verdicts = []
+    for r in returns:
+        if r.value is None:
+            verdicts.append(NOT_EVENT)
+            continue
+        verdicts.append(_expr_kind(project, info, r.value, kinds))
+    if any(v == EVENT for v in verdicts):
+        return EVENT
+    if all(v == NOT_EVENT for v in verdicts):
+        return NOT_EVENT
+    return UNKNOWN
+
+
+def _expr_kind(project: "Project", info: "FunctionInfo", expr: ast.expr,
+               kinds: dict[str, str]) -> str:
+    if _is_eventish(expr):
+        return EVENT
+    if isinstance(expr, ast.Call):
+        targets = project.call_targets(info.qname, expr)
+        if targets:
+            verdicts = set()
+            for qname in targets:
+                callee = project.functions.get(qname)
+                if callee is not None and callee.name == "__init__" \
+                        and callee.cls is not None:
+                    verdicts.add(EVENT if _class_is_eventish(
+                        project, callee.cls) else NOT_EVENT)
+                else:
+                    verdicts.add(kinds.get(qname, UNKNOWN))
+            if verdicts == {EVENT}:
+                return EVENT
+            if verdicts == {NOT_EVENT}:
+                return NOT_EVENT
+            return UNKNOWN
+        return UNKNOWN
+    if _definitely_not_event(expr):
+        return NOT_EVENT
+    return UNKNOWN
+
+
+def _dispatch_calls(func: AnyFunc) -> Iterator[ast.Call]:
+    """Direct ``env.step()`` / ``env.run()`` calls inside this function."""
+    for node in own_statements(func):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("step", "run")
+                and _is_env_receiver(node.func.value)):
+            yield node
+
+
+
 @register
 class KernelProtocolRule(Rule):
-    code = "MR101"
+    code = "MR202"
     name = "kernel-protocol"
     rationale = (
         "Simulation processes must yield Event objects; a non-event yield "
         "fails (and once silently hung) the process. Kernel callbacks run "
-        "inside Environment.step and must never re-enter step()/run()."
+        "inside Environment.step and must never re-enter step()/run(), "
+        "directly or through helper calls."
     )
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_scope(SIM_SCOPE):
-            return
-        callbacks = _callback_names(module.tree)
-        for func in walk_functions(module.tree):
-            yield from self._check_yields(module, func)
-            if func.name in callbacks:
-                yield from self._check_reentry(module, func)
+    def check(self, project: "Project") -> Iterator[Finding]:
+        kinds = classify_returns(project)
+        infos = {info.node: info for info in project.functions.values()}
+        for module in project.modules:
+            if not module.in_scope(SIM_SCOPE):
+                continue
+            callbacks = _callback_names(module.tree)
+            for func in walk_functions(module.tree):
+                info = infos.get(func)
+                yield from self._check_yields(project, kinds, module, func,
+                                              info)
+                if func.name in callbacks:
+                    yield from self._check_reentry(module, func)
+                    if info is not None:
+                        yield from self._trace_reentry(project, info)
 
     # -- non-event yields --------------------------------------------------
-    def _check_yields(self, module: ModuleSource, func: AnyFunc) -> Iterator[Finding]:
-        yields = _own_yields(func)
-        if not yields:
-            return
+    def _check_yields(self, project: "Project", kinds: dict[str, str],
+                      module: ModuleSource, func: AnyFunc,
+                      info: Optional["FunctionInfo"]) -> Iterator[Finding]:
+        yields = [n for n in own_statements(func) if isinstance(n, ast.Yield)]
         # Only functions that demonstrably yield events are treated as
         # simulation processes — data-producing generators (mappers,
         # reducers, record streams) yield values by design.
@@ -155,35 +297,88 @@ class KernelProtocolRule(Rule):
         )
         for y in yields:
             value = y.value
-            if (value is not None and isinstance(value, ast.Attribute)
+            if (isinstance(value, ast.Attribute)
                     and value.attr in EVENT_FACTORIES):
                 yield self.finding(
-                    module, y,
+                    module.rel, y,
                     f"yield of uncalled event factory "
                     f"`{unparse(value)}` — missing `()`",
                 )
+            elif not is_sim_process:
                 continue
-            if is_sim_process and _definitely_not_event(value):
+            elif _definitely_not_event(value):
                 shown = "<bare yield>" if value is None else unparse(value)
                 yield self.finding(
-                    module, y,
+                    module.rel, y,
                     f"simulation process {func.name!r} yields non-event "
                     f"expression `{shown}`",
                 )
+            elif isinstance(value, ast.Call) and info is not None:
+                yield from self._check_helper_yield(project, kinds, info, y,
+                                                    value)
+
+    def _check_helper_yield(self, project: "Project", kinds: dict[str, str],
+                            info: "FunctionInfo", y: ast.Yield,
+                            call: ast.Call) -> Iterator[Finding]:
+        targets = project.call_targets(info.qname, call)
+        if not targets:
+            return
+        if {kinds.get(q, UNKNOWN) for q in targets} != {NOT_EVENT}:
+            return
+        callee = project.functions.get(targets[0])
+        hint = (" — a generator; use `yield from` or wrap in "
+                "`env.process(...)`"
+                if callee is not None and callee.is_generator else "")
+        yield self.finding(
+            info.rel, y,
+            f"simulation process {info.name!r} yields "
+            f"`{unparse(call)}`, but "
+            f"{targets[0].split('::')[-1]!r} cannot return an "
+            f"Event{hint}")
 
     # -- callback re-entry -------------------------------------------------
-    def _check_reentry(self, module: ModuleSource, func: AnyFunc) -> Iterator[Finding]:
-        for node in own_statements(func):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            if node.func.attr not in ("step", "run"):
-                continue
-            if not _is_env_receiver(node.func.value):
-                continue
+    def _check_reentry(self, module: ModuleSource,
+                       func: AnyFunc) -> Iterator[Finding]:
+        for node in _dispatch_calls(func):
             chain = attribute_chain(node.func)
             shown = ".".join(chain) if chain else unparse(node.func)
             yield self.finding(
-                module, node,
+                module.rel, node,
                 f"kernel callback {func.name!r} re-enters the dispatch loop "
                 f"via `{shown}()`",
             )
+
+    def _trace_reentry(self, project: "Project",
+                       callback: "FunctionInfo") -> Iterator[Finding]:
+        # BFS over call edges; report the *first* call site inside the
+        # callback whose transitive closure reaches env.step()/env.run().
+        for call, targets in project.callsites.get(callback.qname, ()):
+            for target in targets:
+                chain = self._reaches_dispatch(project, target, depth=1,
+                                               seen={callback.qname})
+                if chain is not None:
+                    names = " -> ".join(q.split("::")[-1] for q in chain)
+                    yield self.finding(
+                        callback.rel, call,
+                        f"kernel callback {callback.name!r} re-enters the "
+                        f"dispatch loop transitively: {names} calls "
+                        f"env.step()/env.run() while a step is already on "
+                        f"the stack")
+                    return
+
+    def _reaches_dispatch(self, project: "Project", qname: str, depth: int,
+                          seen: set[str]) -> Optional[list[str]]:
+        if qname in seen or depth > _REENTRY_DEPTH:
+            return None
+        seen.add(qname)
+        info = project.functions.get(qname)
+        if info is None:
+            return None
+        if next(_dispatch_calls(info.node), None) is not None:
+            return [qname]
+        for _, targets in project.callsites.get(qname, ()):
+            for target in targets:
+                chain = self._reaches_dispatch(project, target, depth + 1, seen)
+                if chain is not None:
+                    return [qname] + chain
+        return None

@@ -13,10 +13,13 @@ counters — once made E5 results depend on test execution order).
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .findings import Finding
 from .registry import ModuleSource, Rule, attribute_chain, register, unparse
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import Project
 
 #: Call targets that build a fresh mutable object (module scope = cache).
 MUTABLE_FACTORIES = frozenset({
@@ -60,11 +63,11 @@ class CrossRunStateRule(Rule):
         "whose lifetime matches the run."
     )
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.in_scope(EXEMPT):
-            return
-        yield from self._check_module_level(module)
-        yield from self._check_globals(module)
+    def check(self, project: "Project") -> Iterator[Finding]:
+        for module in project.modules:
+            if not module.in_scope(EXEMPT):
+                yield from self._check_module_level(module)
+                yield from self._check_globals(module)
 
     def _check_module_level(self, module: ModuleSource) -> Iterator[Finding]:
         for stmt in module.tree.body:
@@ -80,7 +83,7 @@ class CrossRunStateRule(Rule):
                 if not isinstance(target, ast.Name) or target.id == "__all__":
                     continue
                 yield self.finding(
-                    module, stmt,
+                    module.rel, stmt,
                     f"module-level mutable state `{target.id} = "
                     f"{unparse(value)}` survives between Environment "
                     f"instances — make it per-run (instance attribute or "
@@ -91,6 +94,6 @@ class CrossRunStateRule(Rule):
             if isinstance(node, ast.Global):
                 names = ", ".join(node.names)
                 yield self.finding(
-                    module, node,
+                    module.rel, node,
                     f"`global {names}` rebinds module state that persists "
                     f"across runs in the same process")

@@ -1,8 +1,9 @@
-"""MR201: interprocedural determinism taint.
+"""MR201: hash-ordered and process-dependent values in scheduling decisions.
 
-MR102 flags a ``for x in some_set`` inside scheduling code — but only
-when the set is visible in the *same function*. The moment the set hides
-behind one helper call —
+Set order depends on ``PYTHONHASHSEED`` and insertion history, so a
+scheduler that iterates a set grants containers, picks nodes or
+allocates flows in a different order on every run. The set may be built
+in the same function or hide behind any number of helper calls:
 
     def _candidates(self):
         return set(self.nodes) - self.busy      # unordered
@@ -11,11 +12,12 @@ behind one helper call —
         for node in self._candidates():          # hash-ordered iteration
             ...
 
-— MR102 goes blind. MR201 runs the :mod:`repro.analysis.dataflow` taint
-engine over the whole-program call graph and reports scheduling-scope
-sinks (iterations, sort keys, branch decisions) reached by an
-``ORDER``/``VALUE`` source through at least one call/return edge.
-Same-function flows stay MR102's, so the two rules never double-report.
+MR201 runs the :mod:`repro.analysis.dataflow` taint engine over the
+whole-program call graph and reports scheduling-scope sinks (iterations,
+sort keys, branch decisions) reached by an ``ORDER``/``VALUE`` source,
+within one function or through call/return edges. Wrap the iteration in
+``sorted(...)``, rebind the name as ``x = sorted(x)``, or key the
+collection on a sequence number (see ``SharedFabric``).
 """
 
 from __future__ import annotations
@@ -23,23 +25,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .findings import Finding
-from .registry import SCHEDULING_SCOPE, ProjectRule, register_project, unparse
+from .registry import SCHEDULING_SCOPE, Rule, register, unparse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .callgraph import Project
 
 
-@register_project
-class InterproceduralTaintRule(ProjectRule):
+@register
+class SchedulingTaintRule(Rule):
     code = "MR201"
-    name = "interproc-determinism"
+    name = "scheduling-determinism"
     rationale = (
         "Hash-ordered collections and process-dependent scalars (id/hash/"
-        "global random) must not flow through helper calls into scheduling "
-        "or placement decisions; MR102 only sees same-function uses."
+        "global random) must not flow into scheduling or placement "
+        "decisions, within one function or through helper calls."
     )
 
-    def check_project(self, project: "Project") -> Iterator[Finding]:
+    def check(self, project: "Project") -> Iterator[Finding]:
         from .dataflow import compute_summaries, iter_sinks
 
         summaries = compute_summaries(project)

@@ -14,10 +14,13 @@ allowed: "never finished" is assigned exactly, not computed.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .findings import Finding
 from .registry import ModuleSource, Rule, register, unparse
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import Project
 
 #: Terminal identifiers that denote a point on the simulated timeline.
 TIME_NAMES = frozenset({"now", "eta", "deadline"})
@@ -63,9 +66,12 @@ class FloatTimeEqualityRule(Rule):
         "identity (an assigned sentinel) decides."
     )
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.in_scope(EXEMPT):
-            return
+    def check(self, project: "Project") -> Iterator[Finding]:
+        for module in project.modules:
+            if not module.in_scope(EXEMPT):
+                yield from self._check_module(module)
+
+    def _check_module(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -82,7 +88,7 @@ class FloatTimeEqualityRule(Rule):
                 if time_side is not None:
                     symbol = "==" if isinstance(op, ast.Eq) else "!="
                     yield self.finding(
-                        module, node,
+                        module.rel, node,
                         f"`{symbol}` on simulated-time expression "
                         f"`{unparse(time_side)}` — floats accumulated from "
                         f"arithmetic need a tolerance compare")

@@ -25,10 +25,11 @@ Recognized guards::
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .findings import Finding
 from .registry import (
+    SIM_SCOPE,
     ModuleSource,
     Rule,
     attribute_chain,
@@ -37,6 +38,9 @@ from .registry import (
     walk_functions,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .callgraph import Project
+
 AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Tracer API whose call sites must be guarded.
@@ -44,22 +48,6 @@ TRACER_METHODS = frozenset({
     "span", "instant", "begin", "end", "complete", "async_complete",
     "incr", "observe", "record", "gauge",
 })
-
-#: Hot-path scope: the simulator model. The tracer's own implementation
-#: (``observe/``) and offline consumers (exporters, reports) read tracer
-#: objects they know exist.
-HOT_SCOPE = (
-    "simulation/",
-    "yarn/",
-    "cluster/",
-    "core/",
-    "mapreduce/",
-    "hdfs/",
-    "faults/",
-    "sparklite/",
-    "simcluster.py",
-)
-
 
 def _tracer_prefix(chain: Sequence[str]) -> str | None:
     """The sub-chain up to and including the ``tracer`` segment.
@@ -115,11 +103,15 @@ class TracerGuardRule(Rule):
         "attribute read and nothing else (and do not crash)."
     )
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_scope(HOT_SCOPE):
-            return
-        for func in walk_functions(module.tree):
-            yield from self._check_body(module, func.body, guards=set())
+    def check(self, project: "Project") -> Iterator[Finding]:
+        # Hot paths are the simulator model. The tracer's own implementation
+        # (``observe/``) and offline consumers (exporters, reports) read
+        # tracer objects they know exist.
+        for module in project.modules:
+            if not module.in_scope(SIM_SCOPE):
+                continue
+            for func in walk_functions(module.tree):
+                yield from self._check_body(module, func.body, guards=set())
 
     def _check_body(self, module: ModuleSource, body: list[ast.stmt],
                     guards: set[str]) -> Iterator[Finding]:
@@ -177,7 +169,7 @@ class TracerGuardRule(Rule):
                     continue
                 if prefix not in guards:
                     yield self.finding(
-                        module, node,
+                        module.rel, node,
                         f"unguarded tracer call `{'.'.join(chain)}(...)` — "
                         f"wrap in `if {prefix} is not None:` (zero overhead "
                         f"when disabled)")

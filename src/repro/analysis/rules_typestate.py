@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .findings import Finding
-from .registry import ProjectRule, register_project, unparse
+from .registry import Rule, register, unparse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .callgraph import FunctionInfo, Project
@@ -338,8 +338,8 @@ class _TypestateWalker:
         return status
 
 
-@register_project
-class ResourceTypestateRule(ProjectRule):
+@register
+class ResourceTypestateRule(Rule):
     code = "MR203"
     name = "resource-typestate"
     rationale = (
@@ -349,7 +349,7 @@ class ResourceTypestateRule(ProjectRule):
         "skews accounting and figures."
     )
 
-    def check_project(self, project: "Project") -> Iterator[Finding]:
+    def check(self, project: "Project") -> Iterator[Finding]:
         qname_map = _method_qname_map(project)
         if not qname_map:
             return

@@ -11,13 +11,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .baseline import BASELINE_NAME, Baseline
+from .callgraph import build_project
 from .findings import Finding
-from .registry import (
-    ModuleSource,
-    all_project_rules,
-    all_rules,
-    rule_catalog,
-)
+from .registry import ModuleSource, all_rules, rule_catalog
 
 
 def _package_rel(path: str) -> str:
@@ -65,7 +61,7 @@ class AnalysisResult:
     #: Baseline keys whose accepted findings no longer occur (file gone,
     #: line edited, or bug fixed) — the entry should be pruned.
     stale_baseline: list[str] = field(default_factory=list)
-    #: Call-graph size, when the whole-program rules ran.
+    #: Call-graph size.
     project_stats: dict[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
@@ -107,15 +103,13 @@ def analyze_paths(paths: Sequence[str],
     ``baseline=None`` means "no baseline": every finding is new.
     ``codes`` restricts to a subset of rule codes. ``report_only``
     filters *reported* findings to the given package-relative paths —
-    the whole-program rules still see every file (a changed caller can
-    break an invariant in an unchanged callee and vice versa), only the
-    report is scoped.
+    the rules still see every file (a changed caller can break an
+    invariant in an unchanged callee and vice versa), only the report is
+    scoped.
     """
     started = time.perf_counter()
     result = AnalysisResult()
     rules = [r for r in all_rules() if codes is None or r.code in codes]
-    project_rules = [r for r in all_project_rules()
-                     if codes is None or r.code in codes]
     modules: list[ModuleSource] = []
     for file_path in collect_files(paths):
         try:
@@ -127,18 +121,13 @@ def analyze_paths(paths: Sequence[str],
             continue
         result.files_checked += 1
         modules.append(module)
-        for rule in rules:
-            for finding in rule.check(module):
-                result.findings.append((finding, module.line_text(finding.line)))
 
-    if project_rules and modules:
-        from .callgraph import build_project
+    if rules and modules:
         project = build_project(modules)
         result.project_stats = project.stats()
-        by_rel = {m.rel: m for m in modules}
-        for project_rule in project_rules:
-            for finding in project_rule.check_project(project):
-                mod = by_rel.get(finding.path)
+        for rule in rules:
+            for finding in rule.check(project):
+                mod = project.by_rel.get(finding.path)
                 line_text = mod.line_text(finding.line) if mod else ""
                 result.findings.append((finding, line_text))
 
@@ -212,8 +201,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Domain-specific static analyzer for the MRapid "
-                    "reproduction (per-file rules MR101-MR105, "
-                    "whole-program rules MR201-MR203).")
+                    "reproduction (rules MR102-MR105 and MR201-MR203).")
     parser.add_argument("paths", nargs="*",
                         help="files/directories to check (default: src/repro)")
     parser.add_argument("--json", action="store_true", dest="as_json",

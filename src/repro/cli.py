@@ -734,9 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="domain-specific static analysis (intra-file rules MR101-MR105, "
-             "whole-program rules MR201-MR203) and the dynamic determinism "
-             "and race sanitizers")
+        help="domain-specific static analysis (rules MR102-MR105 and "
+             "MR201-MR203) and the dynamic determinism and race sanitizers")
     p.add_argument("paths", nargs="*",
                    help="files/directories to check (default: src/repro)")
     p.add_argument("--json", action="store_true",
