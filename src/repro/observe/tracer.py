@@ -77,11 +77,24 @@ class Instant:
 
 
 class MetricsRegistry:
-    """Counters and histograms keyed by name."""
+    """Counters and histograms keyed by name.
 
-    def __init__(self) -> None:
+    Given an environment, the registry also reports
+    ``kernel:events_dispatched``: the kernel's own ``events_processed``
+    minus its value when the registry was made, read whenever the
+    counters are read, so no callback runs per event.
+    """
+
+    def __init__(self, env: Optional["Environment"] = None) -> None:
         self.counters: dict[str, float] = {}
         self.histograms: dict[str, list[float]] = {}
+        self._env = env
+        self._events_at_install = env.events_processed if env is not None else 0
+
+    def _read_kernel(self) -> None:
+        if self._env is not None:
+            self.counters["kernel:events_dispatched"] = float(
+                self._env.events_processed - self._events_at_install)
 
     def incr(self, name: str, by: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + by
@@ -90,6 +103,7 @@ class MetricsRegistry:
         self.histograms.setdefault(name, []).append(float(value))
 
     def counter(self, name: str) -> float:
+        self._read_kernel()
         return self.counters.get(name, 0.0)
 
     def histogram_summary(self, name: str) -> dict[str, float]:
@@ -106,6 +120,7 @@ class MetricsRegistry:
         }
 
     def snapshot(self) -> dict[str, Any]:
+        self._read_kernel()
         return {
             "counters": dict(sorted(self.counters.items())),
             "histograms": {name: self.histogram_summary(name)
@@ -120,7 +135,7 @@ class Tracer:
         self.env = env
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(env)
         self._next_sid = 1
 
     # -- span API -----------------------------------------------------------
@@ -169,19 +184,8 @@ class Tracer:
     def closed_spans(self) -> list[Span]:
         return [s for s in self.spans if s.end is not None]
 
-    # -- kernel hook -------------------------------------------------------
-    def attach_kernel(self) -> None:
-        """Count event dispatches through the Environment's tracer hook."""
-        counters = self.metrics.counters
 
-        def on_event(_when: float, _event: Any) -> None:
-            counters["kernel:events_dispatched"] = \
-                counters.get("kernel:events_dispatched", 0.0) + 1.0
-
-        self.env.tracers.append(on_event)
-
-
-def install_tracer(cluster: "SimCluster", kernel_hook: bool = True) -> Tracer:
+def install_tracer(cluster: "SimCluster") -> Tracer:
     """Create a tracer, attach it to ``cluster``'s environment, return it.
 
     After this every instrumentation site in the simulator (kernel, RM,
@@ -190,6 +194,4 @@ def install_tracer(cluster: "SimCluster", kernel_hook: bool = True) -> Tracer:
     """
     tracer = Tracer(cluster.env)
     cluster.env.tracer = tracer
-    if kernel_hook:
-        tracer.attach_kernel()
     return tracer

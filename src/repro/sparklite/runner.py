@@ -139,12 +139,6 @@ class SparkLiteRunner:
             # Cold start: driver AM through the RM, then executor containers
             # through the scheduler, each paying the JVM launch.
             driver_started = env.event()
-
-            def driver_body(ctx) -> Generator:
-                driver_started.succeed(ctx.node_id)
-                yield env.timeout(conf.am_init_s)
-                return None
-
             app = Application(app_id=app_id, name="sparklite-driver",
                               am_resource=ResourceVector(conf.am_memory_mb,
                                                          conf.am_vcores),

@@ -50,9 +50,23 @@ def test_metrics_registry():
 
 def test_kernel_hook_counts_dispatches():
     cluster = build_stock_cluster(a3_cluster(2))
+    env = cluster.env
+
+    def ticker():
+        while True:
+            yield env.timeout(0.5)
+
+    env.process(ticker())
+    env.run(until=1.0)
+    at_install = env.events_processed
+    assert at_install > 0
     tracer = install_tracer(cluster)
-    cluster.env.run(until=5.0)
-    assert tracer.metrics.counter("kernel:events_dispatched") > 0
+    env.run(until=5.0)
+    dispatched = env.events_processed - at_install
+    assert dispatched >= 8
+    assert tracer.metrics.counter("kernel:events_dispatched") == dispatched
+    assert tracer.metrics.snapshot()["counters"][
+        "kernel:events_dispatched"] == dispatched
 
 
 def test_tracer_disabled_by_default():
