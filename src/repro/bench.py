@@ -37,12 +37,12 @@ QUICK_FIGURES = ("table2", "figure7", "figure9", "figure12")
 def bench_kernel(num_events: int = 200_000, num_procs: int = 100) -> dict:
     """Raw event-loop throughput: many concurrent timeout-driven processes.
 
-    Also samples :meth:`Environment.queue_stats` every few thousand pops to
-    report peak kernel-queue occupancy (pending entries and their spread
-    over 0.25 s slots) — the numbers the telemetry ``kernel_queue_*``
-    gauges export from a real replay. Both are exact: each process adds
-    a start and an end event to ``events_processed``, and every sample
-    sees the other ``num_procs - 1`` tickers due on one instant.
+    Also samples the kernel heap every few thousand pops to report its
+    peak ``pending`` size — the number the telemetry
+    ``kernel_queue_pending`` gauge exports from a real replay. Both are
+    exact: each process adds a start and an end event to
+    ``events_processed``, and every sample sees the other
+    ``num_procs - 1`` tickers pending.
     """
     env = Environment()
 
@@ -54,15 +54,14 @@ def bench_kernel(num_events: int = 200_000, num_procs: int = 100) -> dict:
     for _ in range(num_procs):
         env.process(ticker(env, per_proc))
 
-    peak_queue = {"pending": 0, "occupied_buckets": 0, "max_bucket_depth": 0}
+    peak_queue = {"pending": 0}
 
     def queue_probe(t, ev) -> None:
         if env.events_processed % 2000:
             return
-        stats = env.queue_stats()
-        for key in peak_queue:
-            if stats[key] > peak_queue[key]:
-                peak_queue[key] = stats[key]
+        pending = len(env._queue)
+        if pending > peak_queue["pending"]:
+            peak_queue["pending"] = pending
 
     env.tracers.append(queue_probe)
     start = time.perf_counter()

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
-from math import inf, nan
+from math import nan
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
@@ -17,11 +16,6 @@ from .events import NORMAL, AllOf, AnyOf, Event, Process, Timeout
 Tie = Union[int, tuple[int, int]]
 #: One kernel queue entry: ``(time, priority, tie-break, event)``.
 QueueEntry = tuple[float, int, Tie, Event]
-
-#: Width of the occupancy gauges' time slots, in simulated seconds.
-STATS_SLOT_S = 0.25
-#: Times at or beyond this horizon (``inf`` included) share one slot.
-FAR_HORIZON = 1e18
 
 
 class Environment:
@@ -117,24 +111,6 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def queue_stats(self) -> dict[str, int]:
-        """Occupancy snapshot for the telemetry/bench kernel gauges.
-
-        O(pending): the pending times are binned into 0.25 s slots, with
-        every time at or beyond :data:`FAR_HORIZON` in one shared slot, so
-        the ``kernel_queue_*`` gauges keep reporting calendar occupancy.
-        The kernel never cancels an entry, so ``cancelled_outstanding`` is
-        0.
-        """
-        slots = Counter([when // STATS_SLOT_S if when < FAR_HORIZON
-                         else inf for when, _, _, _ in self._queue])
-        return {
-            "pending": len(self._queue),
-            "occupied_buckets": len(slots),
-            "max_bucket_depth": max(slots.values(), default=0),
-            "cancelled_outstanding": 0,
-        }
 
     def step(self) -> None:
         """Process the single next event.

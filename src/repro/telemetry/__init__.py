@@ -85,7 +85,6 @@ class _NodeProbeCache:
         self.cpu_imbalance = 0.0
         self.disk_imbalance = 0.0
         self.scheduled_memory_fraction = 0.0
-        self.used_vcores = 0.0
         self.rack_alive: dict[str, int] = {}
         self.rack_registered: dict[str, int] = {}
         self.stale = 0
@@ -156,7 +155,6 @@ class _NodeProbeCache:
         used = cluster.rm.total_used()
         self.scheduled_memory_fraction = (used.memory_mb / total.memory_mb
                                           if total.memory_mb else 0.0)
-        self.used_vcores = float(used.vcores)
 
 
 class Telemetry:
@@ -199,18 +197,8 @@ class Telemetry:
         # kernel
         reg.counter("kernel_events", "Events dispatched by the simulation "
                     "kernel.", fn=lambda: env.events_processed)
-        # Calendar names and help texts on purpose: queue_stats() bins the
-        # kernel heap into 0.25 s slots, so these series and every export
-        # keep the values a bucketed queue would report.
-        reg.gauge("kernel_queue_pending", "Entries held by the calendar "
-                  "event queue.", fn=lambda: len(env._queue))
-        reg.gauge("kernel_queue_occupied_buckets", "Calendar buckets "
-                  "currently occupied.",
-                  fn=lambda: env.queue_stats()["occupied_buckets"])
-        reg.gauge("kernel_queue_max_bucket_depth", "Deepest single calendar "
-                  "bucket.", fn=lambda: env.queue_stats()["max_bucket_depth"])
-        reg.gauge("kernel_queue_cancelled_outstanding", "Lazy-cancel "
-                  "tombstones awaiting their pop.", fn=lambda: 0)
+        reg.gauge("kernel_queue_pending", "Entries held by the kernel "
+                  "event heap.", fn=lambda: len(env._queue))
 
         # RM / scheduler
         reg.gauge("rm_pending_apps", "Applications waiting in the RM's AM "
@@ -273,10 +261,6 @@ class Telemetry:
         reg.gauge("cluster_scheduled_memory_fraction", "Scheduled fraction "
                   "of cluster memory (0..1).",
                   fn=lambda: probe.get().scheduled_memory_fraction)
-        # This help text names the retired figure sampler; it stays as is
-        # because the OpenMetrics export, help lines included, is pinned.
-        reg.gauge("cluster_used_vcores", "Scheduled vcores (ClusterMonitor "
-                  "series).", fn=lambda: probe.get().used_vcores)
 
     # -- serving attachment --------------------------------------------------
     def attach_serving(self, runtime: "ServingRuntime") -> None:

@@ -1,8 +1,6 @@
 """Unit tests for the discrete-event kernel: clock, events, processes."""
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.simulation import (
     AllOf,
@@ -450,50 +448,3 @@ def test_events_processed_counter_advances():
     env.process(ticker(env))
     env.run()
     assert env.events_processed >= 5
-
-# -- queue occupancy gauges -------------------------------------------------------
-
-#: Operations on the kernel: ``("timeout", delay)`` or ``("step", None)``.
-#: Delays cover zero (same-instant ties), slot edges, the far horizon and
-#: ``inf``. A step never pops an ``inf`` entry: only entries the clock can
-#: reach are stepped through.
-_QUEUE_OPS = st.one_of(
-    st.tuples(st.just("timeout"), st.one_of(
-        st.sampled_from([0.0, 0.0, 0.25, 0.5, 1e6, 1e17, 2.5e17, 1e18,
-                         2e18, float("inf")]),
-        st.floats(0.0, 3.0, allow_nan=False))),
-    st.tuples(st.just("step"), st.none()))
-
-
-def _binned_stats(pending_times):
-    """The calendar occupancy of ``pending_times``: 0.25 s slots, with
-    every time at or beyond 1e18 (``inf`` included) in one shared slot."""
-    slots = {}
-    for when in pending_times:
-        slot = int(when // 0.25) if when < 1e18 else "far"
-        slots[slot] = slots.get(slot, 0) + 1
-    return {"pending": len(pending_times),
-            "occupied_buckets": len(slots),
-            "max_bucket_depth": max(slots.values(), default=0),
-            "cancelled_outstanding": 0}
-
-
-@given(st.lists(_QUEUE_OPS, max_size=80))
-# 2.5e17 // 0.25 == 1e18: a finite slot whose index equals the horizon.
-@example([("timeout", 2.5e17), ("timeout", 1e18), ("timeout", 0.0)])
-@settings(max_examples=120, deadline=None)
-def test_queue_stats_bin_the_pending_times(ops):
-    env = Environment()
-    pending = []
-    assert env.queue_stats() == _binned_stats(pending)
-    for kind, delay in ops:
-        if kind == "timeout":
-            env.timeout(delay)
-            pending.append(env.now + delay)
-        elif not pending:
-            with pytest.raises(EmptySchedule):
-                env.step()
-        elif min(pending) < float("inf"):
-            env.step()
-            pending.remove(min(pending))
-        assert env.queue_stats() == _binned_stats(pending)
