@@ -217,20 +217,22 @@ _SHARED_FLAGS = ["--rate", "12", "--minutes", "3", "--seed", "5",
                  "--fault-plan", "churn", "--fault-seed", "9"]
 
 #: ``repro metrics`` on its defaults and with every shared flag set, one
-#: digest per export format.
+#: digest per export format. They last moved when four telemetry series
+#: (``cluster_used_vcores`` and three calendar-queue gauges) were deleted:
+#: the exports lost those series, the summary's series count fell by 4.
 _PINNED_METRICS = {
     ("defaults", "summary"):
-        "137f682be604a9eb9279f5836255753b90ca89492fd737f30ea230ea49224927",
+        "14472558f6bf583b4a45d47f0599deadfc7c7ac995b97374c8932b09a4fa6673",
     ("defaults", "jsonl"):
-        "4e9a7ee6048916fdb95691eb287a97289497b59674caa4b9f2e5b1b26bfce0bf",
+        "ca15caa1d31f1180ca0f9f0ac4c262541610a8160bddc9a61117e9f817b77613",
     ("defaults", "openmetrics"):
-        "c132e4a263f3fcd8db21de2cff8ce5467f8bb1c2cf8bc8b76f91c415c53e016a",
+        "687dd84fe3fb77ae15eab6a55a066bd97e9cb32212a453e097dac70495fe1a78",
     ("serving", "summary"):
-        "331695dc8378bd08b5ecdf0a01c1ba4df0d7a773b85bc65d51202b5794092aad",
+        "1675ea44d7a022601314f5ee654c42a9341838c34c07f6845794a102d7c77843",
     ("serving", "jsonl"):
-        "82fd6dd169314aa321134b0d72e4a9de3d437b37c915107f0dedb31056aa6c52",
+        "40c1e8100262773d204ef6090de54fb5e18d295e612bb995684e40d1c2716e50",
     ("serving", "openmetrics"):
-        "3c18f342bfda148b271f76ff0c78be1c2550f0dd73f79f10e4f2663824ba6134",
+        "dafe6efc584bed97736eee125eacb48baed1fc121de3f6d39c2f602e0314b7df",
 }
 
 
@@ -243,10 +245,12 @@ def test_metrics_cli_output_is_pinned(flags, fmt):
 
 
 #: ``repro trace --json``: the stock-vs-speculative comparison, and an
-#: auto replay on HFSP with telemetry and every shared flag set.
+#: auto replay on HFSP with telemetry and every shared flag set. The
+#: serving digest last moved when four telemetry series were deleted
+#: (the report's series count, retained samples and ring bytes).
 _PINNED_TRACE_JSON = {
     "defaults": "0ec82c2efe63ab219aa2e46851e829676225b6bc4f9fa874f53e27a8086802cc",
-    "serving": "f8d716fc2c35cd3bd568fc47701415b9ff18da39af23df0859e3d3d4f7662525",
+    "serving": "d4ee853316321b592cb7ae987ca227b62b6af53ad2c49ae6bf691fe954cd9137",
 }
 
 

@@ -684,7 +684,7 @@ def test_run_load_records_scheduler_histograms():
 
 def _is_self_cost(name):
     """The simulator's own cost series: kernel events dispatched, the
-    calendar queue's shape and the heartbeat wheel's ticks. They measure
+    event heap's size and the heartbeat wheel's ticks. They measure
     how much work the simulator did, not the simulated cluster, so they
     move whenever the simulator skips work it can prove changes nothing."""
     return name.startswith("kernel_") or name == "rm_wheel_ticks"
@@ -717,28 +717,32 @@ def _split_openmetrics(text):
 #: retention. The values predate the bisecting ring reads, the pre-bound
 #: scrape loop, the direct kernel-queue gauges, the RM's per-rack
 #: liveness counts and the AM-limit-aware heartbeat sleep; each of those
-#: must leave every cluster-state series byte-identical. At 200 samples
-#: the rings evict long before the run's 378 scrapes end.
+#: must leave every cluster-state series byte-identical. They last moved
+#: when ``cluster_used_vcores`` was deleted (it repeated ``rm_vcores_used``
+#: at probe cadence); every other series kept its bytes, and the report's
+#: ``series``/``retained_samples``/``ring_bytes`` shrank by the four
+#: deleted series. At 200 samples the rings evict long before the run's
+#: 378 scrapes end.
 _PINNED_EXPORTS = {
-    512: ("9edfab707e8292e2da369851407caa4fd50fb50095a8f3e08fb5e0e1831086db",
-          "6a94dd062de2d44ea1f002576af08fd1090c4e645aa215ade5c41103e8b29ba7",
-          "dfb38dd32dd1687bb370bf30dee0bb88940254430058b2602852d761eb4cde9c"),
-    200: ("14f64f92713f70e144b048d8a5de74f944097eefd9410288975836e5cc984115",
-          "6a94dd062de2d44ea1f002576af08fd1090c4e645aa215ade5c41103e8b29ba7",
-          "79b5751b83a15cddb564ae45bbd94670920378d9a986a76635eaabeefd914514"),
+    512: ("c0800d1884374acdde156042a35c7c20535e77a9e207774f6a1f1d9bc580e893",
+          "325b3fe52fee47961b531d585021f4ea914b7ce1e3058f9fe34b264fe68ede3f",
+          "b6361bce909788816a510f57d09daebd278b6c9f4b792f24800c81952c8b8848"),
+    200: ("95133beda540f70a8485fe8bbe7716764cc47e0564da47b95abc216d16cea5d5",
+          "325b3fe52fee47961b531d585021f4ea914b7ce1e3058f9fe34b264fe68ede3f",
+          "77290b26b6dca81e794a65f09ec436dfe05fb260d7dfe4b06353faf17198be72"),
 }
 
 #: sha256 of the self-cost part of (JSONL, OpenMetrics), pinned apart so
-#: a simulator speed-up re-pins only these. They last moved when the
-#: heartbeat wheel began sleeping through beats that the AM limit leaves
-#: with nothing to place: at retention 512 ``kernel_events`` ends at 6 861
-#: instead of 7 942 and ``rm_wheel_ticks`` at 198 instead of 1 279, and
-#: three ``kernel_queue_*`` gauges move on the way.
+#: a simulator speed-up re-pins only these. They last moved when the three
+#: calendar-queue gauges (occupied buckets, max bucket depth, cancelled
+#: outstanding) were deleted and ``kernel_queue_pending``'s help text came
+#: to name the event heap; ``kernel_events``, ``kernel_queue_pending`` and
+#: ``rm_wheel_ticks`` kept every sample.
 _PINNED_SELF_COST = {
-    512: ("cba2d545a69aafaca56fc98cb7993750f82f5f211940db4640981d7e092fa85e",
-          "d60035562c5b3bf4e65b099ff736792e73bb9b03139a94ca712ccca3f65cf5fc"),
-    200: ("d5a27635d06a28d706c095ec1ca9595d7cebcdecd7b18475e843be060d6ac1fa",
-          "d60035562c5b3bf4e65b099ff736792e73bb9b03139a94ca712ccca3f65cf5fc"),
+    512: ("d58ef0a43b56368605203f587e26887e3c32acdd4e89f2703bc87703eb714dee",
+          "9c3c2983495880b58f1cf81ceabdfff3ec118ed12a30e396e7a1b9d805f557a7"),
+    200: ("4e0b506c844eecf7472cedd146363fc0ffdbe86d30b3f0662e4c661582cfbf96",
+          "9c3c2983495880b58f1cf81ceabdfff3ec118ed12a30e396e7a1b9d805f557a7"),
 }
 
 
