@@ -16,8 +16,9 @@ from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.metrics import exact_percentile
 from repro.observe import install_tracer
 from repro.simulation import Environment
-from repro.telemetry import (AlertEngine, BurnRateRule, QueueSaturationRule,
-                             RingSeries, Scraper, TelemetryRegistry,
+from repro.telemetry import (AlertEngine, BurnRateRule, HeartbeatStalenessRule,
+                             QueueSaturationRule, RingSeries, Scraper,
+                             TelemetryRegistry, UnderReplicationRule,
                              install_telemetry, parse_openmetrics,
                              render_jsonl, render_openmetrics)
 from repro.telemetry.instruments import DEFAULT_BUCKETS, Histogram
@@ -483,6 +484,53 @@ def test_queue_saturation_requires_consecutive_scrapes():
         scraper.sample(t)
     # Dips at t=3 reset the streak; only 4..6 sustains three scrapes.
     assert [a.at_s for a in engine.alerts] == [6.0]
+
+
+def test_each_rule_fires_holds_and_resolves_with_exact_rows():
+    """All four rules on one hand-fed scraper, each through fire, hold and
+    resolve: the alert rows carry the values and messages of the firing
+    scrape and the instant of the resolving one."""
+    env = Environment()
+    reg = TelemetryRegistry()
+    met = reg.counter("serving_deadline_met", "met")
+    missed = reg.counter("serving_deadline_missed", "missed")
+    pending = reg.gauge("serving_pending_jobs", "pending")
+    stale = reg.gauge("nodes_heartbeat_stale", "stale")
+    under = reg.gauge("hdfs_under_replicated_blocks", "under")
+    scraper = Scraper(env, reg, interval_s=1.0, retention=64)
+    engine = AlertEngine(env, scraper, [
+        BurnRateRule(0.5, fast_window_s=2.0, slow_window_s=4.0,
+                     threshold=1.5),
+        QueueSaturationRule(max_pending=8, fraction=0.75, samples=2),
+        HeartbeatStalenessRule(),
+        UnderReplicationRule(samples=2)])
+    # t: (met +, missed +, pending, stale, under-replicated)
+    timeline = {1.0: (4, 0, 2, 0, 0), 2.0: (0, 4, 6, 0, 3),
+                3.0: (0, 8, 7, 0, 0), 4.0: (0, 0, 8, 2, 5),
+                5.0: (96, 0, 2, 1, 4), 6.0: (0, 0, 2, 0, 4),
+                7.0: (0, 0, 2, 0, 0), 8.0: (0, 0, 2, 0, 0)}
+    for t, (d_met, d_missed, depth, silent, blocks) in timeline.items():
+        met.inc(d_met)
+        missed.inc(d_missed)
+        pending.set(depth)
+        stale.set(silent)
+        under.set(blocks)
+        scraper.sample(t)
+    rows = [(a.rule, a.severity, a.at_s, a.value, a.message, a.resolved_at_s)
+            for a in engine.alerts]
+    assert rows == [
+        # Fast window [1, 3]: 12 of 12 missed, burn 2.0; slow window
+        # [-1, 3]: 12 of 16, burn 1.5. The value is the smaller.
+        ("slo_burn_rate", "critical", 3.0, 1.5,
+         "SLO error budget burning 2.0x over 2s and 1.5x over 4s "
+         "(threshold 1.5x)", 5.0),
+        ("queue_saturation", "warning", 3.0, 0.875,
+         "admission queue at 88% of max_pending=8 for 2 scrapes", 5.0),
+        ("heartbeat_staleness", "warning", 4.0, 2.0,
+         "2 node(s) heartbeat-stale", 6.0),
+        ("hdfs_under_replication", "warning", 5.0, 4.0,
+         "4 under-replicated block(s) for 2 scrapes", 7.0)]
+    assert engine.evaluations == len(timeline)
 
 
 # -- integration: replay, report, export ---------------------------------------
