@@ -121,43 +121,47 @@ def _fold_order(facts: set[Taint]) -> set[Taint]:
     return out
 
 
+def _sorted_names(node: ast.AST) -> set[str]:
+    """Names ``.sort()``-ed or rebound as ``x = sorted(x)`` anywhere in the
+    function ``node``. A function's names do not change between fixpoint
+    passes, so :func:`compute_summaries` collects them once."""
+    names: set[str] = set()
+    for child in ast.walk(node):
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "sort"
+                and isinstance(child.func.value, ast.Name)):
+            names.add(child.func.value.id)
+        elif (isinstance(child, ast.Assign) and len(child.targets) == 1
+                and isinstance(child.targets[0], ast.Name)
+                and isinstance(child.value, ast.Call)
+                and isinstance(child.value.func, ast.Name)
+                and child.value.func.id == "sorted"
+                and child.value.args
+                and isinstance(child.value.args[0], ast.Name)
+                and child.value.args[0].id == child.targets[0].id):
+            names.add(child.targets[0].id)
+    return names
+
+
 class _FunctionAnalysis:
     """One flow-insensitive pass over a single function."""
 
     def __init__(self, project: Project, info: FunctionInfo,
-                 summaries: dict[str, Summary]) -> None:
+                 summaries: dict[str, Summary],
+                 sorted_names: set[str]) -> None:
         self.project = project
         self.info = info
         self.summaries = summaries
         self.env: dict[str, set[Taint]] = {}
         self.return_facts: set[Taint] = set()
         self.sinks: list[TaintSink] = []
-        #: Names ``.sort()``-ed or rebound as ``x = sorted(x)`` anywhere in
-        #: the function: ORDER facts never stick to them (flow-insensitive
-        #: sanitization).
-        self.sorted_names = self._collect_sorted_names()
+        #: :func:`_sorted_names` of the function: ORDER facts never stick
+        #: to them (flow-insensitive sanitization).
+        self.sorted_names = sorted_names
         self._seed_params()
 
     # -- setup --------------------------------------------------------------
-    def _collect_sorted_names(self) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(self.info.node):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sort"
-                    and isinstance(node.func.value, ast.Name)):
-                names.add(node.func.value.id)
-            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Name)
-                    and node.value.func.id == "sorted"
-                    and node.value.args
-                    and isinstance(node.value.args[0], ast.Name)
-                    and node.value.args[0].id == node.targets[0].id):
-                names.add(node.targets[0].id)
-        return names
-
     def _seed_params(self) -> None:
         params = self.info.param_names()
         offset = 0
@@ -524,11 +528,13 @@ def compute_summaries(project: Project,
     summaries: dict[str, Summary] = {
         q: EMPTY_SUMMARY for q in project.functions}
     order = sorted(project.functions)
+    sorted_names = {q: _sorted_names(project.functions[q].node) for q in order}
     for _ in range(max_passes):
         changed = False
         for qname in order:
             info = project.functions[qname]
-            new = _FunctionAnalysis(project, info, summaries).run(
+            new = _FunctionAnalysis(project, info, summaries,
+                                    sorted_names[qname]).run(
                 collect_sinks=False)
             if new != summaries[qname]:
                 summaries[qname] = new
@@ -541,7 +547,8 @@ def compute_summaries(project: Project,
 def function_sinks(project: Project, info: FunctionInfo,
                    summaries: dict[str, Summary]) -> list[TaintSink]:
     """Taint sinks in one function, given converged summaries."""
-    analysis = _FunctionAnalysis(project, info, summaries)
+    analysis = _FunctionAnalysis(project, info, summaries,
+                                 _sorted_names(info.node))
     analysis.run(collect_sinks=True)
     return analysis.sinks
 
