@@ -327,10 +327,11 @@ _PINNED_WARM_LEARNED = {
 }
 
 
-def test_warm_started_replay_is_pinned(tmp_path, learners):
-    conf = HadoopConfig(
-        tuner=TunerConfig(history_db=str(tmp_path / "history.json")),
-        serving=ServingConfig())
+def _warm_replay(path, learners):
+    """Two auto replays sharing the store at ``path``; the second's report
+    and learned state."""
+    conf = HadoopConfig(tuner=TunerConfig(history_db=path),
+                        serving=ServingConfig())
     trace = poisson_trace(default_serving_mix(), 10.0, 240.0, seed=19)
     for _ in range(2):
         cluster = build_trace_cluster(a3_cluster(3), scheduler=SCHEDULER_HFSP,
@@ -338,6 +339,48 @@ def test_warm_started_replay_is_pinned(tmp_path, learners):
                                       seed=7)
         report = replay_load(cluster, trace, STRATEGY_AUTO, keep_jobs=True)
     assert report.tuner["sources"] == {"learned": len(trace)}
+    return report, _learned_state(cluster.rm.scheduler, learners["runtime"],
+                                  learners["picker"])
+
+
+def test_warm_started_replay_is_pinned(tmp_path, learners):
+    report, learned = _warm_replay(str(tmp_path / "history.json"), learners)
     assert _report_digest(report) == _PINNED_WARM
-    assert _learned_state(cluster.rm.scheduler, learners["runtime"],
-                          learners["picker"]) == _PINNED_WARM_LEARNED
+    assert learned == _PINNED_WARM_LEARNED
+
+
+#: The same warm start on SQLite. The report is the same; the learned
+#: means differ from the JSON store's in their last digits, because SQLite
+#: keeps every float as recorded and the JSON writer rounds to 9 decimals.
+_PINNED_WARM_LEARNED_DB = {
+    "hfsp": {
+        "agg": "(17, 10.027405239996469)",
+        "scan": "(13, 22.076329247635098)",
+        "sort": "(8, 14.52808625923374)",
+    },
+    "admission": {
+        "agg": "(34, 8.171559946320077)",
+        "scan": "(26, 13.130774275647644)",
+        "sort": "(16, 9.665789552114777)",
+    },
+    "picker": {
+        "agg/stock": "(1, 12.032653628207072)",
+        "agg/dplus": "(2, 18.070999999999973)",
+        "agg/uplus": "(30, 8.17155884792773)",
+        "agg/uber": "(1, 11.501249200153097)",
+        "scan/stock": "(3, 34.120214810145626)",
+        "scan/dplus": "(1, 20.495000000000097)",
+        "scan/uplus": "(20, 13.12999586875097)",
+        "scan/uber": "(2, 35.115973698168645)",
+        "sort/stock": "(2, 17.90969812704534)",
+        "sort/dplus": "(1, 23.524999999999793)",
+        "sort/uplus": "(12, 9.645270697783168)",
+        "sort/uber": "(1, 17.129725408557526)",
+    },
+}
+
+
+def test_warm_started_sqlite_replay_is_pinned(tmp_path, learners):
+    report, learned = _warm_replay(str(tmp_path / "history.db"), learners)
+    assert _report_digest(report) == _PINNED_WARM
+    assert learned == _PINNED_WARM_LEARNED_DB
