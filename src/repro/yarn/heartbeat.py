@@ -86,6 +86,14 @@ if TYPE_CHECKING:  # pragma: no cover
 _NEVER = -math.inf
 
 
+def _finite(t: float) -> float:
+    """``t`` itself; the beat grid has no index at inf or NaN (after
+    ``run(until=inf)`` the clock reads inf)."""
+    if not math.isfinite(t):
+        raise ValueError(f"heartbeat grid read at non-finite t={t}")
+    return t
+
+
 class HeartbeatWheel:
     """Aggregated heartbeat timer for all NodeManagers of one RM.
 
@@ -310,7 +318,7 @@ class HeartbeatWheel:
         is the one the array pass makes.
         """
         period = self._period
-        k = max(math.ceil((t - anchor) / period), 0)
+        k = max(math.ceil((_finite(t) - anchor) / period), 0)
         while anchor + k * period < t:
             k += 1
         while k > 0 and anchor + (k - 1) * period >= t:
@@ -320,7 +328,7 @@ class HeartbeatWheel:
     def _grid_indices(self, anchors: np.ndarray, t: float) -> np.ndarray:
         """:meth:`_grid_index` of every anchor (as floats)."""
         period = self._period
-        k = np.maximum(np.ceil((t - anchors) / period), 0.0)
+        k = np.maximum(np.ceil((_finite(t) - anchors) / period), 0.0)
         # ceil() on floats can land one grid point off; settle on the
         # minimal k exactly.
         while True:
@@ -356,7 +364,7 @@ class HeartbeatWheel:
             index = self._phases = _PhaseIndex(anchors, self._period)
         if index.active is not active:
             index.weigh(active)
-        periods = t / self._period
+        periods = _finite(t) / self._period
         n = math.floor(periods)
         f_t = periods - n
         # The float phases and the grid predicate's two roundings each

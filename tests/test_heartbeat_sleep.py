@@ -203,6 +203,35 @@ def test_wake_on_the_instant_the_wheel_fell_asleep():
     assert wheel.last_beat("b") == wheel.last_beat("c") == 1.5
 
 
+def test_asleep_reads_at_a_non_finite_instant_raise():
+    """Regression: after ``run(until=inf)`` with the wheel asleep, the grid
+    arithmetic read at t = inf. ``silent_nodes`` and ``wake()`` never
+    returned (the grid index never settled), and ``beats_before`` and
+    ``last_beat`` raised ``OverflowError``. Every read now refuses a
+    non-finite instant with ``ValueError``."""
+    env = Environment()
+    wheel = HeartbeatWheel(env, 1.0, lambda _node: None, busy=lambda: False)
+    wheel.register("a", offset=0.25)
+    wheel.register("b", offset=0.5)
+    env.run(until=3.0)
+    assert wheel.asleep and wheel.beats_before(3.0) == 6
+    for t in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            wheel.silent_nodes(t, 3.0)
+        with pytest.raises(ValueError):
+            wheel.beats_before(t)
+    env.run(until=float("inf"))
+    assert env.now == float("inf") and wheel.asleep
+    for read in (lambda: wheel.beats_before(env.now),
+                 lambda: wheel.heartbeats_delivered,
+                 lambda: wheel.silent_nodes(env.now, 3.0),
+                 lambda: wheel.last_beat("a"),
+                 lambda: wheel.next_fire("b"),
+                 wheel.wake):
+        with pytest.raises(ValueError):
+            read()
+
+
 def test_idle_cluster_cost_does_not_grow_with_size():
     """1 000 idle NodeManagers for 100 simulated seconds: the wheel sleeps
     after its first beat, so the kernel does almost nothing. Every beat
