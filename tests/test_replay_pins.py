@@ -203,6 +203,47 @@ def test_latency_arrivals_shed_pending_batch_jobs(baselines):
     assert _report_digest(report) == _PINNED_SHED
 
 
+#: An autoscaled serving replay whose windowed attainment crosses the
+#: autoscaler's attainment floor: lowering the floor to 0.8 or raising it
+#: to 0.95 changes its scaling, so its outcomes move either way.
+_PINNED_ATTAINMENT_FLOOR = (
+    "f0c79aae03d9a06538ce39b24bb5715930630f996f95c18e6295e7a1a66f40cc")
+
+
+def test_autoscaler_attainment_floor_is_pinned():
+    serving = ServingConfig(latency_deadline_s=40.0, slots_per_node=2,
+                            initial_guess_s=12.0, autoscale=True,
+                            min_nodes=2, max_nodes=6)
+    conf = HadoopConfig(am_resource_fraction=0.3, serving=serving)
+    mix = default_serving_mix()
+    trace = poisson_trace(mix, 25.0, 300.0, seed=3)
+    report = run_load(a3_cluster(2), mix, 25.0, 300.0, conf=conf,
+                      keep_jobs=True, trace=trace)
+    assert report.slo["autoscaler"]["scale_up_events"] > 0
+    assert _report_digest(report) == _PINNED_ATTAINMENT_FLOOR
+
+
+#: Two auto replays sharing one SQLite store at 40 jobs/min fill some
+#: (signature, mode) cells up to the ring bound the replay opens its store
+#: with (64 runs); the store digest records that bound and every kept run.
+_PINNED_RING = "3851c8102c421462b8fdf6cae32d687ccc08cccf3ba1ef443dbc19b2c32e8437"
+
+
+def test_shared_store_replays_fill_the_ring(tmp_path, learners):
+    conf = HadoopConfig(
+        tuner=TunerConfig(history_db=str(tmp_path / "history.db")))
+    trace = poisson_trace(default_short_job_mix(), 40.0, 300.0, seed=19)
+    for _ in range(2):
+        cluster = build_trace_cluster(a3_cluster(3), strategy=STRATEGY_AUTO,
+                                      conf=conf, seed=7)
+        replay_load(cluster, trace, STRATEGY_AUTO)
+    store = learners["picker"].store
+    fullest = max(store.count(sig, mode) for sig in store.signatures()
+                  for mode in store.modes(sig))
+    assert fullest == store.ring_size
+    assert store.digest() == _PINNED_RING
+
+
 def _cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
