@@ -43,9 +43,6 @@ WALL_CLOCK_EXEMPT: tuple[str, ...] = (
     "bench.py",
     "engine/",
     "analysis/",
-    # Host-side persistence: the run-history store's cross-process file
-    # lock needs a real timeout, not simulated seconds.
-    "tuner/store.py",
 )
 
 

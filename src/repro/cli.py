@@ -112,18 +112,15 @@ def cmd_run(args) -> int:
     if args.mode == "auto" and args.history_db:
         # Tuned run: the repro.tuner picker chooses the mode from the
         # durable run history (Eq. 1–3 while the signature is cold).
-        from .config import TunerConfig
         from .trace import STRATEGY_DPLUS, build_trace_cluster
         from .tuner import AutoModePicker, RunHistoryStore, run_auto_job
 
-        tuner_conf = TunerConfig(history_db=args.history_db)
         cluster = build_trace_cluster(spec_builder_cluster,
                                       strategy=STRATEGY_DPLUS)
         paths = cluster.load_input_files("/cli", args.files, args.mb)
         spec = SimJobSpec(args.workload, tuple(paths), profile)
-        with RunHistoryStore(args.history_db,
-                             ring_size=tuner_conf.ring_size) as store:
-            picker = AutoModePicker(store, tuner_conf)
+        with RunHistoryStore(args.history_db) as store:
+            picker = AutoModePicker(store)
             result, decision = run_auto_job(cluster, spec, picker,
                                             num_files=args.files,
                                             file_mb=args.mb)
@@ -644,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
     p.add_argument("--history-db", default=None, metavar="FILE",
                    help="with --mode auto: durable run-history store "
-                        "(.json or SQLite) the tuner learns mode choices "
-                        "from across invocations")
+                        "(SQLite) the tuner learns mode choices from "
+                        "across invocations")
     p.add_argument("--json", action="store_true",
                    help="print the history-server phase breakdown as JSON")
     p.set_defaults(fn=cmd_run)

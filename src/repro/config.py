@@ -124,35 +124,17 @@ class ServingConfig:
     #: Jobs dispatched concurrently per *healthy* node (the serving-layer
     #: concurrency window in front of YARN's own AM admission control).
     slots_per_node: int = 3
-    #: Instead of rejecting a latency job whose predicted sojourn busts its
-    #: deadline, demote it to batch (it runs, but its deadline is void).
-    downgrade_over_reject: bool = False
-    #: Client retry-with-backoff for rejected submissions: attempt n waits
-    #: ``retry_backoff_s * 2**(n-1)`` before re-offering, up to ``retry_max``
-    #: retries (0 = fail fast).
-    retry_backoff_s: float = 5.0
-    retry_max: int = 2
 
     # -- overload degradation ladder -----------------------------------------
+    #: Force uber/U+ for latency jobs and suspend speculation for batch
+    #: while the pending queue is past the ladder's threshold
+    #: (:data:`repro.serving.admission.DEGRADE_AT_PENDING_FRACTION`).
     degradation: bool = True
-    #: Pending-queue fraction at which the ladder reaches level 1 (force
-    #: uber/U+ for latency jobs, suspend speculation for batch).
-    degrade_at_pending_fraction: float = 0.5
 
     # -- reactive autoscaling -------------------------------------------------
     autoscale: bool = False
     min_nodes: int = 2
     max_nodes: int = 8
-    #: Evaluation cadence of the autoscaler control loop (simulated s).
-    autoscale_interval_s: float = 5.0
-    #: Simulated VM boot + daemon start before a provisioned node joins.
-    provision_delay_s: float = 20.0
-    #: Consecutive calm evaluations required before draining a node.
-    scale_down_after_rounds: int = 4
-    #: Scale up when pending-per-healthy-node exceeds this.
-    scale_up_pending_per_node: float = 1.0
-    #: ... or when windowed latency SLO attainment falls below this.
-    attainment_floor: float = 0.9
 
     # -- size estimate --------------------------------------------------------
     #: Optimistic first guess for unseen job signatures (same first-samples
@@ -177,29 +159,24 @@ class TunerConfig:
     snapshot stays byte-identical. Constructing one with ``history_db`` set
     enables online learning: completed runs are recorded per
     ``(signature, mode)`` and future ``auto`` decisions exploit the learned
-    estimates once each candidate has ``train_runs`` successful samples.
+    estimates once each candidate has a successful run.
     """
 
-    #: Path of the durable :class:`~repro.tuner.store.RunHistoryStore`.
-    #: ``*.json`` selects the JSON fallback backend, anything else SQLite,
-    #: ``":memory:"`` an in-process store (learning without persistence).
-    #: ``None`` disables learning — ``auto`` stays purely analytic.
+    #: Path of the durable :class:`~repro.tuner.store.RunHistoryStore`: an
+    #: SQLite file, or ``":memory:"`` for an in-process store (learning
+    #: without persistence). ``None`` disables learning — ``auto`` stays
+    #: purely analytic.
     history_db: Optional[str] = None
-    #: Successful samples required per (signature, candidate) before the
-    #: picker stops exploring that signature and exploits the argmin
-    #: estimate — HFSP's train-then-estimate discipline applied to modes.
-    train_runs: int = 1
-    #: Bounded per-(signature, mode) ring: the store retains at most this
-    #: many most-recent runs per cell, so a long-lived history file stays
-    #: O(signatures × modes × ring_size) however many replays feed it.
-    ring_size: int = 64
     #: Candidate modes the ``auto`` picker chooses among, in deterministic
     #: exploration order. ``speculative`` is a valid extra candidate but
     #: costs duplicate launches, so it is not explored by default.
     candidates: tuple = ("stock", "dplus", "uplus", "uber")
 
-    def with_(self, **kwargs) -> "TunerConfig":
-        return replace(self, **kwargs)
+
+#: The slow window of the SLO burn-rate alert
+#: (:class:`repro.telemetry.BurnRateRule`); a telemetry ring with alerts on
+#: must retain at least this much history.
+BURN_SLOW_WINDOW_S = 180.0
 
 
 @dataclass(frozen=True)
@@ -222,10 +199,6 @@ class TelemetryConfig:
     #: Ring-buffer length per series; older samples are evicted, bounding
     #: retention at ``retention_samples * num_series`` floats.
     retention_samples: int = 512
-    #: When the kernel sleeps across many scrape grid points (an idle gap),
-    #: at most this many catch-up samples are emitted per popped event; the
-    #: rest are skipped and counted in ``samples_skipped``.
-    catchup_limit: int = 8
     #: Minimum simulated seconds between recomputes of the O(nodes) probes
     #: (per-node utilization, per-rack liveness, heartbeat staleness,
     #: most-loaded fabric link).
@@ -234,26 +207,9 @@ class TelemetryConfig:
     node_probe_interval_s: float = 5.0
 
     # -- alert rules ----------------------------------------------------------
+    #: Evaluate the rules of :mod:`repro.telemetry.alerts` after every
+    #: scrape.
     alerts: bool = True
-    #: SLO attainment target the error budget is measured against
-    #: (budget = 1 - slo_target).
-    slo_target: float = 0.9
-    #: Multi-window burn-rate alerting (Google SRE style): fire when the
-    #: error budget burns faster than ``burn_threshold``× the sustainable
-    #: rate over *both* the fast and the slow window.
-    burn_fast_window_s: float = 30.0
-    burn_slow_window_s: float = 180.0
-    burn_threshold: float = 2.0
-    #: Queue saturation: pending/max_pending at or above this fraction for
-    #: this many consecutive scrapes.
-    queue_saturation_fraction: float = 0.9
-    queue_saturation_samples: int = 3
-    #: A node is heartbeat-stale when silent for more than this multiple of
-    #: the NM heartbeat interval.
-    heartbeat_stale_factor: float = 3.0
-    #: Under-replication: nonzero under-replicated block count for this
-    #: many consecutive scrapes.
-    under_replication_samples: int = 3
 
     def __post_init__(self) -> None:
         # A burn-rate window edge reads the latest sample at or before
@@ -263,17 +219,14 @@ class TelemetryConfig:
         # shorter span would evict a baseline the slow window still needs
         # and stretch that window over the whole run.
         span = (self.retention_samples - 2) * self.scrape_interval_s
-        if self.alerts and span < self.burn_slow_window_s:
+        if self.alerts and span < BURN_SLOW_WINDOW_S:
             raise ValueError(
                 f"retention_samples={self.retention_samples} at "
                 f"scrape_interval_s={self.scrape_interval_s:g} retains "
-                f"{span:g}s, less than the {self.burn_slow_window_s:g}s "
+                f"{span:g}s, less than the {BURN_SLOW_WINDOW_S:g}s "
                 f"slow burn-rate window; "
                 f"keep (retention_samples - 2) * scrape_interval_s >= "
-                f"burn_slow_window_s, or turn alerts off")
-
-    def with_(self, **kwargs) -> "TelemetryConfig":
-        return replace(self, **kwargs)
+                f"{BURN_SLOW_WINDOW_S:g}, or turn alerts off")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from ..tuner import RegretReport, run_regret
 from .harness import FigureResult, PaperClaim, Series
 
 #: Replay rounds per template; the training window is one successful run
-#: per candidate (``TunerConfig.train_runs == 1``), i.e. 4 rounds.
+#: per candidate, i.e. 4 rounds.
 REGRET_ROUNDS = 8
 REGRET_SEED = 7
 REGRET_CANDIDATES = TunerConfig.candidates

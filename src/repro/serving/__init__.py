@@ -23,7 +23,6 @@ from .slo import (
     OUTCOME_ADMITTED,
     OUTCOME_DEADLINE_MET,
     OUTCOME_DEADLINE_MISSED,
-    OUTCOME_DOWNGRADED,
     OUTCOME_REJECTED,
     OUTCOME_SHED,
     SLOJob,
@@ -37,7 +36,6 @@ __all__ = [
     "OUTCOME_COMPLETED",
     "OUTCOME_DEADLINE_MET",
     "OUTCOME_DEADLINE_MISSED",
-    "OUTCOME_DOWNGRADED",
     "OUTCOME_REJECTED",
     "OUTCOME_SHED",
     "REASON_CAPACITY",

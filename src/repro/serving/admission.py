@@ -5,9 +5,9 @@ to make overload *graceful*: instead of letting an unbounded queue grow
 (every job suffers equally, deadlines become fiction), it
 
 1. predicts each arrival's sojourn from its size estimate and the backlog
-   already admitted, and rejects (or, configurably, downgrades to batch)
-   latency jobs whose prediction already busts their deadline — failing in
-   milliseconds instead of missing in minutes;
+   already admitted, and rejects latency jobs whose prediction already
+   busts their deadline — failing in milliseconds instead of missing in
+   minutes;
 2. bounds the pending queue at ``max_pending`` and, when full, sheds batch
    work first: a latency arrival evicts the youngest pending batch job;
    a batch arrival is simply rejected. A latency job is never shed to make
@@ -29,17 +29,14 @@ from typing import Optional
 
 from ..config import ServingConfig
 from ..metrics import SignatureStats
-from .slo import (
-    OUTCOME_ADMITTED,
-    OUTCOME_DOWNGRADED,
-    OUTCOME_REJECTED,
-    SLO_BATCH,
-    SLOJob,
-)
+from .slo import OUTCOME_ADMITTED, OUTCOME_REJECTED, SLOJob
 
 #: Rejection reasons recorded in :class:`Decision.reason`.
 REASON_DEADLINE = "deadline"
 REASON_CAPACITY = "capacity"
+
+#: Pending-queue fraction at which the degradation ladder reaches level 1.
+DEGRADE_AT_PENDING_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class Decision:
     """Outcome of one :meth:`AdmissionController.offer` call."""
 
     job: SLOJob
-    outcome: str                       # admitted | rejected | downgraded
+    outcome: str                       # admitted | rejected
     reason: str = ""                   # deadline | capacity (rejections)
     predicted_sojourn_s: float = 0.0
     #: Pending batch job evicted to make room for this (latency) admission.
@@ -55,19 +52,7 @@ class Decision:
 
     @property
     def admitted(self) -> bool:
-        return self.outcome in (OUTCOME_ADMITTED, OUTCOME_DOWNGRADED)
-
-
-@dataclass
-class _Pending:
-    job: SLOJob
-    admitted_at: float
-    #: True when a deadline-busting latency job was demoted to batch.
-    downgraded: bool = False
-
-    @property
-    def effective_class(self) -> str:
-        return SLO_BATCH if self.downgraded else self.job.slo_class
+        return self.outcome == OUTCOME_ADMITTED
 
 
 @dataclass
@@ -81,7 +66,7 @@ class AdmissionController:
     def __post_init__(self) -> None:
         if self.conf.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        self._pending: list[_Pending] = []
+        self._pending: list[SLOJob] = []
         self._running: dict[int, float] = {}   # job index -> size estimate
 
     # -- introspection -------------------------------------------------------
@@ -109,7 +94,7 @@ class AdmissionController:
         fraction = self.pending_fraction()
         if fraction >= 1.0:
             return 2
-        if fraction >= self.conf.degrade_at_pending_fraction:
+        if fraction >= DEGRADE_AT_PENDING_FRACTION:
             return 1
         return 0
 
@@ -124,7 +109,7 @@ class AdmissionController:
 
     def backlog_s(self) -> float:
         """Estimated work admitted but not finished (pending + running)."""
-        return (sum(self.size_estimate_s(p.job.name) for p in self._pending)
+        return (sum(self.size_estimate_s(job.name) for job in self._pending)
                 + sum(self._running.values()))
 
     def predicted_sojourn_s(self, job: SLOJob, slots: int) -> float:
@@ -134,28 +119,23 @@ class AdmissionController:
 
     # -- admission -------------------------------------------------------------
     def offer(self, job: SLOJob, now: float, slots: int) -> Decision:
-        """Admit, downgrade, or reject one arrival (possibly shedding batch)."""
+        """Admit or reject one arrival (possibly shedding batch)."""
         predicted = self.predicted_sojourn_s(job, slots)
-        downgraded = False
         if job.is_latency and now + predicted > job.deadline_s:
-            if not self.conf.downgrade_over_reject:
-                return Decision(job, OUTCOME_REJECTED, REASON_DEADLINE,
-                                predicted_sojourn_s=predicted)
-            downgraded = True
+            return Decision(job, OUTCOME_REJECTED, REASON_DEADLINE,
+                            predicted_sojourn_s=predicted)
 
         shed: Optional[SLOJob] = None
         if len(self._pending) >= self.conf.max_pending:
-            victim = self._youngest_pending_batch() if (job.is_latency
-                                                        and not downgraded) else None
-            if victim is None:
+            shed = self._youngest_pending_batch() if job.is_latency else None
+            if shed is None:
                 return Decision(job, OUTCOME_REJECTED, REASON_CAPACITY,
                                 predicted_sojourn_s=predicted)
-            self._pending.remove(victim)
-            shed = victim.job
+            self._pending.remove(shed)
 
-        self._pending.append(_Pending(job, admitted_at=now, downgraded=downgraded))
-        outcome = OUTCOME_DOWNGRADED if downgraded else OUTCOME_ADMITTED
-        return Decision(job, outcome, predicted_sojourn_s=predicted, shed=shed)
+        self._pending.append(job)
+        return Decision(job, OUTCOME_ADMITTED, predicted_sojourn_s=predicted,
+                        shed=shed)
 
     def offer_batch(self, jobs: list[SLOJob], now: float,
                     slots: int) -> list[Decision]:
@@ -169,31 +149,30 @@ class AdmissionController:
         ordered = sorted(jobs, key=lambda j: (0 if j.is_latency else 1, j.index))
         return [self.offer(job, now, slots) for job in ordered]
 
-    def _youngest_pending_batch(self) -> Optional[_Pending]:
-        batches = [p for p in self._pending if p.effective_class == SLO_BATCH]
+    def _youngest_pending_batch(self) -> Optional[SLOJob]:
+        batches = [job for job in self._pending if not job.is_latency]
         if not batches:
             return None
-        return max(batches, key=lambda p: p.job.index)
+        return max(batches, key=lambda job: job.index)
 
     # -- dispatch --------------------------------------------------------------
     def next_dispatch(self, slots: int) -> Optional[SLOJob]:
         """Pop the next pending job if a slot is free (None = keep waiting).
 
         Latency jobs go earliest-deadline-first; batch follows FIFO behind
-        them. Downgraded jobs dispatch with batch.
+        them.
         """
         if not self._pending or len(self._running) >= max(1, slots):
             return None
-        entry = min(self._pending, key=self._dispatch_key)
-        self._pending.remove(entry)
-        self._running[entry.job.index] = self.size_estimate_s(entry.job.name)
-        return entry.job
+        job = min(self._pending, key=self._dispatch_key)
+        self._pending.remove(job)
+        self._running[job.index] = self.size_estimate_s(job.name)
+        return job
 
     @staticmethod
-    def _dispatch_key(entry: _Pending) -> tuple:
-        latency = entry.effective_class != SLO_BATCH
-        return ((0, entry.job.deadline_s, entry.job.index) if latency
-                else (1, 0.0, entry.job.index))
+    def _dispatch_key(job: SLOJob) -> tuple:
+        return ((0, job.deadline_s, job.index) if job.is_latency
+                else (1, 0.0, job.index))
 
     def job_finished(self, index: int, name: str, service_s: float) -> None:
         """A dispatched job left the system: free its slot, train its size."""

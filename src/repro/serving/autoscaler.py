@@ -16,7 +16,7 @@ Two interactions with the fault injector matter and are tested explicitly:
   is the cost axis of Figure S1.
 
 Every decision is clocked off the simulation environment (fixed control
-interval, fixed ``provision_delay_s``, no RNG), so two replays of the same
+interval, fixed provisioning delay, no RNG), so two replays of the same
 trace + fault plan + serving config are byte-identical.
 """
 
@@ -32,6 +32,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
     from ..yarn.nodemanager import NodeManager
     from .admission import AdmissionController
+
+#: Evaluation cadence of the control loop (simulated seconds).
+AUTOSCALE_INTERVAL_S = 5.0
+#: Simulated VM boot + daemon start before a provisioned node joins.
+PROVISION_DELAY_S = 20.0
+#: Consecutive calm evaluations required before draining a node.
+SCALE_DOWN_AFTER_ROUNDS = 4
+#: Scale up when pending jobs per healthy node exceed this...
+SCALE_UP_PENDING_PER_NODE = 1.0
+#: ... or when windowed latency SLO attainment falls below this.
+ATTAINMENT_FLOOR = 0.9
 
 
 class Autoscaler:
@@ -100,8 +111,7 @@ class Autoscaler:
     # -- control loop ----------------------------------------------------------
     def _loop(self) -> Generator:
         while True:
-            yield self.env.timeout(self.conf.autoscale_interval_s,
-                                   priority=CONTROL)
+            yield self.env.timeout(AUTOSCALE_INTERVAL_S, priority=CONTROL)
             self._tick()
             # A restart or drain that settled on this instant changed
             # capacity as much as a scaling decision: every round notifies.
@@ -114,13 +124,13 @@ class Autoscaler:
         # Scale up only past a pending-per-node deadband, so transient
         # bursts the current fleet will absorb don't trigger churn.
         backlog_per_node = pending / max(1, healthy)
-        if backlog_per_node > self.conf.scale_up_pending_per_node:
+        if backlog_per_node > SCALE_UP_PENDING_PER_NODE:
             desired = math.ceil(in_system / self.conf.slots_per_node)
         elif pending == 0:
             # Queue fully drained: shrink toward what is actually running
             # (the calm-rounds counter in _tick debounces the drain itself).
             desired = math.ceil(in_system / self.conf.slots_per_node)
-        if (self._attainment() < self.conf.attainment_floor
+        if (self._attainment() < ATTAINMENT_FLOOR
                 and self.controller.pending_count > 0):
             desired = max(desired, healthy + 1)
         return max(self.conf.min_nodes, min(self.conf.max_nodes, desired))
@@ -137,7 +147,7 @@ class Autoscaler:
                     break
         elif len(healthy) > desired and self._provisioning == 0:
             self._calm_rounds += 1
-            if self._calm_rounds >= self.conf.scale_down_after_rounds:
+            if self._calm_rounds >= SCALE_DOWN_AFTER_ROUNDS:
                 self._drain_one_idle(healthy)
                 self._calm_rounds = 0
         else:
@@ -163,7 +173,7 @@ class Autoscaler:
         return True
 
     def _provision(self) -> Generator:
-        yield self.env.timeout(self.conf.provision_delay_s)
+        yield self.env.timeout(PROVISION_DELAY_S)
         self._accrue()
         self._provisioning -= 1
         self.cluster.add_node()

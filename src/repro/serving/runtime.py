@@ -10,8 +10,8 @@ against the live NodeManager fleet.
 The replay driver (:func:`repro.trace.replay_load`) drives it per job:
 
 1. ``slo = runtime.resolve(trace_job)`` — fix SLO class and absolute deadline;
-2. ``decision = runtime.offer(slo)`` — admission (driver handles
-   retry-with-backoff on rejection);
+2. ``decision = runtime.offer(slo)`` — admission (the driver retries a
+   rejection up to ``RETRY_MAX`` times, after ``runtime.retry_delay_s``);
 3. ``signal = yield runtime.dispatch_event(slo)`` — waits for a slot;
    resolves ``"dispatch"`` or ``"shed"`` (evicted while pending);
 4. submit through the normal strategy path, possibly degraded
@@ -33,7 +33,7 @@ from ..config import SLO_LATENCY, ServingConfig
 from ..metrics import StreamingRatio
 from ..simulation.events import CONTROL
 from .admission import AdmissionController, Decision
-from .autoscaler import Autoscaler
+from .autoscaler import AUTOSCALE_INTERVAL_S, Autoscaler
 from .slo import (
     OUTCOME_DEADLINE_MET,
     OUTCOME_DEADLINE_MISSED,
@@ -59,6 +59,12 @@ OUTCOME_COMPLETED = "completed"
 _RECENT_WINDOW = 20
 _RECENT_MIN_SAMPLES = 5
 
+#: Client retry-with-backoff for rejected submissions: retry n (from 0)
+#: waits ``RETRY_BACKOFF_S * 2**n`` before re-offering, up to ``RETRY_MAX``
+#: retries.
+RETRY_BACKOFF_S = 5.0
+RETRY_MAX = 2
+
 
 class ServingRuntime:
     """Per-replay serving state machine (one instance per ``replay_load``)."""
@@ -80,6 +86,8 @@ class ServingRuntime:
         self._static_in_flight = 0
         self.attainment = StreamingRatio()
         self._recent: deque[int] = deque(maxlen=_RECENT_WINDOW)
+        # "downgraded" stays 0 (admission rejects, it never demotes); the
+        # serving exports still report it.
         self.counts = {
             "latency_jobs": 0, "batch_jobs": 0,
             "admitted": 0, "downgraded": 0, "rejected": 0, "shed": 0,
@@ -149,8 +157,6 @@ class ServingRuntime:
         decision = self.controller.offer(slo, self.env.now, self.slots())
         if decision.admitted:
             self.counts["admitted"] += 1
-            if decision.outcome == "downgraded":
-                self.counts["downgraded"] += 1
             self._waiters[slo.index] = self.env.event()
             if decision.shed is not None:
                 self._resolve_shed(decision.shed)
@@ -169,7 +175,7 @@ class ServingRuntime:
 
     def retry_delay_s(self, attempt: int) -> float:
         """Deterministic exponential backoff for rejected submissions."""
-        return self.serving.retry_backoff_s * (2 ** attempt)
+        return RETRY_BACKOFF_S * (2 ** attempt)
 
     # -- dispatch --------------------------------------------------------------
     def wait_dispatch(self, slo: SLOJob) -> Generator:
@@ -223,8 +229,7 @@ class ServingRuntime:
 
     def _watchdog(self) -> Generator:
         while True:
-            yield self.env.timeout(self.serving.autoscale_interval_s,
-                                   priority=CONTROL)
+            yield self.env.timeout(AUTOSCALE_INTERVAL_S, priority=CONTROL)
             self._pump()
 
     # -- completion ------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "OUTCOME_ADMITTED",
     "OUTCOME_REJECTED",
     "OUTCOME_SHED",
-    "OUTCOME_DOWNGRADED",
     "OUTCOME_DEADLINE_MET",
     "OUTCOME_DEADLINE_MISSED",
 ]
@@ -41,7 +40,6 @@ __all__ = [
 OUTCOME_ADMITTED = "admitted"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_SHED = "shed"
-OUTCOME_DOWNGRADED = "downgraded"
 OUTCOME_DEADLINE_MET = "deadline_met"
 OUTCOME_DEADLINE_MISSED = "deadline_missed"
 

@@ -52,6 +52,10 @@ __all__ = [
 _WAIT_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
                  10.0, 30.0, 60.0, 120.0)
 
+#: A node is heartbeat-stale when silent for more than this multiple of the
+#: NM heartbeat interval.
+_HEARTBEAT_STALE_FACTOR = 3.0
+
 #: Series mirrored into ``LoadReport.telemetry["windows"]`` for
 #: ``repro trace --json`` (satellite: per-window attainment/queue depth).
 _WINDOW_SERIES = ("serving_attainment_recent", "serving_pending_jobs",
@@ -169,8 +173,7 @@ class Telemetry:
         self.scraper = Scraper(
             self.env, self.registry,
             interval_s=self.config.scrape_interval_s,
-            retention=self.config.retention_samples,
-            catchup_limit=self.config.catchup_limit)
+            retention=self.config.retention_samples)
         self.runtime: Optional["ServingRuntime"] = None
         # Push-site instruments (guarded by ``env.telemetry is not None``).
         self.grant_delay = self.registry.histogram(
@@ -185,7 +188,7 @@ class Telemetry:
         if self.config.alerts:
             self.engine = AlertEngine(self.env, self.scraper, [
                 HeartbeatStalenessRule(),
-                UnderReplicationRule(self.config.under_replication_samples),
+                UnderReplicationRule(),
             ])
 
     # -- standard instruments ------------------------------------------------
@@ -223,7 +226,7 @@ class Telemetry:
 
         # NodeManagers, aggregated per rack so 10k nodes stay bounded. All
         # O(nodes) quantities share one cached walk at its own cadence.
-        stale_after = conf.heartbeat_stale_factor * cluster.conf.nm_heartbeat_s
+        stale_after = _HEARTBEAT_STALE_FACTOR * cluster.conf.nm_heartbeat_s
         probe = self._probe = _NodeProbeCache(
             cluster, stale_after, conf.node_probe_interval_s, clock)
         topology = cluster.topology
@@ -235,7 +238,7 @@ class Telemetry:
                       labels={"rack": rack},
                       fn=lambda r=rack: probe.get().rack_registered.get(r, 0))
         reg.gauge("nodes_heartbeat_stale", "Alive nodes silent for more than "
-                  f"{conf.heartbeat_stale_factor:g}x the heartbeat interval.",
+                  f"{_HEARTBEAT_STALE_FACTOR:g}x the heartbeat interval.",
                   fn=lambda: probe.get().stale)
 
         # fabric / network
@@ -304,13 +307,9 @@ class Telemetry:
                       "(includes crashed-but-paid).",
                       fn=lambda: autoscaler.billable_count())
         if self.engine is not None:
-            conf = self.config
-            self.engine.rules.append(BurnRateRule(
-                conf.slo_target, conf.burn_fast_window_s,
-                conf.burn_slow_window_s, conf.burn_threshold))
-            self.engine.rules.append(QueueSaturationRule(
-                runtime.serving.max_pending, conf.queue_saturation_fraction,
-                conf.queue_saturation_samples))
+            self.engine.rules.append(BurnRateRule())
+            self.engine.rules.append(
+                QueueSaturationRule(runtime.serving.max_pending))
 
     # -- lifecycle -----------------------------------------------------------
     def install(self) -> None:

@@ -9,7 +9,7 @@ when a tracer is installed, emitted as trace instants so they overlay the
 span timeline in Perfetto.
 
 The SLO rule implements Google-SRE-style multi-window burn-rate alerting:
-with an error budget of ``1 - slo_target``, the *burn rate* over a window
+with an error budget of ``1 - SLO_TARGET``, the *burn rate* over a window
 is the window's error fraction divided by the budget (1.0 = consuming the
 budget exactly as fast as the SLO tolerates). Firing requires the rate to
 exceed the threshold over **both** a fast and a slow window — the fast
@@ -18,7 +18,7 @@ from paging. Counters start at zero, so a window that reaches past the
 start of the run uses an exact zero baseline rather than extrapolating.
 That reading is only sound while the ring still holds the window's
 baseline sample, so :class:`~repro.config.TelemetryConfig` rejects, when
-alerts are on, a retention too short to cover ``burn_slow_window_s``: an
+alerts are on, a retention too short to cover ``BURN_SLOW_WINDOW_S``: an
 evicted baseline would otherwise read as "before the run" and the slow
 window would silently span the whole run.
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ..config import BURN_SLOW_WINDOW_S
 from .scraper import RingSeries, Scraper
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SEV_WARNING = "warning"
 SEV_CRITICAL = "critical"
+
+#: SLO attainment target the burn-rate rule measures the error budget
+#: against (budget = 1 - SLO_TARGET).
+SLO_TARGET = 0.9
 
 
 @dataclass
@@ -107,8 +112,10 @@ class BurnRateRule(Rule):
     name = "slo_burn_rate"
     severity = SEV_CRITICAL
 
-    def __init__(self, slo_target: float, fast_window_s: float,
-                 slow_window_s: float, threshold: float) -> None:
+    def __init__(self, slo_target: float = SLO_TARGET,
+                 fast_window_s: float = 30.0,
+                 slow_window_s: float = BURN_SLOW_WINDOW_S,
+                 threshold: float = 2.0) -> None:
         if not 0.0 < slo_target < 1.0:
             raise ValueError(f"slo_target must be in (0, 1), got {slo_target}")
         self.budget = 1.0 - slo_target
@@ -148,7 +155,8 @@ class QueueSaturationRule(Rule):
     name = "queue_saturation"
     severity = SEV_WARNING
 
-    def __init__(self, max_pending: int, fraction: float, samples: int) -> None:
+    def __init__(self, max_pending: int, fraction: float = 0.9,
+                 samples: int = 3) -> None:
         self.max_pending = max(1, max_pending)
         self.fraction = fraction
         self.samples = max(1, samples)
@@ -195,7 +203,7 @@ class UnderReplicationRule(Rule):
     name = "hdfs_under_replication"
     severity = SEV_WARNING
 
-    def __init__(self, samples: int) -> None:
+    def __init__(self, samples: int = 3) -> None:
         self.samples = max(1, samples)
 
     def check(self, t: float, scraper: Scraper

@@ -32,7 +32,7 @@ from .core.speculation import SpeculativeExecutor
 from .mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
 from .mapreduce.spec import SimJobSpec
 from .metrics import StreamingSummary
-from .serving.runtime import SIGNAL_SHED, ServingRuntime
+from .serving.runtime import RETRY_MAX, SIGNAL_SHED, ServingRuntime
 from .serving.slo import OUTCOME_SHED, SLOJob
 from .workloads.base import WorkloadProfile
 from .yarn.resourcemanager import JobKilled
@@ -427,8 +427,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                             record_from_result, template_inputs)
         tuner_conf = (cluster.conf.tuner if cluster.conf.tuner is not None
                       else TunerConfig())
-        history = (RunHistoryStore(tuner_conf.history_db,
-                                   ring_size=tuner_conf.ring_size)
+        history = (RunHistoryStore(tuner_conf.history_db)
                    if tuner_conf.history_db else None)
         picker = AutoModePicker(history, tuner_conf)
     serving = cluster.conf.serving
@@ -516,7 +515,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                     admit = runtime.offer(slo)
                     if admit.admitted:
                         break
-                    if attempt >= serving.retry_max:
+                    if attempt >= RETRY_MAX:
                         outcome = decision = runtime.record_rejection(admit)
                         record_row(outcome)
                         return

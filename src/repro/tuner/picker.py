@@ -8,12 +8,12 @@ Per arriving job the picker chooses among the tuner candidates —
   the decision is *exactly* the paper's Eq. 1–3 comparison,
   :func:`repro.core.estimator.pick_mode`, decision for decision. This is
   the metamorphic baseline the regression gate pins.
-* **explore** — a store is attached but some candidate has fewer than
-  ``train_runs`` successful samples for this signature: run the
-  least-sampled candidate, breaking ties by *ascending analytic
-  estimate* (then candidate order). Exploring the analytically-best arm
-  first means the committed-policy regret never rises while the sweep
-  fills in — the monotonicity the oracle-regret suite asserts.
+* **explore** — a store is attached but some candidate has no successful
+  run of this signature yet: run the untrained candidate with the
+  *lowest analytic estimate* (ties by candidate order). Exploring the
+  analytically-best arm first means the committed-policy regret never
+  rises while the sweep fills in — the monotonicity the oracle-regret
+  suite asserts.
 * **learned** — every candidate trained: argmin of the cells' EWMAs
   (:meth:`~repro.tuner.store.RunHistoryStore.stats`, ties by candidate
   order). On a deterministic cluster this is the per-signature
@@ -104,12 +104,10 @@ class AutoModePicker:
                          analytic: Mapping[str, float]) -> AutoDecision:
         candidates = self.config.candidates
         stats = {m: self.store.stats(signature, m) for m in candidates}
-        untrained = [m for m in candidates
-                     if stats[m].count < self.config.train_runs]
+        untrained = [m for m in candidates if not stats[m].count]
         if untrained:
             mode = min(untrained,
-                       key=lambda m: (stats[m].count,
-                                      analytic.get(m, float("inf")),
+                       key=lambda m: (analytic.get(m, float("inf")),
                                       candidates.index(m)))
             return AutoDecision(mode, SOURCE_EXPLORE, dict(analytic))
         learned = {m: stats[m].ewma for m in candidates}

@@ -15,20 +15,17 @@ a ``scan`` take under U+ on this cluster?" from measurements instead of
 the static Eq. 1–3 model. :meth:`RunHistoryStore.warm` seeds HFSP's and
 admission's per-signature tables from the same folds before a replay.
 
-Three backends share one API, selected by path:
+Two backends share one API, selected by path:
 
-* SQLite (any other path) — the durable default; WAL journaling plus a
-  busy timeout make two replay processes sharing one file safe, and each
-  ``record`` is its own transaction so a crash never corrupts the ring.
-* JSON (``*.json``) — a fallback for environments without the ``sqlite3``
-  stdlib module: read-merge-write under an exclusive ``.lock`` file,
-  written atomically (tmp + rename) so readers never see a torn file.
 * memory (``":memory:"`` or ``None``) — learning without persistence.
+* SQLite (any other path) — durable; WAL journaling plus a busy timeout
+  make two replay processes sharing one file safe, and each ``record`` is
+  its own transaction so a crash never corrupts the ring. A path holding
+  anything but an SQLite database is refused and left untouched.
 
-The store is schema-versioned (``SCHEMA_VERSION``): opening a v0 JSON
-file (the flat ``{"version": 0, "history": [...]}`` layout) migrates it
-in place; opening a file stamped *newer* than this code refuses loudly
-rather than guessing. Every ``(signature, mode)`` cell is a bounded ring:
+The store is schema-versioned (``SCHEMA_VERSION``): opening a file
+stamped *newer* than this code refuses loudly rather than guessing. Every
+``(signature, mode)`` cell is a bounded ring:
 only the ``ring_size`` most recent runs are retained, so a history file
 fed by months of replays stays O(signatures × modes × ring_size).
 """
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -46,11 +43,6 @@ from ..metrics import SignatureStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mapreduce.spec import JobResult
-
-try:  # the container may lack the sqlite3 stdlib extension; gate, not crash
-    import sqlite3
-except ImportError:  # pragma: no cover - exercised only on minimal builds
-    sqlite3 = None  # type: ignore[assignment]
 
 #: Run outcomes the store accepts (mirrors the replay driver's accounting).
 OUTCOME_SUCCESS = "success"
@@ -64,6 +56,8 @@ PHASE_FIELDS = ("wait", "launch", "setup", "read", "compute", "spill",
 
 _LOCK_TIMEOUT_S = 30.0
 _LOCK_POLL_S = 0.01
+#: The first bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 @dataclass(frozen=True)
@@ -149,14 +143,11 @@ class RunHistoryStore:
         self.ring_size = ring_size
         self._conn = None
         #: signature -> mode -> list[RunRecord] (oldest -> newest); the
-        #: authoritative state for the memory/JSON backends and a cache the
+        #: authoritative state for the memory backend and a cache the
         #: SQLite backend keeps in sync with its own writes.
         self._cells: dict[str, dict[str, list[RunRecord]]] = {}
         if path is None or path == ":memory:":
             self.backend = "memory"
-        elif path.endswith(".json") or sqlite3 is None:
-            self.backend = "json"
-            self._load_json()
         else:
             self.backend = "sqlite"
             self._open_sqlite()
@@ -166,12 +157,6 @@ class RunHistoryStore:
         """Append one run to its cell; evict beyond the ring bound."""
         if self.backend == "sqlite":
             self._sqlite_insert(rec)
-        elif self.backend == "json":
-            with self._json_lock():
-                self._load_json_unlocked()
-                self._cells_append(rec)
-                self._write_json_unlocked()
-            return
         self._cells_append(rec)
 
     def runs(self, signature: str, mode: Optional[str] = None,
@@ -226,9 +211,7 @@ class RunHistoryStore:
 
     def refresh(self) -> None:
         """Re-read the backing file (picks up other writers' records)."""
-        if self.backend == "json":
-            self._load_json()
-        elif self.backend == "sqlite":
+        if self.backend == "sqlite":
             self._load_sqlite()
 
     def to_dict(self) -> dict:
@@ -269,6 +252,17 @@ class RunHistoryStore:
 
     # -- SQLite backend -------------------------------------------------------
     def _open_sqlite(self) -> None:
+        # SQLite itself refuses most foreign files, but adopts (and writes
+        # into) a short one, so the header is checked before connecting. An
+        # empty or missing file becomes a new store.
+        try:
+            with open(self.path, "rb") as f:
+                header = f.read(len(_SQLITE_HEADER))
+        except FileNotFoundError:
+            header = b""
+        if header not in (b"", _SQLITE_HEADER):
+            raise ValueError(
+                f"history store {self.path!r} is not an SQLite database")
         self._conn = sqlite3.connect(self.path, timeout=_LOCK_TIMEOUT_S)
         self._conn.execute("PRAGMA journal_mode=WAL").close()
         with self._conn:
@@ -296,13 +290,6 @@ class RunHistoryStore:
                     f"history store {self.path!r} is schema v{row[0]}, newer "
                     f"than this code (v{self.SCHEMA_VERSION}); refusing to "
                     f"write")
-            elif int(row[0]) < self.SCHEMA_VERSION:
-                # v0 predates the versioned layout; same table shape, so
-                # migration is a stamp (the JSON backend carries the real
-                # layout migration).
-                self._conn.execute(
-                    "UPDATE meta SET value=? WHERE key='schema_version'",
-                    (str(self.SCHEMA_VERSION),)).close()
         self._load_sqlite()
 
     def _load_sqlite(self) -> None:
@@ -343,92 +330,3 @@ class RunHistoryStore:
                 if attempt == 7:
                     raise
                 time.sleep(_LOCK_POLL_S * (attempt + 1))
-
-    # -- JSON backend ---------------------------------------------------------
-    def _lock_path(self) -> str:
-        return self.path + ".lock"
-
-    def _json_lock(self):
-        store = self
-
-        class _Lock:
-            def __enter__(self):
-                deadline = time.monotonic() + _LOCK_TIMEOUT_S
-                while True:
-                    try:
-                        self.fd = os.open(store._lock_path(),
-                                          os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                        return self
-                    except FileExistsError:
-                        if time.monotonic() > deadline:
-                            raise TimeoutError(
-                                f"history store lock {store._lock_path()!r} "
-                                f"held too long (stale lock?)")
-                        time.sleep(_LOCK_POLL_S)
-
-            def __exit__(self, *_exc):
-                os.close(self.fd)
-                os.unlink(store._lock_path())
-
-        return _Lock()
-
-    def _load_json(self) -> None:
-        if not os.path.exists(self.path):
-            self._cells = {}
-            return
-        with self._json_lock():
-            self._load_json_unlocked()
-            # A v0 file is rewritten in the v1 layout immediately so every
-            # later read (including other processes') sees one schema.
-            if self._migrated_v0:
-                self._write_json_unlocked()
-
-    def _load_json_unlocked(self) -> None:
-        self._cells = {}
-        self._migrated_v0 = False
-        if not os.path.exists(self.path):
-            return
-        with open(self.path) as f:
-            raw = f.read()
-        if not raw.strip():
-            return
-        data = json.loads(raw)
-        version = int(data.get("schema_version", data.get("version", 0)))
-        if version > self.SCHEMA_VERSION:
-            raise ValueError(
-                f"history store {self.path!r} is schema v{version}, newer "
-                f"than this code (v{self.SCHEMA_VERSION}); refusing to write")
-        if version < 1:
-            # v0: a flat list of {"signature", "mode", "elapsed_s", ...}
-            # rows with no outcome/phase columns; treat every row as a
-            # successful run with an empty phase map.
-            for row in data.get("history", []):
-                self._cells_append(RunRecord(
-                    signature=row["signature"], mode=row["mode"],
-                    elapsed_s=float(row["elapsed_s"]),
-                    outcome=OUTCOME_SUCCESS,
-                    input_mb=float(row.get("input_mb", 0.0)),
-                    am_overhead_s=float(row.get("am_overhead_s", 0.0)),
-                    phases={},
-                    finished_at=float(row.get("finished_at", 0.0))))
-            self._migrated_v0 = True
-            return
-        for sig, modes in data.get("runs", {}).items():
-            for mode, rows in modes.items():
-                for row in rows:
-                    self._cells_append(RunRecord(
-                        signature=sig, mode=mode,
-                        elapsed_s=float(row["elapsed_s"]),
-                        outcome=row.get("outcome", OUTCOME_SUCCESS),
-                        input_mb=float(row.get("input_mb", 0.0)),
-                        am_overhead_s=float(row.get("am_overhead_s", 0.0)),
-                        phases=row.get("phases", {}),
-                        finished_at=float(row.get("finished_at", 0.0))))
-
-    def _write_json_unlocked(self) -> None:
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
-        os.replace(tmp, self.path)
-
-    _migrated_v0 = False

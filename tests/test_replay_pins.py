@@ -335,65 +335,12 @@ def _learned_state(scheduler, runtime, picker):
     }
 
 
-#: The second of two auto replays sharing one JSON history store, on HFSP
+#: The second of two auto replays sharing one SQLite history store, on HFSP
 #: with serving on: the store warm-starts HFSP's size training and the
 #: admission size oracle before the replay begins.
 _PINNED_WARM = "d6bb75e574d61dc9cfd43426025dd43e4ee3a26e4686a1c9d6dd3b0296fa0c80"
 
 _PINNED_WARM_LEARNED = {
-    "hfsp": {
-        "agg": "(17, 10.027405239999997)",
-        "scan": "(13, 22.076329247692307)",
-        "sort": "(8, 14.52808625925)",
-    },
-    "admission": {
-        "agg": "(34, 8.171559946320098)",
-        "scan": "(26, 13.130774275647692)",
-        "sort": "(16, 9.665789552113106)",
-    },
-    "picker": {
-        "agg/stock": "(1, 12.032653628)",
-        "agg/dplus": "(2, 18.071)",
-        "agg/uplus": "(30, 8.171558848052248)",
-        "agg/uber": "(1, 11.5012492)",
-        "scan/stock": "(3, 34.120214810280004)",
-        "scan/dplus": "(1, 20.495)",
-        "scan/uplus": "(20, 13.129995868861037)",
-        "scan/uber": "(2, 35.115973698)",
-        "sort/stock": "(2, 17.909698127)",
-        "sort/dplus": "(1, 23.525)",
-        "sort/uplus": "(12, 9.645270697569666)",
-        "sort/uber": "(1, 17.129725409)",
-    },
-}
-
-
-def _warm_replay(path, learners):
-    """Two auto replays sharing the store at ``path``; the second's report
-    and learned state."""
-    conf = HadoopConfig(tuner=TunerConfig(history_db=path),
-                        serving=ServingConfig())
-    trace = poisson_trace(default_serving_mix(), 10.0, 240.0, seed=19)
-    for _ in range(2):
-        cluster = build_trace_cluster(a3_cluster(3), scheduler=SCHEDULER_HFSP,
-                                      strategy=STRATEGY_AUTO, conf=conf,
-                                      seed=7)
-        report = replay_load(cluster, trace, STRATEGY_AUTO, keep_jobs=True)
-    assert report.tuner["sources"] == {"learned": len(trace)}
-    return report, _learned_state(cluster.rm.scheduler, learners["runtime"],
-                                  learners["picker"])
-
-
-def test_warm_started_replay_is_pinned(tmp_path, learners):
-    report, learned = _warm_replay(str(tmp_path / "history.json"), learners)
-    assert _report_digest(report) == _PINNED_WARM
-    assert learned == _PINNED_WARM_LEARNED
-
-
-#: The same warm start on SQLite. The report is the same; the learned
-#: means differ from the JSON store's in their last digits, because SQLite
-#: keeps every float as recorded and the JSON writer rounds to 9 decimals.
-_PINNED_WARM_LEARNED_DB = {
     "hfsp": {
         "agg": "(17, 10.027405239996469)",
         "scan": "(13, 22.076329247635098)",
@@ -421,7 +368,17 @@ _PINNED_WARM_LEARNED_DB = {
 }
 
 
-def test_warm_started_sqlite_replay_is_pinned(tmp_path, learners):
-    report, learned = _warm_replay(str(tmp_path / "history.db"), learners)
+def test_warm_started_replay_is_pinned(tmp_path, learners):
+    conf = HadoopConfig(
+        tuner=TunerConfig(history_db=str(tmp_path / "history.db")),
+        serving=ServingConfig())
+    trace = poisson_trace(default_serving_mix(), 10.0, 240.0, seed=19)
+    for _ in range(2):
+        cluster = build_trace_cluster(a3_cluster(3), scheduler=SCHEDULER_HFSP,
+                                      strategy=STRATEGY_AUTO, conf=conf,
+                                      seed=7)
+        report = replay_load(cluster, trace, STRATEGY_AUTO, keep_jobs=True)
+    assert report.tuner["sources"] == {"learned": len(trace)}
     assert _report_digest(report) == _PINNED_WARM
-    assert learned == _PINNED_WARM_LEARNED_DB
+    assert _learned_state(cluster.rm.scheduler, learners["runtime"],
+                          learners["picker"]) == _PINNED_WARM_LEARNED

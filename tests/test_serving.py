@@ -109,7 +109,7 @@ def test_property_latency_never_shed_before_batch(raw, max_pending):
             # Only when no pending batch job is left to evict (or the
             # arrival itself is batch) does capacity reject.
             if decision.job.slo_class == SLO_LATENCY:
-                assert all(p.effective_class == SLO_LATENCY
+                assert all(p.slo_class == SLO_LATENCY
                            for p in ctl._pending)
 
 
@@ -191,7 +191,6 @@ def test_dispatch_order_is_edf_then_batch_fifo():
 
 def test_degradation_ladder_levels():
     ctl = AdmissionController(ServingConfig(max_pending=4,
-                                            degrade_at_pending_fraction=0.5,
                                             latency_deadline_s=1e9))
     assert ctl.degradation_level() == 0
     for i in range(2):
@@ -250,9 +249,8 @@ def test_autoscaler_excludes_crashed_nodes_but_bills_them():
 def test_autoscaler_scales_up_on_backlog_and_back_down_when_calm():
     cluster = build_trace_cluster(SPEC)
     conf = ServingConfig(autoscale=True, min_nodes=4, max_nodes=6,
-                         slots_per_node=2, autoscale_interval_s=5.0,
-                         provision_delay_s=10.0, scale_down_after_rounds=2,
-                         latency_deadline_s=1e9, max_pending=64)
+                         slots_per_node=2, latency_deadline_s=1e9,
+                         max_pending=64)
     ctl = AdmissionController(conf)
     scaler = Autoscaler(cluster, conf, ctl)
     # Saturate: running fills the slots, a deep pending backlog remains.

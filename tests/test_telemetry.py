@@ -21,6 +21,7 @@ from repro.telemetry import (AlertEngine, BurnRateRule, HeartbeatStalenessRule,
                              TelemetryRegistry, UnderReplicationRule,
                              install_telemetry, parse_openmetrics,
                              render_jsonl, render_openmetrics)
+from repro.telemetry.alerts import SLO_TARGET
 from repro.telemetry.instruments import DEFAULT_BUCKETS, Histogram
 from repro.trace import (build_trace_cluster, default_serving_mix,
                          poisson_trace, replay_load, run_load)
@@ -409,7 +410,7 @@ def test_retention_must_cover_the_slow_burn_window():
         TelemetryConfig(scrape_interval_s=0.25)  # 127.5 s of history
     TelemetryConfig(retention_samples=182)  # exactly 180 s
     TelemetryConfig(retention_samples=100, alerts=False)
-    TelemetryConfig(retention_samples=100, burn_slow_window_s=90.0)
+    TelemetryConfig(retention_samples=92, scrape_interval_s=2.0)  # 180 s
 
 
 def test_burn_rate_at_shortest_accepted_retention_matches_full_history():
@@ -424,8 +425,7 @@ def test_burn_rate_at_shortest_accepted_retention_matches_full_history():
     missed = reg.counter("serving_deadline_missed", "missed")
     scraper = Scraper(env, reg, interval_s=conf.scrape_interval_s,
                       retention=conf.retention_samples)
-    rule = BurnRateRule(conf.slo_target, conf.burn_fast_window_s,
-                        conf.burn_slow_window_s, conf.burn_threshold)
+    rule = BurnRateRule()
     history = []
 
     def exact(t, window):
@@ -436,7 +436,7 @@ def test_burn_rate_at_shortest_accepted_retention_matches_full_history():
         now = history[-1]
         d_met, d_missed = now[1] - base[0], now[2] - base[1]
         total = d_met + d_missed
-        return (d_missed / total) / (1 - conf.slo_target) if total else 0.0
+        return (d_missed / total) / (1 - SLO_TARGET) if total else 0.0
 
     stamps = [float(k) for k in range(1, 416)] + [415.5]
     for t in stamps:
@@ -446,7 +446,7 @@ def test_burn_rate_at_shortest_accepted_retention_matches_full_history():
             met.inc()
         scraper.sample(t)
         history.append((t, met.value, missed.value))
-        for window in (conf.burn_fast_window_s, conf.burn_slow_window_s):
+        for window in (rule.fast_window_s, rule.slow_window_s):
             assert rule.burn_rate(t, scraper, window) == pytest.approx(
                 exact(t, window)), (t, window)
     assert len(scraper.series("serving_deadline_met")) == 182
@@ -589,10 +589,11 @@ def test_scraped_series_do_not_depend_on_event_density():
     from repro.faults.plan import churn_plan
 
     def run(noop_every):
-        conf = _serving_conf(
-            telemetry=TelemetryConfig(catchup_limit=1_000_000),
-            autoscale=True, min_nodes=2, max_nodes=5)
+        conf = _serving_conf(telemetry=TelemetryConfig(),
+                             autoscale=True, min_nodes=2, max_nodes=5)
         cluster = build_trace_cluster(a3_cluster(3), conf=conf, seed=7)
+        # The replay finds this telemetry installed and keeps it.
+        install_telemetry(cluster).scraper.catchup_limit = 1_000_000
         if noop_every is not None:
             def noop(env):
                 while True:
@@ -637,7 +638,7 @@ def test_burn_rate_fires_before_attainment_loss_static_overload():
     ring = telemetry.series("serving_attainment_cumulative")
     lost_at = None
     for t, v in zip(ring.times, ring.values):
-        if v < telemetry.config.slo_target:
+        if v < SLO_TARGET:
             lost_at = t
             break
     assert lost_at is not None, "cumulative attainment never dropped"

@@ -1,16 +1,15 @@
 """Tuner suite: run-history store, learned estimates, the auto picker, and
 the oracle-regret differential harness.
 
-Covers the store's three backends (digest-identical), schema-v0 migration,
-concurrent writers in separate processes, Hypothesis properties (ring
+Covers the store's two backends (digest-identical), refusal of foreign
+files and newer schemas, concurrent writers in separate processes, Hypothesis properties (ring
 bound, crash-reopen round-trip, permutation invariance, EWMA convergence),
 the picker's three regimes (analytic byte-for-byte with Eq. 1-3, explore
 order, learned argmin), and the regret suite's acceptance criteria.
 """
 
-import json
+import hashlib
 import os
-import shutil
 import sqlite3
 import subprocess
 import sys
@@ -39,8 +38,6 @@ from repro.tuner import (
 )
 from repro.yarn import HFSPScheduler
 
-V0_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "history_v0.json")
-
 CANDIDATES = TunerConfig.candidates
 
 SAMPLE_INPUTS = EstimatorInputs(t_l=1.0, t_m=2.0, s_i=10.0, s_o=5.0,
@@ -59,10 +56,27 @@ def fill(store, records):
 def test_backend_selection(tmp_path):
     assert RunHistoryStore(None).backend == "memory"
     assert RunHistoryStore(":memory:").backend == "memory"
-    with RunHistoryStore(str(tmp_path / "h.json")) as js:
-        assert js.backend == "json"
-    with RunHistoryStore(str(tmp_path / "h.db")) as db:
-        assert db.backend == "sqlite"
+    for fname in ("h.db", "h.json"):
+        with RunHistoryStore(str(tmp_path / fname)) as db:
+            assert db.backend == "sqlite"
+
+
+@pytest.mark.parametrize("content", [
+    '{"schema_version": 1, "runs": {}}',
+    '{"version": 0, "history": []}',
+    "x",
+])
+def test_foreign_file_is_refused_unchanged(tmp_path, content):
+    """A path holding anything but an SQLite database (a JSON history
+    file, say) raises, and the file and its directory stay as they were:
+    SQLite would otherwise adopt a short file and write into it."""
+    path = tmp_path / "history.json"
+    path.write_text(content)
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    with pytest.raises(ValueError, match="not an SQLite database"):
+        RunHistoryStore(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+    assert os.listdir(tmp_path) == ["history.json"]
 
 
 def test_store_rejects_bad_records():
@@ -79,7 +93,8 @@ def test_store_rejects_bad_records():
 
 @pytest.mark.parametrize("fname", ["h.db", "h.json"])
 def test_store_reopen_round_trip(tmp_path, fname):
-    """Write, close, reopen: byte-identical canonical view (durability)."""
+    """Write, close, reopen: byte-identical canonical view (durability).
+    The suffix selects nothing: every file path is an SQLite store."""
     path = str(tmp_path / fname)
     records = [("scan", "uplus", 4.0), ("scan", "dplus", 7.5),
                ("scan", "uplus", 4.5), ("sort", "stock", 12.0)]
@@ -103,39 +118,10 @@ def test_store_reopen_round_trip(tmp_path, fname):
 def test_backends_produce_identical_digests(tmp_path):
     records = [("a", "uplus", 3.0), ("a", "uplus", 4.0), ("b", "dplus", 9.0)]
     mem = RunHistoryStore(None)
-    with RunHistoryStore(str(tmp_path / "h.json")) as js, \
-            RunHistoryStore(str(tmp_path / "h.db")) as db:
-        for store in (mem, js, db):
+    with RunHistoryStore(str(tmp_path / "h.db")) as db:
+        for store in (mem, db):
             fill(store, records)
-        assert mem.digest() == js.digest() == db.digest()
-
-
-def test_v0_json_store_migrates_in_place(tmp_path):
-    path = str(tmp_path / "history.json")
-    shutil.copy(V0_FIXTURE, path)
-    with RunHistoryStore(path) as store:
-        # All v0 rows land as successful runs, oldest first.
-        assert [r.elapsed_s for r in store.runs("scan", "uplus")] == [4.25, 4.0]
-        assert all(r.success for r in store.runs("scan"))
-        assert store.runs("scan", "dplus")[0].am_overhead_s == 1.5
-        assert store.runs("sort", "stock")[0].finished_at == 42.5
-        digest = store.digest()
-    # The file was rewritten in the v1 layout on open...
-    with open(path) as f:
-        on_disk = json.load(f)
-    assert on_disk["schema_version"] == RunHistoryStore.SCHEMA_VERSION
-    assert "history" not in on_disk
-    # ...and a second open sees exactly the migrated state.
-    with RunHistoryStore(path) as reopened:
-        assert reopened.digest() == digest
-
-
-def test_newer_schema_refused_json(tmp_path):
-    path = str(tmp_path / "h.json")
-    with open(path, "w") as f:
-        json.dump({"schema_version": 99, "runs": {}}, f)
-    with pytest.raises(ValueError, match="newer"):
-        RunHistoryStore(path)
+        assert mem.digest() == db.digest()
 
 
 def test_newer_schema_refused_sqlite(tmp_path):
@@ -169,11 +155,10 @@ with RunHistoryStore(path, ring_size=256) as store:
 """
 
 
-@pytest.mark.parametrize("fname,per_proc", [("h.db", 20), ("h.json", 8)])
-def test_concurrent_writers_lose_nothing(tmp_path, fname, per_proc):
+def test_concurrent_writers_lose_nothing(tmp_path):
     """Two separate processes hammering one store file: every record lands
-    (WAL+busy-timeout for SQLite, the .lock protocol for JSON)."""
-    path = str(tmp_path / fname)
+    (WAL journaling plus the busy timeout)."""
+    path, per_proc = str(tmp_path / "h.db"), 20
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     procs = [subprocess.Popen(
@@ -213,14 +198,13 @@ def test_property_ring_keeps_newest_per_cell(records, ring):
     assert len(store) == sum(min(len(v), ring) for v in tail.values())
 
 
-@given(st.lists(record_st, max_size=20), st.integers(1, 4),
-       st.sampled_from(["h.db", "h.json"]))
+@given(st.lists(record_st, max_size=20), st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
-def test_property_reopen_round_trip(records, ring, fname):
+def test_property_reopen_round_trip(records, ring):
     """Crash-reopen: whatever was recorded (including ring evictions), a
     fresh open reconstructs the identical canonical state."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, fname)
+        path = os.path.join(tmp, "h.db")
         with RunHistoryStore(path, ring_size=ring) as store:
             fill(store, records)
             digest = store.digest()
