@@ -279,11 +279,6 @@ def bench_telemetry(num_nodes: int = 1000, sim_duration_s: float = 30.0,
     wall-clock noise on a shared machine is strictly one-sided (slowdowns),
     so best-of-N converges on the true cost where a single shot can swing
     tens of percent either way.
-
-    ``scrape_us`` is telemetry's absolute host cost per scrape: the wall
-    time of the best "on" arm minus that of the best "off" arm, divided by
-    the scrapes taken. Unlike ``overhead_fraction`` it does not move when
-    the base workload gets faster or slower.
     """
     import gc
 
@@ -306,15 +301,12 @@ def bench_telemetry(num_nodes: int = 1000, sim_duration_s: float = 30.0,
             on, on_lps = t, t["logical_events_per_sec"] or 0
     overhead = (off_lps - on_lps) / off_lps if off_lps else None
     section = dict(on.get("telemetry", {}))
-    scrapes = section.get("scrapes", 0)
     section.update({
         "nodes": num_nodes,
         "sim_duration_s": sim_duration_s,
         "logical_events_per_sec_off": off_lps,
         "logical_events_per_sec_on": on_lps,
         "overhead_fraction": round(overhead, 4) if overhead is not None else None,
-        "scrape_us": (round((on["seconds"] - off["seconds"]) / scrapes * 1e6, 1)
-                      if scrapes else None),
         "events_identical": off["events"] == on["events"],
         "ring_rss_mb": round(section.get("ring_bytes", 0) / (1024.0 * 1024.0), 3),
     })
@@ -443,7 +435,6 @@ def format_report(report: dict) -> str:
             f"  telemetry: overhead {tel['overhead_fraction']:.1%} at "
             f"{tel['nodes']} nodes ({tel['logical_events_per_sec_off']:,} -> "
             f"{tel['logical_events_per_sec_on']:,} logical ev/s)  "
-            f"{tel['scrape_us']} us/scrape  "
             f"{tel['scrapes']} scrapes x {tel['series']} series  "
             f"rings={tel['ring_rss_mb']}MB  "
             f"events_identical={tel['events_identical']}")
