@@ -65,7 +65,7 @@ def test_backend_selection(tmp_path):
     '{"schema_version": 1, "runs": {}}',
     '{"version": 0, "history": []}',
     "x",
-])
+], ids=["json", "json-v0", "one-byte"])
 def test_foreign_file_is_refused_unchanged(tmp_path, content):
     """A path holding anything but an SQLite database (a JSON history
     file, say) raises, and the file and its directory stay as they were:
