@@ -127,6 +127,7 @@ def test_job_am_selector_finds_stock_am_node():
     cluster.env.run(until=handle)
     am_node = cluster.log.first("am_allocated").data["node"]
     assert injector.timeline[0] == (6.0, "crash_nm", am_node)
+    assert injector.timeline == [(6.0, "crash_nm", "dn3")]
 
 
 def test_non_am_selectors_spare_am_nodes():
@@ -188,8 +189,9 @@ def _am_crash_run(recovery: bool):
     cluster = build_stock_cluster(a3_cluster(4), conf=conf)
     spec = ts_spec(cluster)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
-    inject(cluster, FaultPlan().crash(20.0, "@job-am", hdfs=False))
+    injector = inject(cluster, FaultPlan().crash(20.0, "@job-am", hdfs=False))
     cluster.env.run(until=handle)
+    assert injector.timeline == [(20.0, "crash_nm", "dn3")]
     return cluster, handle.value
 
 

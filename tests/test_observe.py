@@ -1,5 +1,6 @@
 """Tests for the tracing + profiling subsystem (repro.observe)."""
 
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,29 @@ def test_fault_instants_traced():
     kinds = {i.name for i in tracer.instants}
     assert "slow_disk" in kinds and "disk_restored" in kinds
     assert tracer.metrics.counter("faults:slow_disk") == 1
+    assert tracer.metrics.snapshot() == {
+        "counters": {"faults:disk_restored": 1.0, "faults:slow_disk": 1.0,
+                     "kernel:events_dispatched": 8.0},
+        "histograms": {}}
+
+
+#: sha256 of ``repro profile --workload wordcount --mode stock``'s
+#: ``profile.breakdown.json``: the critical-path breakdown plus the tracer's
+#: counter and histogram snapshot, byte for byte.
+_PINNED_PROFILE_BREAKDOWN = (
+    "69c5b494253e97c835c45dad4e424fe4452d0cb0c6ab93a0bcaa00f6aac26fab")
+
+
+def test_profile_breakdown_is_pinned(tmp_path, capsys):
+    from repro.cli import main
+
+    breakdown = tmp_path / "profile.breakdown.json"
+    assert main(["profile", "--workload", "wordcount", "--mode", "stock",
+                 "--output", str(tmp_path / "profile.perfetto.json"),
+                 "--breakdown", str(breakdown)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(breakdown.read_bytes()).hexdigest()
+    assert digest == _PINNED_PROFILE_BREAKDOWN
 
 
 def test_analyze_job_requires_job_span():

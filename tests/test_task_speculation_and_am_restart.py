@@ -109,8 +109,9 @@ def test_am_restart_after_am_node_death():
     spec = wc_spec(cluster, 4)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
 
-    inject(cluster, KILL_JOB_AM)
+    injector = inject(cluster, KILL_JOB_AM)
     cluster.env.run(until=handle)
+    assert injector.timeline == [(6.0, "crash_nm", "dn3")]
     result = handle.value
     assert all(m.finish_time > 0 for m in result.maps)
     assert cluster.log.first("am_restarted") is not None
@@ -124,9 +125,10 @@ def test_am_restart_limited_by_max_attempts():
     spec = wc_spec(cluster, 4)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
 
-    inject(cluster, KILL_JOB_AM)
+    injector = inject(cluster, KILL_JOB_AM)
     with pytest.raises(Exception):
         cluster.env.run(until=handle)
+    assert injector.timeline == [(6.0, "crash_nm", "dn3")]
     assert cluster.log.first("am_restarted") is None
 
 

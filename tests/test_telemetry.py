@@ -721,6 +721,14 @@ def test_dplus_grants_feed_the_grant_delay_histogram():
     grants = tracer.metrics.counter("scheduler:grants")
     assert grants > 0
     assert telemetry.grant_delay.count == grants
+    assert tracer.metrics.snapshot() == {
+        "counters": {"fabric:flows_completed": 40.0,
+                     "kernel:events_dispatched": 226.0,
+                     "rm:allocate_calls": 18.0,
+                     "rm:containers_granted": 9.0,
+                     "scheduler:grants": 9.0},
+        "histograms": {"scheduler:grant_queue_delay_s": {
+            "count": 9, "min": 0.0, "max": 0.0, "mean": 0.0, "sum": 0.0}}}
 
 
 def test_run_load_records_scheduler_histograms():
