@@ -3,8 +3,8 @@
 The observability contract (docs/observability.md) is *zero overhead when
 disabled*: with ``env.tracer is None`` — the default — every
 instrumentation site must cost exactly one attribute read and one ``is
-None`` test. An unguarded ``env.tracer.span(...)`` crashes untraced runs
-with ``AttributeError``; an unguarded ``tracer.metrics.incr(...)`` whose
+None`` test. An unguarded ``env.tracer.instant(...)`` crashes untraced runs
+with ``AttributeError``; an unguarded ``tracer.counter(...).inc()`` whose
 guard someone deleted silently re-introduces overhead into the kernel
 dispatch and scheduler paths the benchmarks measure.
 
@@ -15,7 +15,7 @@ Recognized guards::
 
     tracer = self.env.tracer
     if tracer is not None and other_condition:
-        tracer.metrics.incr(...)
+        tracer.counter("rm:allocate_calls").inc()
 
     if env.tracer is None:
         return                      # early-out guards the rest of the body
@@ -43,10 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Tracer API whose call sites must be guarded.
+#: Tracer API whose call sites must be guarded: the span and instant
+#: methods, the metric lookups, and the pushes on an instrument reached
+#: through the tracer (``tracer.<instrument>.inc()``).
 TRACER_METHODS = frozenset({
-    "span", "instant", "begin", "end", "complete", "async_complete",
-    "incr", "observe", "record", "gauge",
+    "instant", "begin", "end", "complete", "async_complete",
+    "counter", "histogram", "inc", "observe",
 })
 
 def _tracer_prefix(chain: Sequence[str]) -> str | None:

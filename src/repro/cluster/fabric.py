@@ -269,7 +269,7 @@ class _FlowServer:
                 tracer.async_complete(flow.label, "flow", CLUSTER,
                                       f"fabric:{device}", flow.submitted_at,
                                       size=flow.size)
-                tracer.metrics.incr("fabric:flows_completed")
+                tracer.counter("fabric:flows_completed").inc()
         # Retiming covers the numerical-drift case too: if nothing finished
         # exactly, _reallocate re-requests a wake-up at the refreshed ETA, so
         # no second (duplicate) drift timer is ever armed.

@@ -152,8 +152,10 @@ class SubmissionFramework:
                 state.release(slave.container.resource)
         env.process(self._respawn_slaves(len(dead)),
                     name=f"ampool-respawn-{node_id}")
-        self.cluster.log.mark(env.now, "ampool_slaves_lost",
-                              node=node_id, count=len(dead))
+        if env.tracer is not None:
+            from ..observe.tracer import CLUSTER
+            env.tracer.instant("ampool_slaves_lost", "ampool", CLUSTER,
+                               "ampool", node=node_id, count=len(dead))
 
     def _respawn_slaves(self, count: int) -> Generator:
         """Launch replacement warm AMs on surviving nodes (pays JVM launch)."""
@@ -177,8 +179,11 @@ class SubmissionFramework:
             slave.mark_ready()
             self.pool.put(slave)
             spawned += 1
-        self.cluster.log.mark(self.cluster.env.now, "ampool_respawned",
-                              count=spawned)
+        tracer = self.cluster.env.tracer
+        if tracer is not None:
+            from ..observe.tracer import CLUSTER
+            tracer.instant("ampool_respawned", "ampool", CLUSTER, "ampool",
+                           count=spawned)
 
     # -- submission ---------------------------------------------------------------
     def submit(self, spec: SimJobSpec, mode: str) -> JobHandle:

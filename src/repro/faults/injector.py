@@ -69,13 +69,11 @@ class FaultInjector:
 
     def _record(self, kind: str, victim: str) -> None:
         env = self.cluster.env
-        now = env.now
-        self.timeline.append((now, kind, victim))
-        self.cluster.log.mark(now, "fault_injected", kind=kind, victim=victim)
+        self.timeline.append((env.now, kind, victim))
         if env.tracer is not None:
             from ..observe.tracer import CLUSTER
             env.tracer.instant(kind, "fault", CLUSTER, "faults", victim=victim)
-            env.tracer.metrics.incr(f"faults:{kind}")
+            env.tracer.counter(f"faults:{kind}").inc()
 
     # -- event handlers -----------------------------------------------------
     def _crash(self, ev: NodeCrash) -> None:
@@ -193,18 +191,22 @@ class FaultInjector:
         return nodes
 
     def _job_am_node(self) -> Optional[str]:
-        """The node of the most recently placed, still-alive AM."""
+        """The node of the most recently placed AM whose node is alive.
+
+        Pooled MRapid AMs running a job come first; otherwise the RM's
+        AM containers, newest (highest container id) first.
+        """
         framework = getattr(self.cluster, "mrapid_framework", None)
         if framework is not None:
             busy = [s for s in framework.slaves if s.busy and self._alive(s.node_id)]
             if busy:
                 return busy[-1].node_id
-        for mark in reversed(self.cluster.log.marks):
-            if mark.label == "am_allocated":
-                node = mark.data.get("node")
-                if node and self._alive(node):
-                    return node
-        return None
+        placed = [app.am_container for app in self.cluster.rm.apps.values()
+                  if app.am_container is not None
+                  and self._alive(app.am_container.node_id)]
+        if not placed:
+            return None
+        return max(placed, key=lambda c: c.container_id).node_id
 
     def _resolve(self, selector: str) -> Optional[str]:
         """Resolve a victim selector against live state (None = no victim)."""

@@ -180,8 +180,10 @@ class DistributedAM:
                     launches[idx] = 1
                     bus.put(MapOutput(old.task_id, old.node_id, old.output_mb,
                                       old.in_memory_output))
-                    self.cluster.log.mark(env.now, "map_recovered",
-                                          task=old.task_id, node=old.node_id)
+                    if env.tracer is not None:
+                        env.tracer.instant("map_recovered", "am", ctx.node_id,
+                                           f"am-{ctx.app.app_id}",
+                                           task=old.task_id, node=old.node_id)
                 self.result.maps = map_records
 
             unassigned = [idx for idx in range(n_maps) if idx not in completed]
@@ -212,7 +214,10 @@ class DistributedAM:
                 """Re-execute a map whose completed output became unreachable."""
                 completed.discard(idx)
                 ctx.app.recovery_maps.pop(idx, None)
-                self.cluster.log.mark(env.now, cause, task=task_id, node=node)
+                if env.tracer is not None:
+                    env.tracer.instant(cause, "am", ctx.node_id,
+                                       f"am-{ctx.app.app_id}",
+                                       task=task_id, node=node)
                 if idx not in unassigned:
                     unassigned.append(idx)
                     ask_times[idx] = env.now
@@ -341,9 +346,11 @@ class DistributedAM:
                                 and fail_node not in blacklisted
                                 and len(blacklisted) < len(rm_nodes) - 1):
                             blacklisted.add(fail_node)
-                            self.cluster.log.mark(env.now, "node_blacklisted",
-                                                  node=fail_node,
-                                                  failures=node_task_failures[fail_node])
+                            if env.tracer is not None:
+                                env.tracer.instant(
+                                    "node_blacklisted", "am", ctx.node_id,
+                                    f"am-{ctx.app.app_id}", node=fail_node,
+                                    failures=node_task_failures[fail_node])
                     attempts[idx] += 1
                     if attempts[idx] >= conf.max_task_attempts:
                         raise JobFailed(

@@ -3,8 +3,8 @@
 Not to be confused with :mod:`repro.trace` (workload-*trace* replay: bursty
 job arrival streams). This package records *execution* traces: causal spans
 with parent links emitted by the simulation kernel, YARN, the AMs, the task
-bodies, the I/O fabric, and the fault injector, plus counters/histograms in
-a :class:`MetricsRegistry`. On top of the raw spans sit
+bodies, the I/O fabric, and the fault injector, plus telemetry
+counters/histograms in :attr:`Tracer.metrics`. On top of the raw spans sit
 
 * :func:`to_trace_events` — a Chrome trace-event / Perfetto JSON exporter
   (open the file in https://ui.perfetto.dev);
@@ -29,13 +29,12 @@ from .critical_path import (
 )
 from .export import to_trace_events, validate_trace_events
 from .profile import PROFILE_MODES, ProfileReport, run_profiled
-from .tracer import Instant, MetricsRegistry, Span, Tracer, install_tracer
+from .tracer import Instant, Span, Tracer, install_tracer
 
 __all__ = [
     "OVERHEAD_CLASSES",
     "CriticalPathReport",
     "Instant",
-    "MetricsRegistry",
     "PROFILE_MODES",
     "ProfileReport",
     "Segment",

@@ -187,7 +187,7 @@ def to_trace_events(tracer: "Tracer", trace_name: str = "repro",
         "traceEvents": meta + timed,
         "displayTimeUnit": "ms",
         "otherData": {"trace_name": trace_name,
-                      "metrics": tracer.metrics.snapshot()},
+                      "metrics": tracer.metrics_snapshot()},
     }
 
 

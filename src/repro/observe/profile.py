@@ -65,7 +65,7 @@ class ProfileReport:
             "app_id": self.result.app_id,
             "elapsed": self.result.elapsed,
             "breakdown": self.path.to_dict(),
-            "metrics": self.tracer.metrics.snapshot(),
+            "metrics": self.tracer.metrics_snapshot(),
         }
 
     def render(self, width: int = 72) -> str:

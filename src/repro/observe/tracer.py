@@ -1,4 +1,4 @@
-"""The span tracer and metrics registry.
+"""The span tracer.
 
 A :class:`Tracer` collects three kinds of records from a simulated run:
 
@@ -6,10 +6,14 @@ A :class:`Tracer` collects three kinds of records from a simulated run:
   key (``node``, one Perfetto *pid* per cluster machine), a lane (``lane``,
   one Perfetto *tid* per container/daemon), optional parent links, and
   free-form args;
-* **instants** — zero-duration marks (fault injections, scheduler grants);
-* **metrics** — monotonic counters and value histograms in a
-  :class:`MetricsRegistry` (kernel events dispatched, RM heartbeats served,
-  scheduler grant queue delays, fabric flows completed, ...).
+* **instants** — zero-duration marks (fault injections, AM placements and
+  restarts, map recoveries, fetch failures, node blacklisting, AM-pool
+  healing);
+* **metrics** — telemetry :class:`~repro.telemetry.instruments.Counter` and
+  :class:`~repro.telemetry.instruments.Histogram` instruments in a
+  :class:`~repro.telemetry.instruments.TelemetryRegistry` (kernel events
+  dispatched, RM heartbeats served, scheduler grant queue delays, fabric
+  flows completed, ...); the pushed ones register on first use.
 
 Spans come in two flavors. ``sync`` spans live on one lane and are properly
 nested there (a task's ``read`` inside the task's root span) — they export
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
+
+from ..telemetry.instruments import Counter, Histogram, TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -76,67 +82,51 @@ class Instant:
     args: dict[str, Any] = field(default_factory=dict)
 
 
-class MetricsRegistry:
-    """Counters and histograms keyed by name.
-
-    Given an environment, the registry also reports
-    ``kernel:events_dispatched``: the kernel's own ``events_processed``
-    minus its value when the registry was made, read whenever the
-    counters are read, so no callback runs per event.
-    """
-
-    def __init__(self, env: Optional["Environment"] = None) -> None:
-        self.counters: dict[str, float] = {}
-        self.histograms: dict[str, list[float]] = {}
-        self._env = env
-        self._events_at_install = env.events_processed if env is not None else 0
-
-    def _read_kernel(self) -> None:
-        if self._env is not None:
-            self.counters["kernel:events_dispatched"] = float(
-                self._env.events_processed - self._events_at_install)
-
-    def incr(self, name: str, by: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + by
-
-    def observe(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, []).append(float(value))
-
-    def counter(self, name: str) -> float:
-        self._read_kernel()
-        return self.counters.get(name, 0.0)
-
-    def histogram_summary(self, name: str) -> dict[str, float]:
-        values = self.histograms.get(name, [])
-        if not values:
-            return {"count": 0, "min": 0.0, "max": 0.0, "mean": 0.0, "sum": 0.0}
-        total = sum(values)
-        return {
-            "count": len(values),
-            "min": min(values),
-            "max": max(values),
-            "mean": total / len(values),
-            "sum": total,
-        }
-
-    def snapshot(self) -> dict[str, Any]:
-        self._read_kernel()
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {name: self.histogram_summary(name)
-                           for name in sorted(self.histograms)},
-        }
-
-
 class Tracer:
-    """Collects spans, instants, and metrics from one simulated run."""
+    """Collects spans, instants, and metrics from one simulated run.
+
+    ``kernel:events_dispatched`` is a pull counter: the kernel's own
+    ``events_processed`` minus its value at install, read whenever the
+    counter is read, so no callback runs per event.
+    """
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
-        self.metrics = MetricsRegistry(env)
+        self.metrics = TelemetryRegistry()
+        at_install = env.events_processed
+        self.metrics.counter("kernel:events_dispatched",
+                             "Kernel events dispatched since install",
+                             fn=lambda: env.events_processed - at_install)
         self._next_sid = 1
+
+    # -- metrics -------------------------------------------------------------
+    def counter(self, name: str) -> Counter:
+        """The counter ``name``, registered on first use."""
+        counter = self.metrics.get(name)
+        return counter if counter is not None else self.metrics.counter(name, name)
+
+    def histogram(self, name: str) -> Histogram:
+        """The histogram ``name``, registered on first use."""
+        histogram = self.metrics.get(name)
+        return (histogram if histogram is not None
+                else self.metrics.histogram(name, name))
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """Counter values and histogram summaries, each sorted by name."""
+        counters: dict[str, float] = {}
+        histograms: dict[str, dict[str, float]] = {}
+        for instrument in self.metrics:
+            if isinstance(instrument, Histogram):
+                histograms[instrument.name] = {
+                    "count": instrument.count, "min": instrument.min,
+                    "max": instrument.max, "mean": instrument.mean,
+                    "sum": instrument.sum}
+            else:
+                counters[instrument.name] = instrument.value
+        return {"counters": dict(sorted(counters.items())),
+                "histograms": dict(sorted(histograms.items()))}
 
     # -- span API -----------------------------------------------------------
     def begin(self, name: str, cat: str, node: str, lane: str,
@@ -174,8 +164,10 @@ class Tracer:
         span.flavor = ASYNC
         return span
 
-    def instant(self, name: str, cat: str, node: str, lane: str,
+    def instant(self, name: str, cat: str, node: str, lane: str, /,
                 **args: Any) -> Instant:
+        """Record a mark now. The four record fields are positional-only,
+        so ``args`` may carry keys of the same names (``node=...``)."""
         mark = Instant(name, cat, node, lane, self.env.now, args=args)
         self.instants.append(mark)
         return mark

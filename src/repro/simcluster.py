@@ -18,7 +18,6 @@ from .hdfs.client import HdfsClient
 from .hdfs.datanode import DataNodeDaemon, ReplicationManager
 from .hdfs.namenode import NameNode
 from .simulation.core import Environment
-from .simulation.monitor import EventLog
 from .yarn.nodemanager import NodeManager
 from .yarn.resourcemanager import ResourceManager
 from .yarn.scheduler import CapacityScheduler, SchedulerBase
@@ -32,7 +31,6 @@ class SimCluster:
         self.spec = spec
         self.conf = conf if conf is not None else HadoopConfig()
         self.env = Environment()
-        self.log = EventLog()
 
         inst = spec.instance
         self.datanodes: list[Node] = [
@@ -65,8 +63,7 @@ class SimCluster:
             self.env, self.namenode, self.network, self.topology)
 
         self.scheduler = scheduler if scheduler is not None else CapacityScheduler()
-        self.rm = ResourceManager(self.env, self.topology, self.scheduler, self.conf,
-                                  log=self.log)
+        self.rm = ResourceManager(self.env, self.topology, self.scheduler, self.conf)
         #: Monotonic id source for nodes provisioned after construction.
         #: Never decremented: decommissioned ids must not come back, and
         #: deriving fresh ids from ``len(self.datanodes)`` would collide as

@@ -17,7 +17,6 @@ interruption, and :mod:`repro.simulation.resources` for queued resources.
 from .core import Environment
 from .errors import EmptySchedule, Interrupt, SimulationError
 from .events import AllOf, AnyOf, Condition, Event, Process, Timeout
-from .monitor import EventLog
 from .resources import LevelContainer, PriorityResource, Request, Resource, Store
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "EventLog",
     "Interrupt",
     "LevelContainer",
     "PriorityResource",

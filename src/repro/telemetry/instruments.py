@@ -113,7 +113,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "help", "unit", "labels", "bounds", "counts",
-                 "sum", "count", "_min", "_max")
+                 "sum", "count", "min", "max")
 
     kind = "histogram"
 
@@ -131,17 +131,18 @@ class Histogram:
         self.counts = [0] * (len(ordered) + 1)  # last = +Inf overflow
         self.sum = 0.0
         self.count = 0
-        self._min = float("inf")
-        self._max = float("-inf")
+        #: Exact observed extremes (+/-inf until the first observation).
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     @property
     def value(self) -> float:
@@ -174,16 +175,16 @@ class Histogram:
             return 0.0
         target = q / 100.0 * self.count
         running = 0
-        lower = self._min
+        lower = self.min
         for bound, n in zip(self.bounds, self.counts):
             if n:
-                upper = min(bound, self._max)
+                upper = min(bound, self.max)
                 if running + n >= target:
                     frac = (target - running) / n
                     return max(lower, min(upper, lower + frac * (upper - lower)))
                 running += n
                 lower = max(lower, upper)
-        return self._max
+        return self.max
 
 
 Instrument = "Counter | Gauge | Histogram"

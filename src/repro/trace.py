@@ -219,10 +219,6 @@ TRACE_SCHEDULERS = (SCHEDULER_FIFO, SCHEDULER_CAPACITY, SCHEDULER_HFSP)
 TRACE_STRATEGIES = (STRATEGY_STOCK, STRATEGY_DPLUS, STRATEGY_UPLUS,
                     STRATEGY_SPECULATIVE, STRATEGY_AUTO)
 
-#: Ring-buffer size for the shared event log during replay (bounded RSS).
-_REPLAY_LOG_LIMIT = 4096
-
-
 def _make_trace_scheduler(name: str):
     from .yarn.hfsp import HFSPScheduler
     from .yarn.queues import MultiTenantCapacityScheduler, QueueConfig
@@ -454,7 +450,6 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
         if runtime is not None:
             history.warm(runtime.controller.sizes)
 
-    cluster.log.bound(_REPLAY_LOG_LIMIT)
     cluster.rm.retain_finished_apps = False
     tracer = env.tracer
 

@@ -159,7 +159,6 @@ class NodeManager:
         if self.rm.heartbeat_wheel is not None:
             self.rm.heartbeat_wheel.suspend(self.node_id)
         self.rm.set_alive(self.node_id, False)
-        self.rm.log.mark(self.env.now, "node_drained", node=self.node_id)
 
     def undrain(self) -> None:
         """Return a drained node to service (warm scale-up, no delay)."""
@@ -171,4 +170,3 @@ class NodeManager:
         if self.rm.heartbeat_wheel is not None:
             self.rm.heartbeat_wheel.resume(self.node_id)
         self.rm.node_rejoined(self.node_id)
-        self.rm.log.mark(self.env.now, "node_undrained", node=self.node_id)

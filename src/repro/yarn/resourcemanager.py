@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..cluster.resources import ResourceVector
 from ..simulation.errors import Interrupt
-from ..simulation.monitor import EventLog
 from .heartbeat import HeartbeatWheel
 from .records import Application, Container, ContainerRequest, IdAllocator, NodeState
 from .scheduler import SchedulerBase
@@ -31,12 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ResourceManager:
     def __init__(self, env: "Environment", topology: "Topology", scheduler: SchedulerBase,
-                 conf: "HadoopConfig", log: Optional[EventLog] = None) -> None:
+                 conf: "HadoopConfig") -> None:
         self.env = env
         self.topology = topology
         self.scheduler = scheduler
         self.conf = conf
-        self.log = log if log is not None else EventLog()
         self.ids = IdAllocator()
         #: One aggregated heartbeat timer for every NM of this RM (replaces
         #: the historical per-node heartbeat processes). It sleeps while no
@@ -114,7 +112,6 @@ class ResourceManager:
         self._admit(node)
         if self._am_queue:
             self._wake_heartbeats()  # capacity and the AM limit rose
-        self.log.mark(self.env.now, "node_added", node=node.node_id)
 
     def _admit(self, node) -> NodeState:
         advertised = ResourceVector(
@@ -155,7 +152,6 @@ class ResourceManager:
         if self.heartbeat_wheel is not None:
             self.heartbeat_wheel.unregister(node_id)
         self.node_managers.pop(node_id, None)
-        self.log.mark(self.env.now, "node_removed", node=node_id)
 
     def node_state(self, node_id: str) -> NodeState:
         return self.nodes[node_id]
@@ -196,7 +192,6 @@ class ResourceManager:
         self._ready[app.app_id] = []
         self._am_attempts[app.app_id] = 1
         self._enqueue_am(app)
-        self.log.mark(self.env.now, "app_submitted", app_id=app.app_id)
         return app
 
     def application_finished(self, app: Application, result: Any) -> None:
@@ -205,7 +200,6 @@ class ResourceManager:
         self._ready.pop(app.app_id, None)
         if app.finished is not None and not app.finished.triggered:
             app.finished.succeed(result)
-        self.log.mark(self.env.now, "app_finished", app_id=app.app_id)
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
@@ -225,7 +219,6 @@ class ResourceManager:
         if app.finished is not None and not app.finished.triggered:
             app.finished.fail(JobKilled(app.app_id, cause))
             app.finished.defuse()
-        self.log.mark(self.env.now, "app_killed", app_id=app.app_id)
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
@@ -281,7 +274,7 @@ class ResourceManager:
         """
         node = self.nodes[node_id]
         if self.env.tracer is not None:
-            self.env.tracer.metrics.incr("rm:node_heartbeats")
+            self.env.tracer.counter("rm:node_heartbeats").inc()
 
         # AM allocation takes precedence (YARN allocates AMs like any other
         # container but our FIFO keeps it simple and matches short-job runs).
@@ -324,16 +317,15 @@ class ResourceManager:
             self._ready[app_id] = []
         granted = ready + grants
         if self.env.tracer is not None:
-            self.env.tracer.metrics.incr("rm:allocate_calls")
+            self.env.tracer.counter("rm:allocate_calls").inc()
             if granted:
-                self.env.tracer.metrics.incr("rm:containers_granted",
-                                             len(granted))
+                self.env.tracer.counter("rm:containers_granted").inc(
+                    len(granted))
         return granted
 
     def node_lost(self, node_id: str) -> None:
         """Mark a NodeManager dead: nothing further is scheduled there."""
         self.set_alive(node_id, False)
-        self.log.mark(self.env.now, "node_lost", node=node_id)
         for listener in list(self.node_lost_listeners):
             listener(node_id)
 
@@ -347,7 +339,6 @@ class ResourceManager:
         node = self.set_alive(node_id, True)
         if node is not None:
             node.reset_used()
-        self.log.mark(self.env.now, "node_rejoined", node=node_id)
 
     def forget_application(self, app_id: str) -> None:
         """Drop a *finished* application's bookkeeping.
@@ -404,8 +395,11 @@ class ResourceManager:
             # submission order via the retained fifo_key.
             app.queue_time = self.env.now
             self._enqueue_am(app)
-            self.log.mark(self.env.now, "am_restarted",
-                          app_id=app.app_id, attempt=attempt + 1)
+            if self.env.tracer is not None:
+                from ..observe.tracer import CLUSTER
+                self.env.tracer.instant("am_restarted", "am", CLUSTER,
+                                        f"am-{app.app_id}", app_id=app.app_id,
+                                        attempt=attempt + 1)
             return
         # Terminal: surface the failure through app.finished so the
         # client sees it; don't let the AM process itself become an
@@ -413,7 +407,6 @@ class ResourceManager:
         self._ready.pop(app.app_id, None)
         if app.finished is not None and not app.finished.triggered:
             app.finished.fail(exc)
-            self.log.mark(self.env.now, "app_failed", app_id=app.app_id)
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
@@ -440,6 +433,8 @@ class ResourceManager:
             tracer.complete("am-alloc-wait", "alloc", CLUSTER,
                             f"am-{app.app_id}", app.submit_time,
                             placed_on=app.am_container.node_id)
+            tracer.instant("am_allocated", "am", CLUSTER, f"am-{app.app_id}",
+                           app_id=app.app_id, node=app.am_container.node_id)
         if self.env.telemetry is not None:
             self.env.telemetry.am_alloc_wait.observe(
                 self.env.now - app.submit_time)
@@ -458,8 +453,6 @@ class ResourceManager:
                 self._handle_am_failure(app, exc)
 
         self.env.process(am_watch(), name=f"am-watch-{app.app_id}")
-        self.log.mark(self.env.now, "am_allocated", app_id=app.app_id,
-                      node=app.am_container.node_id)
 
 
 def _am_queue_key(app: Application) -> tuple:

@@ -104,9 +104,9 @@ class SchedulerBase:
         node.allocate(pending.request.resource, memory_only=memory_only)
         tracer = self.rm.env.tracer
         if tracer is not None:
-            tracer.metrics.incr("scheduler:grants")
-            tracer.metrics.observe("scheduler:grant_queue_delay_s",
-                                   self.rm.env.now - pending.enqueued_at)
+            tracer.counter("scheduler:grants").inc()
+            tracer.histogram("scheduler:grant_queue_delay_s").observe(
+                self.rm.env.now - pending.enqueued_at)
         telemetry = self.rm.env.telemetry
         if telemetry is not None:
             telemetry.grant_delay.observe(

@@ -181,8 +181,22 @@ def test_mr103_accepts_direct_and_alias_guards():
                 env.tracer.instant("grant", "sched")
             tracer = self.rm.env.tracer
             if tracer is not None and self.count > 0:
-                tracer.metrics.incr("containers", self.count)
+                tracer.counter("containers").inc(self.count)
     """) == []
+
+
+@pytest.mark.parametrize("push", [
+    'env.tracer.counter("rm:allocate_calls").inc()',
+    'env.tracer.histogram("scheduler:grant_queue_delay_s").observe(0.5)',
+    "env.tracer.grants.inc()",
+], ids=["counter", "histogram", "instrument-attribute"])
+def test_mr103_flags_unguarded_metric_push(push):
+    found = run_rule("MR103", "yarn/resourcemanager.py", f"""
+        def allocate(self, env):
+            {push}
+    """)
+    assert len(found) == 1
+    assert "env.tracer" in found[0].message
 
 
 def test_mr103_accepts_early_return_guard():
@@ -207,7 +221,7 @@ def test_mr103_guard_does_not_leak_to_else_or_siblings():
 def test_mr103_ignores_cold_paths():
     assert run_rule("MR103", "observe/exporters.py", """
         def dump(tracer):
-            tracer.record("x", 1)
+            tracer.instant("x", "dump", "cluster", "lane")
     """) == []
 
 

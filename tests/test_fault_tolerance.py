@@ -130,8 +130,9 @@ def test_reduce_retry_reuses_completed_map_outputs():
 
 
 def am_node_of(cluster):
-    mark = cluster.log.first("am_allocated")
-    return mark.data["node"] if mark else None
+    """The node of the job's AM container (None until it is placed)."""
+    app = next(iter(cluster.rm.apps.values()), None)
+    return app.am_container.node_id if app and app.am_container else None
 
 
 def test_job_fails_after_attempt_exhaustion():

@@ -24,6 +24,7 @@ from repro.faults import (
     inject,
 )
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
+from repro.observe import install_tracer
 from repro.workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 
 
@@ -35,6 +36,10 @@ def ts_spec(cluster, n=8, mb=32.0):
 def wc_spec(cluster, n=8, mb=10.0):
     paths = cluster.load_input_files("/wc", n, mb)
     return SimJobSpec("wordcount", tuple(paths), WORDCOUNT_PROFILE)
+
+
+def instants(tracer, name):
+    return [i for i in tracer.instants if i.name == name]
 
 
 # -- FaultPlan is immutable data ----------------------------------------------------
@@ -122,10 +127,11 @@ def test_explicit_dead_victim_is_skipped():
 
 def test_job_am_selector_finds_stock_am_node():
     cluster = build_stock_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     handle = JobClient(cluster).submit(wc_spec(cluster, 4), MODE_DISTRIBUTED)
     injector = inject(cluster, FaultPlan().crash(6.0, "@job-am", hdfs=False))
     cluster.env.run(until=handle)
-    am_node = cluster.log.first("am_allocated").data["node"]
+    am_node = instants(tracer, "am_allocated")[0].args["node"]
     assert injector.timeline[0] == (6.0, "crash_nm", am_node)
     assert injector.timeline == [(6.0, "crash_nm", "dn3")]
 
@@ -148,6 +154,7 @@ def test_shuffle_fetch_failure_reexecutes_lost_maps_stock():
     reducer's fetch failures must re-execute those maps elsewhere and the
     job must still produce every output."""
     cluster = build_stock_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     spec = ts_spec(cluster)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
     # Stock packs maps on dn0; by t=32 they are all done and shuffling.
@@ -156,7 +163,7 @@ def test_shuffle_fetch_failure_reexecutes_lost_maps_stock():
     result = handle.value
 
     assert not result.failed and not result.killed
-    refetched = cluster.log.filter("fetch_failure")
+    refetched = instants(tracer, "fetch_failure")
     assert refetched, "expected fetch-failure driven re-execution"
     assert all(m.finish_time > 0 for m in result.maps)
     # Every re-executed map landed on a survivor.
@@ -167,6 +174,7 @@ def test_shuffle_fetch_failure_reexecutes_lost_maps_stock():
 
 def test_shuffle_fetch_failure_reexecutes_lost_maps_dplus():
     cluster = build_mrapid_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     spec = ts_spec(cluster)
     handle = cluster.mrapid_framework.submit(spec, "mrapid-dplus")
     # D+ spreads maps; by t=15 dn1's maps are done and the reduce is fetching.
@@ -175,7 +183,7 @@ def test_shuffle_fetch_failure_reexecutes_lost_maps_dplus():
     result = handle.proc.value
 
     assert not result.failed and not result.killed
-    assert cluster.log.filter("fetch_failure")
+    assert instants(tracer, "fetch_failure")
     assert all(m.finish_time > 0 for m in result.maps)
     for m in result.maps:
         if m.start_time > 15.0:
@@ -187,22 +195,23 @@ def test_shuffle_fetch_failure_reexecutes_lost_maps_dplus():
 def _am_crash_run(recovery: bool):
     conf = HadoopConfig(am_work_preserving_recovery=recovery)
     cluster = build_stock_cluster(a3_cluster(4), conf=conf)
+    tracer = install_tracer(cluster)
     spec = ts_spec(cluster)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
     injector = inject(cluster, FaultPlan().crash(20.0, "@job-am", hdfs=False))
     cluster.env.run(until=handle)
     assert injector.timeline == [(20.0, "crash_nm", "dn3")]
-    return cluster, handle.value
+    return tracer, handle.value
 
 
 def test_am_restart_recovers_completed_maps():
-    cluster, result = _am_crash_run(recovery=True)
+    tracer, result = _am_crash_run(recovery=True)
     assert not result.failed and not result.killed
-    assert cluster.log.first("am_restarted") is not None
-    recovered = cluster.log.filter("map_recovered")
+    assert instants(tracer, "am_restarted")
+    recovered = instants(tracer, "map_recovered")
     assert recovered, "second AM attempt should replay completed maps"
     # Recovered maps kept their original (pre-crash) records.
-    recovered_tasks = {m.data["task"] for m in recovered}
+    recovered_tasks = {m.args["task"] for m in recovered}
     for m in result.maps:
         if m.task_id in recovered_tasks:
             assert m.finish_time < 20.0
@@ -210,8 +219,8 @@ def test_am_restart_recovers_completed_maps():
 
 def test_am_recovery_beats_rerunning_everything():
     _, with_recovery = _am_crash_run(recovery=True)
-    cluster_off, without = _am_crash_run(recovery=False)
-    assert not cluster_off.log.filter("map_recovered")
+    tracer_off, without = _am_crash_run(recovery=False)
+    assert not instants(tracer_off, "map_recovered")
     assert with_recovery.elapsed < without.elapsed
 
 
@@ -256,6 +265,7 @@ def test_flaky_node_gets_blacklisted():
     """A node that kills every container it launches is blacklisted after
     ``max_failures_per_node`` failures and the job completes elsewhere."""
     cluster = build_stock_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     spec = wc_spec(cluster)
     handle = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
     # Flakiness starts at t=3, after the AM container (dn3) is up; dn0 is
@@ -265,8 +275,8 @@ def test_flaky_node_gets_blacklisted():
     result = handle.value
 
     assert not result.failed
-    mark = cluster.log.first("node_blacklisted")
-    assert mark is not None and mark.data["node"] == "dn0"
+    (mark,) = instants(tracer, "node_blacklisted")
+    assert mark.args["node"] == "dn0"
     # Nothing scheduled there once blacklisted; all winners ran elsewhere.
     assert all(m.node_id != "dn0" for m in result.maps)
 
@@ -274,10 +284,11 @@ def test_flaky_node_gets_blacklisted():
 def test_blacklisting_can_be_disabled():
     conf = HadoopConfig(node_blacklist_enabled=False)
     cluster = build_stock_cluster(a3_cluster(4), conf=conf)
+    tracer = install_tracer(cluster)
     handle = JobClient(cluster).submit(wc_spec(cluster), MODE_DISTRIBUTED)
     inject(cluster, FaultPlan().flaky_containers(3.0, rate=1.0, node="dn0"))
     cluster.env.run(until=handle)
-    assert cluster.log.first("node_blacklisted") is None
+    assert not instants(tracer, "node_blacklisted")
     assert not handle.value.failed
 
 
@@ -285,11 +296,12 @@ def test_flaky_am_container_restarts_even_during_launch():
     """dn3 hosts the AM; a sabotage landing inside the AM container's JVM
     launch delay must still go through the AM-restart path, not hang."""
     cluster = build_stock_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     handle = JobClient(cluster).submit(wc_spec(cluster, 4), MODE_DISTRIBUTED)
     inject(cluster, FaultPlan().flaky_containers(0.0, rate=1.0, node="dn3",
                                                  duration=1.5))
     cluster.env.run(until=handle)
-    assert cluster.log.first("am_restarted") is not None
+    assert instants(tracer, "am_restarted")
     assert not handle.value.failed
 
 
@@ -400,6 +412,7 @@ def test_failure_model_tips_near_ties_toward_dplus():
 
 def test_ampool_respawns_slaves_after_node_loss():
     cluster = build_mrapid_cluster(a3_cluster(4))
+    tracer = install_tracer(cluster)
     fw = cluster.mrapid_framework
     cluster.env.run(until=2.0)
     pool_size = len(fw.slaves)
@@ -407,8 +420,8 @@ def test_ampool_respawns_slaves_after_node_loss():
     inject(cluster, FaultPlan().crash(2.5, victim, hdfs=False))
     cluster.env.run(until=6.0)
 
-    assert cluster.log.first("ampool_slaves_lost") is not None
-    assert cluster.log.first("ampool_respawned") is not None
+    assert instants(tracer, "ampool_slaves_lost")
+    assert instants(tracer, "ampool_respawned")
     assert len(fw.slaves) == pool_size
     assert all(not cluster.rm.node_managers[s.node_id].failed
                for s in fw.slaves)

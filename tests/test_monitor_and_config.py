@@ -1,4 +1,4 @@
-"""Tests for instrumentation (RingSeries/EventLog), config, and calibration."""
+"""Tests for instrumentation (RingSeries), config, and calibration."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.config import (
     a2_cluster,
     a3_cluster,
 )
-from repro.simulation import EventLog
 from repro.telemetry import RingSeries
 
 
@@ -47,20 +46,6 @@ def test_timeseries_time_weighted_mean():
         until=6.0) == pytest.approx((2.0 * 4 + 6.0 * 2) / 6)
     assert ring((3.0, 7.0)).time_weighted_mean() == 7.0
     assert ring().time_weighted_mean() == 0.0
-
-
-# -- EventLog -------------------------------------------------------------------
-
-def test_event_log_queries():
-    log = EventLog()
-    log.mark(1.0, "start", job="a")
-    log.mark(2.0, "tick")
-    log.mark(5.0, "end", job="a")
-    assert log.first("start").time == 1.0
-    assert log.last("end").data == {"job": "a"}
-    assert log.span("start", "end") == pytest.approx(4.0)
-    assert log.span("start", "missing") is None
-    assert len(log.filter("tick")) == 1
 
 
 # -- config validation ---------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from repro.config import a3_cluster
 from repro.core import build_stock_cluster
 from repro.observe import (
-    MetricsRegistry,
     Tracer,
     analyze_job,
     install_tracer,
@@ -35,20 +34,6 @@ def test_span_tree_and_args():
     assert root.covers(child.start) and root.covers(child.end)
 
 
-def test_metrics_registry():
-    reg = MetricsRegistry()
-    reg.incr("a")
-    reg.incr("a", 2)
-    reg.observe("lat", 1.0)
-    reg.observe("lat", 3.0)
-    assert reg.counter("a") == 3
-    summary = reg.histogram_summary("lat")
-    assert summary["count"] == 2
-    assert summary["mean"] == pytest.approx(2.0)
-    snap = reg.snapshot()
-    assert snap["counters"]["a"] == 3
-
-
 def test_kernel_hook_counts_dispatches():
     cluster = build_stock_cluster(a3_cluster(2))
     env = cluster.env
@@ -65,8 +50,8 @@ def test_kernel_hook_counts_dispatches():
     env.run(until=5.0)
     dispatched = env.events_processed - at_install
     assert dispatched >= 8
-    assert tracer.metrics.counter("kernel:events_dispatched") == dispatched
-    assert tracer.metrics.snapshot()["counters"][
+    assert tracer.metrics.get("kernel:events_dispatched").value == dispatched
+    assert tracer.metrics_snapshot()["counters"][
         "kernel:events_dispatched"] == dispatched
 
 
@@ -164,8 +149,8 @@ def test_fault_instants_traced():
     cluster.env.run(until=5.0)
     kinds = {i.name for i in tracer.instants}
     assert "slow_disk" in kinds and "disk_restored" in kinds
-    assert tracer.metrics.counter("faults:slow_disk") == 1
-    assert tracer.metrics.snapshot() == {
+    assert tracer.metrics.get("faults:slow_disk").value == 1
+    assert tracer.metrics_snapshot() == {
         "counters": {"faults:disk_restored": 1.0, "faults:slow_disk": 1.0,
                      "kernel:events_dispatched": 8.0},
         "histograms": {}}

@@ -332,7 +332,42 @@ def test_replay_with_serving_retains_no_per_job_state():
     assert report.jobs_completed == len(trace) > 0
     assert cluster.rm.apps == {}
     assert cluster.namenode.list_files() == []
-    assert cluster.log.marks.maxlen is not None
+
+
+@pytest.mark.parametrize("admission", [True, False])
+def test_aborted_jobs_free_their_slots(admission, monkeypatch):
+    """Every container crashes half a second after launch, so every
+    dispatched job fails and goes through ``ServingRuntime.job_aborted``:
+    each abort must hand its slot back, nothing may stay pending, and the
+    terminal outcomes must still add up to the jobs submitted."""
+    from repro.serving.runtime import ServingRuntime
+
+    runtimes, aborted = [], []
+    init, abort = ServingRuntime.__init__, ServingRuntime.job_aborted
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runtimes.append(self)
+
+    def record_abort(self, slo):
+        aborted.append(slo.index)
+        abort(self, slo)
+
+    monkeypatch.setattr(ServingRuntime, "__init__", capture)
+    monkeypatch.setattr(ServingRuntime, "job_aborted", record_abort)
+    conf = HadoopConfig(serving=ServingConfig(admission=admission))
+    report = run_load(a3_cluster(3), MIX, 15.0, 120.0, seed=7, conf=conf,
+                      baselines={}, fault_plan=FaultPlan().flaky_containers(
+                          0.0, 1.0, crash_after_s=0.5))
+    (runtime,) = runtimes
+    assert report.jobs_submitted == report.failed == len(aborted) == 32
+    assert sorted(aborted) == list(range(32))
+    assert runtime.pending_count == 0
+    assert runtime.running_count == 0
+    slo = report.slo
+    assert (report.failed + report.killed + slo["rejected"] + slo["shed"]
+            + slo["deadline_met"] + slo["deadline_missed"]
+            + slo["batch_completed"]) == report.jobs_submitted
 
 
 def test_per_job_outcomes_surface_in_report():

@@ -718,10 +718,10 @@ def test_dplus_grants_feed_the_grant_delay_histogram():
     spec = SimJobSpec("wc", tuple(cluster.load_input_files("/wc", 8, 10.0)),
                       WORDCOUNT_PROFILE)
     run_short_job(cluster, spec, "dplus")
-    grants = tracer.metrics.counter("scheduler:grants")
+    grants = tracer.metrics.get("scheduler:grants").value
     assert grants > 0
     assert telemetry.grant_delay.count == grants
-    assert tracer.metrics.snapshot() == {
+    assert tracer.metrics_snapshot() == {
         "counters": {"fabric:flows_completed": 40.0,
                      "kernel:events_dispatched": 226.0,
                      "rm:allocate_calls": 18.0,
