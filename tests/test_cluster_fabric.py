@@ -440,3 +440,120 @@ def test_retired_flows_leave_no_bookkeeping_behind():
     assert not fabric.active_flows
     assert fabric._busy == [] and fabric._busy_caps == {}  # cap links too
     assert all(not members for members in fabric._link_members.values())
+
+
+# -- pinned mixed scenario -------------------------------------------------------
+
+def _mixed_flow_scenario(traced):
+    """A seeded mix of device and network work; returns its digest lines.
+
+    A scripted prelude covers the cases each allocator has to get right:
+    work arriving at an idle device, a lone flow completing, two flows
+    completing at one instant, kills, a ``set_slowdown`` mid-flow, a disk
+    op whose completion raises the capacity for the ops left, zero-size
+    work and flows with different caps on one device. Random operations
+    from a fixed seed follow. Each line is a flow's completion time
+    (``repr``) or ``killed``, then every server's ``timers_armed``, then
+    ``env.events_processed``.
+    """
+    import random
+
+    from repro.cluster.node import Node
+    from repro.observe.tracer import Tracer
+
+    env = Environment()
+    if traced:
+        env.tracer = Tracer(env)
+    rng = random.Random(25)
+    net = SharedFabric(env)
+    links = ("nic0", "nic1", "nic2", "rack", "core")
+    for link, capacity in zip(links, (120.0, 120.0, 60.0, 200.0, 150.0)):
+        net.add_link(link, capacity)
+    nodes = [Node(env, f"n{i}", "r0", cores=2 + i, memory_mb=4096) for i in range(3)]
+    device = FairShareDevice(env, 2.0, name="mixed")
+    flows = []
+
+    def live():
+        return [flow for flow in flows if not flow.done.triggered]
+
+    def prelude():
+        cpu, disk = nodes[0].cpu, nodes[0].disk
+        flows.append(cpu.compute(3.0))                    # idle start, lone finish
+        yield env.timeout(4.0)
+        flows.extend([cpu.compute(2.0), cpu.compute(2.0)])  # finish together
+        flows.append(cpu.compute(0.0))                    # zero-size work
+        yield env.timeout(3.0)
+        flows.extend([disk.read(50.0), disk.read(20.0), disk.write(0.0)])
+        yield env.timeout(0.5)
+        disk.set_slowdown(2.0)                            # mid-flow
+        yield env.timeout(1.0)                            # a read finishes and
+        disk.set_slowdown(1.0)                            # the capacity rises
+        flows.extend([device.execute(4.0, cap=0.3), device.execute(4.0, cap=1.5),
+                      device.execute(4.0), device.execute(4.0, cap=0.3)])
+        victim = device.execute(9.0, cap=0.5)
+        flows.append(victim)
+        flows.append(net.submit(("nic0", "rack"), 300.0, cap=80.0))
+        flows.append(net.submit(("nic1", "rack", "core"), 300.0))
+        flows.append(net.submit(("nic0",), 0.0))
+        yield env.timeout(0.7)
+        device.kill(victim)
+        nodes[1].cpu.set_slowdown(3.0)                    # idle device
+        yield env.timeout(6.0)
+
+    def chaos():
+        for _ in range(120):
+            op = rng.choice(("cpu", "cpu", "disk", "disk", "dev", "net", "net",
+                             "kill", "slow", "cap", "wait", "wait", "wait"))
+            node = rng.choice(nodes)
+            size = rng.choice((0.0, 1.0, 2.5, rng.uniform(0.1, 8.0)))
+            if op == "cpu":
+                flows.append(node.cpu.compute(size))
+            elif op == "disk":
+                io = node.disk.read if rng.random() < 0.5 else node.disk.write
+                flows.append(io(size * 10.0))
+            elif op == "dev":
+                flows.append(device.execute(size, cap=rng.choice((None, 0.3, 0.5, 1.0, 1.5))))
+            elif op == "net":
+                path = tuple(link for link in links if rng.random() < 0.4) or ("core",)
+                flows.append(net.submit(path, size * 40.0,
+                                        cap=rng.choice((None, None, 25.0, 70.0))))
+            elif op == "kill" and live():
+                victim = rng.choice(live())
+                victim.fabric.kill(victim)
+            elif op == "slow":
+                factor = rng.choice((0.5, 1.0, 2.0))
+                (node.cpu if rng.random() < 0.5 else node.disk).set_slowdown(factor)
+            elif op == "cap":
+                if rng.random() < 0.5:
+                    device.set_capacity(rng.choice((0.5, 1.0, 2.0, 3.0)))
+                else:
+                    net.set_capacity(rng.choice(links), rng.choice((40.0, 120.0, 200.0)))
+            elif op == "wait":
+                yield env.timeout(rng.choice((0.0, 0.5, rng.uniform(0.0, 3.0))))
+
+    def script():
+        yield from prelude()
+        yield from chaos()
+
+    env.process(script())
+    env.run()
+    lines = [repr(flow.done.value) if flow.done.ok else "killed" for flow in flows]
+    servers = [net, device] + [d for n in nodes for d in (n.cpu._device, n.disk._device)]
+    lines += [f"timers {server.timers_armed}" for server in servers]
+    lines.append(f"events {env.events_processed}")
+    return lines
+
+
+_PINNED_MIXED = "f1e3cbfff1b0bf09c7904f3fb6c478f99744c539ca2c2232b2d44793d255536c"
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_mixed_flow_scenario_is_pinned(traced):
+    """Every completion time, timer and kernel event of the mixed scenario,
+    bit for bit, with and without a tracer installed."""
+    import hashlib
+
+    lines = _mixed_flow_scenario(traced)
+    assert lines.count("killed") >= 2
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED_MIXED, digest
