@@ -33,7 +33,7 @@ class Environment:
         self._queue: list[QueueEntry] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
-        #: Count of events dispatched by :meth:`step` since construction —
+        #: Count of events dispatched since construction —
         #: the numerator of the bench harness's events/s throughput gates.
         self.events_processed = 0
         #: Optional callables ``fn(time, event)`` invoked as each event is
@@ -48,15 +48,15 @@ class Environment:
         #: sites guard on ``is not None``, and the scraper samples from the
         #: :attr:`sampler` hook so enabling it adds no events to the queue.
         self.telemetry: Optional[Any] = None
-        #: Telemetry scraper fast path. :meth:`step` compares each popped
-        #: event's time against :attr:`sample_next` inline — one attribute
-        #: read and one float compare — and calls ``sampler(when)`` only
-        #: when a scrape grid point is due. Kept separate from
-        #: :attr:`tracers` because routing the scraper through that list
-        #: would pay a function call on *every* event just to return. With
-        #: no sampler installed it is NaN, which no time compares at or
-        #: above — ``inf`` included, so ``run(until=inf)`` never calls the
-        #: empty slot.
+        #: Telemetry scraper fast path. The dispatch loop compares each
+        #: popped event's time against :attr:`sample_next` inline — one
+        #: attribute read and one float compare — and calls
+        #: ``sampler(when)`` only when a scrape grid point is due. Kept
+        #: separate from :attr:`tracers` because routing the scraper through
+        #: that list would pay a function call on *every* event just to
+        #: return. With no sampler installed it is NaN, which no time
+        #: compares at or above — ``inf`` included, so ``run(until=inf)``
+        #: never calls the empty slot.
         self.sampler: Optional[Callable[[float], None]] = None
         self.sample_next = nan
 
@@ -119,27 +119,41 @@ class Environment:
         it) re-raises its exception here, crashing the simulation — mirrors
         an uncaught exception in a real daemon thread.
         """
-        try:
-            when, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
+        self._dispatch(True)
 
-        self._now = when
-        self.events_processed += 1
-        if when >= self.sample_next:
-            self.sampler(when)
-        if self.tracers:
-            for tracer in self.tracers:
-                tracer(when, event)
+    def _dispatch(self, once: bool) -> None:
+        """Pop and process the next event, and go on unless ``once``.
 
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
+        The one dispatch body of :meth:`step` and :meth:`run`, so a run pays
+        no call per event. It returns only after a single event (``once``);
+        otherwise it ends by raising :class:`EmptySchedule`,
+        :class:`StopSimulation` or an unhandled failure.
+        """
+        queue = self._queue
+        while True:
+            try:
+                when, _, _, event = heappop(queue)
+            except IndexError:
+                raise EmptySchedule() from None
 
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+            self._now = when
+            self.events_processed += 1
+            if when >= self.sample_next:
+                self.sampler(when)
+            if self.tracers:
+                for tracer in self.tracers:
+                    tracer(when, event)
+
+            callbacks, event.callbacks = event.callbacks, None
+            assert callbacks is not None
+            for callback in callbacks:
+                callback(event)
+
+            if not event._ok and not event._defused:
+                exc = event._value
+                raise exc
+            if once:
+                return
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or queue exhaustion).
@@ -166,8 +180,7 @@ class Environment:
             stop.callbacks.append(_stop_simulation)  # type: ignore[union-attr]
 
         try:
-            while True:
-                self.step()
+            self._dispatch(False)
         except StopSimulation as exc:
             return exc.value
         except EmptySchedule:

@@ -13,9 +13,10 @@ scheduled, so the event sequence (and therefore every digest and
 snapshot) is provably identical with telemetry on or off.
 
 The hook itself is the kernel's dedicated ``env.sampler`` slot rather than
-the generic ``env.tracers`` list: ``step()`` compares the popped time
-against ``env.sample_next`` inline, so between grid points an enabled
-scraper costs one float compare per event — no function call at all.
+the generic ``env.tracers`` list: the kernel's dispatch loop compares the
+popped time against ``env.sample_next`` inline, so between grid points an
+enabled scraper costs one float compare per event — no function call at
+all.
 
 Grid timestamps are computed multiplicatively (``anchor + k * interval``,
 never ``+= interval``) so thousand-scrape runs do not accrue float error —

@@ -448,3 +448,107 @@ def test_events_processed_counter_advances():
     env.process(ticker(env))
     env.run()
     assert env.events_processed >= 5
+
+
+# -- run() and step() share one dispatch loop ------------------------------------
+
+def _kernel_scenario(seed, fail_at=None):
+    """A seeded mix of timeouts, triggered events, conditions, interrupts
+    and a 1.5 s sampler grid; ``fail_at`` adds an event nobody handles.
+
+    Returns the environment and its log: every popped ``(time, event
+    type)`` seen through ``env.tracers`` and every sampler call, in order.
+    """
+    import random
+
+    rng = random.Random(seed)
+    env = Environment()
+    log = []
+    env.tracers.append(lambda t, ev: log.append((t, type(ev).__name__)))
+
+    def sample(when):
+        log.append(("sample", when))
+        env.sample_next = (when // 1.5 + 1) * 1.5
+
+    env.sampler = sample
+    env.sample_next = 0.0
+
+    def worker(env, name):
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("timeout", "timeout", "event", "all", "any", "zero"))
+            if kind == "timeout":
+                yield env.timeout(rng.choice((0.5, 1.0, rng.uniform(0.0, 3.0))))
+            elif kind == "event":
+                ev = env.event()
+                env.process(trigger(env, ev, rng.uniform(0.0, 2.0)))
+                yield ev
+            elif kind == "all":
+                yield env.all_of([env.timeout(rng.uniform(0.0, 2.0)) for _ in range(3)])
+            elif kind == "any":
+                yield env.any_of([env.timeout(rng.uniform(0.0, 2.0)) for _ in range(3)])
+            else:
+                yield env.timeout(0)
+        return name
+
+    def trigger(env, ev, delay):
+        yield env.timeout(delay)
+        ev.succeed(delay)
+
+    def sleeper(env):
+        try:
+            yield env.timeout(100.0)
+        except Interrupt:
+            yield env.timeout(0.25)
+
+    def interrupter(env, victim):
+        yield env.timeout(rng.uniform(0.0, 4.0))
+        victim.interrupt("wake")
+
+    def failer(env):
+        yield env.timeout(fail_at)
+        raise RuntimeError(f"unhandled at {env.now}")
+
+    for i in range(12):
+        env.process(worker(env, i))
+    env.process(interrupter(env, env.process(sleeper(env))))
+    if fail_at is not None:
+        env.process(failer(env))
+    return env, log
+
+
+def _drive(env, by_steps):
+    if not by_steps:
+        env.run()
+        return
+    while env.peek() < float("inf"):
+        env.step()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_and_step_dispatch_identically(seed):
+    """``run()`` and a loop of ``step()`` calls pop the same events in the
+    same order, call the sampler at the same times and count the same
+    events."""
+    results = []
+    for by_steps in (False, True):
+        env, log = _kernel_scenario(seed)
+        _drive(env, by_steps)
+        results.append((log, env.events_processed, env.now))
+    assert results[0] == results[1]
+    log = results[0][0]
+    assert sum(1 for entry in log if entry[0] == "sample") >= 3
+    assert {"Timeout", "Process", "Initialize", "AllOf", "AnyOf", "Event"} <= {
+        kind for _, kind in log}
+
+
+def test_run_and_step_raise_the_same_unhandled_failure():
+    """An unhandled failed event stops both paths at the same event with
+    the same exception."""
+    results = []
+    for by_steps in (False, True):
+        env, log = _kernel_scenario(4, fail_at=2.0)
+        with pytest.raises(RuntimeError) as info:
+            _drive(env, by_steps)
+        results.append((str(info.value), log, env.events_processed, env.now))
+    assert results[0] == results[1]
+    assert results[0][0] == "unhandled at 2.0"
