@@ -23,13 +23,15 @@ Three properties keep the hot path cheap and deterministic:
   links) is maintained across ``submit``/``kill``/completion instead of
   being rebuilt inside every reallocation, and so is the list of *busy*
   links — those with at least one member — sorted by the order the links
-  were added. Progressive filling walks only that list, so a flow change
-  costs O(busy links × members) per filling round, independent of how many
-  idle links the fabric holds (a 1 000-node ``ClusterNetwork`` has ~2 000
-  links, almost all idle at any instant). Visiting the busy links in the
-  order the links were added keeps the tie-break between equal shares (the
-  first link wins) a function of the links alone, not of which links
-  happen to be idle or when they became busy. ``flows_on`` and
+  were added. Progressive filling walks only that list, dividing each
+  link's headroom by its count of unfrozen members, so a filling round
+  costs O(busy links) plus the members of the link that wins it,
+  independent of how many idle links the fabric holds (a 1 000-node
+  ``ClusterNetwork`` has ~2 000 links, almost all idle at any instant).
+  Visiting the busy links in the order the links were added keeps the
+  tie-break between equal shares (the first link wins) a function of the
+  links alone, not of which links happen to be idle or when they became
+  busy. ``flows_on`` and
   ``utilization`` read the maintained index directly. All flow iteration
   is in submission order — never ``id()``-hash order — so an allocation is
   bit-for-bit reproducible across processes.
@@ -37,7 +39,11 @@ Three properties keep the hot path cheap and deterministic:
 * **Devices skip the link machinery.** A device performs the float
   operations a one-link ``SharedFabric`` would, in the same order, so its
   rates are bit-identical to one; it just keeps no link index, cap links
-  or capacity map to do it.
+  or capacity map to do it. Its common cases skip the generic
+  charge/allocate/retime chain with those same operations: work arriving
+  at an idle device, the completion of its only flow, a capacity change
+  while idle, and a fill where every flow has the same cap (one pass
+  instead of one round per capped flow).
 
 * **One live timer.** Completions use a generation-tagged wake-up timer and
   at most one is live per server: if the wanted wake-up moves *later* the
@@ -256,24 +262,27 @@ class _FlowServer:
             return
         self._wakeup_at = math.inf
         self._advance()
-        finished = [f for f in self._flows if f.remaining <= _EPS]
-        tracer = self.env.tracer
-        for flow in finished:
-            self._remove(flow)
-            flow.remaining = 0.0
-            flow.done.succeed(self.env.now)
-            if tracer is not None:
-                from ..observe.tracer import CLUSTER
-                device = (flow.label.split(":", 1)[0] if ":" in flow.label
-                          else "net")
-                tracer.async_complete(flow.label, "flow", CLUSTER,
-                                      f"fabric:{device}", flow.submitted_at,
-                                      size=flow.size)
-                tracer.counter("fabric:flows_completed").inc()
+        for flow in [f for f in self._flows if f.remaining <= _EPS]:
+            self._finish(flow)
         # Retiming covers the numerical-drift case too: if nothing finished
         # exactly, _reallocate re-requests a wake-up at the refreshed ETA, so
         # no second (duplicate) drift timer is ever armed.
         self._reallocate()
+
+    def _finish(self, flow: Flow) -> None:
+        """Retire a flow whose work is done and fire its ``done`` event."""
+        self._remove(flow)
+        flow.remaining = 0.0
+        flow.done.succeed(self.env.now)
+        tracer = self.env.tracer
+        if tracer is not None:
+            from ..observe.tracer import CLUSTER
+            device = (flow.label.split(":", 1)[0] if ":" in flow.label
+                      else "net")
+            tracer.async_complete(flow.label, "flow", CLUSTER,
+                                  f"fabric:{device}", flow.submitted_at,
+                                  size=flow.size)
+            tracer.counter("fabric:flows_completed").inc()
 
 
 class SharedFabric(_FlowServer):
@@ -403,30 +412,35 @@ class SharedFabric(_FlowServer):
 
         busy = self._busy
         cap_left = dict(self._busy_caps)
-
-        unfrozen = set(self._flows)
+        # Unfrozen members per busy link: a link's fair share is its
+        # headroom over this count, so a filling round lists no members;
+        # only the winning link's are walked, to freeze them.
+        unfrozen_on = {key: len(members) for _, key, members in busy}
+        unfrozen = len(self._flows)
         rates: dict[Flow, float] = {}
         while unfrozen:
             # Fair headroom per still-active busy link, in link order (the
-            # first of equal shares wins); membership comes from the
-            # maintained index, in flow submission order.
+            # first of equal shares wins).
             bottleneck_share = math.inf
-            bottleneck_active: Optional[list[Flow]] = None
+            bottleneck: Optional[dict[Flow, None]] = None
             for _, key, members in busy:
-                active = [f for f in members if f in unfrozen]
-                if not active:
-                    continue
-                share = cap_left[key] / len(active)
-                if share < bottleneck_share - _EPS:
-                    bottleneck_share = share
-                    bottleneck_active = active
-            if bottleneck_active is None:  # pragma: no cover - defensive
+                n = unfrozen_on[key]
+                if n:
+                    share = cap_left[key] / n
+                    if share < bottleneck_share - _EPS:
+                        bottleneck_share = share
+                        bottleneck = members
+            if bottleneck is None:  # flows on no link and with no cap
                 break
-            for flow in bottleneck_active:
+            # Membership is in flow submission order.
+            for flow in bottleneck:
+                if flow in rates:
+                    continue
                 rates[flow] = bottleneck_share
-                unfrozen.discard(flow)
+                unfrozen -= 1
                 for link in flow.links:
                     cap_left[link] = max(0.0, cap_left[link] - bottleneck_share)
+                    unfrozen_on[link] -= 1
 
         for flow in self._flows:
             flow.rate = rates.get(flow, 0.0)
@@ -456,9 +470,16 @@ class FairShareDevice(_FlowServer):
         return self._capacity
 
     def set_capacity(self, capacity: float) -> None:
-        """Change the capacity (e.g. a throttled core count); reallocates."""
+        """Change the capacity (e.g. a throttled core count); reallocates.
+
+        An idle device only stores it: with no flows there is nothing to
+        charge or allocate, and no wake-up is wanted.
+        """
         if capacity <= 0:
             raise ValueError("capacity must be positive")
+        if not self._flows:
+            self._capacity = float(capacity)
+            return
         self._advance()
         self._capacity = float(capacity)
         self._reallocate()
@@ -493,6 +514,42 @@ class FairShareDevice(_FlowServer):
             return 0.0
         return sum(f.rate for f in self._flows) / self._capacity
 
+    def _start(self, path: tuple[str, ...], size: float, cap: Optional[float],
+               label: str) -> Flow:
+        if self._flows or size <= _EPS or (cap is not None and cap <= 0):
+            return _FlowServer._start(self, path, size, cap, label)
+        # Work arriving at an idle device: the one-flow fill is the
+        # capacity (``capacity / 1``), or the cap when it is lower.
+        flow = Flow(self, path, size, cap, label)
+        self._flows.append(flow)
+        if self.on_busy is not None:
+            self.on_busy(True)
+        rate = self._capacity
+        if cap is not None and cap < rate - _EPS:
+            rate = cap
+        flow.rate = rate
+        if rate > _EPS:
+            self._request_wakeup(self.env.now + flow.remaining / rate)
+        else:
+            self._wakeup_at = math.inf
+        return flow
+
+    def _on_wakeup(self, gen: int) -> None:
+        flows = self._flows
+        if (len(flows) != 1 or gen != self._timer_gen
+                or self.env.now + _EPS < self._wakeup_at):
+            _FlowServer._on_wakeup(self, gen)
+            return
+        # The due wake-up of the only flow: once charged it is done (or
+        # has drifted), and an empty device has nothing to reallocate.
+        self._timer_at = self._wakeup_at = math.inf
+        self._advance()
+        flow = flows[0]
+        if flow.remaining <= _EPS:
+            self._finish(flow)
+        else:
+            self._reallocate()
+
     def _register(self, flow: Flow) -> None:
         self._flows.append(flow)
 
@@ -516,6 +573,28 @@ class FairShareDevice(_FlowServer):
             self._wakeup_at = math.inf
             return
         left = self._capacity
+        cap = flows[0].cap
+        for flow in flows:
+            if flow.cap != cap:
+                break
+        else:
+            # One cap for every flow (a CPU pool's or a disk's 1.0): each
+            # round's winner is the first unfrozen flow, so the rounds are
+            # one pass over the flows with the same float operations.
+            m = len(flows)
+            frozen = 0
+            share = left / m
+            while cap is not None and cap < share - _EPS:
+                flows[frozen].rate = cap
+                left = max(0.0, left - cap)
+                frozen += 1
+                if frozen == m:
+                    break
+                share = left / (m - frozen)
+            for flow in flows[frozen:]:
+                flow.rate = share
+            self._retime()
+            return
         pending = flows
         while pending:
             share = left / len(pending)
