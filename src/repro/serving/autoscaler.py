@@ -26,10 +26,12 @@ import math
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import ServingConfig
+from ..simulation.errors import SimulationError
 from ..simulation.events import CONTROL
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
+    from ..simulation.core import Environment
     from ..yarn.nodemanager import NodeManager
     from .admission import AdmissionController
 
@@ -43,6 +45,22 @@ SCALE_DOWN_AFTER_ROUNDS = 4
 SCALE_UP_PENDING_PER_NODE = 1.0
 #: ... or when windowed latency SLO attainment falls below this.
 ATTAINMENT_FLOOR = 0.9
+
+
+def check_progress(env: "Environment", controller: "AdmissionController") -> None:
+    """Fail a serving replay that can no longer progress.
+
+    A control loop calls this after its round, before it re-arms its
+    timer. An empty event queue then means that timer is all that is left
+    to run: nothing can free a slot or change capacity, so jobs still
+    pending would wait forever while the loop re-arms every interval.
+    """
+    pending = controller.pending_count
+    if pending and math.isinf(env.peek()):
+        raise SimulationError(
+            f"serving replay cannot progress: {pending} jobs pending, "
+            f"{controller.running_count} slots held and nothing left to run "
+            f"but the control loop")
 
 
 class Autoscaler:
@@ -116,6 +134,7 @@ class Autoscaler:
             # A restart or drain that settled on this instant changed
             # capacity as much as a scaling decision: every round notifies.
             self._notify()
+            check_progress(self.env, self.controller)
 
     def _desired_nodes(self, healthy: int) -> int:
         pending = self.controller.pending_count

@@ -33,7 +33,7 @@ from ..config import SLO_LATENCY, ServingConfig
 from ..metrics import StreamingRatio
 from ..simulation.events import CONTROL
 from .admission import AdmissionController, Decision
-from .autoscaler import AUTOSCALE_INTERVAL_S, Autoscaler
+from .autoscaler import AUTOSCALE_INTERVAL_S, Autoscaler, check_progress
 from .slo import (
     OUTCOME_DEADLINE_MET,
     OUTCOME_DEADLINE_MISSED,
@@ -231,6 +231,7 @@ class ServingRuntime:
         while True:
             yield self.env.timeout(AUTOSCALE_INTERVAL_S, priority=CONTROL)
             self._pump()
+            check_progress(self.env, self.controller)
 
     # -- completion ------------------------------------------------------------
     def job_finished(self, slo: SLOJob, service_s: float) -> str:

@@ -370,6 +370,24 @@ def test_aborted_jobs_free_their_slots(admission, monkeypatch):
             + slo["batch_completed"]) == report.jobs_submitted
 
 
+@pytest.mark.parametrize("autoscale", [False, True])
+def test_replay_that_cannot_progress_raises(autoscale, monkeypatch):
+    """The aborted-jobs scenario with the slot release suppressed: every
+    slot stays held, so pending jobs can never dispatch. The control loop
+    (the admission watchdog, or the autoscaler's loop) must fail the
+    replay instead of re-arming its timer forever."""
+    from repro.serving.admission import AdmissionController
+    from repro.simulation import SimulationError
+
+    monkeypatch.setattr(AdmissionController, "job_aborted", lambda self, index: None)
+    serving = ServingConfig(autoscale=autoscale, min_nodes=3, max_nodes=3)
+    with pytest.raises(SimulationError, match=r"cannot progress: \d+ jobs pending, "
+                                              r"\d+ slots held"):
+        run_load(a3_cluster(3), MIX, 15.0, 120.0, seed=7,
+                 conf=HadoopConfig(serving=serving), baselines={},
+                 fault_plan=FaultPlan().flaky_containers(0.0, 1.0, crash_after_s=0.5))
+
+
 def test_per_job_outcomes_surface_in_report():
     report = serving_report(rate=30.0, keep_jobs=True)
     assert report.per_job, "keep_jobs should retain rows"
