@@ -349,12 +349,15 @@ class SharedFabric(_FlowServer):
 
         Returns the :class:`Flow`; yield ``flow.done`` to wait. Zero-size
         work completes immediately (the event still goes through the queue so
-        ordering stays deterministic).
+        ordering stays deterministic). A path names each link at most once:
+        the allocator counts a flow once per link it crosses.
         """
         path = tuple(path)
         for link in path:
             if link not in self._links:
                 raise KeyError(f"unknown link {link!r}")
+        if len(set(path)) != len(path):
+            raise ValueError(f"path {path!r} names a link more than once")
         return self._start(path, size, cap, label)
 
     def flows_on(self, link_id: str) -> list[Flow]:

@@ -138,6 +138,24 @@ def test_invalid_inputs_rejected():
         fabric.submit(("missing",), 1.0)
 
 
+def test_path_naming_a_link_twice_is_rejected():
+    """The fill counts a flow once per link it crosses, so a path that
+    repeats a link would overdraw that link's count of unfrozen members;
+    ``submit`` refuses it and registers nothing."""
+    env = Environment()
+    fabric = SharedFabric(env)
+    for link, capacity in (("x", 100.0), ("w", 10.0), ("z", 50.0)):
+        fabric.add_link(link, capacity)
+    with pytest.raises(ValueError, match="more than once"):
+        fabric.submit(("x", "x", "w"), 10.0)
+    assert fabric.flow_count() == 0 and fabric.flows_on("x") == []
+    a = fabric.submit(("x", "w"), 10.0)
+    c = fabric.submit(("w",), 10.0)
+    d = fabric.submit(("z",), 10.0)
+    env.run()
+    assert (a.done.value, c.done.value, d.done.value) == (2.0, 2.0, 0.2)
+
+
 def test_multilink_bottleneck():
     """A flow crossing two links is limited by the tighter one."""
     env = Environment()
