@@ -41,9 +41,8 @@ Three properties keep the hot path cheap and deterministic:
   rates are bit-identical to one; it just keeps no link index, cap links
   or capacity map to do it. Its common cases skip the generic
   charge/allocate/retime chain with those same operations: work arriving
-  at an idle device, the completion of its only flow, a capacity change
-  while idle, and a fill where every flow has the same cap (one pass
-  instead of one round per capped flow).
+  at an idle device, the completion of its only flow and a capacity
+  change while idle.
 
 * **One live timer.** Completions use a generation-tagged wake-up timer and
   at most one is live per server: if the wanted wake-up moves *later* the
@@ -576,28 +575,6 @@ class FairShareDevice(_FlowServer):
             self._wakeup_at = math.inf
             return
         left = self._capacity
-        cap = flows[0].cap
-        for flow in flows:
-            if flow.cap != cap:
-                break
-        else:
-            # One cap for every flow (a CPU pool's or a disk's 1.0): each
-            # round's winner is the first unfrozen flow, so the rounds are
-            # one pass over the flows with the same float operations.
-            m = len(flows)
-            frozen = 0
-            share = left / m
-            while cap is not None and cap < share - _EPS:
-                flows[frozen].rate = cap
-                left = max(0.0, left - cap)
-                frozen += 1
-                if frozen == m:
-                    break
-                share = left / (m - frozen)
-            for flow in flows[frozen:]:
-                flow.rate = share
-            self._retime()
-            return
         pending = flows
         while pending:
             share = left / len(pending)
