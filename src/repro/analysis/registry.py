@@ -36,11 +36,9 @@ SCHEDULING_SCOPE: tuple[str, ...] = (
 )
 
 #: Files allowed to read the wall clock: they *measure real execution*
-#: (engine timings, calibration, the perf benchmark harness) rather than
-#: participate in a simulation.
+#: (engine timings, calibration) rather than participate in a simulation.
 WALL_CLOCK_EXEMPT: tuple[str, ...] = (
     "calibration.py",
-    "bench.py",
     "engine/",
     "analysis/",
 )

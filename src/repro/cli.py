@@ -10,9 +10,8 @@
     python -m repro profile --workload wordcount --mode stock
                                             # span-trace ONE job -> Perfetto
     python -m repro validate                # run the functional engine checks
-    python -m repro bench --quick           # perf benchmark -> BENCH_perf.json
 
-``figure``, ``report``, and ``bench`` accept ``--jobs N`` to fan independent
+``figure`` and ``report`` accept ``--jobs N`` to fan independent
 data points out over N worker processes (default: all CPUs); results are
 byte-identical to a serial run.
 """
@@ -497,22 +496,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Time the figure sweep (serial vs parallel) and the kernel/fabric."""
-    from .bench import format_report, run_bench
-
-    report = run_bench(quick=args.quick, jobs=args.jobs, repeat=args.repeat,
-                       output=args.output)
-    print(format_report(report))
-    if args.output:
-        print(f"wrote {args.output}")
-    if not report["sweep"]["identical"]:
-        print("ERROR: parallel figure output diverges from serial: "
-              f"{report['sweep']['divergent_figures']}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_validate(_args) -> int:
     from .workloads import (
         estimate_pi,
@@ -616,18 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for data points (default: all CPUs)")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("bench",
-                       help="benchmark sweep/kernel/fabric -> BENCH_perf.json")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller figure subset and micro-bench sizes (CI smoke)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for the parallel sweep (default: all CPUs)")
-    p.add_argument("--repeat", type=int, default=1,
-                   help="timing rounds per sweep variant (min is reported)")
-    p.add_argument("--output", default="BENCH_perf.json",
-                   help="where to write the JSON report ('' to skip)")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("run", help="run one job on a simulated cluster")
     p.add_argument("--workload", default="wordcount",

@@ -128,8 +128,8 @@ def test_mr102_flags_wall_clock():
     assert len(found) == 1
 
 
-def test_mr102_allows_wall_clock_in_bench_code():
-    assert run_rule("MR102", "bench.py", """
+def test_mr102_allows_wall_clock_in_calibration_code():
+    assert run_rule("MR102", "calibration.py", """
         import time
         def stamp():
             return time.perf_counter()

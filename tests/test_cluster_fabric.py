@@ -460,6 +460,57 @@ def test_retired_flows_leave_no_bookkeeping_behind():
     assert all(not members for members in fabric._link_members.values())
 
 
+class RollingWindow:
+    """``num_flows`` flows through a fixed-width window of concurrency.
+
+    Each completion submits the next flow, so the active set stays at
+    ``window`` while the historical total grows. ``idle_links`` links that
+    no flow uses are added first. The fabric is built here, so a caller
+    can time :meth:`run` alone; ``peak_heap`` is the kernel heap's peak.
+    """
+
+    def __init__(self, num_flows, window=16, idle_links=0):
+        self.env = Environment()
+        self.fabric = SharedFabric(self.env)
+        for i in range(idle_links):
+            self.fabric.add_link(f"idle{i}", 100.0)
+        self.fabric.add_link("disk", 100.0)
+        self.fabric.add_link("nic", 80.0)
+        self.num_flows = num_flows
+        self.window = window
+        self.submitted = 0
+        self.peak_heap = 0
+        self.env.tracers.append(self._watch_heap)
+
+    def _watch_heap(self, t, ev):
+        self.peak_heap = max(self.peak_heap, len(self.env._queue))
+
+    def _submit_next(self, _event=None):
+        i = self.submitted
+        if i >= self.num_flows:
+            return
+        self.submitted += 1
+        path = ("disk",) if i % 3 else ("disk", "nic")
+        flow = self.fabric.submit(path, 5.0 + (i % 7), cap=1.0 + (i % 3))
+        flow.done.callbacks.append(self._submit_next)
+
+    def run(self):
+        for _ in range(self.window):
+            self._submit_next()
+        self.env.run()
+        return self
+
+
+def test_rolling_window_counts_are_exact():
+    """1 000 flows through a window of 16: 0.809 timers armed per flow (one
+    live timer, coalesced), a kernel heap that peaks at 5 and no timer left
+    live at the end."""
+    run = RollingWindow(1000).run()
+    assert run.fabric.timers_armed / 1000 == 0.809
+    assert run.peak_heap == 5
+    assert not run.fabric.has_live_timer
+
+
 # -- pinned mixed scenario -------------------------------------------------------
 
 def _mixed_flow_scenario(traced):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.cluster import ResourceVector
 from repro.config import HadoopConfig, a3_cluster
 from repro.simcluster import SimCluster
+from repro.telemetry import install_telemetry
 from repro.yarn import Application
 
 
@@ -235,13 +236,81 @@ def test_set_alive_is_idempotent_and_ignores_unknown_ids():
     assert rm.rack_alive[rack] == before
 
 
-# -- 1k-node replay smoke --------------------------------------------------------
+# -- heartbeat wheel at scale ---------------------------------------------------
+
+class UberStream:
+    """A steady stream of uberized jobs on a ``num_nodes``-node cluster.
+
+    Every NodeManager beats on the RM's shared heartbeat wheel while
+    :meth:`run` submits one AM-only job of 5 s every ``interval_s`` for
+    ``duration_s`` simulated seconds, then runs the cluster 50 s more.
+    With a ``TelemetryConfig`` the run is scraped too. The cluster is
+    built here, so a caller can time :meth:`run` alone.
+    """
+
+    def __init__(self, num_nodes, duration_s, interval_s, quantum_s=0.0,
+                 telemetry=None):
+        conf = HadoopConfig(nm_heartbeat_quantum_s=quantum_s,
+                            telemetry=telemetry)
+        self.cluster = SimCluster(a3_cluster(num_nodes), conf=conf)
+        self.telemetry = (install_telemetry(self.cluster, telemetry)
+                          if telemetry else None)
+        self.cluster.rm.retain_finished_apps = False
+        self.duration_s = duration_s
+        self.interval_s = interval_s
+        self.submitted = self.finished = 0
+
+    def _uber_runner(self, ctx):
+        yield ctx.env.timeout(5.0)
+        self.finished += 1
+
+    def _submitter(self):
+        env, rm = self.cluster.env, self.cluster.rm
+        while env.now < self.duration_s:
+            rm.submit_application(Application(
+                rm.next_app_id(), "uber", ResourceVector(1024, 1),
+                self._uber_runner))
+            self.submitted += 1
+            yield env.timeout(self.interval_s)
+
+    def run(self):
+        env = self.cluster.env
+        env.process(self._submitter())
+        env.run(until=self.duration_s + 50.0)
+        return self
+
+    @property
+    def counts(self):
+        """Finished jobs, kernel events, beats delivered and wheel ticks."""
+        wheel = self.cluster.rm.heartbeat_wheel
+        return (self.finished, self.cluster.env.events_processed,
+                wheel.heartbeats_delivered, wheel.ticks)
+
+
+@pytest.mark.parametrize("nodes,duration_s,interval_s,quantum_s,expected", [
+    # Quantum 0: every node keeps its own phase, one wheel tick per beat
+    # instant; the wheel sleeps through beats that cannot place anything.
+    (1000, 20.0, 0.5, 0.0, (40, 447, 70_000, 84)),
+    # A 0.25 s phase quantum: beats aggregate into cohort ticks.
+    (10_000, 10.0, 0.25, 0.25, (40, 403, 597_510, 40)),
+], ids=["1k", "10k"])
+def test_heartbeat_wheel_counts_at_scale_are_exact(nodes, duration_s,
+                                                   interval_s, quantum_s,
+                                                   expected):
+    """Jobs, kernel events, beats delivered and wheel ticks of the uber
+    stream. A wheel that stops sleeping arms a tick per beat instant."""
+    stream = UberStream(nodes, duration_s, interval_s, quantum_s).run()
+    assert stream.finished == stream.submitted
+    assert stream.counts == expected
+
 
 def test_thousand_node_replay_completes_with_bounded_rss():
-    from repro.bench import bench_scale
+    import resource
 
-    point = bench_scale(1000, sim_duration_s=10.0, job_interval_s=1.0)
-    assert point["jobs_finished"] == point["jobs_submitted"] > 0
-    assert point["heartbeats"] >= 1000 * 9
-    assert point["max_rss_mb"] < 512, (
-        f"1k-node replay RSS {point['max_rss_mb']}MB — unbounded growth?")
+    for duration_s, interval_s in ((10.0, 1.0), (20.0, 0.5)):
+        stream = UberStream(1000, duration_s, interval_s).run()
+        assert stream.finished == stream.submitted > 0
+        assert stream.cluster.rm.heartbeat_wheel.heartbeats_delivered >= 9000
+    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert max_rss_mb < 512, (
+        f"1k-node replay RSS {max_rss_mb:.1f}MB — unbounded growth?")

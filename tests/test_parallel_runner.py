@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.config import a3_cluster
-from repro.experiments.figures import figure9, wordcount_input
+from repro.experiments.figures import ALL_FIGURES, wordcount_input
 from repro.experiments.harness import (
     ALL_MODES,
     HADOOP_UBER,
@@ -85,14 +85,17 @@ def test_sweep_rejects_mixed_point_returns():
         sweep("F", "t", "n", (2, 3), ALL_MODES, mixed)
 
 
-def test_figure_output_identical_across_worker_counts():
-    serial = figure9(xs=(2, 4)).render_table()
+@pytest.mark.parametrize("name", ["table2", "figure7", "figure9", "figure12"])
+def test_figure_output_identical_across_worker_counts(name):
     previous = get_default_jobs()
-    set_default_jobs(2)
+    tables = []
     try:
-        parallel = figure9(xs=(2, 4)).render_table()
+        for jobs in (1, 2):
+            set_default_jobs(jobs)
+            tables.append(ALL_FIGURES[name]().render_table())
     finally:
         set_default_jobs(previous)
+    serial, parallel = tables
     assert parallel == serial
 
 

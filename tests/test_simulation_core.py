@@ -450,6 +450,41 @@ def test_events_processed_counter_advances():
     assert env.events_processed >= 5
 
 
+class TickerLoad:
+    """``procs`` processes of ``timeouts`` 1 s timeouts each; every 2 000th
+    pop samples the kernel heap. Set up here, so a caller can time
+    :meth:`run` alone."""
+
+    def __init__(self, procs=100, timeouts=500):
+        self.env = Environment()
+        self.events = procs * timeouts
+        self.peak_pending = 0
+        for _ in range(procs):
+            self.env.process(self._ticker(timeouts))
+        self.env.tracers.append(self._probe)
+
+    def _ticker(self, timeouts):
+        for _ in range(timeouts):
+            yield self.env.timeout(1.0)
+
+    def _probe(self, t, ev):
+        if self.env.events_processed % 2000 == 0:
+            self.peak_pending = max(self.peak_pending, len(self.env._queue))
+
+    def run(self):
+        self.env.run()
+        return self
+
+
+def test_ticker_load_counts_are_exact():
+    """100 processes x 500 timeouts: each process adds a start and an end
+    event to ``events_processed``, and every sample sees the other 99
+    tickers pending on the heap."""
+    load = TickerLoad().run()
+    assert load.env.events_processed - load.events == 200
+    assert load.peak_pending == 99
+
+
 # -- run() and step() share one dispatch loop ------------------------------------
 
 def _kernel_scenario(seed, fail_at=None):

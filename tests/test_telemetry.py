@@ -708,6 +708,21 @@ def test_run_until_inf_with_telemetry_takes_no_sample_at_inf():
     assert cluster.env.sampler is None
 
 
+def test_scraping_the_thousand_node_stream_adds_no_kernel_event():
+    """The 1k-node uber stream for 10 s, telemetry off and then on at a 1 s
+    cadence: the scraper rides event pops, so the kernel dispatches the
+    same 225 events either way, and the on run takes 26 scrapes."""
+    from tests.test_node_lifecycle import UberStream
+
+    off = UberStream(1000, 10.0, 0.5).run()
+    on = UberStream(1000, 10.0, 0.5,
+                    telemetry=TelemetryConfig(scrape_interval_s=1.0)).run()
+    on.telemetry.finish()
+    assert (off.cluster.env.events_processed
+            == on.cluster.env.events_processed == 225)
+    assert on.telemetry.scraper.scrapes_done == 26
+
+
 def test_dplus_grants_feed_the_grant_delay_histogram():
     """D+ grants go through ``SchedulerBase._grant`` like stock ones, so
     every grant the tracer counts is also a ``scheduler_grant_delay``
