@@ -12,7 +12,9 @@ every count stays the same. Run them from the repository root::
 from __future__ import annotations
 
 import gc
+import math
 import time
+from contextlib import contextmanager
 
 from repro.config import TelemetryConfig
 from tests.test_cluster_fabric import RollingWindow
@@ -25,6 +27,18 @@ def timed_run(probe) -> float:
     start = time.perf_counter()
     probe.run()
     return time.perf_counter() - start
+
+
+@contextmanager
+def gc_quiesced():
+    """Collect, then keep the cyclic GC off: a collection over garbage
+    that other code left behind lands in no timed arm."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def per_flow_s(num_flows: int, idle_links: int = 0) -> float:
@@ -50,8 +64,14 @@ def test_kernel_throughput():
 
 def test_fabric_cost_flat_in_historical_flows():
     # Per-change cost must not grow with total flows served: 2 000 flows
-    # against 500 through the same window.
-    ratio = per_flow_s(2000) / per_flow_s(500)
+    # against 500 through the same window, interleaved five times with the
+    # cyclic GC quiesced; best of each arm, as for telemetry overhead.
+    many = few = math.inf
+    for _ in range(5):
+        with gc_quiesced():
+            many = min(many, per_flow_s(2000))
+            few = min(few, per_flow_s(500))
+    ratio = many / few
     assert ratio < 1.5, f"per-flow cost grows with flows served: {ratio:.2f}x"
 
 
@@ -77,14 +97,10 @@ def test_telemetry_overhead_at_thousand_nodes():
     # The acceptance bar is 10 %; 25 % absorbs shared-runner noise.
     off = on = 0.0
     for _ in range(7):
-        gc.collect()
-        gc.disable()
-        try:
+        with gc_quiesced():
             off = max(off, logical_events_per_s(UberStream(1000, 10.0, 0.5)))
             on = max(on, logical_events_per_s(UberStream(
                 1000, 10.0, 0.5,
                 telemetry=TelemetryConfig(scrape_interval_s=1.0))))
-        finally:
-            gc.enable()
     overhead = (off - on) / off
     assert overhead < 0.25, f"telemetry overhead {overhead:.1%}"

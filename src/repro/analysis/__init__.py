@@ -35,12 +35,13 @@ baseline (``lint_baseline.json``) keeps existing, deliberately accepted
 debt from failing CI while any *new* violation does.
 
 ``repro lint --sanitize`` pairs the static rules with a dynamic
-determinism sanitizer: the same small scenario runs twice in subprocesses
-under different ``PYTHONHASHSEED`` values and the event-order/metrics
-digests are diffed, turning order-dependent iteration into a reproducible
-failure. ``repro lint --sanitize-races`` permutes kernel dispatch order
-among events sharing a (timestamp, priority) class and requires all
-observable metrics to be tie-order independent. See
+determinism sanitizer: every scenario of the identity registry
+(:mod:`repro.analysis.scenarios`) runs twice in each of two subprocesses
+under different ``PYTHONHASHSEED`` values and its digests are diffed,
+turning order-dependent iteration into a reproducible failure.
+``repro lint --sanitize-races`` permutes kernel dispatch order among
+events sharing a (timestamp, priority) class and requires every
+scenario's observables to be tie-order independent. See
 ``docs/static_analysis.md`` for the rule catalog.
 """
 

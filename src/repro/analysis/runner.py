@@ -232,12 +232,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="also print baselined findings")
     parser.add_argument("--sanitize", action="store_true",
-                        help="run the dynamic determinism sanitizer (two "
-                             "subprocess runs under different PYTHONHASHSEED)")
+                        help="run the dynamic determinism sanitizer (the "
+                             "identity registry in two subprocesses under "
+                             "different PYTHONHASHSEED)")
     parser.add_argument("--sanitize-races", action="store_true",
                         help="run the same-timestamp race sanitizer (permute "
                              "dispatch order among events sharing a "
-                             "(time, priority) class; metrics must not move)")
+                             "(time, priority) class; observables must not "
+                             "move)")
     parser.add_argument("--seeds", nargs=2, type=int, default=(1, 2),
                         metavar=("A", "B"),
                         help="seeds for --sanitize / --sanitize-races "
@@ -258,8 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
     if args.digest:
-        from .sanitize import scenario_digest
-        print(json.dumps(scenario_digest(), sort_keys=True))
+        # Sanitizer child mode: the positional arguments name scenarios.
+        from .sanitize import child_digests
+        print(json.dumps(child_digests(args.paths), sort_keys=True))
         return 0
 
     if args.list_rules:

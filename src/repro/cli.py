@@ -726,11 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--sanitize", action="store_true",
-                   help="run the scenario twice under different "
-                        "PYTHONHASHSEED values and diff the digests")
+                   help="run the identity registry's scenarios under two "
+                        "PYTHONHASHSEED values and diff their digests")
     p.add_argument("--sanitize-races", action="store_true",
                    help="permute same-(time, priority) event dispatch order "
-                        "and verify the observable metrics are invariant")
+                        "and verify each scenario's observables are invariant")
     p.add_argument("--seeds", nargs=2, type=int, default=(1, 2),
                    metavar=("A", "B"),
                    help="seeds for --sanitize / --sanitize-races")

@@ -45,7 +45,7 @@ __all__ = [
     "Gauge", "HeartbeatStalenessRule", "Histogram", "QueueSaturationRule",
     "RingSeries", "Rule", "Scraper", "Telemetry", "TelemetryConfig",
     "TelemetryRegistry", "UnderReplicationRule", "install_telemetry",
-    "parse_openmetrics", "render_jsonl", "render_openmetrics",
+    "is_self_cost", "parse_openmetrics", "render_jsonl", "render_openmetrics",
 ]
 
 #: Bucket bounds for the sub-minute YARN latencies (grant delay, AM wait).
@@ -55,6 +55,16 @@ _WAIT_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 #: A node is heartbeat-stale when silent for more than this multiple of the
 #: NM heartbeat interval.
 _HEARTBEAT_STALE_FACTOR = 3.0
+
+
+def is_self_cost(name: str) -> bool:
+    """Whether series ``name`` measures the simulator's own work — kernel
+    events dispatched, the event heap's size, the heartbeat wheel's ticks —
+    rather than the simulated cluster. These move whenever the simulator
+    skips work it can prove changes nothing, and with the order in which it
+    dispatches same-instant events."""
+    return name.startswith("kernel_") or name == "rm_wheel_ticks"
+
 
 #: Series mirrored into ``LoadReport.telemetry["windows"]`` for
 #: ``repro trace --json`` (satellite: per-window attainment/queue depth).

@@ -869,22 +869,64 @@ def test_report_only_scopes_report_not_the_analysis(tmp_path):
 
 # -- determinism sanitizer -----------------------------------------------------
 
+#: Cheap registry scenarios for the end-to-end child-process run.
+_CHEAP = ("scale-1k", "wordcount-node-failure")
+
+
 def test_scenario_digest_is_stable_in_process():
-    from repro.analysis.sanitize import scenario_digest
-    digest = scenario_digest()
-    assert digest["event_digest"] == digest["repeat_digest"]
-    assert digest["metrics_digest"] == digest["repeat_metrics_digest"]
-    assert digest["serving_event_digest"] == digest["serving_repeat_digest"]
-    assert (digest["serving_metrics_digest"]
-            == digest["serving_repeat_metrics_digest"])
+    from repro.analysis.sanitize import child_digests
+    first, repeat = child_digests(_CHEAP)
+    assert sorted(first) == list(_CHEAP)
+    assert first == repeat
 
 
 def test_sanitizer_passes_across_hash_seeds():
     from repro.analysis.sanitize import run_sanitizer
     lines = []
-    assert run_sanitizer((1, 2), echo=lines.append) == 0
-    assert any(line.startswith("OK event digest") for line in lines)
-    assert any(line.startswith("OK serving digest") for line in lines)
+    assert run_sanitizer((1, 2), echo=lines.append, names=_CHEAP) == 0
+    assert [line.split()[1] for line in lines[1:]] == list(_CHEAP)
+
+
+def test_sanitizer_names_the_scenario_that_depends_on_the_hash_seed(
+        monkeypatch):
+    from repro.analysis import sanitize
+
+    def child(hash_seed, names):
+        runs = {"steady": {"observable": "a", "self_cost": "b"},
+                "leaky": {"observable": "a", "self_cost": str(hash_seed)}}
+        return [runs, runs]
+
+    monkeypatch.setattr(sanitize, "_run_child", child)
+    lines = []
+    assert sanitize.run_sanitizer((1, 2), echo=lines.append) == 1
+    failures = [line for line in lines if line.startswith("FAIL")]
+    assert failures == ["FAIL leaky: self_cost depends on PYTHONHASHSEED "
+                        "(hash-order leak — see rule MR102)"]
+
+
+def test_sanitizer_reports_an_in_process_repeat_as_cross_run_state(
+        monkeypatch):
+    from repro.analysis import sanitize, scenarios
+
+    runs = []
+
+    def counted():
+        runs.append(None)
+        return scenarios.Outcome(str(len(runs)).encode(), b"")
+
+    def child(_seed, names):
+        runs.clear()  # a fresh process
+        return sanitize.child_digests(names)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "counted", counted)
+    monkeypatch.setattr(sanitize, "_run_child", child)
+    lines = []
+    assert sanitize.run_sanitizer((1, 2), echo=lines.append,
+                                  names=["counted"]) == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL counted: observable moved on an in-process repeat under "
+        f"PYTHONHASHSEED={seed} (cross-run state — see rule MR105)"
+        for seed in (1, 2)]
 
 
 # -- same-timestamp race sanitizer ---------------------------------------------
@@ -995,3 +1037,23 @@ def test_permuted_ties_keeps_priority_classes_apart():
     assert fired[0] == "urgent"
     assert fired[-1] == "deferred"
     assert sorted(fired[1:-1]) == list(range(5))
+
+
+def test_race_sanitizer_reports_a_tie_order_dependent_scenario(monkeypatch):
+    from repro.analysis import sanitize, scenarios
+    from repro.simulation.core import Environment
+
+    def first_of_a_tie():
+        env = Environment()
+        fired = []
+        for tag in "ab":
+            env.timeout(1.0).callbacks.append(lambda _e, tag=tag: fired.append(tag))
+        env.run()
+        return scenarios.Outcome(fired[0].encode(), b"")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "first-of-a-tie", first_of_a_tie)
+    lines = []
+    assert sanitize.run_race_sanitizer(
+        (1, 2), echo=lines.append, names=["first-of-a-tie"]) == 1
+    assert any(line.startswith("FAIL first-of-a-tie: observables moved")
+               for line in lines)

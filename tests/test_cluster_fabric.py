@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.cluster import FairShareDevice, FlowKilled, SharedFabric
 from repro.simulation import Environment
 
+from .pins import assert_pinned
+
 
 def test_single_flow_runs_at_full_capacity():
     env = Environment()
@@ -613,16 +615,10 @@ def _mixed_flow_scenario(traced):
     return lines
 
 
-_PINNED_MIXED = "f1e3cbfff1b0bf09c7904f3fb6c478f99744c539ca2c2232b2d44793d255536c"
-
-
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_mixed_flow_scenario_is_pinned(traced):
     """Every completion time, timer and kernel event of the mixed scenario,
     bit for bit, with and without a tracer installed."""
-    import hashlib
-
     lines = _mixed_flow_scenario(traced)
     assert lines.count("killed") >= 2
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _PINNED_MIXED, digest
+    assert_pinned("mixed-flows", "\n".join(lines).encode())

@@ -10,8 +10,6 @@ the RM's own predicate, which also sleeps through beats the AM limit
 leaves with nothing to place.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,8 @@ from repro.trace import (build_trace_cluster, default_serving_mix,
                          default_short_job_mix, poisson_trace, replay_load)
 from repro.yarn import Application
 from repro.yarn.heartbeat import HeartbeatWheel
+
+from .pins import assert_pinned
 
 NODES = 5
 
@@ -437,26 +437,14 @@ _PINNED_WORLDS = {
     ], [(0.0, 2), (0.0, 0), (1.3, 1), (0.05, 1)]),
 }
 
-#: sha256 of each world's working beats, reads and tick count.
-_PINNED_WORLD_DIGESTS = {
-    "suspend-awake+wake-at-sleep":
-        "2781e4012c684d1fdf742fd9dde3679b089637cb2217ff624d680591bdef1856",
-    "quantum+unregister-awake":
-        "559902eb8b7bd30437d9db4201a00e9a6fd81e04887408f9faad80004464d4ad",
-}
-
-
-def _world_digest(world):
-    return hashlib.sha256(repr(
-        (world.working, world.reads, world.wheel.ticks)).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(_PINNED_WORLDS))
 def test_pinned_worlds(name):
+    """Each world's working beats, reads and tick count."""
     world_type, period, quantum, ops, spawns = _PINNED_WORLDS[name]
     world = run_world(period, quantum, True, ops, spawns,
                       world_type=world_type)
-    assert _world_digest(world) == _PINNED_WORLD_DIGESTS[name]
+    assert_pinned(f"heartbeat-world/{name}", repr(
+        (world.working, world.reads, world.wheel.ticks)).encode())
 
 
 def _reference_grid_indices(anchors, t, period):

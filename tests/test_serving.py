@@ -545,12 +545,11 @@ def test_control_loop_acts_on_its_instants_settled_state():
     or at the next arrival, 80.55 s, depending on the tie-break. The loop
     now runs after every other event of its instant, so no permutation of
     same-instant events moves an observable."""
-    from repro.analysis.sanitize import _run_serving_scenario, permuted_ties
+    from repro.analysis.sanitize import permuted_ties
+    from repro.analysis.scenarios import run_scenario
 
-    def observables():
-        return _run_serving_scenario(telemetry=True, observables_only=True)[1:]
-
-    reference = observables()
+    reference = run_scenario("serving-churn").observable
     for seed in (1, 4):
         with permuted_ties(seed):
-            assert observables() == reference, f"tie seed {seed}"
+            assert run_scenario("serving-churn").observable == reference, (
+                f"tie seed {seed}")

@@ -1,6 +1,5 @@
 """Telemetry subsystem: instruments, scraper, OpenMetrics, alert rules."""
 
-import hashlib
 import json
 import math
 from bisect import bisect_left
@@ -26,6 +25,8 @@ from repro.telemetry.instruments import DEFAULT_BUCKETS, Histogram
 from repro.trace import (build_trace_cluster, default_serving_mix,
                          poisson_trace, replay_load, run_load)
 from repro.workloads import WORDCOUNT_PROFILE
+
+from .pins import assert_pinned
 
 
 # -- instruments ---------------------------------------------------------------
@@ -754,96 +755,10 @@ def test_run_load_records_scheduler_histograms():
     assert ", telemetry" in report.summary()
 
 
-def _is_self_cost(name):
-    """The simulator's own cost series: kernel events dispatched, the
-    event heap's size and the heartbeat wheel's ticks. They measure
-    how much work the simulator did, not the simulated cluster, so they
-    move whenever the simulator skips work it can prove changes nothing."""
-    return name.startswith("kernel_") or name == "rm_wheel_ticks"
-
-
-def _split_jsonl(text):
-    """(cluster-state lines, self-cost lines) of a JSONL export."""
-    parts = ([], [])
-    for line in text.splitlines(keepends=True):
-        parts[_is_self_cost(json.loads(line)["metric"])].append(line)
-    return tuple("".join(part) for part in parts)
-
-
-def _split_openmetrics(text):
-    """(cluster-state families, self-cost families) of an OpenMetrics
-    export; ``# EOF`` stays with the cluster state."""
-    parts = ([], [])
-    self_cost = False
-    for line in text.splitlines(keepends=True):
-        if line.startswith("# TYPE "):
-            self_cost = _is_self_cost(line.split()[2])
-        elif line == "# EOF\n":
-            self_cost = False
-        parts[self_cost].append(line)
-    return tuple("".join(part) for part in parts)
-
-
-#: sha256 of the cluster-state part of (JSONL, OpenMetrics) and of
-#: ``LoadReport.telemetry`` for the churn serving replay below, by ring
-#: retention. The values predate the bisecting ring reads, the pre-bound
-#: scrape loop, the direct kernel-queue gauges, the RM's per-rack
-#: liveness counts and the AM-limit-aware heartbeat sleep; each of those
-#: must leave every cluster-state series byte-identical. They last moved
-#: when ``cluster_used_vcores`` was deleted (it repeated ``rm_vcores_used``
-#: at probe cadence); every other series kept its bytes, and the report's
-#: ``series``/``retained_samples``/``ring_bytes`` shrank by the four
-#: deleted series. At 200 samples the rings evict long before the run's
-#: 378 scrapes end.
-_PINNED_EXPORTS = {
-    512: ("c0800d1884374acdde156042a35c7c20535e77a9e207774f6a1f1d9bc580e893",
-          "325b3fe52fee47961b531d585021f4ea914b7ce1e3058f9fe34b264fe68ede3f",
-          "b6361bce909788816a510f57d09daebd278b6c9f4b792f24800c81952c8b8848"),
-    200: ("95133beda540f70a8485fe8bbe7716764cc47e0564da47b95abc216d16cea5d5",
-          "325b3fe52fee47961b531d585021f4ea914b7ce1e3058f9fe34b264fe68ede3f",
-          "77290b26b6dca81e794a65f09ec436dfe05fb260d7dfe4b06353faf17198be72"),
-}
-
-#: sha256 of the self-cost part of (JSONL, OpenMetrics), pinned apart so
-#: a simulator speed-up re-pins only these. They last moved when the three
-#: calendar-queue gauges (occupied buckets, max bucket depth, cancelled
-#: outstanding) were deleted and ``kernel_queue_pending``'s help text came
-#: to name the event heap; ``kernel_events``, ``kernel_queue_pending`` and
-#: ``rm_wheel_ticks`` kept every sample.
-_PINNED_SELF_COST = {
-    512: ("d58ef0a43b56368605203f587e26887e3c32acdd4e89f2703bc87703eb714dee",
-          "9c3c2983495880b58f1cf81ceabdfff3ec118ed12a30e396e7a1b9d805f557a7"),
-    200: ("4e0b506c844eecf7472cedd146363fc0ffdbe86d30b3f0662e4c661582cfbf96",
-          "9c3c2983495880b58f1cf81ceabdfff3ec118ed12a30e396e7a1b9d805f557a7"),
-}
-
-
-@pytest.mark.parametrize("retention", sorted(_PINNED_EXPORTS))
+@pytest.mark.parametrize("retention", [512, 200])
 def test_churn_serving_exports_are_pinned(retention):
-    """A churn + autoscaling replay at overload that fires all three of
-    the burn-rate, queue-saturation and under-replication rules."""
-    from repro.faults.plan import churn_plan
-
-    conf = _serving_conf(
-        telemetry=TelemetryConfig(retention_samples=retention),
-        autoscale=True, min_nodes=2, max_nodes=4)
-    cluster = build_trace_cluster(a3_cluster(3), conf=conf, seed=7)
-    trace = poisson_trace(default_serving_mix(), 45.0, 300.0, seed=13)
-    report = replay_load(cluster, trace, fault_plan=churn_plan(300.0))
-    telemetry = cluster.env.telemetry
-    assert report.telemetry["alerts_by_rule"] == {
-        "hdfs_under_replication": 3, "queue_saturation": 2,
-        "slo_burn_rate": 1}
-
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    jsonl_state, jsonl_cost = _split_jsonl(render_jsonl(telemetry.scraper))
-    om_state, om_cost = _split_openmetrics(
-        render_openmetrics(telemetry.registry))
-    assert jsonl_cost and om_cost
-    assert (digest(jsonl_state), digest(om_state),
-            digest(json.dumps(report.telemetry, sort_keys=True))
-            ) == _PINNED_EXPORTS[retention]
-    assert (digest(jsonl_cost), digest(om_cost)
-            ) == _PINNED_SELF_COST[retention]
+    """The cluster-state and self-cost parts of both exports, and the
+    report's telemetry section, of a churn replay that fires all three
+    alert rules. At 200 samples the rings evict long before the run's 378
+    scrapes end."""
+    assert_pinned(f"telemetry-exports/{retention}")
