@@ -34,7 +34,7 @@ import runpy
 import tempfile
 from array import array
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
 
 from repro.cli import main as cli_main
 from repro.config import (HadoopConfig, ServingConfig, TelemetryConfig,
@@ -442,12 +442,12 @@ def _serving_churn() -> Outcome:
     same replay with telemetry off must dispatch the same events in the
     same order: the scraper adds none."""
     orders: list[_EventLog] = []
-    for telemetry in (None, TelemetryConfig()):
+    for scraping in (None, TelemetryConfig()):
         serving = ServingConfig(latency_deadline_s=75.0, slots_per_node=2,
                                 initial_guess_s=12.0, autoscale=True,
                                 min_nodes=3, max_nodes=6)
         conf = HadoopConfig(am_resource_fraction=0.3, serving=serving,
-                            telemetry=telemetry)
+                            telemetry=scraping)
         cluster = build_trace_cluster(a3_cluster(3), conf=conf, seed=7)
         orders.append(_EventLog())
         orders[-1].watch(cluster.env)
@@ -498,17 +498,17 @@ def _scale_1k() -> Outcome:
     env, rm = cluster.env, cluster.rm
     finished: list[tuple[str, float]] = []
 
-    def uber(ctx: Any) -> Iterator[Any]:
+    def uber(ctx: Any) -> Generator[Any, Any, None]:
         yield ctx.env.timeout(2.0)
         finished.append((ctx.app.app_id, round(ctx.env.now, 9)))
 
-    def submitter() -> Iterator[Any]:
+    def submitter() -> Generator[Any, Any, None]:
         for _ in range(10):
             rm.submit_application(Application(
                 rm.next_app_id(), "scale-uber", ResourceVector(1024, 1), uber))
             yield env.timeout(0.4)
 
-    def churn() -> Iterator[Any]:
+    def churn() -> Generator[Any, Any, None]:
         yield env.timeout(1.3)
         cluster.fail_node("dn37")
         yield env.timeout(2.0)
