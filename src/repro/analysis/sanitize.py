@@ -13,7 +13,8 @@ two passes inside one process (no module-level counter or cache
 survives a run, rule MR105).
 
 :func:`run_race_sanitizer` permutes same-instant dispatch order and
-requires every scenario's observables to hold, except the scenarios on
+requires every scenario's observables, and its self-cost less the
+kernel's own series, to hold, except the scenarios on
 :data:`TIE_ORDER_DEPENDENT`.
 """
 
@@ -28,6 +29,8 @@ import sys
 from contextlib import contextmanager
 from heapq import heappush
 from typing import Callable, Iterator, Optional, Sequence
+
+from repro.telemetry import KERNEL_SERIES
 
 from . import scenarios
 
@@ -62,41 +65,52 @@ TIE_ORDER_DEPENDENT: dict[str, str] = {
 
 
 def child_digests(names: Sequence[str] = ()) -> list[dict[str, dict[str, str]]]:
-    """Two passes of :func:`repro.analysis.scenarios.digests` in this
-    process; the second must repeat the first."""
+    """Two passes of :func:`repro.analysis.scenarios.digests` over
+    ``names`` in this process; the second must repeat the first."""
     return [scenarios.digests(names), scenarios.digests(names)]
 
 
-def _run_child(hash_seed: int, names: Sequence[str]
-               ) -> list[dict[str, dict[str, str]]]:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
+def _run_children(hash_seeds: Sequence[int], names: Sequence[str]
+                  ) -> list[list[dict[str, dict[str, str]]]]:
+    """``child_digests(names)`` in one fresh interpreter per hash seed,
+    all running at once. The parent names the scenarios its registry
+    holds, so each child runs exactly those."""
     src_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src_root + os.pathsep + existing
-                         if existing else src_root)
-    proc = subprocess.run(
+    existing = os.environ.get("PYTHONPATH")
+    path = src_root + os.pathsep + existing if existing else src_root
+    children = [subprocess.Popen(
         [sys.executable, "-m", "repro.analysis", "--digest", *names],
-        capture_output=True, text=True, env=env, timeout=900)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"digest child (PYTHONHASHSEED={hash_seed}) failed:\n"
-            f"{proc.stdout}\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path})
+        for seed in hash_seeds]
+    try:
+        runs = []
+        for seed, child in zip(hash_seeds, children):
+            out, err = child.communicate(timeout=900)
+            if child.returncode != 0:
+                raise RuntimeError(
+                    f"digest child (PYTHONHASHSEED={seed}) failed:\n"
+                    f"{out}\n{err}")
+            runs.append(json.loads(out.strip().splitlines()[-1]))
+        return runs
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
 
 
 def run_sanitizer(seeds: tuple[int, int] = (1, 2),
-                  echo: Optional[Callable[[str], None]] = None,
-                  names: Sequence[str] = ()) -> int:
+                  echo: Optional[Callable[[str], None]] = None) -> int:
     """Compare scenario digests across two PYTHONHASHSEED values and
-    across in-process repeats. ``names`` narrows the registry.
+    across in-process repeats.
 
     Returns 0 when all digests agree (deterministic), 1 otherwise.
     """
     say = echo or (lambda _msg: None)
     say(f"determinism sanitizer: PYTHONHASHSEED={seeds[0]} vs {seeds[1]}")
-    runs = [_run_child(seed, names) for seed in seeds]
+    runs = _run_children(seeds, sorted(scenarios.SCENARIOS))
     failures = []
     for seed, (first, repeat) in zip(seeds, runs):
         for name, digest in first.items():
@@ -134,9 +148,9 @@ def run_sanitizer(seeds: tuple[int, int] = (1, 2),
 # the tie-break among events sharing a (timestamp, priority) class is a
 # seeded random permutation instead of insertion order, runs every
 # registry scenario under two different permutations, and requires its
-# observable bytes (reports, exports, CLI output — never its self-cost) to
-# be identical to the unpermuted run. Causality is
-# preserved: an event scheduled *while* its sibling is being dispatched
+# observable bytes (reports, exports, CLI output) and its self-cost less
+# the kernel's own series to be identical to the unpermuted run. Causality
+# is preserved: an event scheduled *while* its sibling is being dispatched
 # was never in the queue at the same time, so only genuinely concurrent
 # events are permuted.
 
@@ -190,36 +204,48 @@ def permuted_ties(seed: int) -> Iterator[None]:
         Environment.schedule_at = orig_schedule_at  # type: ignore[method-assign]
 
 
-def run_race_sanitizer(seeds: tuple[int, int] = (1, 2),
-                       echo: Optional[Callable[[str], None]] = None,
-                       names: Sequence[str] = ()) -> int:
-    """Permute same-timestamp dispatch order; observables must not move.
-    ``names`` narrows the registry.
+def _tie_invariant(outcome: scenarios.Outcome) -> dict[str, bytes]:
+    """What no tie order may move: the observables, and the self-cost less
+    the lines of the kernel's own series
+    (:data:`repro.telemetry.KERNEL_SERIES`). The wheel's ticks and a fixed
+    horizon's event count must hold."""
+    kernel = KERNEL_SERIES.encode()
+    return {"observables": outcome.observable,
+            "self-cost": b"".join(
+                line for line in outcome.self_cost.splitlines(keepends=True)
+                if kernel not in line)}
 
-    Returns 0 when every scenario's observables are identical across the
-    unpermuted run and both permutation seeds, 1 otherwise.
+
+def run_race_sanitizer(seeds: tuple[int, int] = (1, 2),
+                       echo: Optional[Callable[[str], None]] = None) -> int:
+    """Permute same-timestamp dispatch order; no scenario's observables or
+    wheel and event counts may move.
+
+    Returns 0 when every scenario's tie-invariant bytes are identical
+    across the unpermuted run and both permutation seeds, 1 otherwise.
     """
     say = echo or (lambda _msg: None)
     say(f"race sanitizer: permuting (time, priority) ties with seeds "
         f"{seeds[0]} and {seeds[1]}")
     failures: list[str] = []
-    for name in names or sorted(scenarios.SCENARIOS):
+    for name, scenario in sorted(scenarios.SCENARIOS.items()):
         if name in TIE_ORDER_DEPENDENT:
             say(f"SKIP {name}: {TIE_ORDER_DEPENDENT[name]}")
             continue
-        reference = scenarios.run_scenario(name).observable
+        reference = _tie_invariant(scenario())
         moved = []
         for seed in seeds:
             with permuted_ties(seed):
-                if scenarios.run_scenario(name).observable != reference:
-                    moved.append(seed)
-        for seed in moved:
+                permuted = _tie_invariant(scenario())
+            moved += [(seed, part) for part, value in reference.items()
+                      if permuted[part] != value]
+        for seed, part in moved:
             failures.append(
-                f"{name}: observables moved under tie permutation (seed "
-                f"{seed}) — a scheduling decision depends on same-timestamp "
+                f"{name}: {part} moved under tie permutation (seed {seed}) "
+                f"— a scheduling decision depends on same-timestamp "
                 f"dispatch order")
         if not moved:
-            say(f"OK {name:<32} observables invariant under tie permutation")
+            say(f"OK {name:<32} invariant under tie permutation")
 
     for line in failures:
         say(f"FAIL {line}")

@@ -384,13 +384,18 @@ def _profile() -> Outcome:
 
 def _trace_analysis_example() -> Outcome:
     """``examples/trace_analysis.py``'s printed report: utilization read
-    from telemetry rings, a history-server post-mortem and a pool sweep."""
+    from telemetry rings, a history-server post-mortem and a pool sweep.
+    The example lives in the source checkout, not in the package."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
+    example = os.path.join(root, "examples", "trace_analysis.py")
+    if not os.path.exists(example):
+        raise FileNotFoundError(
+            f"scenario example/trace-analysis runs {example}, which only a "
+            f"source checkout has")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        runpy.run_path(os.path.join(root, "examples", "trace_analysis.py"),
-                       run_name="__main__")
+        runpy.run_path(example, run_name="__main__")
     return Outcome(out.getvalue().encode(), b"")
 
 

@@ -42,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Alert", "AlertEngine", "AlertSummary", "BurnRateRule", "Counter",
-    "Gauge", "HeartbeatStalenessRule", "Histogram", "QueueSaturationRule",
+    "Gauge", "HeartbeatStalenessRule", "Histogram", "KERNEL_SERIES",
+    "QueueSaturationRule",
     "RingSeries", "Rule", "Scraper", "Telemetry", "TelemetryConfig",
     "TelemetryRegistry", "UnderReplicationRule", "install_telemetry",
     "is_self_cost", "parse_openmetrics", "render_jsonl", "render_openmetrics",
@@ -57,13 +58,18 @@ _WAIT_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 _HEARTBEAT_STALE_FACTOR = 3.0
 
 
+#: Name prefix of the kernel's own series. Unlike the wheel's ticks, they
+#: also move with the order in which the kernel dispatches same-instant
+#: events: a replay stops, and a scrape samples the queue, mid-instant.
+KERNEL_SERIES = "kernel_"
+
+
 def is_self_cost(name: str) -> bool:
     """Whether series ``name`` measures the simulator's own work — kernel
     events dispatched, the event heap's size, the heartbeat wheel's ticks —
     rather than the simulated cluster. These move whenever the simulator
-    skips work it can prove changes nothing, and with the order in which it
-    dispatches same-instant events."""
-    return name.startswith("kernel_") or name == "rm_wheel_ticks"
+    skips work it can prove changes nothing."""
+    return name.startswith(KERNEL_SERIES) or name == "rm_wheel_ticks"
 
 
 #: Series mirrored into ``LoadReport.telemetry["windows"]`` for

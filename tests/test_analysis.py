@@ -869,34 +869,45 @@ def test_report_only_scopes_report_not_the_analysis(tmp_path):
 
 # -- determinism sanitizer -----------------------------------------------------
 
-#: Cheap registry scenarios for the end-to-end child-process run.
-_CHEAP = ("scale-1k", "wordcount-node-failure")
+#: The registry scenarios the child-process runs cover: a wordcount with a
+#: node failure, the serving churn replay with telemetry off and on and its
+#: OpenMetrics export, the 1k-node wheel, and the tuner's shared store.
+_CHILD_RUN = ("scale-1k", "serving-churn", "tuner-store",
+              "wordcount-node-failure")
 
 
 def test_scenario_digest_is_stable_in_process():
+    """Both in-process passes match the committed digests: this pins the
+    child-run scenarios, and its second pass shows no state survives a
+    run."""
     from repro.analysis.sanitize import child_digests
-    first, repeat = child_digests(_CHEAP)
-    assert sorted(first) == list(_CHEAP)
-    assert first == repeat
+
+    from .pins import committed_digests
+    committed = committed_digests()
+    for run in child_digests(_CHILD_RUN):
+        assert run == {name: committed[name] for name in _CHILD_RUN}
 
 
-def test_sanitizer_passes_across_hash_seeds():
-    from repro.analysis.sanitize import run_sanitizer
+def test_sanitizer_passes_across_hash_seeds(monkeypatch):
+    from repro.analysis import sanitize, scenarios
+    monkeypatch.setattr(scenarios, "SCENARIOS", {
+        name: scenarios.SCENARIOS[name] for name in _CHILD_RUN})
     lines = []
-    assert run_sanitizer((1, 2), echo=lines.append, names=_CHEAP) == 0
-    assert [line.split()[1] for line in lines[1:]] == list(_CHEAP)
+    assert sanitize.run_sanitizer((1, 2), echo=lines.append) == 0
+    assert [line.split()[1] for line in lines[1:]] == list(_CHILD_RUN)
 
 
 def test_sanitizer_names_the_scenario_that_depends_on_the_hash_seed(
         monkeypatch):
     from repro.analysis import sanitize
 
-    def child(hash_seed, names):
-        runs = {"steady": {"observable": "a", "self_cost": "b"},
-                "leaky": {"observable": "a", "self_cost": str(hash_seed)}}
-        return [runs, runs]
+    def children(hash_seeds, names):
+        runs = [{"steady": {"observable": "a", "self_cost": "b"},
+                 "leaky": {"observable": "a", "self_cost": str(seed)}}
+                for seed in hash_seeds]
+        return [[run, run] for run in runs]
 
-    monkeypatch.setattr(sanitize, "_run_child", child)
+    monkeypatch.setattr(sanitize, "_run_children", children)
     lines = []
     assert sanitize.run_sanitizer((1, 2), echo=lines.append) == 1
     failures = [line for line in lines if line.startswith("FAIL")]
@@ -914,15 +925,17 @@ def test_sanitizer_reports_an_in_process_repeat_as_cross_run_state(
         runs.append(None)
         return scenarios.Outcome(str(len(runs)).encode(), b"")
 
-    def child(_seed, names):
-        runs.clear()  # a fresh process
-        return sanitize.child_digests(names)
+    def children(hash_seeds, names):
+        fresh = []
+        for _ in hash_seeds:
+            runs.clear()  # a fresh process
+            fresh.append(sanitize.child_digests(names))
+        return fresh
 
-    monkeypatch.setitem(scenarios.SCENARIOS, "counted", counted)
-    monkeypatch.setattr(sanitize, "_run_child", child)
+    monkeypatch.setattr(scenarios, "SCENARIOS", {"counted": counted})
+    monkeypatch.setattr(sanitize, "_run_children", children)
     lines = []
-    assert sanitize.run_sanitizer((1, 2), echo=lines.append,
-                                  names=["counted"]) == 1
+    assert sanitize.run_sanitizer((1, 2), echo=lines.append) == 1
     assert [line for line in lines if line.startswith("FAIL")] == [
         f"FAIL counted: observable moved on an in-process repeat under "
         f"PYTHONHASHSEED={seed} (cross-run state — see rule MR105)"
@@ -1040,6 +1053,8 @@ def test_permuted_ties_keeps_priority_classes_apart():
 
 
 def test_race_sanitizer_reports_a_tie_order_dependent_scenario(monkeypatch):
+    """Observables and wheel ticks must hold under permuted ties; the
+    kernel's own series may move."""
     from repro.analysis import sanitize, scenarios
     from repro.simulation.core import Environment
 
@@ -1049,11 +1064,18 @@ def test_race_sanitizer_reports_a_tie_order_dependent_scenario(monkeypatch):
         for tag in "ab":
             env.timeout(1.0).callbacks.append(lambda _e, tag=tag: fired.append(tag))
         env.run()
-        return scenarios.Outcome(fired[0].encode(), b"")
+        return fired[0].encode()
 
-    monkeypatch.setitem(scenarios.SCENARIOS, "first-of-a-tie", first_of_a_tie)
+    monkeypatch.setattr(scenarios, "SCENARIOS", {
+        "decision": lambda: scenarios.Outcome(first_of_a_tie(), b""),
+        "wheel": lambda: scenarios.Outcome(
+            b"", b'{"ticks": "' + first_of_a_tie() + b'"}'),
+        "kernel-series": lambda: scenarios.Outcome(
+            b"", b"kernel_events_total " + first_of_a_tie() + b"\n"),
+    })
     lines = []
-    assert sanitize.run_race_sanitizer(
-        (1, 2), echo=lines.append, names=["first-of-a-tie"]) == 1
-    assert any(line.startswith("FAIL first-of-a-tie: observables moved")
-               for line in lines)
+    assert sanitize.run_race_sanitizer((1, 2), echo=lines.append) == 1
+    moved = {line.split()[1] + line.split()[2] for line in lines
+             if line.startswith("FAIL")}
+    assert moved == {"decision:observables", "wheel:self-cost"}
+    assert any(line.startswith("OK kernel-series") for line in lines)

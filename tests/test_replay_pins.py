@@ -29,10 +29,12 @@ def _group(prefix):
 
 
 #: Scenario groups with a test of their own: here, in test_telemetry.py
-#: (``telemetry-exports``) and in test_observe.py (``profile``).
+#: (``telemetry-exports``), in test_observe.py (``profile``) and in
+#: test_analysis.py (the sanitizer's child-run scenarios).
 _OWN_TEST = {"strategy", "crash", "gray", "degraded", "shed",
              "attainment-floor", "ring", "warm", "metrics", "trace-json",
-             "telemetry-exports", "profile"}
+             "telemetry-exports", "profile", "scale-1k", "serving-churn",
+             "tuner-store", "wordcount-node-failure"}
 
 
 def test_every_scenario_is_pinned():
