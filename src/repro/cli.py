@@ -522,36 +522,6 @@ def cmd_validate(_args) -> int:
     return 0 if (ok_wc and ok_ts and ok_pi) else 1
 
 
-def cmd_lint(args) -> int:
-    from .analysis import main as analysis_main
-
-    argv = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.fail_stale:
-        argv.append("--fail-stale")
-    if args.changed_only:
-        argv.append("--changed-only")
-        argv.extend(["--base", args.base])
-    if args.verbose:
-        argv.append("--verbose")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.sanitize:
-        argv.append("--sanitize")
-    if args.sanitize_races:
-        argv.append("--sanitize-races")
-    if args.sanitize or args.sanitize_races:
-        argv.extend(["--seeds", str(args.seeds[0]), str(args.seeds[1])])
-    return analysis_main(argv)
-
-
 def _add_replay_flags(p: argparse.ArgumentParser) -> None:
     """The replay flags ``trace`` and ``metrics`` share."""
     p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
@@ -700,41 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
     p.set_defaults(fn=cmd_tune)
 
-    p = sub.add_parser(
-        "lint",
+    # Listed for --help only: main() hands everything after "lint" to the
+    # analyzer's own parser.
+    sub.add_parser(
+        "lint", add_help=False,
         help="domain-specific static analysis (rules MR102-MR105 and "
-             "MR201-MR203) and the dynamic determinism and race sanitizers")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to check (default: src/repro)")
-    p.add_argument("--json", action="store_true",
-                   help="emit machine-readable findings")
-    p.add_argument("--rules", metavar="CODES",
-                   help="comma-separated rule codes (e.g. MR102,MR105)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="report baselined findings too")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="accept the current findings into lint_baseline.json "
-                        "(also prunes stale entries)")
-    p.add_argument("--fail-stale", action="store_true",
-                   help="fail if the baseline has entries no finding matches")
-    p.add_argument("--changed-only", action="store_true",
-                   help="report findings only for files changed vs --base")
-    p.add_argument("--base", default="HEAD", metavar="REF",
-                   help="git ref for --changed-only (default: HEAD)")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print baselined findings")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run the identity registry's scenarios under two "
-                        "PYTHONHASHSEED values and diff their digests")
-    p.add_argument("--sanitize-races", action="store_true",
-                   help="permute same-(time, priority) event dispatch order "
-                        "and verify each scenario's observables are invariant")
-    p.add_argument("--seeds", nargs=2, type=int, default=(1, 2),
-                   metavar=("A", "B"),
-                   help="seeds for --sanitize / --sanitize-races")
-    p.set_defaults(fn=cmd_lint)
+             "MR201-MR203) and the dynamic determinism and race sanitizers; "
+             "takes exactly the flags of python -m repro.analysis")
 
     sub.add_parser("validate",
                    help="run the real workloads and verify their outputs"
@@ -743,5 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from .analysis import main as analysis_main
+        return analysis_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.fn(args)

@@ -10,7 +10,7 @@ on one node sees that node's NIC shared four ways.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .fabric import Flow, SharedFabric
 from .node import Node
@@ -20,10 +20,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ClusterNetwork:
-    """Hierarchical two-level network with configurable oversubscription."""
+    """Hierarchical two-level network, non-blocking as built.
 
-    def __init__(self, env: "Environment", nodes: list[Node], bandwidth_mb_s: float = 120.0,
-                 rack_uplink_mb_s: Optional[float] = None, core_mb_s: Optional[float] = None) -> None:
+    Each rack uplink carries every NIC of the largest rack at full speed and
+    the core carries every uplink (cloud VMs see no visible rack
+    oversubscription). :meth:`add_node` does not resize existing links.
+    """
+
+    def __init__(self, env: "Environment", nodes: list[Node],
+                 bandwidth_mb_s: float = 120.0) -> None:
         if bandwidth_mb_s <= 0:
             raise ValueError("bandwidth must be positive")
         self.env = env
@@ -39,14 +44,11 @@ class ClusterNetwork:
             self.fabric.add_link(f"nic_out:{node.node_id}", bandwidth_mb_s)
             self.fabric.add_link(f"nic_in:{node.node_id}", bandwidth_mb_s)
 
-        # Default to a non-blocking fabric (cloud VMs see no visible rack
-        # oversubscription); pass rack_uplink_mb_s to model an oversubscribed
-        # rack switch explicitly.
         per_rack = max(
             (sum(1 for n in nodes if n.rack == rack) for rack in self._racks), default=1
         )
-        uplink = rack_uplink_mb_s if rack_uplink_mb_s is not None else bandwidth_mb_s * per_rack
-        core = core_mb_s if core_mb_s is not None else uplink * max(1, len(self._racks))
+        uplink = bandwidth_mb_s * per_rack
+        core = uplink * max(1, len(self._racks))
         for rack in self._racks:
             self.fabric.add_link(f"rack_up:{rack}", uplink)
             self.fabric.add_link(f"rack_down:{rack}", uplink)

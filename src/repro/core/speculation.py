@@ -13,11 +13,14 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..mapreduce.spec import JobResult, SimJobSpec
 from .ampool import MODE_DPLUS, MODE_UPLUS, JobHandle, SubmissionFramework
-from .decision import Decision, DecisionMaker
+from .decision import Decision
 from .profiler import JobProfiler, estimator_inputs_from
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.events import Process
+
+#: Seconds between the controller's looks at the first map wave.
+POLL_INTERVAL_S = 0.5
 
 
 @dataclass
@@ -42,16 +45,12 @@ class SpeculationOutcome:
 class SpeculativeExecutor:
     """Implements the proxy's launch-both / kill-slower protocol."""
 
-    def __init__(self, framework: SubmissionFramework,
-                 decision_maker: Optional[DecisionMaker] = None,
-                 poll_interval_s: float = 0.5) -> None:
+    def __init__(self, framework: SubmissionFramework) -> None:
         self.framework = framework
         self.cluster = framework.cluster
-        # Default to the framework's shared decision maker so job history
-        # persists across submissions on the same cluster.
-        self.decision_maker = (decision_maker if decision_maker is not None
-                               else framework.decision_maker)
-        self.poll_interval_s = poll_interval_s
+        # The framework's shared decision maker, so job history persists
+        # across submissions on the same cluster.
+        self.decision_maker = framework.decision_maker
 
     # -- public API ---------------------------------------------------------
     def submit(self, spec: SimJobSpec) -> "Process":
@@ -111,7 +110,7 @@ class SpeculativeExecutor:
                         h_u.kill("speculation: D+ projected faster")
                         killed = "uplus"
                     break
-            yield env.timeout(self.poll_interval_s)
+            yield env.timeout(POLL_INTERVAL_S)
 
         def _faulted(handle: JobHandle) -> bool:
             r = handle.result

@@ -20,7 +20,6 @@ from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simcluster import SimCluster
 from ..yarn.scheduler import CapacityScheduler
 from .ampool import MODE_DPLUS, MODE_UPLUS, SubmissionFramework
-from .decision import DecisionMaker
 from .dplus import DPlusScheduler
 from .speculation import SpeculationOutcome, SpeculativeExecutor
 
@@ -76,11 +75,9 @@ def run_short_job(cluster: SimCluster, spec: SimJobSpec, mode: str) -> JobResult
     return framework.run(spec, normalized)
 
 
-def run_speculative(cluster: SimCluster, spec: SimJobSpec,
-                    decision_maker: Optional[DecisionMaker] = None) -> SpeculationOutcome:
+def run_speculative(cluster: SimCluster, spec: SimJobSpec) -> SpeculationOutcome:
     """Launch both modes, keep the winner (paper Figure 6)."""
     framework: SubmissionFramework = getattr(cluster, "mrapid_framework", None)
     if framework is None:
         raise ValueError("cluster was not built with build_mrapid_cluster()")
-    executor = SpeculativeExecutor(framework, decision_maker=decision_maker)
-    return executor.run(spec)
+    return SpeculativeExecutor(framework).run(spec)

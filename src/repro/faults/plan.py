@@ -149,21 +149,27 @@ class FaultPlan:
 
 # -- named plans (CLI / experiment shorthand) -----------------------------------
 
-def churn_plan(duration_s: float, period_s: float = 90.0,
-               down_s: float = 35.0, start_s: float = 45.0,
-               seed: int = 23) -> FaultPlan:
-    """Steady node churn: every ``period_s`` a random node crashes and
-    rejoins ``down_s`` later, from ``start_s`` until ``duration_s``.
+#: ``churn_plan``'s rhythm: a crash every period, each node down this long,
+#: the first crash at this instant.
+CHURN_PERIOD_S = 90.0
+CHURN_DOWN_S = 35.0
+CHURN_START_S = 45.0
+
+
+def churn_plan(duration_s: float, seed: int = 23) -> FaultPlan:
+    """Steady node churn: every ``CHURN_PERIOD_S`` a random node crashes
+    and rejoins ``CHURN_DOWN_S`` later, from ``CHURN_START_S`` until
+    ``duration_s``.
 
     The serving experiments run this under load: capacity keeps
     dipping, so static provisioning misses deadlines while the autoscaler
     backfills crashed nodes.
     """
     plan = FaultPlan(seed=seed)
-    t = start_s
+    t = CHURN_START_S
     while t < duration_s:
-        plan = plan.crash(t).restart(min(t + down_s, duration_s))
-        t += period_s
+        plan = plan.crash(t).restart(min(t + CHURN_DOWN_S, duration_s))
+        t += CHURN_PERIOD_S
     return plan
 
 

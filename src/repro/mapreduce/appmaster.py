@@ -82,13 +82,11 @@ class DistributedAM:
     """One job's ApplicationMaster running in its allocated container."""
 
     def __init__(self, cluster: "SimCluster", spec: SimJobSpec, result: JobResult,
-                 request_locality: bool = True,
                  commit_rpc_s: Optional[float] = None,
                  reduce_locality: bool = False) -> None:
         self.cluster = cluster
         self.spec = spec
         self.result = result
-        self.request_locality = request_locality
         #: LARTS-style extension: prefer placing the reduce where the most
         #: map output already lives (paper related work [14]).
         self.reduce_locality = reduce_locality
@@ -138,8 +136,8 @@ class DistributedAM:
             shuffle = ShuffleService(env, node_alive)
 
             def map_ask(idx: int) -> ContainerRequest:
-                prefs = splits[idx].hosts if self.request_locality else ()
-                return ContainerRequest(container_resource, tuple(prefs), tag=idx,
+                return ContainerRequest(container_resource,
+                                        tuple(splits[idx].hosts), tag=idx,
                                         blacklist=tuple(sorted(blacklisted)))
 
             def reduce_ask() -> ContainerRequest:

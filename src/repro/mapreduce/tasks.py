@@ -291,7 +291,7 @@ def _fetch_with_failover(cluster: "SimCluster", out: MapOutput, reduce_node: str
 def sim_reduce_task(cluster: "SimCluster", profile: WorkloadProfile, num_maps: int,
                     node_id: str, record: TaskRecord, outputs: Store,
                     setup_s: float, output_path: str,
-                    write_output: bool = True, commit_rpc_s: float = 0.0,
+                    commit_rpc_s: float = 0.0,
                     shuffle: Optional[ShuffleService] = None) -> Generator:
     """The single reduce attempt: shuffle (overlapped fetches) -> merge ->
     reduce -> HDFS write."""
@@ -358,7 +358,7 @@ def sim_reduce_task(cluster: "SimCluster", profile: WorkloadProfile, num_maps: i
         # exactly as the paper's estimator assumes).
         out_mb = profile.reduce_output_mb(total_mb)
         record.output_mb = out_mb
-        if write_output and out_mb > 0:
+        if out_mb > 0:
             t = env.now
             if not cluster.namenode.exists(output_path):
                 cluster.namenode.create_file(output_path, out_mb, writer_node=node_id)

@@ -137,18 +137,6 @@ class AdmissionController:
         return Decision(job, OUTCOME_ADMITTED, predicted_sojourn_s=predicted,
                         shed=shed)
 
-    def offer_batch(self, jobs: list[SLOJob], now: float,
-                    slots: int) -> list[Decision]:
-        """Judge a set of equal-time arrivals in canonical order.
-
-        Arrivals that share a timestamp are sorted latency-first, then by
-        index, before being offered one at a time — so the decisions depend
-        only on *what* arrived, never on the submission order the transport
-        happened to deliver (the permutation-invariance property).
-        """
-        ordered = sorted(jobs, key=lambda j: (0 if j.is_latency else 1, j.index))
-        return [self.offer(job, now, slots) for job in ordered]
-
     def _youngest_pending_batch(self) -> Optional[SLOJob]:
         batches = [job for job in self._pending if not job.is_latency]
         if not batches:

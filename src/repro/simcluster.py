@@ -170,20 +170,20 @@ class SimCluster:
             self._busy.pop(node.node_id, None)
 
     # -- convenience -----------------------------------------------------------
-    def load_input_files(self, prefix: str, num_files: int, file_size_mb: float,
-                         spread_writers: bool = True) -> list[str]:
+    def load_input_files(self, prefix: str, num_files: int,
+                         file_size_mb: float) -> list[str]:
         """Pre-populate HDFS with input files (no simulated ingest time).
 
-        ``spread_writers`` rotates the primary replica across DataNodes, as
-        data loaded by parallel ``hdfs put`` / TeraGen ends up spread out.
-        Returns the created paths.
+        The primary replica rotates across DataNodes, as data loaded by
+        parallel ``hdfs put`` / TeraGen ends up spread out. Returns the
+        created paths.
         """
         paths = []
         node_ids = self.topology.node_ids
         for i in range(num_files):
             path = f"{prefix}/part-{i:05d}"
-            writer = node_ids[i % len(node_ids)] if spread_writers else None
-            self.namenode.create_file(path, file_size_mb, writer_node=writer)
+            self.namenode.create_file(path, file_size_mb,
+                                      writer_node=node_ids[i % len(node_ids)])
             paths.append(path)
         return paths
 

@@ -29,12 +29,6 @@ mean sojourn time. This module brings that discipline to the simulated RM:
   that task-granularity preemption buys little for short jobs and keeps
   the scheduler compatible with every AM in the tree.
 
-* **Queue layering.** With ``queues=[QueueConfig(...)]`` the scheduler
-  first picks the most under-served queue exactly like
-  :class:`~repro.yarn.queues.MultiTenantCapacityScheduler`, then applies
-  HFSP ordering *within* the queue — size-based scheduling under capacity
-  guarantees. Queue ceilings are never exceeded.
-
 The scheduler is heartbeat-driven like stock Hadoop (``responds_immediately
 = False``): MRapid's D+ same-heartbeat trick is a separate axis, exercised
 by running the submission framework on top (see ``repro.trace``).
@@ -43,10 +37,8 @@ by running the submission framework on top (see ``repro.trace``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..metrics import SignatureStats
-from .queues import QueueConfig, QueueState
 from .records import Application, Container, ContainerRequest, NodeState
 from .scheduler import PendingAsk, SchedulerBase
 
@@ -66,9 +58,7 @@ class HFSPScheduler(SchedulerBase):
     responds_immediately = False
 
     def __init__(self, training_samples: int = 2, initial_guess_s: float = 8.0,
-                 aging_rate: float = 0.1, memory_only: bool = False,
-                 queues: Optional[list[QueueConfig]] = None,
-                 default_queue: Optional[str] = None) -> None:
+                 aging_rate: float = 0.1, memory_only: bool = False) -> None:
         super().__init__()
         if training_samples < 1:
             raise ValueError("training_samples must be >= 1")
@@ -86,24 +76,6 @@ class HFSPScheduler(SchedulerBase):
         self.sizes: dict[str, SignatureStats] = {}
         #: app_id -> record (created on first sight of the app).
         self.apps: dict[str, AppRecord] = {}
-
-        # Optional CapacityScheduler queue layer (guarantees + ceilings).
-        self.queue_states: dict[str, QueueState] = {}
-        self.default_queue: Optional[str] = None
-        self.app_queue: dict[str, str] = {}
-        #: container_id -> queue name charged at grant time (release
-        #: accounting must survive ``remove_app`` cleaning ``app_queue``).
-        self._granted: dict[int, str] = {}
-        if queues:
-            total = sum(q.fraction for q in queues)
-            if total > 1.0 + 1e-9:
-                raise ValueError(f"queue fractions sum to {total:.2f} > 1")
-            self.queue_states = {q.name: QueueState(q) for q in queues}
-            self.default_queue = (default_queue if default_queue is not None
-                                  else queues[0].name)
-            if self.default_queue not in self.queue_states:
-                raise ValueError(
-                    f"default queue {self.default_queue!r} not configured")
 
     # -- size estimation -----------------------------------------------------
     def is_trained(self, name: str) -> bool:
@@ -135,24 +107,6 @@ class HFSPScheduler(SchedulerBase):
             self.apps[app.app_id] = AppRecord(app.app_id, app.name,
                                               app.submit_time)
 
-    # -- queue layer ---------------------------------------------------------
-    def assign_app(self, app_id: str, queue: str) -> None:
-        if queue not in self.queue_states:
-            raise ValueError(f"unknown queue {queue!r}")
-        self.app_queue[app_id] = queue
-
-    def _queue_of(self, app_id: str) -> Optional[QueueState]:
-        if not self.queue_states:
-            return None
-        return self.queue_states[self.app_queue.get(app_id, self.default_queue)]
-
-    def _queue_allows(self, app_id: str, demand_mb: int) -> bool:
-        queue = self._queue_of(app_id)
-        if queue is None:
-            return True
-        ceiling = queue.ceiling_mb(self.rm.total_capability().memory_mb)
-        return queue.used_memory_mb + demand_mb <= ceiling
-
     # -- RM hooks ------------------------------------------------------------
     def on_allocate_request(self, app_id: str,
                             asks: list[ContainerRequest]) -> list[Container]:
@@ -179,56 +133,28 @@ class HFSPScheduler(SchedulerBase):
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
         now = self.rm.env.now
         grants: list[tuple[str, Container]] = []
-        if not self.queue_states:
-            # Without the queue layer, priority keys are fixed for the whole
-            # heartbeat (estimates only move when an app *finishes*, which
-            # cannot happen inside this call), so one sort + one pass grants
-            # exactly what the historical grant-then-re-rank loop did — the
-            # node's availability only shrinks, so previously skipped asks
-            # can never fit on a re-rank.
-            granted: set[int] = set()
-            for pending in self._pending_in_order(now):
-                if node.node_id in pending.request.blacklist:
-                    continue
-                if not node.can_fit(pending.request.resource,
-                                    memory_only=self.memory_only):
-                    continue
-                container = self._grant(pending, node,
-                                        memory_only=self.memory_only)
-                granted.add(id(pending))
-                grants.append((pending.app_id, container))
-            if granted:
-                self.queue = [p for p in self.queue if id(p) not in granted]
-            return grants
-
-        # Queue layer: each grant moves its queue's usage ratio, which can
-        # reorder *whole queues*, so re-rank after every grant.
-        progressed = True
-        while progressed:
-            progressed = False
-            for pending in self._pending_in_order(now):
-                if node.node_id in pending.request.blacklist:
-                    continue
-                if not node.can_fit(pending.request.resource,
-                                    memory_only=self.memory_only):
-                    continue
-                if not self._queue_allows(pending.app_id,
-                                          pending.request.resource.memory_mb):
-                    continue
-                container = self._grant(pending, node,
-                                        memory_only=self.memory_only)
-                queue = self._queue_of(pending.app_id)
-                if queue is not None:
-                    queue.used_memory_mb += pending.request.resource.memory_mb
-                    self._granted[container.container_id] = queue.config.name
-                self.queue.remove(pending)
-                grants.append((pending.app_id, container))
-                progressed = True
-                break  # re-rank: a grant may change which app is next
+        # Priority keys are fixed for the whole heartbeat (estimates only
+        # move when an app *finishes*, which cannot happen inside this
+        # call), so one sort + one pass grants exactly what a
+        # grant-then-re-rank loop would — the node's availability only
+        # shrinks, so previously skipped asks can never fit on a re-rank.
+        granted: set[int] = set()
+        for pending in self._pending_in_order(now):
+            if node.node_id in pending.request.blacklist:
+                continue
+            if not node.can_fit(pending.request.resource,
+                                memory_only=self.memory_only):
+                continue
+            container = self._grant(pending, node,
+                                    memory_only=self.memory_only)
+            granted.add(id(pending))
+            grants.append((pending.app_id, container))
+        if granted:
+            self.queue = [p for p in self.queue if id(p) not in granted]
         return grants
 
     def _pending_in_order(self, now: float) -> list[PendingAsk]:
-        """All pending asks: under-served queue first, HFSP key within.
+        """All pending asks in HFSP key order.
 
         Iterating the *whole* ordered list (not just the head-of-line app)
         makes the scheduler work-conserving: a node is left idle only when
@@ -242,28 +168,9 @@ class HFSPScheduler(SchedulerBase):
                 else:
                     self.apps[pending.app_id] = AppRecord(
                         pending.app_id, pending.app_id, pending.enqueued_at)
-
-        if not self.queue_states:
-            return sorted(self.queue,
-                          key=lambda p: (self.priority_key(p.app_id, now),
-                                         p.enqueued_at))
-        cluster_mb = self.rm.total_capability().memory_mb
-
-        def key(pending: PendingAsk):
-            queue = self._queue_of(pending.app_id)
-            ratio = queue.usage_ratio(cluster_mb) if queue is not None else 0.0
-            return (ratio, self.priority_key(pending.app_id, now),
-                    pending.enqueued_at)
-
-        return sorted(self.queue, key=key)
-
-    def on_container_released(self, container: Container) -> None:
-        queue_name = self._granted.pop(container.container_id, None)
-        if queue_name is None:
-            return
-        queue = self.queue_states[queue_name]
-        queue.used_memory_mb = max(
-            0, queue.used_memory_mb - container.resource.memory_mb)
+        return sorted(self.queue,
+                      key=lambda p: (self.priority_key(p.app_id, now),
+                                     p.enqueued_at))
 
     def on_app_finished(self, app: Application, result=None) -> None:
         """Training feedback: fold the finished job's service time into the
@@ -289,4 +196,3 @@ class HFSPScheduler(SchedulerBase):
     def remove_app(self, app_id: str) -> None:
         super().remove_app(app_id)
         self.apps.pop(app_id, None)
-        self.app_queue.pop(app_id, None)

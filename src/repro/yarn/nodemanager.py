@@ -52,15 +52,14 @@ class NodeManager:
         return self.node.node_id
 
     def launch(self, container: Container, runnable: Generator,
-               name: str = "container", launch_delay: Optional[float] = None,
-               on_exit: Optional[Callable[[Container, Any], None]] = None) -> "Process":
+               name: str = "container") -> "Process":
         """Start ``runnable`` inside ``container`` after JVM launch delay.
 
         Returns the container process; its value is the runnable's return
         value. The container's resources are released to the RM when the
         payload exits (normally, by error, or killed).
         """
-        delay = self.rm.conf.container_launch_s if launch_delay is None else launch_delay
+        delay = self.rm.conf.container_launch_s
 
         def body() -> Generator:
             try:
@@ -76,8 +75,6 @@ class NodeManager:
             finally:
                 self.running.pop(container.container_id, None)
                 self.rm.container_finished(container)
-                if on_exit is not None:
-                    on_exit(container, None)
 
         proc = self.env.process(body(), name=f"{name}@{self.node_id}")
         self.running[container.container_id] = proc

@@ -89,16 +89,10 @@ class MultiTenantCapacityScheduler(SchedulerBase):
             raise ValueError(f"unknown queue {queue!r}")
         self.app_queue[app_id] = queue
 
-    def queue_of(self, app_id: str) -> QueueState:
-        return self.queues[self.app_queue.get(app_id, self.default_queue)]
-
-    def _cluster_memory(self) -> int:
-        return self.rm.total_capability().memory_mb
-
     # -- scheduling ---------------------------------------------------------------
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
         grants: list[tuple[str, Container]] = []
-        cluster_mb = self._cluster_memory()
+        cluster_mb = self.rm.total_capability().memory_mb
         progressed = True
         while progressed:
             progressed = False
@@ -145,16 +139,3 @@ class MultiTenantCapacityScheduler(SchedulerBase):
     def remove_app(self, app_id: str) -> None:
         super().remove_app(app_id)
         self.app_queue.pop(app_id, None)
-
-    # -- introspection ------------------------------------------------------------------
-    def usage_report(self) -> dict[str, dict[str, float]]:
-        cluster_mb = self._cluster_memory()
-        return {
-            name: {
-                "used_mb": float(state.used_memory_mb),
-                "guaranteed_mb": state.guaranteed_mb(cluster_mb),
-                "ceiling_mb": state.ceiling_mb(cluster_mb),
-                "usage_ratio": state.usage_ratio(cluster_mb),
-            }
-            for name, state in self.queues.items()
-        }

@@ -410,7 +410,7 @@ class ResourceManager:
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
-    def _launch_am(self, app: Application, launch_delay: Optional[float] = None) -> None:
+    def _launch_am(self, app: Application) -> None:
         nm = self.node_managers[app.am_container.node_id]
         app.launch_time = self.env.now
         ctx = AMContext(self, app, app.am_container)
@@ -438,8 +438,7 @@ class ResourceManager:
         if self.env.telemetry is not None:
             self.env.telemetry.am_alloc_wait.observe(
                 self.env.now - app.submit_time)
-        proc = nm.launch(app.am_container, am_body(), name=f"am-{app.app_id}",
-                         launch_delay=launch_delay)
+        proc = nm.launch(app.am_container, am_body(), name=f"am-{app.app_id}")
         self._am_processes[app.app_id] = proc
 
         def am_watch() -> Generator:
@@ -509,10 +508,10 @@ class AMContext:
                                      start)
 
     def start_container(self, container: Container, runnable: Generator,
-                        name: str = "task", launch_delay: Optional[float] = None):
+                        name: str = "task"):
         """startContainers RPC to the NM; returns the container process."""
         nm = self.rm.node_managers[container.node_id]
-        return nm.launch(container, runnable, name=name, launch_delay=launch_delay)
+        return nm.launch(container, runnable, name=name)
 
     def release(self, container: Container) -> None:
         self.rm.container_finished(container)

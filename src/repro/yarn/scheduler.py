@@ -117,17 +117,15 @@ class SchedulerBase:
 class CapacityScheduler(SchedulerBase):
     """Stock greedy scheduler: packs the heartbeating node, FIFO order.
 
-    ``memory_only=True`` reproduces Hadoop 2.2's DefaultResourceCalculator:
-    containers are packed by memory alone, oversubscribing CPU on the first
-    node to heartbeat — the paper's "some DataNodes may be squeezed with
-    many containers, but others could be idle".
+    Packing is Hadoop 2.2's DefaultResourceCalculator: containers are
+    packed by memory alone, oversubscribing CPU on the first node to
+    heartbeat — the paper's "some DataNodes may be squeezed with many
+    containers, but others could be idle". The RM reads ``memory_only`` to
+    place AMs with the same calculator.
     """
 
     responds_immediately = False
-
-    def __init__(self, memory_only: bool = True) -> None:
-        super().__init__()
-        self.memory_only = memory_only
+    memory_only = True
 
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
         # Single pass over the FIFO queue. Equivalent to the classic

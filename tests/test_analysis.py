@@ -740,6 +740,40 @@ def test_update_baseline_roundtrip(tmp_path, capsys):
     assert analysis_main(["--baseline", str(baseline_path), str(tree)]) == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--list-rules"],
+    ["--baseline", "{baseline}", "{tree}"],
+    ["--baseline", "{baseline}", "--no-baseline", "--json", "{tree}"],
+])
+def test_repro_lint_is_the_analyzer(tmp_path, capsys, flags):
+    """``repro lint ARGS`` is ``python -m repro.analysis ARGS``: one
+    parser, so every analyzer flag (``--baseline`` among them) works."""
+    from repro.cli import main as cli_main
+
+    tree = tmp_path / "repro" / "yarn"
+    tree.mkdir(parents=True)
+    (tree / "hot.py").write_text(
+        "import time\n\ndef f():\n    return time.time()\n")
+    baseline = tmp_path / "accepted.json"
+    assert analysis_main(["--baseline", str(baseline), "--update-baseline",
+                          str(tree)]) == 0
+    capsys.readouterr()
+    argv = [f.format(baseline=baseline, tree=tree) for f in flags]
+
+    def outcome(run):
+        code = run()
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            payload = json.loads(out)
+            payload.pop("elapsed_s")
+            return code, payload
+        return code, out
+
+    expected = outcome(lambda: analysis_main(argv))
+    assert outcome(lambda: cli_main(["lint", *argv])) == expected
+    assert expected[0] == (1 if "--no-baseline" in argv else 0)
+
+
 def _write_tree(root, files):
     """Materialize a {rel: source} dict under ``root/repro`` on disk."""
     for rel, src in files.items():

@@ -182,6 +182,37 @@ def test_cli_unknown_figure(capsys):
     assert main(["figure", "figure99"]) == 2
 
 
+def test_cli_chaos_one_cell(capsys):
+    from repro.cli import main
+    from repro.experiments.chaos import SCENARIOS, run_under_faults
+
+    assert main(["chaos", "--scenario", "healthy", "--mode", "MRapid-D+"]) == 0
+    point = run_under_faults("MRapid-D+",
+                             dict(SCENARIOS)["healthy"]().with_seed(17))
+    assert capsys.readouterr().out == (
+        f"{'MRapid-D+':20s} {point.elapsed:7.2f}s  resubmits=0  "
+        f"faults: none\n")
+
+
+def test_cli_report_writes_the_generated_text(tmp_path, capsys, monkeypatch):
+    from repro.cli import main
+    from repro.experiments import report
+
+    monkeypatch.setattr(report, "generate_report", lambda: "# stub report\n")
+    out = tmp_path / "EXPERIMENTS.md"
+    assert main(["report", str(out), "--jobs", "1"]) == 0
+    assert out.read_text() == "# stub report\n"
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+def test_figure_o1_claims_hold():
+    from repro.experiments.overhead import figureO1_overhead_fraction
+
+    fig = figureO1_overhead_fraction()
+    assert len(fig.claims) == 2
+    assert all(claim.holds for claim in fig.claims)
+
+
 def test_cli_figure_table2(capsys):
     from repro.cli import main
 

@@ -125,19 +125,6 @@ def test_fifo_within_queue():
     assert len(got_a) == 1 and len(got_b) == 1
 
 
-def test_usage_report_shape():
-    cluster, scheduler = two_queue_cluster()
-    adhoc = register(cluster, scheduler, "x", "adhoc")
-    cluster.rm.allocate(adhoc, [ContainerRequest(ResourceVector(1024, 1))])
-    pump(cluster)
-    cluster.rm.allocate(adhoc, [])
-    report = scheduler.usage_report()
-    assert set(report) == {"prod", "adhoc"}
-    assert report["adhoc"]["used_mb"] == 1024.0
-    assert report["adhoc"]["guaranteed_mb"] == pytest.approx(
-        0.25 * cluster.rm.total_capability().memory_mb)
-
-
 def test_end_to_end_jobs_in_separate_queues():
     """Two whole MapReduce jobs in different queues both complete."""
     from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec

@@ -15,7 +15,6 @@ from repro.yarn import (
     CapacityScheduler,
     ContainerRequest,
     HFSPScheduler,
-    QueueConfig,
 )
 
 
@@ -168,30 +167,6 @@ def test_property_hfsp_work_conserving(n_asks, n_nodes, n_apps):
     assert len(grants) == min(n_asks, total_memory // 1024)
     for state in cluster.rm.nodes.values():
         assert state.used_memory_mb <= state.capability.memory_mb
-
-
-@given(st.integers(2, 24), st.floats(0.1, 0.9))
-@settings(max_examples=40, deadline=None)
-def test_property_hfsp_queue_ceilings_never_violated(n_asks, frac):
-    """Layered under capacity queues, HFSP never grants past a ceiling."""
-    frac = round(frac, 3)
-    queues = [QueueConfig("a", fraction=frac, max_fraction=frac),
-              QueueConfig("b", fraction=round(1.0 - frac, 3), max_fraction=1.0)]
-    cluster = mk_cluster(4, HFSPScheduler(memory_only=True, queues=queues))
-    apps = [hfsp_app(cluster, "app_0001", "scan"),
-            hfsp_app(cluster, "app_0002", "sort")]
-    cluster.scheduler.assign_app("app_0001", "a")
-    cluster.scheduler.assign_app("app_0002", "b")
-    for i in range(n_asks):
-        app = apps[i % 2]
-        cluster.rm.allocate(app.app_id,
-                            [ContainerRequest(ResourceVector(1024, 1))])
-    cluster.env.run(until=3.0)
-    for app in apps:
-        cluster.rm.allocate(app.app_id, [])
-    cluster_mb = cluster.rm.total_capability().memory_mb
-    for state in cluster.scheduler.queue_states.values():
-        assert state.used_memory_mb <= state.ceiling_mb(cluster_mb) + 1e-9
 
 
 @given(st.floats(1.0, 500.0), st.floats(0.0, 100.0), st.floats(0.01, 2.0))

@@ -1,8 +1,8 @@
 """SLO-aware serving mode: admission properties, autoscaling, replay wiring.
 
 Covers the serving mode: Hypothesis invariants of the admission controller (bounded
-queue, batch-first shedding, no rejections under capacity, permutation
-invariance), the autoscaler's fault-churn composition (crashed nodes are
+queue, batch-first shedding, no rejections under capacity), the
+autoscaler's fault-churn composition (crashed nodes are
 not capacity but still bill), metamorphic determinism of the full serving
 replay, and the CLI surfaces (``--slo``, ``--fault-plan``, per-job
 outcomes in ``--json``).
@@ -125,27 +125,6 @@ def test_property_no_rejections_under_capacity(raw, slots):
                        deadline_s=(job.arrival_s + 1e6 if job.is_latency
                                    else float("inf")))
         assert ctl.offer(roomy, roomy.arrival_s, slots).outcome == OUTCOME_ADMITTED
-
-
-@given(jobs_strategy(max_jobs=12), st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_property_equal_time_decisions_are_permutation_invariant(raw, rng):
-    """offer_batch canonicalizes equal-time arrivals: the multiset of
-    (index -> outcome) decisions is independent of submission order."""
-    jobs = [SLOJob(index=i, name=f"t{i % 3}", slo_class=slo_class,
-                   arrival_s=100.0,
-                   deadline_s=100.0 + dl if slo_class == SLO_LATENCY
-                   else float("inf"))
-            for i, (slo_class, _, dl) in enumerate(raw)]
-    shuffled = list(jobs)
-    rng.shuffle(shuffled)
-
-    def decide(batch):
-        ctl = AdmissionController(ServingConfig(max_pending=4))
-        return {d.job.index: d.outcome
-                for d in ctl.offer_batch(batch, 100.0, slots=4)}
-
-    assert decide(jobs) == decide(shuffled)
 
 
 # -- unit: estimator, dispatch order, ladder ------------------------------------
