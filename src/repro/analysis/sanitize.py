@@ -58,9 +58,6 @@ TIE_ORDER_DEPENDENT: dict[str, str] = {
     "churn-telemetry-report": (
         "FOUND [churn re-replication] in CHANGES.md: the under-replicated "
         "block count diverges 48 s into the stock churn replay"),
-    "profile": (
-        "FOUND [critical-path ties] in CHANGES.md: the breakdown names one of "
-        "two equally long tasks by dispatch order"),
 }
 
 

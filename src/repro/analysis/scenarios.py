@@ -368,7 +368,9 @@ def _profile() -> Outcome:
     """``repro profile --workload wordcount --mode stock``: the breakdown
     file (critical-path attribution plus the tracer's counter and
     histogram snapshot), then the Perfetto trace, which repeats the
-    snapshot. The kernel's dispatch count in the snapshot is self-cost."""
+    snapshot. The kernel's dispatch count in the snapshot is self-cost, and
+    a kernel series: the run stops mid-instant, so same-instant dispatch
+    order moves it."""
     with tempfile.TemporaryDirectory() as tmp:
         breakdown = os.path.join(tmp, "profile.breakdown.json")
         perfetto = os.path.join(tmp, "profile.perfetto.json")
@@ -379,7 +381,7 @@ def _profile() -> Outcome:
     dispatched = [snapshot["counters"].pop("kernel:events_dispatched")
                   for snapshot in (view["metrics"], trace["otherData"]["metrics"])]
     return Outcome((json.dumps(view, indent=2) + json.dumps(trace, indent=1))
-                   .encode(), _json(dispatched))
+                   .encode(), _json({"kernel_events_dispatched": dispatched}))
 
 
 def _trace_analysis_example() -> Outcome:

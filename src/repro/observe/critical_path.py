@@ -171,6 +171,13 @@ class CriticalPathReport:
         }
 
 
+def _content_key(span: "Span") -> tuple:
+    """A span's position among equals, from what it recorded — never from
+    ``sid``, the order the tracer happened to record it in. Spans equal
+    in this key attribute a segment identically."""
+    return (span.start, span.node, span.lane, span.name)
+
+
 def critical_path(tracer: "Tracer", t0: float, t1: float) -> CriticalPathReport:
     """Partition ``[t0, t1]`` into attributed segments via the sweep.
 
@@ -212,8 +219,7 @@ def critical_path(tracer: "Tracer", t0: float, t1: float) -> CriticalPathReport:
         for span in active.values():
             r = rank[classify_span(span)]
             if r < best_rank or (r == best_rank and best is not None
-                                 and (span.start, span.sid)
-                                 > (best.start, best.sid)):
+                                 and _content_key(span) > _content_key(best)):
                 best, best_rank = span, r
         if best is None:
             cls, name, lane = "other", "(uninstrumented)", ""

@@ -62,7 +62,10 @@ def _emit_sync_lane(spans: list["Span"], pid: int, tid: int,
             events.append({"ph": "E", "name": name, "pid": pid, "tid": tid,
                            "ts": _us(end)})
 
-    ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start), s.sid))
+    # Equal (start, duration) spans order by what they recorded, not by
+    # ``sid``: the tracer's recording order is same-instant dispatch order.
+    ordered = sorted(spans, key=lambda s: (s.start, -(s.end - s.start),
+                                           s.name, s.cat))
     for span in ordered:
         end = span.end if span.end is not None else clip_end
         close_until(span.start)
@@ -180,9 +183,11 @@ def to_trace_events(tracer: "Tracer", trace_name: str = "repro",
         meta.extend(counter_meta)
         timed.extend(counter_events)
 
-    # Stable sort by ts: per-lane event order (already time-correct) is
-    # preserved for ties, so B/E pairs never flip.
-    timed.sort(key=lambda ev: ev["ts"])
+    # Stable sort by ts, then process and lane (both numbered from sorted
+    # names): per-lane event order (already time-correct) is preserved for
+    # ties, so B/E pairs never flip, and lanes never interleave at one
+    # instant by recording order.
+    timed.sort(key=lambda ev: (ev["ts"], ev["pid"], ev["tid"]))
     return {
         "traceEvents": meta + timed,
         "displayTimeUnit": "ms",

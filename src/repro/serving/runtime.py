@@ -86,11 +86,9 @@ class ServingRuntime:
         self._static_in_flight = 0
         self.attainment = StreamingRatio()
         self._recent: deque[int] = deque(maxlen=_RECENT_WINDOW)
-        # "downgraded" stays 0 (admission rejects, it never demotes); the
-        # serving exports still report it.
         self.counts = {
             "latency_jobs": 0, "batch_jobs": 0,
-            "admitted": 0, "downgraded": 0, "rejected": 0, "shed": 0,
+            "admitted": 0, "rejected": 0, "shed": 0,
             "retries": 0, "deadline_met": 0, "deadline_missed": 0,
             "batch_completed": 0,
         }

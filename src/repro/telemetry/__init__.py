@@ -295,7 +295,6 @@ class Telemetry:
             "latency_jobs": "Latency-class arrivals resolved.",
             "batch_jobs": "Batch-class arrivals resolved.",
             "admitted": "Submissions admitted.",
-            "downgraded": "Latency jobs demoted to batch at admission.",
             "rejected": "Submissions rejected terminally.",
             "shed": "Pending jobs evicted under overload.",
             "retries": "Rejected submissions retried after backoff.",

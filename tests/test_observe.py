@@ -11,6 +11,7 @@ from repro.observe import (
     analyze_job,
     install_tracer,
     run_profiled,
+    to_trace_events,
     validate_trace_events,
 )
 from repro.simulation.core import Environment
@@ -160,6 +161,28 @@ def test_fault_instants_traced():
 def test_profile_breakdown_is_pinned():
     """``repro profile``'s breakdown file and Perfetto trace, byte for byte."""
     assert_pinned("profile")
+
+
+@pytest.mark.parametrize("lanes, names", [
+    (("wordcount-m002", "wordcount-m003"), ("container-launch",) * 2),
+    (("m000", "m000"), ("container-launch", "jvm-launch")),
+])
+def test_equal_spans_order_by_content_not_record_order(lanes, names):
+    """Two equally long spans of one class that start together give the
+    same breakdown and Perfetto bytes whichever the tracer recorded first:
+    same-instant dispatch order decides recording order."""
+    def record(order):
+        env = Environment()
+        tracer = Tracer(env)
+        for i in order:
+            tracer.complete(names[i], "launch", "dn0", lanes[i], 1.0, 3.5,
+                            container_id=i + 2)
+        tracer.complete("job", "job", "cluster", "client", 0.0, 4.0)
+        env._now = 4.0
+        return (json.dumps(analyze_job(tracer).to_dict()).encode(),
+                json.dumps(to_trace_events(tracer)).encode())
+
+    assert record([0, 1]) == record([1, 0])
 
 
 def test_analyze_job_requires_job_span():
