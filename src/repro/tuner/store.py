@@ -264,7 +264,7 @@ class RunHistoryStore:
             raise ValueError(
                 f"history store {self.path!r} is not an SQLite database")
         self._conn = sqlite3.connect(self.path, timeout=_LOCK_TIMEOUT_S)
-        self._conn.execute("PRAGMA journal_mode=WAL").close()
+        self._enable_wal()
         with self._conn:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta"
@@ -291,6 +291,20 @@ class RunHistoryStore:
                     f"than this code (v{self.SCHEMA_VERSION}); refusing to "
                     f"write")
         self._load_sqlite()
+
+    def _enable_wal(self) -> None:
+        # When two connections open one fresh file at once, SQLite can
+        # answer this pragma with "database is locked" without calling the
+        # busy handler, so poll for it, ``_LOCK_TIMEOUT_S`` in all.
+        polls = int(_LOCK_TIMEOUT_S / _LOCK_POLL_S)
+        for poll in range(polls + 1):
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL").close()
+                return
+            except sqlite3.OperationalError as exc:
+                if poll == polls or "locked" not in str(exc):
+                    raise
+                time.sleep(_LOCK_POLL_S)
 
     def _load_sqlite(self) -> None:
         self._cells = {}

@@ -175,6 +175,50 @@ def test_concurrent_writers_lose_nothing(tmp_path):
                                                    for i in range(per_proc)]
 
 
+class _LockedOnce:
+    """A connection whose first WAL pragma reports the lock SQLite raises,
+    without calling the busy handler, when two processes open one fresh
+    file at once."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.refused = 0
+
+    def execute(self, sql, *args):
+        if sql == "PRAGMA journal_mode=WAL" and not self.refused:
+            self.refused += 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc):
+        return self._conn.__exit__(*exc)
+
+
+def test_locked_wal_pragma_is_retried(tmp_path, monkeypatch):
+    connect = sqlite3.connect
+    opened = []
+
+    def locked_once(*args, **kwargs):
+        opened.append(_LockedOnce(connect(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", locked_once)
+    with RunHistoryStore(str(tmp_path / "h.db")) as store:
+        store.record(RunRecord("sig", "uplus", 1.0))
+        mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
+    assert [c.refused for c in opened] == [1]
+    assert mode == "wal"
+    monkeypatch.undo()
+    with RunHistoryStore(str(tmp_path / "h.db")) as store:
+        assert [r.elapsed_s for r in store.runs("sig", "uplus")] == [1.0]
+
+
 # -- store properties -------------------------------------------------------------
 
 
