@@ -6,7 +6,8 @@ counter samples, cumulative ``_bucket{le="..."}`` / ``_sum`` / ``_count``
 histogram samples, escaped label values, and a mandatory ``# EOF``
 terminator. Families render in registration order and label sets are
 pre-sorted tuples, so the output is byte-stable across hash seeds — the
-telemetry-smoke CI job sha256-compares two differently-seeded runs.
+determinism sanitizer (``python -m repro.analysis --sanitize``) compares
+the ``metrics/*-openmetrics`` scenarios under two hash seeds.
 
 :func:`parse_openmetrics` is a deliberately strict reader used by the
 round-trip conformance tests (and nothing else); it understands exactly
