@@ -97,10 +97,6 @@ class Flow:
         #: registration).
         self.links: tuple[object, ...] = path
 
-    @property
-    def active(self) -> bool:
-        return not self.done.triggered
-
     def eta(self) -> float:
         """Projected completion time under the current allocation."""
         if self.done.triggered:

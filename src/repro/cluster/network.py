@@ -92,9 +92,6 @@ class ClusterNetwork:
             return self.fabric.submit((), 0.0, label=label)
         return self.fabric.submit(path, mb, label=label)
 
-    def kill(self, flow: Flow) -> None:
-        self.fabric.kill(flow)
-
     # -- fault hooks --------------------------------------------------------
     def _node_links(self, node_id: str) -> tuple[str, str]:
         if node_id not in self._node_rack:

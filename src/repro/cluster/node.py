@@ -124,13 +124,6 @@ class CpuPool:
     def compute(self, cpu_seconds: float, label: str = "compute") -> Flow:
         return self._device.execute(cpu_seconds, cap=1.0, label=label)
 
-    def kill(self, flow: Flow) -> None:
-        self._device.kill(flow)
-
-    @property
-    def running(self) -> int:
-        return self._device.active_count
-
     def utilization(self) -> float:
         return self._device.utilization()
 

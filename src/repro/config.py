@@ -77,9 +77,6 @@ class ClusterSpec:
         # NameNode + DataNodes, as in the paper's equal-cost comparison.
         return (self.num_datanodes + 1) * self.instance.price_per_hour
 
-    def total_capability(self) -> ResourceVector:
-        return self.instance.capability() * self.num_datanodes
-
 
 def a3_cluster(num_datanodes: int = 4) -> ClusterSpec:
     """Paper's first testbed: 1 NameNode + 4 A3 DataNodes."""

@@ -44,10 +44,6 @@ class DPlusScheduler(SchedulerBase):
         self.respond_same_heartbeat = respond_same_heartbeat
         self._cluster_resource: Optional[ClusterResource] = None
 
-    @property
-    def responds_immediately(self) -> bool:  # type: ignore[override]
-        return self.respond_same_heartbeat
-
     def bind(self, rm: "ResourceManager") -> None:
         super().bind(rm)
         self._cluster_resource = ClusterResource(rm)

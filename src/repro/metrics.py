@@ -61,11 +61,6 @@ class StreamingPercentile:
         self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
         self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
 
-    @property
-    def count(self) -> int:
-        n = len(self._heights)
-        return n if n < 5 else int(self._positions[4])
-
     def add(self, x: float) -> None:
         heights = self._heights
         if len(heights) < 5:

@@ -62,10 +62,6 @@ class Span:
     flavor: str = SYNC
     args: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
     def covers(self, t: float, eps: float = 1e-9) -> bool:
         return self.end is not None and self.start <= t + eps and t <= self.end + eps
 

@@ -236,6 +236,3 @@ class SimCluster:
         self.rm.node_managers[node_id].restart()
         self.datanode_daemons[node_id].restart()
         self.replication_manager.dead_nodes.discard(node_id)
-
-    def run(self, until=None):
-        return self.env.run(until=until)

@@ -96,10 +96,6 @@ class StageResult:
     #: partition index -> executor id holding the cached output.
     partition_homes: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def elapsed(self) -> float:
-        return self.finish_time - self.start_time
-
 
 @dataclass
 class SparkResult:

@@ -69,10 +69,6 @@ class RingSeries:
     def last(self) -> Optional[float]:
         return self.values[-1] if self.values else None
 
-    def window(self, start_s: float) -> list[tuple[float, float]]:
-        """Samples with ``t >= start_s`` (oldest first)."""
-        return [(t, v) for t, v in zip(self.times, self.values) if t >= start_s]
-
     def value_at_or_before(self, t: float) -> Optional[float]:
         """Latest sample value with timestamp <= ``t`` (None if none).
 

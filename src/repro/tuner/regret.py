@@ -79,14 +79,6 @@ class RegretRound:
     exploit_regret_s: float   # static[exploit_mode] - oracle
     cumulative_regret_s: float
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "mode": self.mode, "source": self.source,
-                "elapsed_s": round(self.elapsed_s, 6),
-                "regret_s": round(self.regret_s, 6),
-                "exploit_mode": self.exploit_mode,
-                "exploit_regret_s": round(self.exploit_regret_s, 6),
-                "cumulative_regret_s": round(self.cumulative_regret_s, 6)}
-
 
 @dataclass
 class RegretReport:
@@ -111,17 +103,6 @@ class RegretReport:
     def static_cumulative_regret_s(self, mode: str) -> float:
         """Cumulative regret of always running ``mode`` for the same rounds."""
         return (self.static_s[mode] - self.oracle_s) * len(self.rounds)
-
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "static_s": {m: round(v, 6)
-                         for m, v in sorted(self.static_s.items())},
-            "oracle_mode": self.oracle_mode,
-            "oracle_s": round(self.oracle_s, 6),
-            "cumulative_regret_s": round(self.cumulative_regret_s, 6),
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
 
 
 def run_regret(spec: "ClusterSpec", template: "JobTemplate", *,

@@ -82,10 +82,6 @@ class RunRecord:
         if self.elapsed_s < 0:
             raise ValueError("elapsed_s cannot be negative")
 
-    @property
-    def success(self) -> bool:
-        return self.outcome == OUTCOME_SUCCESS
-
     def to_dict(self) -> dict:
         return {
             "elapsed_s": round(self.elapsed_s, 9),
@@ -171,10 +167,6 @@ class RunHistoryStore:
             out = [r for r in out if r.outcome == outcome]
         return out
 
-    def count(self, signature: str, mode: str,
-              outcome: Optional[str] = None) -> int:
-        return len(self.runs(signature, mode, outcome))
-
     def stats(self, signature: str,
               mode: Optional[str] = None) -> SignatureStats:
         """The successful runs of one cell (every mode's, in mode order,
@@ -200,10 +192,6 @@ class RunHistoryStore:
     def signatures(self) -> list[str]:
         return sorted(sig for sig, modes in self._cells.items()
                       if any(modes.values()))
-
-    def modes(self, signature: str) -> list[str]:
-        return sorted(m for m, rs in self._cells.get(signature, {}).items()
-                      if rs)
 
     def __len__(self) -> int:
         return sum(len(rs) for modes in self._cells.values()

@@ -29,9 +29,10 @@ mean sojourn time. This module brings that discipline to the simulated RM:
   that task-granularity preemption buys little for short jobs and keeps
   the scheduler compatible with every AM in the tree.
 
-The scheduler is heartbeat-driven like stock Hadoop (``responds_immediately
-= False``): MRapid's D+ same-heartbeat trick is a separate axis, exercised
-by running the submission framework on top (see ``repro.trace``).
+The scheduler is heartbeat-driven like stock Hadoop (its
+``on_allocate_request`` only queues asks): MRapid's D+ same-heartbeat trick
+is a separate axis, exercised by running the submission framework on top
+(see ``repro.trace``).
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class AppRecord:
 
 class HFSPScheduler(SchedulerBase):
     """Size-based (HFSP-style) scheduler with training and aging."""
-
-    responds_immediately = False
 
     def __init__(self, training_samples: int = 2, initial_guess_s: float = 8.0,
                  aging_rate: float = 0.1, memory_only: bool = False) -> None:

@@ -60,8 +60,6 @@ class QueueState:
 class MultiTenantCapacityScheduler(SchedulerBase):
     """Queue-aware stock scheduler (heartbeat-driven, memory-only packing)."""
 
-    responds_immediately = False
-
     def __init__(self, queues: list[QueueConfig],
                  default_queue: Optional[str] = None) -> None:
         super().__init__()

@@ -5,8 +5,9 @@ The RM is the hub the paper's Figures 2/3 revolve around:
 * stock path — AM asks are queued at CONTAINER_STATUS_UPDATE and served only
   when some NM heartbeat (NODE_STATUS_UPDATE) reaches the scheduler; the AM
   sees the grants on *its* next heartbeat (>= 2 heartbeats of latency);
-* D+ path — a scheduler with ``responds_immediately = True`` allocates from
-  the RM's live ClusterResource snapshot inside the same allocate() RPC.
+* D+ path — a scheduler whose ``on_allocate_request`` returns grants
+  allocates from the RM's live ClusterResource snapshot inside the same
+  allocate() RPC.
 """
 
 from __future__ import annotations
@@ -524,6 +525,3 @@ class AMContext:
     def recovered_maps(self) -> dict:
         """Completed-map history journaled by previous AM attempts."""
         return dict(self.app.recovery_maps)
-
-    def node(self, node_id: str):
-        return self.rm.topology.node(node_id)

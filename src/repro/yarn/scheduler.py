@@ -36,11 +36,6 @@ class PendingAsk:
 class SchedulerBase:
     """Common queue plumbing; subclasses decide *when* and *where*."""
 
-    #: Whether :meth:`on_allocate_request` may hand out containers directly
-    #: (the D+ same-heartbeat path). The RM uses this to decide whether an
-    #: allocate() call can return grants synchronously.
-    responds_immediately = False
-
     def __init__(self) -> None:
         self.rm: Optional["ResourceManager"] = None
         self.queue: list[PendingAsk] = []
@@ -124,7 +119,6 @@ class CapacityScheduler(SchedulerBase):
     place AMs with the same calculator.
     """
 
-    responds_immediately = False
     memory_only = True
 
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
