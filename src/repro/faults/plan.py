@@ -149,8 +149,6 @@ class FaultPlan:
 
 # -- named plans (CLI / experiment shorthand) -----------------------------------
 
-#: ``churn_plan``'s rhythm: a crash every period, each node down this long,
-#: the first crash at this instant.
 CHURN_PERIOD_S = 90.0
 CHURN_DOWN_S = 35.0
 CHURN_START_S = 45.0
