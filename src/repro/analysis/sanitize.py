@@ -34,8 +34,6 @@ from repro.telemetry import KERNEL_SERIES
 
 from . import scenarios
 
-_POOL_TIE = ("FOUND [pool tie] in CHANGES.md: a speculative job's D+ and U+ "
-             "submissions wait on an empty warm-AM pool with tied timeouts")
 _UPLUS_A2 = ("FOUND [U+ on A2] in CHANGES.md: U+ replays on A2 move under "
              "permuted ties; 16 of this trace's 34 auto jobs run U+")
 
@@ -44,13 +42,6 @@ _UPLUS_A2 = ("FOUND [U+ on A2] in CHANGES.md: U+ replays on A2 move under "
 #: ``CHANGES.md`` that records the dependence. The race run skips them
 #: and says so; fixing one means deleting its entry here.
 TIE_ORDER_DEPENDENT: dict[str, str] = {
-    "strategy/mrapid-speculative": _POOL_TIE,
-    "gray/mrapid-speculative": _POOL_TIE,
-    "degraded/mrapid-speculative": _POOL_TIE,
-    "trace-json/defaults": _POOL_TIE,
-    "trace-json/rate120": _POOL_TIE,
-    "trace-json/rate120-gray": _POOL_TIE,
-    "example/trace-analysis": _POOL_TIE,
     "trace-json/serving": _UPLUS_A2,
     "metrics/serving-summary": _UPLUS_A2,
     "metrics/serving-jsonl": _UPLUS_A2,

@@ -3,14 +3,18 @@
 Paper §III-C: a proxy service maintains a pool of pre-launched
 ApplicationMaster containers (3 by default). Submitting a short job picks a
 warm AM from the pool — skipping AM container allocation *and* JVM launch —
-and sends it the job over RPC. When the pool is exhausted, submissions queue
-until an AM frees up. With ``use_am_pool=False`` the framework degrades to
-the stock Figure 1 path (used by the Figure 14/15 ablations).
+and sends it the job over RPC. When the pool is exhausted, submissions wait
+at the proxy, and each freed AM goes to the waiter the RM scheduler ranks
+first (:meth:`~repro.yarn.scheduler.SchedulerBase.priority_key`: FIFO by
+arrival, or HFSP's aged size), as the RM's own AM queue does. With
+``use_am_pool=False`` the framework degrades to the stock Figure 1 path
+(used by the Figure 14/15 ablations).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..cluster.resources import ResourceVector
@@ -18,7 +22,7 @@ from ..config import MRapidConfig
 from ..mapreduce.appmaster import DistributedAM
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simulation.errors import Interrupt
-from ..simulation.resources import Store
+from ..simulation.events import DEFERRED, Event
 from ..yarn.records import Application, Container
 from ..yarn.resourcemanager import AMContext
 from .uplus import UPlusAM
@@ -38,7 +42,6 @@ class AMSlave:
         self.framework = framework
         self.container = container
         self.slot_id = next(framework._slot_ids)
-        self.ready = framework.cluster.env.event()
         #: Running a job right now (vs parked in the pool).
         self.busy = False
         #: Died with its node; must never return to the pool.
@@ -49,10 +52,6 @@ class AMSlave:
     @property
     def node_id(self) -> str:
         return self.container.node_id
-
-    def mark_ready(self) -> None:
-        if not self.ready.triggered:
-            self.ready.succeed(self.node_id)
 
 
 class JobHandle:
@@ -86,7 +85,11 @@ class SubmissionFramework:
 
         self.cluster = cluster
         self.mrapid = mrapid if mrapid is not None else MRapidConfig()
-        self.pool: Store = Store(cluster.env)
+        #: Warm AMs parked at the proxy, longest-parked first.
+        self.parked: list[AMSlave] = []
+        #: Jobs waiting for a warm AM: (application, is U+, grant event).
+        self._waiting: list[tuple[Application, bool, Event]] = []
+        self._serve_armed = False
         self.slaves: list[AMSlave] = []
         # Slot ids are per-framework (not module-level): a process-global
         # counter would make traced slot numbers depend on how many clusters
@@ -126,8 +129,7 @@ class SubmissionFramework:
             # the cluster came up, long before any short job arrives, so the
             # pool is warm at t=0 (launch cost paid outside the measured
             # window — that is the whole point of reusing AMs).
-            slave.mark_ready()
-            self.pool.put(slave)
+            self.parked.append(slave)
 
     # -- fault handling -----------------------------------------------------------
     def _handle_node_loss(self, node_id: str) -> None:
@@ -140,11 +142,11 @@ class SubmissionFramework:
         for slave in dead:
             slave.failed = True
             self.slaves.remove(slave)
-            # Parked slaves wait as pool items; busy ones die with their job
+            # Parked slaves leave the pool; busy ones die with their job
             # (the job is killed — pooled AMs have no RM restart path, like
             # a real long-running service container).
-            if slave in self.pool.items:
-                self.pool.items.remove(slave)
+            if slave in self.parked:
+                self.parked.remove(slave)
             if slave.job_proc is not None and slave.job_proc.is_alive:
                 slave.job_proc.defuse()
                 slave.job_proc.interrupt("AM node failure")
@@ -176,8 +178,7 @@ class SubmissionFramework:
             node.allocate(am_resource)
             slave = AMSlave(self, container)
             self.slaves.append(slave)
-            slave.mark_ready()
-            self.pool.put(slave)
+            self._park(slave)
             spawned += 1
         tracer = self.cluster.env.tracer
         if tracer is not None:
@@ -185,11 +186,43 @@ class SubmissionFramework:
             tracer.instant("ampool_respawned", "ampool", CLUSTER, "ampool",
                            count=spawned)
 
+    # -- the proxy's warm-AM wait ------------------------------------------------
+    def _park(self, slave: AMSlave) -> None:
+        self.parked.append(slave)
+        self._arm_serve()
+
+    def _wait_for_am(self, app: Application, mode: str) -> Event:
+        """Queue ``app`` for a warm AM; the event's value is its AMSlave."""
+        grant = self.cluster.env.event()
+        self._waiting.append((app, mode == MODE_UPLUS, grant))
+        self._arm_serve()
+        return grant
+
+    def _arm_serve(self) -> None:
+        if self._serve_armed or not (self.parked and self._waiting):
+            return
+        self._serve_armed = True
+        # DEFERRED: the serve runs after every other event of its instant,
+        # so it ranks all of that instant's waiters together, whichever
+        # order their submissions' events were queued in.
+        self.cluster.env.timeout(0, priority=DEFERRED).callbacks.append(self._serve)
+
+    def _serve(self, _event: Event) -> None:
+        """Hand parked AMs to the waiters the RM scheduler ranks first; a
+        speculative job's D+ half before its U+ half (they share a key)."""
+        self._serve_armed = False
+        key, now = self.cluster.rm.scheduler.priority_key, self.cluster.env.now
+        self._waiting.sort(key=lambda waiter: (key(waiter[0], now), waiter[1]))
+        while self.parked and self._waiting:
+            self._waiting.pop(0)[2].succeed(self.parked.pop(0))
+
     # -- submission ---------------------------------------------------------------
     def submit(self, spec: SimJobSpec, mode: str) -> JobHandle:
         """Submit a short job in ``mode`` (MODE_DPLUS or MODE_UPLUS)."""
         if mode not in (MODE_DPLUS, MODE_UPLUS):
             raise ValueError(f"unknown MRapid mode {mode!r}")
+        if spec.seq is None:  # no replay driver: arrival order is call order
+            spec = replace(spec, seq=self.cluster.rm.next_seq())
         handle = JobHandle(self.cluster, spec, mode)
         body = self._run_pooled(spec, mode, handle) if self.mrapid.use_am_pool \
             else self._run_unpooled(spec, mode, handle)
@@ -231,8 +264,16 @@ class SubmissionFramework:
 
         # Proxy: pick a warm AM (waits when the pool is empty).
         t_pool = env.now
-        slave = yield self.pool.get()
+        app = Application(app_id=app_id, name=spec.name,
+                          am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
+                          runner=lambda ctx: iter(()),
+                          submit_time=result.submit_time, seq=spec.seq,
+                          queue_time=t_pool)
+        slave = yield self._wait_for_am(app, mode)
         slave.busy = True
+        # Service time (HFSP's size sample) runs from here, as for an AM
+        # the RM launches.
+        app.launch_time = env.now
         if tracer is not None and env.now > t_pool:
             from ..observe.tracer import CLUSTER
             tracer.complete("am-pool-wait", "wait", CLUSTER, f"job:{app_id}",
@@ -245,10 +286,6 @@ class SubmissionFramework:
                 tracer.complete("proxy-rpc", "rpc", slave.node_id,
                                 f"am-{app_id}", t_rpc)
 
-            app = Application(app_id=app_id, name=spec.name,
-                              am_resource=slave.container.resource,
-                              runner=lambda ctx: iter(()))
-            app.submit_time = result.submit_time
             rm.apps[app_id] = app
             rm._ready[app_id] = []
             handle._app = app
@@ -268,6 +305,8 @@ class SubmissionFramework:
                 result.failed = True
                 result.finish_time = env.now
                 return result
+            else:
+                rm.scheduler.on_app_finished(app, final)
             finally:
                 rm.scheduler.remove_app(app_id)
                 rm.apps.pop(app_id, None)
@@ -280,13 +319,12 @@ class SubmissionFramework:
         finally:
             # The AM survives the job and goes back to the pool — unless its
             # node died under it, in which case the loss handler already
-            # scheduled a replacement. (Plain call: an unbounded Store admits
-            # immediately, and yielding inside a finally block would break
-            # generator close()).
+            # scheduled a replacement. (Plain call: yielding inside a
+            # finally block would break generator close()).
             slave.busy = False
             slave.job_proc = None
             if not slave.failed:
-                self.pool.put(slave)
+                self._park(slave)
 
     def _run_unpooled(self, spec: SimJobSpec, mode: str, handle: JobHandle) -> Generator:
         """Figure 1 path: allocate + launch a fresh AM for this job."""
@@ -309,6 +347,7 @@ class SubmissionFramework:
             name=spec.name,
             am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
             runner=am.run,
+            seq=spec.seq,
         )
         handle._app = app
         self.cluster.rm.submit_application(app)

@@ -51,15 +51,11 @@ class JobClient:
         self.cluster = cluster
 
     def submit(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED,
-               queue: str | None = None,
-               fifo_key: int | None = None) -> "Process":
+               queue: str | None = None) -> "Process":
         """Start the client-side submission; returns a process whose value
         is the :class:`JobResult`. ``queue`` routes the app to a tenant
-        queue when the cluster runs the multi-tenant scheduler; ``fifo_key``
-        pins the application's place in the RM's AM queue when several
-        submissions race at the same simulated instant (see
-        :class:`~repro.yarn.records.Application`)."""
-        return self.cluster.env.process(self._run(spec, mode, queue, fifo_key),
+        queue when the cluster runs the multi-tenant scheduler."""
+        return self.cluster.env.process(self._run(spec, mode, queue),
                                         name=f"client-{spec.name}-{mode}")
 
     def run(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED,
@@ -70,8 +66,7 @@ class JobClient:
         return proc.value
 
     # -- internals ---------------------------------------------------------------
-    def _run(self, spec: SimJobSpec, mode: str, queue: str | None = None,
-             fifo_key: int | None = None) -> Generator:
+    def _run(self, spec: SimJobSpec, mode: str, queue: str | None = None) -> Generator:
         env = self.cluster.env
         conf = self.cluster.conf
         app_id = self.cluster.rm.next_app_id()
@@ -103,7 +98,7 @@ class JobClient:
             name=spec.name,
             am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
             runner=am.run,
-            fifo_key=fifo_key,
+            seq=spec.seq,
         )
         self.cluster.rm.submit_application(app)
         if queue is not None:

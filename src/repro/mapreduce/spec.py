@@ -20,6 +20,10 @@ class SimJobSpec:
     #: Identifies "the same job" across runs for the decision maker's
     #: history, independent of input data (paper §III-C step 2).
     signature: str = ""
+    #: Arrival sequence (trace index, or serving dispatch ticket) that
+    #: every submit path stamps on its application; see
+    #: :attr:`~repro.yarn.records.Application.seq`.
+    seq: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.num_reduces != 1:

@@ -80,7 +80,7 @@ class ServingRuntime:
         #: jobs at the same simulated instant; their driver processes then
         #: resume in kernel tie-break order, so the ticket — not resume
         #: order — carries the controller's EDF decision downstream (it
-        #: becomes the YARN AM queue's ``fifo_key``).
+        #: becomes the job's ``SimJobSpec.seq``).
         self._tickets: dict[int, int] = {}
         self._dispatch_seq = count()
         self._static_in_flight = 0
@@ -193,9 +193,9 @@ class ServingRuntime:
     def dispatch_ticket(self, slo: SLOJob) -> Optional[int]:
         """This job's dispatch sequence number (once; ``None`` thereafter).
 
-        The driver forwards it to the submission path as the application's
-        stable FIFO key, so same-instant dispatches reach the RM's AM queue
-        in controller order regardless of event tie-breaking.
+        The replay driver stamps it on the job as its arrival ``seq``, so
+        same-instant dispatches are ranked in controller order wherever
+        they wait for an AM, regardless of event tie-breaking.
         """
         return self._tickets.pop(slo.index, None)
 

@@ -27,8 +27,9 @@ NORMAL = 1
 #: instant — a node restart or an arrival stamped t included, whichever
 #: order their events were queued in.
 CONTROL = 2
-#: Runs after everything else at its instant: for periodic *observers*
-#: (heartbeat ticks) that must see the settled state of their instant.
+#: Runs after everything else at its instant: for *observers* (heartbeat
+#: ticks) and rankers (the MRapid proxy's warm-AM serve) that must see
+#: the settled state of their instant.
 #: Without it, whether a beat at time t notices a submission at time t
 #: depends on queue insertion order — a same-timestamp race the sanitizer
 #: (``repro lint --sanitize-races``) would flag.

@@ -215,8 +215,8 @@ class Store:
     """An unbounded-or-bounded FIFO buffer of Python objects.
 
     ``get(filter=fn)`` retrieves the first item for which ``fn(item)`` is
-    true (filter-store semantics), which the YARN layer uses to match
-    heartbeat responses to specific applications.
+    true (filter-store semantics); the in-tree callers (map outputs on
+    their way to a reduce) pass no filter.
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:

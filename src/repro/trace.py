@@ -526,8 +526,14 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             dispatched_at = env.now
             paths = cluster.load_input_files(
                 f"/trace/{job.index:05d}", job.template.num_files, job.template.file_mb)
+            # The job's arrival sequence, set once for every submit path: the
+            # admission controller's dispatch ticket, so that jobs dispatched
+            # at one instant rank in its EDF order, else the trace index;
+            # never kernel tie-break order.
+            ticket = runtime.dispatch_ticket(slo) if runtime is not None else None
             spec = SimJobSpec(job.template.name, tuple(paths), job.template.profile,
-                              signature=job.signature)
+                              signature=job.signature,
+                              seq=job.index if ticket is None else ticket)
             degraded = runtime is not None and runtime.degraded_mode_for(slo)
             learned = strategy == STRATEGY_AUTO and not degraded
             mode = resolve_mode(job, slo, degraded)
@@ -536,14 +542,8 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             try:
                 if mode in _CLIENT_MODES:
                     queue = queue_of(job.template.name) if queue_of is not None else None
-                    # The admission controller's dispatch ticket pins this
-                    # job's AM-queue position: several jobs dispatched at
-                    # one instant must reach the RM in controller (EDF)
-                    # order, not kernel tie-break order.
-                    ticket = (runtime.dispatch_ticket(slo)
-                              if runtime is not None else None)
                     result = yield client.submit(spec, _CLIENT_MODES[mode],
-                                                 queue=queue, fifo_key=ticket)
+                                                 queue=queue)
                 elif mode == "speculative":
                     spec_outcome = yield executor.submit(spec)
                     result = spec_outcome.winner

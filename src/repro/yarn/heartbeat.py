@@ -28,10 +28,11 @@ One wheel serves every node of an RM. It keeps the pending beats in its
 own queue, ordered by (fire instant, registration order), and arms one
 kernel tick at a time: at the earliest pending instant. A tick delivers
 every beat due at its instant, in registration order. Ticks are
-``DEFERRED`` events and nothing else in the simulator is, so a beat at
-time t runs after every other event queued for instant t, however early
-or late its tick was queued: the beat order does not depend on when a
-tick is armed. Dead (``fail``) and drained nodes are *suspended*: their
+``DEFERRED`` events, so a beat at time t runs after every NORMAL and
+CONTROL event queued for instant t, however early or late its tick was
+queued: the beat order does not depend on when a tick is armed. (The
+only other ``DEFERRED`` event, the MRapid proxy's warm-AM serve, touches
+no RM state.) Dead (``fail``) and drained nodes are *suspended*: their
 queued beat is cancelled and no beat is delivered until ``resume``.
 
 **Sleep/wake contract.** On a short-job cluster almost every beat has

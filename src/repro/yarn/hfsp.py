@@ -37,20 +37,9 @@ is a separate axis, exercised by running the submission framework on top
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..metrics import SignatureStats
-from .records import Application, Container, ContainerRequest, NodeState
+from .records import Application, Container, NodeState
 from .scheduler import PendingAsk, SchedulerBase
-
-
-@dataclass
-class AppRecord:
-    """Per-application bookkeeping the priority key is computed from."""
-
-    app_id: str
-    name: str
-    submit_time: float
 
 
 class HFSPScheduler(SchedulerBase):
@@ -73,8 +62,6 @@ class HFSPScheduler(SchedulerBase):
         self.memory_only = memory_only
         #: signature/name -> completed service-time statistics.
         self.sizes: dict[str, SignatureStats] = {}
-        #: app_id -> record (created on first sight of the app).
-        self.apps: dict[str, AppRecord] = {}
 
     # -- size estimation -----------------------------------------------------
     def is_trained(self, name: str) -> bool:
@@ -87,47 +74,18 @@ class HFSPScheduler(SchedulerBase):
             return self.sizes[name].mean_s
         return self.initial_guess_s
 
-    def priority_key(self, app_id: str, now: float) -> tuple[float, str]:
-        """Aged HFSP key: lower schedules first; app_id breaks ties.
+    def priority_key(self, app: Application, now: float) -> tuple:
+        """Aged HFSP key: lower schedules first; the job's arrival ``seq``
+        breaks ties (app ids are drawn in kernel order, arrivals are not).
 
         ``estimated_size − aging_rate × wait`` decreases without bound as a
-        job waits, so every job eventually outranks all later arrivals.
+        job waits, so every job eventually outranks all later arrivals. The
+        wait runs from ``submit_time`` (set once by whoever submits), never
+        from the instant HFSP first looks at the job: when that is depends
+        on which beats the heartbeat wheel delivers.
         """
-        record = self.apps[app_id]
-        size = self.estimated_size_s(record.name)
-        return (size - self.aging_rate * (now - record.submit_time), app_id)
-
-    def _track_app(self, app: Application) -> None:
-        """Record ``app`` on first sight. Its key ages from its submission
-        (the RM always sets ``submit_time``, 0.0 included), never from the
-        instant HFSP first sees it: when that is depends on which beats the
-        heartbeat wheel delivers."""
-        if app.app_id not in self.apps:
-            self.apps[app.app_id] = AppRecord(app.app_id, app.name,
-                                              app.submit_time)
-
-    # -- RM hooks ------------------------------------------------------------
-    def on_allocate_request(self, app_id: str,
-                            asks: list[ContainerRequest]) -> list[Container]:
-        now = self.rm.env.now
-        app = self.rm.apps.get(app_id)
-        if app is not None:
-            self._track_app(app)
-        for ask in asks:
-            self.queue.append(PendingAsk(app_id, ask, now))
-        return []
-
-    def am_queue_order(self, apps: list[Application]) -> list[Application]:
-        """Serve queued AMs smallest-aged-size first (not FIFO).
-
-        Under heavy short-job traffic most jobs are uberized, so *AM
-        allocation order* is where job ordering actually bites; a scheduler
-        that only reorders task asks would be size-based in name only.
-        """
-        now = self.rm.env.now
-        for app in apps:
-            self._track_app(app)
-        return sorted(apps, key=lambda app: self.priority_key(app.app_id, now))
+        size = self.estimated_size_s(app.name)
+        return (size - self.aging_rate * (now - app.submit_time), app.seq)
 
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
         now = self.rm.env.now
@@ -159,16 +117,9 @@ class HFSPScheduler(SchedulerBase):
         makes the scheduler work-conserving: a node is left idle only when
         no pending ask fits it at all.
         """
-        for pending in self.queue:
-            if pending.app_id not in self.apps:
-                app = self.rm.apps.get(pending.app_id)
-                if app is not None:
-                    self._track_app(app)
-                else:
-                    self.apps[pending.app_id] = AppRecord(
-                        pending.app_id, pending.app_id, pending.enqueued_at)
+        apps = self.rm.apps
         return sorted(self.queue,
-                      key=lambda p: (self.priority_key(p.app_id, now),
+                      key=lambda p: (self.priority_key(apps[p.app_id], now),
                                      p.enqueued_at))
 
     def on_app_finished(self, app: Application, result=None) -> None:
@@ -186,12 +137,6 @@ class HFSPScheduler(SchedulerBase):
                           and (getattr(result, "killed", False)
                                or getattr(result, "failed", False))):
             return
-        record = self.apps.get(app.app_id)
-        name = record.name if record is not None else app.name
         started = app.launch_time if app.launch_time > 0 else app.submit_time
         duration = max(0.0, self.rm.env.now - started)
-        self.sizes.setdefault(name, SignatureStats()).observe(duration)
-
-    def remove_app(self, app_id: str) -> None:
-        super().remove_app(app_id)
-        self.apps.pop(app_id, None)
+        self.sizes.setdefault(app.name, SignatureStats()).observe(duration)

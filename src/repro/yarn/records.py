@@ -168,16 +168,15 @@ class Application:
     #: ``runner(am_context)`` -> generator; the ApplicationMaster main.
     runner: Callable[[Any], Any]
     submit_time: float = 0.0
-    #: Stable FIFO tie-break among applications submitted at the *same*
-    #: simulated instant. Two submitters resumed by same-timestamp kernel
-    #: events reach :meth:`ResourceManager.submit_application` in dispatch
-    #: order, which is not a property figures may depend on; a caller that
-    #: knows the intended order (the serving admission controller's
-    #: dispatch ticket) passes it here. ``None`` lets the RM fall back to
-    #: its own submission sequence. Assigned once; AM restarts keep it.
-    fifo_key: Optional[int] = None
-    #: When the app (re-)entered the AM allocation queue; with ``fifo_key``
-    #: this forms the queue's ordering key. Maintained by the RM.
+    #: The job's arrival sequence (:attr:`SimJobSpec.seq`), the stable
+    #: tie-break of :meth:`SchedulerBase.priority_key` among jobs queued at
+    #: the *same* instant: submitters resumed by same-timestamp kernel
+    #: events arrive in dispatch order, which no figure may depend on.
+    #: ``None`` lets the RM fall back to its own submission sequence.
+    #: Assigned once; AM restarts keep it.
+    seq: Optional[int] = None
+    #: When the app (re-)entered the AM queue (the RM's, or the proxy's
+    #: warm-AM wait). Maintained by whoever queues it.
     queue_time: float = 0.0
     #: When the AM actually started (0.0 until launch). ``launch_time -
     #: submit_time`` is the allocation wait; size-based schedulers use

@@ -12,7 +12,6 @@ The RM is the hub the paper's Figures 2/3 revolve around:
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import count
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -71,15 +70,14 @@ class ResourceManager:
         self._am_attempts: dict[str, int] = {}
         #: Containers granted by the scheduler but not yet fetched by the AM.
         self._ready: dict[str, list[Container]] = {}
-        #: Applications whose AM container is not allocated yet, kept in
-        #: (queue_time, fifo_key) order — FIFO by *intent*, not by which
-        #: same-instant submitter's kernel event happened to run first.
-        #: Only :meth:`_enqueue_am` and :meth:`_dequeue_am` change it.
+        #: Applications whose AM container is not allocated yet; each beat
+        #: serves them in ``scheduler.priority_key`` order. Only
+        #: :meth:`_enqueue_am` and :meth:`_dequeue_am` change it.
         self._am_queue: list[Application] = []
         #: Multiset of the queued AMs' memory sizes (size -> count; usually
         #: one size), so the smallest queued AM is an O(1) read.
         self._am_queue_mb: dict[int, int] = {}
-        #: Fallback fifo_key source for apps submitted without one.
+        #: Fallback ``Application.seq`` source for jobs submitted without one.
         self._submit_seq = count()
         self._am_processes: dict[str, Any] = {}
         #: Callbacks fired on node_lost(node_id) — e.g. the MRapid submission
@@ -102,6 +100,10 @@ class ResourceManager:
 
     def next_container_id(self) -> int:
         return self.ids.next_container_id()
+
+    def next_seq(self) -> int:
+        """An arrival sequence for a job submitted without one."""
+        return next(self._submit_seq)
 
     def register_node_manager(self, nm: "NodeManager") -> None:
         self.node_managers[nm.node_id] = nm
@@ -184,8 +186,8 @@ class ResourceManager:
         if app.app_id in self.apps:
             raise ValueError(f"duplicate application {app.app_id}")
         app.submit_time = self.env.now
-        if app.fifo_key is None:
-            app.fifo_key = next(self._submit_seq)
+        if app.seq is None:
+            app.seq = self.next_seq()
         app.queue_time = self.env.now
         app.am_started = self.env.event()
         app.finished = self.env.event()
@@ -225,9 +227,8 @@ class ResourceManager:
 
     # -- AM queue ------------------------------------------------------------------
     def _enqueue_am(self, app: Application) -> None:
-        """Queue ``app``'s AM at its (queue_time, fifo_key) position; a
-        beat may now place it."""
-        insort(self._am_queue, app, key=_am_queue_key)
+        """Queue ``app``'s AM; a beat may now place it."""
+        self._am_queue.append(app)
         mb = app.am_resource.memory_mb
         self._am_queue_mb[mb] = self._am_queue_mb.get(mb, 0) + 1
         self._wake_heartbeats()
@@ -277,17 +278,17 @@ class ResourceManager:
         if self.env.tracer is not None:
             self.env.tracer.counter("rm:node_heartbeats").inc()
 
-        # AM allocation takes precedence (YARN allocates AMs like any other
-        # container but our FIFO keeps it simple and matches short-job runs).
-        # The resource calculator matches the installed scheduler's (stock
-        # Hadoop 2.2 = memory-only).
+        # AM allocation takes precedence, in the scheduler's priority_key
+        # order. The resource calculator matches the installed scheduler's
+        # (stock Hadoop 2.2 = memory-only).
         memory_only = getattr(self.scheduler, "memory_only", False)
         am_limit_mb = self.conf.am_resource_fraction * self.total_capability().memory_mb
-        # _am_queue is already in its intended FIFO order; the copy lets the
-        # loop dequeue what it places. A blocked AM limit breaks the loop at
-        # its first app in any order, so skip ordering the queue then.
-        fifo = self._am_queue[:] if self._am_admissible() else []
-        for app in self.scheduler.am_queue_order(fifo):
+        # A blocked AM limit breaks the loop at its first app in any order,
+        # so skip ordering the queue then.
+        key, now = self.scheduler.priority_key, self.env.now
+        queued = (sorted(self._am_queue, key=lambda app: key(app, now))
+                  if self._am_admissible() else [])
+        for app in queued:
             if self.am_memory_used_mb + app.am_resource.memory_mb > am_limit_mb + 1e-9:
                 # maximum-am-resource-percent reached: the head-of-line app
                 # (in scheduler order) blocks admission, like the real
@@ -393,7 +394,7 @@ class ResourceManager:
             # Re-queue at *now* (no queue jumping over apps submitted since
             # the first attempt); same-instant restarts — a node death kills
             # several AMs at once — fall back on the apps' original
-            # submission order via the retained fifo_key.
+            # arrival order via the retained seq.
             app.queue_time = self.env.now
             self._enqueue_am(app)
             if self.env.tracer is not None:
@@ -453,10 +454,6 @@ class ResourceManager:
                 self._handle_am_failure(app, exc)
 
         self.env.process(am_watch(), name=f"am-watch-{app.app_id}")
-
-
-def _am_queue_key(app: Application) -> tuple:
-    return (app.queue_time, app.fifo_key)
 
 
 class JobKilled(Exception):

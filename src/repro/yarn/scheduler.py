@@ -55,15 +55,18 @@ class SchedulerBase:
         """NM heartbeat; returns (app_id, container) grants made now."""
         return []
 
-    def am_queue_order(self, apps: list) -> list:
-        """Order in which queued AMs are served on a node heartbeat.
+    def priority_key(self, app, now: float) -> tuple:
+        """Rank of a job waiting for an AM at ``now``; the lower tuple goes
+        first. The RM's AM queue and the MRapid proxy's warm-AM wait both
+        order their waiters by it.
 
-        Stock YARN allocates AMs first-come-first-served; size-based
-        schedulers (HFSP) override this, since under short-job-heavy
-        traffic most jobs are uberized and AM allocation order *is* the
-        job order.
+        Stock YARN is first-come-first-served: ``(queue_time, seq)``, where
+        ``seq`` is the job's arrival sequence, so same-instant arrivals go
+        in arrival order, never in kernel tie order. Size-based schedulers
+        (HFSP) override this: under short-job-heavy traffic most jobs are
+        uberized or pooled, so AM order *is* the job order.
         """
-        return apps
+        return (app.queue_time, app.seq)
 
     def remove_app(self, app_id: str) -> None:
         """Drop queued asks of a finished/killed application."""

@@ -42,7 +42,7 @@ def test_mixed_modes_concurrently():
         assert not result.failed and not result.killed
         assert all(m.finish_time > 0 for m in result.maps)
     # AM pool drained and refilled.
-    assert len(fw.pool.items) == len(fw.slaves)
+    assert len(fw.parked) == len(fw.slaves)
 
 
 def test_concurrent_stock_jobs_fifo_progress():

@@ -96,7 +96,6 @@ def test_replay_retains_no_per_job_state():
     assert cluster.rm._am_attempts == {}
     assert cluster.rm._am_processes == {}
     assert cluster.scheduler.queue == []
-    assert cluster.scheduler.apps == {}
     assert cluster.namenode.list_files() == []
     # Streaming summaries are O(1): five P2 markers per quantile, no lists.
     assert report.per_job == []

@@ -249,7 +249,7 @@ def test_pool_prewarms_configured_slaves():
     fw = cluster.mrapid_framework
     assert len(fw.slaves) == 3  # paper default
     cluster.env.run(until=5.0)
-    assert len(fw.pool.items) == 3  # all warm
+    assert len(fw.parked) == 3  # all warm
 
 
 def test_pool_spreads_slaves_across_nodes():

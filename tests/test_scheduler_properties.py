@@ -133,7 +133,8 @@ def test_property_stock_packs_first_node_to_memory_limit(n_asks):
 
 def hfsp_app(cluster, app_id, name, submit_time=0.0):
     app = Application(app_id, name, ResourceVector(1536, 1),
-                      lambda ctx: iter(()), submit_time=submit_time)
+                      lambda ctx: iter(()), submit_time=submit_time,
+                      seq=int(app_id.rsplit("_", 1)[1]))
     cluster.rm.apps[app_id] = app
     cluster.rm._ready[app_id] = []
     return app
@@ -185,14 +186,7 @@ def test_property_hfsp_aging_prevents_starvation(big_size, small_size, rate):
     # aged below zero, under any fresh job's (non-negative) key.
     horizon = big_size / rate + 1.0
     fresh = hfsp_app(cluster, "app_0002", "small", submit_time=horizon)
-    sched._track_app(old)
-    sched._track_app(fresh)
-    old_key = sched.priority_key("app_0001", horizon)
-    fresh_key = sched.priority_key("app_0002", horizon)
-    assert old_key < fresh_key
-    # And the AM queue order agrees.
-    cluster.env._now = horizon  # direct clock poke: pure ordering check
-    assert sched.am_queue_order([fresh, old])[0] is old
+    assert sched.priority_key(old, horizon) < sched.priority_key(fresh, horizon)
 
 
 def test_hfsp_ages_a_job_submitted_at_time_zero_from_zero():
@@ -208,25 +202,29 @@ def test_hfsp_ages_a_job_submitted_at_time_zero_from_zero():
         "app_0001", "sig", ResourceVector(1536, 1), lambda ctx: iter(())))
     assert app.submit_time == 0.0
     cluster.env.run(until=3.0)
-    assert sched.am_queue_order([app]) == [app]
-    assert sched.apps["app_0001"].submit_time == 0.0
-    assert sched.priority_key("app_0001", 3.0) == (
-        sched.initial_guess_s - sched.aging_rate * 3.0, "app_0001")
+    assert sched.priority_key(app, 3.0) == (
+        sched.initial_guess_s - sched.aging_rate * 3.0, app.seq)
 
 
 @given(st.permutations(list(range(5))))
 @settings(max_examples=30, deadline=None)
 def test_property_hfsp_am_order_permutation_invariant(perm):
-    """am_queue_order is a total order: input permutation never matters."""
+    """priority_key is a total order, even among jobs of one signature
+    submitted at one instant (``seq`` breaks their tie): input permutation
+    never matters."""
     cluster = mk_cluster(2, HFSPScheduler())
-    apps = [hfsp_app(cluster, f"app_{i:04d}", f"sig{i}", submit_time=float(i))
-            for i in range(5)]
+    apps = [hfsp_app(cluster, f"app_{i:04d}", f"sig{i % 2}") for i in range(5)]
     sched = cluster.scheduler
-    for i in range(5):
-        sched.sizes[f"sig{i}"] = trained(5.0 - i, 5.0 - i)
-    baseline = [a.app_id for a in sched.am_queue_order(list(apps))]
-    shuffled = [apps[i] for i in perm]
-    assert [a.app_id for a in sched.am_queue_order(shuffled)] == baseline
+    sched.sizes["sig0"] = trained(5.0, 5.0)
+    sched.sizes["sig1"] = trained(3.0, 3.0)
+
+    def order(waiting):
+        return [a.app_id for a in sorted(
+            waiting, key=lambda a: sched.priority_key(a, 1.0))]
+
+    assert order(apps) == ["app_0001", "app_0003",
+                           "app_0000", "app_0002", "app_0004"]
+    assert order([apps[i] for i in perm]) == order(apps)
 
 
 @given(st.lists(st.floats(0.5, 120.0), min_size=1, max_size=8),

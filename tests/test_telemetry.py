@@ -739,7 +739,7 @@ def test_dplus_grants_feed_the_grant_delay_histogram():
     assert telemetry.grant_delay.count == grants
     assert tracer.metrics_snapshot() == {
         "counters": {"fabric:flows_completed": 40.0,
-                     "kernel:events_dispatched": 226.0,
+                     "kernel:events_dispatched": 220.0,
                      "rm:allocate_calls": 18.0,
                      "rm:containers_granted": 9.0,
                      "scheduler:grants": 9.0},

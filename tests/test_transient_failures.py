@@ -68,7 +68,7 @@ def test_always_failing_job_aborts_cleanly_uplus():
     result = run_short_job(cluster, flaky_spec(cluster, 4, profile=DOOMED), "uplus")
     assert result.failed
     # The pooled AM survived and went back to the pool.
-    assert len(cluster.mrapid_framework.pool.items) == \
+    assert len(cluster.mrapid_framework.parked) == \
         len(cluster.mrapid_framework.slaves)
 
 

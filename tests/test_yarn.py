@@ -71,12 +71,12 @@ def test_am_resources_released_after_finish():
     assert cluster.rm.total_used() == ResourceVector(0, 0)
 
 
-def test_same_instant_am_launch_order_follows_fifo_key():
+def test_same_instant_am_launch_order_follows_seq():
     """Regression: the AM allocation queue used to serve same-instant
     submissions in list-append order, which is the kernel's tie-break
     order — so permuting same-timestamp event dispatch swapped AM launch
-    order. A pinned ``fifo_key`` (the serving dispatch ticket) must decide
-    instead of submission order."""
+    order. A pinned ``seq`` (the trace index or serving dispatch ticket)
+    must decide instead of submission order."""
     cluster = make_cluster()
     launched = []
 
@@ -85,10 +85,8 @@ def test_same_instant_am_launch_order_follows_fifo_key():
         yield ctx.env.timeout(1.0)
         return "done"
 
-    second = Application("app_fifo2", "t", ResourceVector(1536, 1), am,
-                         fifo_key=2)
-    first = Application("app_fifo1", "t", ResourceVector(1536, 1), am,
-                        fifo_key=1)
+    second = Application("app_fifo2", "t", ResourceVector(1536, 1), am, seq=2)
+    first = Application("app_fifo1", "t", ResourceVector(1536, 1), am, seq=1)
     # Submitted in the *opposite* order of their tickets, same instant.
     cluster.rm.submit_application(second)
     cluster.rm.submit_application(first)
@@ -97,19 +95,19 @@ def test_same_instant_am_launch_order_follows_fifo_key():
     assert launched == ["app_fifo1", "app_fifo2"]
 
 
-def test_submit_stamps_queue_time_and_keeps_pinned_fifo_key():
-    """submit_application must not overwrite a caller-pinned fifo_key and
+def test_submit_stamps_queue_time_and_keeps_pinned_seq():
+    """submit_application must not overwrite a caller-pinned seq and
     must stamp the queue entry time used for AM allocation ordering."""
     cluster = make_cluster()
     record = []
     pinned = Application("app_rq", "t", ResourceVector(1536, 1),
-                         dummy_am(record), fifo_key=0)
+                         dummy_am(record), seq=0)
     unpinned = Application("app_rq2", "t", ResourceVector(1536, 1),
                            dummy_am(record))
     cluster.rm.submit_application(pinned)
     cluster.rm.submit_application(unpinned)
-    assert pinned.fifo_key == 0
-    assert unpinned.fifo_key is not None
+    assert pinned.seq == 0
+    assert unpinned.seq is not None
     assert pinned.queue_time == cluster.env.now
     assert unpinned.queue_time == cluster.env.now
 
