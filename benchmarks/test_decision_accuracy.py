@@ -16,7 +16,7 @@ from repro.core import (
     build_mrapid_cluster,
     estimate_dplus,
     estimate_uplus,
-    run_short_job,
+    run_job,
 )
 from repro.experiments.figures import terasort_input, wordcount_input
 from repro.workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
@@ -25,9 +25,9 @@ from repro.workloads.terasort import rows_to_mb
 
 def simulate_both(spec_builder):
     d_cluster = build_mrapid_cluster(a3_cluster(4))
-    t_d = run_short_job(d_cluster, spec_builder(d_cluster), "dplus").elapsed
+    t_d = run_job(d_cluster, spec_builder(d_cluster), "dplus").elapsed
     u_cluster = build_mrapid_cluster(a3_cluster(4))
-    t_u = run_short_job(u_cluster, spec_builder(u_cluster), "uplus").elapsed
+    t_u = run_job(u_cluster, spec_builder(u_cluster), "uplus").elapsed
     return t_d, t_u
 
 

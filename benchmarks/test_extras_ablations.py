@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import MRapidConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.experiments.figures import wordcount_input
 from repro.metrics import exact_percentile
 from repro.trace import (
@@ -77,8 +77,8 @@ def test_memory_cache_limit_sweep(benchmark):
         for limit in (64.0, 128.0, 256.0, 512.0):
             cluster = build_mrapid_cluster(
                 a3_cluster(4), mrapid=MRapidConfig(memory_cache_limit_mb=limit))
-            result = run_short_job(cluster, wordcount_input(8, 10.0)(cluster),
-                                   "uplus")
+            result = run_job(cluster, wordcount_input(8, 10.0)(cluster),
+                             "uplus")
             cached = all(m.in_memory_output for m in result.maps)
             rows.append((limit, result.elapsed, cached))
         return rows
@@ -106,12 +106,11 @@ def test_seek_penalty_sensitivity(benchmark):
                     cfg.INSTANCE_TYPES[key] = dataclasses.replace(
                         inst, disk_seek_penalty=penalty)
                 stock = build_stock_cluster(a3_cluster(4))
-                base = __import__("repro.core", fromlist=["run_stock_job"]) \
-                    .run_stock_job(stock, wordcount_input(8, 10.0)(stock),
-                                   "distributed")
+                base = run_job(stock, wordcount_input(8, 10.0)(stock),
+                               "distributed")
                 mrapid = build_mrapid_cluster(a3_cluster(4))
-                dplus = run_short_job(mrapid, wordcount_input(8, 10.0)(mrapid),
-                                      "dplus")
+                dplus = run_job(mrapid, wordcount_input(8, 10.0)(mrapid),
+                                "dplus")
                 gain = (base.elapsed - dplus.elapsed) / base.elapsed * 100
                 rows.append((penalty, base.elapsed, dplus.elapsed, gain))
             finally:
@@ -144,9 +143,9 @@ def test_compute_skew_sensitivity(benchmark):
                 return SimJobSpec("wordcount", tuple(paths), profile)
 
             cluster = build_mrapid_cluster(a3_cluster(4))
-            uplus = run_short_job(cluster, spec_builder(cluster), "uplus")
+            uplus = run_job(cluster, spec_builder(cluster), "uplus")
             cluster = build_mrapid_cluster(a3_cluster(4))
-            dplus = run_short_job(cluster, spec_builder(cluster), "dplus")
+            dplus = run_job(cluster, spec_builder(cluster), "dplus")
             rows.append((skew, dplus.elapsed, uplus.elapsed))
         return rows
 

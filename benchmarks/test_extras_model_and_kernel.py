@@ -15,9 +15,9 @@ from repro.core import (
     crossover_maps,
     estimate_dplus,
     estimate_uplus,
-    run_short_job,
-    run_speculative,
+    run_job,
 )
+from repro.core.submit import submit
 from repro.experiments.figures import wordcount_input
 from repro.simulation import Environment
 from repro.workloads import generate_files, run_wordcount
@@ -87,14 +87,15 @@ def test_speculation_overhead_vs_oracle(benchmark):
 
     def speculate():
         cluster = build_mrapid_cluster(a3_cluster(4))
-        spec = wordcount_input(4, 10.0)(cluster)
-        return run_speculative(cluster, spec)
+        proc = submit(cluster, wordcount_input(4, 10.0)(cluster), "speculative")
+        cluster.env.run(until=proc)
+        return proc.value
 
     outcome = benchmark.pedantic(speculate, rounds=1, iterations=1)
 
     oracle_cluster = build_mrapid_cluster(a3_cluster(4))
     oracle_spec = wordcount_input(4, 10.0)(oracle_cluster)
-    oracle = run_short_job(oracle_cluster, oracle_spec, outcome.winner_mode)
+    oracle = run_job(oracle_cluster, oracle_spec, outcome.winner_mode)
 
     overhead = outcome.winner.elapsed - oracle.elapsed
     print(f"\nspeculation winner={outcome.winner_mode} "
@@ -113,7 +114,7 @@ def test_dplus_scheduler_scales_with_cluster_size(benchmark):
     def run():
         cluster = build_mrapid_cluster(spec)
         job = wordcount_input(48, 10.0)(cluster)
-        return run_short_job(cluster, job, "dplus")
+        return run_job(cluster, job, "dplus")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(result.maps) == 48

@@ -1,7 +1,7 @@
 """Sensitivity benches: heartbeat interval and kernel scalability."""
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.experiments.figures import wordcount_input
 from repro.simulation import Environment
 
@@ -14,11 +14,11 @@ def test_heartbeat_interval_sensitivity(benchmark):
         for hb in (0.5, 1.0, 3.0):
             conf = HadoopConfig(nm_heartbeat_s=hb, am_heartbeat_s=hb)
             stock = build_stock_cluster(a3_cluster(4), conf=conf)
-            base = run_stock_job(stock, wordcount_input(4, 10.0)(stock),
-                                 "distributed").elapsed
+            base = run_job(stock, wordcount_input(4, 10.0)(stock),
+                           "distributed").elapsed
             mrapid = build_mrapid_cluster(a3_cluster(4), conf=conf)
-            dplus = run_short_job(mrapid, wordcount_input(4, 10.0)(mrapid),
-                                  "dplus").elapsed
+            dplus = run_job(mrapid, wordcount_input(4, 10.0)(mrapid),
+                            "dplus").elapsed
             rows.append((hb, base, dplus))
         return rows
 

@@ -20,7 +20,7 @@ from repro.core import (
     crossover_maps,
     estimate_dplus,
     estimate_uplus,
-    run_short_job,
+    run_job,
 )
 from repro.mapreduce import SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
@@ -62,7 +62,7 @@ def equal_cost_comparison() -> None:
                 cluster = build_mrapid_cluster(spec_c)
                 paths = cluster.load_input_files("/wc", n_files, 10.0)
                 job = SimJobSpec("wordcount", tuple(paths), WORDCOUNT_PROFILE)
-                times[label] = run_short_job(cluster, job, mode).elapsed
+                times[label] = run_job(cluster, job, mode).elapsed
             best = min(times, key=times.get)
             print(f"{n_files:>7d} {mode:>6s} {times['A2x10']:>7.1f}s "
                   f"{times['A3x5']:>7.1f}s  {best}")

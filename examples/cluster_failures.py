@@ -12,17 +12,17 @@ Run:  python examples/cluster_failures.py
 """
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster
-from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
+from repro.core.submit import build_cluster, run_job, submit
+from repro.mapreduce import SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
 
 
 def node_failure_with_retry() -> None:
     print("=== scenario 1: node death mid-job (D+ mode) ===")
-    cluster = build_mrapid_cluster(a3_cluster(4))
+    cluster = build_cluster(a3_cluster(4), "dplus")
     paths = cluster.load_input_files("/logs", 8, 10.0)
     spec = SimJobSpec("scan", tuple(paths), WORDCOUNT_PROFILE)
-    handle = cluster.mrapid_framework.submit(spec, "mrapid-dplus")
+    job = submit(cluster, spec, "dplus")
 
     def chaos(env):
         yield env.timeout(7.0)
@@ -34,17 +34,17 @@ def node_failure_with_retry() -> None:
         cluster.fail_node(victim)
 
     cluster.env.process(chaos(cluster.env))
-    cluster.env.run(until=handle.proc)
-    result = handle.proc.value
+    cluster.env.run(until=job)
+    result = job.value
     retried = [m.task_id for m in result.maps if ".a" in m.task_id]
     print(f"  job finished in {result.elapsed:.1f}s despite the failure")
     print(f"  retried attempts: {retried}")
     done = cluster.replication_manager.replications_done
     print(f"  HDFS re-replicated {len(done)} blocks onto survivors")
-    clean = build_mrapid_cluster(a3_cluster(4))
+    clean = build_cluster(a3_cluster(4), "dplus")
     paths = clean.load_input_files("/logs", 8, 10.0)
-    baseline = clean.mrapid_framework.run(
-        SimJobSpec("scan", tuple(paths), WORDCOUNT_PROFILE), "mrapid-dplus")
+    baseline = run_job(
+        clean, SimJobSpec("scan", tuple(paths), WORDCOUNT_PROFILE), "dplus")
     print(f"  (clean-run baseline: {baseline.elapsed:.1f}s -> failure cost "
           f"{result.elapsed - baseline.elapsed:.1f}s)")
 
@@ -54,13 +54,13 @@ def straggler_speculation() -> None:
     for speculative in (False, True):
         conf = HadoopConfig(speculative_tasks=speculative,
                             speculative_slowness=1.3)
-        cluster = build_stock_cluster(a3_cluster(4), conf=conf)
+        cluster = build_cluster(a3_cluster(4), "distributed", conf=conf)
         slow = cluster.topology.node("dn0")
         slow.cpu.set_slowdown(6.0)
         paths = cluster.load_input_files("/wc", 8, 10.0)
         profile = WORDCOUNT_PROFILE.with_(compute_skew=0.0)
         spec = SimJobSpec("wordcount", tuple(paths), profile)
-        result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+        result = run_job(cluster, spec, "distributed")
         duplicates = [m.task_id for m in result.maps if "." in m.task_id]
         label = "with" if speculative else "without"
         print(f"  {label:8s} task speculation: {result.elapsed:6.1f}s "

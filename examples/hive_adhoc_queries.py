@@ -15,12 +15,7 @@ Run:  python examples/hive_adhoc_queries.py
 """
 
 from repro.config import a3_cluster
-from repro.core import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_speculative,
-    run_stock_job,
-)
+from repro.core.submit import build_cluster, run_job, submit
 from repro.mapreduce import SimJobSpec
 from repro.workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 
@@ -46,7 +41,7 @@ def make_spec(cluster, name, profile, num_files, file_mb, run_index):
 
 
 def run_stock() -> float:
-    cluster = build_stock_cluster(a3_cluster(4))
+    cluster = build_cluster(a3_cluster(4), "distributed")
     total = 0.0
     print("stock Hadoop:")
     for i, (name, profile, nf, mb) in enumerate(QUERY_STAGES):
@@ -54,19 +49,21 @@ def run_stock() -> float:
         # An admin would enable Uber for tiny stages; emulate that rule of
         # thumb (Hadoop's own uber threshold: few maps, small input).
         mode = "uber" if nf * mb <= 16.0 else "distributed"
-        result = run_stock_job(cluster, spec, mode)
+        result = run_job(cluster, spec, mode)
         total += result.elapsed
         print(f"  {name:14s} [{mode:11s}] {result.elapsed:6.1f}s")
     return total
 
 
 def run_mrapid() -> float:
-    cluster = build_mrapid_cluster(a3_cluster(4))
+    cluster = build_cluster(a3_cluster(4), "speculative")
     total = 0.0
     print("MRapid (speculative, with history):")
     for i, (name, profile, nf, mb) in enumerate(QUERY_STAGES):
         spec = make_spec(cluster, name, profile, nf, mb, i)
-        outcome = run_speculative(cluster, spec)
+        proc = submit(cluster, spec, "speculative")
+        cluster.env.run(until=proc)
+        outcome = proc.value  # the SpeculationOutcome, not just the winner
         total += outcome.winner.elapsed
         source = "history" if outcome.from_history else f"killed {outcome.killed_mode}"
         print(f"  {name:14s} [{outcome.winner_mode:5s}] "

@@ -13,13 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.config import a3_cluster
-from repro.core import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
-)
+from repro.core.submit import build_cluster, run_job, submit
 from repro.mapreduce import SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
 
@@ -29,11 +23,19 @@ def wordcount_spec(cluster, num_files=4, file_mb=10.0):
     return SimJobSpec("wordcount", tuple(paths), WORDCOUNT_PROFILE)
 
 
+def speculate(cluster, spec):
+    """Run ``spec`` speculatively; the process value is the executor's
+    SpeculationOutcome (``run_job`` would return just the winner)."""
+    proc = submit(cluster, spec, "speculative")
+    cluster.env.run(until=proc)
+    return proc.value
+
+
 def main() -> None:
     print("=== stock Hadoop 2.2 ===")
     for mode in ("distributed", "uber"):
-        cluster = build_stock_cluster(a3_cluster(4))
-        result = run_stock_job(cluster, wordcount_spec(cluster), mode)
+        cluster = build_cluster(a3_cluster(4), mode)
+        result = run_job(cluster, wordcount_spec(cluster), mode)
         print(f"  {mode:12s} {result.elapsed:6.1f}s   "
               f"(AM overhead {result.am_overhead:.1f}s, "
               f"{result.num_waves} map wave(s), "
@@ -41,16 +43,16 @@ def main() -> None:
 
     print("=== MRapid ===")
     for mode in ("dplus", "uplus"):
-        cluster = build_mrapid_cluster(a3_cluster(4))
-        result = run_short_job(cluster, wordcount_spec(cluster), mode)
+        cluster = build_cluster(a3_cluster(4), mode)
+        result = run_job(cluster, wordcount_spec(cluster), mode)
         print(f"  {mode:12s} {result.elapsed:6.1f}s   "
               f"(AM overhead {result.am_overhead:.1f}s, "
               f"locality: {result.locality_counts()})")
 
     print("=== MRapid speculative execution (paper Figure 6) ===")
-    cluster = build_mrapid_cluster(a3_cluster(4))
+    cluster = build_cluster(a3_cluster(4), "speculative")
     spec = wordcount_spec(cluster)
-    outcome = run_speculative(cluster, spec)
+    outcome = speculate(cluster, spec)
     decision = outcome.decision
     print(f"  launched both modes, killed {outcome.killed_mode!r} at "
           f"t={outcome.decision_time:.1f}s")
@@ -60,7 +62,7 @@ def main() -> None:
     print(f"  winner: {outcome.winner_mode} in {outcome.winner.elapsed:.1f}s")
 
     # A second submission of the same job skips the dual launch entirely.
-    again = run_speculative(cluster, spec)
+    again = speculate(cluster, spec)
     print(f"  re-run: mode {again.winner_mode} from history="
           f"{again.from_history}, {again.winner.elapsed:.1f}s")
 

@@ -10,14 +10,17 @@ Run:  python examples/speculative_submission.py
 """
 
 from repro.config import MRapidConfig, a3_cluster
-from repro.core import (
-    MODE_UPLUS,
-    JobProfiler,
-    SpeculativeExecutor,
-    build_mrapid_cluster,
-)
+from repro.core import MODE_UPLUS, JobProfiler, build_mrapid_cluster
+from repro.core.submit import submit
 from repro.mapreduce import SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
+
+
+def speculate(cluster, spec):
+    """One SpeculativeExecutor run; its process value is the whole outcome."""
+    proc = submit(cluster, spec, "speculative")
+    cluster.env.run(until=proc)
+    return proc.value
 
 
 def main() -> None:
@@ -37,8 +40,7 @@ def main() -> None:
     print(f"  history says: {known!r} (first run, so launch both)")
 
     print("step 3-6 — dual launch, profile, evaluate, kill slower")
-    executor = SpeculativeExecutor(framework)
-    outcome = executor.run(spec)
+    outcome = speculate(cluster, spec)
     decision = outcome.decision
     print(f"  decision at t={outcome.decision_time:.1f}s: "
           f"t_u={decision.t_u:.1f}s t_d={decision.t_d:.1f}s -> "
@@ -52,7 +54,7 @@ def main() -> None:
           f"s^i={snap.avg_input_mb:.1f} MB, s^o={snap.avg_output_mb:.1f} MB")
 
     print("re-submission — the pre-decision now answers directly")
-    outcome2 = executor.run(spec)
+    outcome2 = speculate(cluster, spec)
     print(f"  from_history={outcome2.from_history}, mode={outcome2.winner_mode}, "
           f"{outcome2.winner.elapsed:.1f}s (no dual-launch overhead)")
 

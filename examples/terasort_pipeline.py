@@ -12,12 +12,7 @@ Run:  python examples/terasort_pipeline.py
 """
 
 from repro.config import a3_cluster
-from repro.core import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_stock_job,
-)
+from repro.core import build_cluster, run_job
 from repro.mapreduce import SimJobSpec
 from repro.workloads import (
     TERASORT_PROFILE,
@@ -51,16 +46,11 @@ def simulated_sweep() -> None:
     for rows in (100_000, 400_000, 1_600_000):
         mb = rows_to_mb(rows)
         times = {}
-        for mode in ("distributed", "uber"):
-            cluster = build_stock_cluster(a3_cluster(4))
+        for mode in ("distributed", "uber", "dplus", "uplus"):
+            cluster = build_cluster(a3_cluster(4), mode)
             paths = cluster.load_input_files("/ts", 4, mb / 4)
             spec = SimJobSpec("terasort", tuple(paths), TERASORT_PROFILE)
-            times[mode] = run_stock_job(cluster, spec, mode).elapsed
-        for mode in ("dplus", "uplus"):
-            cluster = build_mrapid_cluster(a3_cluster(4))
-            paths = cluster.load_input_files("/ts", 4, mb / 4)
-            spec = SimJobSpec("terasort", tuple(paths), TERASORT_PROFILE)
-            times[mode] = run_short_job(cluster, spec, mode).elapsed
+            times[mode] = run_job(cluster, spec, mode).elapsed
         print(f"{rows:>10,d} {times['distributed']:>10.1f}s {times['uber']:>10.1f}s "
               f"{times['dplus']:>6.1f}s {times['uplus']:>6.1f}s")
     print("(U+ stays ahead of D+ across the sweep — the paper's Figure 10 result)")

@@ -70,17 +70,17 @@ def main() -> None:
     server = JobHistoryServer()
     stock2 = build_stock_cluster(a3_cluster(4))
     server.record_all([])  # start empty, then a couple of representative runs
-    from repro.core import run_stock_job, run_short_job
+    from repro.core import run_job
     from repro.mapreduce import SimJobSpec
     from repro.workloads import WORDCOUNT_PROFILE
 
     paths = stock2.load_input_files("/pm", 4, 10.0)
-    server.record(run_stock_job(
+    server.record(run_job(
         stock2, SimJobSpec("postmortem", tuple(paths), WORDCOUNT_PROFILE),
         "distributed"))
     mrapid2 = build_mrapid_cluster(a3_cluster(4))
     paths = mrapid2.load_input_files("/pm", 4, 10.0)
-    server.record(run_short_job(
+    server.record(run_job(
         mrapid2, SimJobSpec("postmortem", tuple(paths), WORDCOUNT_PROFILE),
         "uplus"))
     print(server.report())

@@ -15,14 +15,14 @@ A full-Python reproduction of the paper's system and evaluation:
 
 Quickstart::
 
-    from repro import a3_cluster, build_mrapid_cluster, run_speculative
+    from repro import a3_cluster, build_cluster, run_job
     from repro import SimJobSpec, WORDCOUNT_PROFILE
 
-    cluster = build_mrapid_cluster(a3_cluster(4))
+    cluster = build_cluster(a3_cluster(4), "speculative")
     paths = cluster.load_input_files("/wc", 4, 10.0)
-    outcome = run_speculative(cluster, SimJobSpec("wc", tuple(paths),
-                                                  WORDCOUNT_PROFILE))
-    print(outcome.winner_mode, outcome.winner.elapsed)
+    result = run_job(cluster, SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE),
+                     "speculative")              # launch D+ and U+, keep the winner
+    print(result.mode, result.elapsed)
 """
 
 from .config import (
@@ -42,14 +42,14 @@ from .core import (
     SpeculativeExecutor,
     SubmissionFramework,
     UPlusAM,
+    build_cluster,
     build_mrapid_cluster,
     build_stock_cluster,
     estimate_dplus,
     estimate_full_job,
     estimate_uplus,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
+    result_of,
+    run_job,
 )
 from .mapreduce import JobClient, JobResult, SimJobSpec
 from .simcluster import SimCluster
@@ -85,13 +85,13 @@ __all__ = [
     "__version__",
     "a2_cluster",
     "a3_cluster",
+    "build_cluster",
     "build_mrapid_cluster",
     "build_stock_cluster",
     "estimate_dplus",
     "estimate_full_job",
     "estimate_uplus",
     "pi_profile",
-    "run_short_job",
-    "run_speculative",
-    "run_stock_job",
+    "result_of",
+    "run_job",
 ]

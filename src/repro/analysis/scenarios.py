@@ -472,14 +472,14 @@ def _wordcount_node_failure() -> Outcome:
     """A distributed wordcount on A3x4 with the shared fabric active; a
     non-gateway node dies mid-flight, so flow teardown order and
     re-replication target choice are on the path."""
-    from repro.core.submit import build_stock_cluster, run_stock_job
+    from repro.core.submit import build_stock_cluster, run_job
     from repro.experiments.figures import wordcount_input
 
     cluster = build_stock_cluster(a3_cluster(4), seed=7)
     spec = wordcount_input(4, 10.0)(cluster)
     timer = cluster.env.timeout(2.0)
     timer.callbacks.append(lambda _ev: cluster.fail_node("dn3"))
-    result = run_stock_job(cluster, spec, "distributed")
+    result = run_job(cluster, spec, "distributed")
     return Outcome(_json({
         "elapsed": round(result.elapsed, 9),
         "am_overhead": round(result.am_overhead, 9),

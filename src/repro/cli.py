@@ -24,13 +24,8 @@ import sys
 from typing import Optional, Sequence
 
 from .config import a2_cluster, a3_cluster
-from .core import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
-)
+from .core import build_cluster, build_mrapid_cluster, build_stock_cluster, result_of
+from .core.submit import submit
 from .mapreduce import SimJobSpec
 from .workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE, pi_profile
 
@@ -127,30 +122,16 @@ def cmd_run(args) -> int:
                   f"store now {len(store)} records)")
         return _print_run_result(args, result)
 
-    if args.mode in ("distributed", "uber", "auto"):
-        cluster = build_stock_cluster(spec_builder_cluster)
-    else:
-        cluster = build_mrapid_cluster(spec_builder_cluster)
+    # Without a history store, ``auto`` is the stock client's uber rule.
+    mode = "stock" if args.mode == "auto" else args.mode
+    cluster = build_cluster(spec_builder_cluster, mode)
     paths = cluster.load_input_files("/cli", args.files, args.mb)
-    spec = SimJobSpec(args.workload, tuple(paths), profile)
-
-    if args.mode in ("distributed", "uber"):
-        result = run_stock_job(cluster, spec, args.mode)
-    elif args.mode == "auto":
-        from .mapreduce import MODE_AUTO, JobClient
-
-        result = JobClient(cluster).run(spec, MODE_AUTO)
-    elif args.mode in ("dplus", "uplus"):
-        result = run_short_job(cluster, spec, args.mode)
-    elif args.mode == "speculative":
-        outcome = run_speculative(cluster, spec)
-        result = outcome.winner
-        print(f"speculation winner: {outcome.winner_mode} "
-              f"(killed {outcome.killed_mode})")
-    else:
-        raise SystemExit(f"unknown mode {args.mode!r}")
-
-    return _print_run_result(args, result)
+    proc = submit(cluster, SimJobSpec(args.workload, tuple(paths), profile), mode)
+    cluster.env.run(until=proc)
+    if mode == "speculative":
+        print(f"speculation winner: {proc.value.winner_mode} "
+              f"(killed {proc.value.killed_mode})")
+    return _print_run_result(args, result_of(proc.value))
 
 
 def _print_run_result(args, result) -> int:

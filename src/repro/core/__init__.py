@@ -8,7 +8,10 @@
 * :mod:`~repro.core.estimator` — Equations 1-3.
 * :class:`DecisionMaker` — mode selection and the per-signature winners.
 * :class:`SpeculativeExecutor` — run both, kill the slower (Figure 6).
-* :func:`run_short_job` / :func:`run_speculative` / builders — facade.
+* :data:`~repro.core.submit.MODES` — the one mode table:
+  :func:`build_cluster`, :func:`run_job` and
+  :func:`repro.core.submit.submit` (not re-exported here, where it would
+  shadow the ``repro.core.submit`` module).
 """
 
 from .ampool import MODE_DPLUS, MODE_UPLUS, AMSlave, JobHandle, SubmissionFramework
@@ -28,11 +31,12 @@ from .estimator import (
 from .profiler import JobProfiler, ProfileSnapshot, estimator_inputs_from
 from .speculation import SpeculationOutcome, SpeculativeExecutor
 from .submit import (
+    MODES,
+    build_cluster,
     build_mrapid_cluster,
     build_stock_cluster,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
+    result_of,
+    run_job,
 )
 from .tuning import TuningCandidate, TuningReport, tune_am_pool_size, tune_maps_per_vcore
 from .uplus import IntermediateCache, UPlusAM
@@ -53,6 +57,7 @@ __all__ = [
     "IntermediateCache",
     "JobHandle",
     "JobProfiler",
+    "MODES",
     "MODE_DPLUS",
     "MODE_UPLUS",
     "ProfileSnapshot",
@@ -62,6 +67,7 @@ __all__ = [
     "TuningCandidate",
     "TuningReport",
     "UPlusAM",
+    "build_cluster",
     "build_mrapid_cluster",
     "build_stock_cluster",
     "containers_for_deadline",
@@ -71,9 +77,8 @@ __all__ = [
     "estimate_uplus",
     "estimator_inputs_from",
     "pick_mode",
-    "run_short_job",
-    "run_speculative",
+    "result_of",
+    "run_job",
     "tune_am_pool_size",
     "tune_maps_per_vcore",
-    "run_stock_job",
 ]

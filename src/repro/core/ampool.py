@@ -75,6 +75,10 @@ class JobHandle:
             self._job_proc.interrupt(cause)
         elif self._app is not None:
             self.cluster.rm.kill_application(self._app, cause)
+        elif self.proc is not None and self.proc.is_alive:
+            # No AM runs the job yet: it is still submitting, waits at the
+            # proxy for a warm AM, or rides the proxy's RPC to one.
+            self.proc.interrupt(cause)
 
 
 class SubmissionFramework:
@@ -207,6 +211,22 @@ class SubmissionFramework:
         # order their submissions' events were queued in.
         self.cluster.env.timeout(0, priority=DEFERRED).callbacks.append(self._serve)
 
+    def _withdraw(self, grant: Event) -> None:
+        """Take a killed job's claim off the proxy: hand back an AM granted
+        this instant, else drop the job from the wait."""
+        if grant.triggered:
+            self._release(grant.value)
+        else:
+            self._waiting = [w for w in self._waiting if w[2] is not grant]
+
+    def _release(self, slave: AMSlave) -> None:
+        """A job left ``slave``: back to the pool, unless its node died (the
+        loss handler already scheduled a replacement)."""
+        slave.busy = False
+        slave.job_proc = None
+        if not slave.failed:
+            self._park(slave)
+
     def _serve(self, _event: Event) -> None:
         """Hand parked AMs to the waiters the RM scheduler ranks first; a
         speculative job's D+ half before its U+ half (they share a key)."""
@@ -230,11 +250,6 @@ class SubmissionFramework:
             body, name=f"mrapid-{spec.name}-{mode}")
         return handle
 
-    def run(self, spec: SimJobSpec, mode: str) -> JobResult:
-        handle = self.submit(spec, mode)
-        self.cluster.env.run(until=handle.proc)
-        return handle.proc.value
-
     # -- runners -----------------------------------------------------------------
     def _make_am(self, spec: SimJobSpec, mode: str, result: JobResult):
         commit_rpc_s = (0.0 if self.mrapid.reduce_communication
@@ -253,39 +268,50 @@ class SubmissionFramework:
         result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
                            submit_time=env.now)
         handle.result = result
-
-        # Client: job id from HDFS, upload jar + conf, submit to proxy.
-        yield env.timeout(conf.client_submit_s)
         tracer = env.tracer
-        if tracer is not None:
-            from ..observe.tracer import CLUSTER
-            tracer.complete("client-submit", "submit", CLUSTER,
-                            f"job:{app_id}", result.submit_time, app_id=app_id)
-
-        # Proxy: pick a warm AM (waits when the pool is empty).
-        t_pool = env.now
-        app = Application(app_id=app_id, name=spec.name,
-                          am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-                          runner=lambda ctx: iter(()),
-                          submit_time=result.submit_time, seq=spec.seq,
-                          queue_time=t_pool)
-        slave = yield self._wait_for_am(app, mode)
-        slave.busy = True
-        # Service time (HFSP's size sample) runs from here, as for an AM
-        # the RM launches.
-        app.launch_time = env.now
-        if tracer is not None and env.now > t_pool:
-            from ..observe.tracer import CLUSTER
-            tracer.complete("am-pool-wait", "wait", CLUSTER, f"job:{app_id}",
-                            t_pool, slot=slave.slot_id)
+        grant: Optional[Event] = None
+        slave: Optional[AMSlave] = None
         try:
+            # Client: job id from HDFS, upload jar + conf, submit to proxy.
+            yield env.timeout(conf.client_submit_s)
+            if tracer is not None:
+                from ..observe.tracer import CLUSTER
+                tracer.complete("client-submit", "submit", CLUSTER,
+                                f"job:{app_id}", result.submit_time, app_id=app_id)
+
+            # Proxy: pick a warm AM (waits when the pool is empty).
+            t_pool = env.now
+            app = Application(app_id=app_id, name=spec.name,
+                              am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
+                              runner=lambda ctx: iter(()),
+                              submit_time=result.submit_time, seq=spec.seq,
+                              queue_time=t_pool)
+            grant = self._wait_for_am(app, mode)
+            slave = yield grant
+            slave.busy = True
+            # Service time (HFSP's size sample) runs from here, as for an
+            # AM the RM launches.
+            app.launch_time = env.now
+            if tracer is not None and env.now > t_pool:
+                from ..observe.tracer import CLUSTER
+                tracer.complete("am-pool-wait", "wait", CLUSTER, f"job:{app_id}",
+                                t_pool, slot=slave.slot_id)
             # Proxy -> AMSlave RPC carrying the job description.
             t_rpc = env.now
             yield env.timeout(conf.rpc_latency_s)
             if tracer is not None:
                 tracer.complete("proxy-rpc", "rpc", slave.node_id,
                                 f"am-{app_id}", t_rpc)
-
+        except Interrupt:
+            # Killed before its AM started (JobHandle.kill).
+            if slave is not None:
+                self._release(slave)
+            elif grant is not None:
+                self._withdraw(grant)
+            result.killed = True
+            result.finish_time = env.now
+            return result
+        try:
             rm.apps[app_id] = app
             rm._ready[app_id] = []
             handle._app = app
@@ -317,14 +343,9 @@ class SubmissionFramework:
                                 result.submit_time, app_id=app_id, mode=mode)
             return final
         finally:
-            # The AM survives the job and goes back to the pool — unless its
-            # node died under it, in which case the loss handler already
-            # scheduled a replacement. (Plain call: yielding inside a
+            # The AM survives the job. (Plain call: yielding inside a
             # finally block would break generator close()).
-            slave.busy = False
-            slave.job_proc = None
-            if not slave.failed:
-                self._park(slave)
+            self._release(slave)
 
     def _run_unpooled(self, spec: SimJobSpec, mode: str, handle: JobHandle) -> Generator:
         """Figure 1 path: allocate + launch a fresh AM for this job."""
@@ -335,7 +356,12 @@ class SubmissionFramework:
                            submit_time=env.now)
         handle.result = result
 
-        yield env.timeout(conf.client_submit_s)
+        try:
+            yield env.timeout(conf.client_submit_s)
+        except Interrupt:  # killed before it reached the RM (JobHandle.kill)
+            result.killed = True
+            result.finish_time = env.now
+            return result
         if env.tracer is not None:
             from ..observe.tracer import CLUSTER
             env.tracer.complete("client-submit", "submit", CLUSTER,

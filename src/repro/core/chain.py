@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Sequence
 
-from ..mapreduce.client import MODE_AUTO, JobClient
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..workloads.base import WorkloadProfile
-from .ampool import MODE_DPLUS, MODE_UPLUS
-from .speculation import SpeculativeExecutor
+from .submit import result_of, submit
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -71,9 +69,6 @@ class ChainResult:
         return sorted(self.order, key=lambda n: self.stage_results[n].finish_time)
 
 
-STRATEGIES = ("speculative", "dplus", "uplus", "stock")
-
-
 def validate_chain(stages: Sequence[ChainStage]) -> None:
     """Names unique; every ``@ref`` points to an *earlier* stage (DAG)."""
     seen: set[str] = set()
@@ -91,19 +86,15 @@ def validate_chain(stages: Sequence[ChainStage]) -> None:
 
 
 class ChainRunner:
-    """Executes a validated chain on one cluster, maximally concurrently."""
+    """Executes a validated chain on one cluster, maximally concurrently.
+
+    ``strategy`` is the submission mode of every stage
+    (:data:`repro.core.submit.MODES`).
+    """
 
     def __init__(self, cluster: "SimCluster", strategy: str = "speculative") -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; one of {STRATEGIES}")
         self.cluster = cluster
         self.strategy = strategy
-        self._framework = getattr(cluster, "mrapid_framework", None)
-        if strategy != "stock" and self._framework is None:
-            raise ValueError("MRapid strategies need build_mrapid_cluster()")
-        self._executor = (SpeculativeExecutor(self._framework)
-                          if strategy == "speculative" else None)
-        self._client = JobClient(cluster) if strategy == "stock" else None
 
     # -- public ------------------------------------------------------------
     def submit(self, stages: Sequence[ChainStage]):
@@ -134,7 +125,7 @@ class ChainRunner:
                     paths.append(ref)
             spec = SimJobSpec(stage.name, tuple(paths), stage.profile,
                               signature=stage.effective_signature())
-            job_result = yield from self._run_one(spec)
+            job_result = result_of((yield submit(self.cluster, spec, self.strategy)))
             result.stage_results[stage.name] = job_result
             result.order.append(stage.name)
             done[stage.name].succeed(job_result)
@@ -144,18 +135,6 @@ class ChainRunner:
         yield env.all_of(procs)
         result.finish_time = env.now
         return result
-
-    def _run_one(self, spec: SimJobSpec) -> Generator:
-        if self.strategy == "stock":
-            job_result = yield self._client.submit(spec, MODE_AUTO)
-            return job_result
-        if self.strategy == "speculative":
-            outcome = yield self._executor.submit(spec)
-            return outcome.winner
-        mode = MODE_DPLUS if self.strategy == "dplus" else MODE_UPLUS
-        handle = self._framework.submit(spec, mode)
-        job_result = yield handle.proc
-        return job_result
 
 
 def run_chain(cluster: "SimCluster", stages: Sequence[ChainStage],

@@ -57,11 +57,6 @@ class SpeculativeExecutor:
         return self.cluster.env.process(self._run(spec),
                                         name=f"speculative-{spec.name}")
 
-    def run(self, spec: SimJobSpec) -> SpeculationOutcome:
-        proc = self.submit(spec)
-        self.cluster.env.run(until=proc)
-        return proc.value
-
     # -- controller ----------------------------------------------------------------
     def _run(self, spec: SimJobSpec) -> Generator:
         env = self.cluster.env

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from ..config import ClusterSpec, MRapidConfig
 from ..mapreduce.spec import SimJobSpec
-from .submit import build_mrapid_cluster, run_short_job
+from .submit import build_mrapid_cluster, run_job
 
 #: Builds a job spec on a freshly built cluster (same contract as the
 #: experiment harness).
@@ -52,7 +52,7 @@ def tune_maps_per_vcore(cluster_spec: ClusterSpec, spec_builder: SpecBuilder,
             raise ValueError("maps_per_vcore must be >= 1")
         config = base.with_(maps_per_vcore=n)
         cluster = build_mrapid_cluster(cluster_spec, mrapid=config)
-        result = run_short_job(cluster, spec_builder(cluster), "uplus")
+        result = run_job(cluster, spec_builder(cluster), "uplus")
         results.append(TuningCandidate(config, f"maps_per_vcore={n}",
                                        result.elapsed))
     best = min(results, key=lambda c: c.elapsed_s)

@@ -27,14 +27,18 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Tuple
 
 from ..config import a3_cluster
-from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-from ..core.speculation import SpeculativeExecutor
-from ..core.submit import build_mrapid_cluster, build_stock_cluster
+from ..core.submit import build_cluster, result_of, submit
 from ..faults import FaultPlan, inject
-from ..mapreduce.client import MODE_DISTRIBUTED, JobClient
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..workloads import WORDCOUNT_PROFILE
-from .harness import HADOOP_DIST, MRAPID_DPLUS, MRAPID_UPLUS, FigureResult, Series
+from .harness import (
+    HADOOP_DIST,
+    MRAPID_DPLUS,
+    MRAPID_UPLUS,
+    SERIES_MODES,
+    FigureResult,
+    Series,
+)
 
 MRAPID_SPECULATIVE = "MRapid-Speculative"
 CHAOS_MODES = (HADOOP_DIST, MRAPID_DPLUS, MRAPID_UPLUS, MRAPID_SPECULATIVE)
@@ -68,38 +72,24 @@ def _wc_spec(cluster, n_files: int = 8, mb: float = 10.0) -> SimJobSpec:
 def run_under_faults(mode: str, plan: FaultPlan, max_retries: int = 2,
                      seed: int = 7) -> ChaosPoint:
     """One chaos data point: fresh cluster, ``plan`` injected, retry on loss."""
-    if mode == HADOOP_DIST:
-        cluster = build_stock_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        submit = lambda: JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
-        extract = lambda value: value
-    elif mode in (MRAPID_DPLUS, MRAPID_UPLUS):
-        cluster = build_mrapid_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        mr_mode = MODE_DPLUS if mode == MRAPID_DPLUS else MODE_UPLUS
-        submit = lambda: cluster.mrapid_framework.submit(spec, mr_mode).proc
-        extract = lambda value: value
-    elif mode == MRAPID_SPECULATIVE:
-        cluster = build_mrapid_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        executor = SpeculativeExecutor(cluster.mrapid_framework)
-        submit = lambda: executor.submit(spec)
-        extract = lambda value: value.winner
-    else:
+    if mode not in CHAOS_MODES:
         raise ValueError(f"unknown chaos mode {mode!r}")
-
+    submit_mode = ("speculative" if mode == MRAPID_SPECULATIVE
+                   else SERIES_MODES[mode])
+    cluster = build_cluster(a3_cluster(4), submit_mode, seed=seed)
+    spec = _wc_spec(cluster)
     injector = inject(cluster, plan)
     env = cluster.env
 
     def client() -> Generator:
         start = env.now
         for attempt in range(max_retries + 1):
-            proc = submit()
+            proc = submit(cluster, spec, submit_mode)
             try:
                 value = yield proc
             except Exception:
                 value = None   # job failed outright (e.g. attempts exhausted)
-            result = extract(value) if value is not None else None
+            result = result_of(value) if value is not None else None
             if (result is not None and result.finish_time > 0
                     and not result.killed and not result.failed):
                 return ChaosPoint(result=result, elapsed=env.now - start,

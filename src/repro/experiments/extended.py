@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..config import HadoopConfig, TelemetryConfig, a3_cluster
-from ..core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
+from ..core import build_mrapid_cluster, build_stock_cluster, run_job
 from ..core.chain import ChainStage, run_chain
-from ..mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
+from ..core.submit import submit
+from ..mapreduce import SimJobSpec
 from ..metrics import exact_percentile
 from ..trace import (
     STRATEGY_SPECULATIVE,
@@ -80,10 +81,10 @@ def figureE2_scheduling_imbalance() -> FigureResult:
         job = wordcount_input(n_files, 10.0)
         series["Hadoop-Distributed"].add(n_files, _mean_cpu_imbalance(
             build_stock_cluster(a3_cluster(4)),
-            lambda c: run_stock_job(c, job(c), "distributed")))
+            lambda c: run_job(c, job(c), "distributed")))
         series["MRapid-D+"].add(n_files, _mean_cpu_imbalance(
             build_mrapid_cluster(a3_cluster(4)),
-            lambda c: run_short_job(c, job(c), "dplus")))
+            lambda c: run_job(c, job(c), "dplus")))
     return FigureResult(
         "Figure E2", "scheduling imbalance index (mean max-min node CPU)",
         "#files", series,
@@ -108,7 +109,6 @@ def figureE3_multitenant_fairness() -> FigureResult:
         else:
             cluster = build_stock_cluster(a3_cluster(4))
             scheduler = None
-        client = JobClient(cluster)
         # Big enough to saturate the cluster for several waves (memory-only
         # packing admits ~26 concurrent containers on A3x4).
         batch_paths = cluster.load_input_files("/batch", 48, 10.0)
@@ -116,13 +116,13 @@ def figureE3_multitenant_fairness() -> FigureResult:
         adhoc_paths = cluster.load_input_files("/adhoc", 2, 10.0)
         adhoc = SimJobSpec("adhoc", tuple(adhoc_paths), WORDCOUNT_PROFILE)
 
-        p_batch = client.submit(batch, MODE_DISTRIBUTED,
-                                queue="batch" if multitenant else None)
+        p_batch = submit(cluster, batch, "distributed",
+                         queue="batch" if multitenant else None)
 
         def late_adhoc(env):
             yield env.timeout(3.0)
-            proc = client.submit(adhoc, MODE_DISTRIBUTED,
-                                 queue="adhoc" if multitenant else None)
+            proc = submit(cluster, adhoc, "distributed",
+                          queue="adhoc" if multitenant else None)
             result = yield proc
             return result
 
@@ -155,7 +155,7 @@ def figureE4_straggler_mitigation() -> FigureResult:
             profile = WORDCOUNT_PROFILE.with_(compute_skew=0.0)
             paths = cluster.load_input_files("/wc", 8, 10.0)
             spec = SimJobSpec("wordcount", tuple(paths), profile)
-            result = JobClient(cluster).run(spec, "hadoop-distributed")
+            result = run_job(cluster, spec, "distributed")
             series[name].add(slowdown, result.elapsed)
     return FigureResult(
         "Figure E4", "straggler mitigation (one node slowed k-fold)",

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..config import ClusterSpec, HadoopConfig, MRapidConfig
-from ..core.submit import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_stock_job,
-)
+from ..core.submit import build_cluster, run_job
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simcluster import SimCluster
 
@@ -28,6 +23,9 @@ HADOOP_UBER = "Hadoop-Uber"
 MRAPID_DPLUS = "MRapid-D+"
 MRAPID_UPLUS = "MRapid-U+"
 ALL_MODES = (HADOOP_DIST, HADOOP_UBER, MRAPID_DPLUS, MRAPID_UPLUS)
+#: Series name -> the submission mode it runs (:data:`repro.core.submit.MODES`).
+SERIES_MODES = {HADOOP_DIST: "distributed", HADOOP_UBER: "uber",
+                MRAPID_DPLUS: "dplus", MRAPID_UPLUS: "uplus"}
 
 #: Builder that, given a freshly built cluster, loads input and returns a spec.
 SpecBuilder = Callable[[SimCluster], SimJobSpec]
@@ -36,18 +34,12 @@ SpecBuilder = Callable[[SimCluster], SimJobSpec]
 def run_mode(mode: str, cluster_spec: ClusterSpec, spec_builder: SpecBuilder,
              conf: Optional[HadoopConfig] = None,
              mrapid: Optional[MRapidConfig] = None, seed: int = 7) -> JobResult:
-    """One data point: fresh cluster, one job, one mode."""
-    if mode in (HADOOP_DIST, HADOOP_UBER):
-        cluster = build_stock_cluster(cluster_spec, conf=conf, seed=seed)
-        spec = spec_builder(cluster)
-        stock = "distributed" if mode == HADOOP_DIST else "uber"
-        return run_stock_job(cluster, spec, stock)
-    if mode in (MRAPID_DPLUS, MRAPID_UPLUS):
-        cluster = build_mrapid_cluster(cluster_spec, conf=conf, mrapid=mrapid, seed=seed)
-        spec = spec_builder(cluster)
-        short = "dplus" if mode == MRAPID_DPLUS else "uplus"
-        return run_short_job(cluster, spec, short)
-    raise ValueError(f"unknown mode {mode!r}")
+    """One data point: fresh cluster, one job, one mode (a series name)."""
+    if mode not in SERIES_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    cluster = build_cluster(cluster_spec, SERIES_MODES[mode], conf=conf,
+                            mrapid=mrapid, seed=seed)
+    return run_job(cluster, spec_builder(cluster), SERIES_MODES[mode])
 
 
 def x_matches(a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:

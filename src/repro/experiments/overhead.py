@@ -17,36 +17,24 @@ cheap anyway.
 
 from __future__ import annotations
 
-from ..observe.profile import PROFILE_MODES, run_profiled
+from ..observe.profile import run_profiled
 from .harness import (
+    ALL_MODES,
     HADOOP_DIST,
-    HADOOP_UBER,
-    MRAPID_DPLUS,
     MRAPID_UPLUS,
     FigureResult,
     PaperClaim,
     Series,
 )
 
-#: profile-key -> canonical series name, in plot order.
-OVERHEAD_MODES = (
-    ("distributed", HADOOP_DIST),
-    ("uber", HADOOP_UBER),
-    ("dplus", MRAPID_DPLUS),
-    ("uplus", MRAPID_UPLUS),
-)
-
-# Sanity: every key must resolve through the profiler's mode table.
-assert all(key in PROFILE_MODES for key, _ in OVERHEAD_MODES)
-
 
 def figureO1_overhead_fraction(file_counts=(2, 4, 8),
                                file_mb: float = 10.0) -> FigureResult:
     """Framework overhead (% of runtime) vs input files, per mode."""
-    series = {name: Series(name) for _, name in OVERHEAD_MODES}
+    series = {name: Series(name) for name in ALL_MODES}
     for num_files in file_counts:
-        for key, name in OVERHEAD_MODES:
-            report = run_profiled("wordcount", key,
+        for name in ALL_MODES:
+            report = run_profiled("wordcount", name,
                                   num_files=num_files, file_mb=file_mb)
             series[name].add(num_files, report.path.non_compute_fraction * 100.0)
 

@@ -28,14 +28,13 @@ from .critical_path import (
     critical_path,
 )
 from .export import to_trace_events, validate_trace_events
-from .profile import PROFILE_MODES, ProfileReport, run_profiled
+from .profile import ProfileReport, run_profiled
 from .tracer import Instant, Span, Tracer, install_tracer
 
 __all__ = [
     "OVERHEAD_CLASSES",
     "CriticalPathReport",
     "Instant",
-    "PROFILE_MODES",
     "ProfileReport",
     "Segment",
     "Span",

@@ -13,31 +13,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import HadoopConfig, MRapidConfig, a3_cluster
-from ..core.submit import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_stock_job,
-)
-from ..experiments.harness import (
-    HADOOP_DIST,
-    HADOOP_UBER,
-    MRAPID_DPLUS,
-    MRAPID_UPLUS,
-)
+from ..core.submit import build_cluster, run_job
+from ..experiments.harness import SERIES_MODES
 from ..mapreduce.spec import JobResult
 from .critical_path import OVERHEAD_CLASSES, CriticalPathReport, analyze_job
 from .export import to_trace_events
 from .tracer import Tracer, install_tracer
-
-#: CLI mode spellings -> canonical series names (harness.ALL_MODES).
-PROFILE_MODES = {
-    "stock": HADOOP_DIST,
-    "distributed": HADOOP_DIST,
-    "uber": HADOOP_UBER,
-    "dplus": MRAPID_DPLUS,
-    "uplus": MRAPID_UPLUS,
-}
 
 _BAR_WIDTH = 30
 
@@ -120,29 +101,23 @@ def run_profiled(workload: str = "wordcount", mode: str = "stock",
                  mrapid: Optional[MRapidConfig] = None) -> ProfileReport:
     """Run one paper-scale job with tracing on; return its profile.
 
-    ``mode`` accepts the CLI spellings (``stock``/``distributed``, ``uber``,
-    ``dplus``, ``uplus``) or a canonical series name. The cluster is the
-    paper's 1 NN + ``nodes`` DN A3 topology, fresh per call, so profiles are
-    deterministic and independent.
+    ``mode`` is ``distributed``, ``uber``, ``dplus``, ``uplus`` or one of
+    their series names (:data:`~repro.experiments.harness.SERIES_MODES`).
+    ``stock`` profiles Hadoop-Distributed, not the uber rule it names in
+    :data:`repro.core.submit.MODES`: CI and the ``profile`` registry
+    scenario pin that spelling. The cluster is the paper's 1 NN + ``nodes``
+    DN A3 topology, fresh per call, so profiles are deterministic and
+    independent.
     """
-    series = PROFILE_MODES.get(mode, mode)
+    submit_mode = "distributed" if mode == "stock" else SERIES_MODES.get(mode, mode)
+    series = {served: name for name, served in SERIES_MODES.items()}.get(submit_mode)
+    if series is None:
+        raise ValueError(f"unknown mode {mode!r} (expected stock, one of "
+                         f"{sorted(SERIES_MODES.values())} or a series name)")
     builder = _spec_builder(workload, num_files, file_mb)
-    cluster_spec = a3_cluster(nodes)
-    if series in (HADOOP_DIST, HADOOP_UBER):
-        cluster = build_stock_cluster(cluster_spec, conf=conf, seed=seed)
-        tracer = install_tracer(cluster)
-        spec = builder(cluster)
-        stock = "distributed" if series == HADOOP_DIST else "uber"
-        result = run_stock_job(cluster, spec, stock)
-    elif series in (MRAPID_DPLUS, MRAPID_UPLUS):
-        cluster = build_mrapid_cluster(cluster_spec, conf=conf, mrapid=mrapid,
-                                       seed=seed)
-        tracer = install_tracer(cluster)
-        spec = builder(cluster)
-        short = "dplus" if series == MRAPID_DPLUS else "uplus"
-        result = run_short_job(cluster, spec, short)
-    else:
-        raise ValueError(f"unknown mode {mode!r} "
-                         f"(expected one of {sorted(PROFILE_MODES)})")
+    cluster = build_cluster(a3_cluster(nodes), submit_mode, conf=conf,
+                            mrapid=mrapid, seed=seed)
+    tracer = install_tracer(cluster)
+    result = run_job(cluster, builder(cluster), submit_mode)
     path = analyze_job(tracer, app_id=result.app_id)
     return ProfileReport(workload, series, result, path, tracer)

@@ -27,9 +27,8 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 import numpy as np
 
 from .config import SLO_BATCH, SLO_CLASSES, SLO_LATENCY
-from .core.ampool import MODE_DPLUS, MODE_UPLUS
-from .core.speculation import SpeculativeExecutor
-from .mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
+from .core.speculation import SpeculationOutcome
+from .core.submit import result_of, run_job, submit
 from .mapreduce.spec import SimJobSpec
 from .metrics import StreamingSummary
 from .serving.runtime import RETRY_MAX, SIGNAL_SHED, ServingRuntime
@@ -123,15 +122,6 @@ STRATEGY_UPLUS = "mrapid-uplus"
 STRATEGY_SPECULATIVE = "mrapid-speculative"
 #: Per-job learned choice among stock/D+/U+/uber via :mod:`repro.tuner`.
 STRATEGY_AUTO = "mrapid-auto"
-
-#: The per-job submission mode each fixed strategy resolves to. Modes are
-#: the tuner's candidate labels: ``stock`` and ``uber`` go through the
-#: stock client, ``dplus`` and ``uplus`` through the MRapid framework, and
-#: ``speculative`` through the launch-both executor.
-_STRATEGY_MODES = {STRATEGY_STOCK: "stock", STRATEGY_DPLUS: "dplus",
-                   STRATEGY_UPLUS: "uplus", STRATEGY_SPECULATIVE: "speculative"}
-_CLIENT_MODES = {"stock": MODE_AUTO, "uber": MODE_UBER}
-_FRAMEWORK_MODES = {"dplus": MODE_DPLUS, "uplus": MODE_UPLUS}
 
 
 def default_short_job_mix() -> list[JobTemplate]:
@@ -281,7 +271,7 @@ def template_baselines(spec: "ClusterSpec", mix: Sequence[JobTemplate],
                                          template.num_files, template.file_mb)
         job_spec = SimJobSpec(template.name, tuple(paths), template.profile,
                               signature=template.name)
-        result = JobClient(cluster).run(job_spec, MODE_AUTO)
+        result = run_job(cluster, job_spec, "stock")
         baselines[template.name] = result.elapsed
     return baselines
 
@@ -410,12 +400,13 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     their deadline on completion. The report gains a ``slo`` section.
     """
     env = cluster.env
-    framework = getattr(cluster, "mrapid_framework", None)
-    if strategy != STRATEGY_STOCK and framework is None:
+    if strategy != STRATEGY_STOCK and getattr(cluster, "mrapid_framework", None) is None:
         raise ValueError("MRapid strategies need a cluster with a SubmissionFramework "
                          "(build_trace_cluster or build_mrapid_cluster)")
-    client = JobClient(cluster)
-    executor = SpeculativeExecutor(framework) if framework is not None else None
+    # A fixed strategy names its mode: the stock client's uber rule for
+    # ``stock-auto``, else the mode after ``mrapid-``.
+    fixed_mode = ("stock" if strategy == STRATEGY_STOCK
+                  else strategy.removeprefix("mrapid-"))
     picker = history = None
     if strategy == STRATEGY_AUTO:
         from .config import TunerConfig
@@ -477,7 +468,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             inputs = template_inputs(cluster, job.template.num_files,
                                      job.template.file_mb, job.template.profile)
             return picker.decide(job.signature, inputs).mode
-        return _STRATEGY_MODES[strategy]
+        return fixed_mode
 
     def one_job(job: TraceJob) -> Generator:
         nonlocal in_flight, completed
@@ -540,17 +531,11 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             if learned:
                 decision = f"auto-{mode}"
             try:
-                if mode in _CLIENT_MODES:
-                    queue = queue_of(job.template.name) if queue_of is not None else None
-                    result = yield client.submit(spec, _CLIENT_MODES[mode],
-                                                 queue=queue)
-                elif mode == "speculative":
-                    spec_outcome = yield executor.submit(spec)
-                    result = spec_outcome.winner
-                    if spec_outcome.loser is not None:
-                        outputs.append(f"/out/{spec_outcome.loser.app_id}")
-                else:
-                    result = yield framework.submit(spec, _FRAMEWORK_MODES[mode]).proc
+                queue = queue_of(job.template.name) if queue_of is not None else None
+                value = yield submit(cluster, spec, mode, queue=queue)
+                result = result_of(value)
+                if isinstance(value, SpeculationOutcome) and value.loser is not None:
+                    outputs.append(f"/out/{value.loser.app_id}")
                 if not learned:
                     decision = result.mode
             except JobKilled:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..config import TunerConfig
 from ..core.estimator import EstimatorInputs, analytic_estimates, pick_mode
+from ..core.submit import run_job
 from .store import OUTCOME_SUCCESS, RunHistoryStore, RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,8 +170,7 @@ class AutoModePicker:
 
 
 def run_auto_job(cluster: "SimCluster", spec, picker: AutoModePicker,
-                 *, num_files: int, file_mb: float,
-                 queue: Optional[str] = None):
+                 *, num_files: int, file_mb: float):
     """Decide and run one job on an idle trace cluster; record the outcome.
 
     Returns ``(result, decision)``. The cluster must carry a
@@ -182,33 +182,8 @@ def run_auto_job(cluster: "SimCluster", spec, picker: AutoModePicker,
 
     inputs = template_inputs(cluster, num_files, file_mb, spec.profile)
     decision = picker.decide(spec.signature, inputs)
-    result = run_mode(cluster, spec, decision.mode, queue=queue)
+    result = run_job(cluster, spec, decision.mode)
     picker.observe_record(record_from_result(
         result, spec.signature, decision.mode,
         input_mb=num_files * file_mb, finished_at=cluster.env.now))
     return result, decision
-
-
-def run_mode(cluster: "SimCluster", spec, mode: str, *,
-             queue: Optional[str] = None):
-    """Run one job to completion through the submission path ``mode`` names.
-
-    ``stock`` and ``uber`` go through the plain :class:`JobClient` (Hadoop's
-    uber-eligibility rule, or forced uber), ``dplus``/``uplus`` through the
-    cluster's ``mrapid_framework`` and ``speculative`` through a
-    :class:`SpeculativeExecutor` over it (its winner is returned). A
-    cluster without a framework runs every mode through the plain client.
-    """
-    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-    from ..core.speculation import SpeculativeExecutor
-    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
-
-    if mode not in ("stock", "uber", "speculative", "dplus", "uplus"):
-        raise ValueError(f"unknown tuner candidate {mode!r}")
-    framework = getattr(cluster, "mrapid_framework", None)
-    if mode in ("stock", "uber") or framework is None:
-        return JobClient(cluster).run(
-            spec, MODE_UBER if mode == "uber" else MODE_AUTO, queue=queue)
-    if mode == "speculative":
-        return SpeculativeExecutor(framework).run(spec).winner
-    return framework.run(spec, MODE_DPLUS if mode == "dplus" else MODE_UPLUS)

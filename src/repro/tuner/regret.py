@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..config import HadoopConfig, TunerConfig
-from .picker import AutoModePicker, run_auto_job, run_mode
+from ..core.submit import run_job
+from .picker import AutoModePicker, run_auto_job
 from .store import RunHistoryStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,8 +62,8 @@ def static_baselines(spec: "ClusterSpec", template: "JobTemplate",
     out: dict[str, float] = {}
     for mode in candidates:
         cluster = _fresh_cluster(spec, conf, seed)
-        out[mode] = run_mode(cluster, _job_spec(cluster, template),
-                             mode).elapsed
+        out[mode] = run_job(cluster, _job_spec(cluster, template),
+                            mode).elapsed
     return out
 
 

@@ -2,7 +2,7 @@
 
 from repro.cluster import ResourceVector
 from repro.config import MRapidConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 
@@ -23,7 +23,7 @@ def test_two_dplus_jobs_share_cluster():
     assert all(m.finish_time > 0 for m in r1.maps + r2.maps)
     # Contention is real: at least one of them ran slower than a solo run.
     solo = build_mrapid_cluster(a3_cluster(4))
-    solo_result = solo.mrapid_framework.run(spec(solo, "job-a", 6), "mrapid-dplus")
+    solo_result = run_job(solo, spec(solo, "job-a", 6), "dplus")
     assert max(r1.elapsed, r2.elapsed) > solo_result.elapsed - 1e-6
 
 

@@ -77,7 +77,7 @@ def test_active_flows_is_submission_ordered():
 
 def test_mrapid_job_elapsed_identical_across_clusters_in_process():
     """The same short job on two fresh clusters lands on the same numbers."""
-    from repro.core.submit import run_short_job
+    from repro.core.submit import run_job
     from repro.mapreduce.spec import SimJobSpec
     from repro.workloads import WORDCOUNT_PROFILE
 
@@ -85,7 +85,7 @@ def test_mrapid_job_elapsed_identical_across_clusters_in_process():
         cluster = build_mrapid_cluster(a3_cluster(4))
         paths = cluster.load_input_files("/in", 4, 10.0)
         spec = SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE)
-        return run_short_job(cluster, spec, "dplus").elapsed
+        return run_job(cluster, spec, "dplus").elapsed
 
     first, second = run_once(), run_once()
     assert first == pytest.approx(second, rel=0, abs=0.0)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cluster import ResourceVector
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.faults import FaultPlan, inject
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.mapreduce.appmaster import JobFailed, OutputBus
@@ -94,7 +94,7 @@ def test_map_attempts_retried_on_surviving_nodes():
 
 def test_retry_job_slower_than_clean_run():
     clean = build_mrapid_cluster(a3_cluster(4))
-    clean_result = clean.mrapid_framework.run(wc_spec(clean, 8), "mrapid-dplus")
+    clean_result = run_job(clean, wc_spec(clean, 8), "dplus")
 
     faulty = build_mrapid_cluster(a3_cluster(4))
     spec = wc_spec(faulty, 8)

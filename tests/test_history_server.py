@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.history import JobHistoryServer, PhaseBreakdown
 from repro.mapreduce import SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
@@ -13,15 +13,15 @@ def run_jobs():
     results = []
     stock = build_stock_cluster(a3_cluster(4))
     paths = stock.load_input_files("/a", 4, 10.0)
-    results.append(run_stock_job(
+    results.append(run_job(
         stock, SimJobSpec("wc-a", tuple(paths), WORDCOUNT_PROFILE), "distributed"))
     paths = stock.load_input_files("/b", 2, 10.0)
-    results.append(run_stock_job(
+    results.append(run_job(
         stock, SimJobSpec("wc-b", tuple(paths), WORDCOUNT_PROFILE), "uber"))
 
     mrapid = build_mrapid_cluster(a3_cluster(4))
     paths = mrapid.load_input_files("/c", 4, 10.0)
-    results.append(run_short_job(
+    results.append(run_job(
         mrapid, SimJobSpec("wc-c", tuple(paths), WORDCOUNT_PROFILE), "uplus"))
     return results
 

@@ -12,8 +12,7 @@ from repro.config import a2_cluster, a3_cluster
 from repro.core import (
     build_mrapid_cluster,
     build_stock_cluster,
-    run_short_job,
-    run_stock_job,
+    run_job,
 )
 from repro.mapreduce import SimJobSpec
 from repro.workloads import (
@@ -59,7 +58,7 @@ def test_stock_matrix(workload, mode):
     cluster = build_stock_cluster(a3_cluster(4))
     paths = cluster.load_input_files("/in", 4, 10.0)
     spec = SimJobSpec(workload, tuple(paths), WORKLOADS[workload])
-    result = run_stock_job(cluster, spec, mode)
+    result = run_job(cluster, spec, mode)
     check_result(result, 4)
     cluster.env.run(until=cluster.env.now + 2.0)
     assert cluster.rm.total_used() == ResourceVector(0, 0)
@@ -71,7 +70,7 @@ def test_mrapid_matrix(workload, mode):
     cluster = build_mrapid_cluster(a3_cluster(4))
     paths = cluster.load_input_files("/in", 4, 10.0)
     spec = SimJobSpec(workload, tuple(paths), WORKLOADS[workload])
-    result = run_short_job(cluster, spec, mode)
+    result = run_job(cluster, spec, mode)
     check_result(result, 4)
 
 
@@ -82,22 +81,22 @@ def test_cluster_shape_matrix(cluster_name, mode):
     if mode in STOCK_MODES:
         cluster = build_stock_cluster(spec_c)
         paths = cluster.load_input_files("/in", 3, 8.0)
-        result = run_stock_job(
+        result = run_job(
             cluster, SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE), mode)
     else:
         cluster = build_mrapid_cluster(spec_c)
         paths = cluster.load_input_files("/in", 3, 8.0)
-        result = run_short_job(
+        result = run_job(
             cluster, SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE), mode)
     check_result(result, 3)
 
 
 def test_pi_matrix_all_modes():
     for mode, builder, runner in (
-        ("distributed", build_stock_cluster, run_stock_job),
-        ("uber", build_stock_cluster, run_stock_job),
-        ("dplus", build_mrapid_cluster, run_short_job),
-        ("uplus", build_mrapid_cluster, run_short_job),
+        ("distributed", build_stock_cluster, run_job),
+        ("uber", build_stock_cluster, run_job),
+        ("dplus", build_mrapid_cluster, run_job),
+        ("uplus", build_mrapid_cluster, run_job),
     ):
         cluster = builder(a3_cluster(4))
         paths = cluster.load_input_files("/pi", 4, 0.01)
@@ -112,7 +111,7 @@ def test_determinism_across_runs():
     def run_once():
         cluster = build_mrapid_cluster(a3_cluster(4), seed=7)
         paths = cluster.load_input_files("/in", 4, 10.0)
-        result = run_short_job(
+        result = run_job(
             cluster, SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE), "dplus")
         return [(m.task_id, m.node_id, m.start_time, m.finish_time)
                 for m in result.maps] + [result.elapsed]

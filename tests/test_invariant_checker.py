@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_speculative
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.mapreduce import MODE_DISTRIBUTED, MODE_UBER, JobClient, SimJobSpec
 from repro.simulation.debug import InvariantChecker
 from repro.workloads import WORDCOUNT_PROFILE
@@ -37,7 +37,7 @@ def test_stock_uber_run_clean():
 def test_speculative_run_clean_including_kill_paths():
     cluster = build_mrapid_cluster(a3_cluster(4))
     checker = InvariantChecker(cluster)
-    run_speculative(cluster, wc(cluster, 4))
+    run_job(cluster, wc(cluster, 4), "speculative")
     checker.assert_clean()
 
 

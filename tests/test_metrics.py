@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TelemetryConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.experiments.figures import wordcount_input
 from repro.mapreduce import SimJobSpec
 from repro.metrics import StreamingPercentile, StreamingSummary, exact_percentile
@@ -40,7 +40,7 @@ def test_monitor_validation():
 
 def test_monitor_samples_cpu_during_job():
     telemetry = sampled(build_stock_cluster(a3_cluster(4)),
-                        lambda c: run_stock_job(c, wc_spec(c), "distributed"))
+                        lambda c: run_job(c, wc_spec(c), "distributed"))
     cpu = telemetry.series("cluster_cpu_utilization")
     assert max(cpu.values) > 0.1      # maps actually burned CPU
     assert len(cpu) > 10
@@ -53,9 +53,9 @@ def test_imbalance_higher_for_stock_packing_than_dplus():
     for n_files in (4, 8, 16):
         job = wordcount_input(n_files, 10.0)
         stock = sampled(build_stock_cluster(a3_cluster(4)),
-                        lambda c: run_stock_job(c, job(c), "distributed"))
+                        lambda c: run_job(c, job(c), "distributed"))
         dplus = sampled(build_mrapid_cluster(a3_cluster(4)),
-                        lambda c: run_short_job(c, job(c), "dplus"))
+                        lambda c: run_job(c, job(c), "dplus"))
         stock_index = stock.series("cluster_cpu_imbalance").time_weighted_mean()
         dplus_index = dplus.series("cluster_cpu_imbalance").time_weighted_mean()
         assert stock_index > dplus_index, n_files
@@ -65,7 +65,7 @@ def test_disk_imbalance_recorded_and_summarized():
     """Greedy stock packing piles disk ops on one node too; telemetry
     samples it as ``cluster_disk_imbalance`` beside the CPU index."""
     telemetry = sampled(build_stock_cluster(a3_cluster(4)),
-                        lambda c: run_stock_job(c, wc_spec(c), "distributed"))
+                        lambda c: run_job(c, wc_spec(c), "distributed"))
     disk = telemetry.series("cluster_disk_imbalance")
     assert len(disk) > 0
     assert disk.time_weighted_mean() > 0.0

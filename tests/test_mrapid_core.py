@@ -17,10 +17,9 @@ from repro.core import (
     estimate_full_job,
     estimate_uplus,
     pick_mode,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
+    run_job,
 )
+from repro.core.submit import submit
 from repro.core.uplus import IntermediateCache
 from repro.mapreduce import SimJobSpec
 from repro.simcluster import SimCluster
@@ -261,7 +260,7 @@ def test_pool_spreads_slaves_across_nodes():
 def test_pooled_job_skips_am_launch():
     cluster = build_mrapid_cluster(a3_cluster(4))
     spec = wc_spec(cluster)
-    result = run_short_job(cluster, spec, "uplus")
+    result = run_job(cluster, spec, "uplus")
     # AM overhead = client submit (0.8) + proxy rpc; no 2.5s container launch
     # and no NM-heartbeat allocation wait.
     assert result.am_overhead < cluster.conf.client_submit_s + 0.5
@@ -271,7 +270,7 @@ def test_unpooled_mrapid_pays_am_launch():
     mrapid = MRapidConfig(use_am_pool=False)
     cluster = build_mrapid_cluster(a3_cluster(4), mrapid=mrapid)
     spec = wc_spec(cluster)
-    result = run_short_job(cluster, spec, "uplus")
+    result = run_job(cluster, spec, "uplus")
     assert result.am_overhead >= cluster.conf.container_launch_s
 
 
@@ -296,17 +295,11 @@ def test_invalid_mode_rejected():
         cluster.mrapid_framework.submit(wc_spec(cluster), "bogus")
 
 
-def test_run_short_job_requires_mrapid_cluster():
-    cluster = build_stock_cluster(a3_cluster(4))
-    with pytest.raises(ValueError):
-        run_short_job(cluster, wc_spec(cluster), "uplus")
-
-
 # -- U+ behaviour ---------------------------------------------------------------------------
 
 def test_uplus_runs_maps_in_parallel():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    result = run_short_job(cluster, wc_spec(cluster), "uplus")
+    result = run_job(cluster, wc_spec(cluster), "uplus")
     maps = result.maps
     # 4 maps on a 4-core AM node: all overlap.
     overlap = sum(
@@ -321,7 +314,7 @@ def test_uplus_runs_maps_in_parallel():
 def test_uplus_serial_ablation():
     mrapid = MRapidConfig(parallel_maps=False)
     cluster = build_mrapid_cluster(a3_cluster(4), mrapid=mrapid)
-    result = run_short_job(cluster, wc_spec(cluster), "uplus")
+    result = run_job(cluster, wc_spec(cluster), "uplus")
     maps = sorted(result.maps, key=lambda m: m.start_time)
     for earlier, later in zip(maps, maps[1:]):
         assert later.start_time >= earlier.finish_time - 1e-9
@@ -329,7 +322,7 @@ def test_uplus_serial_ablation():
 
 def test_uplus_caches_small_intermediate():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    result = run_short_job(cluster, wc_spec(cluster, 4, 10.0), "uplus")
+    result = run_job(cluster, wc_spec(cluster, 4, 10.0), "uplus")
     assert all(m.in_memory_output for m in result.maps)
     assert all(m.phases.spill == 0.0 for m in result.maps)
 
@@ -337,7 +330,7 @@ def test_uplus_caches_small_intermediate():
 def test_uplus_spills_large_intermediate():
     # 16 x 10 MB raw output = 16*10*1.7 = 272 MB > 256 MB cache limit.
     cluster = build_mrapid_cluster(a3_cluster(4))
-    result = run_short_job(cluster, wc_spec(cluster, 16, 10.0), "uplus")
+    result = run_job(cluster, wc_spec(cluster, 16, 10.0), "uplus")
     assert all(not m.in_memory_output for m in result.maps)
     assert all(m.phases.spill > 0.0 for m in result.maps)
 
@@ -345,15 +338,15 @@ def test_uplus_spills_large_intermediate():
 def test_uplus_memory_cache_ablation_spills():
     mrapid = MRapidConfig(memory_cache=False)
     cluster = build_mrapid_cluster(a3_cluster(4), mrapid=mrapid)
-    result = run_short_job(cluster, wc_spec(cluster), "uplus")
+    result = run_job(cluster, wc_spec(cluster), "uplus")
     assert all(not m.in_memory_output for m in result.maps)
 
 
 def test_uplus_faster_than_stock_uber():
     stock = build_stock_cluster(a3_cluster(4))
-    uber = run_stock_job(stock, wc_spec(stock), "uber")
+    uber = run_job(stock, wc_spec(stock), "uber")
     mrapid = build_mrapid_cluster(a3_cluster(4))
-    uplus = run_short_job(mrapid, wc_spec(mrapid), "uplus")
+    uplus = run_job(mrapid, wc_spec(mrapid), "uplus")
     assert uplus.elapsed < uber.elapsed
 
 
@@ -361,17 +354,17 @@ def test_uplus_faster_than_stock_uber():
 
 def test_dplus_faster_than_stock_distributed():
     stock = build_stock_cluster(a3_cluster(4))
-    base = run_stock_job(stock, wc_spec(stock, 8), "distributed")
+    base = run_job(stock, wc_spec(stock, 8), "distributed")
     mrapid = build_mrapid_cluster(a3_cluster(4))
-    dplus = run_short_job(mrapid, wc_spec(mrapid, 8), "dplus")
+    dplus = run_job(mrapid, wc_spec(mrapid, 8), "dplus")
     assert dplus.elapsed < base.elapsed
 
 
 def test_dplus_uses_more_nodes_than_stock():
     stock = build_stock_cluster(a3_cluster(4))
-    base = run_stock_job(stock, wc_spec(stock, 4), "distributed")
+    base = run_job(stock, wc_spec(stock, 4), "distributed")
     mrapid = build_mrapid_cluster(a3_cluster(4))
-    dplus = run_short_job(mrapid, wc_spec(mrapid, 4), "dplus")
+    dplus = run_job(mrapid, wc_spec(mrapid, 4), "dplus")
     base_map_nodes = {m.node_id for m in base.maps}
     dplus_map_nodes = {m.node_id for m in dplus.maps}
     assert len(dplus_map_nodes) >= len(base_map_nodes)
@@ -380,9 +373,16 @@ def test_dplus_uses_more_nodes_than_stock():
 
 # -- speculation ----------------------------------------------------------------------------------
 
+def speculate(cluster, spec):
+    """The pair's SpeculationOutcome (``run_job`` returns only the winner)."""
+    proc = submit(cluster, spec, "speculative")
+    cluster.env.run(until=proc)
+    return proc.value
+
+
 def test_speculation_small_job_picks_uplus_and_kills_dplus():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    outcome = run_speculative(cluster, wc_spec(cluster))
+    outcome = speculate(cluster, wc_spec(cluster))
     assert outcome.winner_mode == "uplus"
     assert outcome.killed_mode == "dplus"
     assert not outcome.winner.killed
@@ -392,9 +392,9 @@ def test_speculation_small_job_picks_uplus_and_kills_dplus():
 def test_speculation_records_history_for_second_run():
     cluster = build_mrapid_cluster(a3_cluster(4))
     spec = wc_spec(cluster)
-    first = run_speculative(cluster, spec)
-    second = run_speculative(cluster, SimJobSpec("wordcount", spec.input_paths,
-                                                 WORDCOUNT_PROFILE))
+    first = speculate(cluster, spec)
+    second = speculate(cluster, SimJobSpec("wordcount", spec.input_paths,
+                                           WORDCOUNT_PROFILE))
     assert second.from_history
     assert second.winner_mode == first.winner_mode
     # No dual-launch overhead: second run at least as fast.
@@ -403,7 +403,7 @@ def test_speculation_records_history_for_second_run():
 
 def test_speculation_releases_all_resources():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    run_speculative(cluster, wc_spec(cluster))
+    speculate(cluster, wc_spec(cluster))
     cluster.env.run(until=cluster.env.now + 3.0)
     pool_reserved = sum((s.container.resource for s in cluster.mrapid_framework.slaves),
                        ResourceVector(0, 0))
@@ -412,9 +412,37 @@ def test_speculation_releases_all_resources():
 
 def test_speculation_decision_uses_estimator():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    outcome = run_speculative(cluster, wc_spec(cluster))
+    outcome = speculate(cluster, wc_spec(cluster))
     assert outcome.decision is not None
     assert outcome.decision.t_u <= outcome.decision.t_d
+
+
+def test_speculative_loser_killed_while_queued_at_the_proxy():
+    """A one-AM pool held by a blocker: D+ takes the AM next and is
+    projected faster while U+ still waits at the proxy. Killing U+ there
+    withdraws it, so the executor returns when D+ finishes instead of
+    draining a whole U+ run on the freed AM."""
+    cluster = build_mrapid_cluster(a3_cluster(4), mrapid=MRapidConfig(am_pool_size=1))
+    submit(cluster, wc_spec(cluster, 1, 10.0, prefix="/blocker"), "uplus")
+    outcome = speculate(cluster, wc_spec(cluster, 8, 64.0))
+    assert (outcome.winner_mode, outcome.killed_mode) == ("dplus", "uplus")
+    assert outcome.loser.killed
+    assert outcome.loser.finish_time == outcome.decision_time
+    assert cluster.env.now == outcome.winner.finish_time
+    framework = cluster.mrapid_framework
+    assert len(framework.parked) == 1 and not framework._waiting
+
+
+@pytest.mark.parametrize("use_am_pool", [True, False])
+def test_kill_before_the_am_starts_returns_a_killed_result(use_am_pool):
+    cluster = build_mrapid_cluster(a3_cluster(4),
+                                   mrapid=MRapidConfig(use_am_pool=use_am_pool))
+    handle = cluster.mrapid_framework.submit(wc_spec(cluster), MODE_UPLUS)
+    cluster.env.run(until=0.1)  # the client is still submitting
+    handle.kill("test")
+    result = cluster.env.run(until=handle.proc)
+    assert result.killed and result.finish_time == 0.1
+    assert len(cluster.mrapid_framework.parked) == (3 if use_am_pool else 0)
 
 
 def test_containers_for_deadline_monotone():
@@ -454,7 +482,7 @@ def test_containers_for_deadline_validation():
 def test_reduce_locality_extension_places_reduce_on_map_node():
     mrapid = MRapidConfig(reduce_locality_aware=True)
     cluster = build_mrapid_cluster(a3_cluster(4), mrapid=mrapid)
-    result = run_short_job(cluster, wc_spec(cluster, 4), "dplus")
+    result = run_job(cluster, wc_spec(cluster, 4), "dplus")
     reduce_node = result.reduces[0].node_id
     map_nodes = {m.node_id for m in result.maps}
     assert reduce_node in map_nodes  # LARTS preference honored by D+
@@ -462,10 +490,10 @@ def test_reduce_locality_extension_places_reduce_on_map_node():
 
 def test_reduce_locality_shrinks_shuffle_time():
     base_cluster = build_mrapid_cluster(a3_cluster(4))
-    base = run_short_job(base_cluster, wc_spec(base_cluster, 8), "dplus")
+    base = run_job(base_cluster, wc_spec(base_cluster, 8), "dplus")
     larts_cluster = build_mrapid_cluster(
         a3_cluster(4), mrapid=MRapidConfig(reduce_locality_aware=True))
-    larts = run_short_job(larts_cluster, wc_spec(larts_cluster, 8), "dplus")
+    larts = run_job(larts_cluster, wc_spec(larts_cluster, 8), "dplus")
     # One of the eight fetches becomes node-local; shuffle can only shrink.
     assert larts.reduces[0].phases.shuffle <= base.reduces[0].phases.shuffle + 0.5
 

@@ -79,13 +79,13 @@ def test_progress_callback_sees_every_row():
 def test_sweep_with_simulator_points():
     """End-to-end: sweep mode x files with real simulated runs."""
     from repro.config import a3_cluster
-    from repro.core import build_mrapid_cluster, run_short_job
+    from repro.core import build_mrapid_cluster, run_job
     from repro.experiments.figures import wordcount_input
 
     def point(mode, n_files):
         cluster = build_mrapid_cluster(a3_cluster(4))
-        result = run_short_job(cluster, wordcount_input(n_files, 10.0)(cluster),
-                               mode)
+        result = run_job(cluster, wordcount_input(n_files, 10.0)(cluster),
+                         mode)
         return {"elapsed": result.elapsed}
 
     result = grid_sweep(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.config import (HadoopConfig, ServingConfig, TelemetryConfig,
                           a3_cluster)
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.metrics import exact_percentile
 from repro.observe import install_tracer
@@ -733,7 +733,7 @@ def test_dplus_grants_feed_the_grant_delay_histogram():
     tracer = install_tracer(cluster)
     spec = SimJobSpec("wc", tuple(cluster.load_input_files("/wc", 8, 10.0)),
                       WORDCOUNT_PROFILE)
-    run_short_job(cluster, spec, "dplus")
+    run_job(cluster, spec, "dplus")
     grants = tracer.metrics.get("scheduler:grants").value
     assert grants > 0
     assert telemetry.grant_delay.count == grants

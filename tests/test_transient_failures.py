@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.mapreduce.appmaster import JobFailed
 from repro.mapreduce.tasks import TransientTaskError
@@ -43,7 +43,7 @@ def test_distributed_job_retries_transient_failures():
 
 def test_uplus_retries_in_container():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    result = run_short_job(cluster, flaky_spec(cluster, 6), "uplus")
+    result = run_job(cluster, flaky_spec(cluster, 6), "uplus")
     assert not result.failed
     assert all(m.finish_time > 0 for m in result.maps)
     assert result.reduces[0].input_mb == pytest.approx(6 * 3.0, rel=0.01)
@@ -65,7 +65,7 @@ def test_always_failing_job_aborts_cleanly_distributed():
 
 def test_always_failing_job_aborts_cleanly_uplus():
     cluster = build_mrapid_cluster(a3_cluster(4))
-    result = run_short_job(cluster, flaky_spec(cluster, 4, profile=DOOMED), "uplus")
+    result = run_job(cluster, flaky_spec(cluster, 4, profile=DOOMED), "uplus")
     assert result.failed
     # The pooled AM survived and went back to the pool.
     assert len(cluster.mrapid_framework.parked) == \

@@ -447,28 +447,6 @@ def test_warm_seeds_each_table_with_its_own_stats():
     assert admission["scan"].ewma == pytest.approx(4.8)
 
 
-# -- mode dispatch ----------------------------------------------------------------
-
-
-def test_run_mode_without_framework_uses_plain_client():
-    """A cluster with no MRapid framework runs every candidate through the
-    plain JobClient; an unknown candidate is refused either way."""
-    from repro.mapreduce.spec import SimJobSpec
-    from repro.trace import STRATEGY_STOCK, build_trace_cluster
-    from repro.tuner.picker import run_auto_job, run_mode
-    from repro.workloads.base import WORDCOUNT_PROFILE
-
-    cluster = build_trace_cluster(a3_cluster(2), strategy=STRATEGY_STOCK)
-    paths = cluster.load_input_files("/in", 1, 8.0)
-    spec = SimJobSpec("agg", tuple(paths), WORDCOUNT_PROFILE, signature="agg")
-    result, decision = run_auto_job(cluster, spec, AutoModePicker(),
-                                    num_files=1, file_mb=8.0)
-    assert decision.mode == "uplus" and decision.source == SOURCE_ANALYTIC
-    assert result.mode.startswith("hadoop-") and not result.failed
-    with pytest.raises(ValueError, match="unknown tuner candidate"):
-        run_mode(cluster, spec, "turbo")
-
-
 # -- oracle regret (the differential acceptance suite) ----------------------------
 
 
