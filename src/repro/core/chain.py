@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..workloads.base import WorkloadProfile
-from .submit import result_of, submit
+from .submit import check_mode, result_of, submit
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -89,10 +89,12 @@ class ChainRunner:
     """Executes a validated chain on one cluster, maximally concurrently.
 
     ``strategy`` is the submission mode of every stage
-    (:data:`repro.core.submit.MODES`).
+    (:data:`repro.core.submit.MODES`); one the cluster cannot serve is
+    refused here, before any stage runs.
     """
 
     def __init__(self, cluster: "SimCluster", strategy: str = "speculative") -> None:
+        check_mode(cluster, strategy)
         self.cluster = cluster
         self.strategy = strategy
 

@@ -120,6 +120,13 @@ def _path(mode: str) -> SubmitPath:
     return path
 
 
+def check_mode(cluster: SimCluster, mode: str) -> None:
+    """Raise :class:`ValueError` if ``cluster`` cannot serve ``mode``: an
+    unknown mode, or an MRapid mode on a cluster without the proxy."""
+    if _path(mode).mrapid:
+        _framework(cluster)
+
+
 def build_cluster(spec: ClusterSpec, mode: str, *,
                   conf: Optional[HadoopConfig] = None,
                   mrapid: Optional[MRapidConfig] = None,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import a3_cluster
 from repro.core import (
+    ChainRunner,
     ChainStage,
     build_mrapid_cluster,
     build_stock_cluster,
@@ -55,6 +56,15 @@ def test_validate_accepts_dag():
         scan_stage("b", ["/y"]),
         scan_stage("join", ["@a", "@b"]),
     ])
+
+
+def test_runner_rejects_bad_strategy():
+    cluster = build_mrapid_cluster(a3_cluster(4))
+    with pytest.raises(ValueError):
+        ChainRunner(cluster, strategy="warp-speed")
+    stock = build_stock_cluster(a3_cluster(4))
+    with pytest.raises(ValueError):
+        ChainRunner(stock, strategy="uplus")
 
 
 # -- execution --------------------------------------------------------------------

@@ -447,6 +447,28 @@ def test_warm_seeds_each_table_with_its_own_stats():
     assert admission["scan"].ewma == pytest.approx(4.8)
 
 
+# -- mode dispatch ----------------------------------------------------------------
+
+
+def test_run_auto_job_without_framework_is_refused():
+    """A cluster with no MRapid framework refuses the MRapid candidate the
+    picker decides; an unknown candidate is refused either way."""
+    from repro.core.submit import run_job
+    from repro.mapreduce.spec import SimJobSpec
+    from repro.trace import STRATEGY_STOCK, build_trace_cluster
+    from repro.tuner.picker import run_auto_job
+    from repro.workloads.base import WORDCOUNT_PROFILE
+
+    cluster = build_trace_cluster(a3_cluster(2), strategy=STRATEGY_STOCK)
+    paths = cluster.load_input_files("/in", 1, 8.0)
+    spec = SimJobSpec("agg", tuple(paths), WORDCOUNT_PROFILE, signature="agg")
+    picker = AutoModePicker()
+    with pytest.raises(ValueError, match="SubmissionFramework"):
+        run_auto_job(cluster, spec, picker, num_files=1, file_mb=8.0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_job(cluster, spec, "turbo")
+
+
 # -- oracle regret (the differential acceptance suite) ----------------------------
 
 
