@@ -491,6 +491,36 @@ def _wordcount_node_failure() -> Outcome:
     }), b"")
 
 
+def _lifecycle(mode: str, pooled: bool = True) -> Outcome:
+    """A traced 4 x 10 MB wordcount on A3x4 through one submit path: the
+    client's upload and wait, the proxy's steps (or the RM's AM
+    allocation without the pool) and the AM's opening. Spans are sorted,
+    so same-instant emission order does not count."""
+    from repro.config import MRapidConfig
+    from repro.core.submit import build_cluster, run_job
+    from repro.experiments.figures import wordcount_input
+    from repro.observe.tracer import install_tracer
+
+    cluster = build_cluster(a3_cluster(4), mode,
+                            mrapid=MRapidConfig(use_am_pool=pooled))
+    tracer = install_tracer(cluster)
+    result = run_job(cluster, wordcount_input(4, 10.0)(cluster), mode)
+    spans = sorted((s.name, s.node, s.lane, round(s.start, 9), round(s.end, 9))
+                   for s in tracer.closed_spans())
+    _require({"client-submit", "am-init", "wordcount"}
+             <= {span[0] for span in spans}, "the job's client and AM spans")
+    _require(("am-alloc-wait" in {span[0] for span in spans})
+             == (not pooled or mode in ("distributed", "uber")),
+             "the RM allocates the AM exactly when no pool serves the job")
+    return Outcome(_json({
+        "mode": result.mode,
+        "times": [round(t, 9) for t in (result.submit_time,
+                                        result.am_start_time,
+                                        result.finish_time)],
+        "spans": spans,
+    }), b"")
+
+
 def _scale_1k() -> Outcome:
     """A thousand phase-staggered nodes beating under a 0.25 s quantum
     share tick events: the wheel's beat heap, the armed-instant set, the
@@ -562,5 +592,9 @@ SCENARIOS: dict[str, Callable[[], Outcome]] = {
     "churn-telemetry-report": _churn_telemetry_report,
     "serving-churn": _serving_churn,
     "wordcount-node-failure": _wordcount_node_failure,
+    **{f"lifecycle/{mode}": partial(_lifecycle, mode)
+       for mode in ("distributed", "uber", "dplus", "uplus")},
+    **{f"lifecycle/{mode}-unpooled": partial(_lifecycle, mode, pooled=False)
+       for mode in ("dplus", "uplus")},
     "scale-1k": _scale_1k,
 }
