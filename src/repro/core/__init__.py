@@ -14,7 +14,8 @@
   shadow the ``repro.core.submit`` module).
 """
 
-from .ampool import MODE_DPLUS, MODE_UPLUS, AMSlave, JobHandle, SubmissionFramework
+from ..mapreduce.client import JobHandle
+from .ampool import MODE_DPLUS, MODE_UPLUS, AMSlave, SubmissionFramework
 from .chain import ChainResult, ChainRunner, ChainStage, run_chain, validate_chain
 from .cluster_resource import ClusterResource
 from .decision import Decision, DecisionMaker, FailureModel

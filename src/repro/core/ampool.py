@@ -8,18 +8,21 @@ at the proxy, and each freed AM goes to the waiter the RM scheduler ranks
 first (:meth:`~repro.yarn.scheduler.SchedulerBase.priority_key`: FIFO by
 arrival, or HFSP's aged size), as the RM's own AM queue does. With
 ``use_am_pool=False`` the framework degrades to the stock Figure 1 path
-(used by the Figure 14/15 ablations).
+(used by the Figure 14/15 ablations). Either way a job runs the one
+client lifecycle of :mod:`repro.mapreduce.client`; only its serve step
+is the proxy's.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..cluster.resources import ResourceVector
 from ..config import MRapidConfig
 from ..mapreduce.appmaster import DistributedAM
+from ..mapreduce.client import JobHandle, run_lifecycle, serve_by_rm
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simulation.errors import Interrupt
 from ..simulation.events import DEFERRED, Event
@@ -52,33 +55,6 @@ class AMSlave:
     @property
     def node_id(self) -> str:
         return self.container.node_id
-
-
-class JobHandle:
-    """Client-side handle: wait on ``.proc`` for the JobResult, or kill."""
-
-    def __init__(self, cluster: "SimCluster", spec: SimJobSpec, mode: str) -> None:
-        self.cluster = cluster
-        self.spec = spec
-        self.mode = mode
-        self.proc: Optional["Process"] = None
-        self.result: Optional[JobResult] = None
-        self._job_proc: Optional["Process"] = None
-        self._app: Optional[Application] = None
-
-    def kill(self, cause: Any = "speculative loser") -> None:
-        """Terminate the job (paper §III-C step 6). Idempotent."""
-        if self.result is not None and self.result.finish_time > 0 and not self.result.killed:
-            return  # already finished
-        if self._job_proc is not None and self._job_proc.is_alive:
-            self._job_proc.defuse()
-            self._job_proc.interrupt(cause)
-        elif self._app is not None:
-            self.cluster.rm.kill_application(self._app, cause)
-        elif self.proc is not None and self.proc.is_alive:
-            # No AM runs the job yet: it is still submitting, waits at the
-            # proxy for a warm AM, or rides the proxy's RPC to one.
-            self.proc.interrupt(cause)
 
 
 class SubmissionFramework:
@@ -244,13 +220,19 @@ class SubmissionFramework:
         if spec.seq is None:  # no replay driver: arrival order is call order
             spec = replace(spec, seq=self.cluster.rm.next_seq())
         handle = JobHandle(self.cluster, spec, mode)
-        body = self._run_pooled(spec, mode, handle) if self.mrapid.use_am_pool \
-            else self._run_unpooled(spec, mode, handle)
+
+        def serve(result: JobResult) -> Generator:
+            if self.mrapid.use_am_pool:
+                return self._serve_pooled(spec, mode, handle, result)
+            return serve_by_rm(self.cluster, spec,
+                               self._make_am(spec, mode, result), handle)
+
         handle.proc = self.cluster.env.process(
-            body, name=f"mrapid-{spec.name}-{mode}")
+            run_lifecycle(self.cluster, spec, mode, serve, prefix="mrapid",
+                          handle=handle),
+            name=f"mrapid-{spec.name}-{mode}")
         return handle
 
-    # -- runners -----------------------------------------------------------------
     def _make_am(self, spec: SimJobSpec, mode: str, result: JobResult):
         commit_rpc_s = (0.0 if self.mrapid.reduce_communication
                         else self.cluster.conf.task_commit_rpc_s)
@@ -260,34 +242,28 @@ class SubmissionFramework:
                                  reduce_locality=self.mrapid.reduce_locality_aware)
         return UPlusAM(self.cluster, spec, result, self.mrapid)
 
-    def _run_pooled(self, spec: SimJobSpec, mode: str, handle: JobHandle) -> Generator:
+    def _serve_pooled(self, spec: SimJobSpec, mode: str, handle: JobHandle,
+                      result: JobResult) -> Generator:
+        """The proxy's own steps: wait for a warm AM, send it the job over
+        RPC, run the job there, and park the AM again."""
         env = self.cluster.env
         conf = self.cluster.conf
         rm = self.cluster.rm
-        app_id = rm.next_app_id("mrapid")
-        result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
-                           submit_time=env.now)
-        handle.result = result
+        app_id = result.app_id
         tracer = env.tracer
-        grant: Optional[Event] = None
-        slave: Optional[AMSlave] = None
+        t_pool = env.now
+        app = Application(app_id=app_id, name=spec.name,
+                          am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
+                          runner=lambda ctx: iter(()),
+                          submit_time=result.submit_time, seq=spec.seq,
+                          queue_time=t_pool)
+        grant = self._wait_for_am(app, mode)
         try:
-            # Client: job id from HDFS, upload jar + conf, submit to proxy.
-            yield env.timeout(conf.client_submit_s)
-            if tracer is not None:
-                from ..observe.tracer import CLUSTER
-                tracer.complete("client-submit", "submit", CLUSTER,
-                                f"job:{app_id}", result.submit_time, app_id=app_id)
-
-            # Proxy: pick a warm AM (waits when the pool is empty).
-            t_pool = env.now
-            app = Application(app_id=app_id, name=spec.name,
-                              am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-                              runner=lambda ctx: iter(()),
-                              submit_time=result.submit_time, seq=spec.seq,
-                              queue_time=t_pool)
-            grant = self._wait_for_am(app, mode)
-            slave = yield grant
+            slave: AMSlave = yield grant
+        except Interrupt:  # killed while waiting (JobHandle.kill)
+            self._withdraw(grant)
+            raise
+        try:
             slave.busy = True
             # Service time (HFSP's size sample) runs from here, as for an
             # AM the RM launches.
@@ -302,89 +278,22 @@ class SubmissionFramework:
             if tracer is not None:
                 tracer.complete("proxy-rpc", "rpc", slave.node_id,
                                 f"am-{app_id}", t_rpc)
-        except Interrupt:
-            # Killed before its AM started (JobHandle.kill).
-            if slave is not None:
-                self._release(slave)
-            elif grant is not None:
-                self._withdraw(grant)
-            result.killed = True
-            result.finish_time = env.now
-            return result
-        try:
             rm.apps[app_id] = app
             rm._ready[app_id] = []
             handle._app = app
-
             ctx = AMContext(rm, app, slave.container)
-            am = self._make_am(spec, mode, result)
-            job_proc = env.process(am.run(ctx), name=f"am-{app_id}")
-            handle._job_proc = job_proc
-            slave.job_proc = job_proc
+            job_proc = env.process(self._make_am(spec, mode, result).run(ctx),
+                                   name=f"am-{app_id}")
+            handle._job_proc = slave.job_proc = job_proc
             try:
                 final: JobResult = yield job_proc
-            except Interrupt:
-                result.killed = True
-                result.finish_time = env.now
-                return result
-            except Exception:
-                result.failed = True
-                result.finish_time = env.now
-                return result
-            else:
                 rm.scheduler.on_app_finished(app, final)
             finally:
                 rm.scheduler.remove_app(app_id)
                 rm.apps.pop(app_id, None)
                 rm._ready.pop(app_id, None)
-            if tracer is not None:
-                from ..observe.tracer import CLUSTER
-                tracer.complete(spec.name, "job", CLUSTER, f"job:{app_id}",
-                                result.submit_time, app_id=app_id, mode=mode)
             return final
         finally:
             # The AM survives the job. (Plain call: yielding inside a
             # finally block would break generator close()).
             self._release(slave)
-
-    def _run_unpooled(self, spec: SimJobSpec, mode: str, handle: JobHandle) -> Generator:
-        """Figure 1 path: allocate + launch a fresh AM for this job."""
-        env = self.cluster.env
-        conf = self.cluster.conf
-        app_id = self.cluster.rm.next_app_id("mrapid")
-        result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
-                           submit_time=env.now)
-        handle.result = result
-
-        try:
-            yield env.timeout(conf.client_submit_s)
-        except Interrupt:  # killed before it reached the RM (JobHandle.kill)
-            result.killed = True
-            result.finish_time = env.now
-            return result
-        if env.tracer is not None:
-            from ..observe.tracer import CLUSTER
-            env.tracer.complete("client-submit", "submit", CLUSTER,
-                                f"job:{app_id}", result.submit_time,
-                                app_id=app_id)
-        am = self._make_am(spec, mode, result)
-        app = Application(
-            app_id=app_id,
-            name=spec.name,
-            am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-            runner=am.run,
-            seq=spec.seq,
-        )
-        handle._app = app
-        self.cluster.rm.submit_application(app)
-        try:
-            final: JobResult = yield app.finished
-        except Exception:
-            result.killed = True
-            result.finish_time = env.now
-            return result
-        if env.tracer is not None:
-            from ..observe.tracer import CLUSTER
-            env.tracer.complete(spec.name, "job", CLUSTER, f"job:{app_id}",
-                                result.submit_time, app_id=app_id, mode=mode)
-        return final

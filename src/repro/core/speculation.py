@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
+from ..mapreduce.client import JobHandle
 from ..mapreduce.spec import JobResult, SimJobSpec
-from .ampool import MODE_DPLUS, MODE_UPLUS, JobHandle, SubmissionFramework
+from .ampool import MODE_DPLUS, MODE_UPLUS, SubmissionFramework
 from .decision import Decision
 from .profiler import JobProfiler, estimator_inputs_from
 

@@ -72,23 +72,23 @@ def _framework(cluster: SimCluster) -> SubmissionFramework:
     return framework
 
 
-#: A path's submit: ``(cluster, spec, queue) -> process``.
-Start = Callable[[SimCluster, SimJobSpec, Optional[str]], "Process"]
+#: A path's submit: ``(cluster, spec) -> process``.
+Start = Callable[[SimCluster, SimJobSpec], "Process"]
 
 
 def _client(client_mode: str) -> Start:
-    def start(cluster: SimCluster, spec: SimJobSpec, queue: Optional[str]) -> "Process":
-        return JobClient(cluster).submit(spec, client_mode, queue=queue)
+    def start(cluster: SimCluster, spec: SimJobSpec) -> "Process":
+        return JobClient(cluster).submit(spec, client_mode)
     return start
 
 
 def _proxy(framework_mode: str) -> Start:
-    def start(cluster: SimCluster, spec: SimJobSpec, queue: Optional[str]) -> "Process":
+    def start(cluster: SimCluster, spec: SimJobSpec) -> "Process":
         return _framework(cluster).submit(spec, framework_mode).proc
     return start
 
 
-def _speculate(cluster: SimCluster, spec: SimJobSpec, queue: Optional[str]) -> "Process":
+def _speculate(cluster: SimCluster, spec: SimJobSpec) -> "Process":
     return SpeculativeExecutor(_framework(cluster)).submit(spec)
 
 
@@ -101,8 +101,7 @@ class SubmitPath(NamedTuple):
     start: Start
 
 
-#: Mode label -> its cluster and submit path. The proxy's paths have no
-#: tenant queues and leave ``queue`` unused.
+#: Mode label -> its cluster and submit path.
 MODES: dict[str, SubmitPath] = {
     "stock": SubmitPath(False, _client(MODE_AUTO)),
     "distributed": SubmitPath(False, _client(MODE_DISTRIBUTED)),
@@ -138,16 +137,14 @@ def build_cluster(spec: ClusterSpec, mode: str, *,
     return build_stock_cluster(spec, conf=conf, seed=seed)
 
 
-def submit(cluster: SimCluster, spec: SimJobSpec, mode: str, *,
-           queue: Optional[str] = None) -> "Process":
+def submit(cluster: SimCluster, spec: SimJobSpec, mode: str) -> "Process":
     """Start ``spec`` on the path ``mode`` names and return that path's
     own process: its value is the :class:`JobResult`, or for
     ``speculative`` the executor's :class:`SpeculationOutcome`
-    (:func:`result_of` reads the job's result off either). ``queue``
-    routes a stock-path job to a tenant queue of the multi-tenant
-    scheduler. An unknown mode, or an MRapid mode on a cluster without
-    the proxy, raises :class:`ValueError`."""
-    return _path(mode).start(cluster, spec, queue)
+    (:func:`result_of` reads the job's result off either). An unknown
+    mode, or an MRapid mode on a cluster without the proxy, raises
+    :class:`ValueError`."""
+    return _path(mode).start(cluster, spec)
 
 
 def result_of(value: Union[JobResult, SpeculationOutcome]) -> JobResult:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..config import MRapidConfig
-from ..hdfs.splits import compute_splits
-from ..mapreduce.spec import JobResult, SimJobSpec, TaskRecord
-from ..mapreduce.tasks import sim_map_task, sim_reduce_task
+from ..mapreduce.spec import JobResult, SimJobSpec
+from ..mapreduce.tasks import sim_reduce_task
+from ..mapreduce.uber import UberAM
 from ..simulation.errors import Interrupt
 from ..simulation.resources import Resource, Store
 
@@ -56,14 +56,12 @@ class IntermediateCache:
         self.used_mb = 0.0
 
 
-class UPlusAM:
+class UPlusAM(UberAM):
     """Single-container executor with multithreaded maps and RAM cache."""
 
     def __init__(self, cluster: "SimCluster", spec: SimJobSpec, result: JobResult,
                  mrapid: MRapidConfig) -> None:
-        self.cluster = cluster
-        self.spec = spec
-        self.result = result
+        super().__init__(cluster, spec, result)
         self.mrapid = mrapid
         self._children: list = []
 
@@ -71,22 +69,10 @@ class UPlusAM:
         env = self.cluster.env
         conf = self.cluster.conf
         node_id = ctx.node_id
-        self.result.am_start_time = env.now
         try:
-            t_init = env.now
-            yield env.timeout(conf.am_init_s)
-            if env.tracer is not None:
-                env.tracer.complete("am-init", "init", node_id,
-                                    f"am-{ctx.app.app_id}", t_init)
-
-            splits = compute_splits(self.cluster.namenode, self.spec.input_paths)
+            splits = yield from self.open(ctx)
             n_maps = len(splits)
             outputs = Store(env)
-
-            map_records = [TaskRecord(f"m{idx:03d}", "map") for idx in range(n_maps)]
-            reduce_record = TaskRecord("r000", "reduce")
-            self.result.maps = map_records
-            self.result.reduces = [reduce_record]
 
             # n_u^m = n^c * n_c^m  (paper §III-B)
             n_c = self.cluster.topology.node(node_id).capability.vcores
@@ -105,40 +91,12 @@ class UPlusAM:
             commit_rpc_s = (0.0 if self.mrapid.reduce_communication
                             else conf.task_commit_rpc_s)
 
-            def worker(idx: int) -> Generator:
-                # In-container retry: a worker-thread failure (transient I/O
-                # error injected by tests, not a node death — that kills the
-                # whole single-container job) re-runs the map in place, up to
-                # max_task_attempts like its distributed counterpart.
-                attempt = 0
-                while True:
-                    t_slot = env.now
-                    with workers.request() as slot:
-                        yield slot
-                        if env.tracer is not None and env.now > t_slot:
-                            env.tracer.complete("slot-wait", "wait", node_id,
-                                                f"m{idx:03d}", t_slot)
-                        try:
-                            record = (map_records[idx] if attempt == 0
-                                      else TaskRecord(f"m{idx:03d}.a{attempt}", "map"))
-                            yield from sim_map_task(
-                                self.cluster, self.spec.profile, splits[idx],
-                                node_id, record, outputs,
-                                conf.uber_task_setup_s,
-                                memory_cache=cache, commit_rpc_s=commit_rpc_s,
-                            )
-                            map_records[idx] = record
-                            return
-                        except Interrupt:
-                            raise  # job-level kill: do not retry
-                        except Exception:
-                            attempt += 1
-                            if attempt >= conf.max_task_attempts:
-                                raise
-
             map_procs = [
-                env.process(worker(idx), name=f"{self.spec.name}-u+m{idx}")
-                for idx in range(n_maps)
+                env.process(self._map_in_place(idx, split, node_id, outputs,
+                                               commit_rpc_s, workers=workers,
+                                               memory_cache=cache),
+                            name=f"{self.spec.name}-u+m{idx}")
+                for idx, split in enumerate(splits)
             ]
             self._children.extend(map_procs)
 
@@ -147,7 +105,7 @@ class UPlusAM:
             reduce_proc = env.process(
                 sim_reduce_task(
                     self.cluster, self.spec.profile, n_maps, node_id,
-                    reduce_record, outputs, conf.uber_task_setup_s,
+                    self.result.reduces[0], outputs, conf.uber_task_setup_s,
                     output_path=f"/out/{self.result.app_id}",
                     commit_rpc_s=commit_rpc_s,
                 ),

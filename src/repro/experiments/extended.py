@@ -112,17 +112,17 @@ def figureE3_multitenant_fairness() -> FigureResult:
         # Big enough to saturate the cluster for several waves (memory-only
         # packing admits ~26 concurrent containers on A3x4).
         batch_paths = cluster.load_input_files("/batch", 48, 10.0)
-        batch = SimJobSpec("batch", tuple(batch_paths), TERASORT_PROFILE)
+        batch = SimJobSpec("batch", tuple(batch_paths), TERASORT_PROFILE,
+                           queue="batch" if multitenant else None)
         adhoc_paths = cluster.load_input_files("/adhoc", 2, 10.0)
-        adhoc = SimJobSpec("adhoc", tuple(adhoc_paths), WORDCOUNT_PROFILE)
+        adhoc = SimJobSpec("adhoc", tuple(adhoc_paths), WORDCOUNT_PROFILE,
+                           queue="adhoc" if multitenant else None)
 
-        p_batch = submit(cluster, batch, "distributed",
-                         queue="batch" if multitenant else None)
+        p_batch = submit(cluster, batch, "distributed")
 
         def late_adhoc(env):
             yield env.timeout(3.0)
-            proc = submit(cluster, adhoc, "distributed",
-                          queue="adhoc" if multitenant else None)
+            proc = submit(cluster, adhoc, "distributed")
             result = yield proc
             return result
 

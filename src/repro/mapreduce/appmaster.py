@@ -78,15 +78,50 @@ class OutputBus:
         return self.store
 
 
-class DistributedAM:
+def map_record(idx: int, attempt: int = 0) -> TaskRecord:
+    """A fresh record for attempt ``attempt`` of map ``idx``."""
+    return TaskRecord(f"m{idx:03d}" if attempt == 0 else f"m{idx:03d}.a{attempt}",
+                      "map")
+
+
+def reduce_record(attempt: int = 0) -> TaskRecord:
+    """A fresh record for attempt ``attempt`` of the reduce."""
+    return TaskRecord("r000" if attempt == 0 else f"r000.a{attempt}", "reduce")
+
+
+class AppMaster:
+    """What the three ApplicationMasters (distributed, Uber, U+) share:
+    the job they run and the opening of their ``run``."""
+
+    def __init__(self, cluster: "SimCluster", spec: SimJobSpec,
+                 result: JobResult) -> None:
+        self.cluster = cluster
+        self.spec = spec
+        self.result = result
+
+    def open(self, ctx: "AMContext") -> Generator:
+        """AM init (Figure 1 step 4): parse the conf and download splits
+        and jar from HDFS, then give the result one fresh record per map
+        and one for the reduce. Returns the job's input splits."""
+        env = self.cluster.env
+        t_init = self.result.am_start_time = env.now
+        yield env.timeout(self.cluster.conf.am_init_s)
+        if env.tracer is not None:
+            env.tracer.complete("am-init", "init", ctx.node_id,
+                                f"am-{ctx.app.app_id}", t_init)
+        splits = compute_splits(self.cluster.namenode, self.spec.input_paths)
+        self.result.maps = [map_record(idx) for idx in range(len(splits))]
+        self.result.reduces = [reduce_record()]
+        return splits
+
+
+class DistributedAM(AppMaster):
     """One job's ApplicationMaster running in its allocated container."""
 
     def __init__(self, cluster: "SimCluster", spec: SimJobSpec, result: JobResult,
                  commit_rpc_s: Optional[float] = None,
                  reduce_locality: bool = False) -> None:
-        self.cluster = cluster
-        self.spec = spec
-        self.result = result
+        super().__init__(cluster, spec, result)
         #: LARTS-style extension: prefer placing the reduce where the most
         #: map output already lives (paper related work [14]).
         self.reduce_locality = reduce_locality
@@ -100,28 +135,16 @@ class DistributedAM:
     def run(self, ctx: "AMContext") -> Generator:
         env = self.cluster.env
         conf = self.cluster.conf
-        self.result.am_start_time = env.now
         # A restarted AM attempt reuses this result object: clear the
         # previous attempt's demise before trying again.
         self.result.killed = False
         self.result.failed = False
         self._children = []
         try:
-            # AM init: parse conf, download splits / jar from HDFS.
-            t_init = env.now
-            yield env.timeout(conf.am_init_s)
-            if env.tracer is not None:
-                env.tracer.complete("am-init", "init", ctx.node_id,
-                                    f"am-{ctx.app.app_id}", t_init)
-
-            splits = compute_splits(self.cluster.namenode, self.spec.input_paths)
+            splits = yield from self.open(ctx)
             n_maps = len(splits)
             bus = OutputBus(env)
-
-            map_records = [TaskRecord(f"m{idx:03d}", "map") for idx in range(n_maps)]
-            reduce_record = TaskRecord("r000", "reduce")
-            self.result.maps = map_records
-            self.result.reduces = [reduce_record]
+            map_records = self.result.maps
 
             container_resource = conf.container_resource()
             blacklisted: set[str] = set()
@@ -236,7 +259,7 @@ class DistributedAM:
                     task_idx = self._pick_task(container, splits, unassigned)
                     if task_idx is not None:
                         unassigned.remove(task_idx)
-                        record = self._fresh_map_record(task_idx, launches[task_idx])
+                        record = map_record(task_idx, launches[task_idx])
                         launches[task_idx] += 1
                         if task_idx not in completed:
                             map_records[task_idx] = record
@@ -264,7 +287,7 @@ class DistributedAM:
                         self._children.append(proc)
                     elif reduce_pending:
                         reduce_pending = False
-                        record = self._fresh_reduce_record(attempts[REDUCE])
+                        record = reduce_record(attempts[REDUCE])
                         self.result.reduces = [record]
                         record.phases.launch = conf.container_launch_s
                         body = sim_reduce_task(
@@ -420,14 +443,6 @@ class DistributedAM:
             raise
 
     # -- helpers ------------------------------------------------------------------
-    def _fresh_map_record(self, idx: int, attempt: int) -> TaskRecord:
-        suffix = f"m{idx:03d}" if attempt == 0 else f"m{idx:03d}.a{attempt}"
-        return TaskRecord(suffix, "map")
-
-    def _fresh_reduce_record(self, attempt: int) -> TaskRecord:
-        suffix = "r000" if attempt == 0 else f"r000.a{attempt}"
-        return TaskRecord(suffix, "reduce")
-
     def _pick_task(self, container: Container, splits, unassigned: list[int]) -> Optional[int]:
         """Match a granted container to the best waiting map task.
 

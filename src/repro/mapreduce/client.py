@@ -1,15 +1,31 @@
-"""Job client for the *stock* Hadoop paths (Figure 1 submission flow).
+"""The job client: one lifecycle for every submit path (Figure 1 step 1).
 
-MRapid's submission framework (proxy + AM pool + speculation) lives in
-:mod:`repro.core`; this client is the baseline it is measured against.
+Every job, stock or MRapid, runs :func:`run_lifecycle`: the client gets a
+job id, uploads splits, jar and conf and submits (``client_submit_s``, the
+``client-submit`` span); the path serves the job; the client waits for
+the result (the closing ``job`` span). Only the serve step differs:
+
+* :class:`JobClient` (the stock paths) and MRapid's framework without the
+  AM pool hand the RM an application for a fresh AM
+  (:func:`serve_by_rm`), routed to the job's tenant queue
+  (:attr:`SimJobSpec.queue`);
+* MRapid's proxy (:mod:`repro.core.ampool`) hands the job to a warm AM
+  from its pool, skipping AM allocation and JVM launch.
+
+A job submitted with a :class:`JobHandle` (MRapid's framework) can be
+killed, and its result says how it ended: ``killed`` for a kill or an
+AM-node loss, ``failed`` for anything else. The stock client raises
+instead, as Hadoop's ``JobClient`` does.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..cluster.resources import ResourceVector
+from ..simulation.errors import Interrupt
 from ..yarn.records import Application
+from ..yarn.resourcemanager import JobKilled
 from .appmaster import DistributedAM
 from .spec import JobResult, SimJobSpec
 from .uber import UberAM
@@ -44,71 +60,133 @@ def uber_eligible(cluster: "SimCluster", spec: SimJobSpec) -> bool:
     )
 
 
+class JobHandle:
+    """Client-side handle: wait on ``.proc`` for the JobResult, or kill."""
+
+    def __init__(self, cluster: "SimCluster", spec: SimJobSpec, mode: str) -> None:
+        self.cluster = cluster
+        self.spec = spec
+        self.mode = mode
+        self.proc: Optional["Process"] = None
+        self.result: Optional[JobResult] = None
+        self._job_proc: Optional["Process"] = None
+        self._app: Optional[Application] = None
+
+    def kill(self, cause: Any = "speculative loser") -> None:
+        """Terminate the job (paper §III-C step 6). Idempotent."""
+        if self.result is not None and self.result.finish_time > 0 and not self.result.killed:
+            return  # already finished
+        if self._job_proc is not None and self._job_proc.is_alive:
+            self._job_proc.defuse()
+            self._job_proc.interrupt(cause)
+        elif self._app is not None:
+            self.cluster.rm.kill_application(self._app, cause)
+        elif self.proc is not None and self.proc.is_alive:
+            # No AM runs the job yet: it is still submitting, waits at the
+            # proxy for a warm AM, or rides the proxy's RPC to one.
+            self.proc.interrupt(cause)
+
+
+#: A path's serve step: ``serve(result)`` runs the job after the upload
+#: and returns (as a generator) its final result.
+Serve = Callable[[JobResult], Generator]
+
+
+def run_lifecycle(cluster: "SimCluster", spec: SimJobSpec, mode: str,
+                  serve: Serve, *, prefix: str = "app",
+                  handle: Optional[JobHandle] = None) -> Generator:
+    """One job's client side; the body of every submit path's process."""
+    env = cluster.env
+    app_id = cluster.rm.next_app_id(prefix)
+    result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
+                       submit_time=env.now)
+    if handle is not None:
+        handle.result = result
+    try:
+        # Step 1 (Figure 1): get job id, upload splits/jar/conf, submit.
+        yield env.timeout(cluster.conf.client_submit_s)
+        if env.tracer is not None:
+            from ..observe.tracer import CLUSTER
+            env.tracer.complete("client-submit", "submit", CLUSTER,
+                                f"job:{app_id}", result.submit_time,
+                                app_id=app_id)
+        final: JobResult = yield from serve(result)
+    except Exception as exc:
+        if handle is None:
+            raise
+        if isinstance(exc, (Interrupt, JobKilled)):
+            result.killed = True
+        else:
+            result.failed = True
+        result.finish_time = env.now
+        return result
+    if env.tracer is not None:
+        from ..observe.tracer import CLUSTER
+        env.tracer.complete(spec.name, "job", CLUSTER, f"job:{app_id}",
+                            result.submit_time, app_id=app_id, mode=result.mode)
+    return final
+
+
+def route_queue(cluster: "SimCluster", app_id: str, queue: Optional[str]) -> None:
+    """Charge ``app_id``'s task containers to tenant ``queue`` of the
+    multi-tenant scheduler; ``None`` leaves the scheduler's default."""
+    if queue is None:
+        return
+    assign = getattr(cluster.scheduler, "assign_app", None)
+    if assign is None:
+        raise ValueError("queue routing needs the multi-tenant scheduler")
+    assign(app_id, queue)
+
+
+def serve_by_rm(cluster: "SimCluster", spec: SimJobSpec, am: Any,
+                handle: Optional[JobHandle] = None) -> Generator:
+    """Figure 1 steps 2-6: the RM allocates and launches a fresh AM that
+    runs ``am``; returns the application's result."""
+    conf = cluster.conf
+    app = Application(
+        app_id=am.result.app_id,
+        name=spec.name,
+        am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
+        runner=am.run,
+        seq=spec.seq,
+    )
+    if handle is not None:
+        handle._app = app
+    cluster.rm.submit_application(app)
+    route_queue(cluster, app.app_id, spec.queue)
+    return (yield app.finished)
+
+
 class JobClient:
     """Submits jobs to the stock RM and waits for their completion."""
 
     def __init__(self, cluster: "SimCluster") -> None:
         self.cluster = cluster
 
-    def submit(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED,
-               queue: str | None = None) -> "Process":
+    def submit(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED) -> "Process":
         """Start the client-side submission; returns a process whose value
-        is the :class:`JobResult`. ``queue`` routes the app to a tenant
-        queue when the cluster runs the multi-tenant scheduler."""
-        return self.cluster.env.process(self._run(spec, mode, queue),
-                                        name=f"client-{spec.name}-{mode}")
+        is the :class:`JobResult`."""
+        return self.cluster.env.process(
+            run_lifecycle(self.cluster, spec, mode, self._serve(spec)),
+            name=f"client-{spec.name}-{mode}")
 
-    def run(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED,
-            queue: str | None = None) -> JobResult:
+    def run(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED) -> JobResult:
         """Submit and run the simulation until this job finishes."""
-        proc = self.submit(spec, mode, queue=queue)
+        proc = self.submit(spec, mode)
         self.cluster.env.run(until=proc)
         return proc.value
 
-    # -- internals ---------------------------------------------------------------
-    def _run(self, spec: SimJobSpec, mode: str, queue: str | None = None) -> Generator:
-        env = self.cluster.env
-        conf = self.cluster.conf
-        app_id = self.cluster.rm.next_app_id()
-        result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
-                           submit_time=env.now)
-
-        # Step 1 (Figure 1): get job id, upload splits/jar/conf, submit.
-        yield env.timeout(conf.client_submit_s)
-        if env.tracer is not None:
-            from ..observe.tracer import CLUSTER
-            env.tracer.complete("client-submit", "submit", CLUSTER,
-                                f"job:{app_id}", result.submit_time,
-                                app_id=app_id)
-
-        if mode == MODE_AUTO:
-            mode = MODE_UBER if uber_eligible(self.cluster, spec) else MODE_DISTRIBUTED
-            result.mode = mode
-
-        if mode == MODE_DISTRIBUTED:
-            am = DistributedAM(self.cluster, spec, result)
-        elif mode == MODE_UBER:
-            am = UberAM(self.cluster, spec, result)
-        else:
-            raise ValueError(f"unknown stock mode {mode!r}; use {MODE_DISTRIBUTED!r}, "
-                             f"{MODE_UBER!r} or {MODE_AUTO!r}")
-
-        app = Application(
-            app_id=app_id,
-            name=spec.name,
-            am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-            runner=am.run,
-            seq=spec.seq,
-        )
-        self.cluster.rm.submit_application(app)
-        if queue is not None:
-            assign = getattr(self.cluster.scheduler, "assign_app", None)
-            if assign is None:
-                raise ValueError("queue routing needs the multi-tenant scheduler")
-            assign(app_id, queue)
-        final: JobResult = yield app.finished
-        if env.tracer is not None:
-            from ..observe.tracer import CLUSTER
-            env.tracer.complete(spec.name, "job", CLUSTER, f"job:{app_id}",
-                                result.submit_time, app_id=app_id, mode=mode)
-        return final
+    def _serve(self, spec: SimJobSpec) -> Serve:
+        def serve(result: JobResult) -> Generator:
+            if result.mode == MODE_AUTO:
+                result.mode = (MODE_UBER if uber_eligible(self.cluster, spec)
+                               else MODE_DISTRIBUTED)
+            am_class = {MODE_DISTRIBUTED: DistributedAM,
+                        MODE_UBER: UberAM}.get(result.mode)
+            if am_class is None:
+                raise ValueError(f"unknown stock mode {result.mode!r}; use "
+                                 f"{MODE_DISTRIBUTED!r}, {MODE_UBER!r} or "
+                                 f"{MODE_AUTO!r}")
+            return (yield from serve_by_rm(self.cluster, spec,
+                                           am_class(self.cluster, spec, result)))
+        return serve

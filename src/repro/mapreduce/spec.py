@@ -24,6 +24,11 @@ class SimJobSpec:
     #: every submit path stamps on its application; see
     #: :attr:`~repro.yarn.records.Application.seq`.
     seq: Optional[int] = None
+    #: Tenant queue of the multi-tenant scheduler that the job's task
+    #: containers are charged to (``None``: the scheduler's default). Set
+    #: once, by whoever builds the spec; the replay takes it from its
+    #: ``queue_of``.
+    queue: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_reduces != 1:

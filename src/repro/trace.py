@@ -524,15 +524,16 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             ticket = runtime.dispatch_ticket(slo) if runtime is not None else None
             spec = SimJobSpec(job.template.name, tuple(paths), job.template.profile,
                               signature=job.signature,
-                              seq=job.index if ticket is None else ticket)
+                              seq=job.index if ticket is None else ticket,
+                              queue=(queue_of(job.template.name)
+                                     if queue_of is not None else None))
             degraded = runtime is not None and runtime.degraded_mode_for(slo)
             learned = strategy == STRATEGY_AUTO and not degraded
             mode = resolve_mode(job, slo, degraded)
             if learned:
                 decision = f"auto-{mode}"
             try:
-                queue = queue_of(job.template.name) if queue_of is not None else None
-                value = yield submit(cluster, spec, mode, queue=queue)
+                value = yield submit(cluster, spec, mode)
                 result = result_of(value)
                 if isinstance(value, SpeculationOutcome) and value.loser is not None:
                     outputs.append(f"/out/{value.loser.app_id}")

@@ -445,6 +445,20 @@ def test_kill_before_the_am_starts_returns_a_killed_result(use_am_pool):
     assert len(cluster.mrapid_framework.parked) == (3 if use_am_pool else 0)
 
 
+@pytest.mark.parametrize("mode", ["dplus", "uplus"])
+@pytest.mark.parametrize("use_am_pool", [True, False])
+def test_tasks_out_of_attempts_return_a_failed_result(use_am_pool, mode):
+    """With or without the pool, a job whose tasks run out of attempts
+    failed; nobody killed it."""
+    cluster = build_mrapid_cluster(a3_cluster(4),
+                                   mrapid=MRapidConfig(use_am_pool=use_am_pool))
+    doomed = WORDCOUNT_PROFILE.with_(transient_failure_rate=1.0)
+    paths = cluster.load_input_files("/doomed", 2, 10.0)
+    result = run_job(cluster, SimJobSpec("wordcount", tuple(paths), doomed), mode)
+    assert (result.killed, result.failed) == (False, True)
+    assert result.finish_time == cluster.env.now
+
+
 def test_containers_for_deadline_monotone():
     from repro.core import containers_for_deadline
 
