@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..cluster.resources import ResourceVector
 from ..config import MRapidConfig
 from ..mapreduce.appmaster import DistributedAM
-from ..mapreduce.client import JobHandle, run_lifecycle, serve_by_rm
+from ..mapreduce.client import JobHandle, route_queue, run_lifecycle, serve_by_rm
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simulation.errors import Interrupt
 from ..simulation.events import DEFERRED, Event
@@ -280,6 +280,7 @@ class SubmissionFramework:
                                 f"am-{app_id}", t_rpc)
             rm.apps[app_id] = app
             rm._ready[app_id] = []
+            route_queue(self.cluster, app_id, spec.queue)
             handle._app = app
             ctx = AMContext(rm, app, slave.container)
             job_proc = env.process(self._make_am(spec, mode, result).run(ctx),

@@ -148,3 +148,24 @@ def test_end_to_end_jobs_in_separate_queues():
     # Queue accounting drains back to zero.
     assert scheduler.queues["prod"].used_memory_mb == 0
     assert scheduler.queues["adhoc"].used_memory_mb == 0
+
+
+@pytest.mark.parametrize("strategy", ["stock-auto", "mrapid-dplus"])
+def test_replay_routes_every_job_to_its_tenant_queue(strategy, monkeypatch):
+    """Every submit path charges a replayed job to the queue ``queue_of``
+    names: sorts to ``batch``, the rest to ``adhoc``."""
+    from repro.trace import SCHEDULER_CAPACITY, default_short_job_mix, run_load
+
+    routed = []
+    assign_app = MultiTenantCapacityScheduler.assign_app
+
+    def counting(scheduler, app_id, queue):
+        routed.append(queue)
+        assign_app(scheduler, app_id, queue)
+
+    monkeypatch.setattr(MultiTenantCapacityScheduler, "assign_app", counting)
+    report = run_load(a3_cluster(4), default_short_job_mix(), 10, 120,
+                      scheduler=SCHEDULER_CAPACITY, strategy=strategy, seed=3,
+                      baselines={})
+    assert report.jobs_completed == report.jobs_submitted == 23
+    assert (routed.count("adhoc"), routed.count("batch")) == (19, 4)
