@@ -356,8 +356,7 @@ class MRapidConfig:
     # shuffle. Off by default — the paper's MRapid does not include it.
     reduce_locality_aware: bool = False
 
-    # speculation
-    speculative: bool = True
+    # submission framework
     am_pool_size: int = 3               # paper default
 
     def with_(self, **kwargs) -> "MRapidConfig":

@@ -34,13 +34,12 @@ class ContainerRequest:
     """An AM's ask for one container, with data-locality preferences.
 
     ``preferred_nodes`` are the nodes holding the task's input replicas;
-    ``relax_locality`` permits RackLocal/ANY placement (always true for
-    MapReduce map requests, as in real Hadoop).
+    every request may fall back to RackLocal/ANY placement, as MapReduce
+    map requests do in real Hadoop.
     """
 
     resource: ResourceVector
     preferred_nodes: tuple[str, ...] = ()
-    relax_locality: bool = True
     #: Opaque tag linking the grant back to a task (used by the AMs).
     tag: Any = None
     #: Nodes this request must not be placed on (AM-level blacklisting after
