@@ -10,23 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..mapreduce.spec import JobResult, PhaseTimings, TaskRecord
+from ..mapreduce.spec import JobResult, TaskRecord
 from .harness import FigureResult, PaperClaim, Series
-
-
-def phase_timings_to_dict(phases: PhaseTimings) -> dict[str, float]:
-    return {
-        "wait": phases.wait,
-        "launch": phases.launch,
-        "setup": phases.setup,
-        "read": phases.read,
-        "compute": phases.compute,
-        "spill": phases.spill,
-        "merge": phases.merge,
-        "shuffle": phases.shuffle,
-        "write": phases.write,
-        "total": phases.total(),
-    }
 
 
 def task_record_to_dict(record: TaskRecord) -> dict[str, Any]:
@@ -42,7 +27,7 @@ def task_record_to_dict(record: TaskRecord) -> dict[str, Any]:
         "locality": record.locality.name if record.locality is not None else None,
         "source_node": record.source_node,
         "in_memory_output": record.in_memory_output,
-        "phases": phase_timings_to_dict(record.phases),
+        "phases": {**record.phases.to_dict(), "total": record.phases.total()},
     }
 
 

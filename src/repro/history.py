@@ -2,8 +2,8 @@
 
 The real Hadoop JobHistoryServer answers "what ran, how long, where did the
 time go" for operators. This one aggregates :class:`JobResult` objects from
-any mix of simulated runs into per-mode and per-job summaries, phase-time
-breakdowns, and a text report — used by the examples and the trace analyses.
+any mix of simulated runs into per-mode and per-job summaries, mean
+per-map :class:`~repro.mapreduce.spec.PhaseTimings`, and a text report — used by the examples and the trace analyses.
 """
 
 from __future__ import annotations
@@ -13,34 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .mapreduce.spec import JobResult
-
-
-@dataclass
-class PhaseBreakdown:
-    """Mean seconds per task sub-phase across a set of jobs."""
-
-    wait: float = 0.0
-    launch: float = 0.0
-    setup: float = 0.0
-    read: float = 0.0
-    compute: float = 0.0
-    spill: float = 0.0
-    merge: float = 0.0
-    shuffle: float = 0.0
-    write: float = 0.0
-
-    FIELDS = ("wait", "launch", "setup", "read", "compute", "spill",
-              "merge", "shuffle", "write")
-
-    def total(self) -> float:
-        return sum(getattr(self, f) for f in self.FIELDS)
-
-    def dominant(self) -> str:
-        return max(self.FIELDS, key=lambda f: getattr(self, f))
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.FIELDS}
+from .mapreduce.spec import PHASES, JobResult, PhaseTimings
 
 
 @dataclass
@@ -51,7 +24,8 @@ class ModeSummary:
     total_am_overhead: float = 0.0
     killed: int = 0
     failed: int = 0
-    map_phase: PhaseBreakdown = field(default_factory=PhaseBreakdown)
+    #: Mean seconds per sub-phase over the mode's finished maps.
+    map_phase: PhaseTimings = field(default_factory=PhaseTimings)
 
     @property
     def mean_elapsed(self) -> float:
@@ -114,14 +88,14 @@ class JobHistoryServer:
             finished = [m for m in result.maps if m.finish_time > 0]
             for record in finished:
                 counts[result.mode] += 1
-                for phase in PhaseBreakdown.FIELDS:
+                for phase in PHASES:
                     current = getattr(summary.map_phase, phase)
                     setattr(summary.map_phase, phase,
                             current + getattr(record.phases, phase))
         for mode, summary in summaries.items():
             n = counts[mode]
             if n:
-                for phase in PhaseBreakdown.FIELDS:
+                for phase in PHASES:
                     setattr(summary.map_phase, phase,
                             getattr(summary.map_phase, phase) / n)
         return summaries

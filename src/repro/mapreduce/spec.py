@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..cluster.topology import Locality
@@ -56,8 +56,22 @@ class PhaseTimings:
     write: float = 0.0
 
     def total(self) -> float:
-        return (self.wait + self.launch + self.setup + self.read + self.compute
-                + self.spill + self.merge + self.shuffle + self.write)
+        """The phases summed in :data:`PHASES` order."""
+        total = 0.0
+        for name in PHASES:
+            total += getattr(self, name)
+        return total
+
+    def dominant(self) -> str:
+        """The longest phase (the first in :data:`PHASES` order on a tie)."""
+        return max(PHASES, key=lambda name: getattr(self, name))
+
+    def to_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in PHASES}
+
+
+#: The sub-phase vocabulary: :class:`PhaseTimings`' fields, in order.
+PHASES: tuple[str, ...] = tuple(f.name for f in fields(PhaseTimings))
 
 
 @dataclass

@@ -18,12 +18,12 @@ from .picker import (SOURCE_ANALYTIC, SOURCE_EXPLORE, SOURCE_LEARNED,
                      template_inputs)
 from .regret import RegretReport, RegretRound, run_regret, static_baselines
 from .store import (OUTCOME_FAILED, OUTCOME_KILLED, OUTCOME_SUCCESS,
-                    PHASE_FIELDS, RunHistoryStore, RunRecord, phase_means,
+                    RunHistoryStore, RunRecord, phase_means,
                     record_from_result)
 
 __all__ = [
     "AutoDecision", "AutoModePicker",
-    "OUTCOME_FAILED", "OUTCOME_KILLED", "OUTCOME_SUCCESS", "PHASE_FIELDS",
+    "OUTCOME_FAILED", "OUTCOME_KILLED", "OUTCOME_SUCCESS",
     "RegretReport", "RegretRound", "RunHistoryStore", "RunRecord",
     "SOURCE_ANALYTIC", "SOURCE_EXPLORE", "SOURCE_LEARNED",
     "phase_means", "record_from_result", "run_auto_job", "run_regret",

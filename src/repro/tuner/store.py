@@ -5,8 +5,8 @@ work by EWMA estimates learned from it; HFSP trains per-signature size
 stats from completed runs. :class:`RunHistoryStore` is that idea for
 MRapid's *mode* decision: every finished run is recorded under its
 ``(signature, mode)`` cell — elapsed service time, AM overhead, the mean
-per-map phase breakdown (the same sub-phase vocabulary as
-:class:`repro.history.PhaseBreakdown`), and the outcome.
+per-map phase breakdown (keyed by the sub-phase vocabulary
+:data:`repro.mapreduce.spec.PHASES`), and the outcome.
 
 :meth:`RunHistoryStore.stats` folds a cell's successful runs into a
 :class:`~repro.metrics.SignatureStats` — the one learner the picker,
@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ..mapreduce.spec import PHASES
 from ..metrics import SignatureStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,10 +50,6 @@ OUTCOME_SUCCESS = "success"
 OUTCOME_KILLED = "killed"
 OUTCOME_FAILED = "failed"
 OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_KILLED, OUTCOME_FAILED)
-
-#: Phase keys persisted per run (mean seconds per finished map task).
-PHASE_FIELDS = ("wait", "launch", "setup", "read", "compute", "spill",
-                "merge", "shuffle", "write")
 
 _LOCK_TIMEOUT_S = 30.0
 _LOCK_POLL_S = 0.01
@@ -101,7 +98,7 @@ def phase_means(result: "JobResult") -> dict[str, float]:
         return {}
     n = len(finished)
     return {name: sum(getattr(m.phases, name) for m in finished) / n
-            for name in PHASE_FIELDS}
+            for name in PHASES}
 
 
 def record_from_result(result: "JobResult", signature: str, mode: str,

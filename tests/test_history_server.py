@@ -4,8 +4,9 @@ import pytest
 
 from repro.config import a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
-from repro.history import JobHistoryServer, PhaseBreakdown
+from repro.history import JobHistoryServer
 from repro.mapreduce import SimJobSpec
+from repro.mapreduce.spec import PHASES, PhaseTimings
 from repro.workloads import WORDCOUNT_PROFILE
 
 
@@ -83,7 +84,7 @@ def test_to_json_machine_readable():
     assert 0 < data["overhead_fraction"] < 1
     dist = data["modes"]["hadoop-distributed"]
     assert dist["dominant_map_phase"] == "compute"
-    assert set(dist["map_phase_mean_s"]) == set(PhaseBreakdown.FIELDS)
+    assert set(dist["map_phase_mean_s"]) == set(PHASES)
     assert dist["map_phase_mean_s"]["compute"] > 0
 
 
@@ -95,6 +96,6 @@ def test_empty_server():
 
 
 def test_phase_breakdown_dominant():
-    pb = PhaseBreakdown(compute=5.0, read=1.0)
+    pb = PhaseTimings(compute=5.0, read=1.0)
     assert pb.dominant() == "compute"
     assert pb.total() == pytest.approx(6.0)
