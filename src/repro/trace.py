@@ -11,12 +11,12 @@ One driver, :func:`replay_load`, replays every trace: open-loop arrivals
 (arrival times never depend on completions), streaming P² percentiles
 instead of per-job histories (``keep_jobs=True`` adds one row per job for
 exact percentiles), and aggressive cleanup (HDFS input files deleted,
-finished applications forgotten by the RM, the event log bounded) so one
-long-lived cluster can absorb thousands of jobs at bounded memory. Parse a
-trace file with :func:`parse_trace_file` or synthesize one with
-:func:`poisson_trace`, then drive it through :func:`run_load` which also
-picks the RM scheduler (stock FIFO-ish CapacityScheduler, the multi-tenant
-capacity scheduler, or HFSP).
+finished applications forgotten by the RM) so one long-lived cluster can
+absorb thousands of jobs at bounded memory. Parse a trace file with
+:func:`parse_trace_file` or synthesize one with :func:`poisson_trace`,
+then drive it through :func:`run_load` which also picks the RM scheduler
+(stock FIFO-ish CapacityScheduler, the multi-tenant capacity scheduler,
+or HFSP).
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     Arrivals are driven by a single generator clocked purely off the trace
     (never off completions), so offered load is independent of how far the
     cluster falls behind. Per-job state is discarded as jobs finish: input
-    files are deleted from HDFS, the RM forgets terminal applications, and
-    the shared event log is bounded, keeping peak RSS flat in trace length.
+    files are deleted from HDFS and the RM forgets terminal applications,
+    keeping peak RSS flat in trace length.
     Metrics stream into :class:`LoadReport`; ``keep_jobs=True`` also keeps
     one row per job (with ``sojourn_s`` for every success), from which
     :func:`repro.metrics.exact_percentile` gives exact percentiles.
@@ -388,7 +388,8 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     through the one path that mode names.
 
     ``baselines`` (template name -> idle service time) enables slowdown
-    accounting; ``queue_of`` routes templates to tenant queues when the
+    accounting; ``queue_of`` names each template's tenant queue
+    (:attr:`SimJobSpec.queue`, which every submit path routes) when the
     cluster runs the multi-tenant scheduler; ``fault_plan`` injects node
     churn/gray failures into the replay (jobs whose AMs die terminally are
     counted ``failed``, never crash the run).
