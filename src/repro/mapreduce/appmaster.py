@@ -99,6 +99,10 @@ class AppMaster:
         self.spec = spec
         self.result = result
 
+    def run(self, ctx: "AMContext") -> Generator:
+        """The AM's main, run in its container; returns the job's result."""
+        raise NotImplementedError
+
     def open(self, ctx: "AMContext") -> Generator:
         """AM init (Figure 1 step 4): parse the conf and download splits
         and jar from HDFS, then give the result one fresh record per map

@@ -20,13 +20,14 @@ instead, as Hadoop's ``JobClient`` does.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..cluster.resources import ResourceVector
 from ..simulation.errors import Interrupt
 from ..yarn.records import Application
 from ..yarn.resourcemanager import JobKilled
-from .appmaster import DistributedAM
+from .appmaster import AppMaster, DistributedAM
 from .spec import JobResult, SimJobSpec
 from .uber import UberAM
 
@@ -138,7 +139,7 @@ def route_queue(cluster: "SimCluster", app_id: str, queue: Optional[str]) -> Non
     assign(app_id, queue)
 
 
-def serve_by_rm(cluster: "SimCluster", spec: SimJobSpec, am: Any,
+def serve_by_rm(cluster: "SimCluster", spec: SimJobSpec, am: AppMaster,
                 handle: Optional[JobHandle] = None) -> Generator:
     """Figure 1 steps 2-6: the RM allocates and launches a fresh AM that
     runs ``am``; returns the application's result."""
@@ -167,7 +168,7 @@ class JobClient:
         """Start the client-side submission; returns a process whose value
         is the :class:`JobResult`."""
         return self.cluster.env.process(
-            run_lifecycle(self.cluster, spec, mode, self._serve(spec)),
+            run_lifecycle(self.cluster, spec, mode, partial(self._serve, spec)),
             name=f"client-{spec.name}-{mode}")
 
     def run(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED) -> JobResult:
@@ -176,17 +177,15 @@ class JobClient:
         self.cluster.env.run(until=proc)
         return proc.value
 
-    def _serve(self, spec: SimJobSpec) -> Serve:
-        def serve(result: JobResult) -> Generator:
-            if result.mode == MODE_AUTO:
-                result.mode = (MODE_UBER if uber_eligible(self.cluster, spec)
-                               else MODE_DISTRIBUTED)
-            am_class = {MODE_DISTRIBUTED: DistributedAM,
-                        MODE_UBER: UberAM}.get(result.mode)
-            if am_class is None:
-                raise ValueError(f"unknown stock mode {result.mode!r}; use "
-                                 f"{MODE_DISTRIBUTED!r}, {MODE_UBER!r} or "
-                                 f"{MODE_AUTO!r}")
-            return (yield from serve_by_rm(self.cluster, spec,
-                                           am_class(self.cluster, spec, result)))
-        return serve
+    def _serve(self, spec: SimJobSpec, result: JobResult) -> Generator:
+        if result.mode == MODE_AUTO:
+            result.mode = (MODE_UBER if uber_eligible(self.cluster, spec)
+                           else MODE_DISTRIBUTED)
+        am_class = {MODE_DISTRIBUTED: DistributedAM,
+                    MODE_UBER: UberAM}.get(result.mode)
+        if am_class is None:
+            raise ValueError(f"unknown stock mode {result.mode!r}; use "
+                             f"{MODE_DISTRIBUTED!r}, {MODE_UBER!r} or "
+                             f"{MODE_AUTO!r}")
+        return (yield from serve_by_rm(self.cluster, spec,
+                                       am_class(self.cluster, spec, result)))
