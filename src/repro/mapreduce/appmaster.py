@@ -1,4 +1,5 @@
-"""The distributed-mode MRAppMaster (stock Hadoop and D+ share this body).
+"""The distributed-mode MRAppMaster (stock Hadoop and D+ share this body),
+and :class:`AppMaster`, the opening it shares with the Uber and U+ AMs.
 
 Lifecycle (paper Figure 1 steps 3-6): init (download splits/conf/jar), ask
 the RM for one container per map via the heartbeat loop, match granted

@@ -88,15 +88,12 @@ class JobHandle:
             self.proc.interrupt(cause)
 
 
-#: A path's serve step: ``serve(result)`` runs the job after the upload
-#: and returns (as a generator) its final result.
-Serve = Callable[[JobResult], Generator]
-
-
 def run_lifecycle(cluster: "SimCluster", spec: SimJobSpec, mode: str,
-                  serve: Serve, *, prefix: str = "app",
+                  serve: Callable[[JobResult], Generator], *, prefix: str = "app",
                   handle: Optional[JobHandle] = None) -> Generator:
-    """One job's client side; the body of every submit path's process."""
+    """One job's client side, the body of every submit path's process.
+    After the upload, ``serve(result)`` runs the job and returns (as a
+    generator) its final result."""
     env = cluster.env
     app_id = cluster.rm.next_app_id(prefix)
     result = JobResult(app_id=app_id, job_name=spec.name, mode=mode,
