@@ -278,9 +278,9 @@ class SubmissionFramework:
             if tracer is not None:
                 tracer.complete("proxy-rpc", "rpc", slave.node_id,
                                 f"am-{app_id}", t_rpc)
+            route_queue(self.cluster, app_id, spec.queue)
             rm.apps[app_id] = app
             rm._ready[app_id] = []
-            route_queue(self.cluster, app_id, spec.queue)
             handle._app = app
             ctx = AMContext(rm, app, slave.container)
             job_proc = env.process(self._make_am(spec, mode, result).run(ctx),
