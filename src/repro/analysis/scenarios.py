@@ -491,6 +491,38 @@ def _wordcount_node_failure() -> Outcome:
     }), b"")
 
 
+def _am_restart_queue() -> Outcome:
+    """A ``batch`` wordcount on the capacity scheduler whose AM node dies
+    at 7 s, so the RM restarts its AM: the tenant queue each task
+    container is charged to, before and after the restart."""
+    from dataclasses import replace
+
+    from repro.core.submit import run_job
+    from repro.experiments.figures import wordcount_input
+
+    cluster = build_trace_cluster(a3_cluster(4), scheduler=SCHEDULER_CAPACITY)
+    scheduler: Any = cluster.scheduler
+    beat = scheduler.on_node_heartbeat
+    charged: list[tuple[float, str, str]] = []
+
+    def charging_beat(node: Any) -> Any:
+        grants = beat(node)
+        charged.extend((round(cluster.env.now, 9), container.node_id,
+                        scheduler._granted[container.container_id])
+                       for _app_id, container in grants)
+        return grants
+
+    scheduler.on_node_heartbeat = charging_beat
+    timer = cluster.env.timeout(7.0)
+    timer.callbacks.append(lambda _ev: cluster.fail_node("dn3"))
+    spec = replace(wordcount_input(8, 10.0)(cluster), queue="batch")
+    result = run_job(cluster, spec, "distributed")
+    _require(any(t > 7.0 for t, _node, _queue in charged),
+             "the restarted AM is granted task containers")
+    return Outcome(_json({"finish": round(result.finish_time, 9),
+                          "charged": charged}), b"")
+
+
 def _lifecycle(mode: str, pooled: bool = True) -> Outcome:
     """A traced 4 x 10 MB wordcount on A3x4 through one submit path: the
     client's upload and wait, the proxy's steps (or the RM's AM
@@ -592,6 +624,7 @@ SCENARIOS: dict[str, Callable[[], Outcome]] = {
     "churn-telemetry-report": _churn_telemetry_report,
     "serving-churn": _serving_churn,
     "wordcount-node-failure": _wordcount_node_failure,
+    "am-restart-queue": _am_restart_queue,
     **{f"lifecycle/{mode}": partial(_lifecycle, mode)
        for mode in ("distributed", "uber", "dplus", "uplus")},
     **{f"lifecycle/{mode}-unpooled": partial(_lifecycle, mode, pooled=False)
