@@ -150,8 +150,8 @@ def serve_by_rm(cluster: "SimCluster", spec: SimJobSpec, am: AppMaster,
     )
     if handle is not None:
         handle._app = app
-    cluster.rm.submit_application(app)
     route_queue(cluster, app.app_id, spec.queue)
+    cluster.rm.submit_application(app)
     return (yield app.finished)
 
 

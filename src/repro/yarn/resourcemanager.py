@@ -376,6 +376,7 @@ class ResourceManager:
     # -- internals -----------------------------------------------------------------------
     def _handle_am_failure(self, app: Application, exc: BaseException) -> None:
         """An AM attempt died. Either relaunch it or fail the application."""
+        queue = getattr(self.scheduler, "app_queue", {}).get(app.app_id)
         self.scheduler.remove_app(app.app_id)
         self._ready[app.app_id] = []
         attempt = self._am_attempts.get(app.app_id, 1)
@@ -390,6 +391,8 @@ class ResourceManager:
             # survives, so the next attempt can replay completed
             # tasks when am_work_preserving_recovery is on.
             self._am_attempts[app.app_id] = attempt + 1
+            if queue is not None:  # the next attempt keeps the tenant queue
+                self.scheduler.assign_app(app.app_id, queue)
             app.am_container = None
             # Re-queue at *now* (no queue jumping over apps submitted since
             # the first attempt); same-instant restarts — a node death kills

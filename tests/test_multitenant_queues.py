@@ -1,5 +1,7 @@
 """Tests for the multi-tenant CapacityScheduler queues."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ResourceVector
@@ -169,3 +171,60 @@ def test_replay_routes_every_job_to_its_tenant_queue(strategy, monkeypatch):
                       baselines={})
     assert report.jobs_completed == report.jobs_submitted == 23
     assert (routed.count("adhoc"), routed.count("batch")) == (19, 4)
+
+
+def test_am_restart_keeps_the_tenant_queue():
+    """A restarted AM's task containers are still charged to the job's
+    queue: the ``batch`` job's AM node dies at 7 s and every grant, before
+    and after the restart, goes to ``batch``."""
+    from repro.core.submit import run_job
+    from repro.experiments.figures import wordcount_input
+    from repro.trace import SCHEDULER_CAPACITY, build_trace_cluster
+
+    cluster = build_trace_cluster(a3_cluster(4), scheduler=SCHEDULER_CAPACITY)
+    scheduler = cluster.scheduler
+    beat = scheduler.on_node_heartbeat
+    charged = []
+
+    def charging_beat(node):
+        grants = beat(node)
+        charged.extend((cluster.env.now, scheduler._granted[c.container_id])
+                       for _app_id, c in grants)
+        return grants
+
+    scheduler.on_node_heartbeat = charging_beat
+    cluster.env.timeout(7.0).callbacks.append(
+        lambda _ev: cluster.fail_node("dn3"))
+    spec = replace(wordcount_input(8, 10.0)(cluster), queue="batch")
+    result = run_job(cluster, spec, "distributed")
+    assert result.finish_time > 0
+    assert any(t > 7.0 for t, _queue in charged)  # the restart got grants
+    assert {queue for _t, queue in charged} == {"batch"}
+
+
+@pytest.mark.parametrize("mode", ["distributed", "dplus"])
+def test_refused_queue_leaves_no_application(mode):
+    """A job naming a queue the scheduler lacks is refused before the RM
+    records it: no application stays behind and no AM is allocated."""
+    from repro.core.submit import submit
+    from repro.experiments.figures import wordcount_input
+    from repro.observe.tracer import install_tracer
+    from repro.trace import (SCHEDULER_CAPACITY, STRATEGY_DPLUS, STRATEGY_STOCK,
+                             build_trace_cluster)
+
+    strategy = STRATEGY_STOCK if mode == "distributed" else STRATEGY_DPLUS
+    cluster = build_trace_cluster(a3_cluster(4), scheduler=SCHEDULER_CAPACITY,
+                                  strategy=strategy)
+    tracer = install_tracer(cluster)
+    spec = replace(wordcount_input(4, 10.0)(cluster), queue="nope")
+    proc = submit(cluster, spec, mode)
+    try:
+        cluster.env.run(until=proc)
+    except ValueError:
+        refused = True  # the stock client raises
+    else:
+        refused = proc.value.failed  # MRapid's handle reports the failure
+    assert refused
+    cluster.env.run(until=200)
+    assert cluster.rm.apps == {}
+    assert [i for i in tracer.instants if i.name == "am_allocated"] == []
