@@ -59,10 +59,9 @@ class DPlusScheduler(SchedulerBase):
         return [container for _, container in granted]
 
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
-        if self.respond_same_heartbeat:
-            # Everything serviceable was granted at request time; retry
-            # leftovers (cluster was full) now that resources may have freed.
-            return self._schedule()
+        # With respond_same_heartbeat, everything serviceable was granted at
+        # request time; retry leftovers (cluster was full) now that
+        # resources may have freed.
         return self._schedule()
 
     # -- Algorithm 1 -----------------------------------------------------------
