@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..cluster.resources import ResourceVector
 from ..config import MRapidConfig
 from ..mapreduce.appmaster import DistributedAM
-from ..mapreduce.client import JobHandle, route_queue, run_lifecycle, serve_by_rm
+from ..mapreduce.client import JobHandle, job_application, run_lifecycle, serve_by_rm
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simulation.errors import Interrupt
 from ..simulation.events import DEFERRED, Event
-from ..yarn.records import Application, Container
+from ..yarn.records import Application, Container, NodeState
 from ..yarn.resourcemanager import AMContext
 from .uplus import UPlusAM
 
@@ -88,10 +88,9 @@ class SubmissionFramework:
     # -- pool bootstrap -----------------------------------------------------
     def _fill_pool(self) -> None:
         """Reserve and pre-launch ``am_pool_size`` AMs, spread across nodes."""
-        env = self.cluster.env
-        conf = self.cluster.conf
         nodes = sorted(self.cluster.rm.nodes.values(),
                        key=lambda n: (-n.available.memory_mb, n.node_id))
+        conf = self.cluster.conf
         am_resource = ResourceVector(conf.am_memory_mb, conf.am_vcores)
         for i in range(self.mrapid.am_pool_size):
             node = nodes[i % len(nodes)]
@@ -100,16 +99,21 @@ class SubmissionFramework:
                 if not candidates:
                     break  # pool smaller than configured; cluster too tight
                 node = candidates[0]
-            container = Container(self.cluster.rm.next_container_id(), node.node_id,
-                                  am_resource, app_id="ampool")
-            node.allocate(am_resource)
-            slave = AMSlave(self, container)
-            self.slaves.append(slave)
             # The proxy is a long-running service: its AMs were launched when
             # the cluster came up, long before any short job arrives, so the
             # pool is warm at t=0 (launch cost paid outside the measured
             # window — that is the whole point of reusing AMs).
-            self.parked.append(slave)
+            self.parked.append(self._new_slave(node, am_resource))
+
+    def _new_slave(self, node: NodeState, am_resource: ResourceVector) -> AMSlave:
+        """A warm AM on ``node``, its container allocated by the proxy
+        itself, outside any scheduler queue."""
+        container = Container(self.cluster.rm.next_container_id(), node.node_id,
+                              am_resource, app_id="ampool")
+        node.allocate(am_resource)
+        slave = AMSlave(self, container)
+        self.slaves.append(slave)
+        return slave
 
     # -- fault handling -----------------------------------------------------------
     def _handle_node_loss(self, node_id: str) -> None:
@@ -152,13 +156,7 @@ class SubmissionFramework:
                 key=lambda n: (-n.available.memory_mb, n.node_id))
             if not nodes:
                 break  # cluster too tight; pool stays smaller
-            node = nodes[0]
-            container = Container(self.cluster.rm.next_container_id(), node.node_id,
-                                  am_resource, app_id="ampool")
-            node.allocate(am_resource)
-            slave = AMSlave(self, container)
-            self.slaves.append(slave)
-            self._park(slave)
+            self._park(self._new_slave(nodes[0], am_resource))
             spawned += 1
         tracer = self.cluster.env.tracer
         if tracer is not None:
@@ -252,11 +250,8 @@ class SubmissionFramework:
         app_id = result.app_id
         tracer = env.tracer
         t_pool = env.now
-        app = Application(app_id=app_id, name=spec.name,
-                          am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-                          runner=lambda ctx: iter(()),
-                          submit_time=result.submit_time, seq=spec.seq,
-                          queue_time=t_pool)
+        app = job_application(self.cluster, spec, app_id, lambda ctx: iter(()),
+                              submit_time=result.submit_time, queue_time=t_pool)
         grant = self._wait_for_am(app, mode)
         try:
             slave: AMSlave = yield grant
@@ -278,9 +273,7 @@ class SubmissionFramework:
             if tracer is not None:
                 tracer.complete("proxy-rpc", "rpc", slave.node_id,
                                 f"am-{app_id}", t_rpc)
-            route_queue(self.cluster, app_id, spec.queue)
-            rm.apps[app_id] = app
-            rm._ready[app_id] = []
+            rm.register_application(app)
             handle._app = app
             ctx = AMContext(rm, app, slave.container)
             job_proc = env.process(self._make_am(spec, mode, result).run(ctx),
@@ -288,11 +281,14 @@ class SubmissionFramework:
             handle._job_proc = slave.job_proc = job_proc
             try:
                 final: JobResult = yield job_proc
-                rm.scheduler.on_app_finished(app, final)
+            except BaseException as exc:
+                rm.application_failed(app, exc)
+                raise
+            else:
+                rm.application_finished(app, final)
             finally:
-                rm.scheduler.remove_app(app_id)
-                rm.apps.pop(app_id, None)
-                rm._ready.pop(app_id, None)
+                # The RM keeps no record of a job its warm AM served.
+                rm.forget_application(app_id)
             return final
         finally:
             # The AM survives the job. (Plain call: yielding inside a

@@ -177,17 +177,16 @@ class FaultInjector:
         return nm is not None and not nm.failed
 
     def _am_nodes(self) -> set:
-        """Nodes currently hosting an ApplicationMaster (pooled or stock)."""
+        """Nodes currently hosting an ApplicationMaster: the proxy's pooled
+        AMs, and every RM-launched AM whose ``app.am_process`` is alive."""
         nodes = set()
         framework = getattr(self.cluster, "mrapid_framework", None)
         if framework is not None:
             nodes.update(s.node_id for s in framework.slaves)
-        rm = self.cluster.rm
-        for app_id, proc in rm._am_processes.items():
-            if proc.is_alive:
-                app = rm.apps.get(app_id)
-                if app is not None and app.am_container is not None:
-                    nodes.add(app.am_container.node_id)
+        for app in self.cluster.rm.apps.values():
+            if (app.am_process is not None and app.am_process.is_alive
+                    and app.am_container is not None):
+                nodes.add(app.am_container.node_id)
         return nodes
 
     def _job_am_node(self) -> Optional[str]:

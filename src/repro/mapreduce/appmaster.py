@@ -198,7 +198,7 @@ class DistributedAM(AppMaster):
             # the previous attempt journaled, provided their outputs are
             # still reachable (the hosting node is alive); the rest re-run.
             if conf.am_work_preserving_recovery:
-                for idx, old in sorted(ctx.recovered_maps().items()):
+                for idx, old in sorted(ctx.app.recovery_maps.items()):
                     if idx >= n_maps or old.finish_time <= 0 or not node_alive(old.node_id):
                         continue
                     completed.add(idx)
@@ -347,7 +347,7 @@ class DistributedAM(AppMaster):
                                 map_records[idx] = record  # winning attempt
                                 # Journal for work-preserving AM recovery and
                                 # wake any fetcher blocked on this map's output.
-                                ctx.record_completed_map(idx, record)
+                                ctx.app.recovery_maps[idx] = record
                                 shuffle.resolve(record.task_id, MapOutput(
                                     record.task_id, record.node_id,
                                     record.output_mb, record.in_memory_output))

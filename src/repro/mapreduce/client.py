@@ -7,10 +7,12 @@ the result (the closing ``job`` span). Only the serve step differs:
 
 * :class:`JobClient` (the stock paths) and MRapid's framework without the
   AM pool hand the RM an application for a fresh AM
-  (:func:`serve_by_rm`), routed to the job's tenant queue
-  (:attr:`SimJobSpec.queue`);
+  (:func:`serve_by_rm`);
 * MRapid's proxy (:mod:`repro.core.ampool`) hands the job to a warm AM
   from its pool, skipping AM allocation and JVM launch.
+
+Either way the RM records the job as :func:`job_application` builds it,
+in the job's tenant queue (:attr:`SimJobSpec.queue`).
 
 A job submitted with a :class:`JobHandle` (MRapid's framework) can be
 killed, and its result says how it ended: ``killed`` for a kill or an
@@ -125,32 +127,23 @@ def run_lifecycle(cluster: "SimCluster", spec: SimJobSpec, mode: str,
     return final
 
 
-def route_queue(cluster: "SimCluster", app_id: str, queue: Optional[str]) -> None:
-    """Charge ``app_id``'s task containers to tenant ``queue`` of the
-    multi-tenant scheduler; ``None`` leaves the scheduler's default."""
-    if queue is None:
-        return
-    assign = getattr(cluster.scheduler, "assign_app", None)
-    if assign is None:
-        raise ValueError("queue routing needs the multi-tenant scheduler")
-    assign(app_id, queue)
+def job_application(cluster: "SimCluster", spec: SimJobSpec, app_id: str,
+                    runner: Callable[[Any], Any], **times: float) -> Application:
+    """The RM's record of job ``spec``, on every submit path: an AM-sized
+    application in the job's tenant queue, with its arrival sequence."""
+    conf = cluster.conf
+    return Application(app_id, spec.name,
+                       ResourceVector(conf.am_memory_mb, conf.am_vcores),
+                       runner, queue=spec.queue, seq=spec.seq, **times)
 
 
 def serve_by_rm(cluster: "SimCluster", spec: SimJobSpec, am: AppMaster,
                 handle: Optional[JobHandle] = None) -> Generator:
     """Figure 1 steps 2-6: the RM allocates and launches a fresh AM that
     runs ``am``; returns the application's result."""
-    conf = cluster.conf
-    app = Application(
-        app_id=am.result.app_id,
-        name=spec.name,
-        am_resource=ResourceVector(conf.am_memory_mb, conf.am_vcores),
-        runner=am.run,
-        seq=spec.seq,
-    )
+    app = job_application(cluster, spec, am.result.app_id, am.run)
     if handle is not None:
         handle._app = app
-    route_queue(cluster, app.app_id, spec.queue)
     cluster.rm.submit_application(app)
     return (yield app.finished)
 

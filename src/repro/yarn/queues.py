@@ -72,20 +72,11 @@ class MultiTenantCapacityScheduler(SchedulerBase):
         self.default_queue = default_queue if default_queue is not None else queues[0].name
         if self.default_queue not in self.queues:
             raise ValueError(f"default queue {self.default_queue!r} not configured")
-        #: app_id -> queue name, set at submission.
-        self.app_queue: dict[str, str] = {}
         #: Containers *this scheduler* granted (AM containers and pooled AMs
         #: are allocated by the RM directly and must not touch queue usage),
-        #: mapped to the queue charged at grant time — release accounting
-        #: must not depend on ``app_queue``, which is cleaned when the app
-        #: finishes.
+        #: mapped to the queue charged at grant time — a container may
+        #: outlive its application's record.
         self._granted: dict[int, str] = {}
-
-    # -- wiring -----------------------------------------------------------------
-    def assign_app(self, app_id: str, queue: str) -> None:
-        if queue not in self.queues:
-            raise ValueError(f"unknown queue {queue!r}")
-        self.app_queue[app_id] = queue
 
     # -- scheduling ---------------------------------------------------------------
     def on_node_heartbeat(self, node: NodeState) -> list[tuple[str, Container]]:
@@ -120,8 +111,10 @@ class MultiTenantCapacityScheduler(SchedulerBase):
         return grants
 
     def _next_pending(self, queue_name: str) -> Optional[PendingAsk]:
+        # Each application names its queue (checked at registration).
+        apps = self.rm.apps
         for pending in self.queue:
-            if self.app_queue.get(pending.app_id, self.default_queue) == queue_name:
+            if (apps[pending.app_id].queue or self.default_queue) == queue_name:
                 return pending
         return None
 
@@ -133,7 +126,3 @@ class MultiTenantCapacityScheduler(SchedulerBase):
         queue = self.queues[queue_name]
         queue.used_memory_mb = max(
             0, queue.used_memory_mb - container.resource.memory_mb)
-
-    def remove_app(self, app_id: str) -> None:
-        super().remove_app(app_id)
-        self.app_queue.pop(app_id, None)

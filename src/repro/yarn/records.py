@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from ..cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..simulation.events import Event
+    from ..simulation.events import Event, Process
     from .heartbeat import HeartbeatWheel
 
 
@@ -159,13 +159,17 @@ class IdAllocator:
 
 @dataclass
 class Application:
-    """Handle for a submitted application (one MapReduce job)."""
+    """One application (one MapReduce job): all the state the RM and its
+    scheduler keep for it, from registration until the RM forgets it."""
 
     app_id: str
     name: str
     am_resource: ResourceVector
     #: ``runner(am_context)`` -> generator; the ApplicationMaster main.
     runner: Callable[[Any], Any]
+    #: The tenant queue its task containers are charged to
+    #: (:attr:`SimJobSpec.queue`); ``None`` is the scheduler's default.
+    queue: Optional[str] = None
     submit_time: float = 0.0
     #: The job's arrival sequence (:attr:`SimJobSpec.seq`), the stable
     #: tie-break of :meth:`SchedulerBase.priority_key` among jobs queued at
@@ -182,11 +186,21 @@ class Application:
     #: ``finish - launch_time`` as the job's load-independent service time.
     launch_time: float = 0.0
     am_container: Optional[Container] = None
+    #: AM attempts the RM made: 1 from submission, one more per restart;
+    #: 0 while the RM launches no AM for it (a job on a pooled AM).
+    am_attempts: int = 0
+    #: The container process of the RM-launched AM's current attempt.
+    am_process: Optional["Process"] = None
+    #: Containers the scheduler granted that the AM has not fetched yet.
+    ready: list[Container] = field(default_factory=list)
     #: Fires when the AM starts executing (after launch), value = node_id.
     am_started: Optional["Event"] = None
     #: Fires when the application completes, value = the AM's result.
     finished: Optional["Event"] = None
     killed: bool = False
+    #: Set at the terminal outcome (finished, failed or killed); only an
+    #: ended application may be forgotten.
+    ended: bool = False
     #: Completed-task history surviving AM crashes (work-preserving recovery,
     #: the JobHistory event log a second MRAppMaster attempt replays).
     #: Maps task index -> the completed attempt's TaskRecord.

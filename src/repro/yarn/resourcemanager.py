@@ -66,10 +66,8 @@ class ResourceManager:
         scheduler.bind(self)
 
         self.node_managers: dict[str, "NodeManager"] = {}
+        #: Every registered application (all the RM's state for its job).
         self.apps: dict[str, Application] = {}
-        self._am_attempts: dict[str, int] = {}
-        #: Containers granted by the scheduler but not yet fetched by the AM.
-        self._ready: dict[str, list[Container]] = {}
         #: Applications whose AM container is not allocated yet; each beat
         #: serves them in ``scheduler.priority_key`` order. Only
         #: :meth:`_enqueue_am` and :meth:`_dequeue_am` change it.
@@ -79,7 +77,6 @@ class ResourceManager:
         self._am_queue_mb: dict[int, int] = {}
         #: Fallback ``Application.seq`` source for jobs submitted without one.
         self._submit_seq = count()
-        self._am_processes: dict[str, Any] = {}
         #: Callbacks fired on node_lost(node_id) — e.g. the MRapid submission
         #: framework killing pooled-AM jobs whose slave died with the node.
         self.node_lost_listeners: list[Any] = []
@@ -181,47 +178,71 @@ class ResourceManager:
         return ResourceVector(self._total_used_mb, self._total_used_vcores)
 
     # -- application lifecycle ----------------------------------------------------
-    def submit_application(self, app: Application) -> Application:
-        """Queue ``app`` for AM allocation (stock Figure 1 steps 2-3)."""
+    def register_application(self, app: Application) -> Application:
+        """Enter ``app`` into :attr:`apps`. Its tenant queue is outside
+        input, so it is checked first: an unknown queue, or a queue on a
+        scheduler without queues, raises ``ValueError`` and records
+        nothing. MRapid's proxy registers the job its warm AM takes."""
         if app.app_id in self.apps:
             raise ValueError(f"duplicate application {app.app_id}")
+        if app.queue is not None:
+            queues = getattr(self.scheduler, "queues", None)
+            if queues is None:
+                raise ValueError("queue routing needs the multi-tenant scheduler")
+            if app.queue not in queues:
+                raise ValueError(f"unknown queue {app.queue!r}")
+        self.apps[app.app_id] = app
+        return app
+
+    def submit_application(self, app: Application) -> Application:
+        """Register ``app`` and queue its AM (stock Figure 1 steps 2-3)."""
+        self.register_application(app)
         app.submit_time = self.env.now
         if app.seq is None:
             app.seq = self.next_seq()
         app.queue_time = self.env.now
         app.am_started = self.env.event()
         app.finished = self.env.event()
-        self.apps[app.app_id] = app
-        self._ready[app.app_id] = []
-        self._am_attempts[app.app_id] = 1
+        app.am_attempts = 1
         self._enqueue_am(app)
         return app
 
     def application_finished(self, app: Application, result: Any) -> None:
+        """The AM returned ``result``: the application succeeded."""
         self.scheduler.on_app_finished(app, result)
-        self.scheduler.remove_app(app.app_id)
-        self._ready.pop(app.app_id, None)
-        if app.finished is not None and not app.finished.triggered:
-            app.finished.succeed(result)
-        if not self.retain_finished_apps:
-            self.forget_application(app.app_id)
+        self._end(app, result)
+
+    def application_failed(self, app: Application, exc: BaseException) -> None:
+        """The AM's last attempt died with ``exc``: the application failed."""
+        self._end(app, exc=exc)
 
     def kill_application(self, app: Application, cause: Any = "killed") -> None:
         """Terminate an application: AM process interrupted, asks dropped."""
-        if app.killed or (app.finished is not None and app.finished.triggered):
+        if app.ended:
             return
         app.killed = True
-        self.scheduler.remove_app(app.app_id)
-        self._ready.pop(app.app_id, None)
         for queued in [a for a in self._am_queue if a.app_id == app.app_id]:
             self._dequeue_am(queued)
-        proc = self._am_processes.get(app.app_id)
+        proc = app.am_process
         if proc is not None and proc.is_alive:
             proc.defuse()
             proc.interrupt(cause)
-        if app.finished is not None and not app.finished.triggered:
-            app.finished.fail(JobKilled(app.app_id, cause))
+        self._end(app, exc=JobKilled(app.app_id, cause))
+        if app.finished is not None:
             app.finished.defuse()
+
+    def _end(self, app: Application, result: Any = None,
+             exc: Optional[BaseException] = None) -> None:
+        """The terminal outcome: the app's queued asks and unfetched grants
+        go, and ``app.finished`` carries ``result`` or ``exc``."""
+        app.ended = True
+        self.scheduler.remove_app(app.app_id)
+        app.ready = []
+        if app.finished is not None and not app.finished.triggered:
+            if exc is None:
+                app.finished.succeed(result)
+            else:
+                app.finished.fail(exc)
         if not self.retain_finished_apps:
             self.forget_application(app.app_id)
 
@@ -304,20 +325,20 @@ class ResourceManager:
                 self._launch_am(app)
 
         for app_id, container in self.scheduler.on_node_heartbeat(node):
-            if app_id in self._ready:
-                self._ready[app_id].append(container)
+            app = self.apps.get(app_id)
+            if app is not None and not app.ended:
+                app.ready.append(container)
 
     def allocate(self, app_id: str, asks: list[ContainerRequest]) -> list[Container]:
         """AM heartbeat: register asks, collect everything granted so far."""
-        if app_id not in self.apps:
+        app = self.apps.get(app_id)
+        if app is None:
             raise KeyError(f"unknown application {app_id}")
         grants = self.scheduler.on_allocate_request(app_id, asks)
         if self.scheduler.queue:
             self._wake_heartbeats()  # asks left for the next NM heartbeat
-        ready = self._ready.get(app_id, [])
-        if ready:
-            self._ready[app_id] = []
-        granted = ready + grants
+        granted = app.ready + grants
+        app.ready = []
         if self.env.tracer is not None:
             self.env.tracer.counter("rm:allocate_calls").inc()
             if granted:
@@ -354,12 +375,9 @@ class ResourceManager:
         app = self.apps.get(app_id)
         if app is None:
             return
-        if not app.killed and (app.finished is None or not app.finished.triggered):
+        if not app.ended:
             raise ValueError(f"cannot forget live application {app_id}")
-        self.apps.pop(app_id, None)
-        self._am_attempts.pop(app_id, None)
-        self._am_processes.pop(app_id, None)
-        self._ready.pop(app_id, None)
+        del self.apps[app_id]
 
     # -- container accounting ----------------------------------------------------------
     def container_finished(self, container: Container) -> None:
@@ -376,44 +394,37 @@ class ResourceManager:
     # -- internals -----------------------------------------------------------------------
     def _handle_am_failure(self, app: Application, exc: BaseException) -> None:
         """An AM attempt died. Either relaunch it or fail the application."""
-        queue = getattr(self.scheduler, "app_queue", {}).get(app.app_id)
-        self.scheduler.remove_app(app.app_id)
-        self._ready[app.app_id] = []
-        attempt = self._am_attempts.get(app.app_id, 1)
         retriable = (
             not app.killed
             and isinstance(exc, Interrupt)  # AM's node/container died under it
-            and attempt < self.conf.am_max_attempts
+            and app.am_attempts < self.conf.am_max_attempts
         )
-        if retriable:
-            # yarn.resourcemanager.am.max-attempts: relaunch the AM.
-            # The application object (and its recovery_maps history)
-            # survives, so the next attempt can replay completed
-            # tasks when am_work_preserving_recovery is on.
-            self._am_attempts[app.app_id] = attempt + 1
-            if queue is not None:  # the next attempt keeps the tenant queue
-                self.scheduler.assign_app(app.app_id, queue)
-            app.am_container = None
-            # Re-queue at *now* (no queue jumping over apps submitted since
-            # the first attempt); same-instant restarts — a node death kills
-            # several AMs at once — fall back on the apps' original
-            # arrival order via the retained seq.
-            app.queue_time = self.env.now
-            self._enqueue_am(app)
-            if self.env.tracer is not None:
-                from ..observe.tracer import CLUSTER
-                self.env.tracer.instant("am_restarted", "am", CLUSTER,
-                                        f"am-{app.app_id}", app_id=app.app_id,
-                                        attempt=attempt + 1)
+        if not retriable:
+            # Terminal: surface the failure through app.finished so the
+            # client sees it; don't let the AM process itself become an
+            # unhandled event failure.
+            self.application_failed(app, exc)
             return
-        # Terminal: surface the failure through app.finished so the
-        # client sees it; don't let the AM process itself become an
-        # unhandled event failure.
-        self._ready.pop(app.app_id, None)
-        if app.finished is not None and not app.finished.triggered:
-            app.finished.fail(exc)
-        if not self.retain_finished_apps:
-            self.forget_application(app.app_id)
+        # yarn.resourcemanager.am.max-attempts: relaunch the AM. The
+        # application object (its tenant queue and recovery_maps history)
+        # survives, so the next attempt is charged to the same queue and
+        # can replay completed tasks when am_work_preserving_recovery is
+        # on. The dead attempt's asks and unfetched grants go.
+        self.scheduler.remove_app(app.app_id)
+        app.ready = []
+        app.am_attempts += 1
+        app.am_container = None
+        # Re-queue at *now* (no queue jumping over apps submitted since
+        # the first attempt); same-instant restarts — a node death kills
+        # several AMs at once — fall back on the apps' original
+        # arrival order via the retained seq.
+        app.queue_time = self.env.now
+        self._enqueue_am(app)
+        if self.env.tracer is not None:
+            from ..observe.tracer import CLUSTER
+            self.env.tracer.instant("am_restarted", "am", CLUSTER,
+                                    f"am-{app.app_id}", app_id=app.app_id,
+                                    attempt=app.am_attempts)
 
     def _launch_am(self, app: Application) -> None:
         nm = self.node_managers[app.am_container.node_id]
@@ -443,8 +454,8 @@ class ResourceManager:
         if self.env.telemetry is not None:
             self.env.telemetry.am_alloc_wait.observe(
                 self.env.now - app.submit_time)
-        proc = nm.launch(app.am_container, am_body(), name=f"am-{app.app_id}")
-        self._am_processes[app.app_id] = proc
+        proc = app.am_process = nm.launch(app.am_container, am_body(),
+                                          name=f"am-{app.app_id}")
 
         def am_watch() -> Generator:
             # A kill that lands during the JVM launch delay never reaches
@@ -516,12 +527,3 @@ class AMContext:
 
     def release(self, container: Container) -> None:
         self.rm.container_finished(container)
-
-    # -- work-preserving recovery (yarn.app.mapreduce.am.job.recovery) -------
-    def record_completed_map(self, idx: int, record: Any) -> None:
-        """Journal a completed map so a second AM attempt can replay it."""
-        self.app.recovery_maps[idx] = record
-
-    def recovered_maps(self) -> dict:
-        """Completed-map history journaled by previous AM attempts."""
-        return dict(self.app.recovery_maps)

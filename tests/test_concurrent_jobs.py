@@ -64,10 +64,8 @@ def test_dplus_grants_isolated_per_app():
 
     cluster = SimCluster(a3_cluster(4), scheduler=DPlusScheduler())
     for app_id in ("a", "b"):
-        cluster.rm.apps[app_id] = Application(app_id, app_id,
-                                              ResourceVector(1, 1),
-                                              lambda ctx: iter(()))
-        cluster.rm._ready[app_id] = []
+        cluster.rm.register_application(Application(
+            app_id, app_id, ResourceVector(1, 1), lambda ctx: iter(())))
     grants_a = cluster.rm.allocate(
         "a", [ContainerRequest(ResourceVector(1024, 1)) for _ in range(3)])
     grants_b = cluster.rm.allocate(

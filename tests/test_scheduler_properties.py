@@ -25,9 +25,8 @@ def mk_cluster(n_nodes, scheduler, instance="A3"):
 
 
 def register(cluster, app_id="x"):
-    cluster.rm.apps[app_id] = Application(app_id, app_id, ResourceVector(1, 1),
-                                          lambda ctx: iter(()))
-    cluster.rm._ready[app_id] = []
+    cluster.rm.register_application(Application(
+        app_id, app_id, ResourceVector(1, 1), lambda ctx: iter(())))
     return app_id
 
 
@@ -135,9 +134,7 @@ def hfsp_app(cluster, app_id, name, submit_time=0.0):
     app = Application(app_id, name, ResourceVector(1536, 1),
                       lambda ctx: iter(()), submit_time=submit_time,
                       seq=int(app_id.rsplit("_", 1)[1]))
-    cluster.rm.apps[app_id] = app
-    cluster.rm._ready[app_id] = []
-    return app
+    return cluster.rm.register_application(app)
 
 
 def trained(*service_s):

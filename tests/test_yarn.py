@@ -121,6 +121,19 @@ def test_duplicate_app_id_rejected():
         cluster.rm.submit_application(app)
 
 
+def test_queue_without_queue_scheduler_refused():
+    """A tenant queue on a scheduler that has none is refused before the
+    RM records the application or queues its AM."""
+    cluster = make_cluster()
+    app = Application("app_q", "t", ResourceVector(1536, 1),
+                      lambda ctx: iter(()), queue="batch")
+    with pytest.raises(ValueError, match="multi-tenant"):
+        cluster.rm.submit_application(app)
+    assert cluster.rm.apps == {}
+    cluster.env.run(until=5.0)
+    assert app.am_container is None
+
+
 def test_kill_application_interrupts_am():
     cluster = make_cluster()
 
@@ -159,8 +172,8 @@ def test_stock_allocation_waits_for_node_heartbeat():
     """Asks registered between heartbeats are not granted until an NM reports."""
     cluster = make_cluster()
     rm = cluster.rm
-    rm.apps["x"] = Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(()))
-    rm._ready["x"] = []
+    rm.register_application(
+        Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(())))
     ask = ContainerRequest(ResourceVector(1024, 1))
     grants = rm.allocate("x", [ask])
     assert grants == []  # nothing in the same call
@@ -173,8 +186,8 @@ def test_stock_scheduler_packs_single_node():
     """Greedy: all requests land on the first heartbeating node that fits."""
     cluster = make_cluster()
     rm = cluster.rm
-    rm.apps["x"] = Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(()))
-    rm._ready["x"] = []
+    rm.register_application(
+        Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(())))
     asks = [ContainerRequest(ResourceVector(1024, 1)) for _ in range(4)]
     rm.allocate("x", asks)
     cluster.env.run(until=1.5)
@@ -188,8 +201,8 @@ def test_stock_scheduler_overflows_to_next_heartbeat_node():
     """More asks than one node fits spill to later-heartbeating nodes."""
     cluster = make_cluster()
     rm = cluster.rm
-    rm.apps["x"] = Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(()))
-    rm._ready["x"] = []
+    rm.register_application(
+        Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(())))
     # Memory-only packing (DefaultResourceCalculator): A3 = 7168 MB admits 7
     # containers of 1024 MB; the 8th overflows to the next heartbeating node
     # even though 8 > 4 vcores would have overflowed much earlier.
@@ -208,8 +221,8 @@ def test_scheduler_remove_app_clears_queue():
     scheduler = CapacityScheduler()
     cluster = SimCluster(a3_cluster(2), scheduler=scheduler)
     rm = cluster.rm
-    rm.apps["x"] = Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(()))
-    rm._ready["x"] = []
+    rm.register_application(
+        Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(())))
     rm.allocate("x", [ContainerRequest(ResourceVector(1024, 1))])
     assert len(scheduler.queue) == 1
     scheduler.remove_app("x")
@@ -225,8 +238,8 @@ def test_nm_heartbeats_are_phase_offset():
 def test_container_finished_releases_resources():
     cluster = make_cluster()
     rm = cluster.rm
-    rm.apps["x"] = Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(()))
-    rm._ready["x"] = []
+    rm.register_application(
+        Application("x", "x", ResourceVector(1, 1), lambda ctx: iter(())))
     rm.allocate("x", [ContainerRequest(ResourceVector(1024, 1))])
     cluster.env.run(until=1.5)
     (grant,) = rm.allocate("x", [])
