@@ -192,7 +192,7 @@ class Application:
     #: The container process of the RM-launched AM's current attempt.
     am_process: Optional["Process"] = None
     #: Containers the scheduler granted that the AM has not fetched yet.
-    ready: list[Container] = field(default_factory=list)
+    unfetched: list[Container] = field(default_factory=list)
     #: Fires when the AM starts executing (after launch), value = node_id.
     am_started: Optional["Event"] = None
     #: Fires when the application completes, value = the AM's result.

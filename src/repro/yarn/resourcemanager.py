@@ -237,7 +237,7 @@ class ResourceManager:
         go, and ``app.finished`` carries ``result`` or ``exc``."""
         app.ended = True
         self.scheduler.remove_app(app.app_id)
-        app.ready = []
+        app.unfetched = []
         if app.finished is not None and not app.finished.triggered:
             if exc is None:
                 app.finished.succeed(result)
@@ -327,7 +327,7 @@ class ResourceManager:
         for app_id, container in self.scheduler.on_node_heartbeat(node):
             app = self.apps.get(app_id)
             if app is not None and not app.ended:
-                app.ready.append(container)
+                app.unfetched.append(container)
 
     def allocate(self, app_id: str, asks: list[ContainerRequest]) -> list[Container]:
         """AM heartbeat: register asks, collect everything granted so far."""
@@ -337,8 +337,8 @@ class ResourceManager:
         grants = self.scheduler.on_allocate_request(app_id, asks)
         if self.scheduler.queue:
             self._wake_heartbeats()  # asks left for the next NM heartbeat
-        granted = app.ready + grants
-        app.ready = []
+        granted = app.unfetched + grants
+        app.unfetched = []
         if self.env.tracer is not None:
             self.env.tracer.counter("rm:allocate_calls").inc()
             if granted:
@@ -399,32 +399,33 @@ class ResourceManager:
             and isinstance(exc, Interrupt)  # AM's node/container died under it
             and app.am_attempts < self.conf.am_max_attempts
         )
-        if not retriable:
-            # Terminal: surface the failure through app.finished so the
-            # client sees it; don't let the AM process itself become an
-            # unhandled event failure.
-            self.application_failed(app, exc)
+        if retriable:
+            # yarn.resourcemanager.am.max-attempts: relaunch the AM. The
+            # application object (its tenant queue and recovery_maps
+            # history) survives, so the next attempt is charged to the
+            # same queue and can replay completed tasks when
+            # am_work_preserving_recovery is on. The dead attempt's asks
+            # and unfetched grants go.
+            self.scheduler.remove_app(app.app_id)
+            app.unfetched = []
+            app.am_attempts += 1
+            app.am_container = None
+            # Re-queue at *now* (no queue jumping over apps submitted since
+            # the first attempt); same-instant restarts — a node death kills
+            # several AMs at once — fall back on the apps' original
+            # arrival order via the retained seq.
+            app.queue_time = self.env.now
+            self._enqueue_am(app)
+            if self.env.tracer is not None:
+                from ..observe.tracer import CLUSTER
+                self.env.tracer.instant("am_restarted", "am", CLUSTER,
+                                        f"am-{app.app_id}", app_id=app.app_id,
+                                        attempt=app.am_attempts)
             return
-        # yarn.resourcemanager.am.max-attempts: relaunch the AM. The
-        # application object (its tenant queue and recovery_maps history)
-        # survives, so the next attempt is charged to the same queue and
-        # can replay completed tasks when am_work_preserving_recovery is
-        # on. The dead attempt's asks and unfetched grants go.
-        self.scheduler.remove_app(app.app_id)
-        app.ready = []
-        app.am_attempts += 1
-        app.am_container = None
-        # Re-queue at *now* (no queue jumping over apps submitted since
-        # the first attempt); same-instant restarts — a node death kills
-        # several AMs at once — fall back on the apps' original
-        # arrival order via the retained seq.
-        app.queue_time = self.env.now
-        self._enqueue_am(app)
-        if self.env.tracer is not None:
-            from ..observe.tracer import CLUSTER
-            self.env.tracer.instant("am_restarted", "am", CLUSTER,
-                                    f"am-{app.app_id}", app_id=app.app_id,
-                                    attempt=app.am_attempts)
+        # Terminal: surface the failure through app.finished so the
+        # client sees it; don't let the AM process itself become an
+        # unhandled event failure.
+        self.application_failed(app, exc)
 
     def _launch_am(self, app: Application) -> None:
         nm = self.node_managers[app.am_container.node_id]
