@@ -1,8 +1,8 @@
 """Simulated MapReduce framework: job model, task phases, AMs, client."""
 
-from .appmaster import DistributedAM, JobFailed, OutputBus
+from .appmaster import DistributedAM, JobFailed
 from .client import MODE_AUTO, MODE_DISTRIBUTED, MODE_UBER, JobClient, uber_eligible
-from .spec import JobResult, MapOutput, PhaseTimings, SimJobSpec, TaskRecord
+from .spec import JobResult, PhaseTimings, SimJobSpec, TaskRecord
 from .tasks import sim_map_task, sim_reduce_task, wait_flow
 from .uber import UberAM
 
@@ -14,9 +14,7 @@ __all__ = [
     "MODE_AUTO",
     "MODE_DISTRIBUTED",
     "MODE_UBER",
-    "OutputBus",
     "uber_eligible",
-    "MapOutput",
     "PhaseTimings",
     "SimJobSpec",
     "TaskRecord",

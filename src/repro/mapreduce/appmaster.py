@@ -5,17 +5,20 @@ Lifecycle (paper Figure 1 steps 3-6): init (download splits/conf/jar), ask
 the RM for one container per map via the heartbeat loop, match granted
 containers to tasks by locality (as the real MRAppMaster does), launch task
 JVMs through the NMs, request the reduce container at slow-start, wait for
-everything, commit.
+everything, commit. Each launched attempt is one entry of the AM's
+running-attempt table: its task index, its :class:`~.spec.TaskRecord` and
+its node. A finished map's record is also its output, advertised to the
+reduce through the AM attempt's :class:`~.tasks.ShuffleService`.
 
 Fault tolerance mirrors Hadoop's: a task attempt killed by a node failure
 is retried in a fresh container (up to ``max_task_attempts``); a failed
 reduce attempt is relaunched and re-fetches the already-completed map
 outputs; a reducer's shuffle *fetch failure* (the completed map's output
-died with its node) re-executes that map and hands the fresh output to the
-blocked fetcher; a second AM attempt replays the completed-map history
-journaled on the Application (work-preserving recovery); and nodes that
-fail ``max_failures_per_node`` attempts are blacklisted for the rest of
-the job.
+died with its node) re-executes that map and hands the fresh attempt's
+record to the blocked fetcher; a second AM attempt replays the
+completed-map history journaled on the Application (work-preserving
+recovery); and nodes that fail ``max_failures_per_node`` attempts are
+blacklisted for the rest of the job.
 
 Whether allocation takes >= 2 heartbeats (stock CapacityScheduler) or
 returns in the same heartbeat (D+), and whether grants spread across nodes,
@@ -30,9 +33,8 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..hdfs.splits import compute_splits
 from ..simulation.errors import Interrupt
-from ..simulation.resources import Store
 from ..yarn.records import Container, ContainerRequest
-from .spec import JobResult, MapOutput, SimJobSpec, TaskRecord
+from .spec import JobResult, SimJobSpec, TaskRecord, base_task_id
 from .tasks import ShuffleService, sim_map_task, sim_reduce_task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,39 +46,6 @@ REDUCE = -1  # task index used for the single reduce
 
 class JobFailed(Exception):
     """A task ran out of attempts (or the job is otherwise unrecoverable)."""
-
-
-class OutputBus:
-    """Routes map outputs to the *current* reduce attempt's store.
-
-    A reduce retry gets a fresh store preloaded with every already-completed
-    map output; maps that finish later put into the new store transparently.
-    Outputs are de-duplicated by base task id so a speculative duplicate
-    attempt finishing second never double-feeds the reducer.
-    """
-
-    def __init__(self, env) -> None:
-        self.env = env
-        self.store: Store = Store(env)
-        self._seen: set[str] = set()
-
-    @staticmethod
-    def _base(task_id: str) -> str:
-        return task_id.split(".")[0]
-
-    def put(self, item: MapOutput) -> None:
-        base = self._base(item.task_id)
-        if base in self._seen:
-            return
-        self._seen.add(base)
-        self.store.put(item)
-
-    def rebuild(self, preload: list[MapOutput]) -> Store:
-        self.store = Store(self.env)
-        self._seen = set()
-        for item in preload:
-            self.put(item)
-        return self.store
 
 
 def map_record(idx: int, attempt: int = 0) -> TaskRecord:
@@ -148,7 +117,6 @@ class DistributedAM(AppMaster):
         try:
             splits = yield from self.open(ctx)
             n_maps = len(splits)
-            bus = OutputBus(env)
             map_records = self.result.maps
 
             container_resource = conf.container_resource()
@@ -184,9 +152,8 @@ class DistributedAM(AppMaster):
             attempts: dict[int, int] = {idx: 0 for idx in range(n_maps)}
             attempts[REDUCE] = 0
             launches: dict[int, int] = {idx: 0 for idx in range(n_maps)}
-            running: dict = {}          # proc -> task index (REDUCE for reduce)
-            proc_records: dict = {}     # proc -> its attempt's TaskRecord
-            proc_nodes: dict = {}       # proc -> node its container ran on
+            #: proc -> (task index or REDUCE, its attempt's record, its node)
+            running: dict = {}
             completed: set[int] = set()
             speculating: set[int] = set()  # tasks with a duplicate in flight
             reduce_requested = False
@@ -204,17 +171,23 @@ class DistributedAM(AppMaster):
                     completed.add(idx)
                     map_records[idx] = old
                     launches[idx] = 1
-                    bus.put(MapOutput(old.task_id, old.node_id, old.output_mb,
-                                      old.in_memory_output))
+                    shuffle.put(old)
                     if env.tracer is not None:
                         env.tracer.instant("map_recovered", "am", ctx.node_id,
                                            f"am-{ctx.app.app_id}",
                                            task=old.task_id, node=old.node_id)
-                self.result.maps = map_records
 
             unassigned = [idx for idx in range(n_maps) if idx not in completed]
             asks = [map_ask(idx) for idx in unassigned]
             ask_times: dict[int, float] = {idx: env.now for idx in unassigned}
+
+            def ask_map(idx: int) -> None:
+                """Ask for a container for map ``idx`` unless it already
+                waits for one."""
+                if idx not in unassigned:
+                    unassigned.append(idx)
+                    ask_times[idx] = env.now
+                    asks.append(map_ask(idx))
 
             def requeue_grant(container: Container) -> None:
                 """Return an unusable grant and restore the ask it consumed.
@@ -236,18 +209,27 @@ class DistributedAM(AppMaster):
                 elif reduce_pending:
                     asks.append(reduce_ask())
 
-            def relaunch_map(idx: int, cause: str, task_id: str, node: str) -> None:
+            def relaunch_map(idx: int, cause: str, lost: TaskRecord) -> None:
                 """Re-execute a map whose completed output became unreachable."""
                 completed.discard(idx)
                 ctx.app.recovery_maps.pop(idx, None)
                 if env.tracer is not None:
                     env.tracer.instant(cause, "am", ctx.node_id,
                                        f"am-{ctx.app.app_id}",
-                                       task=task_id, node=node)
-                if idx not in unassigned:
-                    unassigned.append(idx)
-                    ask_times[idx] = env.now
-                    asks.append(map_ask(idx))
+                                       task=lost.task_id, node=lost.node_id)
+                ask_map(idx)
+
+            def launch(container: Container, idx: int, record: TaskRecord,
+                       body: Generator) -> None:
+                """Start one attempt of task ``idx`` in ``container``."""
+                label = "reduce" if idx == REDUCE else record.task_id
+                proc = ctx.start_container(container, body,
+                                           name=f"{self.spec.name}-{label}")
+                # Pre-defuse: attempt failures are harvested by the
+                # heartbeat loop, not by waiting on the process.
+                proc.defuse()
+                running[proc] = (idx, record, container.node_id)
+                self._children.append(proc)
 
             # -- heartbeat loop --------------------------------------------------
             while True:
@@ -268,7 +250,6 @@ class DistributedAM(AppMaster):
                         launches[task_idx] += 1
                         if task_idx not in completed:
                             map_records[task_idx] = record
-                            self.result.maps = map_records
                         record.phases.wait = env.now - ask_times[task_idx]
                         record.phases.launch = conf.container_launch_s
                         if env.tracer is not None and record.phases.wait > 0:
@@ -277,39 +258,23 @@ class DistributedAM(AppMaster):
                                                 record.task_id,
                                                 ask_times[task_idx],
                                                 placed_on=container.node_id)
-                        body = sim_map_task(self.cluster, self.spec.profile,
-                                            splits[task_idx], container.node_id,
-                                            record, bus, conf.task_setup_s,
-                                            commit_rpc_s=self.commit_rpc_s)
-                        proc = ctx.start_container(container, body,
-                                                   name=f"{self.spec.name}-{record.task_id}")
-                        # Pre-defuse: attempt failures are harvested by the
-                        # heartbeat loop, not by waiting on the process.
-                        proc.defuse()
-                        running[proc] = task_idx
-                        proc_records[proc] = record
-                        proc_nodes[proc] = container.node_id
-                        self._children.append(proc)
+                        launch(container, task_idx, record, sim_map_task(
+                            self.cluster, self.spec.profile, splits[task_idx],
+                            container.node_id, record, shuffle,
+                            conf.task_setup_s, commit_rpc_s=self.commit_rpc_s))
                     elif reduce_pending:
                         reduce_pending = False
                         record = reduce_record(attempts[REDUCE])
                         self.result.reduces = [record]
                         record.phases.launch = conf.container_launch_s
-                        body = sim_reduce_task(
+                        launch(container, REDUCE, record, sim_reduce_task(
                             self.cluster, self.spec.profile, n_maps,
-                            container.node_id, record, bus.store,
+                            container.node_id, record, shuffle.store,
                             conf.task_setup_s,
                             output_path=f"/out/{self.result.app_id}",
                             commit_rpc_s=self.commit_rpc_s,
                             shuffle=shuffle,
-                        )
-                        proc = ctx.start_container(
-                            container, body, name=f"{self.spec.name}-reduce")
-                        proc.defuse()
-                        running[proc] = REDUCE
-                        proc_records[proc] = record
-                        proc_nodes[proc] = container.node_id
-                        self._children.append(proc)
+                        ))
                     else:
                         ctx.release(container)  # surplus grant
 
@@ -318,41 +283,33 @@ class DistributedAM(AppMaster):
                 # replacement — re-execute those maps, like the real AM does
                 # after TOO_MANY_FETCH_FAILURES.
                 for lost in shuffle.drain():
-                    relaunch_map(int(lost.task_id.split(".")[0][1:]),
-                                 "fetch_failure", lost.task_id, lost.node_id)
+                    relaunch_map(int(base_task_id(lost.task_id)[1:]),
+                                 "fetch_failure", lost)
 
                 # Harvest finished attempts; retry failures; settle duplicates.
-                for proc in [p for p in list(running) if not p.is_alive]:
-                    idx = running.pop(proc)
-                    record = proc_records.pop(proc, None)
-                    fail_node = proc_nodes.pop(proc, None)
+                for proc in [p for p in running if not p.is_alive]:
+                    idx, record, node = running.pop(proc)
                     if proc.ok:
                         if idx == REDUCE:
                             reduce_done = True
                             continue
                         if idx not in completed:
-                            if record is not None and not node_alive(record.node_id):
+                            if not node_alive(node):
                                 # The attempt finished, but its machine died
                                 # before this heartbeat heard: the output is
                                 # already gone. Leave the task incomplete and
                                 # re-run it (the drain above may have queued
                                 # the relaunch already).
-                                if idx not in unassigned:
-                                    unassigned.append(idx)
-                                    ask_times[idx] = env.now
-                                    asks.append(map_ask(idx))
+                                ask_map(idx)
                                 continue
                             completed.add(idx)
-                            if record is not None:
-                                map_records[idx] = record  # winning attempt
-                                # Journal for work-preserving AM recovery and
-                                # wake any fetcher blocked on this map's output.
-                                ctx.app.recovery_maps[idx] = record
-                                shuffle.resolve(record.task_id, MapOutput(
-                                    record.task_id, record.node_id,
-                                    record.output_mb, record.in_memory_output))
+                            map_records[idx] = record  # winning attempt
+                            # Journal for work-preserving AM recovery and
+                            # wake any fetcher blocked on this map's output.
+                            ctx.app.recovery_maps[idx] = record
+                            shuffle.resolve(record)
                             # A still-running duplicate lost the race: kill it.
-                            for other, other_idx in list(running.items()):
+                            for other, (other_idx, _, _) in running.items():
                                 if other_idx == idx and other.is_alive:
                                     other.defuse()
                                     other.interrupt("speculative duplicate lost")
@@ -366,17 +323,17 @@ class DistributedAM(AppMaster):
                     # a machine that keeps failing attempts — gray disk, flaky
                     # JVMs — is taken out of this job's rotation, as long as
                     # at least one other node remains usable.
-                    if conf.node_blacklist_enabled and fail_node is not None:
-                        node_task_failures[fail_node] = node_task_failures.get(fail_node, 0) + 1
-                        if (node_task_failures[fail_node] >= conf.max_failures_per_node
-                                and fail_node not in blacklisted
+                    if conf.node_blacklist_enabled:
+                        node_task_failures[node] = node_task_failures.get(node, 0) + 1
+                        if (node_task_failures[node] >= conf.max_failures_per_node
+                                and node not in blacklisted
                                 and len(blacklisted) < len(rm_nodes) - 1):
-                            blacklisted.add(fail_node)
+                            blacklisted.add(node)
                             if env.tracer is not None:
                                 env.tracer.instant(
                                     "node_blacklisted", "am", ctx.node_id,
-                                    f"am-{ctx.app.app_id}", node=fail_node,
-                                    failures=node_task_failures[fail_node])
+                                    f"am-{ctx.app.app_id}", node=node,
+                                    failures=node_task_failures[node])
                     attempts[idx] += 1
                     if attempts[idx] >= conf.max_task_attempts:
                         raise JobFailed(
@@ -392,37 +349,27 @@ class DistributedAM(AppMaster):
                             if r.finish_time <= 0:
                                 continue
                             if not node_alive(r.node_id):
-                                relaunch_map(r_idx, "map_output_lost",
-                                             r.task_id, r.node_id)
+                                relaunch_map(r_idx, "map_output_lost", r)
                                 continue
-                            preload.append(MapOutput(r.task_id, r.node_id,
-                                                     r.output_mb,
-                                                     r.in_memory_output))
-                        bus.rebuild(preload)
+                            preload.append(r)
+                        shuffle.rebuild(preload)
                         asks.append(reduce_ask())
                     else:
                         speculating.discard(idx)
-                        if idx not in unassigned:
-                            unassigned.append(idx)
-                            ask_times[idx] = env.now
-                            asks.append(map_ask(idx))
+                        ask_map(idx)
 
                 # In-job straggler speculation (mapreduce.map.speculative):
                 # duplicate attempts for tasks running well past the average.
                 if conf.speculative_tasks and len(completed) >= conf.speculative_min_completed:
                     done_times = [map_records[i].elapsed for i in completed]
                     avg_elapsed = sum(done_times) / len(done_times)
-                    for proc, idx in list(running.items()):
-                        if idx == REDUCE or idx in speculating or idx in completed:
+                    for idx, record, _ in running.values():
+                        if (idx == REDUCE or idx in speculating or idx in completed
+                                or record.start_time <= 0):
                             continue
-                        rec = proc_records.get(proc)
-                        if rec is None or rec.start_time <= 0:
-                            continue
-                        if (env.now - rec.start_time) > conf.speculative_slowness * avg_elapsed:
+                        if (env.now - record.start_time) > conf.speculative_slowness * avg_elapsed:
                             speculating.add(idx)
-                            unassigned.append(idx)
-                            ask_times[idx] = env.now
-                            asks.append(map_ask(idx))
+                            ask_map(idx)
 
                 if not reduce_requested and len(completed) >= reduce_threshold:
                     reduce_requested = True

@@ -76,7 +76,11 @@ PHASES: tuple[str, ...] = tuple(f.name for f in fields(PhaseTimings))
 
 @dataclass
 class TaskRecord:
-    """Profiler record for a single task attempt (paper §III-C step 4)."""
+    """Profiler record for a single task attempt (paper §III-C step 4).
+
+    A finished map's record is also its advertised output: the reducer
+    fetches ``output_mb`` from ``node_id`` (from RAM if
+    ``in_memory_output``)."""
 
     task_id: str
     kind: str                       # "map" | "reduce"
@@ -95,14 +99,9 @@ class TaskRecord:
         return self.finish_time - self.start_time
 
 
-@dataclass
-class MapOutput:
-    """A finished map's intermediate data, advertised to the reducer."""
-
-    task_id: str
-    node_id: str
-    size_mb: float
-    in_memory: bool = False
+def base_task_id(task_id: str) -> str:
+    """The task an attempt id belongs to: ``m003.a1`` -> ``m003``."""
+    return task_id.split(".")[0]
 
 
 @dataclass

@@ -6,6 +6,12 @@ map = setup + read (s^i/d^o) + map (t^m) + spill (s^o/d^i) [+ merge
 goes through the contended devices, so packing tasks on one node slows them
 down the way it does on real hardware.
 
+A finished map advertises its own :class:`~.spec.TaskRecord` to the reducer:
+the fetch reads the record's ``node_id``, ``output_mb`` and
+``in_memory_output``. The distributed AM's attempts advertise through
+:class:`ShuffleService`, one AM attempt's whole shuffle channel; the Uber
+and U+ AMs hand their maps a plain :class:`Store`.
+
 Every wait is interrupt-safe: killing a task (speculative execution
 terminating the slower mode) also kills its in-flight disk/network/CPU
 flows so no phantom load stays behind.
@@ -13,7 +19,7 @@ flows so no phantom load stays behind.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Protocol, Union
 
 from ..cluster.fabric import Flow, FlowKilled
 from ..hdfs.block import InputSplit
@@ -24,7 +30,7 @@ from ..workloads.base import WorkloadProfile, attempt_fails, task_skew_factor
 
 class TransientTaskError(Exception):
     """Injected attempt failure (bad sector, OOM-killed JVM, ...)."""
-from .spec import MapOutput, TaskRecord
+from .spec import TaskRecord, base_task_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -34,51 +40,72 @@ if TYPE_CHECKING:  # pragma: no cover
 class FetchFailure(Exception):
     """A shuffle fetch cannot be served: the map output died with its node."""
 
-    def __init__(self, output: MapOutput) -> None:
-        super().__init__(output.task_id)
-        self.output = output
+    def __init__(self, record: TaskRecord) -> None:
+        super().__init__(record.task_id)
+        self.record = record
 
 
 class ShuffleService:
-    """The reducer <-> AM fetch-failure channel.
+    """One AM attempt's shuffle channel: the map outputs advertised to the
+    current reduce attempt, and the reducer <-> AM fetch-failure channel.
+
+    Outputs go to :attr:`store`, de-duplicated by base task id so a
+    speculative duplicate attempt finishing second never double-feeds the
+    reducer. A reduce retry gets a fresh store (:meth:`rebuild`) preloaded
+    with every already-completed map output; maps that finish later put
+    into the new store transparently.
 
     Real Hadoop: a reducer that cannot fetch a map's output reports the
     failure through the umbilical; after enough reports the AM re-executes
     the completed map and the reducer retries against the fresh output. Here
     a fetcher calls :meth:`report_fetch_failure` and waits on the returned
     event; the AM drains the reports each heartbeat, re-runs the maps, and
-    :meth:`resolve`\\ s each waiter with the replacement output.
+    :meth:`resolve`\\ s each waiter with the replacement's record.
     """
 
     def __init__(self, env, is_node_alive: Callable[[str], bool]) -> None:
         self.env = env
         self.is_node_alive = is_node_alive
+        self.store: Store = Store(env)
+        self._seen: set[str] = set()
         #: Reported failures the AM has not seen yet.
-        self.pending: list[MapOutput] = []
+        self.pending: list[TaskRecord] = []
         self._waiters: dict[str, "Event"] = {}
 
-    @staticmethod
-    def _base(task_id: str) -> str:
-        return task_id.split(".")[0]
+    def put(self, record: TaskRecord) -> None:
+        """Advertise a finished map's output to the current reduce attempt."""
+        base = base_task_id(record.task_id)
+        if base in self._seen:
+            return
+        self._seen.add(base)
+        self.store.put(record)
 
-    def report_fetch_failure(self, out: MapOutput) -> "Event":
+    def rebuild(self, preload: list[TaskRecord]) -> Store:
+        """A fresh store for a reduce retry, holding ``preload``."""
+        self.store = Store(self.env)
+        self._seen = set()
+        for record in preload:
+            self.put(record)
+        return self.store
+
+    def report_fetch_failure(self, record: TaskRecord) -> "Event":
         """Register a failed fetch; returns the replacement-output event."""
-        base = self._base(out.task_id)
+        base = base_task_id(record.task_id)
         ev = self._waiters.get(base)
         if ev is None:
             ev = self.env.event()
             self._waiters[base] = ev
-            self.pending.append(out)
+            self.pending.append(record)
         return ev
 
-    def drain(self) -> list[MapOutput]:
+    def drain(self) -> list[TaskRecord]:
         """AM side: collect fetch failures reported since the last heartbeat."""
         reported, self.pending = self.pending, []
         return reported
 
-    def resolve(self, task_id: str, replacement: MapOutput) -> None:
+    def resolve(self, replacement: TaskRecord) -> None:
         """AM side: a re-executed map finished; wake the blocked fetcher."""
-        ev = self._waiters.pop(self._base(task_id), None)
+        ev = self._waiters.pop(base_task_id(replacement.task_id), None)
         if ev is not None and not ev.triggered:
             ev.succeed(replacement)
 
@@ -151,7 +178,8 @@ def _phase_span(env, record: TaskRecord, name: str, cat: str, start: float,
 
 
 def sim_map_task(cluster: "SimCluster", profile: WorkloadProfile, split: InputSplit,
-                 node_id: str, record: TaskRecord, outputs: Store,
+                 node_id: str, record: TaskRecord,
+                 outputs: Union[Store, ShuffleService],
                  setup_s: float, memory_cache: Optional[MemoryCache] = None,
                  commit_rpc_s: float = 0.0) -> Generator:
     """One map attempt on ``node_id`` (container already launched)."""
@@ -231,33 +259,33 @@ def sim_map_task(cluster: "SimCluster", profile: WorkloadProfile, split: InputSp
     record.output_mb = out_mb
     record.in_memory_output = in_memory
     record.finish_time = env.now
-    outputs.put(MapOutput(record.task_id, node_id, out_mb, in_memory))
+    outputs.put(record)
     return record
 
 
-def _fetch_one(cluster: "SimCluster", out: MapOutput, reduce_node: str) -> Generator:
+def _fetch_one(cluster: "SimCluster", out: TaskRecord, reduce_node: str) -> Generator:
     """Bring one map's output to the reducer (shuffle fetch).
 
     Raises :class:`FetchFailure` when the serving node dies mid-transfer
     (its flows are killed); the caller decides whether that is recoverable.
     """
-    if out.size_mb <= 0:
+    if out.output_mb <= 0:
         return
     if out.node_id == reduce_node:
-        if out.in_memory:
+        if out.in_memory_output:
             return  # U+ fast path: already in RAM on this node
         # Local fetch: the reducer reads the mapper's spill from local disk.
         yield from wait_flow(
-            cluster.topology.node(out.node_id).disk.read(out.size_mb, label="shuffle-local")
+            cluster.topology.node(out.node_id).disk.read(out.output_mb, label="shuffle-local")
         )
         return
     flows = []
     waits = []
-    if not out.in_memory:
-        disk = cluster.topology.node(out.node_id).disk.read(out.size_mb, label="shuffle-read")
+    if not out.in_memory_output:
+        disk = cluster.topology.node(out.node_id).disk.read(out.output_mb, label="shuffle-read")
         flows.append(disk)
         waits.append(disk.done)
-    net = cluster.network.transfer(out.node_id, reduce_node, out.size_mb, label="shuffle")
+    net = cluster.network.transfer(out.node_id, reduce_node, out.output_mb, label="shuffle")
     flows.append(net)
     waits.append(net.done)
     try:
@@ -272,11 +300,11 @@ def _fetch_one(cluster: "SimCluster", out: MapOutput, reduce_node: str) -> Gener
         raise FetchFailure(out) from None
 
 
-def _fetch_with_failover(cluster: "SimCluster", out: MapOutput, reduce_node: str,
+def _fetch_with_failover(cluster: "SimCluster", out: TaskRecord, reduce_node: str,
                          shuffle: ShuffleService) -> Generator:
     """Fetch one output; on a dead source, report and await a re-executed map."""
     while True:
-        if (out.node_id != reduce_node and out.size_mb > 0
+        if (out.node_id != reduce_node and out.output_mb > 0
                 and not shuffle.is_node_alive(out.node_id)):
             # Source already known-dead: skip the doomed transfer attempt.
             out = yield shuffle.report_fetch_failure(out)
@@ -319,7 +347,7 @@ def sim_reduce_task(cluster: "SimCluster", profile: WorkloadProfile, num_maps: i
         try:
             for _ in range(num_maps):
                 out = yield outputs.get()
-                total_mb += out.size_mb
+                total_mb += out.output_mb
                 body = (_fetch_with_failover(cluster, out, node_id, shuffle)
                         if shuffle is not None else _fetch_one(cluster, out, node_id))
                 fetchers.append(env.process(body, name=f"fetch-{out.task_id}"))

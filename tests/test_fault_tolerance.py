@@ -14,8 +14,9 @@ from repro.config import HadoopConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.faults import FaultPlan, inject
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
-from repro.mapreduce.appmaster import JobFailed, OutputBus
-from repro.mapreduce.spec import MapOutput
+from repro.mapreduce.appmaster import JobFailed
+from repro.mapreduce.spec import TaskRecord
+from repro.mapreduce.tasks import ShuffleService
 from repro.workloads import WORDCOUNT_PROFILE
 from repro.yarn import JobKilled
 
@@ -190,20 +191,21 @@ def test_resources_fully_released_after_faulty_run():
     assert cluster.rm.total_used() == pool_reserved
 
 
-# -- OutputBus ----------------------------------------------------------------------
+# -- the shuffle channel's output store --------------------------------------------
 
 def test_output_bus_routes_to_current_store():
     from repro.simulation import Environment
 
     env = Environment()
-    bus = OutputBus(env)
-    bus.put(MapOutput("m0", "dn0", 1.0))
-    old_store = bus.store
+    shuffle = ShuffleService(env, lambda node: True)
+    shuffle.put(TaskRecord("m0", "map", node_id="dn0", output_mb=1.0))
+    old_store = shuffle.store
     assert len(old_store.items) == 1
 
-    new_store = bus.rebuild([MapOutput("m0", "dn0", 1.0)])
-    bus.put(MapOutput("m1", "dn1", 2.0))
-    assert bus.store is new_store
+    new_store = shuffle.rebuild([TaskRecord("m0", "map", node_id="dn0",
+                                            output_mb=1.0)])
+    shuffle.put(TaskRecord("m1", "map", node_id="dn1", output_mb=2.0))
+    assert shuffle.store is new_store
     assert len(new_store.items) == 2       # preload + late arrival
     assert len(old_store.items) == 1        # old store untouched
 

@@ -9,7 +9,7 @@ from repro.mapreduce import (
     JobClient,
     SimJobSpec,
 )
-from repro.mapreduce.spec import MapOutput, TaskRecord
+from repro.mapreduce.spec import TaskRecord
 from repro.mapreduce.tasks import sim_map_task, sim_reduce_task
 from repro.simcluster import SimCluster
 from repro.simulation.resources import Store
@@ -103,14 +103,14 @@ def test_map_task_memory_cache_skips_spill():
     cluster.env.run(until=proc)
     assert record.phases.spill == 0.0
     assert record.in_memory_output
-    assert outputs.items[0].in_memory
+    assert outputs.items[0] is record
 
 
 def test_reduce_task_fetches_all_and_writes():
     cluster, spec = wc_cluster()
     outputs = Store(cluster.env)
     for i in range(3):
-        outputs.put(MapOutput(f"m{i}", "dn0", 2.0))
+        outputs.put(TaskRecord(f"m{i}", "map", node_id="dn0", output_mb=2.0))
     record = TaskRecord("r0", "reduce")
     proc = cluster.env.process(
         sim_reduce_task(cluster, spec.profile, 3, "dn1", record, outputs,
@@ -126,7 +126,8 @@ def test_reduce_in_memory_local_fetch_is_free():
     cluster, spec = wc_cluster()
     outputs = Store(cluster.env)
     for i in range(3):
-        outputs.put(MapOutput(f"m{i}", "dn2", 2.0, in_memory=True))
+        outputs.put(TaskRecord(f"m{i}", "map", node_id="dn2", output_mb=2.0,
+                               in_memory_output=True))
     record = TaskRecord("r0", "reduce")
     proc = cluster.env.process(
         sim_reduce_task(cluster, spec.profile, 3, "dn2", record, outputs,
@@ -141,7 +142,7 @@ def test_reduce_merge_pass_when_over_buffer():
     spec = SimJobSpec("x", tuple(cluster.load_input_files("/x", 1, 1.0)),
                       WORDCOUNT_PROFILE)
     outputs = Store(cluster.env)
-    outputs.put(MapOutput("m0", "dn0", 5.0))
+    outputs.put(TaskRecord("m0", "map", node_id="dn0", output_mb=5.0))
     record = TaskRecord("r0", "reduce")
     proc = cluster.env.process(
         sim_reduce_task(cluster, spec.profile, 1, "dn0", record, outputs,

@@ -12,8 +12,8 @@ from repro.config import HadoopConfig, a3_cluster
 from repro.core import build_stock_cluster
 from repro.faults import FaultPlan, inject
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
-from repro.mapreduce.appmaster import OutputBus
-from repro.mapreduce.spec import MapOutput
+from repro.mapreduce.spec import TaskRecord
+from repro.mapreduce.tasks import ShuffleService
 from repro.observe import install_tracer
 from repro.simulation import Environment
 from repro.workloads import WORDCOUNT_PROFILE
@@ -28,25 +28,29 @@ def am_restarts(tracer):
     return [i for i in tracer.instants if i.name == "am_restarted"]
 
 
-# -- OutputBus dedup ---------------------------------------------------------------
+# -- shuffle channel dedup ---------------------------------------------------------
+
+def map_done(task_id, node, mb):
+    return TaskRecord(task_id, "map", node_id=node, output_mb=mb)
+
 
 def test_output_bus_dedups_duplicate_attempts():
     env = Environment()
-    bus = OutputBus(env)
-    bus.put(MapOutput("m003", "dn0", 3.0))
-    bus.put(MapOutput("m003.a1", "dn1", 3.0))  # duplicate attempt, same task
-    bus.put(MapOutput("m004", "dn2", 3.0))
-    assert len(bus.store.items) == 2
+    shuffle = ShuffleService(env, lambda node: True)
+    shuffle.put(map_done("m003", "dn0", 3.0))
+    shuffle.put(map_done("m003.a1", "dn1", 3.0))  # duplicate attempt, same task
+    shuffle.put(map_done("m004", "dn2", 3.0))
+    assert len(shuffle.store.items) == 2
 
 
 def test_output_bus_rebuild_resets_dedup():
     env = Environment()
-    bus = OutputBus(env)
-    bus.put(MapOutput("m000", "dn0", 1.0))
-    bus.rebuild([MapOutput("m000", "dn0", 1.0)])
-    assert len(bus.store.items) == 1
-    bus.put(MapOutput("m001", "dn1", 1.0))
-    assert len(bus.store.items) == 2
+    shuffle = ShuffleService(env, lambda node: True)
+    shuffle.put(map_done("m000", "dn0", 1.0))
+    shuffle.rebuild([map_done("m000", "dn0", 1.0)])
+    assert len(shuffle.store.items) == 1
+    shuffle.put(map_done("m001", "dn1", 1.0))
+    assert len(shuffle.store.items) == 2
 
 
 # -- straggler speculation -----------------------------------------------------------
