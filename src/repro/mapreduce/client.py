@@ -161,12 +161,6 @@ class JobClient:
             run_lifecycle(self.cluster, spec, mode, partial(self._serve, spec)),
             name=f"client-{spec.name}-{mode}")
 
-    def run(self, spec: SimJobSpec, mode: str = MODE_DISTRIBUTED) -> JobResult:
-        """Submit and run the simulation until this job finishes."""
-        proc = self.submit(spec, mode)
-        self.cluster.env.run(until=proc)
-        return proc.value
-
     def _serve(self, spec: SimJobSpec, result: JobResult) -> Generator:
         if result.mode == MODE_AUTO:
             result.mode = (MODE_UBER if uber_eligible(self.cluster, spec)

@@ -17,7 +17,7 @@ fault timelines) and the cluster's answers to each fault class:
 import pytest
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
 from repro.faults import (
     FaultPlan,
     NodeCrash,
@@ -247,7 +247,7 @@ def test_rejoined_node_runs_new_tasks():
     cluster = build_stock_cluster(a3_cluster(4))
     inject(cluster, FaultPlan().crash(1.0, "dn2", hdfs=False).restart(3.0))
     cluster.env.run(until=5.0)
-    result = JobClient(cluster).run(wc_spec(cluster), MODE_DISTRIBUTED)
+    result = run_job(cluster, wc_spec(cluster), "distributed")
     assert not result.failed
     assert all(m.finish_time > 0 for m in result.maps)
 

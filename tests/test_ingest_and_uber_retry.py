@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_stock_cluster
+from repro.core import build_stock_cluster, run_job
 from repro.mapreduce import MODE_UBER, JobClient, SimJobSpec
 from repro.workloads import WORDCOUNT_PROFILE
 
@@ -27,7 +27,7 @@ def test_ingested_files_runnable_as_job_input():
     proc = cluster.ingest_input_files("/warm", 2, 10.0)
     cluster.env.run(until=proc)
     spec = SimJobSpec("wc", tuple(proc.value), WORDCOUNT_PROFILE)
-    result = JobClient(cluster).run(spec, MODE_UBER)
+    result = run_job(cluster, spec, "uber")
     assert all(m.finish_time > 0 for m in result.maps)
     assert result.submit_time >= 0.5  # job started after ingest
 
@@ -43,8 +43,8 @@ def test_uber_retries_transient_failures_in_jvm():
     flaky = WORDCOUNT_PROFILE.with_(transient_failure_rate=0.35)
     cluster = build_stock_cluster(a3_cluster(4))
     paths = cluster.load_input_files("/flaky", 6, 10.0)
-    result = JobClient(cluster).run(
-        SimJobSpec("wordcount", tuple(paths), flaky), MODE_UBER)
+    result = run_job(cluster, SimJobSpec("wordcount", tuple(paths), flaky),
+                     "uber")
     assert all(m.finish_time > 0 for m in result.maps)
     assert any("." in m.task_id for m in result.maps)  # at least one retry
     assert result.reduces[0].input_mb == pytest.approx(6 * 3.0, rel=0.01)

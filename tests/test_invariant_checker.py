@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
-from repro.mapreduce import MODE_DISTRIBUTED, MODE_UBER, JobClient, SimJobSpec
+from repro.mapreduce import SimJobSpec
 from repro.simulation.debug import InvariantChecker
 from repro.workloads import WORDCOUNT_PROFILE
 
@@ -23,14 +23,14 @@ def test_checker_validation():
 def test_stock_distributed_run_clean():
     cluster = build_stock_cluster(a3_cluster(4))
     checker = InvariantChecker(cluster)
-    JobClient(cluster).run(wc(cluster), MODE_DISTRIBUTED)
+    run_job(cluster, wc(cluster), "distributed")
     checker.assert_clean()
 
 
 def test_stock_uber_run_clean():
     cluster = build_stock_cluster(a3_cluster(4))
     checker = InvariantChecker(cluster)
-    JobClient(cluster).run(wc(cluster, 4), MODE_UBER)
+    run_job(cluster, wc(cluster, 4), "uber")
     checker.assert_clean()
 
 
@@ -97,5 +97,5 @@ def test_checker_detach_stops_checking():
 def test_sampling_interval_reduces_overhead_but_still_checks():
     cluster = build_stock_cluster(a3_cluster(4))
     checker = InvariantChecker(cluster, every_n_events=10)
-    JobClient(cluster).run(wc(cluster, 4), MODE_DISTRIBUTED)
+    run_job(cluster, wc(cluster, 4), "distributed")
     checker.assert_clean()

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.mapreduce import (
-    MODE_DISTRIBUTED,
-    MODE_UBER,
-    JobClient,
-    SimJobSpec,
-)
+from repro.core import run_job
+from repro.mapreduce import SimJobSpec
 from repro.mapreduce.spec import TaskRecord
 from repro.mapreduce.tasks import sim_map_task, sim_reduce_task
 from repro.simcluster import SimCluster
@@ -155,7 +151,7 @@ def test_reduce_merge_pass_when_over_buffer():
 
 def test_distributed_job_completes_with_all_tasks():
     cluster, spec = wc_cluster(4, 10.0)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     assert len(result.maps) == 4
     assert len(result.reduces) == 1
     assert all(m.finish_time > 0 for m in result.maps)
@@ -165,7 +161,7 @@ def test_distributed_job_completes_with_all_tasks():
 
 def test_distributed_job_releases_all_resources():
     cluster, spec = wc_cluster(4, 10.0)
-    JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    run_job(cluster, spec, "distributed")
     cluster.env.run(until=cluster.env.now + 2.0)
     from repro.cluster import ResourceVector
 
@@ -174,7 +170,7 @@ def test_distributed_job_releases_all_resources():
 
 def test_uber_job_runs_maps_sequentially():
     cluster, spec = wc_cluster(4, 10.0)
-    result = JobClient(cluster).run(spec, MODE_UBER)
+    result = run_job(cluster, spec, "uber")
     # strictly serial: each map starts at/after the previous one finished
     maps = sorted(result.maps, key=lambda m: m.start_time)
     for earlier, later in zip(maps, maps[1:]):
@@ -186,30 +182,30 @@ def test_uber_job_runs_maps_sequentially():
 def test_uber_single_file_faster_than_distributed():
     """For a 1-map job the Uber mode avoids container waves and shuffle."""
     c1, s1 = wc_cluster(1, 10.0)
-    dist = JobClient(c1).run(s1, MODE_DISTRIBUTED)
+    dist = run_job(c1, s1, "distributed")
     c2, s2 = wc_cluster(1, 10.0)
-    uber = JobClient(c2).run(s2, MODE_UBER)
+    uber = run_job(c2, s2, "uber")
     assert uber.elapsed < dist.elapsed
 
 
 def test_distributed_beats_uber_on_many_files():
     """Parallelism wins once the map count grows (Figure 7 right side)."""
     c1, s1 = wc_cluster(16, 10.0)
-    dist = JobClient(c1).run(s1, MODE_DISTRIBUTED)
+    dist = run_job(c1, s1, "distributed")
     c2, s2 = wc_cluster(16, 10.0)
-    uber = JobClient(c2).run(s2, MODE_UBER)
+    uber = run_job(c2, s2, "uber")
     assert dist.elapsed < uber.elapsed
 
 
 def test_unknown_mode_rejected():
     cluster, spec = wc_cluster()
     with pytest.raises(ValueError):
-        JobClient(cluster).run(spec, "bogus")
+        run_job(cluster, spec, "bogus")
 
 
 def test_job_result_locality_counts_sum_to_maps():
     cluster, spec = wc_cluster(8, 10.0)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     assert sum(result.locality_counts().values()) == 8
 
 
@@ -219,7 +215,7 @@ def test_two_wave_job_reports_multiple_waves():
     cluster = SimCluster(a3_cluster(4))
     paths = cluster.load_input_files("/wc", 40, 10.0)
     spec = SimJobSpec("wordcount", tuple(paths), WORDCOUNT_PROFILE)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     assert result.num_waves >= 2
 
 
@@ -228,7 +224,7 @@ def test_pi_profile_jobs_are_compute_bound():
     paths = cluster.load_input_files("/pi", 4, 0.01)
     profile = pi_profile(total_samples=400e6, num_maps=4)
     spec = SimJobSpec("pi", tuple(paths), profile)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     avg = result.avg_map_compute()
     # ~5s per map (100e6 samples / 4 maps at 5e-8 s/sample), within the
     # deterministic data skew.
@@ -240,6 +236,6 @@ def test_terasort_profile_moves_all_bytes():
     cluster = SimCluster(a3_cluster(4))
     paths = cluster.load_input_files("/ts", 4, 20.0)
     spec = SimJobSpec("terasort", tuple(paths), TERASORT_PROFILE)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     assert result.reduces[0].input_mb == pytest.approx(80.0)
     assert result.reduces[0].output_mb == pytest.approx(80.0)

@@ -9,7 +9,7 @@ ApplicationMaster died with its node.
 import pytest
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_stock_cluster
+from repro.core import build_stock_cluster, run_job
 from repro.faults import FaultPlan, inject
 from repro.mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
 from repro.mapreduce.spec import TaskRecord
@@ -69,7 +69,7 @@ def run_with_slow_node(speculative: bool, slowdown: float = 4.0):
     slow = cluster.topology.node("dn0")
     slow.cpu.set_slowdown(slowdown)
     spec = wc_spec(cluster, n=8, profile=straggler_profile(0.0))
-    return JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    return run_job(cluster, spec, "distributed")
 
 
 def test_speculation_rescues_straggler():
@@ -89,7 +89,7 @@ def test_speculation_produces_duplicate_attempts():
 
 def test_speculation_off_by_default_no_duplicates():
     cluster = build_stock_cluster(a3_cluster(4))
-    result = JobClient(cluster).run(wc_spec(cluster, 8), MODE_DISTRIBUTED)
+    result = run_job(cluster, wc_spec(cluster, 8), "distributed")
     assert all("." not in m.task_id for m in result.maps)
 
 
@@ -103,7 +103,7 @@ def test_speculation_no_duplicates_when_tasks_uniform():
     conf = HadoopConfig(speculative_tasks=True, speculative_slowness=1.5)
     cluster = build_stock_cluster(a3_cluster(4), conf=conf)
     spec = wc_spec(cluster, n=4, profile=straggler_profile(0.0))
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     # Healthy uniform tasks never cross the 1.5x threshold.
     assert all("." not in m.task_id for m in result.maps)
 

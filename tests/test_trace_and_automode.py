@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import HadoopConfig, a3_cluster
-from repro.core import build_mrapid_cluster, build_stock_cluster
-from repro.mapreduce import MODE_AUTO, JobClient, SimJobSpec, uber_eligible
+from repro.core import build_mrapid_cluster, build_stock_cluster, run_job
+from repro.mapreduce import SimJobSpec, uber_eligible
 from repro.metrics import exact_percentile
 from repro.trace import (
     STRATEGY_DPLUS,
@@ -49,7 +49,7 @@ def test_auto_mode_picks_uber_for_tiny_job():
     cluster = build_stock_cluster(a3_cluster(4))
     paths = cluster.load_input_files("/s", 1, 10.0)
     spec = SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE)
-    result = JobClient(cluster).run(spec, MODE_AUTO)
+    result = run_job(cluster, spec, "stock")
     assert result.mode == "hadoop-uber"
     assert len(result.nodes_used()) == 1
 
@@ -58,7 +58,7 @@ def test_auto_mode_picks_distributed_for_bigger_job():
     cluster = build_stock_cluster(a3_cluster(4))
     paths = cluster.load_input_files("/s", 8, 10.0)
     spec = SimJobSpec("wc", tuple(paths), WORDCOUNT_PROFILE)
-    result = JobClient(cluster).run(spec, MODE_AUTO)
+    result = run_job(cluster, spec, "stock")
     assert result.mode == "hadoop-distributed"
 
 

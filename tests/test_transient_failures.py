@@ -32,7 +32,7 @@ def test_attempt_fails_deterministic():
 def test_distributed_job_retries_transient_failures():
     cluster = build_stock_cluster(a3_cluster(4))
     spec = flaky_spec(cluster)
-    result = JobClient(cluster).run(spec, MODE_DISTRIBUTED)
+    result = run_job(cluster, spec, "distributed")
     assert not result.failed
     assert all(m.finish_time > 0 for m in result.maps)
     retried = [m.task_id for m in result.maps if "." in m.task_id]
@@ -74,10 +74,10 @@ def test_always_failing_job_aborts_cleanly_uplus():
 
 def test_flaky_job_slower_than_clean():
     clean = build_stock_cluster(a3_cluster(4))
-    clean_result = JobClient(clean).run(
-        flaky_spec(clean, 8, profile=WORDCOUNT_PROFILE), MODE_DISTRIBUTED)
+    clean_result = run_job(
+        clean, flaky_spec(clean, 8, profile=WORDCOUNT_PROFILE), "distributed")
     flaky = build_stock_cluster(a3_cluster(4))
-    flaky_result = JobClient(flaky).run(flaky_spec(flaky, 8), MODE_DISTRIBUTED)
+    flaky_result = run_job(flaky, flaky_spec(flaky, 8), "distributed")
     assert flaky_result.elapsed > clean_result.elapsed
 
 
