@@ -183,31 +183,22 @@ class PointTask:
 
 
 def sweep(figure_id: str, title: str, x_label: str, xs: Sequence,
-          modes: Sequence[str], point: Callable[[str, object], object],
+          modes: Sequence[str], point: Callable[[str, object], PointTask],
           jobs: Optional[int] = None) -> FigureResult:
-    """Generic sweep over ``point(mode, x)``.
+    """Generic sweep over the :class:`PointTask` ``point(mode, x)``.
 
-    ``point`` may return either seconds directly (legacy serial style) or a
-    :class:`PointTask`; tasks are executed through the parallel runner with
-    ``jobs`` workers (``None`` = the runner's configured default) and results
-    are reassembled in grid order, so the figure is byte-identical however
+    The tasks run through the parallel runner with ``jobs`` workers
+    (``None`` = the runner's configured default) and results are
+    reassembled in grid order, so the figure is byte-identical however
     many workers ran it.
     """
-    series = {mode: Series(mode) for mode in modes}
-    grid = [(x, mode, point(mode, x)) for x in xs for mode in modes]
-    tasks = [p for (_, _, p) in grid if isinstance(p, PointTask)]
-    if tasks:
-        if len(tasks) != len(grid):
-            raise TypeError(
-                f"{figure_id}: point() must return all PointTasks or all floats")
-        from .parallel import run_point_tasks
+    from .parallel import run_point_tasks
 
-        results = run_point_tasks(tasks, jobs=jobs)
-        for (x, mode, _), result in zip(grid, results):
-            series[mode].add(x, result.elapsed)
-    else:
-        for x, mode, y in grid:
-            series[mode].add(x, y)
+    grid = [(x, mode) for x in xs for mode in modes]
+    results = run_point_tasks([point(mode, x) for x, mode in grid], jobs=jobs)
+    series = {mode: Series(mode) for mode in modes}
+    for (x, mode), result in zip(grid, results):
+        series[mode].add(x, result.elapsed)
     return FigureResult(figure_id, title, x_label, series)
 
 

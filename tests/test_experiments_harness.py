@@ -21,7 +21,6 @@ from repro.experiments.harness import (
     Series,
     improvement_pct,
     run_mode,
-    sweep,
 )
 from repro.experiments.plots import grouped_bars, line_chart, render_figure, share_bars
 
@@ -60,13 +59,6 @@ def test_render_table_contains_all_series_and_claims():
     text = toy_figure().render_table()
     assert "Fig X" in text and "A" in text and "B" in text
     assert "HOLDS" in text
-
-
-def test_sweep_builds_all_points():
-    fig = sweep("F", "t", "x", [1, 2, 3], ["m1", "m2"],
-                lambda mode, x: float(x * (2 if mode == "m2" else 1)))
-    assert fig.series["m1"].y == [1.0, 2.0, 3.0]
-    assert fig.series["m2"].y == [2.0, 4.0, 6.0]
 
 
 def test_run_mode_rejects_unknown():

@@ -67,22 +67,12 @@ def test_sweep_accepts_point_tasks_and_matches_legacy_closure():
     def task_point(mode, n_files):
         return PointTask(mode, CLUSTER, wordcount_input(n_files, 60.0 / n_files))
 
-    def legacy_point(mode, n_files):
-        return run_mode(mode, CLUSTER, wordcount_input(n_files, 60.0 / n_files)).elapsed
-
-    via_tasks = sweep("F", "t", "n", xs, ALL_MODES, task_point)
-    via_floats = sweep("F", "t", "n", xs, ALL_MODES, legacy_point)
-    assert via_tasks.render_table() == via_floats.render_table()
-
-
-def test_sweep_rejects_mixed_point_returns():
-    def mixed(mode, x):
-        if x == 2:
-            return PointTask(mode, CLUSTER, wordcount_input(2, 5.0))
-        return 1.0
-
-    with pytest.raises(TypeError):
-        sweep("F", "t", "n", (2, 3), ALL_MODES, mixed)
+    fig = sweep("F", "t", "n", xs, ALL_MODES, task_point)
+    for mode in ALL_MODES:
+        assert fig.series[mode].x == list(xs)
+        assert fig.series[mode].y == [
+            run_mode(mode, CLUSTER, wordcount_input(n, 60.0 / n)).elapsed
+            for n in xs]
 
 
 @pytest.mark.parametrize("name", ["table2", "figure7", "figure9", "figure12"])
