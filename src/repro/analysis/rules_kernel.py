@@ -57,7 +57,7 @@ AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 EVENT_FACTORIES = frozenset({"timeout", "event", "process", "all_of", "any_of"})
 
 #: Attribute/call names whose result is an Event in this codebase.
-EVENTISH_ATTRS = frozenset({"done", "finished", "am_started", "ready"})
+EVENTISH_ATTRS = frozenset({"done", "finished", "ready"})
 EVENTISH_CALLS = EVENT_FACTORIES | frozenset({"request", "get", "put"})
 
 #: What a function's return value can be, as far as ``yield`` cares.

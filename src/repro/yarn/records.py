@@ -193,8 +193,6 @@ class Application:
     am_process: Optional["Process"] = None
     #: Containers the scheduler granted that the AM has not fetched yet.
     unfetched: list[Container] = field(default_factory=list)
-    #: Fires when the AM starts executing (after launch), value = node_id.
-    am_started: Optional["Event"] = None
     #: Fires when the application completes, value = the AM's result.
     finished: Optional["Event"] = None
     killed: bool = False

@@ -201,7 +201,6 @@ class ResourceManager:
         if app.seq is None:
             app.seq = self.next_seq()
         app.queue_time = self.env.now
-        app.am_started = self.env.event()
         app.finished = self.env.event()
         app.am_attempts = 1
         self._enqueue_am(app)
@@ -433,8 +432,6 @@ class ResourceManager:
         ctx = AMContext(self, app, app.am_container)
 
         def am_body() -> Generator:
-            if app.am_started is not None and not app.am_started.triggered:
-                app.am_started.succeed(app.am_container.node_id)
             try:
                 result = yield from app.runner(ctx)
             except Exception as exc:

@@ -712,7 +712,7 @@ def test_run_until_inf_with_telemetry_takes_no_sample_at_inf():
 def test_scraping_the_thousand_node_stream_adds_no_kernel_event():
     """The 1k-node uber stream for 10 s, telemetry off and then on at a 1 s
     cadence: the scraper rides event pops, so the kernel dispatches the
-    same 225 events either way, and the on run takes 26 scrapes."""
+    same 205 events either way, and the on run takes 26 scrapes."""
     from tests.test_node_lifecycle import UberStream
 
     off = UberStream(1000, 10.0, 0.5).run()
@@ -720,7 +720,7 @@ def test_scraping_the_thousand_node_stream_adds_no_kernel_event():
                     telemetry=TelemetryConfig(scrape_interval_s=1.0)).run()
     on.telemetry.finish()
     assert (off.cluster.env.events_processed
-            == on.cluster.env.events_processed == 225)
+            == on.cluster.env.events_processed == 205)
     assert on.telemetry.scraper.scrapes_done == 26
 
 
