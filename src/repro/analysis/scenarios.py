@@ -520,20 +520,24 @@ def _am_restart_queue() -> Outcome:
                           "charged": charged}), b"")
 
 
-def _am_fault_run(mode: str, spec_of: Callable[[Any], Any],
-                  plan: Any = None, conf: HadoopConfig | None = None,
-                  slow_node: str | None = None) -> dict[str, Any]:
-    """One job on a fresh A3x4 under fault ``plan`` (or with ``slow_node``'s
-    CPU slowed 4x): every task record the AM kept and the job's finish."""
+def _am_run(mode: str, at: float = 0.0, node: str = "", **conf: Any) -> Any:
+    """On a fresh A3x4, a TeraSort (8 x 32 MB) whose ``node`` dies at ``at``, or
+    a skew-free wordcount (8 x 10 MB) with dn0 4x slower: task records, finish."""
     from repro.core.submit import build_cluster, run_job
-    from repro.faults import inject
+    from repro.faults import FaultPlan, inject
+    from repro.mapreduce import SimJobSpec
+    from repro.workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 
-    cluster = build_cluster(a3_cluster(4), mode, conf=conf)
-    if slow_node is not None:
-        cluster.topology.node(slow_node).cpu.set_slowdown(4.0)
-    spec = spec_of(cluster)
-    if plan is not None:
-        inject(cluster, plan)
+    cluster = build_cluster(a3_cluster(4), mode, conf=HadoopConfig(**conf))
+    if node:
+        paths = cluster.load_input_files("/ts", 8, 32.0)
+        spec = SimJobSpec("terasort", tuple(paths), TERASORT_PROFILE)
+        inject(cluster, FaultPlan().crash(at, node, hdfs=node != "@job-am"))
+    else:
+        cluster.topology.node("dn0").cpu.set_slowdown(4.0)
+        spec = SimJobSpec("wordcount",
+                          tuple(cluster.load_input_files("/wc", 8, 10.0)),
+                          WORDCOUNT_PROFILE.with_(compute_skew=0.0))
     result = run_job(cluster, spec, mode)
     _require(not (result.failed or result.killed), "the job completes")
     return {"finish": round(result.finish_time, 9),
@@ -542,89 +546,43 @@ def _am_fault_run(mode: str, spec_of: Callable[[Any], Any],
                       for t in (*result.maps, *result.reduces)]}
 
 
-def _input_spec(name: str, profile: Any, prefix: str, mb: float
-                ) -> Callable[[Any], Any]:
-    """Eight ``mb`` MB input files under ``prefix``, run as ``name``."""
-    from repro.mapreduce import SimJobSpec
-
-    def build(cluster: Any) -> Any:
-        paths = cluster.load_input_files(prefix, 8, mb)
-        return SimJobSpec(name, tuple(paths), profile)
-    return build
-
-
-def _terasort() -> Callable[[Any], Any]:
-    from repro.workloads import TERASORT_PROFILE
-
-    return _input_spec("terasort", TERASORT_PROFILE, "/ts", 32.0)
-
-
-def _reexecuted(run: dict[str, Any], after: float, node: str) -> bool:
-    return any(start > after and where != node
+def _reran(run: Any, at: float, node: str) -> bool:
+    """Some attempt starts after ``at`` off ``node``: lost work re-ran."""
+    return any(start > at and where != node
                for _, where, start, _, _ in run["tasks"])
 
 
-#: The fetch-failure runs: mode, and the node that dies mid-shuffle when.
-_FETCH_FAILURE = {"stock": ("distributed", "dn0", 32.0),
-                  "dplus": ("dplus", "dn1", 15.0)}
+#: The distributed AM's fault branches: name -> (the runs of
+#: :func:`_am_run` pinned, whether they reach the branch).
+_AM_FAULTS: dict[str, tuple[Callable[[], Any], Callable[[Any], bool]]] = {
+    # A finished map's output dies with its node mid-shuffle: the
+    # reducer's fetch failures make the AM re-execute it.
+    "am-fetch-failure/stock": (partial(_am_run, "distributed", 32.0, "dn0"),
+                               partial(_reran, at=32.0, node="dn0")),
+    "am-fetch-failure/dplus": (partial(_am_run, "dplus", 15.0, "dn1"),
+                               partial(_reran, at=15.0, node="dn1")),
+    # dn1 lost at 5.5 s (a grant on it is given back and re-asked), 12 s
+    # (a map finished there before the AM heard) and 19 s (the reduce's
+    # retry is preloaded with the surviving outputs).
+    "am-node-loss": (
+        lambda: {str(t): _am_run("distributed", t, "dn1") for t in (5.5, 12.0, 19.0)},
+        lambda runs: all(_reran(run, float(t), "dn1") for t, run in runs.items())),
+    # The AM node dies at 20 s: its second attempt keeps finished maps.
+    "am-recovery": (partial(_am_run, "distributed", 20.0, "@job-am",
+                            am_work_preserving_recovery=True),
+                    lambda run: any(end < 20.0 for *_, end, _ in run["tasks"])),
+    # In-job speculation: duplicates of slowed dn0's stragglers win.
+    "am-speculation": (partial(_am_run, "distributed", speculative_tasks=True,
+                               speculative_slowness=1.3),
+                       lambda run: any("." in task for task, *_ in run["tasks"])),
+}
 
 
-def _am_fetch_failure(run: str) -> Outcome:
-    """A TeraSort whose finished maps die with their node mid-shuffle
-    (stock: dn0 at 32 s; D+: dn1 at 15 s). The reducer's fetch failures
-    make the AM re-execute those maps."""
-    from repro.faults import FaultPlan
-
-    mode, node, at = _FETCH_FAILURE[run]
-    result = _am_fault_run(mode, _terasort(), FaultPlan().crash(at, node))
-    _require(_reexecuted(result, at, node),
-             "lost maps are re-executed on survivors")
-    return Outcome(_json(result), b"")
-
-
-def _am_node_loss() -> Outcome:
-    """The stock TeraSort with dn1 crashed at 5.5 s (a container granted
-    on it just before is given back and re-asked), at 12 s (a map finished
-    on it before the AM heard, so its output is already gone) and at 19 s
-    (the reduce dies with it; its retry is preloaded with the surviving
-    outputs and the lost maps re-run)."""
-    from repro.faults import FaultPlan
-
-    runs = {str(t): _am_fault_run("distributed", _terasort(),
-                                  FaultPlan().crash(t, "dn1"))
-            for t in (5.5, 12.0, 19.0)}
-    _require(all(_reexecuted(run, float(t), "dn1") for t, run in runs.items()),
-             "work lost with dn1 re-runs on survivors")
+def _am_faults(name: str) -> Outcome:
+    run, reaches = _AM_FAULTS[name]
+    runs = run()
+    _require(reaches(runs), f"{name} reaches its fault branch")
     return Outcome(_json(runs), b"")
-
-
-def _am_recovery() -> Outcome:
-    """A TeraSort whose AM node dies at 20 s with work-preserving recovery
-    on: the second AM attempt keeps the maps the first one finished."""
-    from repro.faults import FaultPlan
-
-    run = _am_fault_run("distributed", _terasort(),
-                        FaultPlan().crash(20.0, "@job-am", hdfs=False),
-                        conf=HadoopConfig(am_work_preserving_recovery=True))
-    _require(any(finish < 20.0 for _, _, _, finish, _ in run["tasks"])
-             and run["finish"] > 20.0, "finished maps survive the restart")
-    return Outcome(_json(run), b"")
-
-
-def _am_speculation() -> Outcome:
-    """A skew-free wordcount with dn0's CPU slowed 4x and in-job
-    speculation on: duplicates of dn0's stragglers run on healthy nodes."""
-    from repro.workloads import WORDCOUNT_PROFILE
-
-    run = _am_fault_run(
-        "distributed",
-        _input_spec("wordcount", WORDCOUNT_PROFILE.with_(compute_skew=0.0),
-                    "/wc", 10.0),
-        conf=HadoopConfig(speculative_tasks=True, speculative_slowness=1.3),
-        slow_node="dn0")
-    _require(any("." in task for task, *_ in run["tasks"]),
-             "a duplicate attempt wins")
-    return Outcome(_json(run), b"")
 
 
 def _lifecycle(mode: str, pooled: bool = True) -> Outcome:
@@ -729,11 +687,7 @@ SCENARIOS: dict[str, Callable[[], Outcome]] = {
     "serving-churn": _serving_churn,
     "wordcount-node-failure": _wordcount_node_failure,
     "am-restart-queue": _am_restart_queue,
-    **{f"am-fetch-failure/{run}": partial(_am_fetch_failure, run)
-       for run in _FETCH_FAILURE},
-    "am-node-loss": _am_node_loss,
-    "am-recovery": _am_recovery,
-    "am-speculation": _am_speculation,
+    **{name: partial(_am_faults, name) for name in _AM_FAULTS},
     **{f"lifecycle/{mode}": partial(_lifecycle, mode)
        for mode in ("distributed", "uber", "dplus", "uplus")},
     **{f"lifecycle/{mode}-unpooled": partial(_lifecycle, mode, pooled=False)
