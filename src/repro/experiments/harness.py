@@ -111,9 +111,8 @@ class FigureResult:
 
     def improvement(self, baseline: str, improved: str, x) -> float:
         """Percent improvement of ``improved`` over ``baseline`` at ``x``."""
-        base = self.series[baseline].at(x)
-        new = self.series[improved].at(x)
-        return (base - new) / base * 100.0 if base else 0.0
+        return improvement_pct(self.series[baseline].at(x),
+                               self.series[improved].at(x))
 
     def xs(self) -> list:
         """Union of every series' x values, in first-seen order.

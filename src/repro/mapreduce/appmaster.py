@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..hdfs.splits import compute_splits
 from ..simulation.errors import Interrupt
 from ..yarn.records import Container, ContainerRequest
-from .spec import JobResult, SimJobSpec, TaskRecord, base_task_id
+from .spec import JobResult, SimJobSpec, TaskRecord, attempt_record, base_task_id
 from .tasks import ShuffleService, sim_map_task, sim_reduce_task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,17 +46,6 @@ REDUCE = -1  # task index used for the single reduce
 
 class JobFailed(Exception):
     """A task ran out of attempts (or the job is otherwise unrecoverable)."""
-
-
-def map_record(idx: int, attempt: int = 0) -> TaskRecord:
-    """A fresh record for attempt ``attempt`` of map ``idx``."""
-    return TaskRecord(f"m{idx:03d}" if attempt == 0 else f"m{idx:03d}.a{attempt}",
-                      "map")
-
-
-def reduce_record(attempt: int = 0) -> TaskRecord:
-    """A fresh record for attempt ``attempt`` of the reduce."""
-    return TaskRecord("r000" if attempt == 0 else f"r000.a{attempt}", "reduce")
 
 
 class AppMaster:
@@ -84,8 +73,8 @@ class AppMaster:
             env.tracer.complete("am-init", "init", ctx.node_id,
                                 f"am-{ctx.app.app_id}", t_init)
         splits = compute_splits(self.cluster.namenode, self.spec.input_paths)
-        self.result.maps = [map_record(idx) for idx in range(len(splits))]
-        self.result.reduces = [reduce_record()]
+        self.result.maps = [attempt_record("map", idx) for idx in range(len(splits))]
+        self.result.reduces = [attempt_record("reduce", 0)]
         return splits
 
 
@@ -103,7 +92,6 @@ class DistributedAM(AppMaster):
         # paths; MRapid's framework passes 0 here when it short-circuits them.
         self.commit_rpc_s = (cluster.conf.task_commit_rpc_s
                              if commit_rpc_s is None else commit_rpc_s)
-        self._children: list = []
 
     # -- entry point ----------------------------------------------------------
     def run(self, ctx: "AMContext") -> Generator:
@@ -111,9 +99,8 @@ class DistributedAM(AppMaster):
         conf = self.cluster.conf
         # A restarted AM attempt reuses this result object: clear the
         # previous attempt's demise before trying again.
-        self.result.killed = False
-        self.result.failed = False
-        self._children = []
+        self.result.killed = self.result.failed = False
+        self._children: list = []  # every attempt this AM attempt started
         try:
             splits = yield from self.open(ctx)
             n_maps = len(splits)
@@ -152,8 +139,7 @@ class DistributedAM(AppMaster):
             attempts: dict[int, int] = {idx: 0 for idx in range(n_maps)}
             attempts[REDUCE] = 0
             launches: dict[int, int] = {idx: 0 for idx in range(n_maps)}
-            #: proc -> (task index or REDUCE, its attempt's record, its node)
-            running: dict = {}
+            running: dict = {}  # proc -> (task index or REDUCE, record, node)
             completed: set[int] = set()
             speculating: set[int] = set()  # tasks with a duplicate in flight
             reduce_requested = False
@@ -246,7 +232,7 @@ class DistributedAM(AppMaster):
                     task_idx = self._pick_task(container, splits, unassigned)
                     if task_idx is not None:
                         unassigned.remove(task_idx)
-                        record = map_record(task_idx, launches[task_idx])
+                        record = attempt_record("map", task_idx, launches[task_idx])
                         launches[task_idx] += 1
                         if task_idx not in completed:
                             map_records[task_idx] = record
@@ -264,7 +250,7 @@ class DistributedAM(AppMaster):
                             conf.task_setup_s, commit_rpc_s=self.commit_rpc_s))
                     elif reduce_pending:
                         reduce_pending = False
-                        record = reduce_record(attempts[REDUCE])
+                        record = attempt_record("reduce", 0, attempts[REDUCE])
                         self.result.reduces = [record]
                         record.phases.launch = conf.container_launch_s
                         launch(container, REDUCE, record, sim_reduce_task(

@@ -99,6 +99,13 @@ class TaskRecord:
         return self.finish_time - self.start_time
 
 
+def attempt_record(kind: str, idx: int, attempt: int = 0) -> TaskRecord:
+    """A fresh record for attempt ``attempt`` of task ``idx`` of ``kind``
+    (``"map"`` or ``"reduce"``): ``m003``, ``m003.a1``, ``r000``."""
+    task_id = f"{kind[0]}{idx:03d}"
+    return TaskRecord(task_id if attempt == 0 else f"{task_id}.a{attempt}", kind)
+
+
 def base_task_id(task_id: str) -> str:
     """The task an attempt id belongs to: ``m003.a1`` -> ``m003``."""
     return task_id.split(".")[0]
@@ -137,11 +144,6 @@ class JobResult:
             if record.locality is not None:
                 counts[record.locality.name] += 1
         return counts
-
-    def avg_map_compute(self) -> float:
-        if not self.maps:
-            return 0.0
-        return sum(m.phases.compute for m in self.maps) / len(self.maps)
 
     def nodes_used(self) -> set[str]:
         return {m.node_id for m in self.maps} | {r.node_id for r in self.reduces}

@@ -6,11 +6,9 @@ map = setup + read (s^i/d^o) + map (t^m) + spill (s^o/d^i) [+ merge
 goes through the contended devices, so packing tasks on one node slows them
 down the way it does on real hardware.
 
-A finished map advertises its own :class:`~.spec.TaskRecord` to the reducer:
-the fetch reads the record's ``node_id``, ``output_mb`` and
-``in_memory_output``. The distributed AM's attempts advertise through
-:class:`ShuffleService`, one AM attempt's whole shuffle channel; the Uber
-and U+ AMs hand their maps a plain :class:`Store`.
+A finished map advertises its own :class:`~.spec.TaskRecord` to the
+reducer: through :class:`ShuffleService`, the distributed AM attempt's
+shuffle channel, or through a plain :class:`Store` in Uber and U+.
 
 Every wait is interrupt-safe: killing a task (speculative execution
 terminating the slower mode) also kills its in-flight disk/network/CPU
@@ -26,10 +24,6 @@ from ..hdfs.block import InputSplit
 from ..simulation.errors import Interrupt
 from ..simulation.resources import Store
 from ..workloads.base import WorkloadProfile, attempt_fails, task_skew_factor
-
-
-class TransientTaskError(Exception):
-    """Injected attempt failure (bad sector, OOM-killed JVM, ...)."""
 from .spec import TaskRecord, base_task_id
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,23 +31,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.events import Event
 
 
-class FetchFailure(Exception):
-    """A shuffle fetch cannot be served: the map output died with its node."""
+class TransientTaskError(Exception):
+    """Injected attempt failure (bad sector, OOM-killed JVM, ...)."""
 
-    def __init__(self, record: TaskRecord) -> None:
-        super().__init__(record.task_id)
-        self.record = record
+
+class FetchFailure(Exception):
+    """A shuffle fetch cannot be served: the map output died with its node.
+    Its argument is the lost map's record."""
 
 
 class ShuffleService:
     """One AM attempt's shuffle channel: the map outputs advertised to the
     current reduce attempt, and the reducer <-> AM fetch-failure channel.
 
-    Outputs go to :attr:`store`, de-duplicated by base task id so a
-    speculative duplicate attempt finishing second never double-feeds the
-    reducer. A reduce retry gets a fresh store (:meth:`rebuild`) preloaded
-    with every already-completed map output; maps that finish later put
-    into the new store transparently.
+    :attr:`store` holds each task's output once (a speculative duplicate
+    finishing second never double-feeds the reducer); a reduce retry gets
+    a fresh one (:meth:`rebuild`), preloaded with the completed outputs.
 
     Real Hadoop: a reducer that cannot fetch a map's output reports the
     failure through the umbilical; after enough reports the AM re-executes
@@ -75,18 +68,15 @@ class ShuffleService:
     def put(self, record: TaskRecord) -> None:
         """Advertise a finished map's output to the current reduce attempt."""
         base = base_task_id(record.task_id)
-        if base in self._seen:
-            return
-        self._seen.add(base)
-        self.store.put(record)
+        if base not in self._seen:
+            self._seen.add(base)
+            self.store.put(record)
 
-    def rebuild(self, preload: list[TaskRecord]) -> Store:
+    def rebuild(self, preload: list[TaskRecord]) -> None:
         """A fresh store for a reduce retry, holding ``preload``."""
-        self.store = Store(self.env)
-        self._seen = set()
+        self.store, self._seen = Store(self.env), set()
         for record in preload:
             self.put(record)
-        return self.store
 
     def report_fetch_failure(self, record: TaskRecord) -> "Event":
         """Register a failed fetch; returns the replacement-output event."""
@@ -178,8 +168,7 @@ def _phase_span(env, record: TaskRecord, name: str, cat: str, start: float,
 
 
 def sim_map_task(cluster: "SimCluster", profile: WorkloadProfile, split: InputSplit,
-                 node_id: str, record: TaskRecord,
-                 outputs: Union[Store, ShuffleService],
+                 node_id: str, record: TaskRecord, outputs: Union[Store, ShuffleService],
                  setup_s: float, memory_cache: Optional[MemoryCache] = None,
                  commit_rpc_s: float = 0.0) -> Generator:
     """One map attempt on ``node_id`` (container already launched)."""

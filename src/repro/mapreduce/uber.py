@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..hdfs.block import InputSplit
 from ..simulation.errors import Interrupt
 from ..simulation.resources import Resource, Store
-from .appmaster import AppMaster, map_record
+from .appmaster import AppMaster
+from .spec import attempt_record
 from .tasks import MemoryCache, sim_map_task, sim_reduce_task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +70,8 @@ class UberAM(AppMaster):
                     if env.tracer is not None and env.now > t_slot:
                         env.tracer.complete("slot-wait", "wait", node_id,
                                             f"m{idx:03d}", t_slot)
-                record = self.result.maps[idx] if attempt == 0 else map_record(idx, attempt)
+                record = (self.result.maps[idx] if attempt == 0
+                          else attempt_record("map", idx, attempt))
                 try:
                     yield from sim_map_task(
                         self.cluster, self.spec.profile, split, node_id,

@@ -202,10 +202,10 @@ def test_output_bus_routes_to_current_store():
     old_store = shuffle.store
     assert len(old_store.items) == 1
 
-    new_store = shuffle.rebuild([TaskRecord("m0", "map", node_id="dn0",
-                                            output_mb=1.0)])
+    shuffle.rebuild([TaskRecord("m0", "map", node_id="dn0", output_mb=1.0)])
+    new_store = shuffle.store
     shuffle.put(TaskRecord("m1", "map", node_id="dn1", output_mb=2.0))
-    assert shuffle.store is new_store
+    assert new_store is not old_store
     assert len(new_store.items) == 2       # preload + late arrival
     assert len(old_store.items) == 1        # old store untouched
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import HadoopConfig, a3_cluster
 from repro.core import run_job
+from repro.core.profiler import JobProfiler
 from repro.mapreduce import SimJobSpec
 from repro.mapreduce.spec import TaskRecord
 from repro.mapreduce.tasks import sim_map_task, sim_reduce_task
@@ -225,7 +226,7 @@ def test_pi_profile_jobs_are_compute_bound():
     profile = pi_profile(total_samples=400e6, num_maps=4)
     spec = SimJobSpec("pi", tuple(paths), profile)
     result = run_job(cluster, spec, "distributed")
-    avg = result.avg_map_compute()
+    avg = JobProfiler(result).snapshot().avg_map_compute_s
     # ~5s per map (100e6 samples / 4 maps at 5e-8 s/sample), within the
     # deterministic data skew.
     assert avg == pytest.approx(100e6 * 5.0e-8, rel=0.16)
