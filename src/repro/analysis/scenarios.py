@@ -657,6 +657,170 @@ def _scale_1k() -> Outcome:
                "events": env.events_processed}))
 
 
+def _wheel_wake(quantum: float, period: float) -> tuple[Any, int]:
+    """A 200-node wheel's working beats and reads, and its tick count.
+
+    One driver process, so no two of its steps share an instant: work
+    wakes the wheel at off-grid instants, on beat instants, and on the
+    instant it fell asleep (every seventh working beat enqueues work on
+    its own instant); long awake spells outlast a period; nodes are
+    suspended, resumed and unregistered while awake and while asleep; a
+    node registers late, with an anchor more than a period ahead when the
+    quantum allows it; and the run jumps to t = 1e6 s, where
+    ``anchor + k*period`` rounds. Every step reads every node."""
+    from repro.simulation.events import Event
+    from repro.yarn.heartbeat import HeartbeatWheel
+
+    env = Environment()
+    pending = [0]
+    working: list[tuple[float, str]] = []
+    reads: list[Any] = []
+    wakes: list[tuple[float, bool]] = []
+    nodes: list[str] = []
+    gone: set[str] = set()
+
+    def read(label: str) -> None:
+        now, live = env.now, [n for n in nodes if n not in gone]
+        reads.append((label, now, wheel.asleep, wheel.heartbeats_delivered,
+                      wheel.beats_before(now),
+                      [wheel.last_beat(n) for n in live],
+                      wheel.silent_nodes(now, 1.5 * period),
+                      [wheel.next_fire(n) for n in live]))
+
+    def work(units: int) -> None:
+        wakes.append((env.now, wheel.asleep))
+        pending[0] += units
+        wheel.wake()
+        read("wake")
+
+    def deliver(node_id: str) -> None:
+        pending[0] -= 1
+        working.append((env.now, node_id))
+        if len(working) % 5 == 0:
+            read("beat")
+        if len(working) % 7 == 0:
+            spawn: Any = env.timeout(0.0)
+            spawn.callbacks.append(lambda _ev: work(1))
+
+    wheel = HeartbeatWheel(env, period, deliver, quantum=quantum,
+                           busy=lambda: pending[0] > 0)
+
+    def register(node_id: str, offset: float) -> None:
+        nodes.append(node_id)
+        wheel.register(node_id, offset)
+
+    for i in range(200):
+        # Every fourth node repeats an earlier node's phase: cohorts at
+        # quantum 0 too.
+        register(f"n{i}", ((i if i % 4 else i // 4) * 0.317) % period)
+
+    def at(t: float) -> Event:
+        """An event on exactly ``t``, which ``now + (t - now)`` may miss."""
+        event = Event(env)
+        event._value = None
+        env.schedule_at(event, t)
+        return event
+
+    def on_beat(node_id: str, ahead: int = 0) -> Event:
+        """The instant of the node's beat ``ahead`` beats after its next."""
+        fire = wheel.next_fire(node_id)
+        if fire is None:
+            raise AssertionError(f"scenario node {node_id} is suspended")
+        return at(fire + ahead * period)
+
+    def driver() -> Generator[Any, Any, None]:
+        yield env.timeout(0.05)
+        work(3)
+        for step, units in enumerate((1, 2, 1, 4, 1, 2)):
+            yield env.timeout(1.37 + 0.61 * step)
+            read("asleep")
+            work(units)
+        # Reads and a wake exactly on beat instants.
+        yield on_beat("n5", 2)
+        read("on-beat")
+        yield on_beat("n8", 1)
+        work(2)
+        # Membership changes while asleep.
+        yield env.timeout(2.1)
+        for node_id in ("n3", "n17", "n50", "n51"):
+            wheel.suspend(node_id)
+        read("suspended")
+        yield env.timeout(1.3)
+        wheel.resume("n17")
+        wheel.unregister("n120")
+        gone.add("n120")
+        yield env.timeout(0.9)
+        work(1)
+        # A long awake spell with membership changes inside it.
+        yield env.timeout(3.3)
+        work(600)
+        for delay in (0.2, 0.35, 0.5, 0.8, 1.1, 1.6):
+            yield env.timeout(delay * period)
+            read("awake")
+            if delay == 0.35:
+                wheel.suspend("n60")
+                wheel.suspend("n61")
+                wheel.resume("n3")
+            elif delay == 0.5:
+                wheel.unregister("n99")
+                gone.add("n99")
+                register("n200", 0.74 * period)
+            elif delay == 1.1:
+                wheel.resume("n60")
+        yield env.timeout(3.0 * period)
+        read("drained")
+        # A late registration while asleep: reads and a wake before its
+        # anchor, then after it.
+        yield env.timeout(5.05)
+        register("n201", 0.999 * period)
+        _require(wheel.anchor_of("n201") > env.now, "the anchor lies ahead")
+        read("before-anchor")
+        yield env.timeout(0.1)
+        work(2)
+        yield env.timeout(0.2)
+        read("before-anchor")
+        yield at(wheel.anchor_of("n201") + 1.5 * period)
+        read("after-anchor")
+        work(1)
+        # The jump: the grid rounds at t = 1e6 s.
+        yield env.timeout(1e6 - env.now + 0.123)
+        read("jump")
+        work(3)
+        yield on_beat("n11", 1)
+        read("on-beat")
+        wheel.suspend("n12")
+        yield on_beat("n13", 2)
+        work(1)
+        wheel.resume("n12")
+        yield env.timeout(1.7)
+        work(250)
+        yield env.timeout(0.6 * period)
+        wheel.suspend("n14")
+        read("awake")
+        yield env.timeout(1.2 * period)
+        wheel.resume("n14")
+        yield env.timeout(4.0 * period)
+        read("drained")
+        yield on_beat("n15", 3)
+        read("on-beat")
+
+    env.process(driver())
+    env.run()
+    _require(sum(asleep for _, asleep in wakes) >= 15, "work wakes the wheel")
+    _require(any(asleep and now in {t for t, _ in working}
+                 for now, asleep in wakes),
+             "a wake on the instant the wheel fell asleep")
+    _require(wheel.asleep and pending[0] == 0, "the wheel drains and sleeps")
+    return (working, reads), wheel.ticks
+
+
+def _wheel_wake_cohorts() -> Outcome:
+    """The heartbeat wheel's sleep and wake at quantum 0 and at 0.25."""
+    runs = [_wheel_wake(0.0, 1.0), _wheel_wake(0.25, 0.75)]
+    return Outcome(_json([beats for beats, _ in runs]),
+                   _json({"ticks": [ticks for _, ticks in runs]}))
+
+
 #: Every identity scenario, by name. The part before ``/`` groups one
 #: scenario run several ways.
 SCENARIOS: dict[str, Callable[[], Outcome]] = {
@@ -693,4 +857,5 @@ SCENARIOS: dict[str, Callable[[], Outcome]] = {
     **{f"lifecycle/{mode}-unpooled": partial(_lifecycle, mode, pooled=False)
        for mode in ("dplus", "uplus")},
     "scale-1k": _scale_1k,
+    "wheel-wake/cohorts": _wheel_wake_cohorts,
 }
