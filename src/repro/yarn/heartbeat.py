@@ -50,10 +50,15 @@ thus sleeps too, though its AM queue is full:
   beats every active node made at grid instants before the read time.
 * :meth:`wake` — called wherever ``busy()`` can turn true: the RM calls
   it when it enqueues an AM or leaves an ask queued, when an AM container
-  is released while AMs wait, and when a node is added — fast-forwards
-  every active node to its next grid point at or after now, counting the
-  beats it skipped, and arms the earliest. A beat on the instant of the
-  wake is still delivered, and, being ``DEFERRED``, it sees the work.
+  is released while AMs wait, and when a node is added — counts the beats
+  slept through in one sum over the phase index and arms the earliest
+  beat at or after now. No node is fast-forwarded: a *walk* over the
+  phase index, in time order from the phase of the wake, lets each node
+  into the beat queue only when the ticks reach its first beat. Until
+  then its beat count and latest beat stay on paper, read off the grid at
+  the wake instant as an asleep node's are at the read time. A beat on
+  the instant of the wake is still delivered, and, being ``DEFERRED``, it
+  sees the work.
 
 The owner guarantees that a beat which finds ``busy()`` false would have
 been a no-op apart from recording the beat, and that ``busy()`` cannot
@@ -95,6 +100,53 @@ def _finite(t: float) -> float:
     return t
 
 
+def _grid_index(anchor: float, t: float, period: float) -> int:
+    """The minimal k >= 0 with ``anchor + k*period >= t``.
+
+    Scalar twin of :func:`_grid_indices`: Python floats are IEEE doubles
+    and ``k * period`` converts k exactly, so every comparison is the one
+    the array pass makes.
+    """
+    k = max(math.ceil((_finite(t) - anchor) / period), 0)
+    while anchor + k * period < t:
+        k += 1
+    while k > 0 and anchor + (k - 1) * period >= t:
+        k -= 1
+    return k
+
+
+def _grid_indices(anchors: np.ndarray, t: float, period: float) -> np.ndarray:
+    """:func:`_grid_index` of every anchor (as floats)."""
+    k = np.maximum(np.ceil((_finite(t) - anchors) / period), 0.0)
+    # ceil() on floats can land one grid point off; settle on the
+    # minimal k exactly.
+    while True:
+        low = anchors + k * period < t
+        if not low.any():
+            break
+        k += low
+    while True:
+        high = (k > 0) & (anchors + (k - 1) * period >= t)
+        if not high.any():
+            break
+        k -= high
+    return k
+
+
+def _split(t: float, period: float) -> tuple[int, float, float]:
+    """``t`` in whole periods and a phase in [0, 1), and how far, in
+    periods, a float phase or grid point near ``t`` may stray from its
+    real value.
+
+    The float phases and the grid predicate's two roundings each stray by
+    at most 2**-53 * |t/period| periods: 2**-48 per period leaves an
+    eightfold margin.
+    """
+    periods = _finite(t) / period
+    whole = math.floor(periods)
+    return whole, periods - whole, (abs(periods) + 2.0) * 2.0 ** -48
+
+
 class HeartbeatWheel:
     """Aggregated heartbeat timer for all NodeManagers of one RM.
 
@@ -104,7 +156,8 @@ class HeartbeatWheel:
     lands back on the same grid), ``k`` (beats counted so far; the next
     fire is ``anchor + k*period``), ``last`` (instant of the latest counted
     beat) and ``token`` (cancellation id of the queued beat, ``None`` while
-    suspended).
+    suspended). An active node's ``k`` and ``last`` may lag: it also made
+    every beat before the latest wake, on paper (:meth:`_settle`).
     """
 
     def __init__(self, env: "Environment", period: float,
@@ -126,30 +179,36 @@ class HeartbeatWheel:
         self._k: list[int] = []
         self._last: list[float] = []
         self._token: list[Optional[int]] = []
+        #: The wake in which the slot's beat was last queued; a slot whose
+        #: number is not ``_epoch`` is on paper until the walk reaches it.
+        self._queued: list[int] = []
+        self._epoch = 0
+        #: Anchors and the active mask as arrays, for bulk reads, kept in
+        #: place; the first ``len(_ids)`` entries are the slots.
+        self._anchors = np.zeros(0)
+        self._active = np.zeros(0, dtype=bool)
         #: Heap of queued beats ``(fire, slot, token)`` while awake: every
-        #: active slot exactly once, plus the beats of suspended slots,
-        #: whose tokens sit in ``_cancelled`` until they reach the top.
-        #: Both are emptied on falling asleep; wake() rebuilds the heap.
+        #: active slot the walk has reached exactly once, plus the beats of
+        #: suspended slots, whose tokens sit in ``_cancelled`` until they
+        #: reach the top. All three are dropped on falling asleep.
         self._queue: list[tuple[float, int, int]] = []
         self._cancelled: set[int] = set()
+        self._walk: Optional[_Walk] = None
         self._tokens = count()
         self._asleep = False
         #: Instants with a tick on the kernel queue — normally just the
         #: earliest pending one (a register/resume can add an earlier one).
         self._armed: set[float] = set()
-        #: Beats delivered, plus beats slept through up to the last
-        #: fast-forward; :meth:`beats_before` adds the rest while asleep.
+        #: Beats delivered, plus beats slept through up to the latest
+        #: wake; :meth:`beats_before` adds the rest while asleep.
         self._counted = 0
-        #: Sum of ``k`` over the active slots, and the instant the wheel
-        #: last fell asleep: beats_before() needs no per-slot ``k`` then.
+        #: Sum of the active slots' beat counts, paper ones included, the
+        #: instant the wheel last fell asleep and the latest wake.
         self._active_k = 0
         self._slept_at = -math.inf
-        #: ids, anchors, active and registered masks as arrays, for bulk
-        #: reads; rebuilt after a membership change.
-        self._arrays: Optional[tuple[np.ndarray, ...]] = None
-        #: Every anchor indexed by phase, for :meth:`beats_before` while
-        #: asleep: sorted on the first read after a registration, weighed
-        #: by the active mask on the first read after any membership change.
+        self._woke_at = env.now
+        #: Every anchor indexed by phase, weighed by the active mask: sorted
+        #: on the first read after a registration, re-weighed in place.
         self._phases: Optional[_PhaseIndex] = None
         #: The latest anchor ever registered: no node beats before it.
         self._latest_anchor = -math.inf
@@ -175,6 +234,11 @@ class HeartbeatWheel:
         self._k.append(0)
         self._last.append(_NEVER)
         self._token.append(None)
+        self._queued.append(-1)
+        if slot == len(self._anchors):
+            self._anchors = _grown(self._anchors)
+            self._active = _grown(self._active)
+        self._anchors[slot] = anchor
         self._phases = None
         self._latest_anchor = max(self._latest_anchor, anchor)
         self._schedule(slot)
@@ -187,7 +251,6 @@ class HeartbeatWheel:
         if self._token[slot] is not None:
             self._stop(slot)
         self._ids[slot] = None
-        self._arrays = None
 
     def suspend(self, node_id: str) -> None:
         """Stop delivering beats (node died or was drained). Idempotent."""
@@ -207,42 +270,35 @@ class HeartbeatWheel:
             raise KeyError(f"node {node_id!r} is not on the heartbeat wheel")
         if self._token[slot] is not None:
             return  # already beating
-        self._k[slot] = self._grid_index(self._anchor[slot], self._env.now)
+        self._k[slot] = _grid_index(self._anchor[slot], self._env.now,
+                                    self._period)
         self._schedule(slot)
 
     def wake(self) -> None:
         """Work was enqueued: deliver beats again, from now on.
 
-        Every active node is fast-forwarded to its next grid point at or
-        after now (the beats it skipped are counted), and the earliest of
-        those instants is armed. One pass over the columns: the grid rule
-        runs as array arithmetic (``anchor + k*period`` in float64 is the
-        same number as in Python), and the emptied queue becomes the
-        ``(fire, slot, token)`` entries sorted by key, a valid heap — no
-        per-node fast-forward or push runs in Python. Cheap no-op while
-        awake.
+        The beats slept through are counted in one sum over the phase
+        index (:meth:`_grid_sum`), and the walk starts at the phase of now:
+        only the nodes whose first beat at or after now is the earliest
+        enter the beat queue, and that instant is armed. Every other node
+        stays on paper until the ticks reach it; no node is fast-forwarded.
+        Cheap no-op while awake.
         """
         if not self._asleep:
             return
-        self._asleep = False
-        _, anchors, active, _ = self._membership_arrays()
-        period = self._period
-        ks = np.array(self._k, dtype=np.float64)
-        grid = np.where(active, np.maximum(
-            self._grid_indices(anchors, self._env.now), ks), ks)
-        skipped = int((grid - ks).sum())
-        if skipped:
+        now = self._env.now
+        if now > self._slept_at:
+            # Every active slot's count is at most its grid index at now.
+            skipped = self._grid_sum(now) - self._active_k
             self._counted += skipped
             self._active_k += skipped
-            self._last = np.where(grid > ks, anchors + (grid - 1) * period,
-                                  self._last).tolist()
-            self._k = grid.astype(np.int64).tolist()
-        slots = active.nonzero()[0]
-        fires = anchors[slots] + grid[slots] * period
-        order = fires.argsort(kind="stable")
-        slots = slots[order].tolist()
-        self._queue = list(zip(fires[order].tolist(), slots,
-                               map(self._token.__getitem__, slots)))
+        # Woken on the instant it fell asleep, every active slot has
+        # counted its beats before now already (those of now, too, if it
+        # was due then), so none is skipped.
+        self._woke_at = now
+        self._asleep = False
+        self._epoch += 1
+        self._walk = _Walk(self._index(), now, self._period)
         self._arm_head()
 
     # -- introspection -------------------------------------------------------
@@ -274,15 +330,17 @@ class HeartbeatWheel:
         beat counts as having beaten at 0.0, as ``NodeState.last_heartbeat``
         reports it. One pass over the columns: a staleness probe on a
         10k-node cluster asks about every node."""
-        ids, anchors, active, registered = self._membership_arrays()
-        lasts = np.array(self._last, dtype=np.float64)
-        if self._asleep:
-            ks = np.array(self._k, dtype=np.float64)
-            grid = self._grid_indices(anchors, t)
-            lasts = np.where(active & (grid > ks),
-                             anchors + (grid - 1) * self._period, lasts)
+        ids, period = self._ids, self._period
+        anchors = self._anchors[:len(ids)]
+        ks = np.array(self._k, dtype=np.float64)
+        grid = _grid_indices(anchors, t if self._asleep else self._woke_at,
+                             period)
+        lasts = np.where(self._active[:len(ids)] & (grid > ks),
+                         anchors + (grid - 1) * period,
+                         np.array(self._last, dtype=np.float64))
         lasts = np.where(lasts > _NEVER, lasts, 0.0)
-        return ids[registered & (t - lasts > quiet_s)].tolist()
+        return [ids[slot] for slot in np.flatnonzero(t - lasts > quiet_s).tolist()
+                if ids[slot] is not None]
 
     def last_beat(self, node_id: str) -> Optional[float]:
         """Instant of the node's latest beat; ``None`` for a node that never
@@ -290,7 +348,11 @@ class HeartbeatWheel:
         slot = self._slot.get(node_id)
         if slot is None:
             return None
-        last = self._last_before(slot, self._env.now)
+        last = self._last[slot]
+        if self._token[slot] is not None:
+            k = self._paper_k(slot)
+            if k > self._k[slot]:
+                last = self._anchor[slot] + (k - 1) * self._period
         return last if last > _NEVER else None
 
     def is_active(self, node_id: str) -> bool:
@@ -305,73 +367,39 @@ class HeartbeatWheel:
         slot = self._slot[node_id]
         if self._token[slot] is None:
             return None
-        anchor, k = self._anchor[slot], self._k[slot]
-        if self._asleep:
-            k = max(k, self._grid_index(anchor, self._env.now))
-        return anchor + k * self._period
+        return self._anchor[slot] + max(self._k[slot], self._paper_k(slot)) \
+            * self._period
 
     # -- grid arithmetic -----------------------------------------------------
-    def _grid_index(self, anchor: float, t: float) -> int:
-        """The minimal k >= 0 with ``anchor + k*period >= t``.
-
-        Scalar twin of :meth:`_grid_indices`: Python floats are IEEE
-        doubles and ``k * period`` converts k exactly, so every comparison
-        is the one the array pass makes.
-        """
-        period = self._period
-        k = max(math.ceil((_finite(t) - anchor) / period), 0)
-        while anchor + k * period < t:
-            k += 1
-        while k > 0 and anchor + (k - 1) * period >= t:
-            k -= 1
-        return k
-
-    def _grid_indices(self, anchors: np.ndarray, t: float) -> np.ndarray:
-        """:meth:`_grid_index` of every anchor (as floats)."""
-        period = self._period
-        k = np.maximum(np.ceil((_finite(t) - anchors) / period), 0.0)
-        # ceil() on floats can land one grid point off; settle on the
-        # minimal k exactly.
-        while True:
-            low = anchors + k * period < t
-            if not low.any():
-                break
-            k += low
-        while True:
-            high = (k > 0) & (anchors + (k - 1) * period >= t)
-            if not high.any():
-                break
-            k -= high
-        return k
+    def _paper_k(self, slot: int) -> int:
+        """The active slot's beats on paper: before now while asleep, before
+        the latest wake until the walk reaches it; 0 once it has."""
+        if self._asleep:
+            return _grid_index(self._anchor[slot], self._env.now, self._period)
+        if self._queued[slot] == self._epoch:
+            return 0
+        return _grid_index(self._anchor[slot], self._woke_at, self._period)
 
     def _grid_sum(self, t: float) -> int:
         """Sum of the active slots' grid indices at ``t``.
 
         With a = period * (w + f), w whole and f in [0, 1), and t likewise
-        split into n and f_t, an anchor before t has grid index
-        ``ceil((t - a) / period) = n - w + [f < f_t]``. Summed over the
-        phase-sorted index that is whole periods plus one bisect. The
-        identity is exact in real numbers; in floats only an anchor whose
-        phase lies within rounding distance of f_t (mod 1) can disagree,
-        so those are re-counted with the exact grid predicate. A read at or
-        before the latest registered anchor, where the identity may not
-        hold, takes the column pass.
+        split into n and f_t, an anchor before ``t + period`` has grid
+        index ``max(ceil((t - a) / period), 0) = n - w + [f < f_t]``.
+        Summed over the phase-sorted index that is whole periods plus one
+        bisect. The identity is exact in real numbers; in floats only an
+        anchor whose phase lies within rounding distance of f_t (mod 1)
+        can disagree, so those are re-counted with the exact grid
+        predicate. A read while some anchor lies a period or more ahead,
+        where the identity does not hold, takes the column pass.
         """
-        _, anchors, active, _ = self._membership_arrays()
-        if t <= self._latest_anchor:
-            return int(self._grid_indices(anchors, t)[active].sum())
-        index = self._phases
-        if index is None:
-            index = self._phases = _PhaseIndex(anchors, self._period)
-        if index.active is not active:
-            index.weigh(active)
-        periods = _finite(t) / self._period
-        n = math.floor(periods)
-        f_t = periods - n
-        # The float phases and the grid predicate's two roundings each
-        # stray from their real values by at most 2**-53 * |t/period|
-        # periods: 2**-48 per period leaves an eightfold margin on the sum.
-        tol = (abs(periods) + 2.0) * 2.0 ** -48
+        period = self._period
+        if self._latest_anchor >= t + period:
+            n = len(self._ids)
+            return int(_grid_indices(self._anchors[:n], t, period)
+                       [self._active[:n]].sum())
+        index = self._index()
+        n, f_t, tol = _split(t, period)
         phases = index.phases
         lo, hi = bisect_left(phases, f_t - tol), bisect_right(phases, f_t + tol)
         total = (index.size * n - index.wholes_sum
@@ -379,30 +407,25 @@ class HeartbeatWheel:
         for i in index.near(lo, hi, f_t, tol):
             mult = int(index.mults[i])
             if mult:
-                guess = n - int(index.wholes[i]) + (phases[i] < f_t)
-                exact = self._grid_index(float(index.anchors[i]), t)
+                guess = n - index.wholes[i] + (phases[i] < f_t)
+                exact = _grid_index(index.anchors[i], t, period)
                 total += mult * (exact - guess)
         return total
 
-    def _last_before(self, slot: int, t: float) -> float:
-        """Instant of the slot's latest beat before ``t`` (``_NEVER``: none)."""
-        last = self._last[slot]
-        if self._asleep and self._token[slot] is not None:
-            k = self._grid_index(self._anchor[slot], t)
-            if k > self._k[slot]:
-                last = self._anchor[slot] + (k - 1) * self._period
-        return last
+    def _index(self) -> "_PhaseIndex":
+        if self._phases is None:
+            n = len(self._ids)
+            self._phases = _PhaseIndex(self._anchors[:n], self._active[:n],
+                                       self._period)
+        return self._phases
 
-    def _membership_arrays(self) -> tuple[np.ndarray, ...]:
-        """ids, anchors, and the active and registered masks as arrays."""
-        if self._arrays is None:
-            ids = np.array(self._ids, dtype=object)
-            self._arrays = (
-                ids, np.array(self._anchor, dtype=np.float64),
-                np.array([token is not None for token in self._token],
-                         dtype=bool),
-                np.not_equal(ids, None))
-        return self._arrays
+    def _settle(self, slot: int) -> None:
+        """Write the beats an active slot made on paper before the latest
+        wake into its ``k`` and ``last``; they are counted already."""
+        k = _grid_index(self._anchor[slot], self._woke_at, self._period)
+        if k > self._k[slot]:
+            self._last[slot] = self._anchor[slot] + (k - 1) * self._period
+            self._k[slot] = k
 
     def _fast_forward(self, slot: int, k: int) -> None:
         """Count the beats ``slot`` made asleep, at instants before now;
@@ -418,25 +441,31 @@ class HeartbeatWheel:
     def _schedule(self, slot: int) -> None:
         """Activate ``slot`` with its next beat at ``anchor + k*period``."""
         token = self._token[slot] = next(self._tokens)
+        self._active[slot] = True
         self._active_k += self._k[slot]
-        self._arrays = None
+        if self._phases is not None:
+            self._phases.weigh(slot, 1)
         if self._asleep:
             return  # beats on paper until wake()
         fire = self._anchor[slot] + self._k[slot] * self._period
         heappush(self._queue, (fire, slot, token))
+        self._queued[slot] = self._epoch
         if not any(t <= fire for t in self._armed):
             self._arm(fire)
 
     def _stop(self, slot: int) -> None:
         """Deactivate ``slot``; its beats so far stay counted."""
+        self._settle(slot)
         if self._asleep:
-            self._fast_forward(
-                slot, self._grid_index(self._anchor[slot], self._env.now))
-        else:
+            self._fast_forward(slot, _grid_index(
+                self._anchor[slot], self._env.now, self._period))
+        elif self._queued[slot] == self._epoch:
             self._cancelled.add(self._token[slot])
         self._token[slot] = None
+        self._active[slot] = False
         self._active_k -= self._k[slot]
-        self._arrays = None
+        if self._phases is not None:
+            self._phases.weigh(slot, -1)
 
     def _head(self) -> Optional[float]:
         """Fire time of the earliest live queued beat; drops the cancelled
@@ -449,9 +478,40 @@ class HeartbeatWheel:
         return None
 
     def _arm_head(self) -> None:
+        """Queue every beat due by the earliest one, and arm that instant.
+
+        The walk lets in each phase-index entry whose first beat since the
+        wake is not after the queue's head: afterwards every node still on
+        paper beats strictly later than every instant the ticks serve.
+        """
         head = self._head()
+        walk = self._walk
+        while walk is not None:
+            due = walk.due()
+            if due is None:
+                walk = self._walk = None
+            elif head is not None and due > head:
+                break
+            else:
+                self._admit(walk)
+                head = self._head()
         if head is not None and not any(t <= head for t in self._armed):
             self._arm(head)
+
+    def _admit(self, walk: "_Walk") -> None:
+        """Queue the first beat since the wake of every slot of the walk's
+        next entry that is active and still on paper."""
+        slots, anchor, k = walk.take()
+        period, epoch = self._period, self._epoch
+        for slot in slots:
+            token = self._token[slot]
+            if token is None or self._queued[slot] == epoch:
+                continue
+            if k > self._k[slot]:
+                self._last[slot] = anchor + (k - 1) * period
+                self._k[slot] = k
+            heappush(self._queue, (anchor + self._k[slot] * period, slot, token))
+            self._queued[slot] = epoch
 
     def _arm(self, when: float) -> None:
         """Put a tick on the kernel queue for beat instant ``when``."""
@@ -479,11 +539,13 @@ class HeartbeatWheel:
                 break
             if busy is not None and not busy():
                 # Asleep from here; the rest of this instant's beats are
-                # idle too, so count them now.
+                # idle too, so count them now. Nodes the walk has not
+                # reached stay on paper.
                 while self._count_due(now) is not None:
                     pass
                 self._queue = []
                 self._cancelled = set()
+                self._walk = None
                 self._asleep = True
                 self._slept_at = now
                 break
@@ -512,6 +574,13 @@ class HeartbeatWheel:
         return slot
 
 
+def _grown(column: np.ndarray) -> np.ndarray:
+    """``column`` with room for twice as many slots."""
+    grown = np.zeros(max(2 * len(column), 16), dtype=column.dtype)
+    grown[:len(column)] = column
+    return grown
+
+
 class _PhaseIndex:
     """Every slot's anchor, sorted by phase within the period.
 
@@ -519,44 +588,57 @@ class _PhaseIndex:
     and a phase ``f = a/period - w``. Equal anchors (a quantum cohort)
     have equal phases, so sorted by phase a cohort is one run, split only
     where a different anchor has the very same phase; each run is one
-    entry. :meth:`weigh` gives each entry its number of active slots and
-    ``below[i]`` the active slots of the first i entries, so the active
-    anchors with phase below f are ``below[bisect_left(phases, f)]``.
-    Suspending or resuming a node re-weighs the entries; only a new anchor
-    re-sorts them. ``phases`` is a list, which ``bisect`` searches
-    fastest; a read touches one or two entries of the other columns.
+    entry, and ``slots(i)`` are its slots in registration order.
+    ``mults[i]`` is the entry's number of active slots and ``below[i]``
+    the active slots of the first i entries, so the active anchors with
+    phase below f are ``below[bisect_left(phases, f)]``. Suspending or
+    resuming a node re-weighs its entry in place (:meth:`weigh`); only a
+    new anchor re-sorts them. ``phases`` is a list, which ``bisect``
+    searches fastest.
     """
 
-    __slots__ = ("entry_of", "anchors", "wholes", "phases", "active",
+    __slots__ = ("order", "starts", "entry_of", "anchors", "wholes", "phases",
                  "mults", "below", "size", "wholes_sum")
 
-    def __init__(self, anchors: np.ndarray, period: float) -> None:
+    def __init__(self, anchors: np.ndarray, active: np.ndarray,
+                 period: float) -> None:
         periods = anchors / period
         wholes = np.floor(periods)
         phases = periods - wholes
-        # The stable sort is the one wake() already uses; the default one
-        # would map another ~0.3 MB of numpy's sort code into the process.
+        # Stable, so that each entry's slots stay in registration order;
+        # the default sort would also map another ~0.3 MB of numpy's sort
+        # code into the process.
         order = phases.argsort(kind="stable")
         ordered = anchors[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
+        entry_of = np.empty(len(order), dtype=np.intp)
+        entry_of[order] = first.cumsum() - 1
+        starts = first.nonzero()[0]
+        entries = order[starts]
+        self.order: list[int] = order.tolist()
+        self.starts: list[int] = starts.tolist() + [len(order)]
         #: Slot -> its entry.
-        self.entry_of = np.empty(len(order), dtype=np.intp)
-        self.entry_of[order] = first.cumsum() - 1
-        entries = order[first]
-        self.anchors = anchors[entries]
-        self.wholes = wholes[entries].astype(np.int64)
-        self.phases = phases[entries].tolist()
-        self.active: Optional[np.ndarray] = None
-
-    def weigh(self, active: np.ndarray) -> None:
-        """Count the slots of ``active`` (the wheel's active mask) only."""
-        self.active = active
-        self.mults = np.bincount(self.entry_of[active],
-                                 minlength=len(self.anchors))
+        self.entry_of: list[int] = entry_of.tolist()
+        self.anchors: list[float] = anchors[entries].tolist()
+        whole = wholes[entries].astype(np.int64)
+        self.wholes: list[int] = whole.tolist()
+        self.phases: list[float] = phases[entries].tolist()
+        self.mults = np.bincount(entry_of[active], minlength=len(entries))
         self.below = np.concatenate(([0], self.mults.cumsum()))
         self.size = int(self.below[-1])
-        self.wholes_sum = int(self.wholes @ self.mults)
+        self.wholes_sum = int(whole @ self.mults)
+
+    def slots(self, i: int) -> list[int]:
+        return self.order[self.starts[i]:self.starts[i + 1]]
+
+    def weigh(self, slot: int, delta: int) -> None:
+        """Count ``slot`` in (``delta`` 1) or out (-1) of the active ones."""
+        i = self.entry_of[slot]
+        self.mults[i] += delta
+        self.below[i + 1:] += delta
+        self.size += delta
+        self.wholes_sum += delta * self.wholes[i]
 
     def near(self, lo: int, hi: int, f: float, tol: float) -> list[int]:
         """Entries whose phase lies within ``tol`` of ``f``, mod 1, given
@@ -570,3 +652,60 @@ class _PhaseIndex:
         if f + tol >= 1:
             near += range(bisect_right(phases, f + tol - 1))
         return near
+
+
+class _Walk:
+    """One wake's walk over the phase index: each entry's first beat at or
+    after the wake instant, in time order.
+
+    Sorted by phase, starting at the phase of the wake, the entries' first
+    beats since the wake rise with their position, except where rounding
+    blurs it: within ``tol`` of the start either side of a whole period
+    may hold, and further on two entries' beats may swap only when their
+    phases lie within ``tol`` of each other. So :meth:`due` computes the
+    exact first beat of entries in position order, into a small heap,
+    until the next position lies beyond the heap's earliest by more than
+    that; an anchor registered a period or more ahead only beats later
+    than its position says.
+    """
+
+    __slots__ = ("index", "woke_at", "period", "tol", "base", "start", "pos",
+                 "pending")
+
+    def __init__(self, index: _PhaseIndex, woke_at: float, period: float) -> None:
+        self.index = index
+        self.woke_at = woke_at
+        self.period = period
+        _, phase, self.tol = _split(woke_at, period)
+        # The walk starts tol before the wake's phase, mod 1.
+        self.base = phase if phase >= self.tol else phase + 1.0
+        self.start = bisect_left(index.phases, self.base - self.tol)
+        #: Positions walked, and their entries' first beats not yet taken
+        #: as ``(fire, entry, k)``.
+        self.pos = 0
+        self.pending: list[tuple[float, int, int]] = []
+
+    def due(self) -> Optional[float]:
+        """The earliest first beat of the entries not yet taken; ``None``
+        once every entry is."""
+        phases, pending, period = self.index.phases, self.pending, self.period
+        size = len(phases)
+        while self.pos < size:
+            entry = self.start + self.pos
+            # Phase past the wake's, in periods.
+            ahead = (phases[entry] - self.base if entry < size
+                     else phases[entry - size] + 1.0 - self.base)
+            if pending and ahead > ((pending[0][0] - self.woke_at) / period
+                                    + 2.0 * self.tol):
+                break
+            entry %= size
+            anchor = self.index.anchors[entry]
+            k = _grid_index(anchor, self.woke_at, period)
+            heappush(pending, (anchor + k * period, entry, k))
+            self.pos += 1
+        return pending[0][0] if pending else None
+
+    def take(self) -> tuple[list[int], float, int]:
+        """The earliest entry's slots, anchor and grid index at the wake."""
+        _, entry, k = heappop(self.pending)
+        return self.index.slots(entry), self.index.anchors[entry], k

@@ -537,3 +537,74 @@ def test_asleep_beat_count_matches_the_column_pass(period, quantum, offsets,
         read(env.now)
         read(env.now - step / 2)
     assert wheel.asleep
+
+
+@pytest.mark.parametrize("quantum", [0.0, 0.25])
+def test_wake_queues_only_the_beats_of_its_first_tick(quantum):
+    """Waking a sleeping 10 000-node wheel queues the beats due at the
+    first tick and no other: every other node stays on paper until the
+    ticks reach it. The count is still exact when they do."""
+    env = Environment()
+    wheel = HeartbeatWheel(env, 1.0, lambda node_id: None, quantum=quantum,
+                           busy=lambda: False)
+    nodes = [f"dn{i}" for i in range(10_000)]
+    for i, node_id in enumerate(nodes):
+        wheel.register(node_id, (i * 0.317) % 1.0)
+    env.run(until=50.4)
+    assert wheel.asleep
+    wheel.wake()
+    fires = [wheel.next_fire(node_id) for node_id in nodes]
+    first = min(fires)
+    assert sorted(wheel._queue) == [
+        (first, slot, wheel._token[slot])
+        for slot, fire in enumerate(fires) if fire == first]
+    assert wheel._armed == {first}
+    env.run(until=53.0)
+    assert wheel.asleep and wheel.ticks == 2
+    assert wheel.heartbeats_delivered == _reference_beats_before(
+        wheel, 53.0, 1.0)
+
+
+_MEMBERSHIP_OPS = st.lists(st.tuples(
+    st.sampled_from(["register", "suspend", "resume", "unregister", "wake",
+                     "read"]),
+    st.floats(0.0, 4.0, allow_nan=False),   # time step
+    st.integers(0, 15),                     # node
+    st.floats(0.0, 3.0, allow_nan=False)),  # offset
+    max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quantum=st.sampled_from([0.0, 0.25]), ops=_MEMBERSHIP_OPS)
+def test_membership_columns_kept_in_place_match_a_rebuild(quantum, ops):
+    """The anchors and active mask, and the phase index's weights, are
+    updated in place at register, suspend, resume and unregister, awake
+    and asleep; after any sequence they equal a fresh rebuild."""
+    from repro.yarn.heartbeat import _PhaseIndex
+
+    env = Environment()
+    wheel = HeartbeatWheel(env, 1.0, lambda node_id: None, quantum=quantum,
+                           busy=lambda: False)
+    for op, step, node, offset in ops:
+        env.run(until=env.now + step)
+        node_id = f"n{node}"
+        if op == "register":
+            if node_id not in wheel._slot:
+                wheel.register(node_id, offset)
+        elif op == "wake":
+            wheel.wake()
+        elif op == "read":
+            wheel.beats_before(env.now)
+        elif node_id in wheel._slot:
+            getattr(wheel, op)(node_id)
+    n = len(wheel._ids)
+    active = np.array([token is not None for token in wheel._token],
+                      dtype=bool)
+    assert wheel._anchors[:n].tolist() == wheel._anchor
+    assert wheel._active[:n].tolist() == active.tolist()
+    kept = wheel._phases
+    if kept is not None:
+        fresh = _PhaseIndex(np.array(wheel._anchor), active, 1.0)
+        assert kept.mults.tolist() == fresh.mults.tolist()
+        assert kept.below.tolist() == fresh.below.tolist()
+        assert (kept.size, kept.wholes_sum) == (fresh.size, fresh.wholes_sum)
