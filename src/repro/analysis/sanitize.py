@@ -46,9 +46,6 @@ TIE_ORDER_DEPENDENT: dict[str, str] = {
     "metrics/serving-summary": _UPLUS_A2,
     "metrics/serving-jsonl": _UPLUS_A2,
     "metrics/serving-openmetrics": _UPLUS_A2,
-    "am-fetch-failure/dplus": (
-        "FOUND [D+ fetch-failure order] in CHANGES.md: the two maps lost "
-        "with dn1 swap nodes when their fetchers fail in the other order"),
     "churn-telemetry-report": (
         "FOUND [churn re-replication] in CHANGES.md: the under-replicated "
         "block count diverges 48 s into the stock churn replay"),

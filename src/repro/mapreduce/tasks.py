@@ -89,9 +89,12 @@ class ShuffleService:
         return ev
 
     def drain(self) -> list[TaskRecord]:
-        """AM side: collect fetch failures reported since the last heartbeat."""
+        """AM side: collect fetch failures reported since the last
+        heartbeat, by task id: fetchers failing at one instant report in
+        whichever order their events ran, and the AM re-runs the maps in
+        the order it drains them."""
         reported, self.pending = self.pending, []
-        return reported
+        return sorted(reported, key=lambda record: record.task_id)
 
     def resolve(self, replacement: TaskRecord) -> None:
         """AM side: a re-executed map finished; wake the blocked fetcher."""
