@@ -157,7 +157,7 @@ class HeartbeatWheel:
     fire is ``anchor + k*period``), ``last`` (instant of the latest counted
     beat) and ``token`` (cancellation id of the queued beat, ``None`` while
     suspended). An active node's ``k`` and ``last`` may lag: it also made
-    every beat before the latest wake, on paper (:meth:`_settle`).
+    every beat before the latest wake, on paper (:meth:`_paper_k`).
     """
 
     def __init__(self, env: "Environment", period: float,
@@ -419,23 +419,15 @@ class HeartbeatWheel:
                                        self._period)
         return self._phases
 
-    def _settle(self, slot: int) -> None:
-        """Write the beats an active slot made on paper before the latest
-        wake into its ``k`` and ``last``; they are counted already."""
-        k = _grid_index(self._anchor[slot], self._woke_at, self._period)
-        if k > self._k[slot]:
-            self._last[slot] = self._anchor[slot] + (k - 1) * self._period
-            self._k[slot] = k
-
-    def _fast_forward(self, slot: int, k: int) -> None:
-        """Count the beats ``slot`` made asleep, at instants before now;
-        ``k`` is its grid index at now."""
+    def _advance(self, slot: int, k: int) -> int:
+        """Write the beats ``slot`` made on paper into its ``k`` and
+        ``last``, up to grid index ``k``; returns how many."""
         skipped = k - self._k[slot]
-        if skipped > 0:
-            self._counted += skipped
-            self._active_k += skipped
-            self._last[slot] = self._anchor[slot] + (k - 1) * self._period
-            self._k[slot] = k
+        if skipped <= 0:
+            return 0
+        self._last[slot] = self._anchor[slot] + (k - 1) * self._period
+        self._k[slot] = k
+        return skipped
 
     # -- timer machinery -----------------------------------------------------
     def _schedule(self, slot: int) -> None:
@@ -455,10 +447,15 @@ class HeartbeatWheel:
 
     def _stop(self, slot: int) -> None:
         """Deactivate ``slot``; its beats so far stay counted."""
-        self._settle(slot)
+        anchor, period = self._anchor[slot], self._period
+        # Its beats before the latest wake are counted already; those
+        # since, asleep, are not.
+        self._advance(slot, _grid_index(anchor, self._woke_at, period))
         if self._asleep:
-            self._fast_forward(slot, _grid_index(
-                self._anchor[slot], self._env.now, self._period))
+            skipped = self._advance(
+                slot, _grid_index(anchor, self._env.now, period))
+            self._counted += skipped
+            self._active_k += skipped
         elif self._queued[slot] == self._epoch:
             self._cancelled.add(self._token[slot])
         self._token[slot] = None
@@ -507,9 +504,7 @@ class HeartbeatWheel:
             token = self._token[slot]
             if token is None or self._queued[slot] == epoch:
                 continue
-            if k > self._k[slot]:
-                self._last[slot] = anchor + (k - 1) * period
-                self._k[slot] = k
+            self._advance(slot, k)
             heappush(self._queue, (anchor + self._k[slot] * period, slot, token))
             self._queued[slot] = epoch
 
