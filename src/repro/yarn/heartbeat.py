@@ -183,10 +183,12 @@ class HeartbeatWheel:
         #: number is not ``_epoch`` is on paper until the walk reaches it.
         self._queued: list[int] = []
         self._epoch = 0
-        #: Anchors and the active mask as arrays, for bulk reads, kept in
-        #: place; the first ``len(_ids)`` entries are the slots.
+        #: Anchors and the active mask as arrays, for bulk reads: written
+        #: in place for the first ``_columned`` slots, and extended by the
+        #: slots registered since on the next bulk read (:meth:`_columns`).
         self._anchors = np.zeros(0)
         self._active = np.zeros(0, dtype=bool)
+        self._columned = 0
         #: Heap of queued beats ``(fire, slot, token)`` while awake: every
         #: active slot the walk has reached exactly once, plus the beats of
         #: suspended slots, whose tokens sit in ``_cancelled`` until they
@@ -235,10 +237,6 @@ class HeartbeatWheel:
         self._last.append(_NEVER)
         self._token.append(None)
         self._queued.append(-1)
-        if slot == len(self._anchors):
-            self._anchors = _grown(self._anchors)
-            self._active = _grown(self._active)
-        self._anchors[slot] = anchor
         self._phases = None
         self._latest_anchor = max(self._latest_anchor, anchor)
         self._schedule(slot)
@@ -331,11 +329,11 @@ class HeartbeatWheel:
         reports it. One pass over the columns: a staleness probe on a
         10k-node cluster asks about every node."""
         ids, period = self._ids, self._period
-        anchors = self._anchors[:len(ids)]
+        anchors, active = self._columns()
         ks = np.array(self._k, dtype=np.float64)
         grid = _grid_indices(anchors, t if self._asleep else self._woke_at,
                              period)
-        lasts = np.where(self._active[:len(ids)] & (grid > ks),
+        lasts = np.where(active & (grid > ks),
                          anchors + (grid - 1) * period,
                          np.array(self._last, dtype=np.float64))
         lasts = np.where(lasts > _NEVER, lasts, 0.0)
@@ -395,9 +393,8 @@ class HeartbeatWheel:
         """
         period = self._period
         if self._latest_anchor >= t + period:
-            n = len(self._ids)
-            return int(_grid_indices(self._anchors[:n], t, period)
-                       [self._active[:n]].sum())
+            anchors, active = self._columns()
+            return int(_grid_indices(anchors, t, period)[active].sum())
         index = self._index()
         n, f_t, tol = _split(t, period)
         phases = index.phases
@@ -414,10 +411,21 @@ class HeartbeatWheel:
 
     def _index(self) -> "_PhaseIndex":
         if self._phases is None:
-            n = len(self._ids)
-            self._phases = _PhaseIndex(self._anchors[:n], self._active[:n],
-                                       self._period)
+            self._phases = _PhaseIndex(*self._columns(), self._period)
         return self._phases
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot's anchor and active flag, as arrays."""
+        n, done = len(self._ids), self._columned
+        if done < n:
+            if n > len(self._anchors):
+                self._anchors = _grown(self._anchors, n)
+                self._active = _grown(self._active, n)
+            self._anchors[done:n] = self._anchor[done:]
+            self._active[done:n] = [token is not None
+                                    for token in self._token[done:]]
+            self._columned = n
+        return self._anchors[:n], self._active[:n]
 
     def _advance(self, slot: int, k: int) -> int:
         """Write the beats ``slot`` made on paper into its ``k`` and
@@ -433,7 +441,8 @@ class HeartbeatWheel:
     def _schedule(self, slot: int) -> None:
         """Activate ``slot`` with its next beat at ``anchor + k*period``."""
         token = self._token[slot] = next(self._tokens)
-        self._active[slot] = True
+        if slot < self._columned:
+            self._active[slot] = True
         self._active_k += self._k[slot]
         if self._phases is not None:
             self._phases.weigh(slot, 1)
@@ -459,7 +468,8 @@ class HeartbeatWheel:
         elif self._queued[slot] == self._epoch:
             self._cancelled.add(self._token[slot])
         self._token[slot] = None
-        self._active[slot] = False
+        if slot < self._columned:
+            self._active[slot] = False
         self._active_k -= self._k[slot]
         if self._phases is not None:
             self._phases.weigh(slot, -1)
@@ -569,9 +579,9 @@ class HeartbeatWheel:
         return slot
 
 
-def _grown(column: np.ndarray) -> np.ndarray:
-    """``column`` with room for twice as many slots."""
-    grown = np.zeros(max(2 * len(column), 16), dtype=column.dtype)
+def _grown(column: np.ndarray, size: int) -> np.ndarray:
+    """``column`` with room for ``size`` slots, or twice as many as now."""
+    grown = np.zeros(max(2 * len(column), size), dtype=column.dtype)
     grown[:len(column)] = column
     return grown
 
