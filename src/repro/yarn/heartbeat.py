@@ -52,7 +52,7 @@ thus sleeps too, though its AM queue is full:
   it when it enqueues an AM or leaves an ask queued, when an AM container
   is released while AMs wait, and when a node is added — counts the beats
   slept through in one sum over the phase index and arms the earliest
-  beat at or after now. No node is fast-forwarded: a *walk* over the
+  beat at or after now. It touches no other node: a *walk* over the
   phase index, in time order from the phase of the wake, lets each node
   into the beat queue only when the ticks reach its first beat. Until
   then its beat count and latest beat stay on paper, read off the grid at
@@ -279,8 +279,7 @@ class HeartbeatWheel:
         index (:meth:`_grid_sum`), and the walk starts at the phase of now:
         only the nodes whose first beat at or after now is the earliest
         enter the beat queue, and that instant is armed. Every other node
-        stays on paper until the ticks reach it; no node is fast-forwarded.
-        Cheap no-op while awake.
+        stays on paper until the ticks reach it. Cheap no-op while awake.
         """
         if not self._asleep:
             return
