@@ -660,7 +660,7 @@ def _scale_1k() -> Outcome:
 def _wheel_wake(quantum: float, period: float) -> tuple[Any, int]:
     """A 200-node wheel's working beats and reads, and its tick count.
 
-    One driver process, so no two of its steps share an instant: work
+    One scripted process, so no two of its steps share an instant: work
     wakes the wheel at off-grid instants, on beat instants, and on the
     instant it fell asleep (every seventh working beat enqueues work on
     its own instant); long awake spells outlast a period; nodes are
@@ -728,7 +728,7 @@ def _wheel_wake(quantum: float, period: float) -> tuple[Any, int]:
             raise AssertionError(f"scenario node {node_id} is suspended")
         return at(fire + ahead * period)
 
-    def driver() -> Generator[Any, Any, None]:
+    def script() -> Generator[Any, Any, None]:
         yield env.timeout(0.05)
         work(3)
         for step, units in enumerate((1, 2, 1, 4, 1, 2)):
@@ -804,7 +804,7 @@ def _wheel_wake(quantum: float, period: float) -> tuple[Any, int]:
         yield on_beat("n15", 3)
         read("on-beat")
 
-    env.process(driver())
+    env.process(script())
     env.run()
     _require(sum(asleep for _, asleep in wakes) >= 15, "work wakes the wheel")
     _require(any(asleep and now in {t for t, _ in working}
