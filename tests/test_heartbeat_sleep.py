@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import ResourceVector
 from repro.config import HadoopConfig, ServingConfig, a3_cluster
+from repro.experiments.loadsweep import (LOAD_AM_FRACTION, LOAD_DURATION_S,
+                                         LOAD_SEED)
 from repro.faults.plan import churn_plan
 from repro.simcluster import SimCluster
 from repro.simulation.core import Environment
@@ -391,6 +393,22 @@ def test_resized_replay_matches_always_delivering_wheel():
     assert reference[1][2], "no idle node to decommission"
     assert sleeping[:2] == reference[:2]
     assert sleeping[2] * 5 <= reference[2]
+
+
+def test_am_limited_load_cell_is_slept_through():
+    """Figure L1's hfsp/stock-auto cell at 40 jobs/min: the 30 % AM limit
+    blocks almost every NodeManager beat, and the wheel sleeps through
+    them. The counts are exact; a wheel that delivered the AM-blocked
+    beats armed 7 492 ticks for the same 7 626 beats."""
+    cluster = build_trace_cluster(
+        a3_cluster(4), scheduler="hfsp", strategy="stock-auto",
+        conf=HadoopConfig(am_resource_fraction=LOAD_AM_FRACTION))
+    trace = poisson_trace(default_short_job_mix(), 40.0, LOAD_DURATION_S,
+                          seed=LOAD_SEED)
+    report = replay_load(cluster, trace, "stock-auto")
+    wheel = cluster.rm.heartbeat_wheel
+    assert (report.jobs_submitted, report.jobs_completed) == (412, 412)
+    assert (wheel.ticks, wheel.heartbeats_delivered) == (1_108, 7_626)
 
 
 class SuspendingWorld(World):
