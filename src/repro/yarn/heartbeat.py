@@ -48,6 +48,8 @@ thus sleeps too, though its AM queue is full:
 * Asleep, the wheel schedules nothing, but the nodes keep beating on
   paper: :attr:`heartbeats_delivered` and :meth:`last_beat` report the
   beats every active node made at grid instants before the read time.
+  :meth:`silent_nodes` takes a quiet time above the period, so it asks
+  only the nodes suspended, registered or resumed lately.
 * :meth:`wake` — called wherever ``busy()`` can turn true: the RM calls
   it when it enqueues an AM or leaves an ask queued, when an AM container
   is released while AMs wait, and when a node is added — counts the beats
@@ -101,35 +103,13 @@ def _finite(t: float) -> float:
 
 
 def _grid_index(anchor: float, t: float, period: float) -> int:
-    """The minimal k >= 0 with ``anchor + k*period >= t``.
-
-    Scalar twin of :func:`_grid_indices`: Python floats are IEEE doubles
-    and ``k * period`` converts k exactly, so every comparison is the one
-    the array pass makes.
-    """
+    """The minimal k >= 0 with ``anchor + k*period >= t``; ``ceil()`` on
+    floats can land one grid point off, so the exact predicate settles k."""
     k = max(math.ceil((_finite(t) - anchor) / period), 0)
     while anchor + k * period < t:
         k += 1
     while k > 0 and anchor + (k - 1) * period >= t:
         k -= 1
-    return k
-
-
-def _grid_indices(anchors: np.ndarray, t: float, period: float) -> np.ndarray:
-    """:func:`_grid_index` of every anchor (as floats)."""
-    k = np.maximum(np.ceil((_finite(t) - anchors) / period), 0.0)
-    # ceil() on floats can land one grid point off; settle on the
-    # minimal k exactly.
-    while True:
-        low = anchors + k * period < t
-        if not low.any():
-            break
-        k += low
-    while True:
-        high = (k > 0) & (anchors + (k - 1) * period >= t)
-        if not high.any():
-            break
-        k -= high
     return k
 
 
@@ -150,14 +130,16 @@ def _split(t: float, period: float) -> tuple[int, float, float]:
 class HeartbeatWheel:
     """Aggregated heartbeat timer for all NodeManagers of one RM.
 
-    Per-node state is columnar, one slot per registration (slots are never
-    reused, so the slot is also the tie-break between same-instant beats):
-    the node's *anchor* (its first-ever beat; it never changes, so resume()
-    lands back on the same grid), ``k`` (beats counted so far; the next
-    fire is ``anchor + k*period``), ``last`` (instant of the latest counted
-    beat) and ``token`` (cancellation id of the queued beat, ``None`` while
-    suspended). An active node's ``k`` and ``last`` may lag: it also made
-    every beat before the latest wake, on paper (:meth:`_paper_k`).
+    Per-node state is one list per field, one slot per registration (slots
+    are never reused, so the slot is also the tie-break between
+    same-instant beats): the node's *anchor* (its first-ever beat; it never
+    changes, so resume() lands back on the same grid), ``k`` (beats counted
+    so far; the next fire is ``anchor + k*period``), ``last`` (instant of
+    the latest counted beat) and ``token`` (cancellation id of the queued
+    beat, ``None`` while suspended). An active node's ``k`` and ``last``
+    may lag: it also made every beat before the latest wake, on paper
+    (:meth:`_paper_k`). Reads over all nodes use the phase index built
+    from these lists, the stopped slots and the recent activations.
     """
 
     def __init__(self, env: "Environment", period: float,
@@ -183,12 +165,11 @@ class HeartbeatWheel:
         #: number is not ``_epoch`` is on paper until the walk reaches it.
         self._queued: list[int] = []
         self._epoch = 0
-        #: Anchors and the active mask as arrays, for bulk reads: written
-        #: in place for the first ``_columned`` slots, and extended by the
-        #: slots registered since on the next bulk read (:meth:`_columns`).
-        self._anchors = np.zeros(0)
-        self._active = np.zeros(0, dtype=bool)
-        self._columned = 0
+        #: The slots suspended or unregistered, and the recent registrations
+        #: and resumes as ``(instant, first beat, slot)``, in time order
+        #: (:meth:`_since`).
+        self._stopped: set[int] = set()
+        self._changed: list[tuple[float, float, int]] = []
         #: Heap of queued beats ``(fire, slot, token)`` while awake: every
         #: active slot the walk has reached exactly once, plus the beats of
         #: suspended slots, whose tokens sit in ``_cancelled`` until they
@@ -209,8 +190,8 @@ class HeartbeatWheel:
         self._active_k = 0
         self._slept_at = -math.inf
         self._woke_at = env.now
-        #: Every anchor indexed by phase, weighed by the active mask: sorted
-        #: on the first read after a registration, re-weighed in place.
+        #: Every anchor indexed by phase, each slot weighed 1 unless stopped:
+        #: sorted on the first read after a registration, re-weighed in place.
         self._phases: Optional[_PhaseIndex] = None
         #: The latest anchor ever registered: no node beats before it.
         self._latest_anchor = -math.inf
@@ -325,19 +306,32 @@ class HeartbeatWheel:
         """Nodes whose latest beat before ``t`` is more than ``quiet_s`` old
         (``t - last > quiet_s``), in registration order; a node that never
         beat counts as having beaten at 0.0, as ``NodeState.last_heartbeat``
-        reports it. One pass over the columns: a staleness probe on a
-        10k-node cluster asks about every node."""
-        ids, period = self._ids, self._period
-        anchors, active = self._columns()
-        ks = np.array(self._k, dtype=np.float64)
-        grid = _grid_indices(anchors, t if self._asleep else self._woke_at,
-                             period)
-        lasts = np.where(active & (grid > ks),
-                         anchors + (grid - 1) * period,
-                         np.array(self._last, dtype=np.float64))
-        lasts = np.where(lasts > _NEVER, lasts, 0.0)
-        return [ids[slot] for slot in np.flatnonzero(t - lasts > quiet_s).tolist()
-                if ids[slot] is not None]
+        reports it.
+
+        ``quiet_s`` must exceed the period, and ``t`` must not precede the
+        latest membership change. An active node then beats every period,
+        so only the suspended nodes, those registered or resumed whose
+        first beat since is not before ``t`` and, with ``quiet_s`` within
+        rounding distance of the period, those with a beat at ``t`` can be
+        silent: only those are checked.
+        """
+        period = self._period
+        if not quiet_s > period:
+            raise ValueError(f"silent_nodes needs quiet_s above the heartbeat "
+                             f"period {period}, got {quiet_s}")
+        _, f_t, tol = _split(t, period)
+        slots = self._stopped.union(
+            slot for _, fire, slot in self._changed[self._since(t):] if fire >= t)
+        if quiet_s <= (1.0 + tol) * period:
+            index = self._index()
+            for i in index.near(f_t, tol):
+                slots.update(index.slots(i))
+        silent = []
+        for slot in sorted(slots):
+            last = self._latest(slot, t)
+            if t - (last if last > _NEVER else 0.0) > quiet_s:
+                silent.append(self._ids[slot])
+        return [node_id for node_id in silent if node_id is not None]
 
     def last_beat(self, node_id: str) -> Optional[float]:
         """Instant of the node's latest beat; ``None`` for a node that never
@@ -345,11 +339,7 @@ class HeartbeatWheel:
         slot = self._slot.get(node_id)
         if slot is None:
             return None
-        last = self._last[slot]
-        if self._token[slot] is not None:
-            k = self._paper_k(slot)
-            if k > self._k[slot]:
-                last = self._anchor[slot] + (k - 1) * self._period
+        last = self._latest(slot, self._env.now)
         return last if last > _NEVER else None
 
     def is_active(self, node_id: str) -> bool:
@@ -364,18 +354,27 @@ class HeartbeatWheel:
         slot = self._slot[node_id]
         if self._token[slot] is None:
             return None
-        return self._anchor[slot] + max(self._k[slot], self._paper_k(slot)) \
-            * self._period
+        return self._anchor[slot] + self._period * max(
+            self._k[slot], self._paper_k(slot, self._env.now))
 
     # -- grid arithmetic -----------------------------------------------------
-    def _paper_k(self, slot: int) -> int:
-        """The active slot's beats on paper: before now while asleep, before
-        the latest wake until the walk reaches it; 0 once it has."""
+    def _paper_k(self, slot: int, t: float) -> int:
+        """The active slot's beats on paper: before ``t`` while asleep,
+        before the latest wake until the walk reaches it; 0 once it has."""
         if self._asleep:
-            return _grid_index(self._anchor[slot], self._env.now, self._period)
+            return _grid_index(self._anchor[slot], t, self._period)
         if self._queued[slot] == self._epoch:
             return 0
         return _grid_index(self._anchor[slot], self._woke_at, self._period)
+
+    def _latest(self, slot: int, t: float) -> float:
+        """The slot's latest beat as of ``t``: the last of its beats on
+        paper if it made any, else its stored one (``_NEVER`` for none)."""
+        if self._token[slot] is not None:
+            k = self._paper_k(slot, t)
+            if k > self._k[slot]:
+                return self._anchor[slot] + (k - 1) * self._period
+        return self._last[slot]
 
     def _grid_sum(self, t: float) -> int:
         """Sum of the active slots' grid indices at ``t``.
@@ -387,44 +386,40 @@ class HeartbeatWheel:
         bisect. The identity is exact in real numbers; in floats only an
         anchor whose phase lies within rounding distance of f_t (mod 1)
         can disagree, so those are re-counted with the exact grid
-        predicate. A read while some anchor lies a period or more ahead,
-        where the identity does not hold, takes the column pass.
+        predicate. So are the anchors a period or more ahead, for which
+        the identity does not hold: they were registered since
+        ``t - quantum``, so the log of recent registrations holds them.
         """
         period = self._period
-        if self._latest_anchor >= t + period:
-            anchors, active = self._columns()
-            return int(_grid_indices(anchors, t, period)[active].sum())
         index = self._index()
         n, f_t, tol = _split(t, period)
-        phases = index.phases
-        lo, hi = bisect_left(phases, f_t - tol), bisect_right(phases, f_t + tol)
         total = (index.size * n - index.wholes_sum
-                 + int(index.below[bisect_left(phases, f_t, lo, hi)]))
-        for i in index.near(lo, hi, f_t, tol):
+                 + int(index.below[bisect_left(index.phases, f_t)]))
+        recount = index.near(f_t, tol)
+        if self._latest_anchor >= t + period:
+            recount = sorted(set(recount).union(
+                index.entry_of[slot] for *_, slot in self._changed[self._since(t):]
+                if self._anchor[slot] >= t + period))
+        for i in recount:
             mult = int(index.mults[i])
             if mult:
-                guess = n - index.wholes[i] + (phases[i] < f_t)
+                guess = n - index.wholes[i] + (index.phases[i] < f_t)
                 exact = _grid_index(index.anchors[i], t, period)
                 total += mult * (exact - guess)
         return total
 
     def _index(self) -> "_PhaseIndex":
         if self._phases is None:
-            self._phases = _PhaseIndex(*self._columns(), self._period)
+            self._phases = _PhaseIndex(self._anchor, self._stopped, self._period)
         return self._phases
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every slot's anchor and active flag, as arrays."""
-        n, done = len(self._ids), self._columned
-        if done < n:
-            if n > len(self._anchors):
-                self._anchors = _grown(self._anchors, n)
-                self._active = _grown(self._active, n)
-            self._anchors[done:n] = self._anchor[done:]
-            self._active[done:n] = [token is not None
-                                    for token in self._token[done:]]
-            self._columned = n
-        return self._anchors[:n], self._active[:n]
+    def _since(self, t: float) -> int:
+        """The first log entry at or after ``t - period - quantum``, less a
+        rounding margin: an anchor lies less than that after its node's
+        registration, so every earlier entry's first beat is before ``t``."""
+        tol = _split(t, self._period)[2]
+        since = t - (self._period + self._quantum) * (1.0 + tol)
+        return bisect_left(self._changed, (since,))
 
     def _advance(self, slot: int, k: int) -> int:
         """Write the beats ``slot`` made on paper into its ``k`` and
@@ -440,14 +435,19 @@ class HeartbeatWheel:
     def _schedule(self, slot: int) -> None:
         """Activate ``slot`` with its next beat at ``anchor + k*period``."""
         token = self._token[slot] = next(self._tokens)
-        if slot < self._columned:
-            self._active[slot] = True
+        fire = self._anchor[slot] + self._k[slot] * self._period
+        self._stopped.discard(slot)
+        # No read precedes the newest log entry, so none asks for the
+        # entries before _since(now) any more.
+        now, changed = self._env.now, self._changed
+        if changed and changed[0][0] < now - self._period - self._quantum:
+            del changed[:self._since(now)]
+        changed.append((now, fire, slot))
         self._active_k += self._k[slot]
         if self._phases is not None:
             self._phases.weigh(slot, 1)
         if self._asleep:
             return  # beats on paper until wake()
-        fire = self._anchor[slot] + self._k[slot] * self._period
         heappush(self._queue, (fire, slot, token))
         self._queued[slot] = self._epoch
         if not any(t <= fire for t in self._armed):
@@ -467,8 +467,7 @@ class HeartbeatWheel:
         elif self._queued[slot] == self._epoch:
             self._cancelled.add(self._token[slot])
         self._token[slot] = None
-        if slot < self._columned:
-            self._active[slot] = False
+        self._stopped.add(slot)
         self._active_k -= self._k[slot]
         if self._phases is not None:
             self._phases.weigh(slot, -1)
@@ -578,15 +577,9 @@ class HeartbeatWheel:
         return slot
 
 
-def _grown(column: np.ndarray, size: int) -> np.ndarray:
-    """``column`` with room for ``size`` slots, or twice as many as now."""
-    grown = np.zeros(max(2 * len(column), size), dtype=column.dtype)
-    grown[:len(column)] = column
-    return grown
-
-
 class _PhaseIndex:
-    """Every slot's anchor, sorted by phase within the period.
+    """Every slot's anchor, sorted by phase within the period, built from
+    the wheel's anchor list and its stopped slots.
 
     Each anchor ``a`` is split into whole periods ``w = floor(a/period)``
     and a phase ``f = a/period - w``. Equal anchors (a quantum cohort)
@@ -604,8 +597,11 @@ class _PhaseIndex:
     __slots__ = ("order", "starts", "entry_of", "anchors", "wholes", "phases",
                  "mults", "below", "size", "wholes_sum")
 
-    def __init__(self, anchors: np.ndarray, active: np.ndarray,
+    def __init__(self, anchor: list[float], stopped: set[int],
                  period: float) -> None:
+        anchors = np.array(anchor, dtype=np.float64)
+        active = np.ones(len(anchors), dtype=bool)
+        active[sorted(stopped)] = False
         periods = anchors / period
         wholes = np.floor(periods)
         phases = periods - wholes
@@ -644,13 +640,13 @@ class _PhaseIndex:
         self.size += delta
         self.wholes_sum += delta * self.wholes[i]
 
-    def near(self, lo: int, hi: int, f: float, tol: float) -> list[int]:
-        """Entries whose phase lies within ``tol`` of ``f``, mod 1, given
-        ``lo, hi``: the entries' bounds for ``f - tol`` and ``f + tol``."""
+    def near(self, f: float, tol: float) -> list[int]:
+        """Entries whose phase lies within ``tol`` of ``f``, mod 1."""
         phases = self.phases
         if 2 * tol >= 1:
             return list(range(len(phases)))
-        near = list(range(lo, hi))
+        near = list(range(bisect_left(phases, f - tol),
+                          bisect_right(phases, f + tol)))
         if f - tol < 0:
             near += range(bisect_left(phases, f - tol + 1), len(phases))
         if f + tol >= 1:

@@ -654,10 +654,10 @@ _MEMBERSHIP_OPS = st.lists(st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(quantum=st.sampled_from([0.0, 0.25]), ops=_MEMBERSHIP_OPS)
-def test_membership_columns_kept_in_place_match_a_rebuild(quantum, ops):
-    """The anchors and active mask, and the phase index's weights, are
-    kept in place through registers, suspends, resumes and unregisters,
-    awake and asleep; after any sequence they equal a fresh rebuild."""
+def test_phase_index_weights_kept_in_place_match_a_rebuild(quantum, ops):
+    """The phase index's weights and the stopped slots are kept in place
+    through registers, suspends, resumes and unregisters, awake and
+    asleep; after any sequence they equal a fresh rebuild."""
     from repro.yarn.heartbeat import _PhaseIndex
 
     env = Environment()
@@ -675,12 +675,24 @@ def test_membership_columns_kept_in_place_match_a_rebuild(quantum, ops):
             wheel.beats_before(env.now)
         elif node_id in wheel._slot:
             getattr(wheel, op)(node_id)
+    stopped = {slot for slot, token in enumerate(wheel._token) if token is None}
+    assert wheel._stopped == stopped
     kept = wheel._phases
-    anchors, active = wheel._columns()
-    assert anchors.tolist() == wheel._anchor
-    assert active.tolist() == [token is not None for token in wheel._token]
     if kept is not None:
-        fresh = _PhaseIndex(np.array(wheel._anchor), active, 1.0)
+        fresh = _PhaseIndex(wheel._anchor, stopped, 1.0)
         assert kept.mults.tolist() == fresh.mults.tolist()
         assert kept.below.tolist() == fresh.below.tolist()
         assert (kept.size, kept.wholes_sum) == (fresh.size, fresh.wholes_sum)
+
+
+@pytest.mark.parametrize("quiet", [1.0, 0.5, 1.0 - 2.0 ** -40])
+def test_silent_nodes_refuses_a_quiet_time_within_a_period(quiet):
+    """Within one period of ``t`` a beating node may not have beaten yet:
+    ``silent_nodes`` answers only for ``quiet_s`` above the period."""
+    env = Environment()
+    wheel = HeartbeatWheel(env, 2.0, lambda node_id: None, busy=lambda: False)
+    wheel.register("a", offset=0.5)
+    env.run(until=7.0)
+    assert wheel.silent_nodes(7.0, 2.0 * (1.0 + 2.0 ** -40)) == []
+    with pytest.raises(ValueError):
+        wheel.silent_nodes(7.0, 2.0 * quiet)
