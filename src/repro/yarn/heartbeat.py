@@ -165,11 +165,12 @@ class HeartbeatWheel:
         #: number is not ``_epoch`` is on paper until the walk reaches it.
         self._queued: list[int] = []
         self._epoch = 0
-        #: The slots suspended or unregistered, and the recent registrations
-        #: and resumes as ``(instant, first beat, slot)``, in time order
-        #: (:meth:`_since`).
+        #: Slots suspended or unregistered; slots registered or resumed
+        #: lately and when, in time order (:meth:`_since`), as two lists
+        #: since a tuple per entry would feed the cyclic GC.
         self._stopped: set[int] = set()
-        self._changed: list[tuple[float, float, int]] = []
+        self._changed_at: list[float] = []
+        self._changed: list[int] = []
         #: Heap of queued beats ``(fire, slot, token)`` while awake: every
         #: active slot the walk has reached exactly once, plus the beats of
         #: suspended slots, whose tokens sit in ``_cancelled`` until they
@@ -310,18 +311,20 @@ class HeartbeatWheel:
 
         ``quiet_s`` must exceed the period, and ``t`` must not precede the
         latest membership change. An active node then beats every period,
-        so only the suspended nodes, those registered or resumed whose
-        first beat since is not before ``t`` and, with ``quiet_s`` within
+        so only the suspended nodes, those registered or resumed lately
+        that have not beaten before ``t`` and, with ``quiet_s`` within
         rounding distance of the period, those with a beat at ``t`` can be
         silent: only those are checked.
         """
-        period = self._period
+        period, anchor, k = self._period, self._anchor, self._k
         if not quiet_s > period:
             raise ValueError(f"silent_nodes needs quiet_s above the heartbeat "
                              f"period {period}, got {quiet_s}")
         _, f_t, tol = _split(t, period)
+        # anchor + k*period: a slot's first beat since activation, or later.
         slots = self._stopped.union(
-            slot for _, fire, slot in self._changed[self._since(t):] if fire >= t)
+            slot for slot in self._changed[self._since(t):]
+            if anchor[slot] + k[slot] * period >= t)
         if quiet_s <= (1.0 + tol) * period:
             index = self._index()
             for i in index.near(f_t, tol):
@@ -360,12 +363,10 @@ class HeartbeatWheel:
     # -- grid arithmetic -----------------------------------------------------
     def _paper_k(self, slot: int, t: float) -> int:
         """The active slot's beats on paper: before ``t`` while asleep,
-        before the latest wake until the walk reaches it; 0 once it has."""
-        if self._asleep:
-            return _grid_index(self._anchor[slot], t, self._period)
-        if self._queued[slot] == self._epoch:
-            return 0
-        return _grid_index(self._anchor[slot], self._woke_at, self._period)
+        before the latest wake while awake (a slot the walk has reached
+        has counted those already)."""
+        at = t if self._asleep else self._woke_at
+        return _grid_index(self._anchor[slot], at, self._period)
 
     def _latest(self, slot: int, t: float) -> float:
         """The slot's latest beat as of ``t``: the last of its beats on
@@ -398,7 +399,7 @@ class HeartbeatWheel:
         recount = index.near(f_t, tol)
         if self._latest_anchor >= t + period:
             recount = sorted(set(recount).union(
-                index.entry_of[slot] for *_, slot in self._changed[self._since(t):]
+                index.entry_of[slot] for slot in self._changed[self._since(t):]
                 if self._anchor[slot] >= t + period))
         for i in recount:
             mult = int(index.mults[i])
@@ -419,7 +420,7 @@ class HeartbeatWheel:
         registration, so every earlier entry's first beat is before ``t``."""
         tol = _split(t, self._period)[2]
         since = t - (self._period + self._quantum) * (1.0 + tol)
-        return bisect_left(self._changed, (since,))
+        return bisect_left(self._changed_at, since)
 
     def _advance(self, slot: int, k: int) -> int:
         """Write the beats ``slot`` made on paper into its ``k`` and
@@ -435,19 +436,21 @@ class HeartbeatWheel:
     def _schedule(self, slot: int) -> None:
         """Activate ``slot`` with its next beat at ``anchor + k*period``."""
         token = self._token[slot] = next(self._tokens)
-        fire = self._anchor[slot] + self._k[slot] * self._period
         self._stopped.discard(slot)
         # No read precedes the newest log entry, so none asks for the
         # entries before _since(now) any more.
-        now, changed = self._env.now, self._changed
-        if changed and changed[0][0] < now - self._period - self._quantum:
-            del changed[:self._since(now)]
-        changed.append((now, fire, slot))
+        now, changed_at = self._env.now, self._changed_at
+        if changed_at and changed_at[0] < now - self._period - self._quantum:
+            stale = self._since(now)
+            del changed_at[:stale], self._changed[:stale]
+        changed_at.append(now)
+        self._changed.append(slot)
         self._active_k += self._k[slot]
         if self._phases is not None:
             self._phases.weigh(slot, 1)
         if self._asleep:
             return  # beats on paper until wake()
+        fire = self._anchor[slot] + self._k[slot] * self._period
         heappush(self._queue, (fire, slot, token))
         self._queued[slot] = self._epoch
         if not any(t <= fire for t in self._armed):
@@ -599,7 +602,7 @@ class _PhaseIndex:
 
     def __init__(self, anchor: list[float], stopped: set[int],
                  period: float) -> None:
-        anchors = np.array(anchor, dtype=np.float64)
+        anchors = np.fromiter(anchor, dtype=np.float64, count=len(anchor))
         active = np.ones(len(anchors), dtype=bool)
         active[sorted(stopped)] = False
         periods = anchors / period
