@@ -502,10 +502,10 @@ def _reference_beats_before(wheel, t, period):
 
 
 def _reference_silent_nodes(wheel, t, quiet_s):
-    """The column pass ``silent_nodes`` was defined by: every active slot
+    """The column pass ``silent_nodes`` was defined by: an active slot
     whose grid index (at ``t`` asleep, at the latest wake awake) exceeds
-    its count last beat at ``anchor + (grid - 1)*period``, every other slot
-    at its stored latest beat, and a slot that never beat at 0.0."""
+    its count last beat at ``anchor + (grid - 1)*period``, any other slot
+    at its stored latest beat, and a slot that never beat counts as 0.0."""
     ids, period = wheel._ids, wheel._period
     anchors = np.array(wheel._anchor, dtype=np.float64)
     active = np.array([token is not None for token in wheel._token],
