@@ -165,7 +165,7 @@ class HeartbeatWheel:
         #: number is not ``_epoch`` is on paper until the walk reaches it.
         self._queued: list[int] = []
         self._epoch = 0
-        #: Slots suspended or unregistered; slots registered or resumed
+        #: Slots suspended (not unregistered); slots registered or resumed
         #: lately and when, in time order (:meth:`_since`), as two lists
         #: since a tuple per entry would feed the cyclic GC.
         self._stopped: set[int] = set()
@@ -230,6 +230,7 @@ class HeartbeatWheel:
             return
         if self._token[slot] is not None:
             self._stop(slot)
+        self._stopped.discard(slot)
         self._ids[slot] = None
 
     def suspend(self, node_id: str) -> None:
@@ -411,7 +412,8 @@ class HeartbeatWheel:
 
     def _index(self) -> "_PhaseIndex":
         if self._phases is None:
-            self._phases = _PhaseIndex(self._anchor, self._stopped, self._period)
+            self._phases = _PhaseIndex(self._anchor, self._ids, self._stopped,
+                                       self._period)
         return self._phases
 
     def _since(self, t: float) -> int:
@@ -576,7 +578,8 @@ class HeartbeatWheel:
 
 class _PhaseIndex:
     """Every slot's anchor, sorted by phase within the period, built from
-    the wheel's anchor list and its stopped slots.
+    the wheel's anchor list, its ids (``None`` once unregistered) and its
+    suspended slots.
 
     Each anchor ``a`` is split into whole periods ``w = floor(a/period)``
     and a phase ``f = a/period - w``. Equal anchors (a quantum cohort)
@@ -594,10 +597,11 @@ class _PhaseIndex:
     __slots__ = ("order", "starts", "entry_of", "anchors", "wholes", "phases",
                  "mults", "below", "size", "wholes_sum")
 
-    def __init__(self, anchor: list[float], stopped: set[int],
-                 period: float) -> None:
+    def __init__(self, anchor: list[float], ids: list[Optional[str]],
+                 stopped: set[int], period: float) -> None:
         anchors = np.fromiter(anchor, dtype=np.float64, count=len(anchor))
-        active = np.ones(len(anchors), dtype=bool)
+        active = np.fromiter((node_id is not None for node_id in ids),
+                             dtype=bool, count=len(ids))
         # put, not an assignment through a list index, which would map
         # another ~0.13 MB of numpy's indexing code into the process.
         np.put(active, sorted(stopped), False)
