@@ -446,7 +446,8 @@ class SharedFabric(_FlowServer):
 
 
 class FairShareDevice(_FlowServer):
-    """A processor-sharing queue: a disk or a CPU pool.
+    """A processor-sharing queue: a disk or a CPU pool, each a subclass
+    (:class:`~repro.cluster.node.DiskDevice`, :class:`~repro.cluster.node.CpuPool`).
 
     ``capacity`` is in work-units/second. ``execute(size, cap=...)`` submits
     work and returns the flow. A CPU pool models a node's cores: capacity =
@@ -501,10 +502,6 @@ class FairShareDevice(_FlowServer):
             else:
                 self._capacity = float(capacity)
         return self._start((), size, cap, f"{self.name}:{label}")
-
-    @property
-    def active_count(self) -> int:
-        return len(self._flows)
 
     def utilization(self) -> float:
         """Fraction of the capacity currently allocated."""

@@ -34,20 +34,19 @@ class ClusterNetwork:
         self.env = env
         self.bandwidth_mb_s = bandwidth_mb_s
         self.fabric = SharedFabric(env)
-        #: Racks in first-seen node order (an ordered set): the order the
-        #: rack links are added in is the allocator's tie-break order, so
-        #: it must not follow string hashing.
-        self._racks: dict[str, None] = dict.fromkeys(n.rack for n in nodes)
-        self._node_rack: dict[str, str] = {n.node_id: n.rack for n in nodes}
+        #: Racks in first-seen node order, each with the number of nodes
+        #: that joined it: the order the rack links are added in is the
+        #: allocator's tie-break order, so it must not follow string hashing.
+        self._racks: dict[str, int] = {}
+        self._node_rack: dict[str, str] = {}
 
         for node in nodes:
+            self._node_rack[node.node_id] = node.rack
+            self._racks[node.rack] = self._racks.get(node.rack, 0) + 1
             self.fabric.add_link(f"nic_out:{node.node_id}", bandwidth_mb_s)
             self.fabric.add_link(f"nic_in:{node.node_id}", bandwidth_mb_s)
 
-        per_rack = max(
-            (sum(1 for n in nodes if n.rack == rack) for rack in self._racks), default=1
-        )
-        uplink = bandwidth_mb_s * per_rack
+        uplink = bandwidth_mb_s * max(self._racks.values(), default=1)
         core = uplink * max(1, len(self._racks))
         for rack in self._racks:
             self.fabric.add_link(f"rack_up:{rack}", uplink)
@@ -59,11 +58,12 @@ class ClusterNetwork:
         self._node_rack[node.node_id] = node.rack
         self.fabric.add_link(f"nic_out:{node.node_id}", self.bandwidth_mb_s)
         self.fabric.add_link(f"nic_in:{node.node_id}", self.bandwidth_mb_s)
-        if node.rack not in self._racks:
-            self._racks[node.rack] = None
-            uplink = self.bandwidth_mb_s
-            self.fabric.add_link(f"rack_up:{node.rack}", uplink)
-            self.fabric.add_link(f"rack_down:{node.rack}", uplink)
+        if node.rack in self._racks:
+            self._racks[node.rack] += 1
+        else:
+            self._racks[node.rack] = 1
+            self.fabric.add_link(f"rack_up:{node.rack}", self.bandwidth_mb_s)
+            self.fabric.add_link(f"rack_down:{node.rack}", self.bandwidth_mb_s)
 
     def path(self, src: str, dst: str) -> tuple[str, ...]:
         """Link path between two node ids; empty for same-node transfers."""

@@ -15,7 +15,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.core import Environment
 
 
-class DiskDevice:
+class DiskDevice(FairShareDevice):
     """A node's disk with sequential read/write rates and a seek penalty.
 
     Work is normalized to *device-seconds*: an op of ``mb`` megabytes at rate
@@ -34,14 +34,15 @@ class DiskDevice:
             raise ValueError("disk rates must be positive")
         if seek_penalty < 0:
             raise ValueError("seek_penalty cannot be negative")
+        super().__init__(env, 1.0, name)
         self.read_mb_s = read_mb_s
         self.write_mb_s = write_mb_s
         self.seek_penalty = seek_penalty
         #: Gray-failure knob: >1 slows every op (sick disk, throttled volume).
         self.slowdown = 1.0
-        self._device = FairShareDevice(env, capacity=1.0, name=name)
 
     def _capacity_for(self, n_ops: int) -> float:
+        """The capacity with ``n_ops`` ops in flight; none counts as one."""
         base = 1.0
         if n_ops > 1:
             base = 1.0 / (1.0 + self.seek_penalty * (n_ops - 1))
@@ -52,8 +53,7 @@ class DiskDevice:
         if factor <= 0:
             raise ValueError("slowdown factor must be positive")
         self.slowdown = float(factor)
-        n = max(1, self._device.active_count)
-        self._device.set_capacity(self._capacity_for(n))
+        self.set_capacity(self._capacity_for(len(self._flows)))
 
     def fail_active(self) -> int:
         """Kill every in-flight op (the machine died under them).
@@ -61,25 +61,23 @@ class DiskDevice:
         Waiters see :class:`~repro.cluster.fabric.FlowKilled` through each
         flow's ``done`` event. Returns the number of flows killed.
         """
-        victims = self._device.active_flows
+        victims = self.active_flows
         for flow in victims:
-            self._device.kill(flow)
+            self.kill(flow)
         return len(victims)
 
     def _submit(self, device_seconds: float, label: str) -> Flow:
         # The capacity for the op count *with* this op joins the submit's
         # own reallocation.
-        capacity = self._capacity_for(self._device.active_count + 1)
-        flow = self._device.execute(device_seconds, cap=1.0, label=label,
-                                    capacity=capacity)
+        flow = self.execute(device_seconds, cap=1.0, label=label,
+                            capacity=self._capacity_for(len(self._flows) + 1))
         flow.done.callbacks.append(lambda _ev: self._op_finished())
         return flow
 
     def _op_finished(self) -> None:
         # Runs from the op's ``done`` callback, one event after the
         # completion (or kill) that retired the op.
-        n = max(1, self._device.active_count)
-        self._device.set_capacity(self._capacity_for(n))
+        self.set_capacity(self._capacity_for(len(self._flows)))
 
     def read(self, mb: float, label: str = "read") -> Flow:
         return self._submit(mb / self.read_mb_s, label)
@@ -87,15 +85,8 @@ class DiskDevice:
     def write(self, mb: float, label: str = "write") -> Flow:
         return self._submit(mb / self.write_mb_s, label)
 
-    def kill(self, flow: Flow) -> None:
-        self._device.kill(flow)
 
-    @property
-    def active_ops(self) -> int:
-        return self._device.active_count
-
-
-class CpuPool:
+class CpuPool(FairShareDevice):
     """A node's cores as a fair-shared pool.
 
     Capacity equals the number of cores; every task is capped at one core,
@@ -105,10 +96,10 @@ class CpuPool:
     def __init__(self, env: "Environment", cores: int, name: str = "cpu") -> None:
         if cores <= 0:
             raise ValueError("cores must be positive")
+        super().__init__(env, float(cores), name)
         self.cores = cores
         #: Gray-failure knob: >1 slows every task (see :meth:`set_slowdown`).
         self.slowdown = 1.0
-        self._device = FairShareDevice(env, capacity=float(cores), name=name)
 
     def set_slowdown(self, factor: float) -> None:
         """Degrade (or restore, factor=1.0) the cores; running tasks adjust.
@@ -119,13 +110,10 @@ class CpuPool:
         if factor <= 0:
             raise ValueError("slowdown factor must be positive")
         self.slowdown = float(factor)
-        self._device.set_capacity(self.cores / factor)
+        self.set_capacity(self.cores / factor)
 
     def compute(self, cpu_seconds: float, label: str = "compute") -> Flow:
-        return self._device.execute(cpu_seconds, cap=1.0, label=label)
-
-    def utilization(self) -> float:
-        return self._device.utilization()
+        return self.execute(cpu_seconds, cap=1.0, label=label)
 
 
 class Node:
@@ -135,7 +123,6 @@ class Node:
                  cores: int, memory_mb: int,
                  disk_read_mb_s: float = 100.0, disk_write_mb_s: float = 80.0,
                  disk_seek_penalty: float = 0.3) -> None:
-        self.env = env
         self.node_id = node_id
         self.rack = rack
         self.capability = ResourceVector(memory_mb=memory_mb, vcores=cores)
@@ -147,8 +134,7 @@ class Node:
         #: idle and ``(node, False)`` once both are idle again.
         self.on_busy: Optional[Callable[["Node", bool], None]] = None
         self._busy_devices = 0
-        self.cpu._device.on_busy = self._device_busy
-        self.disk._device.on_busy = self._device_busy
+        self.cpu.on_busy = self.disk.on_busy = self._device_busy
 
     def _device_busy(self, busy: bool) -> None:
         self._busy_devices += 1 if busy else -1

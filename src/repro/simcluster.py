@@ -31,60 +31,35 @@ class SimCluster:
         self.spec = spec
         self.conf = conf if conf is not None else HadoopConfig()
         self.env = Environment()
-
-        inst = spec.instance
-        self.datanodes: list[Node] = [
-            Node(
-                self.env,
-                f"dn{i}",
-                rack=f"rack{i % spec.racks}",
-                cores=inst.cores,
-                memory_mb=inst.memory_mb,
-                disk_read_mb_s=inst.disk_read_mb_s,
-                disk_write_mb_s=inst.disk_write_mb_s,
-                disk_seek_penalty=inst.disk_seek_penalty,
-            )
-            for i in range(spec.num_datanodes)
-        ]
-        self.topology = Topology(self.datanodes)
-        self.network = ClusterNetwork(self.env, self.datanodes,
-                                      bandwidth_mb_s=inst.network_mb_s)
-        self.namenode = NameNode(self.topology, block_size_mb=self.conf.block_size_mb,
-                                 replication=min(self.conf.replication, spec.num_datanodes),
-                                 seed=seed)
-        self.hdfs = HdfsClient(self.env, self.namenode, self.network, self.topology)
-
-        self.datanode_daemons: dict[str, DataNodeDaemon] = {
-            node.node_id: DataNodeDaemon(self.env, node.node_id, self.namenode,
-                                         report_interval_s=3.0)
-            for node in self.datanodes
-        }
-        self.replication_manager = ReplicationManager(
-            self.env, self.namenode, self.network, self.topology)
-
-        self.scheduler = scheduler if scheduler is not None else CapacityScheduler()
-        self.rm = ResourceManager(self.env, self.topology, self.scheduler, self.conf)
-        #: Monotonic id source for nodes provisioned after construction.
+        #: Monotonic id source for every node, built or added later.
         #: Never decremented: decommissioned ids must not come back, and
         #: deriving fresh ids from ``len(self.datanodes)`` would collide as
         #: soon as a node has been removed.
-        self._node_seq = spec.num_datanodes
+        self._node_seq = 0
         #: Nodes with CPU or disk work in flight, keyed by id, with their
         #: creation index (``datanodes`` order): probes skip idle nodes.
         self._busy: dict[str, tuple[int, Node]] = {}
         self._index: dict[str, int] = {}
         #: Physical cores over ``datanodes``.
         self.total_cores = 0
-        for i, node in enumerate(self.datanodes):
-            self._watch(node, i)
+        self.datanodes: list[Node] = []
+        nodes = self._build_nodes(spec.num_datanodes)
+
+        self.topology = Topology(nodes)
+        self.network = ClusterNetwork(self.env, nodes,
+                                      bandwidth_mb_s=spec.instance.network_mb_s)
+        self.namenode = NameNode(self.topology, block_size_mb=self.conf.block_size_mb,
+                                 replication=min(self.conf.replication, spec.num_datanodes),
+                                 seed=seed)
+        self.hdfs = HdfsClient(self.env, self.namenode, self.network, self.topology)
+        self.replication_manager = ReplicationManager(
+            self.env, self.namenode, self.network, self.topology)
+
+        self.scheduler = scheduler if scheduler is not None else CapacityScheduler()
+        self.rm = ResourceManager(self.env, self.topology, self.scheduler, self.conf)
+        self.datanode_daemons: dict[str, DataNodeDaemon] = {}
         self.node_managers: list[NodeManager] = []
-        for i, node in enumerate(self.datanodes):
-            # Deterministic but spread heartbeat phases, like real daemons
-            # that started at arbitrary times.
-            offset = (i * 0.317) % self.conf.nm_heartbeat_s if self.conf.nm_heartbeat_s else 0.0
-            nm = NodeManager(self.env, node, self.rm, heartbeat_offset=offset)
-            self.rm.register_node_manager(nm)
-            self.node_managers.append(nm)
+        self._start_daemons(nodes)
 
     def add_node(self) -> NodeManager:
         """Provision one more worker (elastic scale-up, e.g. the autoscaler).
@@ -96,31 +71,53 @@ class SimCluster:
         monotonic counter, so it stays fresh even after :meth:`remove_node`
         has decommissioned workers (``len(self.datanodes)`` would collide).
         """
-        inst = self.spec.instance
-        i = self._node_seq
-        self._node_seq += 1
-        node = Node(
-            self.env,
-            f"dn{i}",
-            rack=f"rack{i % self.spec.racks}",
-            cores=inst.cores,
-            memory_mb=inst.memory_mb,
-            disk_read_mb_s=inst.disk_read_mb_s,
-            disk_write_mb_s=inst.disk_write_mb_s,
-            disk_seek_penalty=inst.disk_seek_penalty,
-        )
-        self.datanodes.append(node)
-        self._watch(node, i)
-        self.topology.add(node)
-        self.network.add_node(node)
-        self.datanode_daemons[node.node_id] = DataNodeDaemon(
-            self.env, node.node_id, self.namenode, report_interval_s=3.0)
-        self.rm.add_node(node)
-        offset = (i * 0.317) % self.conf.nm_heartbeat_s if self.conf.nm_heartbeat_s else 0.0
-        nm = NodeManager(self.env, node, self.rm, heartbeat_offset=offset)
-        self.rm.register_node_manager(nm)
-        self.node_managers.append(nm)
-        return nm
+        nodes = self._build_nodes(1)
+        self.topology.add(nodes[0])
+        self.network.add_node(nodes[0])
+        self.rm.add_node(nodes[0])
+        return self._start_daemons(nodes)[0]
+
+    def _build_nodes(self, count: int) -> list[Node]:
+        """The next ``count`` workers, ``dn{i}`` on rack ``i % racks``,
+        appended to ``datanodes`` and watched for device activity."""
+        inst, racks = self.spec.instance, self.spec.racks
+        memory_mb = inst.memory_mb
+        first = self._node_seq
+        self._node_seq += count
+        nodes = [
+            Node(
+                self.env,
+                f"dn{i}",
+                rack=f"rack{i % racks}",
+                cores=inst.cores,
+                memory_mb=memory_mb,
+                disk_read_mb_s=inst.disk_read_mb_s,
+                disk_write_mb_s=inst.disk_write_mb_s,
+                disk_seek_penalty=inst.disk_seek_penalty,
+            )
+            for i in range(first, first + count)
+        ]
+        on_busy = self._on_node_busy
+        for i, node in enumerate(nodes, first):
+            self._index[node.node_id] = i
+            node.on_busy = on_busy
+        self.total_cores += inst.cores * count
+        self.datanodes += nodes
+        return nodes
+
+    def _start_daemons(self, nodes: list[Node]) -> list[NodeManager]:
+        """Start each node's DataNode and NodeManager, the NMs' heartbeat
+        phases spread by node index as if started at arbitrary times."""
+        period = self.conf.nm_heartbeat_s
+        nms = []
+        for node in nodes:
+            self.datanode_daemons[node.node_id] = DataNodeDaemon(
+                self.env, node.node_id, self.namenode, report_interval_s=3.0)
+            offset = (self._index[node.node_id] * 0.317) % period if period else 0.0
+            nms.append(NodeManager(self.env, node, self.rm, heartbeat_offset=offset))
+        self.rm.register_node_managers(nms)
+        self.node_managers += nms
+        return nms
 
     def remove_node(self, node_id: str):
         """Decommission a worker permanently (scale-down beyond drain).
@@ -156,11 +153,6 @@ class SimCluster:
         """Nodes with CPU or disk work in flight, in ``datanodes`` order.
         Every other node reads zero on both devices."""
         return [node for _, node in sorted(self._busy.values())]
-
-    def _watch(self, node: Node, index: int) -> None:
-        self._index[node.node_id] = index
-        self.total_cores += node.cpu.cores
-        node.on_busy = self._on_node_busy
 
     def _on_node_busy(self, node: Node, busy: bool) -> None:
         index = self._index.get(node.node_id)

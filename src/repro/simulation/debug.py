@@ -41,7 +41,7 @@ class InvariantChecker:
         self._network = cluster.network.fabric
         #: Every datanode's CPU and disk device.
         self._devices = [device for node in cluster.datanodes
-                         for device in (node.cpu._device, node.disk._device)]
+                         for device in (node.cpu, node.disk)]
         cluster.env.tracers.append(self._on_event)
 
     # -- checks -----------------------------------------------------------------

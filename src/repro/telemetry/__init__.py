@@ -162,7 +162,7 @@ class _NodeProbeCache:
         for node in nodes:
             util = node.cpu.utilization()
             utils.append(util)
-            disks.append(float(node.disk.active_ops))
+            disks.append(float(node.disk.flow_count()))
             busy += util * node.cpu.cores
         if len(nodes) < len(cluster.datanodes):
             utils.append(0.0)

@@ -81,7 +81,7 @@ import math
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -205,23 +205,35 @@ class HeartbeatWheel:
         Matches the legacy per-process semantics exactly: a node registered
         at time t with phase offset o beats at ``t + o%p, +p, +2p, ...``.
         """
-        if node_id in self._slot:
-            raise ValueError(f"node {node_id!r} already on the heartbeat wheel")
-        anchor = self._env.now + (offset % self._period)
-        if self._quantum > 0:
-            # Snap to the quantum grid, always forward (never before now).
-            anchor = math.ceil(anchor / self._quantum) * self._quantum
-        slot = len(self._ids)
-        self._slot[node_id] = slot
-        self._ids.append(node_id)
-        self._anchor.append(anchor)
-        self._k.append(0)
-        self._last.append(_NEVER)
-        self._token.append(None)
-        self._queued.append(-1)
+        self.register_all(((node_id, offset),))
+
+    def register_all(self, members: Iterable[tuple[str, float]]) -> None:
+        """:meth:`register` each ``(node_id, offset)`` in turn, in one pass; a
+        node already on the wheel, or named twice, raises before any is."""
+        now, period, quantum = self._env.now, self._period, self._quantum
+        first = len(self._ids)
+        fresh: dict[str, int] = {}
+        anchors: list[float] = []
+        for node_id, offset in members:
+            if node_id in self._slot or node_id in fresh:
+                raise ValueError(f"node {node_id!r} already on the heartbeat wheel")
+            fresh[node_id] = first + len(anchors)
+            anchor = now + (offset % period)
+            if quantum > 0:
+                # Snap to the quantum grid, always forward (never before now).
+                anchor = math.ceil(anchor / quantum) * quantum
+            anchors.append(anchor)
+        n = len(anchors)
+        self._slot.update(fresh)
+        self._ids += fresh
+        self._anchor += anchors
+        self._k += [0] * n
+        self._last += [_NEVER] * n
+        self._token += [None] * n
+        self._queued += [-1] * n
         self._phases = None
-        self._latest_anchor = max(self._latest_anchor, anchor)
-        self._schedule(slot)
+        self._latest_anchor = max(self._latest_anchor, max(anchors, default=_NEVER))
+        self._schedule(range(first, first + n))
 
     def unregister(self, node_id: str) -> None:
         """Forget ``node_id`` entirely (decommission)."""
@@ -253,7 +265,7 @@ class HeartbeatWheel:
             return  # already beating
         self._k[slot] = _grid_index(self._anchor[slot], self._env.now,
                                     self._period)
-        self._schedule(slot)
+        self._schedule((slot,))
 
     def wake(self) -> None:
         """Work was enqueued: deliver beats again, from now on.
@@ -435,28 +447,34 @@ class HeartbeatWheel:
         return skipped
 
     # -- timer machinery -----------------------------------------------------
-    def _schedule(self, slot: int) -> None:
-        """Activate ``slot`` with its next beat at ``anchor + k*period``."""
-        token = self._token[slot] = next(self._tokens)
-        self._stopped.discard(slot)
+    def _schedule(self, slots: Iterable[int]) -> None:
+        """Activate each slot in turn with its next beat at ``anchor + k*period``."""
         # No read precedes the newest log entry, so none asks for the
         # entries before _since(now) any more.
-        now, changed_at = self._env.now, self._changed_at
+        now, changed_at, changed = self._env.now, self._changed_at, self._changed
         if changed_at and changed_at[0] < now - self._period - self._quantum:
             stale = self._since(now)
-            del changed_at[:stale], self._changed[:stale]
-        changed_at.append(now)
-        self._changed.append(slot)
-        self._active_k += self._k[slot]
-        if self._phases is not None:
-            self._phases.weigh(slot, 1)
-        if self._asleep:
-            return  # beats on paper until wake()
-        fire = self._anchor[slot] + self._k[slot] * self._period
-        heappush(self._queue, (fire, slot, token))
-        self._queued[slot] = self._epoch
-        if not any(t <= fire for t in self._armed):
-            self._arm(fire)
+            del changed_at[:stale], changed[:stale]
+        anchor, k, period = self._anchor, self._k, self._period
+        tokens, phases, epoch = self._token, self._phases, self._epoch
+        # A beat needs a tick unless one is armed at or before it.
+        armed = min(self._armed, default=math.inf)
+        for slot in slots:
+            token = tokens[slot] = next(self._tokens)
+            self._stopped.discard(slot)
+            changed_at.append(now)
+            changed.append(slot)
+            self._active_k += k[slot]
+            if phases is not None:
+                phases.weigh(slot, 1)
+            if self._asleep:
+                continue  # beats on paper until wake()
+            fire = anchor[slot] + k[slot] * period
+            heappush(self._queue, (fire, slot, token))
+            self._queued[slot] = epoch
+            if fire < armed:
+                self._arm(fire)
+                armed = fire
 
     def _stop(self, slot: int) -> None:
         """Deactivate ``slot``; its beats so far stay counted."""

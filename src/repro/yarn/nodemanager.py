@@ -20,9 +20,9 @@ class NodeManager:
     * Heartbeats every ``nm_heartbeat_s`` (phase-offset per node, as real NMs
       start at arbitrary times) — the stock scheduler only hands out
       containers inside these heartbeats. The beats themselves come from the
-      RM's shared :class:`~repro.yarn.heartbeat.HeartbeatWheel`; the NM only
-      registers/suspends/resumes its membership, and its phase (the wheel
-      *anchor*) survives crash/rejoin and drain/undrain cycles.
+      RM's shared :class:`~repro.yarn.heartbeat.HeartbeatWheel`, which the RM
+      registers the NM on; the NM only suspends/resumes its membership, and
+      its phase (the wheel *anchor*) survives crash/rejoin and drain/undrain.
     * ``launch(container, runnable)`` models container start-up (JVM spawn +
       localization, ``container_launch_s``) before running the payload.
     """
@@ -44,8 +44,6 @@ class NodeManager:
         #: Fault-injection hook: ``decide(container) -> Optional[float]``
         #: returns seconds-until-crash for a flaky container, or None.
         self._flaky: Optional[Callable[[Container], Optional[float]]] = None
-        if rm.heartbeat_wheel is not None:
-            rm.heartbeat_wheel.register(node.node_id, heartbeat_offset)
 
     @property
     def node_id(self) -> str:

@@ -13,7 +13,7 @@ The RM is the hub the paper's Figures 2/3 revolve around:
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Sequence
 
 from ..cluster.resources import ResourceVector
 from ..simulation.errors import Interrupt
@@ -61,8 +61,7 @@ class ResourceManager:
         self.rack_registered: dict[str, int] = {}
         self.rack_alive: dict[str, int] = {}
         self._rack_of: dict[str, str] = {}
-        for node in topology.nodes:
-            self._admit(node)
+        self._admit(topology.nodes)
         scheduler.bind(self)
 
         self.node_managers: dict[str, "NodeManager"] = {}
@@ -102,30 +101,40 @@ class ResourceManager:
         """An arrival sequence for a job submitted without one."""
         return next(self._submit_seq)
 
-    def register_node_manager(self, nm: "NodeManager") -> None:
-        self.node_managers[nm.node_id] = nm
+    def register_node_managers(self, nms: Sequence["NodeManager"]) -> None:
+        """Take in ``nms``, in order, each on the wheel at its heartbeat offset."""
+        self.node_managers.update((nm.node_id, nm) for nm in nms)
+        if self.heartbeat_wheel is not None:
+            self.heartbeat_wheel.register_all(
+                [(nm.node_id, nm.heartbeat_offset) for nm in nms])
 
     def add_node(self, node) -> None:
         """Admit a node provisioned after RM construction (elastic scale-up)."""
         if node.node_id in self.nodes:
             raise ValueError(f"node {node.node_id!r} already registered")
-        self._admit(node)
+        self._admit((node,))
         if self._am_queue:
             self._wake_heartbeats()  # capacity and the AM limit rose
 
-    def _admit(self, node) -> NodeState:
-        advertised = ResourceVector(
-            memory_mb=node.capability.memory_mb,
-            vcores=self.conf.effective_vcores(node.capability.vcores),
-        )
-        state = NodeState(node.node_id, advertised, watcher=self._on_node_usage,
-                          wheel=self.heartbeat_wheel)
-        self.nodes[node.node_id] = state
-        self._total_capability = self._total_capability + advertised
-        rack = self._rack_of[node.node_id] = node.rack
-        self.rack_registered[rack] = self.rack_registered.get(rack, 0) + 1
-        self.rack_alive[rack] = self.rack_alive.get(rack, 0) + 1
-        return state
+    def _admit(self, nodes: Iterable) -> None:
+        """One NodeState per node, in order, advertising its capability
+        with ``effective_vcores`` applied; the totals are summed as ints."""
+        watcher, wheel = self._on_node_usage, self.heartbeat_wheel
+        memory = vcores = 0
+        for node in nodes:
+            capability = node.capability
+            advertised = ResourceVector(
+                capability.memory_mb, self.conf.effective_vcores(capability.vcores))
+            self.nodes[node.node_id] = NodeState(node.node_id, advertised,
+                                                 watcher=watcher, wheel=wheel)
+            memory += advertised.memory_mb
+            vcores += advertised.vcores
+            rack = self._rack_of[node.node_id] = node.rack
+            self.rack_registered[rack] = self.rack_registered.get(rack, 0) + 1
+            self.rack_alive[rack] = self.rack_alive.get(rack, 0) + 1
+        total = self._total_capability
+        self._total_capability = ResourceVector(total.memory_mb + memory,
+                                                total.vcores + vcores)
 
     def _on_node_usage(self, delta_memory_mb: int, delta_vcores: int) -> None:
         self._total_used_mb += delta_memory_mb

@@ -192,7 +192,7 @@ def test_utilization_reporting():
     dev.execute(100.0, cap=1.0)
     env.run(until=0.5)
     assert dev.utilization() == pytest.approx(0.25)
-    assert dev.active_count == 1
+    assert dev.flow_count() == 1
 
 
 def test_set_capacity_reallocates():
@@ -609,7 +609,7 @@ def _mixed_flow_scenario(traced):
     env.process(script())
     env.run()
     lines = [repr(flow.done.value) if flow.done.ok else "killed" for flow in flows]
-    servers = [net, device] + [d for n in nodes for d in (n.cpu._device, n.disk._device)]
+    servers = [net, device] + [d for n in nodes for d in (n.cpu, n.disk)]
     lines += [f"timers {server.timers_armed}" for server in servers]
     lines.append(f"events {env.events_processed}")
     return lines

@@ -241,7 +241,7 @@ def test_processor_sharing_queues_match_one_link_fabric(queue, capacity, ops):
     else:
         servers = (DiskDevice(envs[0], read_mb_s=50.0, write_mb_s=30.0,
                               seek_penalty=0.3), FabricDisk(envs[1]))
-        timed = (servers[0]._device, servers[1].fabric)
+        timed = (servers[0], servers[1].fabric)
     pairs = []
     completions = ([], [])
 

@@ -6,15 +6,20 @@ as any node has been decommissioned. Ids now come from a monotonic counter
 and are never reused.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ResourceVector
-from repro.config import HadoopConfig, a3_cluster
+from repro.cluster import Node, ResourceVector, Topology
+from repro.config import INSTANCE_TYPES, HadoopConfig, a3_cluster
 from repro.simcluster import SimCluster
+from repro.simulation.core import Environment
 from repro.telemetry import install_telemetry
 from repro.yarn import Application
+from repro.yarn.resourcemanager import ResourceManager
+from repro.yarn.scheduler import CapacityScheduler
 
 
 def make_cluster(n=4, conf=None):
@@ -158,6 +163,60 @@ def test_added_node_capability_joins_totals():
     per_node = cluster.rm.nodes["dn0"].capability
     assert cluster.rm.total_capability() == before + per_node
     assert cluster.rm.total_capability() == brute_force_capability(cluster.rm)
+
+
+@pytest.mark.parametrize("quantum_s", [0.0, 0.25], ids=["exact", "quantum"])
+def test_grown_cluster_matches_one_built_whole(quantum_s):
+    """``add_node`` gives a node the rack and heartbeat phase the
+    constructor would have: a 7-node cluster equals one built with a node
+    per rack and grown by ``add_node`` at t=0, per node and, three heartbeat
+    periods on, in beats, RM totals, rack counts, cores and kernel events.
+    The fabric is left out: links added later rank later by design."""
+    conf = HadoopConfig(nm_heartbeat_quantum_s=quantum_s)
+    spec = a3_cluster(7)
+    whole = SimCluster(spec, conf=conf)
+    grown = SimCluster(replace(spec, num_datanodes=spec.racks), conf=conf)
+    while len(grown.datanodes) < spec.num_datanodes:
+        grown.add_node()
+
+    def per_node(cluster):
+        wheel = cluster.rm.heartbeat_wheel
+        return [(node.node_id, node.rack, node.capability,
+                 cluster.rm.nodes[node.node_id].capability,
+                 wheel.anchor_of(node.node_id), wheel.last_beat(node.node_id))
+                for node in cluster.datanodes]
+
+    def totals(cluster):
+        rm = cluster.rm
+        return (rm.total_capability(), rm.total_used(), rm.rack_registered,
+                rm.rack_alive, cluster.total_cores,
+                rm.heartbeat_wheel.beats_before(cluster.env.now),
+                cluster.env.events_processed)
+
+    assert per_node(grown) == per_node(whole)
+    for cluster in (whole, grown):
+        cluster.env.run(until=3 * conf.nm_heartbeat_s)
+    assert per_node(grown) == per_node(whole)
+    assert totals(grown) == totals(whole)
+    assert whole.rm.heartbeat_wheel.beats_before(whole.env.now) > 0
+
+
+def test_rm_over_mixed_capabilities_advertises_each_node_its_own():
+    """An RM built over A2 and A3 nodes admits each with its own
+    capability, vcores scaled by ``effective_vcores``, and its totals and
+    rack counts equal a full walk."""
+    env = Environment()
+    kinds = [INSTANCE_TYPES[name] for name in ("A2", "A3", "A3", "A2", "A3")]
+    nodes = [Node(env, f"n{i}", rack=f"r{i % 2}", cores=kind.cores,
+                  memory_mb=kind.memory_mb) for i, kind in enumerate(kinds)]
+    conf = HadoopConfig(containers_per_core=2)
+    rm = ResourceManager(env, Topology(nodes), CapacityScheduler(), conf)
+    assert [rm.nodes[node.node_id].capability for node in nodes] == [
+        ResourceVector(kind.memory_mb, 2 * kind.cores) for kind in kinds]
+    assert rm.total_capability() == brute_force_capability(rm)
+    assert rm.total_capability() == ResourceVector(
+        sum(kind.memory_mb for kind in kinds), 2 * sum(kind.cores for kind in kinds))
+    assert rm.rack_registered == rm.rack_alive == {"r0": 3, "r1": 2}
 
 
 # -- per-rack liveness counts --------------------------------------------------

@@ -72,7 +72,7 @@ def test_gray_replay_is_pinned(strategy, monkeypatch):
     set_slowdown = DiskDevice.set_slowdown
 
     def counting(disk, factor):
-        in_flight.append(disk.active_ops)
+        in_flight.append(disk.flow_count())
         set_slowdown(disk, factor)
 
     monkeypatch.setattr(DiskDevice, "set_slowdown", counting)
