@@ -1,8 +1,8 @@
 """Physical-cluster substrate: machines, devices, network, topology.
 
 * :class:`ResourceVector` — memory+vcores arithmetic (YARN ``Resource``).
-* :class:`FairShareDevice` — a processor-sharing queue; used for disks
-  and CPU pools.
+* :class:`FairShareDevice` — a processor-sharing queue; the base class of
+  disks and CPU pools.
 * :class:`SharedFabric` — max-min fair capacity sharing over links; used
   for the network.
 * :class:`Node` — a machine with a :class:`CpuPool` and :class:`DiskDevice`.

@@ -209,7 +209,7 @@ class HeartbeatWheel:
 
     def register_all(self, members: Iterable[tuple[str, float]]) -> None:
         """:meth:`register` each ``(node_id, offset)`` in turn, in one pass; a
-        node already on the wheel, or named twice, raises before any is."""
+        node already on the wheel, or named twice, registers none of them."""
         now, period, quantum = self._env.now, self._period, self._quantum
         first = len(self._ids)
         fresh: dict[str, int] = {}

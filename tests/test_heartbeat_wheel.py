@@ -146,6 +146,13 @@ def test_duplicate_register_rejected():
     wheel.register("a")
     with pytest.raises(ValueError):
         wheel.register("a")
+    # A batch naming a node twice, or one already on, registers none.
+    for batch in ([("b", 0.1), ("b", 0.2)], [("b", 0.1), ("a", 0.2)]):
+        with pytest.raises(ValueError):
+            wheel.register_all(batch)
+        assert not wheel.is_active("b")
+    wheel.register_all([("b", 0.1), ("c", 0.2)])
+    assert wheel.is_active("b") and wheel.is_active("c")
 
 
 def test_suspend_is_idempotent_and_resume_noops_when_active():
